@@ -17,6 +17,7 @@ certification succeeds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -102,7 +103,9 @@ def evaluate(term: Term, ctx: NumericContext, *, collect_trace: bool = False) ->
         value, events = _eval_once(term, ctx, working, collect_trace)
         if isinstance(value, Fraction) or value.radius <= target:
             return EvalResult(value, tuple(events) if collect_trace else None)
-        working /= 16
+        # a power of an inexact base amplifies its error by far more than 16,
+        # so the next round asks for the overshoot it just measured
+        working /= max(16, 2 * math.ceil(value.radius / target))
     raise PrecisionError("evaluation radius did not reach the precision target")
 
 
@@ -228,36 +231,53 @@ def _trim_zeros(exp: "BasebExpansion") -> str:
 
 def _expansion_of_exact(r: Fraction, base: int, digits: int) -> BasebExpansion:
     sign = "-" if r < 0 else "+"
-    x = -r if r < 0 else r
-    whole = x.numerator // x.denominator
-    int_digits = _int_digits(whole, base)
-    frac_digits = []
-    rem = x - whole
-    for _ in range(digits):
-        rem *= base
-        d = rem.numerator // rem.denominator
-        frac_digits.append(d)
-        rem -= d
-    return BasebExpansion(sign, base, int_digits, tuple(frac_digits))
+    scaled = abs(r.numerator) * base**digits // r.denominator
+    return _expansion_from_scaled(scaled, base, digits, sign)
+
+
+# Below this many digits a run of single-digit divmods beats another split.
+_DIGIT_LEAF = 32
+
+
+def _digits(n: int, base: int, count: int) -> list[int]:
+    """The lowest `count` base-`base` digits of n >= 0, most significant first.
+
+    Divide and conquer on base^(2^k): each split is one division of a
+    number by a power about half its size, so the whole costs a few
+    divisions of n's size, where one divmod per digit is quadratic.
+    """
+    powers = [base]  # powers[k] = base^(2^k)
+    while 1 << len(powers) < count:
+        powers.append(powers[-1] ** 2)
+    out: list[int] = []
+
+    def split(n: int, count: int) -> None:
+        if count <= _DIGIT_LEAF:
+            block = [0] * count
+            for i in range(count - 1, -1, -1):
+                n, block[i] = divmod(n, base)
+            out.extend(block)
+            return
+        k = (count - 1).bit_length() - 1  # 2^k < count <= 2^(k+1)
+        high, low = divmod(n, powers[k])
+        split(high, count - (1 << k))
+        split(low, 1 << k)
+
+    split(n, count)
+    return out
 
 
 def _int_digits(n: int, base: int) -> tuple[int, ...]:
-    if n == 0:
-        return (0,)
-    ds = []
-    while n:
-        n, d = divmod(n, base)
-        ds.append(d)
-    return tuple(reversed(ds))
+    # n < 2^bits <= base^count; the float bound gets one digit of slack
+    count = int(n.bit_length() * math.log(2) / math.log(base)) + 2
+    ds = _digits(n, base, count)
+    first = next((i for i, d in enumerate(ds) if d), len(ds) - 1)
+    return tuple(ds[first:])
 
 
 def _expansion_from_scaled(scaled: int, base: int, digits: int, sign: str) -> BasebExpansion:
     whole, frac = divmod(scaled, base**digits)
-    fd = []
-    for _ in range(digits):
-        frac, d = divmod(frac, base)
-        fd.append(d)
-    return BasebExpansion(sign, base, _int_digits(whole, base), tuple(reversed(fd)))
+    return BasebExpansion(sign, base, _int_digits(whole, base), tuple(_digits(frac, base, digits)))
 
 
 def to_base_b(value: EvalResult | Value, ctx: NumericContext) -> BasebExpansion:

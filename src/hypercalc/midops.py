@@ -1,12 +1,33 @@
 """Rank-3 operations: exponential, natural log, power, root, logarithm.
 
-`exp_e` and `ln_e` are Taylor/atanh series evaluated in integer fixed point
-with explicit ulp accounting, so results are rigorous Balls:
+`exp_e` and `ln_e` are series evaluated in integer fixed point (values
+scaled by 2^prec) with explicit ulp accounting, so results are rigorous
+Balls.  Every rounding is to nearest: a division by 2^prec is a rounding
+shift, and a division by 2^prec * n is that shift then a small-int divide,
+so no series step divides by a big integer.
 
-  exp(x) = sum x^n/n!          after halving the argument into |x| <= 1,
-                               tail < |x|^(N+1)/(N+1)! * (N+2)/(N+1);
-  ln(m)  = 2 sum b^(2n+1)/(2n+1),  b = (m-1)/(m+1), after scaling m into
-                               [1/2, 2) so |b| <= 1/3; geometric tail.
+Both series split their argument at a K-bit dyadic (K = _SPLIT_BITS; Brent
+& Zimmermann, Modern Computer Arithmetic, 4.4 and 4.9):
+
+  exp(x) = exp(c/2^K) * exp(x - c/2^K),  c = round(x 2^K), after halving
+           the argument into |x| <= 1.  The first factor is sum u^n/n! with
+           u = c/2^K, each term the previous one times c/(n 2^K), a
+           linear-time step; the second is the full-width Taylor series of
+           an argument below 2^-K, about prec/K terms.  One fixed-point
+           product joins them.
+  ln(m)  = 2 atanh(p/q) + 2 atanh(b),  m = a / 2^shift in [1/sqrt 2, sqrt 2),
+           c = round(m 2^K), p/q = (c - 2^K)/(c + 2^K), |p/q| < 0.18,
+           b = (m 2^K - c)/(m 2^K + c), |b| < 2^-K.  The first series steps
+           by the small-int ratio p^2/q^2 in linear time; the second is
+           full width but needs only about prec/(2K) terms.
+  ln(a)  = ln(m) + shift * ln 2,  ln 2 = 2 atanh(1/3) by the small-ratio
+           series, kept as one copy at the widest precision computed so far
+           (plus guard bits); a narrower request is a rounding shift of that
+           copy, with error ceil(e/2^d) + 1 ulps for a copy e ulps off and d
+           bits wider.
+
+Each kernel's docstring states its error bound in ulps of 2^-prec with the
+proof; the callers add the errors and widen the Ball by their sum.
 
 The general power `[a+++b]` is exp(b * ln a), root `[a---b]` is
 pow(a, 1/b), and log `[a///b]` is ln a / ln b.  Integer exponents take an
@@ -15,7 +36,6 @@ exact path when the result stays representable.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -57,57 +77,188 @@ def tol_bits(tol: Fraction) -> int:
     return (tol.denominator // tol.numerator).bit_length() + 1
 
 
-def _fix(x: Fraction, scale: int) -> int:
-    """Round x * scale to the nearest integer."""
-    return (2 * x.numerator * scale + x.denominator) // (2 * x.denominator)
+def _fix(num: int, den: int, bits: int) -> int:
+    """num/den * 2^bits rounded to nearest (halves up), for den > 0."""
+    return ((num << (bits + 1)) + den) // (2 * den)
 
 
-def _idiv_nearest(a: int, b: int) -> int:
-    return (2 * a + b) // (2 * b)
+def _shift_round(x: int, bits: int) -> int:
+    """x / 2^bits rounded to nearest (halves up), for bits >= 1."""
+    return (x + (1 << (bits - 1))) >> bits
+
+
+def _shift_div_round(x: int, bits: int, n: int) -> int:
+    """x / (2^bits * n) rounded to nearest (halves up), for n >= 1.
+
+    Equal to (2x + B) // (2B) with B = 2^bits * n, because
+    floor(floor(y) / n) = floor(y / n): the shift does the wide division
+    in linear time and leaves only a small-int divide.
+    """
+    return ((2 * x + (n << bits)) >> (bits + 1)) // n
+
+
+# The series split their arguments at K-bit dyadics, so the full-width
+# series run on arguments below 2^-K.
+_SPLIT_BITS = 24
 
 
 # ---------------------------------------------------------------------------
 # fixed-point kernels
 
 
-def _exp_series_fixed(x: Fraction, prec: int, max_terms: int) -> tuple[int, int]:
-    """(value, error) in 2^-prec ulps of exp(x) for |x| <= 1."""
-    scale = 1 << prec
-    xf = _fix(x, scale)
-    acc = scale + xf
+def _exp_series_fixed(xf: int, prec: int, max_terms: int) -> tuple[int, int]:
+    """(value, error) in 2^-prec ulps of exp(x) for |x| <= 1, given
+    xf = x 2^prec rounded to nearest."""
+    acc = (1 << prec) + xf
     term = xf
     n = 1
     while not (abs(term) <= 2 and n >= 2):
         n += 1
         if n > max_terms:
             raise ResourceError("exp series exceeded the term budget")
-        term = _idiv_nearest(term * xf, scale * n)
+        term = _shift_div_round(term * xf, prec, n)
         acc += term
     # per-term rounding <= 1 ulp each, tail <= 2*(|term|+1) <= 6, snap <= 2
     return acc, n + 10
 
 
-def _atanh_series_fixed(b: Fraction, prec: int, max_terms: int) -> tuple[int, int]:
-    """(value, error) in ulps of 2*sum b^(2n+1)/(2n+1) = 2*atanh(b), |b| <= 1/3."""
-    scale = 1 << prec
-    bf = _fix(b, scale)
-    b2 = _idiv_nearest(bf * bf, scale)
+def _exp_ratio_fixed(c: int, prec: int, max_terms: int) -> tuple[int, int]:
+    """(value, error) in 2^-prec ulps of exp(u), u = c/2^K, |u| <= 1.
+
+    The terms t_0 = 2^prec and t_n = round(t_(n-1) c / (n 2^K)) cost a
+    product by the K-bit c, a shift and a small-int divide each.  Against
+    the exact scaled terms T_n, |t_n - T_n| <= |t_(n-1) - T_(n-1)| |u|/n
+    + 1/2, which is 0 for n = 0, 1/2 for n = 1 and at most 3/4 after.  The
+    loop stops at the first N >= 1 with |t_N| <= 1, so |T_N| < 2; every
+    later ratio |u|/(n+1) is at most 1/(N+1), so the tail is below
+    |T_N| / N <= 2.  Error: N terms of at most 3/4 plus the tail, < N + 2.
+    """
+    acc = term = 1 << prec
+    n = 0
+    while n == 0 or abs(term) > 1:
+        n += 1
+        if n > max_terms:
+            raise ResourceError("exp series exceeded the term budget")
+        term = _shift_div_round(term * c, _SPLIT_BITS, n)
+        acc += term
+    return acc, n + 2
+
+
+def _exp_split_fixed(num: int, den: int, prec: int, max_terms: int) -> tuple[int, int]:
+    """(value, error) in 2^-prec ulps of exp(x), x = num/den, |x| <= 1.
+
+    exp(x) = exp(c/2^K) exp(r) with c = round(x 2^K), so |c| <= 2^K and
+    |r| <= 2^-(K+1): the first factor takes the linear-time series, the
+    second the full-width one, which now needs about prec/K terms.  With
+    values v1, v2 and errors e1, e2 (in ulps), the scaled product error is
+    |v1 v2 - V1 V2| <= |v1| e2 + |V2| e1 <= |v1| e2 + (|v2| + e2) e1 in
+    2^-2prec units; after the rounding shift by prec that is at most
+    spread / 2^prec + 1/2 < (spread >> prec) + 2 ulps.
+    """
+    c = _fix(num, den, _SPLIT_BITS)
+    if c == 0:
+        return _exp_series_fixed(_fix(num, den, prec), prec, max_terms)
+    v1, e1 = _exp_ratio_fixed(c, prec, max_terms)
+    r_num = (num << _SPLIT_BITS) - c * den  # r = r_num / (den 2^K)
+    if r_num == 0:
+        return v1, e1
+    v2, e2 = _exp_series_fixed(_fix(r_num, den << _SPLIT_BITS, prec), prec, max_terms)
+    spread = abs(v1) * e2 + (abs(v2) + e2) * e1
+    return _shift_round(v1 * v2, prec), (spread >> prec) + 2
+
+
+def _atanh_series_fixed(bf: int, prec: int, max_terms: int) -> tuple[int, int]:
+    """(value, error) in ulps of 2*sum b^(2n+1)/(2n+1) = 2*atanh(b), |b| <= 1/3,
+    given bf = b 2^prec rounded to nearest."""
+    b2 = _shift_round(bf * bf, prec)
     acc = bf
     power = bf
     n = 1
     while abs(power) > 2:
         if n > max_terms:
             raise ResourceError("log series exceeded the term budget")
-        power = _idiv_nearest(power * b2, scale)
-        acc += _idiv_nearest(power, 2 * n + 1)
+        power = _shift_round(power * b2, prec)
+        acc += (power + n) // (2 * n + 1)  # nearest, as 2n+1 is odd
         n += 1
     return 2 * acc, 3 * n + 10
 
 
-@functools.lru_cache(maxsize=None)
+def _atanh_ratio_fixed(p: int, q: int, prec: int, max_terms: int) -> tuple[int, int]:
+    """(value, error) in 2^-prec ulps of 2 atanh(p/q), q > 0, |p/q| <= 1/3.
+
+    With r = p/q, the powers w_0 = round(p 2^prec / q) and
+    w_n = round(w_(n-1) p^2 / q^2) are linear-time steps for small p, q.
+    Against W_n = r^(2n+1) 2^prec, |w_0 - W_0| <= 1/2 and |w_n - W_n| <=
+    |w_(n-1) - W_(n-1)| r^2 + 1/2 <= 9/16, as r^2 <= 1/9.  So the summand
+    round(w_n / (2n+1)) is within 9/16/3 + 1/2 < 1 of W_n / (2n+1) (w_0
+    itself, within 1/2, for n = 0).  The loop stops at the first N with
+    |w_N| <= 1, so |W_N| < 2 and the tail sum_(n>N) |W_n|/(2n+1) is below
+    |W_N| r^2/(1 - r^2)/(2N+3) < 1/12 < 0.2.  Doubled, the N+1 summands
+    and the tail give less than 2(N+1) + 0.4 < 2N + 4 ulps.
+    """
+    p2x2, q2, q2x2 = 2 * p * p, q * q, 2 * q * q
+    power = _fix(p, q, prec)
+    acc = power
+    n = 0
+    while abs(power) > 1:
+        n += 1
+        if n > max_terms:
+            raise ResourceError("log series exceeded the term budget")
+        power = (power * p2x2 + q2) // q2x2
+        acc += (power + n) // (2 * n + 1)  # nearest, as 2n+1 is odd
+    return 2 * acc, 2 * n + 4
+
+
+def _ln_split_fixed(num: int, den: int, prec: int, max_terms: int) -> tuple[int, int]:
+    """(value, error) in 2^-prec ulps of ln m, m = num/den in [1/2, 2].
+
+    m = (c/2^K) t with c = round(m 2^K) in [2^(K-1), 2^(K+1)], so
+    ln m = 2 atanh(p/q) + 2 atanh(b) with p/q = (c - 2^K)/(c + 2^K) in
+    [-1/3, 1/3] and b = (t - 1)/(t + 1) = (m 2^K - c)/(m 2^K + c), where
+    |m 2^K - c| <= 1/2 and m 2^K + c >= 2^K - 1/2 give |b| < 2^-K.  The
+    first part takes the small-ratio series, the second the full-width one
+    in about prec/(2K) terms; the error is the sum of their two bounds.
+    Either part is skipped when it is exactly zero (c = 2^K, or b = 0).
+    """
+    one = 1 << _SPLIT_BITS
+    c = _fix(num, den, _SPLIT_BITS)
+    value = err = 0
+    if c != one:
+        g = math.gcd(c - one, c + one)
+        value, err = _atanh_ratio_fixed((c - one) // g, (c + one) // g, prec, max_terms)
+    scaled = num << _SPLIT_BITS  # b = (scaled - c den) / (scaled + c den)
+    if scaled != c * den:
+        v, e = _atanh_series_fixed(
+            _fix(scaled - c * den, scaled + c * den, prec), prec, max_terms)
+        value += v
+        err += e
+    return value, err
+
+
+# ln 2 at the widest precision computed so far, as (prec, value, error).
+_ln2_widest = (0, 0, 0)
+
+
 def _ln2_fixed(prec: int) -> tuple[int, int]:
-    # ln 2 = 2*atanh(1/3)
-    return _atanh_series_fixed(Fraction(1, 3), prec, 100_000)
+    """(value, error) in 2^-prec ulps of ln 2 = 2 atanh(1/3).
+
+    One copy is kept, at the widest precision asked for so far plus guard
+    bits that cover the series' ulps.  A request d bits narrower is that
+    copy shifted right with rounding: value / 2^d is within e / 2^d of the
+    scaled ln 2 and the rounding adds 1/2 ulp, so the error is
+    ceil(e / 2^d) + 1 ulps.
+    """
+    global _ln2_widest
+    wide, value, err = _ln2_widest
+    if prec > wide:
+        # guard bits: the series' 2N + 4 ulps, N ~ prec/3, shift to ~2 ulps
+        wide = prec + prec.bit_length() + 2
+        value, err = _atanh_ratio_fixed(1, 3, wide, 100_000)
+        _ln2_widest = (wide, value, err)
+    d = wide - prec
+    if d == 0:
+        return value, err
+    return _shift_round(value, d), -(-err >> d) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -125,10 +276,12 @@ def _exp_rational(a: Fraction, tol: Fraction, max_terms: int) -> Ball:
         x = x / 2
         halvings += 1
     mag_bits = 2 if a <= 0 else (3 * a.numerator) // (2 * a.denominator) + 2
-    prec = tol_bits(tol) + 2 * halvings + mag_bits + 24
+    # 2 bits above the 24 guard bits keep the split series' ulps below the
+    # single series' ones, so no radius widens
+    prec = tol_bits(tol) + 2 * halvings + mag_bits + 26
     for _ in range(_REFINE_ATTEMPTS):
         scale = 1 << prec
-        value, err = _exp_series_fixed(x, prec, max_terms)
+        value, err = _exp_split_fixed(x.numerator, x.denominator, prec, max_terms)
         out = Ball(Fraction(value, scale), Fraction(err, scale))
         for _ in range(halvings):
             out = round_ball(out * out, prec)
@@ -144,20 +297,26 @@ def _ln_rational(a: Fraction, tol: Fraction, max_terms: int) -> Ball:
         raise DomainError("log of a non-positive value")
     if a == 1:
         return Ball(Fraction(0))
-    # scale by powers of two into [1/2, 2)
-    shift = a.numerator.bit_length() - a.denominator.bit_length()
-    m = a / Fraction(2) ** shift
-    if m >= 2:
-        m /= 2
+    # scale by powers of two into m = num/den in (1/2, 2), then into
+    # [1/sqrt 2, sqrt 2), where the small-ratio series steps by (p/q)^2 < 0.03
+    num, den = a.numerator, a.denominator
+    shift = num.bit_length() - den.bit_length()
+    if shift >= 0:
+        den <<= shift
+    else:
+        num <<= -shift
+    if num * num >= 2 * den * den:
+        den <<= 1
         shift += 1
-    elif m < Fraction(1, 2):
-        m *= 2
+    elif 2 * num * num < den * den:
+        num <<= 1
         shift -= 1
-    prec = tol_bits(tol) + max(1, abs(shift)).bit_length() + 24
-    b = (m - 1) / (m + 1)
+    # 2 bits above the 24 guard bits keep the split series' ulps below the
+    # single series' ones, so no radius widens
+    prec = tol_bits(tol) + max(1, abs(shift)).bit_length() + 26
     for _ in range(_REFINE_ATTEMPTS):
         scale = 1 << prec
-        value, err = _atanh_series_fixed(b, prec, max_terms)
+        value, err = _ln_split_fixed(num, den, prec, max_terms)
         if shift:
             ln2, ln2_err = _ln2_fixed(prec)
             value += shift * ln2

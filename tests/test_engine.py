@@ -3,6 +3,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercalc.balls import Ball
 from hypercalc.engine import (
@@ -86,6 +88,18 @@ def test_evaluate_error_paths_carry_node_path():
     assert err.value.path == ("R",)
 
 
+def test_evaluate_retries_from_the_overshoot():
+    # 9^(6/5) raised to 39/2 is x = 3^(234/5): the power amplifies the
+    # inexact base's error far beyond a fixed /16 per retry.  x^5 = 3^234
+    # checks the truncated digits exactly.
+    term = parse("[[[27--3]+++[24--20]]---[2--39]]")
+    for digits in (30, 1025):
+        exp = adaptive_render(term, NumericContext(digits=digits))
+        low = Fraction(exp.text())
+        assert low**5 <= 3**234 < (low + Fraction(1, 10**digits)) ** 5
+    assert exp.text().startswith("21343946363862392998112.869329202494020386323438192828039")
+
+
 def test_evaluate_rejects_irrational_heights():
     # the height of a rank-4 operator must come out exactly rational
     with pytest.raises(DomainError) as err:
@@ -156,6 +170,25 @@ def test_to_base_b_matches_long_division():
                 assert approx <= value
             else:
                 assert approx >= value
+
+
+@given(st.integers(min_value=-(10**400), max_value=10**400),
+       st.integers(min_value=1, max_value=10**300),
+       st.integers(min_value=2, max_value=36), st.integers(min_value=0, max_value=300))
+@settings(max_examples=150, deadline=None)
+def test_expansion_matches_long_division_any_base(num, den, base, digits):
+    value = Fraction(num, den)
+    ctx = NumericContext(base=base, digits=digits)
+    exp = to_base_b(value, ctx)
+    assert (exp.sign, exp.int_digits, exp.frac_digits) == long_division_digits(value, base, digits)
+    # a ball takes the scaled-integer path
+    if value:
+        ball = Ball(value, Fraction(1, base ** (digits + 12)))
+        try:
+            exp = to_base_b(ball, replace(ctx, guard_digits=12))
+        except PrecisionError:  # the ball straddles a digit boundary
+            return
+        assert (exp.sign, exp.int_digits, exp.frac_digits) == long_division_digits(value, base, digits)
 
 
 def test_to_base_b_certifies_balls():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercalc import midops
 from hypercalc.balls import Ball
 from hypercalc.errors import DomainError, ResourceError
 from hypercalc.midops import SeriesConfig, exp_e, ln_e, log, power, root
@@ -238,3 +239,136 @@ def test_power_monotone_in_base(a1, a2, d):
     gap = p_hi.center - p_lo.center
     if gap > 4 * (p_lo.radius + p_hi.radius):
         assert p_lo.hi < p_hi.lo
+
+
+# ---------------------------------------------------------------------------
+# fixed-point kernels
+
+big_ints = st.integers(min_value=-(2**3100), max_value=2**3100)
+
+
+@given(big_ints, st.integers(min_value=1, max_value=3100))
+@settings(max_examples=200, deadline=None)
+def test_shift_round_is_nearest(a, bits):
+    b = 1 << bits
+    assert midops._shift_round(a, bits) == (2 * a + b) // (2 * b)
+
+
+@given(big_ints, st.integers(min_value=0, max_value=3100),
+       st.integers(min_value=1, max_value=2**40))
+@settings(max_examples=200, deadline=None)
+def test_shift_div_round_is_nearest(a, bits, n):
+    b = n << bits
+    assert midops._shift_div_round(a, bits, n) == (2 * a + b) // (2 * b)
+
+
+def floor_fraction(mp_value, bits):
+    """floor(v * 2^bits) / 2^bits of an mpmath value: within 2^-bits of it."""
+    mpmath = pytest.importorskip("mpmath")
+    return Fraction(int(mpmath.floor(mp_value * mpmath.mpf(2) ** bits)), 1 << bits)
+
+
+def reference(fn, x: Fraction, bits: int) -> Fraction:
+    """fn(x) from mpmath to 2^-(bits + 40), independent of hypercalc."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(bits + 80):
+        value = getattr(mpmath, fn)(mpmath.mpf(x.numerator) / x.denominator)
+        return floor_fraction(value, bits + 40)
+
+
+def assert_fixed_encloses(kernel_out, want: Fraction, prec: int):
+    value, err = kernel_out
+    slack = Fraction(1, 1 << (prec + 40))  # the reference's own error
+    assert abs(Fraction(value, 1 << prec) - want) <= Fraction(err, 1 << prec) + slack
+
+
+K_ONE = 1 << midops._SPLIT_BITS
+
+
+def ln_split(m: Fraction, prec: int):
+    return midops._ln_split_fixed(m.numerator, m.denominator, prec, 100_000)
+
+
+def exp_split(x: Fraction, prec: int):
+    return midops._exp_split_fixed(x.numerator, x.denominator, prec, 100_000)
+
+# m near 1/2, 1 and 2; c = 2^K (m within 2^-(K+1) of 1, so p = 0); b = 0
+# (m a K-bit dyadic, so t = 1); and 3,000-bit dyadics
+LN_ARGUMENTS = [
+    Fraction(1, 2), Fraction(1, 2) + Fraction(1, 2**40), Fraction(2),
+    Fraction(2) - Fraction(1, 2**33), Fraction(1) - Fraction(1, 2**30),
+    Fraction(1) + Fraction(1, 2**30), Fraction(1) + Fraction(1, 2**20),
+    Fraction(3, 4), Fraction(12345678, K_ONE), Fraction(7, 5),
+    Fraction(2**2999 + 0x9E3779B97F4A7C15, 2**2999),
+    Fraction(3 * 2**2998 - 0x2545F4914F6CDD1D, 2**3000),
+]
+
+
+@pytest.mark.parametrize("prec", [64, 3000])
+@pytest.mark.parametrize("m", LN_ARGUMENTS)
+def test_ln_split_kernel_encloses(m, prec):
+    assert_fixed_encloses(ln_split(m, prec), reference("log", m, prec), prec)
+
+
+def test_ln_split_kernel_skips_exact_zero_parts():
+    # c = 2^K: only the full-width series runs, and with b = 0 neither does
+    assert ln_split(Fraction(1), 200) == (0, 0)
+    near_one = Fraction(1) + Fraction(1, 2**40)
+    assert midops._fix(near_one.numerator, near_one.denominator, midops._SPLIT_BITS) == K_ONE
+    assert_fixed_encloses(ln_split(near_one, 200), reference("log", near_one, 200), 200)
+    dyadic = Fraction(3, 4)  # b = 0: only the small-ratio series runs
+    assert (dyadic * K_ONE).denominator == 1
+    assert_fixed_encloses(ln_split(dyadic, 200), reference("log", dyadic, 200), 200)
+
+
+EXP_ARGUMENTS = [
+    Fraction(1), Fraction(-1), Fraction(1, 2**40), Fraction(-1, 2**30),
+    Fraction(5, 8), Fraction(-12345678, K_ONE), Fraction(2, 3), Fraction(-5, 7),
+    Fraction(2**2999 - 0x9E3779B97F4A7C15, 2**3000),
+]
+
+
+@pytest.mark.parametrize("prec", [64, 3000])
+@pytest.mark.parametrize("x", EXP_ARGUMENTS)
+def test_exp_split_kernel_encloses(x, prec):
+    assert_fixed_encloses(exp_split(x, prec), reference("exp", x, prec), prec)
+
+
+@given(st.fractions(min_value=Fraction(1, 2), max_value=2, max_denominator=10**12),
+       st.sampled_from([64, 3000]))
+@settings(max_examples=40, deadline=None)
+def test_ln_split_kernel_random(m, prec):
+    assert_fixed_encloses(ln_split(m, prec), reference("log", m, prec), prec)
+
+
+@given(st.fractions(min_value=-1, max_value=1, max_denominator=10**12),
+       st.sampled_from([64, 3000]))
+@settings(max_examples=40, deadline=None)
+def test_exp_split_kernel_random(x, prec):
+    assert_fixed_encloses(exp_split(x, prec), reference("exp", x, prec), prec)
+
+
+@pytest.mark.parametrize("bits", [64, 3000, 32000])
+def test_split_ln_exp_balls_contain_reference(bits):
+    tol = Fraction(1, 1 << bits)
+    slack = Fraction(1, 1 << (bits + 40))
+    a = Fraction(2**bits + 0x9E3779B97F4A7C15, 3 << (bits - 2))  # about 4/3
+    out = ln_e(a, SeriesConfig(tol))
+    assert out.radius <= tol
+    assert abs(out.center - reference("log", a, bits)) <= out.radius + slack
+    x = Fraction(-0x2545F4914F6CDD1D, 1 << 61)  # about -1.17: one halving
+    out = exp_e(x, SeriesConfig(tol))
+    assert out.radius <= tol
+    assert abs(out.center - reference("exp", x, bits)) <= out.radius + slack
+
+
+def test_ln2_copy_encloses_in_either_order(monkeypatch):
+    widest = 3000 + (3000).bit_length() + 2  # the copy a 3000-bit request keeps
+    for order in ([64, 3000, widest, 190], [3000, 64, 3000, 190], [190, 190, 64]):
+        monkeypatch.setattr(midops, "_ln2_widest", (0, 0, 0))
+        for prec in order:
+            value, err = midops._ln2_fixed(prec)
+            assert abs(Fraction(value, 1 << prec) - LN2_62) <= (
+                Fraction(err, 1 << prec) + Fraction(1, 10**60))
+            if prec > 200:
+                assert_fixed_encloses((value, err), reference("log", Fraction(2), prec), prec)
