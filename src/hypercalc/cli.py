@@ -75,8 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _result_payload(text: str, ctx, args, trace_lines=None):
-    term = parse(text)
+def _result_payload(text: str, term, ctx, trace_lines=None):
     result, expansion = adaptive_evaluate(term, ctx)
     payload = {
         "input": text,
@@ -87,7 +86,7 @@ def _result_payload(text: str, ctx, args, trace_lines=None):
     }
     if trace_lines is not None:
         payload["trace"] = trace_lines
-    return term, result, payload
+    return payload
 
 
 def _chain_lines(term, ctx) -> list[str]:
@@ -121,7 +120,7 @@ def _cmd_eval(args, out=sys.stdout) -> int:
     for text in texts:
         term = parse(text)
         trace_lines = _chain_lines(term, ctx) if args.trace else None
-        _, _, payload = _result_payload(text, ctx, args, trace_lines)
+        payload = _result_payload(text, term, ctx, trace_lines)
         _emit(payload, args, out)
     return 0
 
@@ -130,7 +129,7 @@ def _cmd_trace(args, out=sys.stdout) -> int:
     ctx = _context(args)
     term = parse(args.expression)
     trace_lines = _chain_lines(term, ctx)
-    _, _, payload = _result_payload(args.expression, ctx, args, trace_lines)
+    payload = _result_payload(args.expression, term, ctx, trace_lines)
     _emit(payload, args, out)
     return 0
 

@@ -1,12 +1,27 @@
 """Whole-term evaluation with adaptive precision and base-b rendering.
 
-`evaluate` walks a term bottom-up (each binary operation fires as soon as
-both operands are values, the order of the printable reduction chain) and
-dispatches on operator rank: ranks 1-2 are exact rational arithmetic,
-rank 3 the series operations, rank >= 4 the hyperoperation engine.  Results
-stay exact whenever every step was exact; otherwise they are Balls whose
-radius is driven below base^-(digits+guard) by re-running at tighter
+`evaluate` flattens a term once, with an iterative walk, into post-order
+arrays: one entry per internal node holding the node and the indices of
+its two operands (-1 for the constant 1).  Every retry round then loops
+over that list, so each binary operation fires as soon as both operands
+are values (the order of the printable reduction chain), and keeps its
+result on a values stack.  Nothing is keyed by a node's path, which
+for a literal's thousands-deep `[..[1+1]..+1]` chain made every step copy
+a tuple as long as the chain: the walk is now linear in the number of
+nodes.  A node's path is rebuilt from parent links only when an error
+escapes it or a trace event names it.
+
+Operators dispatch on rank: ranks 1-2 are exact rational arithmetic,
+rank 3 the series operations, rank >= 4 the hyperoperation engine.
+Results stay exact whenever every step was exact; otherwise they are Balls
+whose radius is driven below base^-(digits+guard) by re-running at tighter
 working tolerances.
+
+The reduction trace renders the canonical text once, as one piece per
+bracket, operator and leaf.  When a node fires, its `[` piece takes the
+value's display text and its other four remaining pieces are blanked, so
+an event costs O(1) plus the join of its `after` text, and each event's
+`before` is the previous event's `after`.
 
 `to_base_b` produces truncated positional digits per the digit recurrences
 (quotient/remainder above the point, digit = floor(base * fractional-part)
@@ -28,7 +43,7 @@ from .hyperops import EngineLimits
 from .midops import SeriesConfig, tol_bits
 from .rationals import low_op
 from .rootfind import RootConfig
-from .terms import Leaf, Node, OpKind, Path, Term, TraceEvent, internal_nodes
+from .terms import Leaf, Node, OpKind, Path, Term, TraceEvent
 
 _DIGIT_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -97,10 +112,10 @@ class BasebExpansion:
 def evaluate(term: Term, ctx: NumericContext, *, collect_trace: bool = False) -> EvalResult:
     """Evaluate with a final radius <= base^-(digits+guard), or exactly."""
     target = ctx.precision_target()
-    ops = max(1, internal_nodes(term))
-    working = target / (4 * ops)
+    flat = _flatten(term)
+    working = target / (4 * max(1, len(flat)))
     for _ in range(ctx.max_doublings + 1):
-        value, events = _eval_once(term, ctx, working, collect_trace)
+        value, events = _eval_once(flat, ctx, working, collect_trace)
         if isinstance(value, Fraction) or value.radius <= target:
             return EvalResult(value, tuple(events) if collect_trace else None)
         # a power of an inexact base amplifies its error by far more than 16,
@@ -115,37 +130,73 @@ def trace_reduce(term: Term, ctx: NumericContext) -> tuple[TraceEvent, ...]:
     return result.trace or ()
 
 
-def _eval_once(term, ctx, op_tol, collect):
-    values: dict[Path, Value] = {}
-    display: dict[Path, str] = {}
-    events: list[TraceEvent] = []
-    limits = ctx.limits()
-    stack: list[tuple[Term, Path, bool]] = [(term, (), False)]
+# One entry per internal node in post-order: (node, left, right), where an
+# operand is the index of an earlier entry or _LEAF for the constant 1.
+_Flat = list[tuple[Node, int, int]]
+
+_LEAF = -1
+
+
+def _flatten(term: Term) -> _Flat:
+    flat: _Flat = []
+    done: list[int] = []  # indices of finished operands, innermost last
+    stack: list[tuple[Term, bool]] = [(term, False)]
     while stack:
-        t, path, expanded = stack.pop()
-        if isinstance(t, Leaf):
-            values[path] = Fraction(1)
-            continue
-        if not expanded:
-            stack.append((t, path, True))
-            stack.append((t.right, path + ("R",), False))
-            stack.append((t.left, path + ("L",), False))
-            continue
-        left = values.pop(path + ("L",))
-        right = values.pop(path + ("R",))
+        t, expanded = stack.pop()
+        if expanded:
+            right = done.pop()
+            left = done.pop()
+            done.append(len(flat))
+            flat.append((t, left, right))
+        elif isinstance(t, Leaf):
+            done.append(_LEAF)
+        else:
+            stack.append((t, True))
+            stack.append((t.right, False))
+            stack.append((t.left, False))
+    return flat
+
+
+def _eval_once(flat: _Flat, ctx, op_tol, collect):
+    # In post-order a node's operand values are the top of this stack,
+    # right above left, and each value is dropped as its parent fires.
+    values: list[Value] = []
+    limits = ctx.limits()
+    trace = _Trace(flat) if collect else None
+    one = Fraction(1)
+    for i, (node, l, r) in enumerate(flat):
+        right = one if r == _LEAF else values.pop()
+        left = one if l == _LEAF else values.pop()
         try:
-            value = _apply(t.op, left, right, op_tol, limits)
+            value = _apply(node.op, left, right, op_tol, limits)
         except HypercalcError as err:
             if err.path is None:
-                err.path = path
+                err.path = _path_of(i, *_parents(flat))
             raise
-        values[path] = value
-        if collect:
-            before = _render_with(term, display)
-            display[path] = _display_value(value, ctx)
-            events.append(TraceEvent(len(events) + 1, path, before,
-                                     _render_with(term, display)))
-    return values[()], events
+        values.append(value)
+        if trace is not None:
+            trace.fire(i, _display_value(value, ctx))
+    return (values[-1] if flat else one), (trace.events if trace is not None else [])
+
+
+def _parents(flat: _Flat) -> tuple[list[int], list[str]]:
+    """Parent index and the step ("L"/"R") from it, per entry; the root's is -1."""
+    parent = [-1] * len(flat)
+    step = [""] * len(flat)
+    for i, (_, l, r) in enumerate(flat):
+        if l != _LEAF:
+            parent[l], step[l] = i, "L"
+        if r != _LEAF:
+            parent[r], step[r] = i, "R"
+    return parent, step
+
+
+def _path_of(i: int, parent: list[int], step: list[str]) -> Path:
+    steps: list[str] = []
+    while parent[i] != -1:
+        steps.append(step[i])
+        i = parent[i]
+    return tuple(reversed(steps))
 
 
 def _apply(op, a: Value, b: Value, tol: Fraction, limits: EngineLimits) -> Value:
@@ -186,25 +237,54 @@ def _apply_ball(op, a, b, tol, limits):
 # trace display
 
 
-def _render_with(term: Term, display: dict[Path, str]) -> str:
-    out: list[str] = []
-    work: list = [(term, ())]
-    while work:
-        item = work.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        t, path = item
-        if path in display:
-            out.append(display[path])
-            continue
-        if isinstance(t, Leaf):
-            out.append("1")
-            continue
-        work.extend(
-            ["]", (t.right, path + ("R",)), t.op.text(), (t.left, path + ("L",)), "["]
+class _Trace:
+    """The reduction chain, rendered incrementally.
+
+    The canonical render is held as one piece per slot: `[`, the operator
+    and `]` of every node and `1` of every leaf.  A node's left operand
+    starts in the slot after its `[`, its right operand in the slot after
+    its operator, and operands fire before their node, so when a node fires
+    each operand is one non-empty slot.  Firing writes the value into the
+    node's `[` slot and blanks the other four: O(1) per event, plus the
+    join that every event's `after` text costs anyway.
+    """
+
+    def __init__(self, flat: _Flat):
+        n = len(flat)
+        size: list[int] = []  # slots spanned by each node's render
+
+        def span(k: int) -> int:
+            return 1 if k == _LEAF else size[k]
+
+        for _, l, r in flat:
+            size.append(3 + span(l) + span(r))
+        self.open = [0] * n
+        self.op = [0] * n
+        self.close = [0] * n
+        self.pieces = ["1"] * (size[-1] if n else 1)
+        for i in range(n - 1, -1, -1):  # reverse post-order: parents first
+            node, l, r = flat[i]
+            o = self.open[i]
+            p = o + 1 + span(l)
+            c = p + 1 + span(r)
+            if l != _LEAF:
+                self.open[l] = o + 1
+            if r != _LEAF:
+                self.open[r] = p + 1
+            self.op[i], self.close[i] = p, c
+            self.pieces[o], self.pieces[p], self.pieces[c] = "[", node.op.text(), "]"
+        self.parents = _parents(flat)
+        self.text = "".join(self.pieces)
+        self.events: list[TraceEvent] = []
+
+    def fire(self, i: int, shown: str) -> None:
+        pieces, o, p = self.pieces, self.open[i], self.op[i]
+        pieces[o] = shown
+        pieces[o + 1] = pieces[p] = pieces[p + 1] = pieces[self.close[i]] = ""
+        before, self.text = self.text, "".join(pieces)
+        self.events.append(
+            TraceEvent(len(self.events) + 1, _path_of(i, *self.parents), before, self.text)
         )
-    return "".join(out)
 
 
 def _display_value(value: Value, ctx: NumericContext) -> str:

@@ -21,6 +21,9 @@ from typing import Union
 from .errors import ParseError
 
 DEFAULT_MAX_DEPTH = 10_000
+# Internal nodes per parsed term, literals counted as desugared: an integer
+# literal n is a chain of n - 1 nodes, so the cap is what bounds literals.
+DEFAULT_MAX_NODES = 100_000
 
 Path = tuple[str, ...]
 
@@ -153,13 +156,33 @@ def desugar_integer(value: int) -> Term:
     return term
 
 
-def _desugar_decimal(lexeme: str) -> Term:
-    whole, frac = lexeme.split(".")
-    return Node(
-        Operator(OpKind.MINUS, 2),
-        desugar_integer(int(whole + frac)),
-        desugar_integer(10 ** len(frac)),
-    )
+def _literal_values(lexeme: str) -> list[int] | None:
+    """The integers a literal desugars from: [n] for `n`, [m, 10^k] for a
+    decimal with digits m and k fractional places.
+
+    None when one of them has more digits than `DEFAULT_MAX_NODES`, which
+    makes it at least ten times the cap.  Such a run is never converted:
+    `int()` of a long run is slow, and past 4,300 digits refused.
+    """
+    whole, _, frac = lexeme.partition(".")
+    runs = [whole + frac] + (["1" + "0" * len(frac)] if frac else [])
+    runs = [run.lstrip("0") or "0" for run in runs]
+    if any(len(run) > len(str(DEFAULT_MAX_NODES)) for run in runs):
+        return None
+    return [int(run) for run in runs]
+
+
+def _literal_nodes(values: list[int] | None) -> int:
+    if values is None:
+        return DEFAULT_MAX_NODES + 1
+    return len(values) - 1 + sum(v - 1 if v else 1 for v in values)
+
+
+def _desugar_literal(values: list[int]) -> Term:
+    if len(values) == 1:
+        return desugar_integer(values[0])
+    num, den = values
+    return Node(Operator(OpKind.MINUS, 2), desugar_integer(num), desugar_integer(den))
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +193,18 @@ def parse(text: str, *, max_depth: int = DEFAULT_MAX_DEPTH) -> Term:
     """Parse bracket notation (plus literal sugar) into a Term.
 
     Raises ParseError with the character offset of the first problem:
-    unbalanced brackets, a missing operand, stray characters, or nesting
-    deeper than `max_depth`.  A mixed run such as `+-` tokenizes as two
-    adjacent runs and is rejected where the second one appears.
+    unbalanced brackets, a missing operand, stray characters, nesting
+    deeper than `max_depth`, or a term of more than `DEFAULT_MAX_NODES`
+    internal nodes.  Literals count as desugared (`20000` is 19,999 nodes,
+    `0.001` is 1,000), so a short literal can exceed the cap; the error
+    then points at that literal, and it is refused before it is built.  A
+    mixed run such as `+-` tokenizes as two adjacent runs and is rejected
+    where the second one appears.
     """
     tokens = _tokenize(text)
     pos = 0
     end = len(text)
+    nodes = 0
     # Each frame is a half-built bracket: [left, operator].
     stack: list[list] = []
 
@@ -187,16 +215,24 @@ def parse(text: str, *, max_depth: int = DEFAULT_MAX_DEPTH) -> Term:
         kind, lexeme, offset = tokens[pos]
         pos += 1
         if kind == _OPEN:
+            nodes += 1
+        elif kind in (_INT, _DEC):
+            values = _literal_values(lexeme)
+            nodes += _literal_nodes(values)
+        if nodes > DEFAULT_MAX_NODES:
+            raise ParseError(
+                f"term has more than {DEFAULT_MAX_NODES} nodes with literals desugared",
+                offset,
+            )
+        if kind == _OPEN:
             stack.append([None, None])
             if len(stack) > max_depth:
                 raise ParseError(f"nesting deeper than {max_depth}", offset)
             continue
         if kind == _ONE:
             current: Term = ONE
-        elif kind == _INT:
-            current = desugar_integer(int(lexeme))
-        elif kind == _DEC:
-            current = _desugar_decimal(lexeme)
+        elif kind in (_INT, _DEC):
+            current = _desugar_literal(values)
         else:
             raise ParseError(f"expected an operand, got {lexeme!r}", offset)
 

@@ -48,6 +48,14 @@ def test_exit_code_parse_error():
     assert "parse error" in err
 
 
+def test_exit_code_literal_past_node_cap():
+    for text in ["7" * 5000, "0.00000000001"]:
+        code, out, err = run_cli("eval", text)
+        assert (code, out) == (1, "")
+        assert "parse error" in err and "offset 0" in err
+        assert "Traceback" not in err
+
+
 def test_exit_code_domain_error():
     code, _, err = run_cli("eval", "[[1-1]----[1+1]]")
     assert code == 2

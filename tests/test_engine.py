@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercalc import engine
 from hypercalc.balls import Ball
 from hypercalc.engine import (
     BasebExpansion,
@@ -16,8 +18,8 @@ from hypercalc.engine import (
     to_base_b,
     trace_reduce,
 )
-from hypercalc.errors import DomainError, PrecisionError
-from hypercalc.terms import Leaf, Node, OpKind, Operator, parse
+from hypercalc.errors import DomainError, HypercalcError, PrecisionError
+from hypercalc.terms import Leaf, Node, OpKind, Operator, TraceEvent, parse, render
 
 CTX10 = NumericContext(digits=10, guard_digits=10)
 
@@ -284,3 +286,113 @@ def test_trace_trivial_cases():
 def test_trace_paths_address_the_rewrite():
     events = trace_reduce(parse("[[1+[1+1]]----[1+1]]"), CTX10)
     assert [e.path for e in events] == [("L", "R"), ("L",), ("R",), ()]
+
+
+def test_trace_of_a_long_chain_is_linear():
+    # 1,528 events over a 6,113-piece render: re-rendering per event is
+    # quadratic and takes tens of seconds
+    term = parse("[[800+1]++[[700--3]+1.5]]")
+    events = trace_reduce(term, CTX10)
+    assert len(events) == 1528
+    assert events[0].before == render(term)
+    for prev, nxt in zip(events, events[1:]):
+        assert nxt.before == prev.after
+    assert events[-1].after == "188101.5"
+    assert [e.step for e in events] == list(range(1, 1529))
+
+
+def test_evaluate_deep_literal_in_bounded_memory():
+    # a 20,000-deep chain: a path tuple per node would need gigabytes
+    term = parse("[20000+1]")
+    tracemalloc.start()
+    try:
+        value = evaluate(term, CTX10).value
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 20001
+    assert peak < 64 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the path-keyed evaluator that post-order arrays replaced, kept as the
+# reference for values, traces and error paths
+
+
+def reference_eval_once(term, ctx, op_tol, collect):
+    values, display, events = {}, {}, []
+    limits = ctx.limits()
+    stack = [(term, (), False)]
+    while stack:
+        t, path, expanded = stack.pop()
+        if isinstance(t, Leaf):
+            values[path] = Fraction(1)
+            continue
+        if not expanded:
+            stack.append((t, path, True))
+            stack.append((t.right, path + ("R",), False))
+            stack.append((t.left, path + ("L",), False))
+            continue
+        left = values.pop(path + ("L",))
+        right = values.pop(path + ("R",))
+        try:
+            value = engine._apply(t.op, left, right, op_tol, limits)
+        except HypercalcError as err:
+            if err.path is None:
+                err.path = path
+            raise
+        values[path] = value
+        if collect:
+            before = reference_render_with(term, display)
+            display[path] = engine._display_value(value, ctx)
+            events.append(TraceEvent(len(events) + 1, path, before,
+                                     reference_render_with(term, display)))
+    return values[()], events
+
+
+def reference_render_with(term, display):
+    out, work = [], [(term, ())]
+    while work:
+        item = work.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        t, path = item
+        if path in display:
+            out.append(display[path])
+        elif isinstance(t, Leaf):
+            out.append("1")
+        else:
+            work.extend(["]", (t.right, path + ("R",)), t.op.text(), (t.left, path + ("L",)), "["])
+    return "".join(out)
+
+
+def outcome(run):
+    try:
+        value, events = run()
+    except HypercalcError as err:
+        return type(err), err.path
+    return value, isinstance(value, Fraction), events
+
+
+# Depth 3 over operands up to 3 keeps every exact value below 27^27 before
+# the last operator; 0 makes divisions, roots and logs of zero, 0.5 and
+# roots make balls.
+SMALL_OPERANDS = [parse(text) for text in ("1", "2", "3", "0", "0.5")]
+
+
+@st.composite
+def low_rank_terms(draw, depth=3):
+    if depth == 0 or draw(st.booleans()):
+        return draw(st.sampled_from(SMALL_OPERANDS))
+    op = Operator(draw(st.sampled_from(list(OpKind))), draw(st.integers(1, 3)))
+    return Node(op, draw(low_rank_terms(depth - 1)), draw(low_rank_terms(depth - 1)))
+
+
+@given(low_rank_terms(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_post_order_evaluation_matches_path_keyed_reference(term, collect):
+    op_tol = CTX10.precision_target() / 64
+    new = outcome(lambda: engine._eval_once(engine._flatten(term), CTX10, op_tol, collect))
+    old = outcome(lambda: reference_eval_once(term, CTX10, op_tol, collect))
+    assert new == old

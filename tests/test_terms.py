@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hypercalc.errors import ParseError
 from hypercalc.terms import (
+    DEFAULT_MAX_NODES,
     ONE,
     Leaf,
     Node,
@@ -89,6 +90,28 @@ def test_depth_cap():
     parse(deep)  # fine at default depth
     with pytest.raises(ParseError):
         parse(deep, max_depth=10)
+
+
+def test_node_cap_counts_desugared_literals():
+    assert internal_nodes(parse("[20000+1]")) == 20000
+    assert internal_nodes(parse("[1+100000]")) == DEFAULT_MAX_NODES
+    with pytest.raises(ParseError) as err:
+        parse("[1+100001]")
+    assert err.value.offset == 3
+    # refused from the lexeme: int() of 5,000 digits would raise ValueError
+    with pytest.raises(ParseError) as err:
+        parse("[1+" + "7" * 5000 + "]")
+    assert err.value.offset == 3
+    # leading zeros do not count
+    assert parse("0" * 5000 + "2.5") == parse("2.5")
+    # 10^11 nodes in eleven characters
+    with pytest.raises(ParseError) as err:
+        parse("0.00000000001")
+    assert err.value.offset == 0
+    # brackets count too
+    with pytest.raises(ParseError) as err:
+        parse("[99999+" + "[1+" * 5 + "1" + "]" * 6)
+    assert err.value.offset == 10
 
 
 def test_render_canonical():
