@@ -29,16 +29,9 @@ from .errors import (
     ResourceError,
 )
 from .farey import FareyEntry, FareyIndex, farey_row, locate
-from .hyperops import (
-    HyperKind,
-    HyperRequest,
-    hyper_forward,
-    hyper_inverse_minus,
-    hyper_inverse_slash,
-    run,
-)
+from .hyperops import hyper_forward, hyper_inverse_minus, hyper_inverse_slash
 from .midops import SeriesConfig, exp_e, ln_e, log, power, root
-from .rationals import gcd, low_op, rational_floor, reduce
+from .rationals import gcd, low_op, rational_floor
 from .rootfind import Bracket, RootConfig, brent, expand_upper
 from .terms import (
     Leaf,
@@ -63,8 +56,6 @@ __all__ = [
     "EvalResult",
     "FareyEntry",
     "FareyIndex",
-    "HyperKind",
-    "HyperRequest",
     "HypercalcError",
     "Leaf",
     "Node",
@@ -97,10 +88,8 @@ __all__ = [
     "parse",
     "power",
     "rational_floor",
-    "reduce",
     "render",
     "root",
-    "run",
     "to_base_b",
     "trace_reduce",
     "traversal_order",

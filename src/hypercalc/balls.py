@@ -99,10 +99,6 @@ def divide(x: "Ball | Rational", y: "Ball | Rational") -> Ball:
     return from_endpoints(min(corners), max(corners))
 
 
-def reciprocal(y: "Ball | Rational") -> Ball:
-    return divide(Ball(Fraction(1)), y)
-
-
 def round_ball(x: Ball, bits: int) -> Ball:
     """Snap onto the 2^-bits grid; the enclosure only ever widens.
 

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .farey import farey_row
 from .rationals import format_fraction
-from .terms import RenderStyle, parse, render
+from .terms import parse, render
 
 
 def _context(args) -> NumericContext:

@@ -11,8 +11,9 @@ a tuple as long as the chain: the walk is now linear in the number of
 nodes.  A node's path is rebuilt from parent links only when an error
 escapes it or a trace event names it.
 
-Operators dispatch on rank: ranks 1-2 are exact rational arithmetic,
-rank 3 the series operations, rank >= 4 the hyperoperation engine.
+`_apply_ball` is the single rank dispatcher: ranks 1-2 are exact rational
+arithmetic (balls once an operand is approximate), rank 3 the series
+operations in `midops`, rank >= 4 the hyperoperations in `hyperops`.
 Results stay exact whenever every step was exact; otherwise they are Balls
 whose radius is driven below base^-(digits+guard) by re-running at tighter
 working tolerances.
@@ -33,16 +34,14 @@ certification succeeds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import hyperops, midops
-from .balls import Ball, divide, round_ball
+from .balls import Ball, as_ball, divide, round_ball
 from .errors import HypercalcError, PrecisionError
-from .hyperops import EngineLimits
 from .midops import SeriesConfig, tol_bits
 from .rationals import low_op
-from .rootfind import RootConfig
 from .terms import Leaf, Node, OpKind, Path, Term, TraceEvent
 
 _DIGIT_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -52,13 +51,23 @@ Value = Fraction | Ball
 
 @dataclass(frozen=True)
 class NumericContext:
+    """What an evaluation is asked for: `digits` certified base-`base`
+    digits, worked out with `guard_digits` extra digits of precision.
+    `max_doublings` bounds the refinement rounds: `evaluate` re-runs at a
+    tighter working tolerance, and `adaptive_evaluate` doubles the guard
+    digits, at most that many times each.
+
+    The work budgets are not settable here; each lives with the layer that
+    enforces it: the series term cap (100,000) in `midops.SeriesConfig`,
+    the root finder's caps (1000 iterations, 80 bracket doublings) in
+    `rootfind.RootConfig`, and the tower height-step cap (50,000) in
+    `hyperops.EngineLimits`.
+    """
+
     base: int = 10
     digits: int = 20
     guard_digits: int = 10
     max_doublings: int = 8
-    series: SeriesConfig = field(default_factory=lambda: midops.DEFAULT_SERIES)
-    root: RootConfig = field(default_factory=lambda: RootConfig(Fraction(1, 10**30)))
-    verify_split: bool = False
 
     def __post_init__(self):
         if not 2 <= self.base <= 36:
@@ -70,9 +79,6 @@ class NumericContext:
 
     def precision_target(self) -> Fraction:
         return Fraction(1, self.base) ** (self.digits + self.guard_digits)
-
-    def limits(self) -> EngineLimits:
-        return EngineLimits.from_configs(self.series, self.root, self.verify_split)
 
 
 @dataclass(frozen=True)
@@ -161,14 +167,13 @@ def _eval_once(flat: _Flat, ctx, op_tol, collect):
     # In post-order a node's operand values are the top of this stack,
     # right above left, and each value is dropped as its parent fires.
     values: list[Value] = []
-    limits = ctx.limits()
     trace = _Trace(flat) if collect else None
     one = Fraction(1)
     for i, (node, l, r) in enumerate(flat):
         right = one if r == _LEAF else values.pop()
         left = one if l == _LEAF else values.pop()
         try:
-            value = _apply(node.op, left, right, op_tol, limits)
+            value = _apply(node.op, left, right, op_tol)
         except HypercalcError as err:
             if err.path is None:
                 err.path = _path_of(i, *_parents(flat))
@@ -199,19 +204,18 @@ def _path_of(i: int, parent: list[int], step: list[str]) -> Path:
     return tuple(reversed(steps))
 
 
-def _apply(op, a: Value, b: Value, tol: Fraction, limits: EngineLimits) -> Value:
-    value = _apply_ball(op, a, b, tol, limits)
+def _apply(op, a: Value, b: Value, tol: Fraction) -> Value:
+    value = _apply_ball(op, a, b, tol)
     if isinstance(value, Ball) and value.is_exact:
         return value.center
     return value
 
 
-def _apply_ball(op, a, b, tol, limits):
+def _apply_ball(op, a, b, tol):
     if op.rank <= 2:
         if isinstance(a, Fraction) and isinstance(b, Fraction):
             return low_op(op, a, b)
-        av = a if isinstance(a, Ball) else Ball(a)
-        bv = b if isinstance(b, Ball) else Ball(b)
+        av, bv = as_ball(a), as_ball(b)
         if op.kind is OpKind.PLUS:
             out = av + bv if op.rank == 1 else av * bv
         elif op.rank == 1:
@@ -220,17 +224,17 @@ def _apply_ball(op, a, b, tol, limits):
             out = divide(av, bv)
         return round_ball(out, tol_bits(tol) + 32) if not out.is_exact else out
     if op.rank == 3:
-        series = SeriesConfig(tol, limits.max_terms)
+        series = SeriesConfig(tol)
         if op.kind is OpKind.PLUS:
             return midops.power(a, b, series)
         if op.kind is OpKind.MINUS:
             return midops.root(a, b, series)
         return midops.log(a, b, series)
     if op.kind is OpKind.PLUS:
-        return hyperops.hyper_forward(op.rank, a, b, tol, limits=limits)
+        return hyperops.hyper_forward(op.rank, a, b, tol)
     if op.kind is OpKind.MINUS:
-        return hyperops.hyper_inverse_minus(op.rank, a, b, tol, limits=limits)
-    return hyperops.hyper_inverse_slash(op.rank, a, b, tol, limits=limits)
+        return hyperops.hyper_inverse_minus(op.rank, a, b, tol)
+    return hyperops.hyper_inverse_slash(op.rank, a, b, tol)
 
 
 # ---------------------------------------------------------------------------

@@ -30,15 +30,14 @@ construction defines no enclosure there.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import farey, midops
-from .balls import Ball, as_ball, divide, hull, round_ball
+from . import midops
+from .balls import Ball, as_ball, hull, round_ball
 from .errors import DomainError, MagnitudeError, PrecisionError, ResourceError
-from .midops import SeriesConfig, tol_bits
+from .midops import _EXP_ARG_CAP, SeriesConfig, _log_abs_float, tol_bits
 from .rootfind import Bracket, RootConfig, brent, expand_upper
 
 _REFINE_ATTEMPTS = 8
@@ -46,72 +45,17 @@ _REFINE_ATTEMPTS = 8
 
 @dataclass(frozen=True)
 class EngineLimits:
-    """Iteration and term budgets shared by every nested search."""
+    """The tower-unrolling budget: integer height steps per rank >= 4 node.
 
-    max_terms: int = 100_000
-    root_iterations: int = 2000
-    root_expansions: int = 80
+    The other budgets live with the layer that enforces them: the series
+    term cap in `SeriesConfig`, the root finder's iteration and expansion
+    caps in `RootConfig`.
+    """
+
     max_height_steps: int = 50_000
-    verify_split: bool = False
-
-    @classmethod
-    def from_configs(cls, series: SeriesConfig | None, root: RootConfig | None,
-                     verify_split: bool = False) -> "EngineLimits":
-        return cls(
-            max_terms=series.max_terms if series else 100_000,
-            root_iterations=root.max_iterations if root else 2000,
-            root_expansions=root.max_expansions if root else 80,
-            verify_split=verify_split,
-        )
 
 
-_DEFAULT_LIMITS = EngineLimits()
-
-
-class HyperKind(enum.Enum):
-    FORWARD = "forward"
-    INVERSE_MINUS = "inverse_minus"
-    INVERSE_SLASH = "inverse_slash"
-
-
-@dataclass(frozen=True)
-class HyperRequest:
-    rank: int
-    kind: HyperKind
-    a: Fraction | Ball
-    b: Fraction | Ball
-    precision: Fraction
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.precision <= 0:
-            raise ValueError("precision target must be positive")
-
-
-def run(request: HyperRequest, limits: EngineLimits = _DEFAULT_LIMITS) -> Ball:
-    """Evaluate a request at any rank (low and middle ranks included)."""
-    rank, a, b, tol = request.rank, request.a, request.b, request.precision
-    if request.kind is HyperKind.FORWARD:
-        if rank >= 4:
-            return hyper_forward(rank, a, b, tol, limits=limits)
-        if rank == 3:
-            return midops.power(a, b, SeriesConfig(tol, limits.max_terms))
-        av, bv = as_ball(a), as_ball(b)
-        return (av + bv) if rank == 1 else (av * bv)
-    if request.kind is HyperKind.INVERSE_MINUS:
-        if rank >= 4:
-            return hyper_inverse_minus(rank, a, b, tol, limits=limits)
-        if rank == 3:
-            return midops.root(a, b, SeriesConfig(tol, limits.max_terms))
-        av, bv = as_ball(a), as_ball(b)
-        return (av - bv) if rank == 1 else divide(av, bv)
-    if rank >= 4:
-        return hyper_inverse_slash(rank, a, b, tol, limits=limits)
-    if rank == 3:
-        return midops.log(a, b, SeriesConfig(tol, limits.max_terms))
-    av, bv = as_ball(a), as_ball(b)
-    return (av - bv) if rank == 1 else divide(av, bv)
+_LIMITS = EngineLimits()
 
 
 # ---------------------------------------------------------------------------
@@ -128,10 +72,6 @@ def _height_fraction(b, *, rank: int) -> Fraction:
     return Fraction(b)
 
 
-def _value_ball(a) -> Ball:
-    return a if isinstance(a, Ball) else Ball(Fraction(a))
-
-
 # ---------------------------------------------------------------------------
 # forward
 
@@ -141,8 +81,6 @@ def hyper_forward(
     a: Fraction | Ball,
     b: Fraction | Ball,
     tol: Fraction,
-    *,
-    limits: EngineLimits = _DEFAULT_LIMITS,
 ) -> Ball:
     """Ball containing a (+^rank) b for rank >= 4, a >= 1, rational b >= 0."""
     if rank < 4:
@@ -152,7 +90,7 @@ def hyper_forward(
     height = _height_fraction(b, rank=rank)
     if height < 0:
         raise DomainError("heights below zero are not defined at rank >= 4")
-    base = _value_ball(a)
+    base = as_ball(a)
     if base.is_exact:
         if base.center < 1:
             raise DomainError("rank >= 4 operators need a base >= 1")
@@ -160,11 +98,10 @@ def hyper_forward(
         if base.hi < 1:
             raise DomainError("rank >= 4 operators need a base >= 1")
         raise PrecisionError("base interval reaches below 1")
-    return _forward(rank, base, height, tol, limits)
+    return _forward(rank, base, height, tol)
 
 
-def _forward(rank: int, base: Ball, height, tol: Fraction,
-             limits: EngineLimits) -> Ball:
+def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
     """Core recursion; height may be a Fraction or an exact-only Ball."""
     if isinstance(height, Ball):
         if height.is_exact:
@@ -176,7 +113,7 @@ def _forward(rank: int, base: Ball, height, tol: Fraction,
             )
     if rank == 3:
         return midops.power(base.center if base.is_exact else base, height,
-                            SeriesConfig(tol, limits.max_terms))
+                            SeriesConfig(tol))
     if height == 0:
         return Ball(Fraction(1))
     if base.is_exact and base.center == 1:
@@ -184,25 +121,23 @@ def _forward(rank: int, base: Ball, height, tol: Fraction,
     if height == 1:
         return base
     if not base.is_exact:
-        lo = _forward(rank, Ball(base.lo), height, tol / 2, limits)
-        hi = _forward(rank, Ball(base.hi), height, tol / 2, limits)
+        lo = _forward(rank, Ball(base.lo), height, tol / 2)
+        hi = _forward(rank, Ball(base.hi), height, tol / 2)
         return round_ball(hull(lo, hi), tol_bits(tol) + 16)
 
     steps = int(height) - (height.denominator == 1)
     frac = height - int(height)
-    if steps > limits.max_height_steps:
+    if steps > _LIMITS.max_height_steps:
         raise ResourceError(
             f"unrolling a height of {height} needs {steps} applications, "
-            f"over the cap of {limits.max_height_steps}"
+            f"over the cap of {_LIMITS.max_height_steps}"
         )
 
     def fractional_tail(t: Fraction) -> Ball:
         p, q = frac.numerator, frac.denominator
-        if limits.verify_split:
-            farey.locate(p, q)
         try:
-            tower = _forward(rank, base, Fraction(p), t / 4, limits)
-            return _inverse_minus(rank, tower, Fraction(q), t / 4, limits)
+            tower = _forward(rank, base, Fraction(p), t / 4)
+            return _inverse_minus(rank, tower, Fraction(q), t / 4)
         except MagnitudeError as err:
             # The split detours through a tower of the fraction's numerator,
             # which can dwarf the (possibly modest) final value; a blow-up
@@ -210,16 +145,16 @@ def _forward(rank: int, base: Ball, height, tol: Fraction,
             raise ResourceError(str(err)) from err
 
     if frac == 0:
-        inner_log = _log_float(base.center)
+        inner_log = _log_abs_float(base.center)
     else:
         if steps == 0:
             return fractional_tail(tol)
         coarse = fractional_tail(Fraction(1, 1 << 16))
-        inner_log = max(_log_float(coarse.hi), 0.0)
+        inner_log = max(_log_abs_float(coarse.hi), 0.0)
     # Each tower step amplifies the error underneath it by roughly
     # (step output) * ln(base); budget the inner tolerances accordingly,
     # with a refinement backstop since the budgets are estimates.
-    budgets = _unroll_budgets(inner_log, _log_float(base.center), steps)
+    budgets = _unroll_budgets(inner_log, _log_abs_float(base.center), steps)
     extra = 0
     for _ in range(_REFINE_ATTEMPTS):
         if frac == 0:
@@ -228,21 +163,11 @@ def _forward(rank: int, base: Ball, height, tol: Fraction,
             value = fractional_tail(tol / (1 << (budgets[0] + extra)))
         for i in range(1, steps + 1):
             value = _forward(rank - 1, base, value,
-                             tol / (1 << (budgets[i] + extra)), limits)
+                             tol / (1 << (budgets[i] + extra)))
         if value.radius <= tol:
             return value
         extra += 8
     raise PrecisionError("tower unrolling failed to reach the requested radius")
-
-
-_LN_VALUE_CAP = 726_817  # ln of 2^(2^20), the magnitude cap
-
-
-def _log_float(x: Fraction) -> float:
-    """Rough natural log of a positive rational, safe for any magnitude."""
-    shift = x.numerator.bit_length() - x.denominator.bit_length()
-    m = x / Fraction(2) ** shift
-    return math.log(float(m)) + shift * math.log(2)
 
 
 def _unroll_budgets(inner_log: float, ln_base: float, steps: int) -> list[int]:
@@ -255,14 +180,14 @@ def _unroll_budgets(inner_log: float, ln_base: float, steps: int) -> list[int]:
     surface here, before any expensive arithmetic runs.
     """
     ln_ln_base = math.log(max(ln_base, 1e-300))
-    blow_threshold = math.log(_LN_VALUE_CAP) - ln_ln_base
+    blow_threshold = math.log(_EXP_ARG_CAP) - ln_ln_base
     level = inner_log
     gains = []  # log2 of each step's amplification factor
     for _ in range(steps):
         if level > blow_threshold:  # exp(level) * ln_base would pass the cap
             raise MagnitudeError("tower magnitude exceeds the configured cap")
         out = math.exp(level) * ln_base
-        if out > _LN_VALUE_CAP:
+        if out > _EXP_ARG_CAP:
             raise MagnitudeError("tower magnitude exceeds the configured cap")
         gains.append(max(0.0, (out + ln_ln_base) / math.log(2)))
         level = out
@@ -284,8 +209,6 @@ def hyper_inverse_minus(
     a: Fraction | Ball,
     b: Fraction | Ball,
     tol: Fraction,
-    *,
-    limits: EngineLimits = _DEFAULT_LIMITS,
 ) -> Ball:
     """Ball containing the x >= 1 with x (+^rank) b = a, for a >= 1, b > 0."""
     if rank < 4:
@@ -295,14 +218,13 @@ def hyper_inverse_minus(
     order = _height_fraction(b, rank=rank)
     if order <= 0:
         raise DomainError("super-root order must be positive")
-    target = _value_ball(a)
+    target = as_ball(a)
     if (target.is_exact and target.center < 1) or target.hi < 1:
         raise DomainError("super-roots are defined for values >= 1")
-    return _inverse_minus(rank, target, order, tol, limits)
+    return _inverse_minus(rank, target, order, tol)
 
 
-def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
-                   limits: EngineLimits) -> Ball:
+def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction) -> Ball:
     if target.is_exact and target.center == 1:
         return Ball(Fraction(1))
     if order == 1:
@@ -310,18 +232,15 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
     if order.denominator != 1 and order < 1:
         # x (-^r) (p/q) = (x (+^r) q) (-^r) p for fractional orders below 1
         p, q = order.numerator, order.denominator
-        if limits.verify_split:
-            farey.locate(p, q)
         try:
-            grown = _forward(rank, target, Fraction(q), tol / 8, limits)
+            grown = _forward(rank, target, Fraction(q), tol / 8)
         except MagnitudeError as err:
             # an intermediate of the construction, not the result itself
             raise ResourceError(str(err)) from err
-        return _inverse_minus(rank, grown, Fraction(p), tol, limits)
+        return _inverse_minus(rank, grown, Fraction(p), tol)
     if not target.is_exact:
-        lo = _inverse_minus(rank, Ball(max(target.lo, Fraction(1))), order,
-                            tol / 2, limits)
-        hi = _inverse_minus(rank, Ball(target.hi), order, tol / 2, limits)
+        lo = _inverse_minus(rank, Ball(max(target.lo, Fraction(1))), order, tol / 2)
+        hi = _inverse_minus(rank, Ball(target.hi), order, tol / 2)
         return round_ball(hull(lo, hi), tol_bits(tol) + 16)
 
     goal = target.center  # exact rational > 1
@@ -329,7 +248,7 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
 
     def f(x: Fraction, ft: Fraction) -> Ball:
         try:
-            return _forward(rank, Ball(x), order, ft, limits) - goal
+            return _forward(rank, Ball(x), order, ft) - goal
         except MagnitudeError:
             # a tower past the magnitude cap certainly exceeds the goal
             if goal_bits < midops.MAX_MAGNITUDE_BITS - 64:
@@ -337,7 +256,7 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
             raise
 
     bracket = Bracket(Fraction(1), goal, -1, 1)
-    cfg = RootConfig(tol, limits.root_iterations, limits.root_expansions)
+    cfg = RootConfig(tol)
     style = "interpolate" if rank == 4 else "mediant"
     return brent(f, bracket, cfg, probe=style)
 
@@ -351,16 +270,14 @@ def hyper_inverse_slash(
     a: Fraction | Ball,
     b: Fraction | Ball,
     tol: Fraction,
-    *,
-    limits: EngineLimits = _DEFAULT_LIMITS,
 ) -> Ball:
     """Ball containing the x >= 0 with b (+^rank) x = a, for a > 1, b > 1."""
     if rank < 4:
         raise DomainError(f"hyper_inverse_slash needs rank >= 4, got {rank}")
     if tol <= 0:
         raise ValueError("precision target must be positive")
-    target = _value_ball(a)
-    base = _value_ball(b)
+    target = as_ball(a)
+    base = as_ball(b)
     for name, ball in (("value", target), ("base", base)):
         if ball.is_exact:
             if ball.center <= 1:
@@ -372,8 +289,8 @@ def hyper_inverse_slash(
     if target.is_exact and base.is_exact and target.center == base.center:
         return Ball(Fraction(1))
     if not target.is_exact:
-        lo = hyper_inverse_slash(rank, Ball(target.lo), base, tol / 2, limits=limits)
-        hi = hyper_inverse_slash(rank, Ball(target.hi), base, tol / 2, limits=limits)
+        lo = hyper_inverse_slash(rank, Ball(target.lo), base, tol / 2)
+        hi = hyper_inverse_slash(rank, Ball(target.hi), base, tol / 2)
         return round_ball(hull(lo, hi), tol_bits(tol) + 16)
 
     goal = target.center
@@ -381,7 +298,7 @@ def hyper_inverse_slash(
 
     def tower(x: Fraction, ft: Fraction) -> Ball:
         try:
-            return _forward(rank, base, x, ft, limits)
+            return _forward(rank, base, x, ft)
         except MagnitudeError:
             # beyond the magnitude cap the tower certainly exceeds any goal
             # small enough to compare against it
@@ -389,6 +306,6 @@ def hyper_inverse_slash(
                 return Ball(2 * abs(goal) + 2)
             raise
 
-    cfg = RootConfig(tol, limits.root_iterations, limits.root_expansions)
+    cfg = RootConfig(tol)
     bracket = expand_upper(tower, goal, cfg)
     return brent(lambda x, ft: tower(x, ft) - goal, bracket, cfg, probe="mediant")

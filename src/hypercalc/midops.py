@@ -40,7 +40,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import Ball, as_ball, divide, from_endpoints, round_ball
+from .balls import Ball, as_ball, divide, round_ball
 from .errors import DomainError, MagnitudeError, PrecisionError, ResourceError
 
 # Any value whose integer part would exceed 2^MAX_MAGNITUDE_BITS is treated
@@ -332,7 +332,7 @@ def exp_e(a: Fraction | Ball, cfg: SeriesConfig | None = None) -> Ball:
     """Ball containing e^a with radius <= the configured target error."""
     cfg = _cfg(cfg)
     tol = cfg.target_error
-    b = as_ball(a) if isinstance(a, Ball) else Ball(Fraction(a))
+    b = as_ball(a)
     if b.is_exact:
         return _exp_rational(b.center, tol, cfg.max_terms)
     if b.radius > Fraction(1, 2):
@@ -347,7 +347,7 @@ def ln_e(a: Fraction | Ball, cfg: SeriesConfig | None = None) -> Ball:
     """Ball containing ln a (a > 0) with radius <= the target error."""
     cfg = _cfg(cfg)
     tol = cfg.target_error
-    b = as_ball(a) if isinstance(a, Ball) else Ball(Fraction(a))
+    b = as_ball(a)
     if b.is_exact:
         return _ln_rational(b.center, tol, cfg.max_terms)
     if b.lo <= 0:
@@ -379,8 +379,8 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig | None = Non
     """
     cfg = _cfg(cfg)
     tol = cfg.target_error
-    av = a if isinstance(a, Ball) else Ball(Fraction(a))
-    bv = b if isinstance(b, Ball) else Ball(Fraction(b))
+    av = as_ball(a)
+    bv = as_ball(b)
 
     if av.is_exact and av.center == 0:
         if bv.is_exact and bv.center > 0:
@@ -483,14 +483,14 @@ def _power_scale_bits(av: Ball, bv: Ball) -> int:
 
 def root(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig | None = None) -> Ball:
     """Ball containing the b-th root of a: the x with x^b = a (a > 0, b != 0)."""
-    bv = b if isinstance(b, Ball) else Ball(Fraction(b))
+    bv = as_ball(b)
     if bv.is_exact:
         if bv.center == 0:
             raise DomainError("0th root")
         recip: Fraction | Ball = 1 / bv.center
     else:
         recip = divide(Ball(Fraction(1)), bv)
-    av = a if isinstance(a, Ball) else Ball(Fraction(a))
+    av = as_ball(a)
     if (av.is_exact and av.center <= 0) or (not av.is_exact and av.hi <= 0):
         raise DomainError("root base must be positive")
     return power(a, recip, cfg)
@@ -500,8 +500,8 @@ def log(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig | None = None)
     """Ball containing log base b of a (a > 0, b > 0, b != 1)."""
     cfg = _cfg(cfg)
     tol = cfg.target_error
-    av = a if isinstance(a, Ball) else Ball(Fraction(a))
-    bv = b if isinstance(b, Ball) else Ball(Fraction(b))
+    av = as_ball(a)
+    bv = as_ball(b)
     if bv.is_exact and bv.center == 1:
         raise DomainError("log base 1")
     if av.is_exact and bv.is_exact:

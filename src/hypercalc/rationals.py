@@ -1,9 +1,9 @@
 """Exact arbitrary-precision rational arithmetic.
 
 `fractions.Fraction` is the value type (unbounded integers, positive
-denominator, always in lowest terms); this module adds the Euclidean gcd,
-fraction reduction and floor with explicit domain errors, the rank-1/rank-2
-operator dispatch, and the `p/q` text form used by test fixtures.
+denominator, always in lowest terms); this module adds the Euclidean gcd
+and floor with explicit domain errors, the rank-1/rank-2 operator
+arithmetic, and the `p/q` text form of a radius.
 """
 
 from __future__ import annotations
@@ -24,18 +24,6 @@ def gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
-
-
-def reduce(numerator: int, denominator: int) -> Fraction:
-    """Normalized irreducible fraction with positive denominator."""
-    if denominator == 0:
-        raise DomainError("zero denominator")
-    if numerator == 0:
-        return Fraction(0)
-    sign = -1 if (numerator < 0) != (denominator < 0) else 1
-    n, d = abs(numerator), abs(denominator)
-    g = gcd(n, d)
-    return Fraction(sign * (n // g), d // g)
 
 
 def rational_floor(r: Fraction) -> int:
@@ -64,7 +52,3 @@ def low_op(op: Operator, a: Fraction, b: Fraction) -> Fraction:
 def format_fraction(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
 
-
-def parse_fraction(text: str) -> Fraction:
-    num, _, den = text.partition("/")
-    return reduce(int(num), int(den) if den else 1)

@@ -29,6 +29,7 @@ from typing import Callable
 
 from .balls import Ball
 from .errors import AmbiguityError, ConvergenceError, DomainError
+from .midops import tol_bits
 
 BallFn = Callable[[Fraction, Fraction], Ball]
 
@@ -97,7 +98,7 @@ def _snap_interior(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
     the bracket's resolution plus a few bits.
     """
     width = hi - lo
-    bits = tol_bits_of(width) + 12
+    bits = tol_bits(width) + 12
     q = Fraction(1, 1 << bits)
     snapped = Fraction(round(x / q)) * q
     if lo < snapped < hi:
@@ -105,28 +106,6 @@ def _snap_interior(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
     if lo < x < hi and x.denominator.bit_length() <= bits + 64:
         return x
     return lo + width / 2
-
-
-def simplest_in_open(lo: Fraction, hi: Fraction) -> Fraction:
-    """The smallest-denominator rational strictly inside (lo, hi), lo < hi >= 0."""
-    if not 0 <= lo < hi:
-        raise ValueError("need 0 <= lo < hi")
-    terms: list[Fraction] = []
-    while True:
-        fl = lo.numerator // lo.denominator
-        if Fraction(fl + 1) < hi:
-            terms.append(Fraction(fl + 1))
-            break
-        if lo == fl:
-            span = hi - fl
-            terms.append(Fraction(fl) + Fraction(1, span.denominator // span.numerator + 1))
-            break
-        terms.append(Fraction(fl))
-        lo, hi = 1 / (hi - fl), 1 / (lo - fl)
-    value = terms.pop()
-    while terms:
-        value = terms.pop() + 1 / value
-    return value
 
 
 def brent(
@@ -342,9 +321,3 @@ def expand_upper(f: BallFn, target: Fraction, cfg: RootConfig) -> Bracket:
         prev = m
         m *= 2
     raise ConvergenceError(f"no upper bracket within {cfg.max_expansions} doublings")
-
-
-def tol_bits_of(tol: Fraction) -> int:
-    if tol >= 1:
-        return 1
-    return (tol.denominator // tol.numerator).bit_length() + 1

@@ -358,27 +358,6 @@ def internal_nodes(term: Term) -> int:
     return count
 
 
-def depth(term: Term) -> int:
-    best = 0
-    work = [(term, 0)]
-    while work:
-        t, d = work.pop()
-        best = max(best, d)
-        if isinstance(t, Node):
-            work.append((t.left, d + 1))
-            work.append((t.right, d + 1))
-    return best
-
-
-def subterm_at(term: Term, path: Path) -> Term:
-    t = term
-    for step in path:
-        if not isinstance(t, Node):
-            raise KeyError(f"no node at path {path}")
-        t = t.left if step == "L" else t.right
-    return t
-
-
 def traversal_order(term: Term) -> list[Path]:
     """Inorder (left, node, right) visit sequence of internal-node paths.
 
@@ -399,27 +378,5 @@ def traversal_order(term: Term) -> list[Path]:
             work.append((t.right, path + ("R",), False))
         else:
             work.append((t, path, True))
-            work.append((t.left, path + ("L",), False))
-    return order
-
-
-def reduction_order(term: Term) -> list[Path]:
-    """Paths of internal nodes in leftmost-innermost (operands-first) order.
-
-    This is the order in which binary operations actually fire when each
-    node's value is substituted into the chain as soon as both operands are
-    literal: exactly the worked reduction sequence a term prints.
-    """
-    order: list[Path] = []
-    work: list[tuple[Term, Path, bool]] = [(term, (), False)]
-    while work:
-        t, path, expanded = work.pop()
-        if not isinstance(t, Node):
-            continue
-        if expanded:
-            order.append(path)
-        else:
-            work.append((t, path, True))
-            work.append((t.right, path + ("R",), False))
             work.append((t.left, path + ("L",), False))
     return order

@@ -81,6 +81,16 @@ def test_evaluate_examples():
     assert ball.radius <= Fraction(1, 10**20)
 
 
+def test_dispatch_all_ranks():
+    # every (rank, family) pair `_apply_ball` routes: exact ranks 1-2 (a
+    # rank-1 `-` subtracts, a rank-2 `//` divides), rank-3 series, rank 4
+    for text, value in (("[2+3]", 5), ("[2++3]", 6), ("[2+++3]", 8), ("[2++++3]", 16),
+                        ("[5-3]", 2), ("[6--3]", 2), ("[16////2]", 3), ("[6//3]", 2)):
+        result = evaluate(parse(text), CTX10)
+        assert result.is_exact and result.value == value, text
+    assert evaluate(parse("[8---3]"), CTX10).ball().contains(2)
+
+
 def test_evaluate_error_paths_carry_node_path():
     with pytest.raises(DomainError) as err:
         evaluate(parse("[[1-1]----[1+1]]"), CTX10)
@@ -321,7 +331,6 @@ def test_evaluate_deep_literal_in_bounded_memory():
 
 def reference_eval_once(term, ctx, op_tol, collect):
     values, display, events = {}, {}, []
-    limits = ctx.limits()
     stack = [(term, (), False)]
     while stack:
         t, path, expanded = stack.pop()
@@ -336,7 +345,7 @@ def reference_eval_once(term, ctx, op_tol, collect):
         left = values.pop(path + ("L",))
         right = values.pop(path + ("R",))
         try:
-            value = engine._apply(t.op, left, right, op_tol, limits)
+            value = engine._apply(t.op, left, right, op_tol)
         except HypercalcError as err:
             if err.path is None:
                 err.path = path

@@ -3,16 +3,13 @@ from fractions import Fraction
 
 import pytest
 
+from hypercalc import hyperops, midops
 from hypercalc.balls import Ball
+from hypercalc.engine import NumericContext, evaluate
 from hypercalc.errors import DomainError, PrecisionError, ResourceError
-from hypercalc.hyperops import (
-    HyperKind,
-    HyperRequest,
-    hyper_forward,
-    hyper_inverse_minus,
-    hyper_inverse_slash,
-    run,
-)
+from hypercalc.hyperops import hyper_forward, hyper_inverse_minus, hyper_inverse_slash
+from hypercalc.rootfind import RootConfig
+from hypercalc.terms import parse
 
 T12 = Fraction(1, 10**12)
 T10 = Fraction(1, 10**10)
@@ -89,6 +86,18 @@ def test_blowup_cap():
         hyper_forward(6, Fraction(2), Fraction(3), T12)
 
 
+def test_height_step_cap(monkeypatch):
+    # 50,001 unroll steps is one past the cap; a base this close to 1 keeps
+    # the tower small, so only the cap can refuse it, and it must refuse
+    # before any tower arithmetic runs
+    def no_power(*args):
+        raise AssertionError("tower arithmetic ran before the height-step cap")
+
+    monkeypatch.setattr(midops, "power", no_power)
+    with pytest.raises(ResourceError, match="over the cap of 50000"):
+        hyper_forward(4, Fraction(10001, 10000), Fraction(50002), T8)
+
+
 # ---------------------------------------------------------------------------
 # fractional heights via the mediant-table split
 
@@ -103,10 +112,9 @@ def test_half_height_matches_super_root_oracle():
 
 def test_split_against_direct_root():
     # a ^^ (p/q) must agree with the root of X ^^ q = a ^^ p found directly
-    from hypercalc.rootfind import Bracket, RootConfig, brent
-    from hypercalc.hyperops import _forward, EngineLimits
+    from hypercalc.rootfind import Bracket, brent
+    from hypercalc.hyperops import _forward
 
-    limits = EngineLimits()
     for a in (Fraction(3, 2), Fraction(2), Fraction(3)):
         for p, q in ((1, 2), (1, 3), (2, 3), (3, 4)):
             split = hyper_forward(4, a, Fraction(p, q), T8)
@@ -114,7 +122,7 @@ def test_split_against_direct_root():
 
             def g(x, ft, t=tower.center):
                 try:
-                    return _forward(4, Ball(x), Fraction(q), ft, limits) - t
+                    return _forward(4, Ball(x), Fraction(q), ft) - t
                 except ResourceError:
                     # integer towers grow monotonically, so a blowup is
                     # certainly above the target
@@ -126,17 +134,6 @@ def test_split_against_direct_root():
                 RootConfig(T8),
             )
             assert split.overlaps(direct), (a, p, q)
-
-
-def test_verify_split_flag():
-    out = hyper_forward(4, Fraction(2), Fraction(3, 4), T8, )
-    from hypercalc.hyperops import EngineLimits
-
-    verified = hyper_forward(
-        4, Fraction(2), Fraction(3, 4), T8,
-        limits=EngineLimits(verify_split=True),
-    )
-    assert out.overlaps(verified)
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +298,19 @@ def test_ball_base_encloses_endpoints():
     assert out.lo <= hi_val.center <= out.hi
 
 
-def test_request_dispatch_all_ranks():
-    assert run(HyperRequest(1, HyperKind.FORWARD, Fraction(2), Fraction(3), T12)).center == 5
-    assert run(HyperRequest(2, HyperKind.FORWARD, Fraction(2), Fraction(3), T12)).center == 6
-    assert run(HyperRequest(3, HyperKind.FORWARD, Fraction(2), Fraction(3), T12)).center == 8
-    assert run(HyperRequest(4, HyperKind.FORWARD, Fraction(2), Fraction(3), T12)).center == 16
-    assert run(HyperRequest(1, HyperKind.INVERSE_MINUS, Fraction(5), Fraction(3), T12)).center == 2
-    assert run(HyperRequest(2, HyperKind.INVERSE_MINUS, Fraction(6), Fraction(3), T12)).center == 2
-    assert run(HyperRequest(3, HyperKind.INVERSE_MINUS, Fraction(8), Fraction(3), T12)).contains(2)
-    assert run(HyperRequest(4, HyperKind.INVERSE_SLASH, Fraction(16), Fraction(2), T12)).center == 3
-    assert run(HyperRequest(2, HyperKind.INVERSE_SLASH, Fraction(6), Fraction(3), T12)).center == 2
-    with pytest.raises(ValueError):
-        HyperRequest(0, HyperKind.FORWARD, Fraction(2), Fraction(2), T12)
-    with pytest.raises(ValueError):
-        HyperRequest(4, HyperKind.FORWARD, Fraction(2), Fraction(2), Fraction(0))
+def test_root_finder_budget_is_one_config(monkeypatch):
+    # a direct super-root call and the same operator reached through
+    # `evaluate` hand the root finder the same caps: RootConfig's defaults
+    real_brent, seen = hyperops.brent, []
+
+    def spy(f, bracket, cfg, **kw):
+        seen.append((cfg.max_iterations, cfg.max_expansions))
+        return real_brent(f, bracket, cfg, **kw)
+
+    monkeypatch.setattr(hyperops, "brent", spy)
+    hyper_inverse_minus(4, Fraction(16), Fraction(2), T12)
+    direct = set(seen)
+    seen.clear()
+    evaluate(parse("[[[1+1]+++[1+1]]----[1+1]]"), NumericContext(digits=12))
+    defaults = (RootConfig.max_iterations, RootConfig.max_expansions)
+    assert direct == set(seen) == {defaults}

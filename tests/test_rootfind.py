@@ -10,7 +10,6 @@ from hypercalc.rootfind import (
     RootConfig,
     brent,
     expand_upper,
-    simplest_in_open,
 )
 
 TOL10 = RootConfig(Fraction(1, 10**10))
@@ -145,20 +144,6 @@ def test_mediant_mode_irrational_root():
     )
     assert out.radius <= Fraction(1, 10**8)
     assert abs(out.center - SQRT2_62) <= out.radius + Fraction(1, 10**60)
-
-
-def test_simplest_in_open():
-    assert simplest_in_open(Fraction(2), Fraction(4)) == 3
-    assert simplest_in_open(Fraction(1, 3), Fraction(1, 2)) == Fraction(2, 5)
-    assert simplest_in_open(Fraction(2), Fraction(5, 2)) == Fraction(7, 3)
-    assert simplest_in_open(Fraction(0), Fraction(1, 2)) == Fraction(1, 3)
-    # result is strictly inside and has the least denominator
-    lo, hi = Fraction(7, 10), Fraction(8, 11)
-    best = simplest_in_open(lo, hi)
-    assert lo < best < hi
-    for q in range(1, best.denominator):
-        for p in range(q + 1):
-            assert not (lo < Fraction(p, q) < hi)
 
 
 def test_expand_upper_examples():

@@ -16,9 +16,7 @@ from hypercalc.terms import (
     desugar_integer,
     internal_nodes,
     parse,
-    reduction_order,
     render,
-    subterm_at,
     traversal_order,
 )
 
@@ -210,7 +208,6 @@ def test_grammar_soundness(t):
 @settings(max_examples=200, deadline=None)
 def test_traversal_length(t):
     assert len(traversal_order(t)) == internal_nodes(t)
-    assert len(reduction_order(t)) == internal_nodes(t)
 
 
 def test_traversal_examples():
@@ -219,15 +216,3 @@ def test_traversal_examples():
     # the worked tree: inorder visits left-subtree nodes, root, right child
     t = parse("[[1+[1+1]]----[1+1]]")
     assert traversal_order(t) == [("L",), ("L", "R"), (), ("R",)]
-
-
-def test_reduction_order_matches_chain():
-    # operands-first order: inner [1+1], the left +, the right +, the root
-    t = parse("[[1+[1+1]]----[1+1]]")
-    assert reduction_order(t) == [("L", "R"), ("L",), ("R",), ()]
-
-
-def test_subterm_at():
-    t = parse("[[1+[1+1]]----[1+1]]")
-    assert subterm_at(t, ("L", "R")) == parse("[1+1]")
-    assert subterm_at(t, ()) == t
