@@ -31,19 +31,17 @@ from .errors import (
 from .farey import FareyEntry, FareyIndex, farey_row, locate
 from .hyperops import hyper_forward, hyper_inverse_minus, hyper_inverse_slash
 from .midops import SeriesConfig, exp_e, ln_e, log, power, root
-from .rationals import gcd, low_op, rational_floor
+from .rationals import gcd, low_op
 from .rootfind import Bracket, RootConfig, brent, expand_upper
 from .terms import (
     Leaf,
     Node,
     OpKind,
     Operator,
-    RenderStyle,
     Term,
     TraceEvent,
     parse,
     render,
-    traversal_order,
 )
 
 __all__ = [
@@ -64,7 +62,6 @@ __all__ = [
     "Operator",
     "ParseError",
     "PrecisionError",
-    "RenderStyle",
     "ResourceError",
     "RootConfig",
     "SeriesConfig",
@@ -87,12 +84,10 @@ __all__ = [
     "low_op",
     "parse",
     "power",
-    "rational_floor",
     "render",
     "root",
     "to_base_b",
     "trace_reduce",
-    "traversal_order",
 ]
 
 __version__ = "0.1.0"

@@ -31,10 +31,25 @@ def _context(args) -> NumericContext:
     return NumericContext(base=args.base, digits=args.digits, guard_digits=args.guard)
 
 
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in [low, high], so that a value
+    `NumericContext` refuses is a usage error, not a traceback."""
+
+    def convert(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    convert.__name__ = "int"  # argparse names it in "invalid int value"
+    return convert
+
+
 def _add_numeric_flags(sub):
-    sub.add_argument("--base", type=int, default=10, help="output base, 2..36")
-    sub.add_argument("--digits", type=int, default=20, help="fractional digits")
-    sub.add_argument("--guard", type=int, default=10, help="guard digits")
+    sub.add_argument("--base", type=_int_in(2, 36), default=10, help="output base, 2..36")
+    sub.add_argument("--digits", type=_int_in(0), default=20, help="fractional digits")
+    sub.add_argument("--guard", type=_int_in(0), default=10, help="guard digits")
     sub.add_argument(
         "--format", choices=("plain", "json"), default="plain", dest="format_"
     )
@@ -111,12 +126,17 @@ def _cmd_eval(args, out=sys.stdout) -> int:
     if args.expression is not None:
         texts = [args.expression]
     else:
-        with open(args.file, encoding="utf-8") as fh:
-            texts = [
-                line.strip()
-                for line in fh
-                if line.strip() and not line.strip().startswith("#")
-            ]
+        try:
+            with open(args.file, encoding="utf-8") as fh:
+                texts = [
+                    line.strip()
+                    for line in fh
+                    if line.strip() and not line.strip().startswith("#")
+                ]
+        except (OSError, UnicodeDecodeError) as err:
+            reason = getattr(err, "strerror", None) or err
+            print(f"cannot read {args.file}: {reason}", file=sys.stderr)
+            return 1
     for text in texts:
         term = parse(text)
         trace_lines = _chain_lines(term, ctx) if args.trace else None

@@ -27,7 +27,7 @@ an event costs O(1) plus the join of its `after` text, and each event's
 `to_base_b` produces truncated positional digits per the digit recurrences
 (quotient/remainder above the point, digit = floor(base * fractional-part)
 below), certifying for approximate values that every real in the ball
-shares the emitted digits; `adaptive_render` doubles the guard digits until
+shares the emitted digits; `adaptive_evaluate` doubles the guard digits until
 certification succeeds.
 """
 
@@ -46,6 +46,10 @@ from .terms import Leaf, Node, OpKind, Path, Term, TraceEvent
 
 _DIGIT_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
+# Refinement rounds: `evaluate` re-runs at a tighter working tolerance, and
+# `adaptive_evaluate` doubles the guard digits, at most this many times each.
+MAX_DOUBLINGS = 8
+
 Value = Fraction | Ball
 
 
@@ -53,29 +57,24 @@ Value = Fraction | Ball
 class NumericContext:
     """What an evaluation is asked for: `digits` certified base-`base`
     digits, worked out with `guard_digits` extra digits of precision.
-    `max_doublings` bounds the refinement rounds: `evaluate` re-runs at a
-    tighter working tolerance, and `adaptive_evaluate` doubles the guard
-    digits, at most that many times each.
 
-    The work budgets are not settable here; each lives with the layer that
-    enforces it: the series term cap (100,000) in `midops.SeriesConfig`,
-    the root finder's caps (1000 iterations, 80 bracket doublings) in
-    `rootfind.RootConfig`, and the tower height-step cap (50,000) in
-    `hyperops.EngineLimits`.
+    The budgets are not settable here; each is a constant of the layer that
+    enforces it: the refinement rounds (`MAX_DOUBLINGS` = 8) here, the
+    series terms per call (`midops.MAX_SERIES_TERMS` = 100,000), the root
+    finder's probes and bracket doublings (`rootfind.MAX_ITERATIONS` =
+    1000, `rootfind.MAX_EXPANSIONS` = 80), and the tower height steps
+    (`hyperops.EngineLimits`, 50,000).
     """
 
     base: int = 10
     digits: int = 20
     guard_digits: int = 10
-    max_doublings: int = 8
 
     def __post_init__(self):
         if not 2 <= self.base <= 36:
             raise ValueError("base must be in [2, 36]")
         if self.digits < 0 or self.guard_digits < 0:
             raise ValueError("digit counts must be non-negative")
-        if self.max_doublings < 1:
-            raise ValueError("max_doublings must be positive")
 
     def precision_target(self) -> Fraction:
         return Fraction(1, self.base) ** (self.digits + self.guard_digits)
@@ -120,7 +119,7 @@ def evaluate(term: Term, ctx: NumericContext, *, collect_trace: bool = False) ->
     target = ctx.precision_target()
     flat = _flatten(term)
     working = target / (4 * max(1, len(flat)))
-    for _ in range(ctx.max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         value, events = _eval_once(flat, ctx, working, collect_trace)
         if isinstance(value, Fraction) or value.radius <= target:
             return EvalResult(value, tuple(events) if collect_trace else None)
@@ -369,7 +368,7 @@ def to_base_b(value: EvalResult | Value, ctx: NumericContext) -> BasebExpansion:
 
     Exact rationals convert directly.  For a ball, every real in
     [lo, hi] must share the emitted digits, else PrecisionError; the
-    caller (`adaptive_render`) reacts by tightening and retrying.
+    caller (`adaptive_evaluate`) reacts by tightening and retrying.
     """
     v = value.value if isinstance(value, EvalResult) else value
     if isinstance(v, Ball) and v.is_exact:
@@ -400,7 +399,7 @@ def adaptive_evaluate(term: Term, ctx: NumericContext) -> tuple[EvalResult, Base
     """Evaluate, certify digits, and escalate guard digits until certified."""
     guard = max(1, ctx.guard_digits)
     last: EvalResult | None = None
-    for _ in range(ctx.max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         attempt_ctx = replace(ctx, guard_digits=guard)
         last = evaluate(term, attempt_ctx)
         try:
@@ -408,12 +407,15 @@ def adaptive_evaluate(term: Term, ctx: NumericContext) -> tuple[EvalResult, Base
         except PrecisionError:
             guard *= 2
     assert last is not None
-    uncertified = _expansion_of_exact(last.ball().center, ctx.base, ctx.digits)
+    ball = last.ball()
+    uncertified = _expansion_of_exact(ball.center, ctx.base, ctx.digits)
+    # n/d < 2^(bits(n) - bits(d) + 1); a float of n/d underflows to 0 below 1e-308
+    n, d = ball.radius.numerator, ball.radius.denominator
     raise PrecisionError(
         "digits not certified after doubling guard digits "
-        f"{ctx.max_doublings} times; uncertified digits {uncertified.text()}, "
-        f"radius {float(last.ball().radius):.3e}; the value may sit exactly "
-        "on a digit boundary"
+        f"{MAX_DOUBLINGS} times; uncertified digits {uncertified.text()}, "
+        f"radius < 2^{n.bit_length() - d.bit_length() + 1}; the value may sit "
+        "exactly on a digit boundary"
     )
 
 

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 from .errors import DomainError, ResourceError
 from .rationals import gcd
 
-DEFAULT_ROW_CAP = 2**20 + 1
-DEFAULT_LOCATE_DEPTH_CAP = 10**6
+# Entries of the largest row `farey_row` builds, and rows `locate` descends.
+ROW_CAP = 2**20 + 1
+LOCATE_DEPTH_CAP = 10**6
 
 
 @dataclass(frozen=True)
@@ -33,12 +34,12 @@ class FareyIndex:
     position: int  # 1-based within the row
 
 
-def farey_row(k: int, *, max_entries: int = DEFAULT_ROW_CAP) -> list[FareyEntry]:
+def farey_row(k: int) -> list[FareyEntry]:
     """Entries of row k, built by the copy/mediant recursion from row 1."""
     if k < 1:
         raise DomainError(f"row index must be >= 1, got {k}")
-    if k > 1 and 2 ** (k - 1) + 1 > max_entries:
-        raise ResourceError(f"row {k} has {2 ** (k - 1) + 1} entries, cap is {max_entries}")
+    if k > 1 and 2 ** (k - 1) + 1 > ROW_CAP:
+        raise ResourceError(f"row {k} has {2 ** (k - 1) + 1} entries, cap is {ROW_CAP}")
     row = [FareyEntry(0, 1), FareyEntry(1, 1)]
     for _ in range(k - 1):
         nxt = []
@@ -50,7 +51,7 @@ def farey_row(k: int, *, max_entries: int = DEFAULT_ROW_CAP) -> list[FareyEntry]
     return row
 
 
-def locate(p: int, q: int, *, max_depth: int = DEFAULT_LOCATE_DEPTH_CAP) -> FareyIndex:
+def locate(p: int, q: int) -> FareyIndex:
     """First (row, position) at which the reduced fraction p/q appears.
 
     Descends the mediant tree between the current pair of adjacent table
@@ -68,7 +69,7 @@ def locate(p: int, q: int, *, max_depth: int = DEFAULT_LOCATE_DEPTH_CAP) -> Fare
     lo_top, lo_bot, lo_pos = 0, 1, 1
     hi_top, hi_bot = 1, 1
     row = 1
-    while row < max_depth:
+    while row < LOCATE_DEPTH_CAP:
         row += 1
         lo_pos = 2 * lo_pos - 1
         mid_top, mid_bot = lo_top + hi_top, lo_bot + hi_bot
@@ -80,4 +81,4 @@ def locate(p: int, q: int, *, max_depth: int = DEFAULT_LOCATE_DEPTH_CAP) -> Fare
             hi_top, hi_bot = mid_top, mid_bot
         else:
             lo_top, lo_bot, lo_pos = mid_top, mid_bot, lo_pos + 1
-    raise ResourceError(f"mediant descent for {p}/{q} exceeded depth {max_depth}")
+    raise ResourceError(f"mediant descent for {p}/{q} exceeded depth {LOCATE_DEPTH_CAP}")

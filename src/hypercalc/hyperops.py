@@ -47,9 +47,9 @@ _REFINE_ATTEMPTS = 8
 class EngineLimits:
     """The tower-unrolling budget: integer height steps per rank >= 4 node.
 
-    The other budgets live with the layer that enforces them: the series
-    term cap in `SeriesConfig`, the root finder's iteration and expansion
-    caps in `RootConfig`.
+    The other budgets are constants of the layer that enforces them: the
+    series term cap `midops.MAX_SERIES_TERMS`, the root finder's
+    `rootfind.MAX_ITERATIONS` and `rootfind.MAX_EXPANSIONS`.
     """
 
     max_height_steps: int = 50_000
@@ -306,6 +306,5 @@ def hyper_inverse_slash(
                 return Ball(2 * abs(goal) + 2)
             raise
 
-    cfg = RootConfig(tol)
-    bracket = expand_upper(tower, goal, cfg)
-    return brent(lambda x, ft: tower(x, ft) - goal, bracket, cfg, probe="mediant")
+    bracket = expand_upper(tower, goal)
+    return brent(lambda x, ft: tower(x, ft) - goal, bracket, RootConfig(tol), probe="mediant")

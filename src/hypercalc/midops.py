@@ -50,17 +50,17 @@ _EXP_ARG_CAP = 726_817  # floor(2^20 * ln 2)
 
 _REFINE_ATTEMPTS = 9
 
+# Terms per series call.
+MAX_SERIES_TERMS = 100_000
+
 
 @dataclass(frozen=True)
 class SeriesConfig:
     target_error: Fraction
-    max_terms: int = 100_000
 
     def __post_init__(self):
         if self.target_error <= 0:
             raise ValueError("target error must be positive")
-        if self.max_terms < 1:
-            raise ValueError("max terms must be positive")
 
 
 DEFAULT_SERIES = SeriesConfig(Fraction(1, 10**30))
@@ -106,7 +106,7 @@ _SPLIT_BITS = 24
 # fixed-point kernels
 
 
-def _exp_series_fixed(xf: int, prec: int, max_terms: int) -> tuple[int, int]:
+def _exp_series_fixed(xf: int, prec: int) -> tuple[int, int]:
     """(value, error) in 2^-prec ulps of exp(x) for |x| <= 1, given
     xf = x 2^prec rounded to nearest."""
     acc = (1 << prec) + xf
@@ -114,7 +114,7 @@ def _exp_series_fixed(xf: int, prec: int, max_terms: int) -> tuple[int, int]:
     n = 1
     while not (abs(term) <= 2 and n >= 2):
         n += 1
-        if n > max_terms:
+        if n > MAX_SERIES_TERMS:
             raise ResourceError("exp series exceeded the term budget")
         term = _shift_div_round(term * xf, prec, n)
         acc += term
@@ -122,7 +122,7 @@ def _exp_series_fixed(xf: int, prec: int, max_terms: int) -> tuple[int, int]:
     return acc, n + 10
 
 
-def _exp_ratio_fixed(c: int, prec: int, max_terms: int) -> tuple[int, int]:
+def _exp_ratio_fixed(c: int, prec: int) -> tuple[int, int]:
     """(value, error) in 2^-prec ulps of exp(u), u = c/2^K, |u| <= 1.
 
     The terms t_0 = 2^prec and t_n = round(t_(n-1) c / (n 2^K)) cost a
@@ -137,14 +137,14 @@ def _exp_ratio_fixed(c: int, prec: int, max_terms: int) -> tuple[int, int]:
     n = 0
     while n == 0 or abs(term) > 1:
         n += 1
-        if n > max_terms:
+        if n > MAX_SERIES_TERMS:
             raise ResourceError("exp series exceeded the term budget")
         term = _shift_div_round(term * c, _SPLIT_BITS, n)
         acc += term
     return acc, n + 2
 
 
-def _exp_split_fixed(num: int, den: int, prec: int, max_terms: int) -> tuple[int, int]:
+def _exp_split_fixed(num: int, den: int, prec: int) -> tuple[int, int]:
     """(value, error) in 2^-prec ulps of exp(x), x = num/den, |x| <= 1.
 
     exp(x) = exp(c/2^K) exp(r) with c = round(x 2^K), so |c| <= 2^K and
@@ -157,17 +157,17 @@ def _exp_split_fixed(num: int, den: int, prec: int, max_terms: int) -> tuple[int
     """
     c = _fix(num, den, _SPLIT_BITS)
     if c == 0:
-        return _exp_series_fixed(_fix(num, den, prec), prec, max_terms)
-    v1, e1 = _exp_ratio_fixed(c, prec, max_terms)
+        return _exp_series_fixed(_fix(num, den, prec), prec)
+    v1, e1 = _exp_ratio_fixed(c, prec)
     r_num = (num << _SPLIT_BITS) - c * den  # r = r_num / (den 2^K)
     if r_num == 0:
         return v1, e1
-    v2, e2 = _exp_series_fixed(_fix(r_num, den << _SPLIT_BITS, prec), prec, max_terms)
+    v2, e2 = _exp_series_fixed(_fix(r_num, den << _SPLIT_BITS, prec), prec)
     spread = abs(v1) * e2 + (abs(v2) + e2) * e1
     return _shift_round(v1 * v2, prec), (spread >> prec) + 2
 
 
-def _atanh_series_fixed(bf: int, prec: int, max_terms: int) -> tuple[int, int]:
+def _atanh_series_fixed(bf: int, prec: int) -> tuple[int, int]:
     """(value, error) in ulps of 2*sum b^(2n+1)/(2n+1) = 2*atanh(b), |b| <= 1/3,
     given bf = b 2^prec rounded to nearest."""
     b2 = _shift_round(bf * bf, prec)
@@ -175,7 +175,7 @@ def _atanh_series_fixed(bf: int, prec: int, max_terms: int) -> tuple[int, int]:
     power = bf
     n = 1
     while abs(power) > 2:
-        if n > max_terms:
+        if n > MAX_SERIES_TERMS:
             raise ResourceError("log series exceeded the term budget")
         power = _shift_round(power * b2, prec)
         acc += (power + n) // (2 * n + 1)  # nearest, as 2n+1 is odd
@@ -183,7 +183,7 @@ def _atanh_series_fixed(bf: int, prec: int, max_terms: int) -> tuple[int, int]:
     return 2 * acc, 3 * n + 10
 
 
-def _atanh_ratio_fixed(p: int, q: int, prec: int, max_terms: int) -> tuple[int, int]:
+def _atanh_ratio_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
     """(value, error) in 2^-prec ulps of 2 atanh(p/q), q > 0, |p/q| <= 1/3.
 
     With r = p/q, the powers w_0 = round(p 2^prec / q) and
@@ -202,14 +202,14 @@ def _atanh_ratio_fixed(p: int, q: int, prec: int, max_terms: int) -> tuple[int, 
     n = 0
     while abs(power) > 1:
         n += 1
-        if n > max_terms:
+        if n > MAX_SERIES_TERMS:
             raise ResourceError("log series exceeded the term budget")
         power = (power * p2x2 + q2) // q2x2
         acc += (power + n) // (2 * n + 1)  # nearest, as 2n+1 is odd
     return 2 * acc, 2 * n + 4
 
 
-def _ln_split_fixed(num: int, den: int, prec: int, max_terms: int) -> tuple[int, int]:
+def _ln_split_fixed(num: int, den: int, prec: int) -> tuple[int, int]:
     """(value, error) in 2^-prec ulps of ln m, m = num/den in [1/2, 2].
 
     m = (c/2^K) t with c = round(m 2^K) in [2^(K-1), 2^(K+1)], so
@@ -225,11 +225,10 @@ def _ln_split_fixed(num: int, den: int, prec: int, max_terms: int) -> tuple[int,
     value = err = 0
     if c != one:
         g = math.gcd(c - one, c + one)
-        value, err = _atanh_ratio_fixed((c - one) // g, (c + one) // g, prec, max_terms)
+        value, err = _atanh_ratio_fixed((c - one) // g, (c + one) // g, prec)
     scaled = num << _SPLIT_BITS  # b = (scaled - c den) / (scaled + c den)
     if scaled != c * den:
-        v, e = _atanh_series_fixed(
-            _fix(scaled - c * den, scaled + c * den, prec), prec, max_terms)
+        v, e = _atanh_series_fixed(_fix(scaled - c * den, scaled + c * den, prec), prec)
         value += v
         err += e
     return value, err
@@ -253,7 +252,7 @@ def _ln2_fixed(prec: int) -> tuple[int, int]:
     if prec > wide:
         # guard bits: the series' 2N + 4 ulps, N ~ prec/3, shift to ~2 ulps
         wide = prec + prec.bit_length() + 2
-        value, err = _atanh_ratio_fixed(1, 3, wide, 100_000)
+        value, err = _atanh_ratio_fixed(1, 3, wide)
         _ln2_widest = (wide, value, err)
     d = wide - prec
     if d == 0:
@@ -265,7 +264,7 @@ def _ln2_fixed(prec: int) -> tuple[int, int]:
 # exp / ln
 
 
-def _exp_rational(a: Fraction, tol: Fraction, max_terms: int) -> Ball:
+def _exp_rational(a: Fraction, tol: Fraction) -> Ball:
     if a > _EXP_ARG_CAP:
         raise MagnitudeError("exp argument too large; result would blow past the magnitude cap")
     if a == 0:
@@ -281,7 +280,7 @@ def _exp_rational(a: Fraction, tol: Fraction, max_terms: int) -> Ball:
     prec = tol_bits(tol) + 2 * halvings + mag_bits + 26
     for _ in range(_REFINE_ATTEMPTS):
         scale = 1 << prec
-        value, err = _exp_split_fixed(x.numerator, x.denominator, prec, max_terms)
+        value, err = _exp_split_fixed(x.numerator, x.denominator, prec)
         out = Ball(Fraction(value, scale), Fraction(err, scale))
         for _ in range(halvings):
             out = round_ball(out * out, prec)
@@ -292,7 +291,7 @@ def _exp_rational(a: Fraction, tol: Fraction, max_terms: int) -> Ball:
     raise PrecisionError("exp failed to reach the requested radius")
 
 
-def _ln_rational(a: Fraction, tol: Fraction, max_terms: int) -> Ball:
+def _ln_rational(a: Fraction, tol: Fraction) -> Ball:
     if a <= 0:
         raise DomainError("log of a non-positive value")
     if a == 1:
@@ -316,7 +315,7 @@ def _ln_rational(a: Fraction, tol: Fraction, max_terms: int) -> Ball:
     prec = tol_bits(tol) + max(1, abs(shift)).bit_length() + 26
     for _ in range(_REFINE_ATTEMPTS):
         scale = 1 << prec
-        value, err = _ln_split_fixed(num, den, prec, max_terms)
+        value, err = _ln_split_fixed(num, den, prec)
         if shift:
             ln2, ln2_err = _ln2_fixed(prec)
             value += shift * ln2
@@ -334,10 +333,10 @@ def exp_e(a: Fraction | Ball, cfg: SeriesConfig | None = None) -> Ball:
     tol = cfg.target_error
     b = as_ball(a)
     if b.is_exact:
-        return _exp_rational(b.center, tol, cfg.max_terms)
+        return _exp_rational(b.center, tol)
     if b.radius > Fraction(1, 2):
         raise PrecisionError("exp argument too imprecise")
-    core = _exp_rational(b.center, tol / 2, cfg.max_terms)
+    core = _exp_rational(b.center, tol / 2)
     # e^(c +/- r) within e^c * e^(+/-r), and e^r - 1 <= 2r for r <= ln 2
     extra = 2 * b.radius * (core.center + core.radius)
     return round_ball(Ball(core.center, core.radius + extra), tol_bits(tol) + 16)
@@ -349,12 +348,12 @@ def ln_e(a: Fraction | Ball, cfg: SeriesConfig | None = None) -> Ball:
     tol = cfg.target_error
     b = as_ball(a)
     if b.is_exact:
-        return _ln_rational(b.center, tol, cfg.max_terms)
+        return _ln_rational(b.center, tol)
     if b.lo <= 0:
         if b.hi <= 0:
             raise DomainError("log of a non-positive value")
         raise PrecisionError("log argument interval reaches zero")
-    core = _ln_rational(b.center, tol / 2, cfg.max_terms)
+    core = _ln_rational(b.center, tol / 2)
     extra = b.radius / b.lo  # Lipschitz bound 1/min on [lo, hi]
     return round_ball(Ball(core.center, core.radius + extra), tol_bits(tol) + 16)
 
@@ -423,7 +422,7 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig | None = Non
     ln_tol = tol / (1 << _power_scale_bits(av, bv))
     ln_input = av.radius / av.lo  # Lipschitz bound for ln over [lo, hi]
     for _ in range(_REFINE_ATTEMPTS):
-        ln_core = _ln_rational(av.center, ln_tol, cfg.max_terms)
+        ln_core = _ln_rational(av.center, ln_tol)
         exp_center = bv.center * ln_core.center
         r_comp = abs(bv.center) * ln_core.radius
         r_input = abs(bv.center) * ln_input + bv.radius * (
@@ -436,7 +435,7 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig | None = Non
             continue
         if r_input > Fraction(1, 2):
             raise PrecisionError("power inputs too imprecise for an enclosure")
-        core = _exp_rational(exp_center, tol / 4, cfg.max_terms)
+        core = _exp_rational(exp_center, tol / 4)
         bound = core.center + core.radius
         widen_comp = 2 * r_comp * bound  # e^r - 1 <= 2r for r <= ln 2
         if widen_comp > tol / 2:
@@ -518,8 +517,8 @@ def log(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig | None = None)
     extra_b = bv.radius / bv.lo
     inner_tol = tol
     for _ in range(_REFINE_ATTEMPTS):
-        ln_a = _ln_rational(av.center, inner_tol, cfg.max_terms)
-        ln_b = _ln_rational(bv.center, inner_tol, cfg.max_terms)
+        ln_a = _ln_rational(av.center, inner_tol)
+        ln_b = _ln_rational(bv.center, inner_tol)
         denom = Ball(ln_b.center, ln_b.radius + extra_b)
         if denom.lo <= 0 <= denom.hi:
             if bv.is_exact:  # b != 1 exactly, so tightening must separate it

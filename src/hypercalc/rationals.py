@@ -2,8 +2,8 @@
 
 `fractions.Fraction` is the value type (unbounded integers, positive
 denominator, always in lowest terms); this module adds the Euclidean gcd
-and floor with explicit domain errors, the rank-1/rank-2 operator
-arithmetic, and the `p/q` text form of a radius.
+with explicit domain errors, the rank-1/rank-2 operator arithmetic, and
+the `p/q` text form of a radius.
 """
 
 from __future__ import annotations
@@ -24,11 +24,6 @@ def gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
-
-
-def rational_floor(r: Fraction) -> int:
-    """Greatest integer <= r (rounds toward negative infinity)."""
-    return r.numerator // r.denominator
 
 
 def low_op(op: Operator, a: Fraction, b: Fraction) -> Fraction:

@@ -35,6 +35,9 @@ BallFn = Callable[[Fraction, Fraction], Ball]
 
 _SIGN_ROUNDS = 60
 _START_SIGN_TOL = Fraction(1, 1 << 12)
+# Probes per `brent` search, and bracket doublings per `expand_upper`.
+MAX_ITERATIONS = 1000
+MAX_EXPANSIONS = 80
 
 
 @dataclass(frozen=True)
@@ -54,8 +57,6 @@ class Bracket:
 @dataclass(frozen=True)
 class RootConfig:
     x_tolerance: Fraction
-    max_iterations: int = 1000
-    max_expansions: int = 80
 
     def __post_init__(self):
         if self.x_tolerance <= 0:
@@ -145,7 +146,7 @@ def _interpolating_root(f: BallFn, bracket: Bracket, cfg: RootConfig) -> Ball:
     prev_x, prev_f = None, None  # replaced endpoint, for inverse-quadratic steps
     must_bisect = False
     evals = 2
-    while evals < cfg.max_iterations:
+    while evals < MAX_ITERATIONS:
         width = hi - lo
         if width <= 2 * tol:
             return Ball(lo + width / 2, width / 2)
@@ -249,7 +250,7 @@ def _mediant_root(f: BallFn, bracket: Bracket, cfg: RootConfig) -> Ball:
             done = Ball(lo + (hi - lo) / 2, (hi - lo) / 2)
         return s, done
 
-    while evals < cfg.max_iterations:
+    while evals < MAX_ITERATIONS:
         if hi - lo <= 2 * tol:
             return Ball(lo + (hi - lo) / 2, (hi - lo) / 2)
         s, done = step(pl + pr, ql + qr)
@@ -302,7 +303,7 @@ def _mediant_root(f: BallFn, bracket: Bracket, cfg: RootConfig) -> Ball:
     raise ConvergenceError("root finder exceeded its iteration budget")
 
 
-def expand_upper(f: BallFn, target: Fraction, cfg: RootConfig) -> Bracket:
+def expand_upper(f: BallFn, target: Fraction) -> Bracket:
     """First doubling bracket [m_prev, m] with f(m) > target >= f(m_prev).
 
     For an increasing unbounded f with f(0) <= target; m runs 1, 2, 4, 8...
@@ -312,7 +313,7 @@ def expand_upper(f: BallFn, target: Fraction, cfg: RootConfig) -> Bracket:
     resolve = _SignResolver(lambda x, t: f(x, t) - target)
     prev = Fraction(0)
     m = Fraction(1)
-    for _ in range(cfg.max_expansions):
+    for _ in range(MAX_EXPANSIONS):
         s, _ = resolve(m)
         if s == 0:
             return Bracket(m, m, 0, 0)
@@ -320,4 +321,4 @@ def expand_upper(f: BallFn, target: Fraction, cfg: RootConfig) -> Bracket:
             return Bracket(prev, m, -1, 1)
         prev = m
         m *= 2
-    raise ConvergenceError(f"no upper bracket within {cfg.max_expansions} doublings")
+    raise ConvergenceError(f"no upper bracket within {MAX_EXPANSIONS} doublings")

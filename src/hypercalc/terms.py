@@ -1,4 +1,4 @@
-"""Bracket-notation number terms: parsing, rendering, traversal.
+"""Bracket-notation number terms: parsing and rendering.
 
 A term is the constant `1` or a bracketed binary operation `[a OP b]` where
 OP is a maximal run of one operator symbol (`+`, `-` or `/`).  The run length
@@ -8,8 +8,8 @@ inverse families.
 
 The parser also accepts two layers of sugar for human input: decimal integer
 literals (`3` desugars to `[[1+1]+1]`) and decimal fraction literals (`1.5`
-desugars to `[15--10]`).  Canonical rendering never emits sugar, so
-parse/render round-trips are exact.
+desugars to `[15--10]`).  Rendering never emits sugar, so parse/render
+round-trips are exact.
 """
 
 from __future__ import annotations
@@ -20,10 +20,11 @@ from typing import Union
 
 from .errors import ParseError
 
-DEFAULT_MAX_DEPTH = 10_000
+# Bracket nesting per parsed term.
+MAX_DEPTH = 10_000
 # Internal nodes per parsed term, literals counted as desugared: an integer
 # literal n is a chain of n - 1 nodes, so the cap is what bounds literals.
-DEFAULT_MAX_NODES = 100_000
+MAX_NODES = 100_000
 
 Path = tuple[str, ...]
 
@@ -66,11 +67,6 @@ class Node:
 Term = Union[Leaf, Node]
 
 ONE = Leaf()
-
-
-class RenderStyle(enum.Enum):
-    CANONICAL = "canonical"
-    SUGARED = "sugared"
 
 
 @dataclass(frozen=True)
@@ -160,21 +156,21 @@ def _literal_values(lexeme: str) -> list[int] | None:
     """The integers a literal desugars from: [n] for `n`, [m, 10^k] for a
     decimal with digits m and k fractional places.
 
-    None when one of them has more digits than `DEFAULT_MAX_NODES`, which
+    None when one of them has more digits than `MAX_NODES`, which
     makes it at least ten times the cap.  Such a run is never converted:
     `int()` of a long run is slow, and past 4,300 digits refused.
     """
     whole, _, frac = lexeme.partition(".")
     runs = [whole + frac] + (["1" + "0" * len(frac)] if frac else [])
     runs = [run.lstrip("0") or "0" for run in runs]
-    if any(len(run) > len(str(DEFAULT_MAX_NODES)) for run in runs):
+    if any(len(run) > len(str(MAX_NODES)) for run in runs):
         return None
     return [int(run) for run in runs]
 
 
 def _literal_nodes(values: list[int] | None) -> int:
     if values is None:
-        return DEFAULT_MAX_NODES + 1
+        return MAX_NODES + 1
     return len(values) - 1 + sum(v - 1 if v else 1 for v in values)
 
 
@@ -189,12 +185,12 @@ def _desugar_literal(values: list[int]) -> Term:
 # parser (iterative, so deeply nested input cannot overflow the call stack)
 
 
-def parse(text: str, *, max_depth: int = DEFAULT_MAX_DEPTH) -> Term:
+def parse(text: str) -> Term:
     """Parse bracket notation (plus literal sugar) into a Term.
 
     Raises ParseError with the character offset of the first problem:
     unbalanced brackets, a missing operand, stray characters, nesting
-    deeper than `max_depth`, or a term of more than `DEFAULT_MAX_NODES`
+    deeper than `MAX_DEPTH`, or a term of more than `MAX_NODES`
     internal nodes.  Literals count as desugared (`20000` is 19,999 nodes,
     `0.001` is 1,000), so a short literal can exceed the cap; the error
     then points at that literal, and it is refused before it is built.  A
@@ -219,15 +215,15 @@ def parse(text: str, *, max_depth: int = DEFAULT_MAX_DEPTH) -> Term:
         elif kind in (_INT, _DEC):
             values = _literal_values(lexeme)
             nodes += _literal_nodes(values)
-        if nodes > DEFAULT_MAX_NODES:
+        if nodes > MAX_NODES:
             raise ParseError(
-                f"term has more than {DEFAULT_MAX_NODES} nodes with literals desugared",
+                f"term has more than {MAX_NODES} nodes with literals desugared",
                 offset,
             )
         if kind == _OPEN:
             stack.append([None, None])
-            if len(stack) > max_depth:
-                raise ParseError(f"nesting deeper than {max_depth}", offset)
+            if len(stack) > MAX_DEPTH:
+                raise ParseError(f"nesting deeper than {MAX_DEPTH}", offset)
             continue
         if kind == _ONE:
             current: Term = ONE
@@ -267,78 +263,17 @@ def parse(text: str, *, max_depth: int = DEFAULT_MAX_DEPTH) -> Term:
 # rendering
 
 
-def _sugar_value(term: Term) -> int | None:
-    """Integer value of a literal-sugar subtree, or None.
-
-    Recognizes exactly the shapes `desugar_integer` produces: `1`,
-    `[1-1]`, and left-nested `[..[1+1]..+1]` chains.
-    """
-    if isinstance(term, Leaf):
-        return 1
-    count = 0
-    node = term
-    while isinstance(node, Node):
-        if (
-            count == 0
-            and node.op == Operator(OpKind.MINUS, 1)
-            and isinstance(node.left, Leaf)
-        ):
-            if isinstance(node.right, Leaf):
-                return 0
-            return None
-        if node.op != Operator(OpKind.PLUS, 1) or not isinstance(node.right, Leaf):
-            return None
-        count += 1
-        node = node.left
-    return count + 1 if isinstance(node, Leaf) else None
-
-
-def render(term: Term, style: RenderStyle = RenderStyle.CANONICAL) -> str:
-    """Render a Term as text.
-
-    CANONICAL emits pure bracket notation and is the exact inverse of
-    `parse`.  SUGARED additionally collapses the parser's own integer and
-    decimal desugarings back into literals.
-    """
-    sugared = style is RenderStyle.SUGARED
-
-    def piece(t: Term) -> str | None:
-        # Literal text for t under the active style, or None to recurse.
-        if isinstance(t, Leaf):
-            return "1"
-        if not sugared:
-            return None
-        v = _sugar_value(t)
-        if v is not None:
-            return str(v)
-        if (
-            isinstance(t, Node)
-            and t.op == Operator(OpKind.MINUS, 2)
-            and (num := _sugar_value(t.left)) is not None
-            and (den := _sugar_value(t.right)) is not None
-            and den >= 10
-            and den == 10 ** (len(str(den)) - 1)
-        ):
-            places = len(str(den)) - 1
-            digits = str(num).rjust(places, "0")
-            split = len(digits) - places
-            whole = digits[:split] if split > 0 else "0"
-            return f"{whole}.{digits[split:]}"
-        return None
-
+def render(term: Term) -> str:
+    """Render a Term as canonical bracket notation, the exact inverse of
+    `parse`: literals come out desugared."""
     out: list[str] = []
     work: list = [term]  # terms to render, or literal strings to emit
     while work:
         item = work.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        text = piece(item)
-        if text is not None:
-            out.append(text)
-            continue
-        assert isinstance(item, Node)
-        work.extend(["]", item.right, item.op.text(), item.left, "["])
+        if isinstance(item, Node):
+            work.extend(["]", item.right, item.op.text(), item.left, "["])
+        else:
+            out.append(item if isinstance(item, str) else "1")
     return "".join(out)
 
 
@@ -357,26 +292,3 @@ def internal_nodes(term: Term) -> int:
             work.append(t.right)
     return count
 
-
-def traversal_order(term: Term) -> list[Path]:
-    """Inorder (left, node, right) visit sequence of internal-node paths.
-
-    This is the declared operation order for a term; it has one entry per
-    internal node.  The printable reduction chain substitutes each node's
-    innermost-resolved operands as the node is reached (see
-    `engine.trace_reduce`).
-    """
-    order: list[Path] = []
-    # (term, path, visited_left)
-    work: list[tuple[Term, Path, bool]] = [(term, (), False)]
-    while work:
-        t, path, visited = work.pop()
-        if not isinstance(t, Node):
-            continue
-        if visited:
-            order.append(path)
-            work.append((t.right, path + ("R",), False))
-        else:
-            work.append((t, path, True))
-            work.append((t.left, path + ("L",), False))
-    return order

@@ -68,6 +68,22 @@ def test_exit_code_numeric_error():
     code, _, err = run_cli("eval", "[[1+1]++++[[[[[1+1]+1]+1]+1]+1]]")
     assert code == 3
     assert "numeric error" in err
+    # a value on a digit boundary cannot certify; its radius prints as a
+    # power-of-two bound, where a float of it read 0.000e+00
+    code, _, err = run_cli("trace", "[[1+1]///[[1+1]++[1+1]]]", "--digits", "1")
+    assert code == 3
+    assert "uncertified digits 0.5, radius < 2^-" in err
+    assert "e+00" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--digits", "-1"), ("--guard", "-2"), ("--base", "1"), ("--base", "40")]
+)
+def test_bad_numeric_flag_is_usage_error(flag, value):
+    code, out, err = run_cli("eval", "1", flag, value)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}: must be" in err
+    assert "Traceback" not in err
 
 
 def test_json_output_roundtrips():
@@ -106,6 +122,18 @@ def test_eval_file_batch(tmp_path):
     code, out, _ = run_cli("eval", "--file", str(batch), "--digits", "1")
     assert code == 0
     assert out.splitlines() == ["2.0", "0.5"]
+
+
+def test_eval_unreadable_file(tmp_path):
+    missing = tmp_path / "absent.txt"
+    code, out, err = run_cli("eval", "--file", str(missing))
+    assert (code, out) == (1, "")
+    assert err == f"cannot read {missing}: No such file or directory\n"
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"\xff[1+1]\n")
+    code, out, err = run_cli("eval", "--file", str(binary))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"cannot read {binary}: 'utf-8' codec can't decode")
 
 
 def test_eval_requires_expression_or_file():

@@ -256,9 +256,18 @@ def test_adaptive_render_boundary_tie_raises():
     # certified: log base 4 of 2 is exactly 1/2, computed through series,
     # and 1/2 lies on every base-10 digit grid
     term = parse("[[1+1]///[[1+1]++[1+1]]]")
-    ctx = NumericContext(digits=1, guard_digits=4, max_doublings=3)
-    with pytest.raises(PrecisionError):
+    ctx = NumericContext(digits=1, guard_digits=4)
+    with pytest.raises(PrecisionError) as err:
         adaptive_render(term, ctx)
+    # the radius is printed as a power-of-two bound, not as a float that
+    # underflows to 0: 4 guard digits doubled 8 times is 1024 digits
+    message = str(err.value)
+    assert f"doubling guard digits {engine.MAX_DOUBLINGS} times" in message
+    assert "uncertified digits 0.5," in message
+    exponent = int(message.split("radius < 2^")[1].split(";")[0])
+    assert exponent < -3400  # below 10^-1025
+    last = evaluate(term, replace(ctx, guard_digits=4 * 2**engine.MAX_DOUBLINGS))
+    assert Fraction(2) ** (exponent - 2) < last.value.radius < Fraction(2) ** exponent
     # in base 3 the same value repeats (0.111...) and certifies fine
     assert adaptive_render(term, replace(ctx, base=3, digits=6)).text() == "0.111111"
 

@@ -3,8 +3,9 @@ from functools import lru_cache
 
 import pytest
 
+from hypercalc import farey
 from hypercalc.errors import DomainError, ResourceError
-from hypercalc.farey import FareyEntry, FareyIndex, farey_row, locate
+from hypercalc.farey import LOCATE_DEPTH_CAP, ROW_CAP, FareyEntry, FareyIndex, farey_row, locate
 from hypercalc.rationals import gcd
 
 
@@ -43,12 +44,17 @@ def test_row_rejects_bad_index():
         farey_row(0)
 
 
-def test_row_cap():
+def test_row_cap(monkeypatch):
+    # row 21 has exactly ROW_CAP entries; row 22 is refused before it is built
+    assert ROW_CAP == 2**20 + 1
+    with pytest.raises(ResourceError) as err:
+        farey_row(22)
+    assert f"cap is {ROW_CAP}" in str(err.value)
+    # the cap is read when the row is asked for
+    monkeypatch.setattr(farey, "ROW_CAP", 33)
+    farey_row(6)
     with pytest.raises(ResourceError):
-        farey_row(25, max_entries=2**20 + 1)
-    farey_row(6, max_entries=33)
-    with pytest.raises(ResourceError):
-        farey_row(7, max_entries=33)
+        farey_row(7)
 
 
 def test_rows_match_entry_oracle():
@@ -90,8 +96,11 @@ def test_locate_validation():
 
 
 def test_locate_depth_cap():
-    with pytest.raises(ResourceError):
-        locate(1, 100, max_depth=50)
+    # 1/q first appears in row q
+    assert locate(1, LOCATE_DEPTH_CAP) == FareyIndex(LOCATE_DEPTH_CAP, 2)
+    with pytest.raises(ResourceError) as err:
+        locate(1, LOCATE_DEPTH_CAP + 1)
+    assert f"exceeded depth {LOCATE_DEPTH_CAP}" in str(err.value)
 
 
 def test_locate_against_enumeration_small():

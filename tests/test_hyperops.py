@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from hypercalc import hyperops, midops
+from hypercalc import hyperops, midops, rootfind
 from hypercalc.balls import Ball
 from hypercalc.engine import NumericContext, evaluate
-from hypercalc.errors import DomainError, PrecisionError, ResourceError
+from hypercalc.errors import ConvergenceError, DomainError, PrecisionError, ResourceError
 from hypercalc.hyperops import hyper_forward, hyper_inverse_minus, hyper_inverse_slash
 from hypercalc.rootfind import RootConfig
 from hypercalc.terms import parse
@@ -300,17 +300,24 @@ def test_ball_base_encloses_endpoints():
 
 def test_root_finder_budget_is_one_config(monkeypatch):
     # a direct super-root call and the same operator reached through
-    # `evaluate` hand the root finder the same caps: RootConfig's defaults
+    # `evaluate` run the same root search under the same caps: rootfind's
+    # constants, read when each search runs
     real_brent, seen = hyperops.brent, []
 
     def spy(f, bracket, cfg, **kw):
-        seen.append((cfg.max_iterations, cfg.max_expansions))
+        seen.append(kw["probe"])
         return real_brent(f, bracket, cfg, **kw)
 
     monkeypatch.setattr(hyperops, "brent", spy)
+    term = parse("[[[1+1]+++[1+1]]----[1+1]]")
     hyper_inverse_minus(4, Fraction(16), Fraction(2), T12)
-    direct = set(seen)
+    direct = list(seen)
     seen.clear()
-    evaluate(parse("[[[1+1]+++[1+1]]----[1+1]]"), NumericContext(digits=12))
-    defaults = (RootConfig.max_iterations, RootConfig.max_expansions)
-    assert direct == set(seen) == {defaults}
+    evaluate(term, NumericContext(digits=12))
+    assert direct == seen == ["interpolate"]
+    assert (rootfind.MAX_ITERATIONS, rootfind.MAX_EXPANSIONS) == (1000, 80)
+    monkeypatch.setattr(rootfind, "MAX_ITERATIONS", 3)
+    with pytest.raises(ConvergenceError, match="iteration budget"):
+        hyper_inverse_minus(4, Fraction(16), Fraction(2), T12)
+    with pytest.raises(ConvergenceError, match="iteration budget"):
+        evaluate(term, NumericContext(digits=12))

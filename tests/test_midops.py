@@ -93,6 +93,15 @@ def test_exp_magnitude_cap():
         exp_e(Fraction(10**6), MED)
 
 
+def test_series_term_cap(monkeypatch):
+    # the cap is read when a series runs
+    monkeypatch.setattr(midops, "MAX_SERIES_TERMS", 3)
+    with pytest.raises(ResourceError, match="exp series exceeded the term budget"):
+        exp_e(Fraction(1, 3), TIGHT)
+    with pytest.raises(ResourceError, match="log series exceeded the term budget"):
+        ln_e(Fraction(3), TIGHT)
+
+
 def test_ln_one_is_exact():
     out = ln_e(Fraction(1), TIGHT)
     assert out.center == 0 and out.radius == 0
@@ -286,11 +295,11 @@ K_ONE = 1 << midops._SPLIT_BITS
 
 
 def ln_split(m: Fraction, prec: int):
-    return midops._ln_split_fixed(m.numerator, m.denominator, prec, 100_000)
+    return midops._ln_split_fixed(m.numerator, m.denominator, prec)
 
 
 def exp_split(x: Fraction, prec: int):
-    return midops._exp_split_fixed(x.numerator, x.denominator, prec, 100_000)
+    return midops._exp_split_fixed(x.numerator, x.denominator, prec)
 
 # m near 1/2, 1 and 2; c = 2^K (m within 2^-(K+1) of 1, so p = 0); b = 0
 # (m a K-bit dyadic, so t = 1); and 3,000-bit dyadics

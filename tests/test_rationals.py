@@ -5,12 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercalc.errors import DomainError
-from hypercalc.rationals import (
-    format_fraction,
-    gcd,
-    low_op,
-    rational_floor,
-)
+from hypercalc.rationals import format_fraction, gcd, low_op
 from hypercalc.terms import OpKind, Operator
 
 
@@ -44,19 +39,6 @@ def test_gcd_divides_both(a, b):
     g = gcd(a, b)
     assert a % g == 0 and b % g == 0
     assert gcd(a // g if a else 0, b // g) == 1
-
-
-def test_floor_examples():
-    assert rational_floor(Fraction(7, 2)) == 3
-    assert rational_floor(Fraction(-7, 2)) == -4
-    assert rational_floor(Fraction(4)) == 4
-
-
-@given(st.fractions())
-@settings(max_examples=300, deadline=None)
-def test_floor_bounds(r):
-    f = rational_floor(r)
-    assert f <= r < f + 1
 
 
 PLUS1 = Operator(OpKind.PLUS, 1)

@@ -3,14 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from hypercalc import rootfind
 from hypercalc.balls import Ball
 from hypercalc.errors import ConvergenceError, DomainError
-from hypercalc.rootfind import (
-    Bracket,
-    RootConfig,
-    brent,
-    expand_upper,
-)
+from hypercalc.rootfind import MAX_EXPANSIONS, Bracket, RootConfig, brent, expand_upper
 
 TOL10 = RootConfig(Fraction(1, 10**10))
 
@@ -67,10 +63,14 @@ def test_bracket_validation():
         brent(exact_fn(lambda x: x + 1), Bracket(Fraction(0), Fraction(1), -1, 1), TOL10)
 
 
-def test_iteration_budget():
-    cfg = RootConfig(Fraction(1, 10**30), max_iterations=5)
-    with pytest.raises(ConvergenceError):
-        brent(exact_fn(lambda x: x * x - 2), Bracket(Fraction(1), Fraction(2), -1, 1), cfg)
+def test_iteration_budget(monkeypatch):
+    # the budget is read when a search starts, for both probe styles
+    monkeypatch.setattr(rootfind, "MAX_ITERATIONS", 5)
+    cfg = RootConfig(Fraction(1, 10**30))
+    for probe in ("interpolate", "mediant"):
+        with pytest.raises(ConvergenceError, match="iteration budget"):
+            brent(exact_fn(lambda x: x * x - 2), Bracket(Fraction(1), Fraction(2), -1, 1),
+                  cfg, probe=probe)
 
 
 def test_bracket_preservation_and_width_decay():
@@ -151,19 +151,22 @@ def test_expand_upper_examples():
         # 2^x for integer doubling probes; exact
         return Ball(Fraction(2) ** int(x) if x.denominator == 1 else Fraction(0))
 
-    cfg = RootConfig(Fraction(1, 10**6), max_expansions=20)
-    b = expand_upper(pow2, Fraction(5), cfg)
+    b = expand_upper(pow2, Fraction(5))
     assert (b.lo, b.hi) == (2, 4)
     ident = lambda x, tol: Ball(x)
-    b = expand_upper(ident, Fraction(1, 2), cfg)
+    b = expand_upper(ident, Fraction(1, 2))
     assert (b.lo, b.hi) == (0, 1)
-    with pytest.raises(ConvergenceError):
-        expand_upper(ident, Fraction(10**9), RootConfig(Fraction(1, 10), max_expansions=10))
+    # the last probe is m = 2^(MAX_EXPANSIONS - 1)
+    top = Fraction(2 ** (MAX_EXPANSIONS - 1))
+    assert expand_upper(ident, top - 1) == Bracket(top / 2, top, -1, 1)
+    with pytest.raises(ConvergenceError) as err:
+        expand_upper(ident, top + 1)
+    assert f"within {MAX_EXPANSIONS} doublings" in str(err.value)
 
 
 def test_expand_upper_exact_hit():
     ident = lambda x, tol: Ball(x)
-    b = expand_upper(ident, Fraction(4), RootConfig(Fraction(1, 10)))
+    b = expand_upper(ident, Fraction(4))
     assert b.lo == b.hi == 4 and b.f_lo_sign == 0
     out = brent(lambda x, t: Ball(x - 4), b, TOL10)
     assert out.center == 4 and out.radius == 0
