@@ -109,16 +109,16 @@ def _chain_lines(term, ctx) -> list[str]:
     return [ev.after for ev in events[:-1]]
 
 
-def _emit(payload, args, out):
+def _emit(payload, args):
     if args.format_ == "json":
-        print(json.dumps(payload, sort_keys=True), file=out)
+        print(json.dumps(payload, sort_keys=True))
     else:
         for line in payload.get("trace", ()):
-            print(line, file=out)
-        print(payload["value"], file=out)
+            print(line)
+        print(payload["value"])
 
 
-def _cmd_eval(args, out=sys.stdout) -> int:
+def _cmd_eval(args) -> int:
     if (args.expression is None) == (args.file is None):
         print("eval needs an expression or --file", file=sys.stderr)
         return 1
@@ -141,26 +141,26 @@ def _cmd_eval(args, out=sys.stdout) -> int:
         term = parse(text)
         trace_lines = _chain_lines(term, ctx) if args.trace else None
         payload = _result_payload(text, term, ctx, trace_lines)
-        _emit(payload, args, out)
+        _emit(payload, args)
     return 0
 
 
-def _cmd_trace(args, out=sys.stdout) -> int:
+def _cmd_trace(args) -> int:
     ctx = _context(args)
     term = parse(args.expression)
     trace_lines = _chain_lines(term, ctx)
     payload = _result_payload(args.expression, term, ctx, trace_lines)
-    _emit(payload, args, out)
+    _emit(payload, args)
     return 0
 
 
-def _cmd_repl(args, out=sys.stdout) -> int:
+def _cmd_repl(args) -> int:
     ctx = _context(args)
     interactive = sys.stdin.isatty()
     while True:
         if interactive:
-            out.write("hyper> ")
-            out.flush()
+            sys.stdout.write("hyper> ")
+            sys.stdout.flush()
         line = sys.stdin.readline()
         if not line:
             return 0
@@ -173,34 +173,34 @@ def _cmd_repl(args, out=sys.stdout) -> int:
             try:
                 ctx = replace(ctx, base=int(line.split()[1]))
             except (IndexError, ValueError) as err:
-                print(f"error: {err}", file=out)
+                print(f"error: {err}")
             continue
         if line.startswith(":digits"):
             try:
                 ctx = replace(ctx, digits=int(line.split()[1]))
             except (IndexError, ValueError) as err:
-                print(f"error: {err}", file=out)
+                print(f"error: {err}")
             continue
         try:
             term = parse(line)
             _, expansion = adaptive_evaluate(term, ctx)
-            print(expansion.text(), file=out)
+            print(expansion.text())
         except HypercalcError as err:
-            print(f"error: {err}", file=out)
+            print(f"error: {err}")
     return 0
 
 
-def _cmd_farey(args, out=sys.stdout) -> int:
+def _cmd_farey(args) -> int:
     entries = farey_row(args.row)
     texts = [f"{e.top}/{e.bottom}" for e in entries]
     if args.format_ == "json":
-        print(json.dumps({"row": args.row, "entries": texts}), file=out)
+        print(json.dumps({"row": args.row, "entries": texts}))
     else:
-        print(" ".join(texts), file=out)
+        print(" ".join(texts))
     return 0
 
 
-def _cmd_selftest(args, out=sys.stdout) -> int:
+def _cmd_selftest(args) -> int:
     from .hyperops import hyper_forward, hyper_inverse_minus
 
     rng = random.Random(20240814)
@@ -212,7 +212,7 @@ def _cmd_selftest(args, out=sys.stdout) -> int:
             passed += 1
         else:
             failed += 1
-            print(f"FAIL {name}", file=out)
+            print(f"FAIL {name}")
 
     for i in range(200):
         t = _random_term(rng, 6)
@@ -237,7 +237,7 @@ def _cmd_selftest(args, out=sys.stdout) -> int:
             hyper_inverse_minus(rank, a, Fraction(1), tol).center == a,
         )
     check("tower 2^^3", hyper_forward(4, Fraction(2), Fraction(3), tol).center == 16)
-    print(f"selftest: {passed} passed, {failed} failed", file=out)
+    print(f"selftest: {passed} passed, {failed} failed")
     return 0 if failed == 0 else 3
 
 

@@ -5,22 +5,25 @@ The forward operation at rank r unrolls one step at a time,
     a (+^r) b  =  a (+^(r-1)) (a (+^r) (b-1)),      b >= 1,
 
 down to the rank-3 power, with `a (+^r) 0 = 1` and `a (+^r) 1 = a`.  A
-fractional height 0 < p/q < 1 (always a reduced fraction, i.e. an entry of
-the mediant table) splits as
+fractional height 0 < p/q < 1 (always in lowest terms) splits as
 
     a (+^r) (p/q)  =  (a (+^r) p) (-^r) q,
 
 so rational heights reduce to integer towers plus one super-root.  The
-inverses are bracketed root finding:
+inverses are bracketed searches:
 
-  * super-root   x = a (-^r) b   solves x (+^r) b = a on [1, a];
-  * super-log    x = a (/^r) b   solves b (+^r) x = a on [0, m], the upper
-    end found by doubling.
+  * super-root   x = a (-^r) b   solves x (+^r) b = a; at rank 4 by root
+    finding on [1, a];
+  * super-log    x = a (/^r) b   solves b (+^r) x = a.
 
-Inverse searches whose probe value feeds a rational-height split (the
-super-log height always; super-root bases at rank >= 5) use the mediant
-probe strategy so probe denominators stay as small as the bracket allows
-and exact rational roots are hit exactly.
+The split is not continuous in its height: 2 (+^4) (p/q) tends to sqrt(2)
+or e^(1/e) as q grows, whatever p/q is.  So an inverse whose answer is a
+height (the super-log, and the super-root's base at rank >= 5, which the
+next rank down uses as a height) has no interior answer to certify.  Those
+inverses are exact or refuse: they search the integers only, a super-log
+between integer heights n and n + 1 is accepted only when a rational height
+n + p/q checks exactly with integer towers, and every other input is a
+DomainError naming the integers whose towers enclose it.
 
 Integer towers over integer bases stay exact all the way up (2 (+^5) 3 is
 exactly 65536).  Anything that would need an approximate intermediate as
@@ -38,7 +41,9 @@ from . import midops
 from .balls import Ball, as_ball, hull, round_ball
 from .errors import DomainError, MagnitudeError, PrecisionError, ResourceError
 from .midops import _EXP_ARG_CAP, SeriesConfig, _log_abs_float, tol_bits
-from .rootfind import Bracket, RootConfig, brent, expand_upper
+from .rootfind import (
+    BallFn, Bracket, RootConfig, bisect_integers, brent, expand_upper,
+)
 
 _REFINE_ATTEMPTS = 8
 
@@ -128,6 +133,12 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
     steps = int(height) - (height.denominator == 1)
     frac = height - int(height)
     if steps > _LIMITS.max_height_steps:
+        if rank == 4:
+            # The tower over an inner value >= 1 is at least base (+^4) steps,
+            # so one that passes the magnitude cap within the first cap + 1
+            # steps is a blow-up, whatever the cap says about its length.
+            _unroll_budgets(0.0, _log_abs_float(base.center),
+                            _LIMITS.max_height_steps + 1)
         raise ResourceError(
             f"unrolling a height of {height} needs {steps} applications, "
             f"over the cap of {_LIMITS.max_height_steps}"
@@ -238,27 +249,26 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction) -> B
             # an intermediate of the construction, not the result itself
             raise ResourceError(str(err)) from err
         return _inverse_minus(rank, grown, Fraction(p), tol)
+    if rank >= 5:
+        if not target.is_exact:
+            raise _refusal(f"a rank-{rank} super-root needs an exact value")
+        bases = _integer_search(
+            lambda x, ft: _forward(rank, Ball(x), order, ft), target.center)
+        if bases.lo == bases.hi:
+            return Ball(bases.lo)
+        raise _refusal(
+            f"the rank-{rank} super-root lies strictly between the integer"
+            f" bases {bases.lo} and {bases.hi}"
+        )
     if not target.is_exact:
         lo = _inverse_minus(rank, Ball(max(target.lo, Fraction(1))), order, tol / 2)
         hi = _inverse_minus(rank, Ball(target.hi), order, tol / 2)
         return round_ball(hull(lo, hi), tol_bits(tol) + 16)
 
     goal = target.center  # exact rational > 1
-    goal_bits = goal.numerator.bit_length() - goal.denominator.bit_length()
-
-    def f(x: Fraction, ft: Fraction) -> Ball:
-        try:
-            return _forward(rank, Ball(x), order, ft) - goal
-        except MagnitudeError:
-            # a tower past the magnitude cap certainly exceeds the goal
-            if goal_bits < midops.MAX_MAGNITUDE_BITS - 64:
-                return Ball(abs(goal) + 2)
-            raise
-
+    tower = _capped(lambda x, ft: _forward(rank, Ball(x), order, ft), goal)
     bracket = Bracket(Fraction(1), goal, -1, 1)
-    cfg = RootConfig(tol)
-    style = "interpolate" if rank == 4 else "mediant"
-    return brent(f, bracket, cfg, probe=style)
+    return brent(lambda x, ft: tower(x, ft) - goal, bracket, RootConfig(tol))
 
 
 # ---------------------------------------------------------------------------
@@ -271,40 +281,105 @@ def hyper_inverse_slash(
     b: Fraction | Ball,
     tol: Fraction,
 ) -> Ball:
-    """Ball containing the x >= 0 with b (+^rank) x = a, for a > 1, b > 1."""
+    """The x >= 0 with b (+^rank) x = a exactly, for a > 1, b > 1.
+
+    An exact value with no integer or exactly checked rational answer, and
+    an approximate value or base, raise DomainError.
+    """
     if rank < 4:
         raise DomainError(f"hyper_inverse_slash needs rank >= 4, got {rank}")
     if tol <= 0:
         raise ValueError("precision target must be positive")
-    target = as_ball(a)
-    base = as_ball(b)
+    target, base = as_ball(a), as_ball(b)
+    if not (target.is_exact and base.is_exact):
+        raise _refusal(f"a rank-{rank} super-log needs an exact value and base")
     for name, ball in (("value", target), ("base", base)):
-        if ball.is_exact:
-            if ball.center <= 1:
-                raise DomainError(f"super-log {name} must be > 1")
-        elif ball.lo <= 1:
-            if ball.hi <= 1:
-                raise DomainError(f"super-log {name} must be > 1")
-            raise PrecisionError(f"super-log {name} interval reaches 1")
-    if target.is_exact and base.is_exact and target.center == base.center:
-        return Ball(Fraction(1))
-    if not target.is_exact:
-        lo = hyper_inverse_slash(rank, Ball(target.lo), base, tol / 2)
-        hi = hyper_inverse_slash(rank, Ball(target.hi), base, tol / 2)
-        return round_ball(hull(lo, hi), tol_bits(tol) + 16)
-
+        if ball.center <= 1:
+            raise DomainError(f"super-log {name} must be > 1")
     goal = target.center
+    heights = _integer_search(lambda x, ft: _forward(rank, base, x, ft), goal)
+    n = heights.lo
+    if heights.hi == n:
+        return Ball(n)
+    frac = _split_height(rank, base.center, goal, int(n))
+    if frac is None:
+        raise _refusal(
+            f"the rank-{rank} super-log lies strictly between the integer"
+            f" heights {n} and {n + 1}, and no rational height in between"
+            " checks exactly"
+        )
+    return Ball(n + frac)
+
+
+def _split_height(rank: int, base: Fraction, value: Fraction, n: int) -> Fraction | None:
+    """The p/q in (0, 1) with base (+^rank) (n + p/q) = value, checked
+    exactly with integer towers, or None.
+
+    Peeling n levels off the value leaves c = base (+^rank) (p/q), with
+    1 < c < base; by the split, c (+^rank) q = base (+^rank) p.  Both towers
+    are exact only for integer c and base, and both grow with their height,
+    so one merged walk over p and q meets every candidate until a tower
+    passes the magnitude cap.
+    """
+    c = value
+    for _ in range(n):
+        level = _integer_search(
+            lambda x, ft: _forward(rank - 1, Ball(base), x, ft), c)
+        if level.lo != level.hi:
+            return None
+        c = level.lo
+    if c.denominator != 1 or base.denominator != 1:
+        return None
+
+    def tower(x: Fraction, height: int) -> Fraction:
+        # integer base and height: exact, so the tolerance goes unused
+        return _forward(rank, Ball(x), Fraction(height), Fraction(1)).center
+
+    p = q = 1
+    lower, upper = c, base  # c (+^rank) q and base (+^rank) p
+    try:
+        while lower != upper or math.gcd(p, q) != 1:
+            if lower <= upper:
+                q += 1
+                lower = tower(c, q)
+            else:
+                p += 1
+                upper = tower(base, p)
+    except MagnitudeError:
+        return None
+    return Fraction(p, q)
+
+
+# ---------------------------------------------------------------------------
+# shared by the inverse searches
+
+
+def _capped(tower: BallFn, goal: Fraction) -> BallFn:
+    """tower, with a value past the magnitude cap read as certainly above
+    goal (towers grow with base and height)."""
     goal_bits = goal.numerator.bit_length() - goal.denominator.bit_length()
 
-    def tower(x: Fraction, ft: Fraction) -> Ball:
+    def capped(x: Fraction, ft: Fraction) -> Ball:
         try:
-            return _forward(rank, base, x, ft)
+            return tower(x, ft)
         except MagnitudeError:
-            # beyond the magnitude cap the tower certainly exceeds any goal
-            # small enough to compare against it
             if goal_bits < midops.MAX_MAGNITUDE_BITS - 64:
-                return Ball(2 * abs(goal) + 2)
+                return Ball(2 * goal + 2)
             raise
 
+    return capped
+
+
+def _integer_search(tower: BallFn, goal: Fraction) -> Bracket:
+    """[n, n] when tower(n) is exactly goal, else the consecutive integers
+    [n, n + 1] whose towers enclose it; tower increasing, tower(0) <= goal."""
+    tower = _capped(tower, goal)
     bracket = expand_upper(tower, goal)
-    return brent(lambda x, ft: tower(x, ft) - goal, bracket, RootConfig(tol), probe="mediant")
+    return bisect_integers(lambda x, ft: tower(x, ft) - goal, bracket)
+
+
+def _refusal(reason: str) -> DomainError:
+    return DomainError(
+        f"{reason}; the rational-height split is not continuous in its"
+        " height, so only exact answers can be certified"
+    )

@@ -6,19 +6,14 @@ are resolved rigorously: a probe whose ball straddles zero is re-evaluated
 at 4x tighter tolerance before being declared ambiguous, and a probe whose
 ball is exactly zero is an exact root.
 
-Two probe strategies:
+Probes are secant / inverse-quadratic candidates with a bisection fallback
+that guarantees the bracket at least halves every two iterations.
+Candidates are snapped onto a dyadic grid a few bits below the tolerance —
+still exact rationals strictly inside the bracket — so coordinate
+representations cannot balloon over many iterations.
 
-* "interpolate" (default): secant / inverse-quadratic candidates with a
-  bisection fallback that guarantees the bracket at least halves every two
-  iterations.  Candidates are snapped onto a dyadic grid a few bits below
-  the tolerance — still exact rationals strictly inside the bracket — so
-  coordinate representations cannot balloon over many iterations.
-
-* "mediant": an accelerated Stern-Brocot descent that only ever probes the
-  lowest-denominator rationals consistent with the current bracket, with
-  run doubling plus binary search so each continued-fraction coefficient of
-  the root costs O(log) evaluations.  Used where the cost of evaluating
-  f(p/q) grows with q, and where exact rational roots should be hit exactly.
+`expand_upper` and `bisect_integers` search integers only: doubling to a
+first bracket, then bisection down to consecutive integers or an exact hit.
 """
 
 from __future__ import annotations
@@ -109,13 +104,7 @@ def _snap_interior(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:
     return lo + width / 2
 
 
-def brent(
-    f: BallFn,
-    bracket: Bracket,
-    cfg: RootConfig,
-    *,
-    probe: str = "interpolate",
-) -> Ball:
+def brent(f: BallFn, bracket: Bracket, cfg: RootConfig) -> Ball:
     """Enclose the unique root of a sign-changing f inside the bracket.
 
     Returns a Ball of radius <= cfg.x_tolerance containing the root; the
@@ -125,12 +114,6 @@ def brent(
         return Ball(bracket.lo)
     if bracket.f_hi_sign == 0:
         return Ball(bracket.hi)
-    if probe == "mediant":
-        return _mediant_root(f, bracket, cfg)
-    return _interpolating_root(f, bracket, cfg)
-
-
-def _interpolating_root(f: BallFn, bracket: Bracket, cfg: RootConfig) -> Ball:
     tol = cfg.x_tolerance
     resolve = _SignResolver(f)
     lo, hi = bracket.lo, bracket.hi
@@ -210,99 +193,6 @@ def _candidate(
     return x
 
 
-def _mediant_root(f: BallFn, bracket: Bracket, cfg: RootConfig) -> Ball:
-    tol = cfg.x_tolerance
-    resolve = _SignResolver(f)
-    lo, hi = bracket.lo, bracket.hi
-    slo, shi = bracket.f_lo_sign, bracket.f_hi_sign
-    if lo < 0:
-        raise DomainError("mediant search needs a non-negative bracket")
-
-    def classify(p: int, q: int) -> tuple[int, Fraction | None]:
-        # sign of f at p/q, consulting the bracket for out-of-range points
-        x = Fraction(p, q)
-        if x <= lo:
-            return slo, None
-        if x >= hi:
-            return shi, None
-        s, _ = resolve(x)
-        return s, x
-
-    # Stern-Brocot frame over [0, oo).  The certified bracket (lo, hi) can
-    # pinch below the tolerance while the frame is still hunting for a sign
-    # flip (f may jump across zero between probe-able rationals), so every
-    # bracket update re-checks termination; probes get more expensive as
-    # frame denominators grow, never cheaper.
-    pl, ql, pr, qr = 0, 1, 1, 0
-    evals = 0
-
-    def step(p: int, q: int):
-        nonlocal lo, hi, evals
-        s, x = classify(p, q)
-        evals += 1
-        if x is not None and s != 0:
-            if s == slo:
-                lo = x
-            else:
-                hi = x
-        done = Ball(Fraction(p, q)) if s == 0 else None
-        if done is None and hi - lo <= 2 * tol:
-            done = Ball(lo + (hi - lo) / 2, (hi - lo) / 2)
-        return s, done
-
-    while evals < MAX_ITERATIONS:
-        if hi - lo <= 2 * tol:
-            return Ball(lo + (hi - lo) / 2, (hi - lo) / 2)
-        s, done = step(pl + pr, ql + qr)
-        if done is not None:
-            return done
-        if s == slo:
-            # root lies toward R: double the run L + k*R until the sign flips
-            k = 2
-            while True:
-                s2, done = step(pl + k * pr, ql + k * qr)
-                if done is not None:
-                    return done
-                if s2 != slo:
-                    break
-                k *= 2
-            low_k, high_k = k // 2, k
-            while high_k - low_k > 1:
-                mid = (low_k + high_k) // 2
-                s3, done = step(pl + mid * pr, ql + mid * qr)
-                if done is not None:
-                    return done
-                if s3 == slo:
-                    low_k = mid
-                else:
-                    high_k = mid
-            pl, ql = pl + low_k * pr, ql + low_k * qr  # same side as lo
-            pr, qr = pl + pr, ql + qr  # the flipped neighbor
-        else:
-            # root lies toward L: symmetric run k*L + R
-            k = 2
-            while True:
-                s2, done = step(k * pl + pr, k * ql + qr)
-                if done is not None:
-                    return done
-                if s2 == slo:
-                    break
-                k *= 2
-            low_k, high_k = k // 2, k
-            while high_k - low_k > 1:
-                mid = (low_k + high_k) // 2
-                s3, done = step(mid * pl + pr, mid * ql + qr)
-                if done is not None:
-                    return done
-                if s3 == slo:
-                    high_k = mid
-                else:
-                    low_k = mid
-            pr, qr = low_k * pl + pr, low_k * ql + qr  # still on the hi side
-            pl, ql = pl + pr, ql + qr  # the neighbor that crossed to the lo side
-    raise ConvergenceError("root finder exceeded its iteration budget")
-
-
 def expand_upper(f: BallFn, target: Fraction) -> Bracket:
     """First doubling bracket [m_prev, m] with f(m) > target >= f(m_prev).
 
@@ -322,3 +212,24 @@ def expand_upper(f: BallFn, target: Fraction) -> Bracket:
         prev = m
         m *= 2
     raise ConvergenceError(f"no upper bracket within {MAX_EXPANSIONS} doublings")
+
+
+def bisect_integers(f: BallFn, bracket: Bracket) -> Bracket:
+    """Narrow an integer-ended bracket of an increasing f to consecutive
+    integers [n, n + 1], probing integers only.
+
+    A probe with f(n) exactly zero returns the degenerate bracket [n, n];
+    a degenerate bracket is returned as it is.
+    """
+    resolve = _SignResolver(f)
+    lo, hi = bracket.lo, bracket.hi
+    while hi - lo > 1:
+        mid = Fraction((lo + hi) // 2)
+        s, _ = resolve(mid)
+        if s == 0:
+            return Bracket(mid, mid, 0, 0)
+        if s < 0:
+            lo = mid
+        else:
+            hi = mid
+    return Bracket(lo, hi, bracket.f_lo_sign, bracket.f_hi_sign)

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import subprocess
@@ -153,7 +154,8 @@ def test_repl_session(monkeypatch):
     stdin = io.StringIO(":digits 4\n[1--[1+1]]\n:base 2\n[1--[1+1]]\nbogus(\n:quit\n")
     monkeypatch.setattr(sys, "stdin", stdin)
     out = io.StringIO()
-    code = main_repl(out)
+    with contextlib.redirect_stdout(out):
+        code = main(["repl"])
     assert code == 0
     lines = out.getvalue().splitlines()
     assert lines[0] == "0.5000"
@@ -161,11 +163,12 @@ def test_repl_session(monkeypatch):
     assert lines[2].startswith("error:")
 
 
-def main_repl(out):
-    from hypercalc.cli import build_parser, _cmd_repl
-
-    args = build_parser().parse_args(["repl"])
-    return _cmd_repl(args, out=out)
+def test_main_prints_to_the_current_stdout():
+    # output goes to sys.stdout as it is at call time, not at import
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["eval", "[1+1]", "--digits", "0"])
+    assert (code, out.getvalue()) == (0, "2\n")
 
 
 def test_selftest_passes():

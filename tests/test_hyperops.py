@@ -6,7 +6,9 @@ import pytest
 from hypercalc import hyperops, midops, rootfind
 from hypercalc.balls import Ball
 from hypercalc.engine import NumericContext, evaluate
-from hypercalc.errors import ConvergenceError, DomainError, PrecisionError, ResourceError
+from hypercalc.errors import (
+    ConvergenceError, DomainError, MagnitudeError, PrecisionError, ResourceError,
+)
 from hypercalc.hyperops import hyper_forward, hyper_inverse_minus, hyper_inverse_slash
 from hypercalc.rootfind import RootConfig
 from hypercalc.terms import parse
@@ -84,6 +86,10 @@ def test_blowup_cap():
         hyper_forward(4, Fraction(2), Fraction(6), T12)
     with pytest.raises(ResourceError):
         hyper_forward(6, Fraction(2), Fraction(3), T12)
+    # past the height-step cap, but past the magnitude cap within its first
+    # steps: a blow-up, not a cap on the tower's length
+    with pytest.raises(MagnitudeError):
+        hyper_forward(4, Fraction(2), Fraction(65536), T12)
 
 
 def test_height_step_cap(monkeypatch):
@@ -207,6 +213,40 @@ def test_super_log_domain():
         hyper_inverse_slash(4, Fraction(1, 2), Fraction(2), T12)
 
 
+def test_super_log_exact_or_refuse():
+    # integer answers, and rational heights whose split checks exactly with
+    # integer towers: 4 (+4) (1/2) = 2 since 2 (+4) 2 = 4 (+4) 1
+    for rank, value, base, height in [
+        (4, 16, 2, 3), (4, 27, 3, 2), (4, 2, 4, Fraction(1, 2)),
+        (4, 16, 4, Fraction(3, 2)), (4, 2, 16, Fraction(1, 3)),
+        (4, 256, 16, Fraction(4, 3)), (5, 2, 4, Fraction(1, 2)),
+        (5, 65536, 2, 3),  # 2 (+5) 3 = 65536; 2 (+5) 4 blows the cap
+    ]:
+        out = hyper_inverse_slash(rank, Fraction(value), Fraction(base), T12)
+        assert (out.center, out.radius) == (height, 0), (rank, value, base)
+    # everything else refuses at once, naming the enclosing integer heights
+    for value, base, lo in [(3, 2, 1), (7, 2, 2), (10, 2, 2), (100, 3, 2),
+                            (2, 3, 0), (Fraction(3, 2), 2, 0), (4, 16, 0)]:
+        with pytest.raises(DomainError, match=f"integer heights {lo} and {lo + 1}"):
+            hyper_inverse_slash(4, Fraction(value), Fraction(base), T12)
+    with pytest.raises(DomainError, match="needs an exact value and base"):
+        hyper_inverse_slash(4, Ball(Fraction(3), T12), Fraction(2), T12)
+
+
+def test_super_root_rank5_exact_or_refuse():
+    for value, order, root in [(4, 2, 2), (65536, 3, 2), (2, Fraction(1, 2), 4)]:
+        out = hyper_inverse_minus(5, Fraction(value), Fraction(order), T12)
+        assert (out.center, out.radius) == (root, 0), (value, order)
+    for value, order, lo in [(5, 2, 2), (2, 2, 1)]:
+        with pytest.raises(DomainError, match=f"integer bases {lo} and {lo + 1}"):
+            hyper_inverse_minus(5, Fraction(value), Fraction(order), T12)
+    # the forward split at rank 5 needs one: 3 (+5) (1/2) = 3 (-5) 2
+    with pytest.raises(DomainError, match="integer bases 1 and 2"):
+        hyper_forward(5, Fraction(3), Fraction(1, 2), T12)
+    with pytest.raises(DomainError, match="needs an exact value"):
+        hyper_inverse_minus(5, Ball(Fraction(5), T12), Fraction(2), T12)
+
+
 # ---------------------------------------------------------------------------
 # round trips
 
@@ -228,12 +268,10 @@ def test_round_trip_super_root_rank5_exact():
 
 
 def test_round_trip_super_log_rank4():
-    # Exact integer towers land exactly.  Fractional heights do not
-    # round-trip: the rational-height forward map is not monotone across
-    # denominators (2 (+4) 7/5 exceeds 2 (+4) 3/2), so a bracketing search
-    # can legitimately pin a different sign change; and probing near the
-    # answer costs time inversely proportional to the tolerance, since a
-    # probe p/q unrolls a tower of its numerator.
+    # Exact integer towers land exactly.  A fractional height round-trips
+    # only when its split checks exactly with integer towers (see
+    # test_super_log_exact_or_refuse); the forward map is not continuous in
+    # its height, so no search between integer heights can certify more.
     for b in (Fraction(2), Fraction(3)):
         fwd = hyper_forward(4, b, Fraction(2), Fraction(1, 10**14))
         assert fwd.is_exact
@@ -242,6 +280,21 @@ def test_round_trip_super_log_rank4():
     fwd = hyper_forward(4, Fraction(2), Fraction(3), Fraction(1, 10**12))
     back = hyper_inverse_slash(4, fwd, Fraction(2), T8)
     assert back.contains(3)
+
+
+def test_height_split_forgets_the_height_as_q_grows():
+    # 2 (+4) (p/q) tends to sqrt(2) for p = 1 and to e^(1/e) for p = 3 as q
+    # grows (mpmath, 100 bits: 1.4142..., 1.4504...), whatever p/q is; so
+    # 3/40 < 1/10 maps above 1/10, while 2 (+4) 0 = 1
+    sqrt2 = Fraction("1.41421356237309504880168872420969807857")
+    e_1_e = Fraction("1.44466786100976613365833910859643022305")
+    one_40 = hyper_forward(4, Fraction(2), Fraction(1, 40), T8)
+    three_40 = hyper_forward(4, Fraction(2), Fraction(3, 40), T8)
+    one_10 = hyper_forward(4, Fraction(2), Fraction(1, 10), T8)
+    assert abs(one_40.center - sqrt2) + one_40.radius < Fraction(1, 10**6)
+    assert abs(three_40.center - e_1_e) + three_40.radius < Fraction(1, 100)
+    assert three_40.lo > one_10.hi
+    assert hyper_forward(4, Fraction(2), Fraction(0), T8).center == 1
 
 
 def test_height_map_is_not_monotone_across_denominators():
@@ -304,17 +357,17 @@ def test_root_finder_budget_is_one_config(monkeypatch):
     # constants, read when each search runs
     real_brent, seen = hyperops.brent, []
 
-    def spy(f, bracket, cfg, **kw):
-        seen.append(kw["probe"])
-        return real_brent(f, bracket, cfg, **kw)
+    def spy(f, bracket, cfg):
+        seen.append(bracket)
+        return real_brent(f, bracket, cfg)
 
     monkeypatch.setattr(hyperops, "brent", spy)
     term = parse("[[[1+1]+++[1+1]]----[1+1]]")
-    hyper_inverse_minus(4, Fraction(16), Fraction(2), T12)
+    hyper_inverse_minus(4, Fraction(4), Fraction(2), T12)
     direct = list(seen)
     seen.clear()
     evaluate(term, NumericContext(digits=12))
-    assert direct == seen == ["interpolate"]
+    assert direct == seen == [rootfind.Bracket(Fraction(1), Fraction(4), -1, 1)]
     assert (rootfind.MAX_ITERATIONS, rootfind.MAX_EXPANSIONS) == (1000, 80)
     monkeypatch.setattr(rootfind, "MAX_ITERATIONS", 3)
     with pytest.raises(ConvergenceError, match="iteration budget"):

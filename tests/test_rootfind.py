@@ -6,7 +6,9 @@ import pytest
 from hypercalc import rootfind
 from hypercalc.balls import Ball
 from hypercalc.errors import ConvergenceError, DomainError
-from hypercalc.rootfind import MAX_EXPANSIONS, Bracket, RootConfig, brent, expand_upper
+from hypercalc.rootfind import (
+    MAX_EXPANSIONS, Bracket, RootConfig, bisect_integers, brent, expand_upper,
+)
 
 TOL10 = RootConfig(Fraction(1, 10**10))
 
@@ -64,13 +66,11 @@ def test_bracket_validation():
 
 
 def test_iteration_budget(monkeypatch):
-    # the budget is read when a search starts, for both probe styles
+    # the budget is read when a search starts
     monkeypatch.setattr(rootfind, "MAX_ITERATIONS", 5)
     cfg = RootConfig(Fraction(1, 10**30))
-    for probe in ("interpolate", "mediant"):
-        with pytest.raises(ConvergenceError, match="iteration budget"):
-            brent(exact_fn(lambda x: x * x - 2), Bracket(Fraction(1), Fraction(2), -1, 1),
-                  cfg, probe=probe)
+    with pytest.raises(ConvergenceError, match="iteration budget"):
+        brent(exact_fn(lambda x: x * x - 2), Bracket(Fraction(1), Fraction(2), -1, 1), cfg)
 
 
 def test_bracket_preservation_and_width_decay():
@@ -118,34 +118,6 @@ def test_ambiguous_function_raises():
         brent(f, Bracket(Fraction(0), Fraction(2), -1, 1), RootConfig(Fraction(1, 10**6)))
 
 
-def test_mediant_mode_hits_rational_roots_exactly():
-    out = brent(
-        exact_fn(lambda x: x * x - 9),
-        Bracket(Fraction(2), Fraction(4), -1, 1),
-        TOL10,
-        probe="mediant",
-    )
-    assert out.center == 3 and out.radius == 0
-    out = brent(
-        exact_fn(lambda x: 15 * x - 5),
-        Bracket(Fraction(0), Fraction(1), -1, 1),
-        TOL10,
-        probe="mediant",
-    )
-    assert out.center == Fraction(1, 3) and out.radius == 0
-
-
-def test_mediant_mode_irrational_root():
-    out = brent(
-        exact_fn(lambda x: x * x - 2),
-        Bracket(Fraction(1), Fraction(2), -1, 1),
-        RootConfig(Fraction(1, 10**8)),
-        probe="mediant",
-    )
-    assert out.radius <= Fraction(1, 10**8)
-    assert abs(out.center - SQRT2_62) <= out.radius + Fraction(1, 10**60)
-
-
 def test_expand_upper_examples():
     def pow2(x, tol):
         # 2^x for integer doubling probes; exact
@@ -170,3 +142,22 @@ def test_expand_upper_exact_hit():
     assert b.lo == b.hi == 4 and b.f_lo_sign == 0
     out = brent(lambda x, t: Ball(x - 4), b, TOL10)
     assert out.center == 4 and out.radius == 0
+
+
+def test_bisect_integers_probes_integers_only():
+    probes = []
+
+    def cube_minus(goal):
+        def f(x, tol):
+            probes.append(x)
+            return Ball(x**3 - goal)
+        return f
+
+    # 5^3 < 200 < 6^3, inside the doubling bracket [4, 8]
+    b = bisect_integers(cube_minus(200), Bracket(Fraction(4), Fraction(8), -1, 1))
+    assert b == Bracket(Fraction(5), Fraction(6), -1, 1)
+    assert probes and all(x.denominator == 1 for x in probes)
+    b = bisect_integers(cube_minus(343), Bracket(Fraction(4), Fraction(8), -1, 1))
+    assert b == Bracket(Fraction(7), Fraction(7), 0, 0)
+    degenerate = Bracket(Fraction(4), Fraction(4), 0, 0)
+    assert bisect_integers(cube_minus(64), degenerate) == degenerate
