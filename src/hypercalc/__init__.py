@@ -31,7 +31,7 @@ from .errors import (
 from .farey import FareyEntry, FareyIndex, farey_row, locate
 from .hyperops import hyper_forward, hyper_inverse_minus, hyper_inverse_slash
 from .midops import SeriesConfig, exp_e, ln_e, log, power, root
-from .rationals import gcd, low_op
+from .rationals import gcd
 from .rootfind import Bracket, RootConfig, brent, expand_upper
 from .terms import (
     Leaf,
@@ -81,7 +81,6 @@ __all__ = [
     "ln_e",
     "locate",
     "log",
-    "low_op",
     "parse",
     "power",
     "render",

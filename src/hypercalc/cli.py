@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace = sub.add_parser("trace", help="print the reduction chain then the value")
     p_trace.add_argument("expression")
     _add_numeric_flags(p_trace)
-    p_trace.set_defaults(func=_cmd_trace)
+    p_trace.set_defaults(func=_cmd_eval, trace=True, file=None)
 
     p_repl = sub.add_parser("repl", help="read-evaluate-print loop")
     _add_numeric_flags(p_repl)
@@ -142,15 +142,6 @@ def _cmd_eval(args) -> int:
         trace_lines = _chain_lines(term, ctx) if args.trace else None
         payload = _result_payload(text, term, ctx, trace_lines)
         _emit(payload, args)
-    return 0
-
-
-def _cmd_trace(args) -> int:
-    ctx = _context(args)
-    term = parse(args.expression)
-    trace_lines = _chain_lines(term, ctx)
-    payload = _result_payload(args.expression, term, ctx, trace_lines)
-    _emit(payload, args)
     return 0
 
 

@@ -11,8 +11,8 @@ a tuple as long as the chain: the walk is now linear in the number of
 nodes.  A node's path is rebuilt from parent links only when an error
 escapes it or a trace event names it.
 
-`_apply_ball` is the single rank dispatcher: ranks 1-2 are exact rational
-arithmetic (balls once an operand is approximate), rank 3 the series
+`_apply` is the single rank dispatcher: ranks 1-2 are exact arithmetic on
+Fractions (balls once an operand is approximate), rank 3 the series
 operations in `midops`, rank >= 4 the hyperoperations in `hyperops`.
 Results stay exact whenever every step was exact; otherwise they are Balls
 whose radius is driven below base^-(digits+guard) by re-running at tighter
@@ -38,10 +38,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import hyperops, midops
-from .balls import Ball, as_ball, divide, round_ball
-from .errors import HypercalcError, PrecisionError
+from .balls import Ball, divide, round_ball
+from .errors import DomainError, HypercalcError, PrecisionError
 from .midops import SeriesConfig, tol_bits
-from .rationals import low_op
 from .terms import Leaf, Node, OpKind, Path, Term, TraceEvent
 
 _DIGIT_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
@@ -204,36 +203,37 @@ def _path_of(i: int, parent: list[int], step: list[str]) -> Path:
 
 
 def _apply(op, a: Value, b: Value, tol: Fraction) -> Value:
-    value = _apply_ball(op, a, b, tol)
+    if op.rank <= 2:
+        # `-` and `/` coincide at these ranks: `-`/`/` subtract, `--`/`//` divide
+        if op.kind is OpKind.PLUS:
+            value = a + b if op.rank == 1 else a * b
+        elif op.rank == 1:
+            value = a - b
+        elif isinstance(a, Fraction) and isinstance(b, Fraction):
+            if b == 0:
+                raise DomainError("division by zero")
+            return a / b
+        else:
+            value = divide(a, b)
+        if isinstance(value, Ball) and not value.is_exact:
+            value = round_ball(value, tol_bits(tol) + 32)
+    elif op.rank == 3:
+        series = SeriesConfig(tol)
+        if op.kind is OpKind.PLUS:
+            value = midops.power(a, b, series)
+        elif op.kind is OpKind.MINUS:
+            value = midops.root(a, b, series)
+        else:
+            value = midops.log(a, b, series)
+    elif op.kind is OpKind.PLUS:
+        value = hyperops.hyper_forward(op.rank, a, b, tol)
+    elif op.kind is OpKind.MINUS:
+        value = hyperops.hyper_inverse_minus(op.rank, a, b, tol)
+    else:
+        value = hyperops.hyper_inverse_slash(op.rank, a, b, tol)
     if isinstance(value, Ball) and value.is_exact:
         return value.center
     return value
-
-
-def _apply_ball(op, a, b, tol):
-    if op.rank <= 2:
-        if isinstance(a, Fraction) and isinstance(b, Fraction):
-            return low_op(op, a, b)
-        av, bv = as_ball(a), as_ball(b)
-        if op.kind is OpKind.PLUS:
-            out = av + bv if op.rank == 1 else av * bv
-        elif op.rank == 1:
-            out = av - bv
-        else:
-            out = divide(av, bv)
-        return round_ball(out, tol_bits(tol) + 32) if not out.is_exact else out
-    if op.rank == 3:
-        series = SeriesConfig(tol)
-        if op.kind is OpKind.PLUS:
-            return midops.power(a, b, series)
-        if op.kind is OpKind.MINUS:
-            return midops.root(a, b, series)
-        return midops.log(a, b, series)
-    if op.kind is OpKind.PLUS:
-        return hyperops.hyper_forward(op.rank, a, b, tol)
-    if op.kind is OpKind.MINUS:
-        return hyperops.hyper_inverse_minus(op.rank, a, b, tol)
-    return hyperops.hyper_inverse_slash(op.rank, a, b, tol)
 
 
 # ---------------------------------------------------------------------------

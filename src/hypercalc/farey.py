@@ -4,10 +4,10 @@ Row 1 is [(0,1), (1,1)].  Row k has 2^(k-1)+1 entries: odd positions copy
 row k-1 and even positions are the component-wise sums (mediants) of the two
 flanking row-(k-1) entries.  Every entry is a reduced fraction, every row is
 strictly increasing, and every reduced p/q in [0,1] appears first in the row
-equal to its mediant-tree depth.  The rational-height splitting of the
-hyperoperation engine consumes (numerator, denominator) pairs that are
-exactly these table values; `locate` recovers a fraction's first table
-position without enumerating rows.
+equal to its mediant-tree depth, so the table lists every fractional height
+p/q that the rational-height split accepts.  No evaluation path reads the
+table; the `farey` command prints its rows, and `locate` recovers a
+fraction's first table position without enumerating rows.
 """
 
 from __future__ import annotations

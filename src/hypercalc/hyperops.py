@@ -133,10 +133,13 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
     steps = int(height) - (height.denominator == 1)
     frac = height - int(height)
     if steps > _LIMITS.max_height_steps:
-        if rank == 4:
+        if rank == 4 or base.center.denominator == 1:
             # The tower over an inner value >= 1 is at least base (+^4) steps,
             # so one that passes the magnitude cap within the first cap + 1
             # steps is a blow-up, whatever the cap says about its length.
+            # So is one at rank r >= 5 over an integer a >= 2, as a (+^r) h >=
+            # a (+^4) h: a (+^r) grows with its height and a (+^r) h >= h + 1, so by
+            # induction on h, a (+^(r+1)) (h+1) = a (+^r) (a (+^(r+1)) h) >= a (+^r) (h+1).
             _unroll_budgets(0.0, _log_abs_float(base.center),
                             _LIMITS.max_height_steps + 1)
         raise ResourceError(
@@ -267,7 +270,7 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction) -> B
 
     goal = target.center  # exact rational > 1
     tower = _capped(lambda x, ft: _forward(rank, Ball(x), order, ft), goal)
-    bracket = Bracket(Fraction(1), goal, -1, 1)
+    bracket = Bracket(Fraction(1), goal)
     return brent(lambda x, ft: tower(x, ft) - goal, bracket, RootConfig(tol))
 
 
@@ -284,7 +287,8 @@ def hyper_inverse_slash(
     """The x >= 0 with b (+^rank) x = a exactly, for a > 1, b > 1.
 
     An exact value with no integer or exactly checked rational answer, and
-    an approximate value or base, raise DomainError.
+    an approximate value or base, raise DomainError; so does a non-integer
+    base unless the value is the base itself (height 1).
     """
     if rank < 4:
         raise DomainError(f"hyper_inverse_slash needs rank >= 4, got {rank}")
@@ -297,6 +301,12 @@ def hyper_inverse_slash(
         if ball.center <= 1:
             raise DomainError(f"super-log {name} must be > 1")
     goal = target.center
+    if base.center.denominator != 1 and goal != base.center:
+        raise DomainError(
+            f"a rank-{rank} super-log to the non-integer base {base.center}"
+            " is exact only at height 1: towers over a non-integer rational"
+            " base are irrational above height 1"
+        )
     heights = _integer_search(lambda x, ft: _forward(rank, base, x, ft), goal)
     n = heights.lo
     if heights.hi == n:
@@ -316,10 +326,10 @@ def _split_height(rank: int, base: Fraction, value: Fraction, n: int) -> Fractio
     exactly with integer towers, or None.
 
     Peeling n levels off the value leaves c = base (+^rank) (p/q), with
-    1 < c < base; by the split, c (+^rank) q = base (+^rank) p.  Both towers
-    are exact only for integer c and base, and both grow with their height,
-    so one merged walk over p and q meets every candidate until a tower
-    passes the magnitude cap.
+    1 < c < base; by the split, c (+^rank) q = base (+^rank) p.  The base is
+    an integer, both towers are exact only for an integer c, and both grow
+    with their height, so one merged walk over p and q meets every candidate
+    until a tower passes the magnitude cap.
     """
     c = value
     for _ in range(n):
@@ -328,7 +338,7 @@ def _split_height(rank: int, base: Fraction, value: Fraction, n: int) -> Fractio
         if level.lo != level.hi:
             return None
         c = level.lo
-    if c.denominator != 1 or base.denominator != 1:
+    if c.denominator != 1:
         return None
 
     def tower(x: Fraction, height: int) -> Fraction:

@@ -63,13 +63,6 @@ class SeriesConfig:
             raise ValueError("target error must be positive")
 
 
-DEFAULT_SERIES = SeriesConfig(Fraction(1, 10**30))
-
-
-def _cfg(cfg: SeriesConfig | None) -> SeriesConfig:
-    return cfg if cfg is not None else DEFAULT_SERIES
-
-
 def tol_bits(tol: Fraction) -> int:
     """Bits b with 2^-b <= tol."""
     if tol >= 1:
@@ -265,6 +258,14 @@ def _ln2_fixed(prec: int) -> tuple[int, int]:
 
 
 def _exp_rational(a: Fraction, tol: Fraction) -> Ball:
+    """Ball containing e^a with radius <= tol, in one pass.
+
+    Each series stops within M = MAX_SERIES_TERMS terms (else ResourceError),
+    so the kernel errs by under 4 M < 2^19 ulps of 2^-prec (about 0.5 prec
+    in practice).  The h squarings, roundings included, scale that by under
+    2.01^h, and e^a < 2^(mag_bits - 1): prec's 2h + mag_bits + 26 bits over
+    tol_bits leave the radius below tol / 2^7, and the check only guards this.
+    """
     if a > _EXP_ARG_CAP:
         raise MagnitudeError("exp argument too large; result would blow past the magnitude cap")
     if a == 0:
@@ -278,20 +279,26 @@ def _exp_rational(a: Fraction, tol: Fraction) -> Ball:
     # 2 bits above the 24 guard bits keep the split series' ulps below the
     # single series' ones, so no radius widens
     prec = tol_bits(tol) + 2 * halvings + mag_bits + 26
-    for _ in range(_REFINE_ATTEMPTS):
-        scale = 1 << prec
-        value, err = _exp_split_fixed(x.numerator, x.denominator, prec)
-        out = Ball(Fraction(value, scale), Fraction(err, scale))
-        for _ in range(halvings):
-            out = round_ball(out * out, prec)
-        out = round_ball(out, prec)
-        if out.radius <= tol:
-            return out
-        prec = prec * 2 + 16
-    raise PrecisionError("exp failed to reach the requested radius")
+    scale = 1 << prec
+    value, err = _exp_split_fixed(x.numerator, x.denominator, prec)
+    out = Ball(Fraction(value, scale), Fraction(err, scale))
+    for _ in range(halvings):
+        out = round_ball(out * out, prec)
+    out = round_ball(out, prec)
+    if out.radius > tol:
+        raise PrecisionError("exp failed to reach the requested radius")
+    return out
 
 
 def _ln_rational(a: Fraction, tol: Fraction) -> Ball:
+    """Ball containing ln a (a > 0) with radius <= tol, in one pass.
+
+    Each series stops within M = MAX_SERIES_TERMS terms (else ResourceError),
+    so ln m errs by at most 5 M + 17 ulps of 2^-prec and ln 2 by 2 M + 4; with
+    s = bit_length(max(1, |shift|)), ln m + shift ln 2 errs by under 2^(s + 20)
+    ulps (about 0.5 prec in practice).  prec's s + 26 bits over tol_bits put
+    the radius below tol / 2^6, so the check only guards this.
+    """
     if a <= 0:
         raise DomainError("log of a non-positive value")
     if a == 1:
@@ -313,23 +320,20 @@ def _ln_rational(a: Fraction, tol: Fraction) -> Ball:
     # 2 bits above the 24 guard bits keep the split series' ulps below the
     # single series' ones, so no radius widens
     prec = tol_bits(tol) + max(1, abs(shift)).bit_length() + 26
-    for _ in range(_REFINE_ATTEMPTS):
-        scale = 1 << prec
-        value, err = _ln_split_fixed(num, den, prec)
-        if shift:
-            ln2, ln2_err = _ln2_fixed(prec)
-            value += shift * ln2
-            err += abs(shift) * ln2_err
-        out = round_ball(Ball(Fraction(value, scale), Fraction(err, scale)), prec)
-        if out.radius <= tol:
-            return out
-        prec = prec * 2 + 16
-    raise PrecisionError("ln failed to reach the requested radius")
+    scale = 1 << prec
+    value, err = _ln_split_fixed(num, den, prec)
+    if shift:
+        ln2, ln2_err = _ln2_fixed(prec)
+        value += shift * ln2
+        err += abs(shift) * ln2_err
+    out = round_ball(Ball(Fraction(value, scale), Fraction(err, scale)), prec)
+    if out.radius > tol:
+        raise PrecisionError("ln failed to reach the requested radius")
+    return out
 
 
-def exp_e(a: Fraction | Ball, cfg: SeriesConfig | None = None) -> Ball:
+def exp_e(a: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     """Ball containing e^a with radius <= the configured target error."""
-    cfg = _cfg(cfg)
     tol = cfg.target_error
     b = as_ball(a)
     if b.is_exact:
@@ -342,9 +346,8 @@ def exp_e(a: Fraction | Ball, cfg: SeriesConfig | None = None) -> Ball:
     return round_ball(Ball(core.center, core.radius + extra), tol_bits(tol) + 16)
 
 
-def ln_e(a: Fraction | Ball, cfg: SeriesConfig | None = None) -> Ball:
+def ln_e(a: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     """Ball containing ln a (a > 0) with radius <= the target error."""
-    cfg = _cfg(cfg)
     tol = cfg.target_error
     b = as_ball(a)
     if b.is_exact:
@@ -370,13 +373,12 @@ def _exact_int_pow(base: Fraction, n: int) -> Fraction | None:
     return base**n
 
 
-def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig | None = None) -> Ball:
+def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     """Ball containing a^b.
 
     Domain: a > 0 with any rational/ball b; a < 0 only with an exact
     integer b (sign by parity); a = 0 only with exact b > 0.
     """
-    cfg = _cfg(cfg)
     tol = cfg.target_error
     av = as_ball(a)
     bv = as_ball(b)
@@ -480,7 +482,7 @@ def _power_scale_bits(av: Ball, bv: Ball) -> int:
     return math.ceil(magnitude + max(0.0, b_log) / ln2) + 16
 
 
-def root(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig | None = None) -> Ball:
+def root(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     """Ball containing the b-th root of a: the x with x^b = a (a > 0, b != 0)."""
     bv = as_ball(b)
     if bv.is_exact:
@@ -495,9 +497,8 @@ def root(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig | None = None
     return power(a, recip, cfg)
 
 
-def log(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig | None = None) -> Ball:
+def log(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     """Ball containing log base b of a (a > 0, b > 0, b != 1)."""
-    cfg = _cfg(cfg)
     tol = cfg.target_error
     av = as_ball(a)
     bv = as_ball(b)

@@ -2,8 +2,8 @@
 
 `fractions.Fraction` is the value type (unbounded integers, positive
 denominator, always in lowest terms); this module adds the Euclidean gcd
-with explicit domain errors, the rank-1/rank-2 operator arithmetic, and
-the `p/q` text form of a radius.
+with explicit domain errors and the `p/q` text form of a radius.  The
+rank-1/rank-2 operator arithmetic on Fractions is `engine._apply`.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DomainError
-from .terms import OpKind, Operator
 
 
 def gcd(a: int, b: int) -> int:
@@ -24,24 +23,6 @@ def gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b
     return a
-
-
-def low_op(op: Operator, a: Fraction, b: Fraction) -> Fraction:
-    """Apply a rank-1 or rank-2 operator exactly.
-
-    `+` adds, `++` multiplies; `-` and `/` both subtract, `--` and `//`
-    both divide (the slash families coincide with the minus families at
-    these ranks).
-    """
-    if op.rank > 2:
-        raise DomainError(f"low_op only handles ranks 1-2, got rank {op.rank}")
-    if op.kind is OpKind.PLUS:
-        return a + b if op.rank == 1 else a * b
-    if op.rank == 1:
-        return a - b
-    if b == 0:
-        raise DomainError("division by zero")
-    return a / b
 
 
 def format_fraction(r: Fraction) -> str:

@@ -14,6 +14,9 @@ representations cannot balloon over many iterations.
 
 `expand_upper` and `bisect_integers` search integers only: doubling to a
 first bracket, then bisection down to consecutive integers or an exact hit.
+
+A `Bracket` is its two ordered endpoints: `brent` resolves f's sign at both
+itself, and the integer searches return lo = hi on an exact hit.
 """
 
 from __future__ import annotations
@@ -39,14 +42,10 @@ MAX_EXPANSIONS = 80
 class Bracket:
     lo: Fraction
     hi: Fraction
-    f_lo_sign: int
-    f_hi_sign: int
 
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("bracket endpoints out of order")
-        if self.f_lo_sign * self.f_hi_sign > 0:
-            raise ValueError("bracket endpoints must differ in sign (or hit zero)")
 
 
 @dataclass(frozen=True)
@@ -110,10 +109,6 @@ def brent(f: BallFn, bracket: Bracket, cfg: RootConfig) -> Ball:
     Returns a Ball of radius <= cfg.x_tolerance containing the root; the
     ball is exact (radius 0) when a probe evaluates to exactly zero.
     """
-    if bracket.f_lo_sign == 0:
-        return Ball(bracket.lo)
-    if bracket.f_hi_sign == 0:
-        return Ball(bracket.hi)
     tol = cfg.x_tolerance
     resolve = _SignResolver(f)
     lo, hi = bracket.lo, bracket.hi
@@ -206,9 +201,9 @@ def expand_upper(f: BallFn, target: Fraction) -> Bracket:
     for _ in range(MAX_EXPANSIONS):
         s, _ = resolve(m)
         if s == 0:
-            return Bracket(m, m, 0, 0)
+            return Bracket(m, m)
         if s > 0:
-            return Bracket(prev, m, -1, 1)
+            return Bracket(prev, m)
         prev = m
         m *= 2
     raise ConvergenceError(f"no upper bracket within {MAX_EXPANSIONS} doublings")
@@ -227,9 +222,9 @@ def bisect_integers(f: BallFn, bracket: Bracket) -> Bracket:
         mid = Fraction((lo + hi) // 2)
         s, _ = resolve(mid)
         if s == 0:
-            return Bracket(mid, mid, 0, 0)
+            return Bracket(mid, mid)
         if s < 0:
             lo = mid
         else:
             hi = mid
-    return Bracket(lo, hi, bracket.f_lo_sign, bracket.f_hi_sign)
+    return Bracket(lo, hi)

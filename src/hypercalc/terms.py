@@ -275,20 +275,3 @@ def render(term: Term) -> str:
         else:
             out.append(item if isinstance(item, str) else "1")
     return "".join(out)
-
-
-# ---------------------------------------------------------------------------
-# structure helpers
-
-
-def internal_nodes(term: Term) -> int:
-    count = 0
-    work = [term]
-    while work:
-        t = work.pop()
-        if isinstance(t, Node):
-            count += 1
-            work.append(t.left)
-            work.append(t.right)
-    return count
-

@@ -15,7 +15,7 @@ def test_exports_are_unique():
 
 def test_deleted_names_stay_gone():
     deleted = {"RenderStyle", "traversal_order", "rational_floor",
-               "run", "HyperKind", "HyperRequest", "reduce"}
+               "run", "HyperKind", "HyperRequest", "reduce", "low_op"}
     assert deleted.isdisjoint(hypercalc.__all__)
 
 

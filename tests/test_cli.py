@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -18,6 +19,13 @@ def run_cli(*argv):
         timeout=300,
     )
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def run_main(*argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_eval_trivial():
@@ -108,6 +116,35 @@ def test_json_trace():
     payload = json.loads(out)
     assert payload["trace"] == ["[[1+2]----[1+1]]", "[3----[1+1]]", "[3----2]"]
     assert payload["value"] == "1.82545502"
+
+
+def test_trace_is_eval_with_trace():
+    for fmt in ("plain", "json"):
+        args = ("[[1+[1+1]]----[1+1]]", "--digits", "8", "--format", fmt)
+        traced = run_main("trace", *args)
+        assert traced[0] == 0 and traced[1].count("\n") == (4 if fmt == "plain" else 1)
+        assert traced == run_main("eval", "--trace", *args)
+
+
+def test_super_log_to_a_non_integer_base():
+    # towers over 6/5 are irrational above height 1, so only the base itself
+    # has an exact super-log; every other value refuses at once
+    for text in ("[5////1.2]", "[1.3////1.2]"):
+        start = time.monotonic()
+        code, out, err = run_main("eval", text)
+        assert time.monotonic() - start < 1
+        assert (code, out) == (2, "")
+        assert "non-integer base 6/5 is exact only at height 1" in err
+    assert run_main("eval", "[1.2////1.2]", "--digits", "0") == (0, "1\n", "")
+    assert run_main("eval", "[16////2]", "--digits", "0") == (0, "3\n", "")
+
+
+def test_log_to_a_base_near_one():
+    # the base's log is about 2^-20, so `log` refines its logs over several
+    # rounds; mpmath agrees to 40 digits
+    text = "[3///[[[[1+1]+++20]+1]--[[1+1]+++20]]]"
+    assert run_main("eval", text, "--digits", "20") == (
+        0, "1151979.02850850881200065633\n", "")
 
 
 def test_determinism():

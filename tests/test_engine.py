@@ -82,13 +82,18 @@ def test_evaluate_examples():
 
 
 def test_dispatch_all_ranks():
-    # every (rank, family) pair `_apply_ball` routes: exact ranks 1-2 (a
-    # rank-1 `-` subtracts, a rank-2 `//` divides), rank-3 series, rank 4
+    # every (rank, family) pair `_apply` routes: exact ranks 1-2 (`-` and
+    # `/` subtract, `--` and `//` divide), rank-3 series, rank 4
     for text, value in (("[2+3]", 5), ("[2++3]", 6), ("[2+++3]", 8), ("[2++++3]", 16),
-                        ("[5-3]", 2), ("[6--3]", 2), ("[16////2]", 3), ("[6//3]", 2)):
+                        ("[5-3]", 2), ("[5/5]", 0), ("[6--3]", 2), ("[3--2]", Fraction(3, 2)),
+                        ("[16////2]", 3), ("[6//3]", 2)):
         result = evaluate(parse(text), CTX10)
         assert result.is_exact and result.value == value, text
     assert evaluate(parse("[8---3]"), CTX10).ball().contains(2)
+    # division by zero, on exact and on approximate dividends
+    for text in ("[1--[1-1]]", "[1//[1-1]]", "[[[1+1]+++[1--[1+1]]]//[1-1]]"):
+        with pytest.raises(DomainError, match="division by zero"):
+            evaluate(parse(text), CTX10)
 
 
 def test_evaluate_error_paths_carry_node_path():

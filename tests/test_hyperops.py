@@ -87,9 +87,11 @@ def test_blowup_cap():
     with pytest.raises(ResourceError):
         hyper_forward(6, Fraction(2), Fraction(3), T12)
     # past the height-step cap, but past the magnitude cap within its first
-    # steps: a blow-up, not a cap on the tower's length
-    with pytest.raises(MagnitudeError):
-        hyper_forward(4, Fraction(2), Fraction(65536), T12)
+    # steps: a blow-up, not a cap on the tower's length; at rank 5 too, as
+    # a (+5) h >= a (+4) h for an integer base a >= 2
+    for rank, height in ((4, 65536), (5, 65537)):
+        with pytest.raises(MagnitudeError):
+            hyper_forward(rank, Fraction(2), Fraction(height), T12)
 
 
 def test_height_step_cap(monkeypatch):
@@ -100,8 +102,9 @@ def test_height_step_cap(monkeypatch):
         raise AssertionError("tower arithmetic ran before the height-step cap")
 
     monkeypatch.setattr(midops, "power", no_power)
-    with pytest.raises(ResourceError, match="over the cap of 50000"):
-        hyper_forward(4, Fraction(10001, 10000), Fraction(50002), T8)
+    for rank in (4, 5):  # at rank 5 a non-integer base has no blow-up bound
+        with pytest.raises(ResourceError, match="over the cap of 50000"):
+            hyper_forward(rank, Fraction(10001, 10000), Fraction(50002), T8)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +139,7 @@ def test_split_against_direct_root():
 
             direct = brent(
                 g,
-                Bracket(Fraction(1), tower.center, -1, 1),
+                Bracket(Fraction(1), tower.center),
                 RootConfig(T8),
             )
             assert split.overlaps(direct), (a, p, q)
@@ -367,7 +370,7 @@ def test_root_finder_budget_is_one_config(monkeypatch):
     direct = list(seen)
     seen.clear()
     evaluate(term, NumericContext(digits=12))
-    assert direct == seen == [rootfind.Bracket(Fraction(1), Fraction(4), -1, 1)]
+    assert direct == seen == [rootfind.Bracket(Fraction(1), Fraction(4))]
     assert (rootfind.MAX_ITERATIONS, rootfind.MAX_EXPANSIONS) == (1000, 80)
     monkeypatch.setattr(rootfind, "MAX_ITERATIONS", 3)
     with pytest.raises(ConvergenceError, match="iteration budget"):

@@ -23,6 +23,9 @@ SQRT2_62 = Fraction(
     "1.41421356237309504880168872420969807856967187537694807317667973"
 )
 
+# log base 1 + 2^-20 of 3, by mpmath at 50 digits; 45 kept
+LOG3_BASE_NEAR_ONE = Fraction("1151979.02850850881200065633891308166733630719")
+
 TIGHT = SeriesConfig(Fraction(1, 10**40))
 MED = SeriesConfig(Fraction(1, 10**12))
 
@@ -207,6 +210,24 @@ def test_log_examples():
         log(Fraction(-1), Fraction(2), MED)
     with pytest.raises(DomainError):
         log(Fraction(2), Fraction(1), MED)
+
+
+def test_log_refines_a_base_near_one(monkeypatch):
+    # ln(1 + 2^-20) is about 2^-20, so the quotient's error is about 2^40
+    # times the logs' errors: `log` tightens them by 16 a round, five rounds
+    calls = []
+    real = midops._ln_rational
+
+    def spy(a, tol):
+        calls.append(a)
+        return real(a, tol)
+
+    monkeypatch.setattr(midops, "_ln_rational", spy)
+    tol = Fraction(1, 10**30)
+    out = log(Fraction(3), 1 + Fraction(1, 2**20), SeriesConfig(tol))
+    assert len(calls) == 10
+    assert out.radius <= tol
+    assert abs(out.center - LOG3_BASE_NEAR_ONE) <= out.radius + Fraction(1, 10**38)
 
 
 def test_ball_arguments():

@@ -4,8 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypercalc.engine import _apply
 from hypercalc.errors import DomainError
-from hypercalc.rationals import format_fraction, gcd, low_op
+from hypercalc.rationals import format_fraction, gcd
 from hypercalc.terms import OpKind, Operator
 
 
@@ -41,32 +42,23 @@ def test_gcd_divides_both(a, b):
     assert gcd(a // g if a else 0, b // g) == 1
 
 
+# ranks 1-2 on exact operands: `engine._apply` returns exact Fractions, and
+# the tolerance goes unused
+TOL = Fraction(1, 10**10)
+
+
+def exact(op, a, b):
+    out = _apply(op, a, b, TOL)
+    assert isinstance(out, Fraction)
+    return out
+
+
 PLUS1 = Operator(OpKind.PLUS, 1)
 PLUS2 = Operator(OpKind.PLUS, 2)
 MINUS1 = Operator(OpKind.MINUS, 1)
 MINUS2 = Operator(OpKind.MINUS, 2)
 SLASH1 = Operator(OpKind.SLASH, 1)
 SLASH2 = Operator(OpKind.SLASH, 2)
-
-
-def test_low_op_examples():
-    one = Fraction(1)
-    assert low_op(PLUS1, one, one) == 2
-    assert low_op(SLASH1, Fraction(5), Fraction(5)) == 0
-    assert low_op(MINUS2, Fraction(3), Fraction(2)) == Fraction(3, 2)
-    assert low_op(PLUS2, Fraction(3), Fraction(2)) == 6
-
-
-def test_low_op_division_by_zero():
-    with pytest.raises(DomainError):
-        low_op(MINUS2, Fraction(1), Fraction(0))
-    with pytest.raises(DomainError):
-        low_op(SLASH2, Fraction(1), Fraction(0))
-
-
-def test_low_op_rejects_high_rank():
-    with pytest.raises(DomainError):
-        low_op(Operator(OpKind.PLUS, 3), Fraction(1), Fraction(1))
 
 
 small_fractions = st.fractions(
@@ -77,20 +69,20 @@ small_fractions = st.fractions(
 @given(small_fractions, small_fractions)
 @settings(max_examples=300, deadline=None)
 def test_minus_equals_slash(a, b):
-    assert low_op(MINUS1, a, b) == low_op(SLASH1, a, b)
+    assert exact(MINUS1, a, b) == exact(SLASH1, a, b)
     if b != 0:
-        assert low_op(MINUS2, a, b) == low_op(SLASH2, a, b)
+        assert exact(MINUS2, a, b) == exact(SLASH2, a, b)
 
 
 @given(small_fractions, small_fractions, small_fractions)
 @settings(max_examples=300, deadline=None)
 def test_field_identities(a, b, c):
-    assert low_op(PLUS1, a, b) == low_op(PLUS1, b, a)
-    assert low_op(PLUS2, a, b) == low_op(PLUS2, b, a)
-    assert low_op(PLUS1, low_op(PLUS1, a, b), c) == low_op(PLUS1, a, low_op(PLUS1, b, c))
-    assert low_op(PLUS2, low_op(PLUS2, a, b), c) == low_op(PLUS2, a, low_op(PLUS2, b, c))
+    assert exact(PLUS1, a, b) == exact(PLUS1, b, a)
+    assert exact(PLUS2, a, b) == exact(PLUS2, b, a)
+    assert exact(PLUS1, exact(PLUS1, a, b), c) == exact(PLUS1, a, exact(PLUS1, b, c))
+    assert exact(PLUS2, exact(PLUS2, a, b), c) == exact(PLUS2, a, exact(PLUS2, b, c))
     # subtract-then-add restores exactly
-    assert low_op(PLUS1, low_op(MINUS1, a, b), b) == a
+    assert exact(PLUS1, exact(MINUS1, a, b), b) == a
 
 
 def test_fraction_text_roundtrip():
