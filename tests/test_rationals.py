@@ -61,6 +61,21 @@ SLASH1 = Operator(OpKind.SLASH, 1)
 SLASH2 = Operator(OpKind.SLASH, 2)
 
 
+def test_low_op_examples():
+    one = Fraction(1)
+    assert exact(PLUS1, one, one) == 2
+    assert exact(SLASH1, Fraction(5), Fraction(5)) == 0
+    assert exact(MINUS2, Fraction(3), Fraction(2)) == Fraction(3, 2)
+    assert exact(PLUS2, Fraction(3), Fraction(2)) == 6
+
+
+def test_low_op_division_by_zero():
+    with pytest.raises(DomainError):
+        _apply(MINUS2, Fraction(1), Fraction(0), TOL)
+    with pytest.raises(DomainError):
+        _apply(SLASH2, Fraction(1), Fraction(0), TOL)
+
+
 small_fractions = st.fractions(
     min_value=-100, max_value=100, max_denominator=50
 )
