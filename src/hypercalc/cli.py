@@ -160,15 +160,10 @@ def _cmd_repl(args) -> int:
             continue
         if line == ":quit":
             return 0
-        if line.startswith(":base"):
+        field = next((f for f in ("base", "digits") if line.startswith(":" + f)), None)
+        if field:
             try:
-                ctx = replace(ctx, base=int(line.split()[1]))
-            except (IndexError, ValueError) as err:
-                print(f"error: {err}")
-            continue
-        if line.startswith(":digits"):
-            try:
-                ctx = replace(ctx, digits=int(line.split()[1]))
+                ctx = replace(ctx, **{field: int(line.split()[1])})
             except (IndexError, ValueError) as err:
                 print(f"error: {err}")
             continue

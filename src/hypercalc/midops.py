@@ -1,10 +1,10 @@
 """Rank-3 operations: exponential, natural log, power, root, logarithm.
 
-`exp_e` and `ln_e` are series evaluated in integer fixed point (values
-scaled by 2^prec) with explicit ulp accounting, so results are rigorous
-Balls.  Every rounding is to nearest: a division by 2^prec is a rounding
-shift, and a division by 2^prec * n is that shift then a small-int divide,
-so no series step divides by a big integer.
+The rank-3 pipeline runs in integer fixed point (values scaled by 2^prec)
+with explicit ulp accounting, so results are rigorous Balls.  Every rounding
+is to nearest: a division by 2^prec is a rounding shift, and a division by
+2^prec * n is that shift then a small-int divide, so no series step divides
+by a big integer.
 
 Both series split their argument at a K-bit dyadic (K = _SPLIT_BITS; Brent
 & Zimmermann, Modern Computer Arithmetic, 4.4 and 4.9):
@@ -27,10 +27,15 @@ Both series split their argument at a K-bit dyadic (K = _SPLIT_BITS; Brent
            bits wider.
 
 Each kernel's docstring states its error bound in ulps of 2^-prec with the
-proof; the callers add the errors and widen the Ball by their sum.
+proof.  Above them `_exp_fixed` and `_ln_fixed` return (value, err, prec) for
+a tolerance passed as ints (tn, td), and exp squares its halved value by
+`round_ball`'s rule: s = (v^2 + 2^(prec-1)) >> prec, err' = ceil((2|v| err +
+err^2 + |v^2 - s 2^prec|) / 2^prec).
 
-The general power `[a+++b]` is exp(b * ln a), root `[a---b]` is
-pow(a, 1/b), and log `[a///b]` is ln a / ln b.  Integer exponents take an
+The general power `[a+++b]` is exp(b * ln a), root `[a---b]` is pow(a, 1/b),
+and log `[a///b]` is ln a / ln b; `power` and `log` test their bounds by
+integer cross-multiplication and build one Ball at the exit, with the digits and
+radii that the same formulas give over Fractions.  Integer exponents take an
 exact path when the result stays representable.
 """
 
@@ -40,7 +45,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import Ball, as_ball, divide, round_ball
+from .balls import Ball, Rational, as_ball, divide, round_ball
 from .errors import DomainError, MagnitudeError, PrecisionError, ResourceError
 
 # Any value whose integer part would exceed 2^MAX_MAGNITUDE_BITS is treated
@@ -65,9 +70,12 @@ class SeriesConfig:
 
 def tol_bits(tol: Fraction) -> int:
     """Bits b with 2^-b <= tol."""
-    if tol >= 1:
-        return 1
-    return (tol.denominator // tol.numerator).bit_length() + 1
+    return _tol_bits(tol.numerator, tol.denominator)
+
+
+def _tol_bits(tn: int, td: int) -> int:
+    """tol_bits(tn / td), for a tolerance passed as a pair of ints > 0."""
+    return 1 if tn >= td else (td // tn).bit_length() + 1
 
 
 def _fix(num: int, den: int, bits: int) -> int:
@@ -254,58 +262,61 @@ def _ln2_fixed(prec: int) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# exp / ln
+# exp / ln: integer cores and their Ball wrappers
 
 
-def _exp_rational(a: Fraction, tol: Fraction) -> Ball:
-    """Ball containing e^a with radius <= tol, in one pass.
+def _snap(cn: int, rn: int, d: int, bits: int) -> Ball:
+    """round_ball(Ball(cn / d, rn / d), bits) in ints, for d > 0, rn >= 0."""
+    s = _fix(cn, d, bits)
+    rup = -(-((rn << bits) + abs((cn << bits) - s * d)) // d)
+    return Ball(Fraction(s, 1 << bits), Fraction(rup, 1 << bits))
+
+
+def _exp_fixed(num: int, den: int, tn: int, td: int) -> tuple[int, int, int]:
+    """(value, err, prec) of e^(num/den), den > 0, with err / 2^prec <= tn / td.
 
     Each series stops within M = MAX_SERIES_TERMS terms (else ResourceError),
-    so the kernel errs by under 4 M < 2^19 ulps of 2^-prec (about 0.5 prec
-    in practice).  The h squarings, roundings included, scale that by under
-    2.01^h, and e^a < 2^(mag_bits - 1): prec's 2h + mag_bits + 26 bits over
-    tol_bits leave the radius below tol / 2^7, and the check only guards this.
+    so the kernel errs by under 4 M < 2^19 ulps of 2^-prec (about 0.5 prec in
+    practice).  Squaring back h halvings, roundings included, scales that by
+    under 2.01^h, and e^x < 2^(mag_bits - 1): prec's 2h + mag_bits + 26 bits over
+    tol_bits leave the error below tol / 2^7, and the check only guards this.
     """
-    if a > _EXP_ARG_CAP:
+    if num > _EXP_ARG_CAP * den:
         raise MagnitudeError("exp argument too large; result would blow past the magnitude cap")
-    if a == 0:
-        return Ball(Fraction(1))
-    halvings = 0
-    x = a
-    while abs(x) > 1:
-        x = x / 2
-        halvings += 1
-    mag_bits = 2 if a <= 0 else (3 * a.numerator) // (2 * a.denominator) + 2
+    if num == 0:
+        return 1, 0, 0
+    halvings = max(0, abs(num).bit_length() - den.bit_length())
+    halvings += abs(num) > den << halvings  # the fewest h with |num| <= den 2^h
+    mag_bits = 2 if num < 0 else (3 * num) // (2 * den) + 2
     # 2 bits above the 24 guard bits keep the split series' ulps below the
     # single series' ones, so no radius widens
-    prec = tol_bits(tol) + 2 * halvings + mag_bits + 26
-    scale = 1 << prec
-    value, err = _exp_split_fixed(x.numerator, x.denominator, prec)
-    out = Ball(Fraction(value, scale), Fraction(err, scale))
-    for _ in range(halvings):
-        out = round_ball(out * out, prec)
-    out = round_ball(out, prec)
-    if out.radius > tol:
+    prec = _tol_bits(tn, td) + 2 * halvings + mag_bits + 26
+    value, err = _exp_split_fixed(num, den << halvings, prec)
+    for _ in range(halvings):  # round_ball's rule for a squared ball
+        square = value * value
+        s = _shift_round(square, prec)
+        err = -(-(2 * abs(value) * err + err * err + abs(square - (s << prec))) >> prec)
+        value = s
+    if err * td > tn << prec:
         raise PrecisionError("exp failed to reach the requested radius")
-    return out
+    return value, err, prec
 
 
-def _ln_rational(a: Fraction, tol: Fraction) -> Ball:
-    """Ball containing ln a (a > 0) with radius <= tol, in one pass.
+def _ln_fixed(num: int, den: int, tn: int, td: int) -> tuple[int, int, int]:
+    """(value, err, prec) of ln(num/den), den > 0, with err / 2^prec <= tn / td.
 
     Each series stops within M = MAX_SERIES_TERMS terms (else ResourceError),
     so ln m errs by at most 5 M + 17 ulps of 2^-prec and ln 2 by 2 M + 4; with
     s = bit_length(max(1, |shift|)), ln m + shift ln 2 errs by under 2^(s + 20)
     ulps (about 0.5 prec in practice).  prec's s + 26 bits over tol_bits put
-    the radius below tol / 2^6, so the check only guards this.
+    the error below tol / 2^6, so the check only guards this.
     """
-    if a <= 0:
+    if num <= 0:
         raise DomainError("log of a non-positive value")
-    if a == 1:
-        return Ball(Fraction(0))
+    if num == den:
+        return 0, 0, 0
     # scale by powers of two into m = num/den in (1/2, 2), then into
     # [1/sqrt 2, sqrt 2), where the small-ratio series steps by (p/q)^2 < 0.03
-    num, den = a.numerator, a.denominator
     shift = num.bit_length() - den.bit_length()
     if shift >= 0:
         den <<= shift
@@ -319,46 +330,49 @@ def _ln_rational(a: Fraction, tol: Fraction) -> Ball:
         shift -= 1
     # 2 bits above the 24 guard bits keep the split series' ulps below the
     # single series' ones, so no radius widens
-    prec = tol_bits(tol) + max(1, abs(shift)).bit_length() + 26
-    scale = 1 << prec
+    prec = _tol_bits(tn, td) + max(1, abs(shift)).bit_length() + 26
     value, err = _ln_split_fixed(num, den, prec)
     if shift:
         ln2, ln2_err = _ln2_fixed(prec)
         value += shift * ln2
         err += abs(shift) * ln2_err
-    out = round_ball(Ball(Fraction(value, scale), Fraction(err, scale)), prec)
-    if out.radius > tol:
+    if err * td > tn << prec:
         raise PrecisionError("ln failed to reach the requested radius")
-    return out
+    return value, err, prec
 
 
 def exp_e(a: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     """Ball containing e^a with radius <= the configured target error."""
     tol = cfg.target_error
     b = as_ball(a)
+    num, den = b.center.numerator, b.center.denominator
     if b.is_exact:
-        return _exp_rational(b.center, tol)
+        value, err, prec = _exp_fixed(num, den, tol.numerator, tol.denominator)
+        return _snap(value, err, 1 << prec, prec)
     if b.radius > Fraction(1, 2):
         raise PrecisionError("exp argument too imprecise")
-    core = _exp_rational(b.center, tol / 2)
+    value, err, prec = _exp_fixed(num, den, tol.numerator, 2 * tol.denominator)
     # e^(c +/- r) within e^c * e^(+/-r), and e^r - 1 <= 2r for r <= ln 2
-    extra = 2 * b.radius * (core.center + core.radius)
-    return round_ball(Ball(core.center, core.radius + extra), tol_bits(tol) + 16)
+    rn, rd = b.radius.numerator, b.radius.denominator
+    return _snap(value * rd, err * rd + 2 * rn * (value + err), rd << prec, tol_bits(tol) + 16)
 
 
 def ln_e(a: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     """Ball containing ln a (a > 0) with radius <= the target error."""
     tol = cfg.target_error
     b = as_ball(a)
+    num, den = b.center.numerator, b.center.denominator
     if b.is_exact:
-        return _ln_rational(b.center, tol)
+        value, err, prec = _ln_fixed(num, den, tol.numerator, tol.denominator)
+        return _snap(value, err, 1 << prec, prec)
     if b.lo <= 0:
         if b.hi <= 0:
             raise DomainError("log of a non-positive value")
         raise PrecisionError("log argument interval reaches zero")
-    core = _ln_rational(b.center, tol / 2)
+    value, err, prec = _ln_fixed(num, den, tol.numerator, 2 * tol.denominator)
     extra = b.radius / b.lo  # Lipschitz bound 1/min on [lo, hi]
-    return round_ball(Ball(core.center, core.radius + extra), tol_bits(tol) + 16)
+    xn, xd = extra.numerator, extra.denominator
+    return _snap(value * xd, err * xd + (xn << prec), xd << prec, tol_bits(tol) + 16)
 
 
 # ---------------------------------------------------------------------------
@@ -421,39 +435,41 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     # Refine only the computational error; spread inherited from ball inputs
     # is propagated rigorously but cannot be shrunk here, so it rides on top
     # of the target (whole-expression refinement re-requests tighter inputs).
-    ln_tol = tol / (1 << _power_scale_bits(av, bv))
+    tn, td, bn, bd = tol.numerator, tol.denominator, bv.center.numerator, bv.center.denominator
+    ln_shift = _power_scale_bits(av, bv)  # ln's tolerance is tol / 2^ln_shift
     ln_input = av.radius / av.lo  # Lipschitz bound for ln over [lo, hi]
     for _ in range(_REFINE_ATTEMPTS):
-        ln_core = _ln_rational(av.center, ln_tol)
-        exp_center = bv.center * ln_core.center
-        r_comp = abs(bv.center) * ln_core.radius
-        r_input = abs(bv.center) * ln_input + bv.radius * (
-            abs(ln_core.center) + ln_core.radius + ln_input
-        )
-        if exp_center > _EXP_ARG_CAP:
+        L, l_err, p = _ln_fixed(av.center.numerator, av.center.denominator, tn, td << ln_shift)
+        if bn * L > (_EXP_ARG_CAP * bd) << p:
             raise MagnitudeError("power result would blow past the magnitude cap")
-        if r_comp > Fraction(1, 8):
-            ln_tol /= 16
+        if 8 * abs(bn) * l_err > bd << p:  # r_comp = |b| l_err / 2^p > 1/8
+            ln_shift += 4
             continue
+        r_input = abs(bv.center) * ln_input + bv.radius * (
+            Fraction(abs(L) + l_err, 1 << p) + ln_input)
         if r_input > Fraction(1, 2):
             raise PrecisionError("power inputs too imprecise for an enclosure")
-        core = _exp_rational(exp_center, tol / 4)
-        bound = core.center + core.radius
-        widen_comp = 2 * r_comp * bound  # e^r - 1 <= 2r for r <= ln 2
-        if widen_comp > tol / 2:
-            ln_tol /= 16
+        E, e_err, q = _exp_fixed(bn * L, bd << p, tn, td << 2)
+        # e^r - 1 <= 2r for r <= ln 2: r_comp widens by 2 r_comp (E + e_err) / 2^q
+        d = bd << (p + q)
+        widen_comp = 2 * abs(bn) * l_err * (E + e_err)
+        if 2 * widen_comp * td > tn * d:  # widen_comp / d > tol / 2
+            ln_shift += 4
             continue
-        widen_input = 2 * r_input * bound
-        out = Ball(core.center, core.radius + widen_comp + widen_input)
-        return round_ball(out, tol_bits(tol + widen_input) + 16)
+        widen = 2 * r_input * Fraction(E + e_err, 1 << q)  # the inputs' share
+        wn, wd = widen.numerator, widen.denominator
+        return _snap(((E * bd) << p) * wd, (((e_err * bd) << p) + widen_comp) * wd + wn * d,
+                     d * wd, _tol_bits(tn * wd + wn * td, td * wd) + 16)
     raise PrecisionError("power failed to reach the requested radius")
 
 
 def _log_abs_float(x: Fraction) -> float:
     """Rough ln|x| for a nonzero rational of any magnitude."""
-    shift = x.numerator.bit_length() - x.denominator.bit_length()
-    m = abs(x) / Fraction(2) ** shift
-    return math.log(float(m)) + shift * math.log(2)
+    num, den = abs(x.numerator), x.denominator
+    shift = num.bit_length() - den.bit_length()
+    # int true division is correctly rounded, as float(Fraction) is
+    m = num / (den << shift) if shift >= 0 else (num << -shift) / den
+    return math.log(m) + shift * math.log(2)
 
 
 def _power_scale_bits(av: Ball, bv: Ball) -> int:
@@ -516,21 +532,35 @@ def log(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
             raise PrecisionError(f"log {name} interval reaches zero")
     extra_a = av.radius / av.lo
     extra_b = bv.radius / bv.lo
-    inner_tol = tol
-    for _ in range(_REFINE_ATTEMPTS):
-        ln_a = _ln_rational(av.center, inner_tol)
-        ln_b = _ln_rational(bv.center, inner_tol)
-        denom = Ball(ln_b.center, ln_b.radius + extra_b)
-        if denom.lo <= 0 <= denom.hi:
+    tn, td = tol.numerator, tol.denominator
+    for attempt in range(_REFINE_ATTEMPTS):  # the logs' tolerance is tol / 16^attempt
+        ln_a = _ln_fixed(av.center.numerator, av.center.denominator, tn, td << 4 * attempt)
+        ln_b = _ln_fixed(bv.center.numerator, bv.center.denominator, tn, td << 4 * attempt)
+        full = _quotient(ln_a, ln_b, extra_a, extra_b)
+        if full is None:
             if bv.is_exact:  # b != 1 exactly, so tightening must separate it
-                inner_tol /= 16
                 continue
             raise PrecisionError("log base interval reaches 1")
         # computational part alone must meet the target; input spread rides
-        core = divide(ln_a, ln_b)
-        if core.radius > tol:
-            inner_tol /= 16
+        _, cr, cd = _quotient(ln_a, ln_b, 0, 0) if extra_a or extra_b else full
+        if cr * td > tn * cd:
             continue
-        full = divide(Ball(ln_a.center, ln_a.radius + extra_a), denom)
-        return round_ball(full, tol_bits(tol + (full.radius - core.radius)) + 16)
+        _, fr, fd = full  # rounded at tol_bits(tol + fr/fd - cr/cd) + 16 bits
+        return _snap(*full, _tol_bits(tn * fd * cd + td * (fr * cd - cr * fd), td * fd * cd) + 16)
     raise PrecisionError("log failed to reach the requested radius")
+
+
+def _quotient(a, b, xa: Rational, xb: Rational) -> tuple[int, int, int] | None:
+    """divide(A, B) as ints (center, radius, denominator), or None when B reaches 0, for
+    A = [xl, xh] / (ad 2^pa), B = [yl, yh] / (bd 2^pb): fixed-point a, b widened by xa, xb."""
+    (va, ea, pa), (vb, eb, pb) = a, b
+    ad, bd = xa.denominator, xb.denominator
+    ra, rb = ea * ad + (xa.numerator << pa), eb * bd + (xb.numerator << pb)
+    xl, xh, yl, yh = va * ad - ra, va * ad + ra, vb * bd - rb, vb * bd + rb
+    if yl <= 0 <= yh:
+        return None
+    if yh < 0:  # x / y = -x / -y
+        xl, xh, yl, yh = -xh, -xl, -yh, -yl
+    hd, ld = (yl if xh >= 0 else yh), (yh if xl >= 0 else yl)  # extremes xh/hd, xl/ld
+    sn, sd = bd << pb, 2 * hd * ld * (ad << pa)
+    return (xh * ld + xl * hd) * sn, (xh * ld - xl * hd) * sn, sd

@@ -200,6 +200,24 @@ def test_repl_session(monkeypatch):
     assert lines[2].startswith("error:")
 
 
+def test_repl_settings(monkeypatch):
+    # :base and :digits set their field; a bad or missing value is an error
+    # line that leaves the setting as it was
+    stdin = io.StringIO(":base 16\n:digits 2\n[1--4]\n:digits x\n:base\n:base 40\n[1--4]\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["repl"])
+    assert code == 0
+    assert out.getvalue().splitlines() == [
+        "0.40",  # 1/4 in base 16; base 10 would print 0.25
+        "error: invalid literal for int() with base 10: 'x'",
+        "error: list index out of range",
+        "error: base must be in [2, 36]",
+        "0.40",
+    ]
+
+
 def test_main_prints_to_the_current_stdout():
     # output goes to sys.stdout as it is at call time, not at import
     out = io.StringIO()

@@ -4,7 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercalc import engine
@@ -193,19 +193,33 @@ def test_to_base_b_matches_long_division():
        st.integers(min_value=1, max_value=10**300),
        st.integers(min_value=2, max_value=36), st.integers(min_value=0, max_value=300))
 @settings(max_examples=150, deadline=None)
+@example(num=-1, den=4097, base=2, digits=0)  # a ball that straddles 0
 def test_expansion_matches_long_division_any_base(num, den, base, digits):
     value = Fraction(num, den)
     ctx = NumericContext(base=base, digits=digits)
     exp = to_base_b(value, ctx)
     assert (exp.sign, exp.int_digits, exp.frac_digits) == long_division_digits(value, base, digits)
-    # a ball takes the scaled-integer path
-    if value:
-        ball = Ball(value, Fraction(1, base ** (digits + 12)))
-        try:
-            exp = to_base_b(ball, replace(ctx, guard_digits=12))
-        except PrecisionError:  # the ball straddles a digit boundary
-            return
-        assert (exp.sign, exp.int_digits, exp.frac_digits) == long_division_digits(value, base, digits)
+    # a ball takes the scaled-integer path; one that straddles 0 cannot
+    # certify its sign (see test_ball_straddling_zero_prints_unsigned)
+    ball = Ball(value, Fraction(1, base ** (digits + 12)))
+    if ball.lo < 0 < ball.hi:
+        return
+    try:
+        exp = to_base_b(ball, replace(ctx, guard_digits=12))
+    except PrecisionError:  # the ball straddles a digit boundary
+        return
+    assert (exp.sign, exp.int_digits, exp.frac_digits) == long_division_digits(value, base, digits)
+
+
+def test_ball_straddling_zero_prints_unsigned():
+    # -1/4097 prints as "-0" at 0 binary digits, but a ball around it of
+    # radius 2^-12 reaches past 0, so its sign cannot be certified
+    value = Fraction(-1, 4097)
+    ctx = NumericContext(base=2, digits=0)
+    assert to_base_b(value, ctx).text() == "-0"
+    ball = Ball(value, Fraction(1, 2**12))
+    assert ball.lo < 0 < ball.hi
+    assert to_base_b(ball, replace(ctx, guard_digits=12)).text() == "0"
 
 
 def test_to_base_b_certifies_balls():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypercalc import midops
-from hypercalc.balls import Ball
-from hypercalc.errors import DomainError, ResourceError
+from hypercalc.balls import Ball, divide, round_ball
+from hypercalc.errors import (
+    DomainError, HypercalcError, MagnitudeError, PrecisionError, ResourceError,
+)
 from hypercalc.midops import SeriesConfig, exp_e, ln_e, log, power, root
 
 # Frozen reference values, computed independently by fixed-point partial
@@ -216,13 +219,13 @@ def test_log_refines_a_base_near_one(monkeypatch):
     # ln(1 + 2^-20) is about 2^-20, so the quotient's error is about 2^40
     # times the logs' errors: `log` tightens them by 16 a round, five rounds
     calls = []
-    real = midops._ln_rational
+    real = midops._ln_fixed
 
-    def spy(a, tol):
-        calls.append(a)
-        return real(a, tol)
+    def spy(num, den, tn, td):
+        calls.append(Fraction(num, den))
+        return real(num, den, tn, td)
 
-    monkeypatch.setattr(midops, "_ln_rational", spy)
+    monkeypatch.setattr(midops, "_ln_fixed", spy)
     tol = Fraction(1, 10**30)
     out = log(Fraction(3), 1 + Fraction(1, 2**20), SeriesConfig(tol))
     assert len(calls) == 10
@@ -402,3 +405,250 @@ def test_ln2_copy_encloses_in_either_order(monkeypatch):
                 Fraction(err, 1 << prec) + Fraction(1, 10**60))
             if prec > 200:
                 assert_fixed_encloses((value, err), reference("log", Fraction(2), prec), prec)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction pipeline as a reference: `power`, `log` and their exp/ln cores
+# written over Balls, with a round_ball per step.  The integer pipeline must
+# return the same center and radius, bit for bit.
+
+
+def reference_tol_bits(tol: Fraction) -> int:
+    if tol >= 1:
+        return 1
+    return (tol.denominator // tol.numerator).bit_length() + 1
+
+
+def reference_log_abs_float(x: Fraction) -> float:
+    shift = x.numerator.bit_length() - x.denominator.bit_length()
+    m = abs(x) / Fraction(2) ** shift
+    return math.log(float(m)) + shift * math.log(2)
+
+
+huge_ints = st.integers(min_value=1, max_value=2**5000)
+
+
+@given(huge_ints, huge_ints, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_tol_bits_and_log_abs_float_match_the_fraction_reference(num, den, negative):
+    x = Fraction(-num if negative else num, den)
+    assert midops._log_abs_float(x) == reference_log_abs_float(x)
+    assert midops.tol_bits(abs(x)) == reference_tol_bits(abs(x))
+
+
+def reference_exp_rational(a: Fraction, tol: Fraction) -> Ball:
+    if a > midops._EXP_ARG_CAP:
+        raise MagnitudeError("exp argument too large; result would blow past the magnitude cap")
+    if a == 0:
+        return Ball(Fraction(1))
+    halvings = 0
+    x = a
+    while abs(x) > 1:
+        x = x / 2
+        halvings += 1
+    mag_bits = 2 if a <= 0 else (3 * a.numerator) // (2 * a.denominator) + 2
+    prec = reference_tol_bits(tol) + 2 * halvings + mag_bits + 26
+    scale = 1 << prec
+    value, err = midops._exp_split_fixed(x.numerator, x.denominator, prec)
+    out = Ball(Fraction(value, scale), Fraction(err, scale))
+    for _ in range(halvings):
+        out = round_ball(out * out, prec)
+    out = round_ball(out, prec)
+    if out.radius > tol:
+        raise PrecisionError("exp failed to reach the requested radius")
+    return out
+
+
+def reference_ln_rational(a: Fraction, tol: Fraction) -> Ball:
+    if a <= 0:
+        raise DomainError("log of a non-positive value")
+    if a == 1:
+        return Ball(Fraction(0))
+    num, den = a.numerator, a.denominator
+    shift = num.bit_length() - den.bit_length()
+    if shift >= 0:
+        den <<= shift
+    else:
+        num <<= -shift
+    if num * num >= 2 * den * den:
+        den <<= 1
+        shift += 1
+    elif 2 * num * num < den * den:
+        num <<= 1
+        shift -= 1
+    prec = reference_tol_bits(tol) + max(1, abs(shift)).bit_length() + 26
+    scale = 1 << prec
+    value, err = midops._ln_split_fixed(num, den, prec)
+    if shift:
+        ln2, ln2_err = midops._ln2_fixed(prec)
+        value += shift * ln2
+        err += abs(shift) * ln2_err
+    out = round_ball(Ball(Fraction(value, scale), Fraction(err, scale)), prec)
+    if out.radius > tol:
+        raise PrecisionError("ln failed to reach the requested radius")
+    return out
+
+
+def reference_power_series(av: Ball, bv: Ball, tol: Fraction) -> Ball:
+    """`power`'s refinement loop, for a positive base off the exact paths."""
+    ln_tol = tol / (1 << midops._power_scale_bits(av, bv))
+    ln_input = av.radius / av.lo
+    for _ in range(midops._REFINE_ATTEMPTS):
+        ln_core = reference_ln_rational(av.center, ln_tol)
+        exp_center = bv.center * ln_core.center
+        r_comp = abs(bv.center) * ln_core.radius
+        r_input = abs(bv.center) * ln_input + bv.radius * (
+            abs(ln_core.center) + ln_core.radius + ln_input
+        )
+        if exp_center > midops._EXP_ARG_CAP:
+            raise MagnitudeError("power result would blow past the magnitude cap")
+        if r_comp > Fraction(1, 8):
+            ln_tol /= 16
+            continue
+        if r_input > Fraction(1, 2):
+            raise PrecisionError("power inputs too imprecise for an enclosure")
+        core = reference_exp_rational(exp_center, tol / 4)
+        bound = core.center + core.radius
+        widen_comp = 2 * r_comp * bound
+        if widen_comp > tol / 2:
+            ln_tol /= 16
+            continue
+        widen_input = 2 * r_input * bound
+        out = Ball(core.center, core.radius + widen_comp + widen_input)
+        return round_ball(out, reference_tol_bits(tol + widen_input) + 16)
+    raise PrecisionError("power failed to reach the requested radius")
+
+
+def reference_log_series(av: Ball, bv: Ball, tol: Fraction) -> Ball:
+    """`log`'s refinement loop, for positive value and base off the exact paths."""
+    extra_a = av.radius / av.lo
+    extra_b = bv.radius / bv.lo
+    inner_tol = tol
+    for _ in range(midops._REFINE_ATTEMPTS):
+        ln_a = reference_ln_rational(av.center, inner_tol)
+        ln_b = reference_ln_rational(bv.center, inner_tol)
+        denom = Ball(ln_b.center, ln_b.radius + extra_b)
+        if denom.lo <= 0 <= denom.hi:
+            if bv.is_exact:
+                inner_tol /= 16
+                continue
+            raise PrecisionError("log base interval reaches 1")
+        core = divide(ln_a, ln_b)
+        if core.radius > tol:
+            inner_tol /= 16
+            continue
+        full = divide(Ball(ln_a.center, ln_a.radius + extra_a), denom)
+        return round_ball(full, reference_tol_bits(tol + (full.radius - core.radius)) + 16)
+    raise PrecisionError("log failed to reach the requested radius")
+
+
+def outcome(fn, *args):
+    """(center, radius) of a Ball result, or the error's class and message."""
+    try:
+        out = fn(*args)
+    except HypercalcError as err:
+        return type(err), str(err)
+    return out.center, out.radius
+
+
+positive_rats = st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=60)
+any_rats = st.fractions(min_value=-40, max_value=40, max_denominator=60)
+radii = st.sampled_from([0, 0, Fraction(1, 2**20), Fraction(1, 10**9), Fraction(3, 2**70)])
+tols = st.sampled_from([Fraction(1, 10**8), Fraction(1, 10**30), Fraction(1, 3 * 2**100)])
+
+
+@given(positive_rats, radii, any_rats, radii, tols)
+@settings(max_examples=150, deadline=None)
+def test_power_and_log_match_the_fraction_reference(a, ra, b, rb, tol):
+    av, bv = Ball(a, ra), Ball(b, rb)
+    if av.lo <= 0:
+        return  # refused before any series runs
+    cfg = SeriesConfig(tol)
+    exact_a, exact_b = av.is_exact, bv.is_exact
+    if not ((exact_a and a == 1) or (exact_b and b.denominator == 1)):
+        want = outcome(reference_power_series, av, bv, tol)
+        assert outcome(power, a if exact_a else av, b if exact_b else bv, cfg) == want
+    if bv.lo > 0 and not ((exact_b and b == 1) or (
+            exact_a and exact_b and (a == 1 or (a == b and a > 1)))):
+        want = outcome(reference_log_series, av, bv, tol)
+        assert outcome(log, a if exact_a else av, b if exact_b else bv, cfg) == want
+
+
+def reference_exp_e(b: Ball, tol: Fraction) -> Ball:
+    if b.is_exact:
+        return reference_exp_rational(b.center, tol)
+    if b.radius > Fraction(1, 2):
+        raise PrecisionError("exp argument too imprecise")
+    core = reference_exp_rational(b.center, tol / 2)
+    extra = 2 * b.radius * (core.center + core.radius)
+    return round_ball(Ball(core.center, core.radius + extra), reference_tol_bits(tol) + 16)
+
+
+def reference_ln_e(b: Ball, tol: Fraction) -> Ball:
+    if b.is_exact:
+        return reference_ln_rational(b.center, tol)
+    if b.lo <= 0:
+        if b.hi <= 0:
+            raise DomainError("log of a non-positive value")
+        raise PrecisionError("log argument interval reaches zero")
+    core = reference_ln_rational(b.center, tol / 2)
+    extra = b.radius / b.lo
+    return round_ball(Ball(core.center, core.radius + extra), reference_tol_bits(tol) + 16)
+
+
+@given(any_rats, radii, tols)
+@settings(max_examples=60, deadline=None)
+def test_exp_and_ln_match_the_fraction_reference(x, r, tol):
+    b = Ball(x, r)
+    cfg = SeriesConfig(tol)
+    assert outcome(exp_e, b, cfg) == outcome(reference_exp_e, b, tol)
+    assert outcome(ln_e, b, cfg) == outcome(reference_ln_e, b, tol)
+
+
+# Without its magnitude estimate, `power` starts ln a at the target itself,
+# which is too coarse for a large or sharp result: each round tightens it by
+# 16.  A round that stops before exp failed r_comp <= 1/8; one that runs exp
+# and retries failed widen_comp <= tol / 2.  The ln 2 copy starts empty, as
+# in a fresh process: a wider copy errs less and can save a round.
+T30 = Fraction(1, 10**30)
+NEAR_ONE = 1 + Fraction(1, 2**300)
+
+
+def counted(calls, name, real):
+    """`real`, appending `name` to `calls` at each call."""
+    def spy(*args):
+        calls.append(name)
+        return real(*args)
+    return spy
+
+
+@pytest.mark.parametrize("a, b, tol, ln_calls, exp_calls, radius", [
+    (Fraction(3), Fraction(27, 2), T30, 2, 2, Fraction(32993, 2**116)),
+    (Fraction(3), Fraction(41, 2), T30, 5, 5, Fraction(57191, 2**117)),
+    # one r_comp retry, then two widen_comp retries
+    (NEAR_ONE, Fraction(2**34, 3), Fraction(1, 2**10), 4, 3, Fraction(8875, 2**27)),
+])
+def test_power_refinement_rounds(monkeypatch, a, b, tol, ln_calls, exp_calls, radius):
+    mpmath = pytest.importorskip("mpmath")
+    monkeypatch.setattr(midops, "_power_scale_bits", lambda av, bv: 0)
+    monkeypatch.setattr(midops, "_ln2_widest", (0, 0, 0))
+    calls = []
+    for name in ("_ln_fixed", "_exp_fixed"):
+        monkeypatch.setattr(midops, name, counted(calls, name, getattr(midops, name)))
+    out = power(a, b, SeriesConfig(tol))
+    assert (calls.count("_ln_fixed"), calls.count("_exp_fixed")) == (ln_calls, exp_calls)
+    assert out.radius == radius <= tol
+    with mpmath.workprec(800):
+        want = mpmath.power(mpmath.mpf(a.numerator) / a.denominator,
+                            mpmath.mpf(b.numerator) / b.denominator)
+        assert abs(out.center - floor_fraction(want, 700)) <= out.radius + Fraction(1, 2**700)
+
+
+def test_power_refinement_gives_up(monkeypatch):
+    monkeypatch.setattr(midops, "_power_scale_bits", lambda av, bv: 0)
+    monkeypatch.setattr(midops, "_ln2_widest", (0, 0, 0))
+    calls = []
+    monkeypatch.setattr(midops, "_ln_fixed", counted(calls, "_ln_fixed", midops._ln_fixed))
+    with pytest.raises(PrecisionError, match="power failed to reach the requested radius"):
+        power(Fraction(3), Fraction(61, 2), SeriesConfig(T30))
+    assert len(calls) == midops._REFINE_ATTEMPTS == 9
