@@ -126,9 +126,7 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
     if height == 1:
         return base
     if not base.is_exact:
-        lo = _forward(rank, Ball(base.lo), height, tol / 2)
-        hi = _forward(rank, Ball(base.hi), height, tol / 2)
-        return round_ball(hull(lo, hi), tol_bits(tol) + 16)
+        return _endpoint_hull(lambda x, t: _forward(rank, x, height, t), base.lo, base.hi, tol)
 
     steps = int(height) - (height.denominator == 1)
     frac = height - int(height)
@@ -264,9 +262,8 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction) -> B
             f" bases {bases.lo} and {bases.hi}"
         )
     if not target.is_exact:
-        lo = _inverse_minus(rank, Ball(max(target.lo, Fraction(1))), order, tol / 2)
-        hi = _inverse_minus(rank, Ball(target.hi), order, tol / 2)
-        return round_ball(hull(lo, hi), tol_bits(tol) + 16)
+        return _endpoint_hull(lambda x, t: _inverse_minus(rank, x, order, t),
+                              max(target.lo, Fraction(1)), target.hi, tol)
 
     goal = target.center  # exact rational > 1
     tower = _capped(lambda x, ft: _forward(rank, Ball(x), order, ft), goal)
@@ -361,7 +358,12 @@ def _split_height(rank: int, base: Fraction, value: Fraction, n: int) -> Fractio
 
 
 # ---------------------------------------------------------------------------
-# shared by the inverse searches
+# shared by the forward and inverse operations
+
+
+def _endpoint_hull(fn, lo: Fraction, hi: Fraction, tol: Fraction) -> Ball:
+    """Increasing fn(x, t) over [lo, hi]: the snapped hull of both ends at tol / 2."""
+    return round_ball(hull(fn(Ball(lo), tol / 2), fn(Ball(hi), tol / 2)), tol_bits(tol) + 16)
 
 
 def _capped(tower: BallFn, goal: Fraction) -> BallFn:

@@ -21,10 +21,10 @@ Both series split their argument at a K-bit dyadic (K = _SPLIT_BITS; Brent
            by the small-int ratio p^2/q^2 in linear time; the second is
            full width but needs only about prec/(2K) terms.
   ln(a)  = ln(m) + shift * ln 2,  ln 2 = 2 atanh(1/3) by the small-ratio
-           series, kept as one copy at the widest precision computed so far
-           (plus guard bits); a narrower request is a rounding shift of that
-           copy, with error ceil(e/2^d) + 1 ulps for a copy e ulps off and d
-           bits wider.
+           series, kept as one copy per power-of-two width; a request is a
+           rounding shift of the copy at the next power of two above it (plus
+           guard bits), with error ceil(e/2^d) + 1 ulps for a copy e ulps off
+           and d bits wider, so it depends on the request alone.
 
 Each kernel's docstring states its error bound in ulps of 2^-prec with the
 proof.  Above them `_exp_fixed` and `_ln_fixed` return (value, err, prec) for
@@ -34,18 +34,21 @@ err^2 + |v^2 - s 2^prec|) / 2^prec).
 
 The general power `[a+++b]` is exp(b * ln a), root `[a---b]` is pow(a, 1/b),
 and log `[a///b]` is ln a / ln b; `power` and `log` test their bounds by
-integer cross-multiplication and build one Ball at the exit, with the digits and
-radii that the same formulas give over Fractions.  Integer exponents take an
-exact path when the result stays representable.
+integer cross-multiplication and build one Ball at the exit with `balls`'
+integer snap (`log` divides with its integer quotient first), with the digits
+and radii that the same formulas give over Fractions.  Integer exponents take
+an exact path when the result stays representable; a base ball that reaches 0
+takes an integer exponent n >= 2 to within max|x|^n of 0.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import Ball, Rational, as_ball, divide, round_ball
+from .balls import Ball, _quotient, _snap, as_ball, divide, round_ball
 from .errors import DomainError, MagnitudeError, PrecisionError, ResourceError
 
 # Any value whose integer part would exceed 2^MAX_MAGNITUDE_BITS is treated
@@ -235,41 +238,30 @@ def _ln_split_fixed(num: int, den: int, prec: int) -> tuple[int, int]:
     return value, err
 
 
-# ln 2 at the widest precision computed so far, as (prec, value, error).
-_ln2_widest = (0, 0, 0)
+@functools.cache
+def _ln2_copy(wide: int) -> tuple[int, int]:
+    return _atanh_ratio_fixed(1, 3, wide)
 
 
 def _ln2_fixed(prec: int) -> tuple[int, int]:
     """(value, error) in 2^-prec ulps of ln 2 = 2 atanh(1/3).
 
-    One copy is kept, at the widest precision asked for so far plus guard
-    bits that cover the series' ulps.  A request d bits narrower is that
-    copy shifted right with rounding: value / 2^d is within e / 2^d of the
-    scaled ln 2 and the rounding adds 1/2 ulp, so the error is
-    ceil(e / 2^d) + 1 ulps.
+    The copy shifted down is the one at the next power of two at or above
+    prec plus guard bits that cover the series' ulps, so the result depends
+    on prec alone; one copy per width is kept.  A request d bits narrower
+    than its copy is that copy shifted right with rounding: value / 2^d is
+    within e / 2^d of the scaled ln 2 and the rounding adds 1/2 ulp, so the
+    error is ceil(e / 2^d) + 1 ulps.
     """
-    global _ln2_widest
-    wide, value, err = _ln2_widest
-    if prec > wide:
-        # guard bits: the series' 2N + 4 ulps, N ~ prec/3, shift to ~2 ulps
-        wide = prec + prec.bit_length() + 2
-        value, err = _atanh_ratio_fixed(1, 3, wide)
-        _ln2_widest = (wide, value, err)
+    # guard bits: the series' 2N + 4 ulps, N ~ prec/3, shift to ~2 ulps
+    wide = 1 << (prec + prec.bit_length() + 1).bit_length()
+    value, err = _ln2_copy(wide)
     d = wide - prec
-    if d == 0:
-        return value, err
     return _shift_round(value, d), -(-err >> d) + 1
 
 
 # ---------------------------------------------------------------------------
 # exp / ln: integer cores and their Ball wrappers
-
-
-def _snap(cn: int, rn: int, d: int, bits: int) -> Ball:
-    """round_ball(Ball(cn / d, rn / d), bits) in ints, for d > 0, rn >= 0."""
-    s = _fix(cn, d, bits)
-    rup = -(-((rn << bits) + abs((cn << bits) - s * d)) // d)
-    return Ball(Fraction(s, 1 << bits), Fraction(rup, 1 << bits))
 
 
 def _exp_fixed(num: int, den: int, tn: int, td: int) -> tuple[int, int, int]:
@@ -391,27 +383,31 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     """Ball containing a^b.
 
     Domain: a > 0 with any rational/ball b; a < 0 only with an exact
-    integer b (sign by parity); a = 0 only with exact b > 0.
+    integer b (sign by parity); a = 0 only with exact b > 0; a ball that
+    reaches 0 only with an exact integer b >= 0.
     """
     tol = cfg.target_error
     av = as_ball(a)
     bv = as_ball(b)
+    n = bv.center.numerator if bv.is_exact and bv.center.denominator == 1 else None
 
-    if av.is_exact and av.center == 0:
-        if bv.is_exact and bv.center > 0:
-            return Ball(Fraction(0))
-        raise DomainError("0 may only be raised to an exact positive power")
-    if av.is_exact and av.center < 0:
-        if not (bv.is_exact and bv.center.denominator == 1):
+    if av.lo <= 0:  # a base that is not certainly positive
+        if av.is_exact and av.center == 0:
+            if bv.is_exact and bv.center > 0:
+                return Ball(Fraction(0))
+            raise DomainError("0 may only be raised to an exact positive power")
+        if n is None and av.is_exact:
             raise DomainError("negative base needs an exact integer exponent")
-        n = bv.center.numerator
-        flip = n % 2 == 1
-        out = power(Ball(-av.center), bv, cfg)
-        return Ball(-out.center, out.radius) if flip else out
-    if av.hi < 0 and bv.is_exact and bv.center.denominator == 1:
-        n = bv.center.numerator
-        out = power(Ball(-av.center, av.radius), bv, cfg)
-        return Ball(-out.center, out.radius) if n % 2 == 1 else out
+        if n is not None and av.hi < 0:  # sign by parity
+            out = power(-av, bv, cfg)
+            return -out if n % 2 else out
+        if n is not None and n >= 2:  # x^n within M^n of 0, M = max |x|
+            bound = power(max(-av.lo, av.hi), bv, cfg).hi
+            return round_ball(Ball(Fraction(0), bound), tol_bits(tol) + 16)
+        if n not in (0, 1):  # exponents 0 and 1 take the exact paths below
+            if av.hi <= 0:
+                raise DomainError("power base must be positive")
+            raise PrecisionError("power base interval reaches zero")
 
     if av.is_exact and av.center == 1:
         return Ball(Fraction(1))
@@ -420,17 +416,12 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
             return Ball(Fraction(1))
         if bv.center == 1:
             return round_ball(av, tol_bits(tol) + 16) if not av.is_exact else av
-        if bv.center.denominator == 1 and av.is_exact:
-            exact = _exact_int_pow(av.center, bv.center.numerator)
+        if n is not None and av.is_exact:
+            exact = _exact_int_pow(av.center, n)
             if exact is not None:
                 return Ball(exact)
-            if av.center > 1 and bv.center > 0:
+            if av.center > 1 and n > 0:
                 raise MagnitudeError("integer power exceeds the magnitude cap")
-
-    if av.lo <= 0:
-        if av.hi <= 0:
-            raise DomainError("power base must be positive")
-        raise PrecisionError("power base interval reaches zero")
 
     # Refine only the computational error; spread inherited from ball inputs
     # is propagated rigorously but cannot be shrunk here, so it rides on top
@@ -533,34 +524,24 @@ def log(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     extra_a = av.radius / av.lo
     extra_b = bv.radius / bv.lo
     tn, td = tol.numerator, tol.denominator
+
+    def widened(v, e, p, extra):  # v / 2^p +/- (e / 2^p + extra) as an integer ball
+        xn, xd = extra.numerator, extra.denominator
+        return v * xd, e * xd + (xn << p), xd << p
+
     for attempt in range(_REFINE_ATTEMPTS):  # the logs' tolerance is tol / 16^attempt
         ln_a = _ln_fixed(av.center.numerator, av.center.denominator, tn, td << 4 * attempt)
         ln_b = _ln_fixed(bv.center.numerator, bv.center.denominator, tn, td << 4 * attempt)
-        full = _quotient(ln_a, ln_b, extra_a, extra_b)
+        full = _quotient(*widened(*ln_a, extra_a), *widened(*ln_b, extra_b))
         if full is None:
             if bv.is_exact:  # b != 1 exactly, so tightening must separate it
                 continue
             raise PrecisionError("log base interval reaches 1")
         # computational part alone must meet the target; input spread rides
-        _, cr, cd = _quotient(ln_a, ln_b, 0, 0) if extra_a or extra_b else full
+        _, cr, cd = _quotient(*widened(*ln_a, 0), *widened(*ln_b, 0))
         if cr * td > tn * cd:
             continue
         _, fr, fd = full  # rounded at tol_bits(tol + fr/fd - cr/cd) + 16 bits
         return _snap(*full, _tol_bits(tn * fd * cd + td * (fr * cd - cr * fd), td * fd * cd) + 16)
     raise PrecisionError("log failed to reach the requested radius")
 
-
-def _quotient(a, b, xa: Rational, xb: Rational) -> tuple[int, int, int] | None:
-    """divide(A, B) as ints (center, radius, denominator), or None when B reaches 0, for
-    A = [xl, xh] / (ad 2^pa), B = [yl, yh] / (bd 2^pb): fixed-point a, b widened by xa, xb."""
-    (va, ea, pa), (vb, eb, pb) = a, b
-    ad, bd = xa.denominator, xb.denominator
-    ra, rb = ea * ad + (xa.numerator << pa), eb * bd + (xb.numerator << pb)
-    xl, xh, yl, yh = va * ad - ra, va * ad + ra, vb * bd - rb, vb * bd + rb
-    if yl <= 0 <= yh:
-        return None
-    if yh < 0:  # x / y = -x / -y
-        xl, xh, yl, yh = -xh, -xl, -yh, -yl
-    hd, ld = (yl if xh >= 0 else yh), (yh if xl >= 0 else yl)  # extremes xh/hd, xl/ld
-    sn, sd = bd << pb, 2 * hd * ld * (ad << pa)
-    return (xh * ld + xl * hd) * sn, (xh * ld - xl * hd) * sn, sd

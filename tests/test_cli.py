@@ -85,6 +85,23 @@ def test_exit_code_numeric_error():
     assert "e+00" not in err
 
 
+# (sqrt 2 - sqrt 2)^n: an integer power of a ball around 0 certifies 0, a
+# negative one cannot
+ZERO_BALL = "[[[1+1]---[1+1]]-[[1+1]---[1+1]]]"
+
+
+@pytest.mark.parametrize("exponent", ["[1+1]", "[[1+1]+1]"])
+def test_integer_power_of_a_ball_around_zero(exponent):
+    code, out, _ = run_cli("eval", f"[{ZERO_BALL}+++{exponent}]", "--digits", "15")
+    assert (code, out) == (0, "0.000000000000000\n")
+
+
+def test_negative_power_of_a_ball_around_zero():
+    code, out, err = run_cli("eval", f"[{ZERO_BALL}+++[1-[1+1]]]", "--digits", "15")
+    assert (code, out) == (3, "")
+    assert "power base interval reaches zero" in err
+
+
 @pytest.mark.parametrize(
     "flag, value", [("--digits", "-1"), ("--guard", "-2"), ("--base", "1"), ("--base", "40")]
 )

@@ -119,6 +119,35 @@ def test_half_height_matches_super_root_oracle():
     assert abs(out.center - ROOT_XX_3_2) <= out.radius + Fraction(1, 10**45)
 
 
+def test_unroll_refinement_rounds(monkeypatch):
+    # With budgets of 0 extra bits (their blow-up checks still run), each
+    # round of `_forward`'s unroll refinement tightens every step by 2^8.
+    T30 = Fraction(1, 10**30)
+    want = hyper_forward(4, Fraction(2), Fraction(5, 2), T30)
+    real_budgets, real_forward = hyperops._unroll_budgets, hyperops._forward
+    monkeypatch.setattr(hyperops, "_unroll_budgets", lambda *args: [0] * len(real_budgets(*args)))
+    steps = []  # (base, tolerance) of each rank-3 step
+
+    def spy(rank, base, height, tol):
+        if rank == 3:
+            steps.append((base.center, tol))
+        return real_forward(rank, base, height, tol)
+
+    monkeypatch.setattr(hyperops, "_forward", spy)
+    # 2^^(5/2) = 2^2^(1/2): round one misses 10^-30, round two certifies
+    out = hyper_forward(4, Fraction(2), Fraction(5, 2), T30)
+    assert out.radius <= T30 and out.overlaps(want)
+    assert [t for b, t in steps if b == 2 and t <= T30] == [T30, T30, T30 / 2**8, T30 / 2**8]
+    # 2^^(11/4): the super-root inside the split probes x^^4, whose three
+    # steps miss at every one of the 8 rounds
+    steps.clear()
+    with pytest.raises(PrecisionError, match="tower unrolling failed to reach the requested"):
+        hyper_forward(4, Fraction(2), Fraction(11, 4), T30)
+    tols = [t for b, t in steps if b == steps[-1][0]]
+    assert hyperops._REFINE_ATTEMPTS == 8
+    assert tols == [tols[0] / 2 ** (8 * k) for k in range(8) for _ in range(3)]
+
+
 def test_split_against_direct_root():
     # a ^^ (p/q) must agree with the root of X ^^ q = a ^^ p found directly
     from hypercalc.rootfind import Bracket, brent

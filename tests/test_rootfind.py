@@ -56,6 +56,28 @@ def test_root_at_endpoint():
     assert out.center == 0 and out.radius == 0
 
 
+def test_root_at_upper_endpoint():
+    out = brent(exact_fn(lambda x: x - 1), Bracket(Fraction(0), Fraction(1)), TOL10)
+    assert out == Ball(Fraction(1))
+
+
+def test_probe_on_a_root_that_never_certifies_is_nudged():
+    # f(1/2) is a ball around 0 at every tolerance: the secant lands there,
+    # the sign resolver gives up, and brent probes 1/1024 of the bracket
+    # further before going on
+    probes = []
+
+    def f(x, tol):
+        probes.append(x)
+        return Ball(x - Fraction(1, 2), tol)
+
+    out = brent(f, Bracket(Fraction(0), Fraction(1)), TOL10)
+    assert out.contains(Fraction(1, 2)) and out.radius <= Fraction(1, 10**10)
+    first = probes.index(Fraction(1, 2))
+    assert probes[first:first + rootfind._SIGN_ROUNDS] == [Fraction(1, 2)] * rootfind._SIGN_ROUNDS
+    assert probes[first + rootfind._SIGN_ROUNDS] == Fraction(1, 2) + Fraction(1, 1024)
+
+
 def test_bracket_validation():
     with pytest.raises(ValueError):
         Bracket(Fraction(2), Fraction(1))
