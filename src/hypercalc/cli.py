@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 parse errors, 2 domain errors, 3 numeric failures
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -55,6 +56,7 @@ def _add_numeric_flags(sub):
     )
 
 
+@functools.cache  # built on first use, once per process
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hypercalc",
@@ -90,7 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _result_payload(text: str, term, ctx, trace_lines=None):
+def _result_payload(text: str, ctx, trace: bool):
+    term = parse(text)
+    trace_lines = _chain_lines(term, ctx) if trace else None
     result, expansion = adaptive_evaluate(term, ctx)
     payload = {
         "input": text,
@@ -124,25 +128,36 @@ def _cmd_eval(args) -> int:
         return 1
     ctx = _context(args)
     if args.expression is not None:
-        texts = [args.expression]
-    else:
+        _emit(_result_payload(args.expression, ctx, args.trace), args)
+        return 0
+    try:
+        with open(args.file, encoding="utf-8") as fh:
+            lines = [
+                (number, line.strip())
+                for number, line in enumerate(fh, 1)
+                if line.strip() and not line.strip().startswith("#")
+            ]
+    except (OSError, UnicodeDecodeError) as err:
+        reason = getattr(err, "strerror", None) or err
+        print(f"cannot read {args.file}: {reason}", file=sys.stderr)
+        return 1
+    # a failing line is reported with its line number and the batch goes on;
+    # the exit code is that of the first failure
+    status = 0
+    for number, text in lines:
         try:
-            with open(args.file, encoding="utf-8") as fh:
-                texts = [
-                    line.strip()
-                    for line in fh
-                    if line.strip() and not line.strip().startswith("#")
-                ]
-        except (OSError, UnicodeDecodeError) as err:
-            reason = getattr(err, "strerror", None) or err
-            print(f"cannot read {args.file}: {reason}", file=sys.stderr)
-            return 1
-    for text in texts:
-        term = parse(text)
-        trace_lines = _chain_lines(term, ctx) if args.trace else None
-        payload = _result_payload(text, term, ctx, trace_lines)
+            payload = _result_payload(text, ctx, args.trace)
+        except _REPORTED as err:
+            code, message = _failure(err)
+            if args.format_ == "json":
+                record = {"input": text, "line": number, "error": message, "exit": code}
+                print(json.dumps(record, sort_keys=True))
+            else:
+                print(f"line {number}: {message}", file=sys.stderr)
+            status = status or code
+            continue
         _emit(payload, args)
-    return 0
+    return status
 
 
 def _cmd_repl(args) -> int:
@@ -240,19 +255,27 @@ def _random_term(rng, max_depth):
     )
 
 
+# the errors a command reports with an exit code instead of a traceback
+_REPORTED = (ParseError, DomainError, ConvergenceError, PrecisionError, ResourceError)
+
+
+def _failure(err: HypercalcError) -> tuple[int, str]:
+    """Exit code and message of a reported error."""
+    if isinstance(err, ParseError):
+        return 1, f"parse error: {err}"
+    if isinstance(err, DomainError):
+        return 2, f"domain error: {err}"
+    return 3, f"numeric error: {err}"
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as err:
-        print(f"parse error: {err}", file=sys.stderr)
-        return 1
-    except DomainError as err:
-        print(f"domain error: {err}", file=sys.stderr)
-        return 2
-    except (ConvergenceError, PrecisionError, ResourceError) as err:
-        print(f"numeric error: {err}", file=sys.stderr)
-        return 3
+    except _REPORTED as err:
+        code, message = _failure(err)
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

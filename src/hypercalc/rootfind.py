@@ -2,9 +2,10 @@
 
 `brent` drives a function f(x, tol) -> Ball (an enclosure of f(x) with
 radius <= tol) to a root enclosure of width <= 2 * x-tolerance.  Probe signs
-are resolved rigorously: a probe whose ball straddles zero is re-evaluated
-at 4x tighter tolerance before being declared ambiguous, and a probe whose
-ball is exactly zero is an exact root.
+are resolved rigorously: a sign is accepted only from a ball that excludes
+zero or is exact, and a ball that is exactly zero is an exact root.  A ball
+that straddles zero is re-evaluated at a tolerance sized from that ball
+(see `_SignResolver`) before the probe is declared ambiguous.
 
 Probes are secant / inverse-quadratic candidates with a bisection fallback
 that guarantees the bracket at least halves every two iterations.
@@ -58,7 +59,21 @@ class RootConfig:
 
 
 class _SignResolver:
-    """Evaluates f at probes, tightening tolerance until the sign is certain."""
+    """Evaluates f at probes, tightening tolerance until the sign is certain.
+
+    A ball c ± r that straddles zero is asked for again at
+    min(t/4, 2^-(tol_bits(|c|) + 3)), at most |c|/8, or for c = 0 at
+    min(t/4, 2^-(tol_bits(r) + 2)), at most r/4.  Probe balls usually come
+    back much tighter than asked (`power` snaps at 16 bits below the
+    tolerance), so |c| is close to |f(x)| and one re-query at |c|/8
+    separates the ball from zero; a fixed t/4 step would mostly ask again
+    for the ball already in hand.  The tolerance only decides how hard f
+    works: a sign is still taken only from a ball that excludes zero or is
+    exact, so the rule cannot certify a wrong sign.  Every tolerance is a
+    power of two and falls by at least 4x per round, even for an f that
+    returns balls wider than asked; the last one that resolved a sign
+    starts the next query.
+    """
 
     def __init__(self, f: BallFn, start_tol: Fraction = _START_SIGN_TOL):
         self.f = f
@@ -80,8 +95,17 @@ class _SignResolver:
             if ball.hi < 0:
                 self.tol = t
                 return -1, ball.center
-            t = t / 4
+            t = _retry_tol(ball, t)
         raise AmbiguityError(f"cannot resolve the sign of f({x}) — possible exact tie")
+
+
+def _retry_tol(ball: Ball, t: Fraction) -> Fraction:
+    """Next tolerance after `ball`, asked for at t, straddled zero."""
+    if ball.center:
+        bits = tol_bits(abs(ball.center)) + 3
+    else:
+        bits = tol_bits(ball.radius) + 2
+    return min(t / 4, Fraction(1, 1 << bits))
 
 
 def _snap_interior(x: Fraction, lo: Fraction, hi: Fraction) -> Fraction:

@@ -179,6 +179,39 @@ def test_eval_file_batch(tmp_path):
     assert out.splitlines() == ["2.0", "0.5"]
 
 
+def test_eval_file_goes_on_after_a_failing_line(tmp_path):
+    batch = tmp_path / "exprs.txt"
+    batch.write_text("[1+1]\n[1+\n# a comment line\n[[1+1]++[1+1]]\n\n[0----2]\n[1--[1+1]]\n")
+    code, out, err = run_main("eval", "--file", str(batch), "--digits", "1")
+    assert code == 1  # the first failing line's
+    assert out.splitlines() == ["2.0", "4.0", "0.5"]
+    assert err.splitlines() == [
+        "line 2: parse error: expected an operand at offset 3",
+        "line 6: domain error: super-roots are defined for values >= 1 (at root)",
+    ]
+    code, out, err = run_main("eval", "--file", str(batch), "--digits", "1", "--format", "json")
+    assert (code, err) == (1, "")
+    records = [json.loads(line) for line in out.splitlines()]
+    assert [r.get("value") for r in records] == ["2.0", None, "4.0", None, "0.5"]
+    assert records[1] == {
+        "input": "[1+", "line": 2, "exit": 1,
+        "error": "parse error: expected an operand at offset 3",
+    }
+    assert (records[3]["input"], records[3]["line"], records[3]["exit"]) == ("[0----2]", 6, 2)
+    # a single expression still fails with the bare message
+    assert run_main("eval", "[1+") == (1, "", "parse error: expected an operand at offset 3\n")
+
+
+def test_parser_is_built_once_and_not_at_import():
+    code = (
+        "from hypercalc import cli; n = cli.build_parser.cache_info().currsize; "
+        "cli.main(['farey', '1']); cli.main(['farey', '2']); "
+        "print(n, cli.build_parser.cache_info().misses)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.stdout.splitlines()[-1] == "0 1"
+
+
 def test_eval_unreadable_file(tmp_path):
     missing = tmp_path / "absent.txt"
     code, out, err = run_cli("eval", "--file", str(missing))

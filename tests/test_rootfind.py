@@ -5,10 +5,12 @@ import pytest
 
 from hypercalc import rootfind
 from hypercalc.balls import Ball
-from hypercalc.errors import ConvergenceError, DomainError
+from hypercalc.engine import NumericContext, adaptive_evaluate
+from hypercalc.errors import AmbiguityError, ConvergenceError, DomainError
 from hypercalc.rootfind import (
     MAX_EXPANSIONS, Bracket, RootConfig, bisect_integers, brent, expand_upper,
 )
+from hypercalc.terms import parse
 
 TOL10 = RootConfig(Fraction(1, 10**10))
 
@@ -76,6 +78,98 @@ def test_probe_on_a_root_that_never_certifies_is_nudged():
     first = probes.index(Fraction(1, 2))
     assert probes[first:first + rootfind._SIGN_ROUNDS] == [Fraction(1, 2)] * rootfind._SIGN_ROUNDS
     assert probes[first + rootfind._SIGN_ROUNDS] == Fraction(1, 2) + Fraction(1, 1024)
+
+
+def spy(*answers):
+    """f answering its n-th call with the n-th of `answers` (the last one
+    from then on), each a function of the tolerance asked for; the
+    tolerances are recorded in f.tols."""
+
+    def f(x, tol):
+        f.tols.append(tol)
+        return answers[min(len(f.tols), len(answers)) - 1](tol)
+
+    f.tols = []
+    return f
+
+
+def is_power_of_two(t):
+    return t.numerator == 1 and t.denominator & (t.denominator - 1) == 0
+
+
+@pytest.mark.parametrize("center", [Fraction(1, 10**6), Fraction(-3, 10**7)])
+def test_straddle_is_asked_again_below_its_center(center):
+    # a ball c ± 2|c| straddles zero; the next ball is c ± tol/2
+    f = spy(lambda t: Ball(center, 2 * abs(center)), lambda t: Ball(center, t / 2))
+    sign, _ = rootfind._SignResolver(f)(Fraction(1))
+    assert sign == (1 if center > 0 else -1) and len(f.tols) == 2
+    first, second = f.tols
+    assert is_power_of_two(second)
+    assert second <= min(first / 4, abs(center) / 8)
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 2**20), Fraction(3, 2**22)])
+def test_straddle_around_zero_is_asked_again_below_its_radius(scale):
+    radius = rootfind._START_SIGN_TOL * scale
+    f = spy(lambda t: Ball(Fraction(0), radius), lambda t: Ball(Fraction(1), t))
+    assert rootfind._SignResolver(f)(Fraction(1)) == (1, 1) and len(f.tols) == 2
+    first, second = f.tols
+    assert first == rootfind._START_SIGN_TOL
+    assert is_power_of_two(second) and second <= radius / 4
+
+
+def test_tolerance_falls_at_least_4x_for_balls_wider_than_asked():
+    f = spy(lambda t: Ball(Fraction(1), Fraction(2)))
+    with pytest.raises(AmbiguityError):
+        rootfind._SignResolver(f)(Fraction(1))
+    assert len(f.tols) == rootfind._SIGN_ROUNDS
+    assert all(later <= earlier / 4 for earlier, later in zip(f.tols, f.tols[1:]))
+
+
+def test_probe_with_a_sign_definite_second_ball_takes_two_evaluations():
+    # f(x) = 3 * 2^-40, enclosed 2^20 times tighter than asked, with the
+    # center off by half the radius: the first ball straddles zero, and the
+    # second, asked for below its center, excludes it (a 4x step needs four)
+    value = Fraction(3, 2**40)
+    f = spy(lambda t: Ball(value + t / 2**21, t / 2**20))
+    sign, _ = rootfind._SignResolver(f)(Fraction(1))
+    assert sign == 1 and len(f.tols) == 2
+
+
+def mpmath_cube_super_root(goal: Fraction) -> str:
+    """The x >= 1 with x^(x^x) = goal, truncated to 30 digits, by mpmath
+    bisection at 200 bits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        target = mpmath.mpf(goal.numerator) / goal.denominator
+        lo, hi = mpmath.mpf(1), target
+        for _ in range(200):  # x^(x^x) increases for x >= 1
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if mid ** (mid**mid) < target else (lo, mid)
+        whole = int(mpmath.floor(lo * 10**30))
+    return f"{whole // 10**30}.{whole % 10**30:030d}"
+
+
+@pytest.mark.parametrize("text, goal", [
+    ("[100----3]", Fraction(100)), ("[1000----3]", Fraction(1000)), ("[1.5----3]", Fraction(3, 2)),
+])
+def test_super_root_sign_queries_take_at_most_two_evaluations(monkeypatch, text, goal):
+    evaluations = []
+
+    class Counting(rootfind._SignResolver):
+        def __call__(self, x):
+            f, calls = self.f, []
+            self.f = lambda x, t: calls.append(t) or f(x, t)
+            try:
+                return super().__call__(x)
+            finally:
+                self.f = f
+                evaluations.append(len(calls))
+
+    monkeypatch.setattr(rootfind, "_SignResolver", Counting)
+    _, expansion = adaptive_evaluate(parse(text), NumericContext(digits=30))
+    assert evaluations and max(evaluations) <= 2
+    assert expansion.text() == mpmath_cube_super_root(goal)
 
 
 def test_bracket_validation():
