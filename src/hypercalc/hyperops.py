@@ -12,8 +12,9 @@ fractional height 0 < p/q < 1 (always in lowest terms) splits as
 so rational heights reduce to integer towers plus one super-root.  The
 inverses are bracketed searches:
 
-  * super-root   x = a (-^r) b   solves x (+^r) b = a; at rank 4 by root
-    finding on [1, a];
+  * super-root   x = a (-^r) b   solves x (+^r) b = a; at rank 4 by a
+    Newton-type root search inside [1, a] that starts at a float estimate
+    of the root, after an exact check of the nearest integer;
   * super-log    x = a (/^r) b   solves b (+^r) x = a.
 
 The split is not continuous in its height: 2 (+^4) (p/q) tends to sqrt(2)
@@ -267,8 +268,59 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction) -> B
 
     goal = target.center  # exact rational > 1
     tower = _capped(lambda x, ft: _forward(rank, Ball(x), order, ft), goal)
-    bracket = Bracket(Fraction(1), goal)
-    return brent(lambda x, ft: tower(x, ft) - goal, bracket, RootConfig(tol))
+    start = _super_root_estimate(goal, order)
+    if start is not None:  # without one, `brent` starts at the midpoint
+        # an integer root is checked exactly before any search
+        n = round(start)
+        if n >= 2 and abs(start - n) < 2.0**-30:
+            hit = tower(Fraction(n), tol)
+            if hit.is_exact and hit.center == goal:
+                return Ball(Fraction(n))
+    return brent(lambda x, ft: tower(x, ft) - goal, Bracket(Fraction(1), goal),
+                 RootConfig(tol), start=start)
+
+
+def _super_root_estimate(goal: Fraction, order: Fraction) -> float:
+    """Float x >= 1 with x (+^4) order close to goal, for an order > 1.
+
+    For an integer order q it bisects x^^(q - 1) * ln x = ln goal in floats
+    on [1, max(e, ln goal)], which holds the root (for x >= e, x^^(q - 1) >=
+    x); a tower that overflows counts as too big.  A fractional order n + p/r
+    gives the geometric mean of the estimates for n and n + 1, whose roots
+    enclose its own: x (+^4) (p/r) lies in [1, x], so x (+^4) order lies
+    between x (+^4) n and x (+^4) (n + 1).  It is only a start for the
+    certified search.
+    """
+    ln_goal = _log_abs_float(goal)
+    if order.denominator != 1:
+        n = math.floor(order)
+        return math.sqrt(_super_root_estimate(goal, Fraction(n))
+                         * _super_root_estimate(goal, Fraction(n + 1)))
+    if order == 1:
+        return math.exp(min(ln_goal, 700.0))  # x = goal, kept finite
+
+    def too_big(x: float) -> bool:
+        ln_x, level = math.log(x), x  # level = x^^k, increasing in k
+        try:
+            for _ in range(int(order) - 2):
+                if level * ln_x > ln_goal:
+                    return True
+                level, prev = math.exp(level * ln_x), level
+                if level == prev:  # a convergent tower has settled
+                    break
+        except OverflowError:
+            return True
+        return level * ln_x > ln_goal
+
+    lo, hi = 1.0, max(math.e, ln_goal)
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return mid
+        if too_big(mid):
+            hi = mid
+        else:
+            lo = mid
 
 
 # ---------------------------------------------------------------------------

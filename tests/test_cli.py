@@ -143,6 +143,15 @@ def test_trace_is_eval_with_trace():
         assert traced == run_main("eval", "--trace", *args)
 
 
+@pytest.mark.parametrize("text, root", [("[27----2]", "3"), ("[256----2]", "4"), ("[65536----4]", "2")])
+def test_integer_super_roots_print_exact_digits(text, root):
+    code, out, err = run_main("eval", text, "--digits", "30", "--format", "json")
+    payload = json.loads(out)
+    assert (code, err) == (0, "")
+    assert payload["value"] == root + "." + "0" * 30
+    assert payload["radius"] == "0/1"
+
+
 def test_super_log_to_a_non_integer_base():
     # towers over 6/5 are irrational above height 1, so only the base itself
     # has an exact super-log; every other value refuses at once

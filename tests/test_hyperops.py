@@ -5,7 +5,7 @@ import pytest
 
 from hypercalc import hyperops, midops, rootfind
 from hypercalc.balls import Ball
-from hypercalc.engine import NumericContext, evaluate
+from hypercalc.engine import NumericContext, adaptive_evaluate, evaluate
 from hypercalc.errors import (
     ConvergenceError, DomainError, MagnitudeError, PrecisionError, ResourceError,
 )
@@ -138,14 +138,25 @@ def test_unroll_refinement_rounds(monkeypatch):
     out = hyper_forward(4, Fraction(2), Fraction(5, 2), T30)
     assert out.radius <= T30 and out.overlaps(want)
     assert [t for b, t in steps if b == 2 and t <= T30] == [T30, T30, T30 / 2**8, T30 / 2**8]
-    # 2^^(11/4): the super-root inside the split probes x^^4, whose three
-    # steps miss at every one of the 8 rounds
+    # (5/2)^^4: its three rank-3 steps miss at every one of the 8 rounds
     steps.clear()
     with pytest.raises(PrecisionError, match="tower unrolling failed to reach the requested"):
-        hyper_forward(4, Fraction(2), Fraction(11, 4), T30)
+        hyper_forward(4, Fraction(5, 2), Fraction(4), T30)
     tols = [t for b, t in steps if b == steps[-1][0]]
     assert hyperops._REFINE_ATTEMPTS == 8
     assert tols == [tols[0] / 2 ** (8 * k) for k in range(8) for _ in range(3)]
+
+
+@pytest.mark.parametrize("text, digits", [
+    ("[2++++0.6]", "1.666774951264724950684505544750"),
+    ("[2++++2.6]", "9.031968186735586767850245830509"),
+])
+def test_fifths_heights_certify(text, digits):
+    # 2^^(3/5) and 2^^(13/5) take the super-root of 2^^3 = 16 of order 5,
+    # whose search now starts near the root; the digits are mpmath's
+    # rational-height split at 50 digits, truncated
+    _, expansion = adaptive_evaluate(parse(text), NumericContext(digits=30))
+    assert expansion.text() == digits
 
 
 def test_split_against_direct_root():
@@ -188,6 +199,18 @@ def test_super_root_integer_answers():
     assert out.contains(2) and out.radius <= T12
     out = hyper_inverse_minus(4, Fraction(65536), Fraction(4), T10)
     assert out.contains(2)
+
+
+def test_integer_super_roots_are_checked_exactly_before_any_search(monkeypatch):
+    # an estimate within 2^-30 of an integer n >= 2 is checked with the exact
+    # tower n^^q, and a hit is returned as Ball(n) without a search
+    def no_search(*args, **kwargs):
+        raise AssertionError("the root finder ran")
+
+    monkeypatch.setattr(hyperops, "brent", no_search)
+    for goal, order, root in ((27, 2, 3), (256, 2, 4), (65536, 4, 2), (16, 3, 2)):
+        out = hyper_inverse_minus(4, Fraction(goal), Fraction(order), T12)
+        assert out == Ball(Fraction(root))
 
 
 def test_super_root_of_one_and_order_one():
@@ -389,19 +412,22 @@ def test_root_finder_budget_is_one_config(monkeypatch):
     # constants, read when each search runs
     real_brent, seen = hyperops.brent, []
 
-    def spy(f, bracket, cfg):
+    def spy(f, bracket, cfg, **kw):
         seen.append(bracket)
-        return real_brent(f, bracket, cfg)
+        return real_brent(f, bracket, cfg, **kw)
 
     monkeypatch.setattr(hyperops, "brent", spy)
-    term = parse("[[[1+1]+++[1+1]]----[1+1]]")
-    hyper_inverse_minus(4, Fraction(4), Fraction(2), T12)
+    # [3----2] has an irrational root, so both paths search
+    term = parse("[[[1+1]+1]----[1+1]]")
+    hyper_inverse_minus(4, Fraction(3), Fraction(2), T12)
     direct = list(seen)
     seen.clear()
     evaluate(term, NumericContext(digits=12))
-    assert direct == seen == [rootfind.Bracket(Fraction(1), Fraction(4))]
+    assert direct == seen == [rootfind.Bracket(Fraction(1), Fraction(3))]
     assert (rootfind.MAX_ITERATIONS, rootfind.MAX_EXPANSIONS) == (1000, 80)
-    monkeypatch.setattr(rootfind, "MAX_ITERATIONS", 3)
+    # the search starts at an estimate good to about 2^-50, so a budget that
+    # must stop it is one probe: a single sign certifies no bracket
+    monkeypatch.setattr(rootfind, "MAX_ITERATIONS", 1)
     with pytest.raises(ConvergenceError, match="iteration budget"):
         hyper_inverse_minus(4, Fraction(16), Fraction(2), T12)
     with pytest.raises(ConvergenceError, match="iteration budget"):

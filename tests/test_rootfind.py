@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from hypercalc import rootfind
+from hypercalc import hyperops, rootfind
 from hypercalc.balls import Ball
 from hypercalc.engine import NumericContext, adaptive_evaluate
 from hypercalc.errors import AmbiguityError, ConvergenceError, DomainError
@@ -170,6 +170,61 @@ def test_super_root_sign_queries_take_at_most_two_evaluations(monkeypatch, text,
     _, expansion = adaptive_evaluate(parse(text), NumericContext(digits=30))
     assert evaluations and max(evaluations) <= 2
     assert expansion.text() == mpmath_cube_super_root(goal)
+
+
+def test_any_start_encloses_the_root_within_the_tolerance():
+    # the start only places the first probe: at the root's float, a little
+    # off it on either side, at either end of the bracket or at none, the
+    # answer still contains the root with radius <= the tolerance
+    rng = random.Random(7)
+    for _ in range(30):
+        root = 1 + Fraction(rng.randrange(1, 10**6), 10**6)
+        f = exact_fn(lambda x, r=root: x**3 - r**3)
+        for start in (None, 1.0, 3.0, float(root), float(root) + 1e-3, float(root) - 1e-7):
+            out = brent(f, Bracket(Fraction(1), Fraction(3)), TOL10, start=start)
+            assert out.contains(root) and out.radius <= TOL10.x_tolerance, (root, start)
+
+
+def evaluations_per_search(monkeypatch):
+    """A list that gets, for each `hyperops.brent` search as it runs, the
+    number of times the search evaluates its f."""
+    real_brent, counts = hyperops.brent, []
+
+    def spy(f, *args, **kwargs):
+        counts.append(0)
+
+        def counted(x, t):
+            counts[-1] += 1
+            return f(x, t)
+
+        return real_brent(counted, *args, **kwargs)
+
+    monkeypatch.setattr(hyperops, "brent", spy)
+    return counts
+
+
+@pytest.mark.parametrize("text", ["[5----4]", "[1000----3]", "[100----3]", "[1.5----3]", "[2++++0.5]"])
+def test_super_root_searches_take_at_most_eight_evaluations(monkeypatch, text):
+    # each starts at a float estimate: one probe there, one beside it, two
+    # or three Newton-type steps and the closing pair
+    counts = evaluations_per_search(monkeypatch)
+    adaptive_evaluate(parse(text), NumericContext(digits=30))
+    assert counts and max(counts) <= 8
+
+
+@pytest.mark.parametrize("text, estimate", [
+    ("[100----3]", 1e6), ("[100----3]", 1.0), ("[100----3]", None),
+    ("[1.5----3]", 1e6), ("[1.5----3]", None), ("[2++++0.5]", 1.0),
+    ("[5----4]", 1e6), ("[5----4]", None),
+])
+def test_a_bad_start_estimate_certifies_the_same_digits(monkeypatch, text, estimate):
+    # the estimate only places the first probe: one far above the root
+    # (clamped to the goal), at the bracket's lower end, or none at all (the
+    # bracket's midpoint) still ends in the same certified digits
+    ctx = NumericContext(digits=30)
+    want = adaptive_evaluate(parse(text), ctx)[1].text()
+    monkeypatch.setattr(hyperops, "_super_root_estimate", lambda goal, order: estimate)
+    assert adaptive_evaluate(parse(text), ctx)[1].text() == want
 
 
 def test_bracket_validation():
