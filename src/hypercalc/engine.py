@@ -1,15 +1,22 @@
 """Whole-term evaluation with adaptive precision and base-b rendering.
 
 `evaluate` flattens a term once, with an iterative walk, into post-order
-arrays: one entry per internal node holding the node and the indices of
-its two operands (-1 for the constant 1).  Every retry round then loops
-over that list, so each binary operation fires as soon as both operands
-are values (the order of the printable reduction chain), and keeps its
-result on a values stack.  Nothing is keyed by a node's path, which
-for a literal's thousands-deep `[..[1+1]..+1]` chain made every step copy
-a tuple as long as the chain: the walk is now linear in the number of
-nodes.  A node's path is rebuilt from parent links only when an error
+entries, each holding a node and the indices of its two operands (-1 for
+the constant 1).  Every retry round then loops over that list, so each
+binary operation fires as soon as both operands are values (the order of
+the printable reduction chain), and keeps its result on a values stack.
+Nothing is keyed by a node's path, so the walk is linear in the term's
+size.  A node's path is rebuilt from parent links only when an error
 escapes it or a trace event names it.
+
+Entries are not nodes.  A literal n is a chain of n - 1 `[X+1]` nodes,
+and an untraced run folds each chain of k steps into one entry "X plus k":
+the constant k + 1 over the leaf, one addition over an exact X, and over a
+ball the same k rounded steps the nodes would take.  A trace needs one
+event per node, so a traced run keeps one entry per node.  Both shapes run
+through the same `_eval_once`, since a chain entry computes exactly what
+its nodes would; and the working tolerance divides by nodes, not entries,
+so both give the same radii.
 
 `_apply` is the single rank dispatcher: ranks 1-2 are exact arithmetic on
 Fractions (balls once an operand is approximate), rank 3 the series
@@ -39,15 +46,18 @@ from fractions import Fraction
 
 from . import hyperops, midops
 from .balls import Ball, divide, round_ball
-from .errors import DomainError, HypercalcError, PrecisionError
+from .errors import DomainError, HypercalcError, PrecisionError, ResourceError
 from .midops import SeriesConfig, tol_bits
-from .terms import Leaf, Node, OpKind, Path, Term, TraceEvent
+from .terms import Leaf, Node, OpKind, Path, Term, TraceEvent, plus_one_chain
 
 _DIGIT_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 # Refinement rounds: `evaluate` re-runs at a tighter working tolerance, and
 # `adaptive_evaluate` doubles the guard digits, at most this many times each.
 MAX_DOUBLINGS = 8
+# Characters of text a reduction trace may build: the k events of a k-step
+# chain each hold up to ~2k characters, a square in the literal's length.
+MAX_TRACE_CHARS = 20_000_000
 
 Value = Fraction | Ball
 
@@ -116,8 +126,9 @@ class BasebExpansion:
 def evaluate(term: Term, ctx: NumericContext, *, collect_trace: bool = False) -> EvalResult:
     """Evaluate with a final radius <= base^-(digits+guard), or exactly."""
     target = ctx.precision_target()
-    flat = _flatten(term)
-    working = target / (4 * max(1, len(flat)))
+    flat = _flatten(term, fold_chains=not collect_trace)
+    nodes = sum(k or 1 for *_, k in flat)
+    working = target / (4 * max(1, nodes))
     for _ in range(MAX_DOUBLINGS + 1):
         value, events = _eval_once(flat, ctx, working, collect_trace)
         if isinstance(value, Fraction) or value.radius <= target:
@@ -134,30 +145,37 @@ def trace_reduce(term: Term, ctx: NumericContext) -> tuple[TraceEvent, ...]:
     return result.trace or ()
 
 
-# One entry per internal node in post-order: (node, left, right), where an
-# operand is the index of an earlier entry or _LEAF for the constant 1.
-_Flat = list[tuple[Node, int, int]]
+# Entries in post-order: (node, left, right, k), where an operand is the
+# index of an earlier entry or _LEAF for the constant 1, and k > 0 marks the
+# chain of k `[X+1]` steps topped by `node`, over X = left.
+_Flat = list[tuple[Node, int, int, int]]
 
 _LEAF = -1
 
 
-def _flatten(term: Term) -> _Flat:
+def _flatten(term: Term, fold_chains: bool) -> _Flat:
+    """Post-order entries: one per node, or one per chain when folding."""
     flat: _Flat = []
     done: list[int] = []  # indices of finished operands, innermost last
-    stack: list[tuple[Term, bool]] = [(term, False)]
+    # (term, None) is still to expand, (node, k) is ready once its operands are
+    stack: list[tuple[Term, int | None]] = [(term, None)]
     while stack:
-        t, expanded = stack.pop()
-        if expanded:
-            right = done.pop()
+        t, k = stack.pop()
+        if k is not None:
+            right = _LEAF if k else done.pop()
             left = done.pop()
             done.append(len(flat))
-            flat.append((t, left, right))
+            flat.append((t, left, right, k))
         elif isinstance(t, Leaf):
             done.append(_LEAF)
         else:
-            stack.append((t, True))
-            stack.append((t.right, False))
-            stack.append((t.left, False))
+            k, bottom = plus_one_chain(t) if fold_chains else (0, t)
+            stack.append((t, k))
+            if k:
+                stack.append((bottom, None))
+            else:
+                stack.append((t.right, None))
+                stack.append((t.left, None))
     return flat
 
 
@@ -167,11 +185,16 @@ def _eval_once(flat: _Flat, ctx, op_tol, collect):
     values: list[Value] = []
     trace = _Trace(flat) if collect else None
     one = Fraction(1)
-    for i, (node, l, r) in enumerate(flat):
+    for i, (node, l, r, k) in enumerate(flat):
         right = one if r == _LEAF else values.pop()
         left = one if l == _LEAF else values.pop()
         try:
-            value = _apply(node.op, left, right, op_tol)
+            if k and isinstance(left, Fraction):
+                value = left + k
+            else:  # one node, or a ball taking each of a chain's k rounded steps
+                value = _apply(node.op, left, right, op_tol)
+                for _ in range(k - 1):
+                    value = _apply(node.op, value, one, op_tol)
         except HypercalcError as err:
             if err.path is None:
                 err.path = _path_of(i, *_parents(flat))
@@ -183,12 +206,13 @@ def _eval_once(flat: _Flat, ctx, op_tol, collect):
 
 
 def _parents(flat: _Flat) -> tuple[list[int], list[str]]:
-    """Parent index and the step ("L"/"R") from it, per entry; the root's is -1."""
+    """Parent index and the steps ("L"/"R") down from it, per entry; the
+    root's parent is -1, and a chain's X is k steps "L" below it."""
     parent = [-1] * len(flat)
     step = [""] * len(flat)
-    for i, (_, l, r) in enumerate(flat):
+    for i, (_, l, r, k) in enumerate(flat):
         if l != _LEAF:
-            parent[l], step[l] = i, "L"
+            parent[l], step[l] = i, "L" * (k or 1)
         if r != _LEAF:
             parent[r], step[r] = i, "R"
     return parent, step
@@ -197,7 +221,7 @@ def _parents(flat: _Flat) -> tuple[list[int], list[str]]:
 def _path_of(i: int, parent: list[int], step: list[str]) -> Path:
     steps: list[str] = []
     while parent[i] != -1:
-        steps.append(step[i])
+        steps.extend(step[i])
         i = parent[i]
     return tuple(reversed(steps))
 
@@ -249,7 +273,8 @@ class _Trace:
     its operator, and operands fire before their node, so when a node fires
     each operand is one non-empty slot.  Firing writes the value into the
     node's `[` slot and blanks the other four: O(1) per event, plus the
-    join that every event's `after` text costs anyway.
+    join that every event's `after` text costs anyway.  It takes one entry
+    per node, and stops with a `ResourceError` past `MAX_TRACE_CHARS`.
     """
 
     def __init__(self, flat: _Flat):
@@ -259,14 +284,14 @@ class _Trace:
         def span(k: int) -> int:
             return 1 if k == _LEAF else size[k]
 
-        for _, l, r in flat:
+        for _, l, r, _ in flat:
             size.append(3 + span(l) + span(r))
         self.open = [0] * n
         self.op = [0] * n
         self.close = [0] * n
         self.pieces = ["1"] * (size[-1] if n else 1)
         for i in range(n - 1, -1, -1):  # reverse post-order: parents first
-            node, l, r = flat[i]
+            node, l, r, _ = flat[i]
             o = self.open[i]
             p = o + 1 + span(l)
             c = p + 1 + span(r)
@@ -278,6 +303,7 @@ class _Trace:
             self.pieces[o], self.pieces[p], self.pieces[c] = "[", node.op.text(), "]"
         self.parents = _parents(flat)
         self.text = "".join(self.pieces)
+        self.chars = len(self.text)
         self.events: list[TraceEvent] = []
 
     def fire(self, i: int, shown: str) -> None:
@@ -285,6 +311,12 @@ class _Trace:
         pieces[o] = shown
         pieces[o + 1] = pieces[p] = pieces[p + 1] = pieces[self.close[i]] = ""
         before, self.text = self.text, "".join(pieces)
+        self.chars += len(self.text)
+        if self.chars > MAX_TRACE_CHARS:
+            raise ResourceError(
+                f"the reduction trace passed {MAX_TRACE_CHARS:,} characters of "
+                f"text at step {len(self.events) + 1} of {len(self.open):,}"
+            )
         self.events.append(
             TraceEvent(len(self.events) + 1, _path_of(i, *self.parents), before, self.text)
         )

@@ -156,9 +156,9 @@ def _literal_values(lexeme: str) -> list[int] | None:
     """The integers a literal desugars from: [n] for `n`, [m, 10^k] for a
     decimal with digits m and k fractional places.
 
-    None when one of them has more digits than `MAX_NODES`, which
-    makes it at least ten times the cap.  Such a run is never converted:
-    `int()` of a long run is slow, and past 4,300 digits refused.
+    None when one of them has more than `len(str(MAX_NODES))` digits,
+    which makes it at least ten times the cap.  Such a run is never
+    converted: `int()` of a long run is slow, and past 4,300 digits refused.
     """
     whole, _, frac = lexeme.partition(".")
     runs = [whole + frac] + (["1" + "0" * len(frac)] if frac else [])
@@ -263,15 +263,33 @@ def parse(text: str) -> Term:
 # rendering
 
 
+def plus_one_chain(term: Term) -> tuple[int, Term]:
+    """(k, X) for a term that is X under k `[X+1]` steps with the leaf on
+    the right, such as a literal n, which is (n - 1, `1`); k is 0 for none."""
+    k, plus = 0, OpKind.PLUS  # an enum member costs a lookup per use
+    while (isinstance(term, Node) and isinstance(term.right, Leaf)
+           and term.op.rank == 1 and term.op.kind is plus):
+        k += 1
+        term = term.left
+    return k, term
+
+
 def render(term: Term) -> str:
     """Render a Term as canonical bracket notation, the exact inverse of
-    `parse`: literals come out desugared."""
+    `parse`: literals come out desugared.  A chain of k `[X+1]` steps is
+    emitted whole, as k `[`s, X and k `+1]`s, not node by node."""
     out: list[str] = []
     work: list = [term]  # terms to render, or literal strings to emit
     while work:
         item = work.pop()
-        if isinstance(item, Node):
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        k, bottom = plus_one_chain(item)
+        if k:
+            work.extend(["+1]" * k, bottom, "[" * k])
+        elif isinstance(item, Node):
             work.extend(["]", item.right, item.op.text(), item.left, "["])
         else:
-            out.append(item if isinstance(item, str) else "1")
+            out.append("1")
     return "".join(out)

@@ -289,3 +289,22 @@ def test_selftest_passes():
     code, out, _ = run_cli("selftest")
     assert code == 0
     assert "0 failed" in out
+
+
+def test_working_tolerance_counts_nodes_not_entries():
+    # chains fold into single entries; the radii stay those of one term per node
+    for text, radius in [
+        ("[2++++2.75]", "2243/11692013098647223345629478661730264157247460343808"),
+        ("[[2+++0.5]+40]", "1/365375409332725729550921208179070754913983135744"),
+    ]:
+        code, out, _ = run_main("eval", text, "--digits", "30", "--format", "json")
+        assert code == 0
+        assert json.loads(out)["radius"] == radius
+
+
+def test_trace_of_a_long_literal_stops_at_the_text_cap():
+    # 99,998 events over a ~400,000-character text would build ~2*10^10
+    # characters; the cap ends it after about 50 of them
+    code, out, err = run_main("trace", "99999")
+    assert (code, out) == (3, "")
+    assert "the reduction trace passed 20,000,000 characters of text" in err

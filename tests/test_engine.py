@@ -414,22 +414,83 @@ def outcome(run):
 
 # Depth 3 over operands up to 3 keeps every exact value below 27^27 before
 # the last operator; 0 makes divisions, roots and logs of zero, 0.5 and
-# roots make balls.
-SMALL_OPERANDS = [parse(text) for text in ("1", "2", "3", "0", "0.5")]
+# roots make balls.  40 is a long `+1` chain whose powers of powers hit the
+# magnitude cap at once, and the last operand is a chain over a ball.
+SMALL_OPERANDS = [
+    parse(text) for text in ("1", "2", "3", "0", "0.5", "40", "[[[2+++0.5]+1]+1]")
+]
+PLUS1 = Operator(OpKind.PLUS, 1)
 
 
 @st.composite
 def low_rank_terms(draw, depth=3):
     if depth == 0 or draw(st.booleans()):
         return draw(st.sampled_from(SMALL_OPERANDS))
+    if draw(st.integers(0, 3)) == 0:  # a `+1` chain over a drawn operand
+        term = draw(low_rank_terms(depth - 1))
+        for _ in range(draw(st.integers(1, 3))):
+            term = Node(PLUS1, term, Leaf())
+        return term
     op = Operator(draw(st.sampled_from(list(OpKind))), draw(st.integers(1, 3)))
     return Node(op, draw(low_rank_terms(depth - 1)), draw(low_rank_terms(depth - 1)))
 
 
 @given(low_rank_terms(), st.booleans())
 @settings(max_examples=300, deadline=None)
+@example(term=parse("[[[[1--0]+1]+1]+1]"), collect=False)  # an error below a chain
+# 2.75 is a 373-node term: drawn at random, the reference's render per
+# traced event takes the test from seconds to most of a minute
+@example(term=parse("[[2.75+++[[2+++0.5]+1]]+1]"), collect=False)
+@example(term=parse("[[2.75---[1+1]]+[2.75//0]]"), collect=True)
 def test_post_order_evaluation_matches_path_keyed_reference(term, collect):
+    # untraced runs fold chains, traced runs keep one entry per node
     op_tol = CTX10.precision_target() / 64
-    new = outcome(lambda: engine._eval_once(engine._flatten(term), CTX10, op_tol, collect))
+    flat = engine._flatten(term, fold_chains=not collect)
+    new = outcome(lambda: engine._eval_once(flat, CTX10, op_tol, collect))
     old = outcome(lambda: reference_eval_once(term, CTX10, op_tol, collect))
     assert new == old
+
+
+# ---------------------------------------------------------------------------
+# `[X+1]` chains in one step
+
+
+def test_folded_chain_over_a_ball_matches_per_node_steps():
+    term = parse("[2+++0.5]")
+    for _ in range(2000):
+        term = Node(PLUS1, term, Leaf())
+    folded = engine._flatten(term, fold_chains=True)
+    per_node = engine._flatten(term, fold_chains=False)
+    # 2, 5 and 10 are chains, then `--`, `+++` and the 2,000-step chain
+    assert (len(folded), len(per_node)) == (6, 2016)
+    op_tol = CTX10.precision_target() / 64
+    value, _ = engine._eval_once(folded, CTX10, op_tol, False)
+    assert isinstance(value, Ball)
+    assert value == engine._eval_once(per_node, CTX10, op_tol, False)[0]
+
+
+def test_literal_evaluates_without_operator_calls(monkeypatch):
+    calls = []
+    apply = engine._apply
+
+    def counted(*args):
+        calls.append(args)
+        return apply(*args)
+
+    monkeypatch.setattr(engine, "_apply", counted)
+    assert evaluate(parse("99999"), CTX10).value == 99999
+    assert calls == []
+
+
+def test_render_emits_chains_whole():
+    # 50,000 steps nest past `MAX_DEPTH`, so the text is built, not parsed
+    steps = 50_000
+    assert render(parse(str(steps + 1))) == "[" * steps + "1" + "+1]" * steps
+    ball = parse("[2+++0.5]")
+    term = ball
+    for _ in range(steps):
+        term = Node(PLUS1, term, Leaf())
+    assert render(term) == "[" * steps + render(ball) + "+1]" * steps
+    chain_over_ball = "[[" + render(ball) + "+1]+1]"
+    for text in ("[" * 9000 + "1" + "+1]" * 9000, chain_over_ball, "[[[1+1]+[1+1]]+1]"):
+        assert render(parse(text)) == text
