@@ -34,6 +34,7 @@ from .midops import SeriesConfig, exp_e, ln_e, log, power, root
 from .rationals import gcd
 from .rootfind import Bracket, RootConfig, brent, expand_upper
 from .terms import (
+    Chain,
     Leaf,
     Node,
     OpKind,
@@ -49,6 +50,7 @@ __all__ = [
     "Ball",
     "BasebExpansion",
     "Bracket",
+    "Chain",
     "ConvergenceError",
     "DomainError",
     "EvalResult",

@@ -1,22 +1,24 @@
 """Whole-term evaluation with adaptive precision and base-b rendering.
 
 `evaluate` flattens a term once, with an iterative walk, into post-order
-entries, each holding a node and the indices of its two operands (-1 for
-the constant 1).  Every retry round then loops over that list, so each
-binary operation fires as soon as both operands are values (the order of
-the printable reduction chain), and keeps its result on a values stack.
+entries, each holding a node's operator and the indices of its two
+operands (-1 for the constant 1).  Every retry round then loops over that
+list, so each binary operation fires as soon as both operands are values
+(the order of the printable reduction chain), and keeps its result on a
+values stack.
 Nothing is keyed by a node's path, so the walk is linear in the term's
 size.  A node's path is rebuilt from parent links only when an error
 escapes it or a trace event names it.
 
-Entries are not nodes.  A literal n is a chain of n - 1 `[X+1]` nodes,
-and an untraced run folds each chain of k steps into one entry "X plus k":
-the constant k + 1 over the leaf, one addition over an exact X, and over a
-ball the same k rounded steps the nodes would take.  A trace needs one
-event per node, so a traced run keeps one entry per node.  Both shapes run
-through the same `_eval_once`, since a chain entry computes exactly what
-its nodes would; and the working tolerance divides by nodes, not entries,
-so both give the same radii.
+Entries are not nodes.  A literal n is one `Chain` object standing for
+n - 1 `[X+1]` nodes, and an untraced run folds each chain of k steps, a
+`Chain` or hand-built `Node`s, into one entry "X plus k": the constant
+k + 1 over the leaf, one addition over an exact X, and over a ball the same
+k rounded steps the nodes would take.  A trace needs one event per node, so
+a traced run expands a `Chain` into its k entries and keeps one entry per
+`Node`.  Both shapes run through the same `_eval_once`, since a chain entry
+computes exactly what its nodes would; and the working tolerance divides by
+nodes, not entries, so both give the same radii.
 
 `_apply` is the single rank dispatcher: ranks 1-2 are exact arithmetic on
 Fractions (balls once an operand is approximate), rank 3 the series
@@ -48,7 +50,7 @@ from . import hyperops, midops
 from .balls import Ball, divide, round_ball
 from .errors import DomainError, HypercalcError, PrecisionError, ResourceError
 from .midops import SeriesConfig, tol_bits
-from .terms import Leaf, Node, OpKind, Path, Term, TraceEvent, plus_one_chain
+from .terms import Chain, Leaf, OpKind, Operator, Path, Term, TraceEvent, plus_one_chain
 
 _DIGIT_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -60,6 +62,11 @@ MAX_DOUBLINGS = 8
 MAX_TRACE_CHARS = 20_000_000
 
 Value = Fraction | Ball
+
+# module aliases: each read of a member through `OpKind` is a class
+# attribute lookup, paid on every `_apply` call
+_PLUS = OpKind.PLUS
+_MINUS = OpKind.MINUS
 
 
 @dataclass(frozen=True)
@@ -145,10 +152,10 @@ def trace_reduce(term: Term, ctx: NumericContext) -> tuple[TraceEvent, ...]:
     return result.trace or ()
 
 
-# Entries in post-order: (node, left, right, k), where an operand is the
+# Entries in post-order: (op, left, right, k), where an operand is the
 # index of an earlier entry or _LEAF for the constant 1, and k > 0 marks the
-# chain of k `[X+1]` steps topped by `node`, over X = left.
-_Flat = list[tuple[Node, int, int, int]]
+# chain of k `[X+1]` steps over X = left.
+_Flat = list[tuple[Operator, int, int, int]]
 
 _LEAF = -1
 
@@ -164,12 +171,20 @@ def _flatten(term: Term, fold_chains: bool) -> _Flat:
         if k is not None:
             right = _LEAF if k else done.pop()
             left = done.pop()
+            if k and not fold_chains:  # a Chain's k nodes, one entry each
+                for _ in range(k - 1):
+                    flat.append((t.op, left, _LEAF, 0))
+                    left = len(flat) - 1
+                k = 0
             done.append(len(flat))
-            flat.append((t, left, right, k))
+            flat.append((t.op, left, right, k))
         elif isinstance(t, Leaf):
             done.append(_LEAF)
         else:
-            k, bottom = plus_one_chain(t) if fold_chains else (0, t)
+            if fold_chains:
+                k, bottom = plus_one_chain(t)
+            else:
+                k, bottom = (t.k, t.base) if isinstance(t, Chain) else (0, t)
             stack.append((t, k))
             if k:
                 stack.append((bottom, None))
@@ -185,16 +200,16 @@ def _eval_once(flat: _Flat, ctx, op_tol, collect):
     values: list[Value] = []
     trace = _Trace(flat) if collect else None
     one = Fraction(1)
-    for i, (node, l, r, k) in enumerate(flat):
+    for i, (op, l, r, k) in enumerate(flat):
         right = one if r == _LEAF else values.pop()
         left = one if l == _LEAF else values.pop()
         try:
             if k and isinstance(left, Fraction):
                 value = left + k
             else:  # one node, or a ball taking each of a chain's k rounded steps
-                value = _apply(node.op, left, right, op_tol)
+                value = _apply(op, left, right, op_tol)
                 for _ in range(k - 1):
-                    value = _apply(node.op, value, one, op_tol)
+                    value = _apply(op, value, one, op_tol)
         except HypercalcError as err:
             if err.path is None:
                 err.path = _path_of(i, *_parents(flat))
@@ -229,7 +244,7 @@ def _path_of(i: int, parent: list[int], step: list[str]) -> Path:
 def _apply(op, a: Value, b: Value, tol: Fraction) -> Value:
     if op.rank <= 2:
         # `-` and `/` coincide at these ranks: `-`/`/` subtract, `--`/`//` divide
-        if op.kind is OpKind.PLUS:
+        if op.kind is _PLUS:
             value = a + b if op.rank == 1 else a * b
         elif op.rank == 1:
             value = a - b
@@ -243,15 +258,15 @@ def _apply(op, a: Value, b: Value, tol: Fraction) -> Value:
             value = round_ball(value, tol_bits(tol) + 32)
     elif op.rank == 3:
         series = SeriesConfig(tol)
-        if op.kind is OpKind.PLUS:
+        if op.kind is _PLUS:
             value = midops.power(a, b, series)
-        elif op.kind is OpKind.MINUS:
+        elif op.kind is _MINUS:
             value = midops.root(a, b, series)
         else:
             value = midops.log(a, b, series)
-    elif op.kind is OpKind.PLUS:
+    elif op.kind is _PLUS:
         value = hyperops.hyper_forward(op.rank, a, b, tol)
-    elif op.kind is OpKind.MINUS:
+    elif op.kind is _MINUS:
         value = hyperops.hyper_inverse_minus(op.rank, a, b, tol)
     else:
         value = hyperops.hyper_inverse_slash(op.rank, a, b, tol)
@@ -291,7 +306,7 @@ class _Trace:
         self.close = [0] * n
         self.pieces = ["1"] * (size[-1] if n else 1)
         for i in range(n - 1, -1, -1):  # reverse post-order: parents first
-            node, l, r, _ = flat[i]
+            op, l, r, _ = flat[i]
             o = self.open[i]
             p = o + 1 + span(l)
             c = p + 1 + span(r)
@@ -300,7 +315,7 @@ class _Trace:
             if r != _LEAF:
                 self.open[r] = p + 1
             self.op[i], self.close[i] = p, c
-            self.pieces[o], self.pieces[p], self.pieces[c] = "[", node.op.text(), "]"
+            self.pieces[o], self.pieces[p], self.pieces[c] = "[", op.text(), "]"
         self.parents = _parents(flat)
         self.text = "".join(self.pieces)
         self.chars = len(self.text)
@@ -326,7 +341,10 @@ def _display_value(value: Value, ctx: NumericContext) -> str:
     """Compact human form of an intermediate value for trace lines."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
-            return str(value.numerator)
+            try:
+                return str(value.numerator)
+            except ValueError:  # past `sys.get_int_max_str_digits()` digits
+                return _expansion_of_exact(value, 10, 0).text()
         exp = _expansion_of_exact(value, ctx.base, ctx.digits)
         return _trim_zeros(exp)
     center = _expansion_of_exact(value.center, ctx.base, ctx.digits)

@@ -10,6 +10,12 @@ The parser also accepts two layers of sugar for human input: decimal integer
 literals (`3` desugars to `[[1+1]+1]`) and decimal fraction literals (`1.5`
 desugars to `[15--10]`).  Rendering never emits sugar, so parse/render
 round-trips are exact.
+
+A literal n stands for the chain of n - 1 `[X+1]` steps over `1`, but it is
+held as one `Chain(n - 1, ONE)` of constant size.  A `Chain` equals the
+`Node` tree it stands for and walks like it (`op`, `left`, `right`), so
+per-node code needs no case for it; `plus_one_chain` reads its length in
+O(1).  Explicit `[X+1]` text still parses to `Node`s.
 """
 
 from __future__ import annotations
@@ -23,7 +29,9 @@ from .errors import ParseError
 # Bracket nesting per parsed term.
 MAX_DEPTH = 10_000
 # Internal nodes per parsed term, literals counted as desugared: an integer
-# literal n is a chain of n - 1 nodes, so the cap is what bounds literals.
+# literal n counts as its n - 1 `[X+1]` steps.  A literal is one `Chain`
+# object, but traces and ball chains still take a step per node, so the
+# cap is what bounds literals.
 MAX_NODES = 100_000
 
 Path = tuple[str, ...]
@@ -64,9 +72,44 @@ class Node:
     right: "Term"
 
 
-Term = Union[Leaf, Node]
-
 ONE = Leaf()
+_PLUS1 = Operator(OpKind.PLUS, 1)
+
+
+@dataclass(frozen=True, eq=False)
+class Chain:
+    """`base` under k >= 1 `[X+1]` steps, held as one object.
+
+    It reads as the top node of that chain: `op` is `+`, `right` is `1` and
+    `left` is the chain one step shorter (`base` at k = 1).  It compares
+    equal to the `Node` tree it stands for, either way round, without
+    recursing down the chain.  Equal terms need not hash alike across the
+    two shapes, so a Chain is unhashable.
+    """
+
+    k: int
+    base: "Term"
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ValueError(f"a chain takes k >= 1 steps, got {self.k}")
+
+    op = _PLUS1
+    right = ONE
+
+    @property
+    def left(self) -> "Term":
+        return Chain(self.k - 1, self.base) if self.k > 1 else self.base
+
+    def __eq__(self, other):
+        if not isinstance(other, (Node, Chain)):
+            return NotImplemented
+        return plus_one_chain(self) == plus_one_chain(other)
+
+    __hash__ = None
+
+
+Term = Union[Leaf, Node, Chain]
 
 
 @dataclass(frozen=True)
@@ -140,16 +183,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 def desugar_integer(value: int) -> Term:
-    """Left-nested `[..[1+1]..+1]` chain; 0 becomes `[1-1]`."""
+    """The left-nested `[..[1+1]..+1]` chain of value - 1 steps, as one
+    `Chain(value - 1, ONE)`; 1 is `ONE` and 0 becomes `[1-1]`."""
     if value < 0:
         raise ValueError("only non-negative integer literals desugar")
     if value == 0:
         return Node(Operator(OpKind.MINUS, 1), ONE, ONE)
-    plus = Operator(OpKind.PLUS, 1)
-    term: Term = ONE
-    for _ in range(value - 1):
-        term = Node(plus, term, ONE)
-    return term
+    return Chain(value - 1, ONE) if value > 1 else ONE
 
 
 def _literal_values(lexeme: str) -> list[int] | None:
@@ -265,13 +305,19 @@ def parse(text: str) -> Term:
 
 def plus_one_chain(term: Term) -> tuple[int, Term]:
     """(k, X) for a term that is X under k `[X+1]` steps with the leaf on
-    the right, such as a literal n, which is (n - 1, `1`); k is 0 for none."""
+    the right, such as a literal n, which is (n - 1, `1`); k is 0 for none.
+    A `Chain` adds its k at once; `Node` steps are walked one by one."""
     k, plus = 0, OpKind.PLUS  # an enum member costs a lookup per use
-    while (isinstance(term, Node) and isinstance(term.right, Leaf)
-           and term.op.rank == 1 and term.op.kind is plus):
-        k += 1
-        term = term.left
-    return k, term
+    while True:
+        if isinstance(term, Chain):
+            k += term.k
+            term = term.base
+        elif (isinstance(term, Node) and isinstance(term.right, Leaf)
+              and term.op.rank == 1 and term.op.kind is plus):
+            k += 1
+            term = term.left
+        else:
+            return k, term
 
 
 def render(term: Term) -> str:

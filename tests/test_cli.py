@@ -1,4 +1,5 @@
 import contextlib
+import decimal
 import io
 import json
 import subprocess
@@ -308,3 +309,13 @@ def test_trace_of_a_long_literal_stops_at_the_text_cap():
     code, out, err = run_main("trace", "99999")
     assert (code, out) == (3, "")
     assert "the reduction trace passed 20,000,000 characters of text" in err
+
+
+def test_trace_shows_an_integer_past_the_int_to_str_limit():
+    # 2^64000 has 19,266 digits, past the 4,300 that `str()` of an int allows
+    code, out, err = run_main("trace", "[2+++[40+++3]]")
+    assert (code, err) == (0, "")
+    with decimal.localcontext() as exact:
+        exact.prec = 20_000
+        digits = str(decimal.Decimal(2) ** 64_000)
+    assert out.splitlines()[-2:] == ["[2+++64000]", digits + "." + "0" * 20]

@@ -1,20 +1,27 @@
+import dataclasses
 import random
+import tracemalloc
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypercalc.errors import ParseError
+from hypercalc import engine
+from hypercalc.engine import NumericContext, evaluate
+from hypercalc.errors import HypercalcError, ParseError
 from hypercalc.terms import (
     MAX_DEPTH,
     MAX_NODES,
     ONE,
+    Chain,
     Leaf,
     Node,
     OpKind,
     Operator,
     desugar_integer,
     parse,
+    plus_one_chain,
     render,
 )
 
@@ -190,3 +197,121 @@ def test_grammar_soundness(t):
         else:
             i += 1
 
+
+# ---------------------------------------------------------------------------
+# a literal is one Chain object
+
+
+def per_node(term):
+    """The same tree with every `Chain` spelled out as `Node` steps."""
+    if isinstance(term, Leaf):
+        return term
+    if isinstance(term, Chain):
+        tree = per_node(term.base)
+        for _ in range(term.k):
+            tree = Node(PLUS1, tree, ONE)
+        return tree
+    return Node(term.op, per_node(term.left), per_node(term.right))
+
+
+def literal_tree(n):
+    """The literal n as the parser once built it, one `Node` per step."""
+    if n == 0:
+        return Node(Operator(OpKind.MINUS, 1), ONE, ONE)
+    tree = ONE
+    for _ in range(n - 1):
+        tree = Node(PLUS1, tree, ONE)
+    return tree
+
+
+CTX = NumericContext(digits=10, guard_digits=10)
+
+
+def evaluated(term, collect):
+    try:
+        result = evaluate(term, CTX, collect_trace=collect)
+    except HypercalcError as err:
+        return type(err), str(err), err.path
+    return result.value, result.trace
+
+
+def assert_same_term(chain, reference):
+    assert chain == reference and reference == chain
+    assert not (chain != reference or reference != chain)
+    assert render(chain) == render(reference)
+    for collect in (False, True):
+        assert evaluated(chain, collect) == evaluated(reference, collect)
+
+
+@given(st.integers(0, MAX_NODES))
+@settings(max_examples=20, deadline=None)
+@example(0)
+@example(1)
+@example(2)
+@example(MAX_NODES)
+def test_literal_chain_is_the_per_node_literal(n):
+    term = parse(str(n))
+    # past a few thousand steps both traces stop at the text cap; a lower
+    # cap stops them at the same step in a fraction of the time
+    with mock.patch.object(engine, "MAX_TRACE_CHARS", 10**6):
+        assert_same_term(term, literal_tree(n))
+    if n >= 2:
+        assert term == Chain(n - 1, ONE)
+        assert plus_one_chain(term) == (n - 1, ONE)
+
+
+# 0.5 and [2+++0.5] make a ball under the chain, [1--0] an error below it
+CHAIN_OPERANDS = [parse(text) for text in ("1", "0", "2.75", "40", "[2+++0.5]", "[1--0]")]
+
+
+@given(st.sampled_from(CHAIN_OPERANDS), st.integers(1, 60), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_chain_over_an_operand_is_its_node_steps(operand, k, outer):
+    # `outer` hand-built Node steps over the Chain: a mixed chain
+    term = Chain(k, operand)
+    for _ in range(outer):
+        term = Node(PLUS1, term, ONE)
+    reference = per_node(operand)
+    for _ in range(k + outer):
+        reference = Node(PLUS1, reference, ONE)
+    assert plus_one_chain(term) == plus_one_chain(reference)
+    assert_same_term(term, reference)
+
+
+def test_chain_reads_as_its_top_node():
+    term = Chain(3, parse("0.5"))
+    assert (term.op, term.right, term.left) == (PLUS1, ONE, Chain(2, parse("0.5")))
+    assert Chain(1, ONE).left is ONE
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        term.k = 4
+    with pytest.raises(ValueError):
+        Chain(0, ONE)
+    # a Chain over a chain counts both
+    assert plus_one_chain(Chain(2, Chain(3, ONE))) == (5, ONE)
+    assert Chain(2, Chain(3, ONE)) == parse("6")
+    assert parse("6") != parse("7") and parse("6") != parse("[1+5]")
+    # the same steps over another base
+    half, zero = parse("0.5"), parse("0")
+    assert Chain(2, half) != Chain(2, zero)
+    assert Chain(2, half) != per_node(Chain(2, zero)) != Chain(2, half)
+
+
+def test_deep_literals_compare_and_print():
+    # as 4,999 nested Nodes these recurse past the interpreter's stack limit
+    assert parse("5000") == parse("5000")
+    assert parse("5000") != parse("5001")
+    assert parse("5000") == literal_tree(5000)
+    assert repr(parse("5000")) == "Chain(k=4999, base=Leaf())"
+    with pytest.raises(TypeError):
+        hash(parse("5000"))
+
+
+def test_largest_literal_parses_in_constant_memory():
+    tracemalloc.start()
+    try:
+        term = parse("99999")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert term == Chain(99998, ONE)
+    assert peak < 64 * 2**10
