@@ -8,7 +8,7 @@ list, so each binary operation fires as soon as both operands are values
 values stack.
 Nothing is keyed by a node's path, so the walk is linear in the term's
 size.  A node's path is rebuilt from parent links only when an error
-escapes it or a trace event names it.
+escapes it; a trace derives each event's path from the previous one.
 
 Entries are not nodes.  A literal n is one `Chain` object standing for
 n - 1 `[X+1]` nodes, and an untraced run folds each chain of k steps, a
@@ -27,11 +27,14 @@ Results stay exact whenever every step was exact; otherwise they are Balls
 whose radius is driven below base^-(digits+guard) by re-running at tighter
 working tolerances.
 
-The reduction trace renders the canonical text once, as one piece per
-bracket, operator and leaf.  When a node fires, its `[` piece takes the
-value's display text and its other four remaining pieces are blanked, so
-an event costs O(1) plus the join of its `after` text, and each event's
-`before` is the previous event's `after`.
+The reduction trace renders the canonical text once, in one linear pass,
+and keeps each entry's offset and length in it.  Events fire in post-order,
+so a firing node's span in the current line is found from the length
+change of the events before it, and the next line splices the value's
+display text over that span; each event's `before` is the previous
+event's `after`.  Its path is the previous event's, cut back to the
+deepest ancestor still to fire and extended down to the node.  An event
+costs O(1) bookkeeping plus one copy of its line and of its path.
 
 `to_base_b` produces truncated positional digits per the digit recurrences
 (quotient/remainder above the point, digit = floor(base * fractional-part)
@@ -282,59 +285,71 @@ def _apply(op, a: Value, b: Value, tol: Fraction) -> Value:
 class _Trace:
     """The reduction chain, rendered incrementally.
 
-    The canonical render is held as one piece per slot: `[`, the operator
-    and `]` of every node and `1` of every leaf.  A node's left operand
-    starts in the slot after its `[`, its right operand in the slot after
-    its operator, and operands fire before their node, so when a node fires
-    each operand is one non-empty slot.  Firing writes the value into the
-    node's `[` slot and blanks the other four: O(1) per event, plus the
-    join that every event's `after` text costs anyway.  It takes one entry
-    per node, and stops with a `ResourceError` past `MAX_TRACE_CHARS`.
+    The current line is one string.  Entry i's canonical render starts at
+    `start[i]` and is `size[i]` long; in post-order its subtree is entries
+    `first[i]` to i, and `shift[j]` is the length change of the events
+    before entry j.  Each earlier event lies left of i's span or inside it,
+    so when i fires its span runs from `start[i] + shift[first[i]]` to
+    `start[i] + size[i] + shift[i]`, and the value's text is spliced in.
+    `nodes` and `path` hold the previous event's nodes below the root and
+    the steps down to them.  Those nodes x >= i contain i; the rest are
+    popped, and parent links lead from i up to the deepest one left.  An
+    event costs O(1) bookkeeping plus a copy of its line and path; no path
+    table is built up front.  It takes one entry per node, and stops with a
+    `ResourceError` past `MAX_TRACE_CHARS`.
     """
 
     def __init__(self, flat: _Flat):
         n = len(flat)
-        size: list[int] = []  # slots spanned by each node's render
-
-        def span(k: int) -> int:
-            return 1 if k == _LEAF else size[k]
-
-        for _, l, r, _ in flat:
-            size.append(3 + span(l) + span(r))
-        self.open = [0] * n
-        self.op = [0] * n
-        self.close = [0] * n
-        self.pieces = ["1"] * (size[-1] if n else 1)
+        texts = [op.text() for op, *_ in flat]
+        size = [0] * n + [1]  # size[_LEAF] is the leaf's 1
+        first = list(range(n + 1))  # first[_LEAF] = n, past every entry
+        for i, (_, l, r, _) in enumerate(flat):
+            size[i] = 2 + len(texts[i]) + size[l] + size[r]
+            first[i] = min(first[l], first[r], i)
+        start = [0] * (n + 1)  # start[_LEAF] is written, never read
+        line = ["1"] * size[n - 1]  # a slot no bracket or operator takes is a leaf
         for i in range(n - 1, -1, -1):  # reverse post-order: parents first
-            op, l, r, _ = flat[i]
-            o = self.open[i]
-            p = o + 1 + span(l)
-            c = p + 1 + span(r)
-            if l != _LEAF:
-                self.open[l] = o + 1
-            if r != _LEAF:
-                self.open[r] = p + 1
-            self.op[i], self.close[i] = p, c
-            self.pieces[o], self.pieces[p], self.pieces[c] = "[", op.text(), "]"
-        self.parents = _parents(flat)
-        self.text = "".join(self.pieces)
+            _, l, r, _ = flat[i]
+            s, t = start[i], texts[i]
+            p = s + 1 + size[l]
+            start[l], start[r] = s + 1, p + len(t)
+            line[s], line[p], line[s + size[i] - 1] = "[", t, "]"
+            if len(t) > 1:  # the operator fills one slot per character
+                line[p + 1:p + len(t)] = [""] * (len(t) - 1)
+        self.start, self.size, self.first = start, size, first
+        self.shift, self.root = [0], n - 1
+        self.parent, self.step = _parents(flat)
+        self.nodes, self.path = [], []
+        self.text = "".join(line)
         self.chars = len(self.text)
         self.events: list[TraceEvent] = []
 
     def fire(self, i: int, shown: str) -> None:
-        pieces, o, p = self.pieces, self.open[i], self.op[i]
-        pieces[o] = shown
-        pieces[o + 1] = pieces[p] = pieces[p + 1] = pieces[self.close[i]] = ""
-        before, self.text = self.text, "".join(pieces)
-        self.chars += len(self.text)
+        shift, text = self.shift, self.text
+        at = self.start[i] + shift[self.first[i]]
+        end = self.start[i] + self.size[i] + shift[i]
+        grow = len(shown) - (end - at)
+        self.chars += len(text) + grow
         if self.chars > MAX_TRACE_CHARS:
             raise ResourceError(
                 f"the reduction trace passed {MAX_TRACE_CHARS:,} characters of "
-                f"text at step {len(self.events) + 1} of {len(self.open):,}"
+                f"text at step {len(self.events) + 1} of {self.root + 1:,}"
             )
-        self.events.append(
-            TraceEvent(len(self.events) + 1, _path_of(i, *self.parents), before, self.text)
-        )
+        self.text = text[:at] + shown + text[end:]
+        shift.append(shift[i] + grow)
+        nodes, path = self.nodes, self.path
+        while nodes and nodes[-1] < i:
+            nodes.pop()
+            path.pop()
+        top = nodes[-1] if nodes else self.root
+        climb = []
+        while i != top:
+            climb.append(i)
+            i = self.parent[i]
+        nodes += reversed(climb)
+        path += [self.step[j] for j in reversed(climb)]
+        self.events.append(TraceEvent(len(self.events) + 1, tuple(path), text, self.text))
 
 
 def _display_value(value: Value, ctx: NumericContext) -> str:

@@ -67,9 +67,60 @@ class Leaf:
 
 @dataclass(frozen=True)
 class Node:
+    """`[left op right]`.  Equality, hashing and repr walk the tree with an
+    explicit stack, since explicit bracket text nests up to `MAX_DEPTH`."""
+
     op: Operator
     left: "Term"
     right: "Term"
+
+    def __eq__(self, other):
+        if not isinstance(other, (Node, Chain)):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            # a `+1` run compares by its length, however it is held
+            (ka, a), (kb, b) = plus_one_chain(a), plus_one_chain(b)
+            if ka != kb:
+                return False
+            if not (isinstance(a, Node) and isinstance(b, Node)):
+                if a != b:  # leaves, or a leaf against a node
+                    return False
+            elif a.op != b.op:
+                return False
+            else:
+                pairs += [(a.right, b.right), (a.left, b.left)]
+        return True
+
+    def __hash__(self):
+        hashes: list[int] = []  # of finished subtrees, in post-order
+        work: list = [self]  # terms to hash, or a Node whose operands are done
+        while work:
+            t = work.pop()
+            if isinstance(t, tuple):
+                right, left = hashes.pop(), hashes.pop()
+                hashes.append(hash((t[0].op, left, right)))
+            elif isinstance(t, Node):
+                work += [(t,), t.right, t.left]
+            else:  # a Leaf; a Chain is unhashable and raises TypeError
+                hashes.append(hash(t))
+        return hashes[0]
+
+    def __repr__(self):
+        out: list[str] = []
+        work: list = [self]  # terms to print, or literal strings to emit
+        while work:
+            t = work.pop()
+            if isinstance(t, str):
+                out.append(t)
+            elif isinstance(t, Node):
+                work += [")", t.right, ", right=", t.left, f"Node(op={t.op!r}, left="]
+            else:
+                out.append(repr(t))
+        return "".join(out)
 
 
 ONE = Leaf()
@@ -101,11 +152,7 @@ class Chain:
     def left(self) -> "Term":
         return Chain(self.k - 1, self.base) if self.k > 1 else self.base
 
-    def __eq__(self, other):
-        if not isinstance(other, (Node, Chain)):
-            return NotImplemented
-        return plus_one_chain(self) == plus_one_chain(other)
-
+    __eq__ = Node.__eq__
     __hash__ = None
 
 

@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -449,6 +450,53 @@ def test_post_order_evaluation_matches_path_keyed_reference(term, collect):
     new = outcome(lambda: engine._eval_once(flat, CTX10, op_tol, collect))
     old = outcome(lambda: reference_eval_once(term, CTX10, op_tol, collect))
     assert new == old
+
+
+@given(low_rank_terms())
+@settings(max_examples=300, deadline=None)
+@example(term=parse("[[[[2+++0.5]+1]+1]+[[40+1]---[3+1]]]"))
+def test_trace_paths_follow_from_the_previous_event(term):
+    flat = engine._flatten(term, fold_chains=False)
+    path_of, parents = engine._path_of, engine._parents(flat)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return path_of(*args)
+
+    op_tol = CTX10.precision_target() / 64
+    with mock.patch.object(engine, "_path_of", counted):
+        try:
+            _, events = engine._eval_once(flat, CTX10, op_tol, True)
+        except HypercalcError:
+            assert len(calls) <= 1  # only the escaping error's path
+            return
+    # no walk up the parent links per event
+    assert calls == []
+    assert [e.path for e in events] == [path_of(i, *parents) for i in range(len(flat))]
+
+
+def test_trace_of_an_explicit_chain_in_closed_form():
+    steps = 1000
+    events = trace_reduce(parse("[" * steps + "1" + "+1]" * steps), CTX10)
+    assert len(events) == steps
+    for j, event in enumerate(events, start=1):
+        assert event.path == ("L",) * (steps - j)
+        assert event.after == "[" * (steps - j) + str(j + 1) + "+1]" * (steps - j)
+
+
+@pytest.mark.parametrize("text, path", [
+    ("[[1+[1--[1-1]]]+1]", ("L", "R")),
+    # the chain 5 fires four events before the division fails below a chain
+    ("[[[5+[1--[1-1]]]+1]+1]", ("L", "L", "R")),
+    ("[[40+1]++[[2--[[3+1]-4]]+1]]", ("R", "L")),
+])
+def test_trace_error_below_a_chain_keeps_its_path(text, path):
+    for collect in (False, True):
+        with pytest.raises(DomainError) as err:
+            evaluate(parse(text), CTX10, collect_trace=collect)
+        assert err.value.path == path
+        assert str(err.value) == f"division by zero (at {'.'.join(path)})"
 
 
 # ---------------------------------------------------------------------------

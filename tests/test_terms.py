@@ -306,6 +306,57 @@ def test_deep_literals_compare_and_print():
         hash(parse("5000"))
 
 
+# explicit bracket text nests up to `MAX_DEPTH` `Node`s; as dataclass
+# methods, `==`, `hash` and `repr` recursed once per level past the
+# interpreter's stack limit
+DEEP_PLUS1 = "[" * 5000 + "1" + "+1]" * 5000
+DEEP_TIMES1 = "[" * 3000 + "[1+[1+1]]" + "++1]" * 3000
+
+
+@pytest.mark.parametrize("text", [DEEP_PLUS1, DEEP_TIMES1], ids=["plus-one", "times-one"])
+def test_deep_bracket_text_compares_hashes_and_prints(text):
+    a, b = parse(text), parse(text)
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    innermost_differs = parse(text.replace("1+1]", "1-1]", 1))
+    assert a != innermost_differs and innermost_differs != a
+    shown = repr(a)
+    assert shown.startswith("Node(op=Operator(kind=<OpKind.PLUS: '+'>, rank=")
+    assert shown.endswith(", right=Leaf())")
+    assert shown.count("Node(") == text.count("[")
+
+
+def test_deep_bracket_text_against_chains():
+    deep = parse(DEEP_PLUS1)
+    assert deep == parse("5001") and parse("5001") == deep
+    assert deep != parse("5002") and parse("5002") != deep
+    # a `Chain` anywhere below keeps the tree unhashable
+    with pytest.raises(TypeError):
+        hash(parse("[" * 3000 + "5" + "++1]" * 3000))
+
+
+def tree_tuple(term):
+    """The nested tuple that the dataclass `__eq__` and `__hash__` compared."""
+    if isinstance(term, Leaf):
+        return ()
+    return (term.op, tree_tuple(term.left), tree_tuple(term.right))
+
+
+def dataclass_repr(term):
+    if isinstance(term, Leaf):
+        return "Leaf()"
+    return f"Node(op={term.op!r}, left={dataclass_repr(term.left)}, right={dataclass_repr(term.right)})"
+
+
+@given(term_strategy(), term_strategy())
+@settings(max_examples=200, deadline=None)
+def test_node_methods_match_the_dataclass_ones(a, b):
+    copy = parse(render(a))
+    assert a == copy and hash(a) == hash(copy)
+    assert (a == b) == (tree_tuple(a) == tree_tuple(b)) == (not a != b)
+    assert repr(a) == dataclass_repr(a)
+
+
 def test_largest_literal_parses_in_constant_memory():
     tracemalloc.start()
     try:
