@@ -183,12 +183,9 @@ def _cmd_repl(args) -> int:
                 print(f"error: {err}")
             continue
         try:
-            term = parse(line)
-            _, expansion = adaptive_evaluate(term, ctx)
-            print(expansion.text())
+            _emit(_result_payload(line, ctx, False), args)
         except HypercalcError as err:
             print(f"error: {err}")
-    return 0
 
 
 def _cmd_farey(args) -> int:

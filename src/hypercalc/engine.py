@@ -27,14 +27,15 @@ Results stay exact whenever every step was exact; otherwise they are Balls
 whose radius is driven below base^-(digits+guard) by re-running at tighter
 working tolerances.
 
-The reduction trace renders the canonical text once, in one linear pass,
-and keeps each entry's offset and length in it.  Events fire in post-order,
-so a firing node's span in the current line is found from the length
-change of the events before it, and the next line splices the value's
-display text over that span; each event's `before` is the previous
-event's `after`.  Its path is the previous event's, cut back to the
-deepest ancestor still to fire and extended down to the node.  An event
-costs O(1) bookkeeping plus one copy of its line and of its path.
+The reduction trace renders no text itself: it starts from the canonical
+text `terms.render` gives and finds each entry's offset and length in it
+from operator ranks alone.  Events fire in post-order, so a firing node's
+span in the current line is found from the length change of the events
+before it, and the next line splices the value's display text over that
+span; each event's `before` is the previous event's `after`.  Its path is
+the previous event's, cut back to the deepest ancestor still to fire and
+extended down to the node.  An event costs O(1) bookkeeping plus one copy
+of its line and of its path.
 
 `to_base_b` produces truncated positional digits per the digit recurrences
 (quotient/remainder above the point, digit = floor(base * fractional-part)
@@ -53,7 +54,7 @@ from . import hyperops, midops
 from .balls import Ball, divide, round_ball
 from .errors import DomainError, HypercalcError, PrecisionError, ResourceError
 from .midops import SeriesConfig, tol_bits
-from .terms import Chain, Leaf, OpKind, Operator, Path, Term, TraceEvent, plus_one_chain
+from .terms import Chain, Leaf, OpKind, Operator, Path, Term, TraceEvent, plus_one_chain, render
 
 _DIGIT_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
@@ -139,8 +140,9 @@ def evaluate(term: Term, ctx: NumericContext, *, collect_trace: bool = False) ->
     flat = _flatten(term, fold_chains=not collect_trace)
     nodes = sum(k or 1 for *_, k in flat)
     working = target / (4 * max(1, nodes))
+    text = render(term) if collect_trace else None
     for _ in range(MAX_DOUBLINGS + 1):
-        value, events = _eval_once(flat, ctx, working, collect_trace)
+        value, events = _eval_once(flat, ctx, working, text)
         if isinstance(value, Fraction) or value.radius <= target:
             return EvalResult(value, tuple(events) if collect_trace else None)
         # a power of an inexact base amplifies its error by far more than 16,
@@ -151,8 +153,7 @@ def evaluate(term: Term, ctx: NumericContext, *, collect_trace: bool = False) ->
 
 def trace_reduce(term: Term, ctx: NumericContext) -> tuple[TraceEvent, ...]:
     """One event per binary operation, reproducing the printable chain."""
-    result = evaluate(term, ctx, collect_trace=True)
-    return result.trace or ()
+    return evaluate(term, ctx, collect_trace=True).trace
 
 
 # Entries in post-order: (op, left, right, k), where an operand is the
@@ -197,11 +198,12 @@ def _flatten(term: Term, fold_chains: bool) -> _Flat:
     return flat
 
 
-def _eval_once(flat: _Flat, ctx, op_tol, collect):
+def _eval_once(flat: _Flat, ctx, op_tol, text: str | None):
     # In post-order a node's operand values are the top of this stack,
-    # right above left, and each value is dropped as its parent fires.
+    # right above left, and each value is dropped as its parent fires;
+    # `text`, the term's render, is given to trace the run.
     values: list[Value] = []
-    trace = _Trace(flat) if collect else None
+    trace = _Trace(flat, text) if text is not None else None
     one = Fraction(1)
     for i, (op, l, r, k) in enumerate(flat):
         right = one if r == _LEAF else values.pop()
@@ -283,14 +285,15 @@ def _apply(op, a: Value, b: Value, tol: Fraction) -> Value:
 
 
 class _Trace:
-    """The reduction chain, rendered incrementally.
+    """The reduction chain, spliced line by line into the term's render.
 
-    The current line is one string.  Entry i's canonical render starts at
-    `start[i]` and is `size[i]` long; in post-order its subtree is entries
-    `first[i]` to i, and `shift[j]` is the length change of the events
-    before entry j.  Each earlier event lies left of i's span or inside it,
-    so when i fires its span runs from `start[i] + shift[first[i]]` to
-    `start[i] + size[i] + shift[i]`, and the value's text is spliced in.
+    The first line is `render`'s text; the current line is one string.
+    Entry i's text starts at `start[i]` in the first line and is `size[i]`
+    long, sized from operator ranks alone; in post-order its subtree is
+    entries `first[i]` to i, and `shift[j]` is the length change of the
+    events before entry j.  Each earlier event lies left of i's span or
+    inside it, so when i fires its span runs from `start[i] + shift[first[i]]`
+    to `start[i] + size[i] + shift[i]`, and the value's text is spliced in.
     `nodes` and `path` hold the previous event's nodes below the root and
     the steps down to them.  Those nodes x >= i contain i; the rest are
     popped, and parent links lead from i up to the deepest one left.  An
@@ -299,30 +302,23 @@ class _Trace:
     `ResourceError` past `MAX_TRACE_CHARS`.
     """
 
-    def __init__(self, flat: _Flat):
+    def __init__(self, flat: _Flat, text: str):
         n = len(flat)
-        texts = [op.text() for op, *_ in flat]
         size = [0] * n + [1]  # size[_LEAF] is the leaf's 1
         first = list(range(n + 1))  # first[_LEAF] = n, past every entry
-        for i, (_, l, r, _) in enumerate(flat):
-            size[i] = 2 + len(texts[i]) + size[l] + size[r]
+        for i, (op, l, r, _) in enumerate(flat):
+            size[i] = 2 + op.rank + size[l] + size[r]  # `[`, operator, `]`
             first[i] = min(first[l], first[r], i)
-        start = [0] * (n + 1)  # start[_LEAF] is written, never read
-        line = ["1"] * size[n - 1]  # a slot no bracket or operator takes is a leaf
+        start = [0] * (n + 1)  # start[_LEAF] is scratch; `fire` never reads it
         for i in range(n - 1, -1, -1):  # reverse post-order: parents first
-            _, l, r, _ = flat[i]
-            s, t = start[i], texts[i]
-            p = s + 1 + size[l]
-            start[l], start[r] = s + 1, p + len(t)
-            line[s], line[p], line[s + size[i] - 1] = "[", t, "]"
-            if len(t) > 1:  # the operator fills one slot per character
-                line[p + 1:p + len(t)] = [""] * (len(t) - 1)
+            op, l, r, _ = flat[i]
+            start[l] = start[i] + 1
+            start[r] = start[l] + size[l] + op.rank
         self.start, self.size, self.first = start, size, first
         self.shift, self.root = [0], n - 1
         self.parent, self.step = _parents(flat)
         self.nodes, self.path = [], []
-        self.text = "".join(line)
-        self.chars = len(self.text)
+        self.text, self.chars = text, len(text)
         self.events: list[TraceEvent] = []
 
     def fire(self, i: int, shown: str) -> None:

@@ -38,8 +38,9 @@ def farey_row(k: int) -> list[FareyEntry]:
     """Entries of row k, built by the copy/mediant recursion from row 1."""
     if k < 1:
         raise DomainError(f"row index must be >= 1, got {k}")
-    if k > 1 and 2 ** (k - 1) + 1 > ROW_CAP:
-        raise ResourceError(f"row {k} has {2 ** (k - 1) + 1} entries, cap is {ROW_CAP}")
+    # 2^(k-1) + 1 > ROW_CAP, decided without building (or printing) 2^(k-1)
+    if k > 1 and k - 1 >= (ROW_CAP - 1).bit_length():
+        raise ResourceError(f"row {k} has 2^{k - 1} + 1 entries, cap is {ROW_CAP}")
     row = [FareyEntry(0, 1), FareyEntry(1, 1)]
     for _ in range(k - 1):
         nxt = []

@@ -12,10 +12,12 @@ desugars to `[15--10]`).  Rendering never emits sugar, so parse/render
 round-trips are exact.
 
 A literal n stands for the chain of n - 1 `[X+1]` steps over `1`, but it is
-held as one `Chain(n - 1, ONE)` of constant size.  A `Chain` equals the
-`Node` tree it stands for and walks like it (`op`, `left`, `right`), so
-per-node code needs no case for it; `plus_one_chain` reads its length in
-O(1).  Explicit `[X+1]` text still parses to `Node`s.
+held as one `Chain(n - 1, ONE)` of constant size.  A `Chain` walks like
+the `Node` tree it stands for (`op`, `left`, `right`), so per-node code
+needs no case for it; `plus_one_chain` reads its length in O(1).  Explicit
+`[X+1]` text still parses to `Node`s.  A term's identity is its canonical
+text: `render` alone writes bracket text, and terms are equal, and hash
+alike, when they render alike, however `Node`s and `Chain`s hold them.
 """
 
 from __future__ import annotations
@@ -67,8 +69,8 @@ class Leaf:
 
 @dataclass(frozen=True)
 class Node:
-    """`[left op right]`.  Equality, hashing and repr walk the tree with an
-    explicit stack, since explicit bracket text nests up to `MAX_DEPTH`."""
+    """`[left op right]`.  `==` and `hash` compare `render` text; repr walks
+    the tree with an explicit stack, as bracket text nests up to `MAX_DEPTH`."""
 
     op: Operator
     left: "Term"
@@ -77,37 +79,10 @@ class Node:
     def __eq__(self, other):
         if not isinstance(other, (Node, Chain)):
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if a is b:
-                continue
-            # a `+1` run compares by its length, however it is held
-            (ka, a), (kb, b) = plus_one_chain(a), plus_one_chain(b)
-            if ka != kb:
-                return False
-            if not (isinstance(a, Node) and isinstance(b, Node)):
-                if a != b:  # leaves, or a leaf against a node
-                    return False
-            elif a.op != b.op:
-                return False
-            else:
-                pairs += [(a.right, b.right), (a.left, b.left)]
-        return True
+        return self is other or render(self) == render(other)
 
     def __hash__(self):
-        hashes: list[int] = []  # of finished subtrees, in post-order
-        work: list = [self]  # terms to hash, or a Node whose operands are done
-        while work:
-            t = work.pop()
-            if isinstance(t, tuple):
-                right, left = hashes.pop(), hashes.pop()
-                hashes.append(hash((t[0].op, left, right)))
-            elif isinstance(t, Node):
-                work += [(t,), t.right, t.left]
-            else:  # a Leaf; a Chain is unhashable and raises TypeError
-                hashes.append(hash(t))
-        return hashes[0]
+        return hash(render(self))
 
     def __repr__(self):
         out: list[str] = []
@@ -132,10 +107,9 @@ class Chain:
     """`base` under k >= 1 `[X+1]` steps, held as one object.
 
     It reads as the top node of that chain: `op` is `+`, `right` is `1` and
-    `left` is the chain one step shorter (`base` at k = 1).  It compares
-    equal to the `Node` tree it stands for, either way round, without
-    recursing down the chain.  Equal terms need not hash alike across the
-    two shapes, so a Chain is unhashable.
+    `left` is the chain one step shorter (`base` at k = 1).  It shares
+    `Node`'s `==` and `hash`, so it is hashable, and it equals and hashes
+    like the `Node` tree it stands for: both render to the same text.
     """
 
     k: int
@@ -153,7 +127,7 @@ class Chain:
         return Chain(self.k - 1, self.base) if self.k > 1 else self.base
 
     __eq__ = Node.__eq__
-    __hash__ = None
+    __hash__ = Node.__hash__
 
 
 Term = Union[Leaf, Node, Chain]
@@ -178,6 +152,8 @@ _CLOSE = "close"
 _RUN = "run"
 _INT = "int"
 _DEC = "dec"
+# literal digits: `str.isdigit` would also take `²`, which `int` refuses, and `١`
+_DIGITS = frozenset("0123456789")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -208,13 +184,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             tokens.append((_RUN, text[i:j], i))
             i = j
             continue
-        if c.isdigit():
+        if c in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1].isdigit():
+            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
                 k = j + 1
-                while k < n and text[k].isdigit():
+                while k < n and text[k] in _DIGITS:
                     k += 1
                 tokens.append((_DEC, text[i:k], i))
                 i = k

@@ -212,6 +212,17 @@ def test_eval_file_goes_on_after_a_failing_line(tmp_path):
     assert run_main("eval", "[1+") == (1, "", "parse error: expected an operand at offset 3\n")
 
 
+def test_eval_file_goes_on_past_a_non_ascii_digit(tmp_path):
+    # `str.isdigit` let `²` into a literal, and `int()` aborted the batch
+    batch = tmp_path / "exprs.txt"
+    batch.write_text("[1+\u00b2]\n[1+1]\n", encoding="utf-8")
+    code, out, err = run_main("eval", "--file", str(batch), "--digits", "1")
+    assert (code, out) == (1, "2.0\n")
+    assert err == "line 1: parse error: stray character '\u00b2' at offset 3\n"
+    assert run_main("eval", "[1+\u00b2]") == (
+        1, "", "parse error: stray character '\u00b2' at offset 3\n")
+
+
 def test_parser_is_built_once_and_not_at_import():
     code = (
         "from hypercalc import cli; n = cli.build_parser.cache_info().currsize; "
@@ -245,6 +256,10 @@ def test_farey_row():
     assert out.strip() == "0/1 1/3 1/2 2/3 1/1"
     code, out, _ = run_cli("farey", "2", "--format", "json")
     assert json.loads(out) == {"row": 2, "entries": ["0/1", "1/2", "1/1"]}
+    # 2^19999 + 1 has more digits than `str()` of an int may show
+    code, out, err = run_cli("farey", "20000")
+    assert (code, out) == (3, "")
+    assert err == "numeric error: row 20000 has 2^19999 + 1 entries, cap is 1048577\n"
 
 
 def test_repl_session(monkeypatch):
@@ -258,6 +273,22 @@ def test_repl_session(monkeypatch):
     assert lines[0] == "0.5000"
     assert lines[1] == "0.1000"
     assert lines[2].startswith("error:")
+
+
+def test_repl_json_session(monkeypatch):
+    stdin = io.StringIO("[1+1]\n:digits 2\n[1--[1+1]]\nbogus(\n:quit\n[1+1]\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["repl", "--format", "json"])
+    assert code == 0
+    lines = out.getvalue().splitlines()
+    assert json.loads(lines[0]) == {
+        "input": "[1+1]", "canonical": "[1+1]", "value": "2.00000000000000000000",
+        "radius": "0/1", "digits": 20,
+    }
+    assert json.loads(lines[1])["value"] == "0.50"
+    assert lines[2:] == ["error: stray character 'b' at offset 0"]
 
 
 def test_repl_settings(monkeypatch):

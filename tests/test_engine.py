@@ -447,7 +447,8 @@ def test_post_order_evaluation_matches_path_keyed_reference(term, collect):
     # untraced runs fold chains, traced runs keep one entry per node
     op_tol = CTX10.precision_target() / 64
     flat = engine._flatten(term, fold_chains=not collect)
-    new = outcome(lambda: engine._eval_once(flat, CTX10, op_tol, collect))
+    text = render(term) if collect else None
+    new = outcome(lambda: engine._eval_once(flat, CTX10, op_tol, text))
     old = outcome(lambda: reference_eval_once(term, CTX10, op_tol, collect))
     assert new == old
 
@@ -467,7 +468,7 @@ def test_trace_paths_follow_from_the_previous_event(term):
     op_tol = CTX10.precision_target() / 64
     with mock.patch.object(engine, "_path_of", counted):
         try:
-            _, events = engine._eval_once(flat, CTX10, op_tol, True)
+            _, events = engine._eval_once(flat, CTX10, op_tol, render(term))
         except HypercalcError:
             assert len(calls) <= 1  # only the escaping error's path
             return
@@ -512,9 +513,9 @@ def test_folded_chain_over_a_ball_matches_per_node_steps():
     # 2, 5 and 10 are chains, then `--`, `+++` and the 2,000-step chain
     assert (len(folded), len(per_node)) == (6, 2016)
     op_tol = CTX10.precision_target() / 64
-    value, _ = engine._eval_once(folded, CTX10, op_tol, False)
+    value, _ = engine._eval_once(folded, CTX10, op_tol, None)
     assert isinstance(value, Ball)
-    assert value == engine._eval_once(per_node, CTX10, op_tol, False)[0]
+    assert value == engine._eval_once(per_node, CTX10, op_tol, None)[0]
 
 
 def test_literal_evaluates_without_operator_calls(monkeypatch):

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 
@@ -55,6 +56,21 @@ def test_row_cap(monkeypatch):
     farey_row(6)
     with pytest.raises(ResourceError):
         farey_row(7)
+
+
+def test_row_cap_is_decided_from_the_index_size():
+    # row 20000's 2^19999 + 1 entries pass the int-to-str digit limit, and
+    # 2^(10^9 - 1) alone is a 125 MB integer: neither is built
+    tracemalloc.start()
+    try:
+        for k in (20_000, 10**9):
+            with pytest.raises(ResourceError) as err:
+                farey_row(k)
+            assert str(err.value) == f"row {k} has 2^{k - 1} + 1 entries, cap is {ROW_CAP}"
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 def test_rows_match_entry_oracle():

@@ -71,6 +71,11 @@ def test_parse_rejects_garbage():
         ("[+1]", 1),
         ("1]", 1),
         ("[1+1]]", 5),
+        # literals take ASCII digits only: `int()` raised ValueError on the
+        # superscript two, and Arabic-Indic 12 parsed as 12
+        ("[1+\u00b2]", 3),
+        ("[2.\u00b2+1]", 2),
+        ("\u0661\u0662", 0),
     ]:
         with pytest.raises(ParseError) as err:
             parse(text)
@@ -302,8 +307,9 @@ def test_deep_literals_compare_and_print():
     assert parse("5000") != parse("5001")
     assert parse("5000") == literal_tree(5000)
     assert repr(parse("5000")) == "Chain(k=4999, base=Leaf())"
-    with pytest.raises(TypeError):
-        hash(parse("5000"))
+    # a `Chain` hashes like the `Node` tree it stands for
+    assert hash(parse("5000")) == hash(literal_tree(5000))
+    assert len({parse("5000"), literal_tree(5000), parse("5001")}) == 2
 
 
 # explicit bracket text nests up to `MAX_DEPTH` `Node`s; as dataclass
@@ -330,9 +336,13 @@ def test_deep_bracket_text_against_chains():
     deep = parse(DEEP_PLUS1)
     assert deep == parse("5001") and parse("5001") == deep
     assert deep != parse("5002") and parse("5002") != deep
-    # a `Chain` anywhere below keeps the tree unhashable
-    with pytest.raises(TypeError):
-        hash(parse("[" * 3000 + "5" + "++1]" * 3000))
+    # a `Node` tree holding a `Chain` hashes like its all-`Node` copy; the
+    # deep one is spelled out in text, as `per_node` recurses per level
+    mixed = parse("[" * 3000 + "5" + "++1]" * 3000)
+    spelled = parse("[" * 3000 + "[[[[1+1]+1]+1]+1]" + "++1]" * 3000)
+    assert mixed == spelled and hash(mixed) == hash(spelled)
+    mixed = parse("[[5++1]+[2.5---7]]")
+    assert mixed == per_node(mixed) and hash(mixed) == hash(per_node(mixed))
 
 
 def tree_tuple(term):
@@ -351,8 +361,8 @@ def dataclass_repr(term):
 @given(term_strategy(), term_strategy())
 @settings(max_examples=200, deadline=None)
 def test_node_methods_match_the_dataclass_ones(a, b):
-    copy = parse(render(a))
-    assert a == copy and hash(a) == hash(copy)
+    for copy in (parse(render(a)), per_node(a)):
+        assert a == copy and hash(a) == hash(copy)
     assert (a == b) == (tree_tuple(a) == tree_tuple(b)) == (not a != b)
     assert repr(a) == dataclass_repr(a)
 
