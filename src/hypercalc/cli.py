@@ -163,6 +163,14 @@ def _cmd_eval(args) -> int:
 def _cmd_repl(args) -> int:
     ctx = _context(args)
     interactive = sys.stdin.isatty()
+
+    def report(line, err, code, message):
+        # JSON sessions get `eval --file --format json`'s failure record
+        if args.format_ == "json":
+            print(json.dumps({"input": line, "error": message, "exit": code}, sort_keys=True))
+        else:
+            print(f"error: {err}")
+
     while True:
         if interactive:
             sys.stdout.write("hyper> ")
@@ -180,12 +188,12 @@ def _cmd_repl(args) -> int:
             try:
                 ctx = replace(ctx, **{field: int(line.split()[1])})
             except (IndexError, ValueError) as err:
-                print(f"error: {err}")
+                report(line, err, 1, str(err))  # a usage error, as a bad flag is
             continue
         try:
             _emit(_result_payload(line, ctx, False), args)
         except HypercalcError as err:
-            print(f"error: {err}")
+            report(line, err, *_failure(err))
 
 
 def _cmd_farey(args) -> int:

@@ -216,7 +216,11 @@ def _atanh_ratio_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
 def _ln_split_fixed(num: int, den: int, prec: int) -> tuple[int, int]:
     """(value, error) in 2^-prec ulps of ln m, m = num/den in [1/2, 2].
 
-    m = (c/2^K) t with c = round(m 2^K) in [2^(K-1), 2^(K+1)], so
+    A small-height m, num + den below 2^(K+1), is one small-ratio series:
+    ln m = 2 atanh((num - den)/(num + den)), and |num - den|/(num + den)
+    <= 1/3 on [1/2, 2], so the kernel's bound holds as it stands.
+
+    Otherwise m = (c/2^K) t with c = round(m 2^K) in [2^(K-1), 2^(K+1)], so
     ln m = 2 atanh(p/q) + 2 atanh(b) with p/q = (c - 2^K)/(c + 2^K) in
     [-1/3, 1/3] and b = (t - 1)/(t + 1) = (m 2^K - c)/(m 2^K + c), where
     |m 2^K - c| <= 1/2 and m 2^K + c >= 2^K - 1/2 give |b| < 2^-K.  The
@@ -224,6 +228,9 @@ def _ln_split_fixed(num: int, den: int, prec: int) -> tuple[int, int]:
     in about prec/(2K) terms; the error is the sum of their two bounds.
     Either part is skipped when it is exactly zero (c = 2^K, or b = 0).
     """
+    if num != den and (num + den).bit_length() <= _SPLIT_BITS + 1:
+        g = math.gcd(num - den, num + den)
+        return _atanh_ratio_fixed((num - den) // g, (num + den) // g, prec)
     one = 1 << _SPLIT_BITS
     c = _fix(num, den, _SPLIT_BITS)
     value = err = 0
@@ -379,6 +386,183 @@ def _exact_int_pow(base: Fraction, n: int) -> Fraction | None:
     return base**n
 
 
+# ---------------------------------------------------------------------------
+# q-th roots: exact integer roots and the algebraic power kernel
+
+# The algebraic path takes exponents p/q with q below 2^_ROOT_Q_BITS.  Its
+# cost grows with log q and stayed below exp/ln's up to q = 2^20 at 64 to
+# 10,000 bits (CPython 3.11); the dyadic exponents of the root finders'
+# probes, q >= 2^24, keep exp/ln.
+_ROOT_Q_BITS = 16
+# Newton's fixed-point start: a float estimate good to about 50 bits.
+_ROOT_START_BITS = 50
+# The certified bracket's half-width, in ulps of the fixed point; the
+# Newton iterate lands within about 2 of the root.
+_ROOT_GUARD = 64
+# `log` looks for a rational result while the smaller operand's height in
+# bits, which bounds its prime-exponent search, is at most this.
+_EXACT_LOG_HEIGHT = 4096
+
+
+def _iroot(x: int, q: int) -> int:
+    """floor(x^(1/q)) for x >= 1 and q >= 2.
+
+    From any r >= 1 the integer Newton step floor(((q - 1) r + floor(x /
+    r^(q-1))) / q) lands at or above the floor root (the arithmetic-geometric
+    mean inequality, through the floors), and from above it falls strictly
+    while r^q > x; so the first step that does not fall stops at the floor
+    root.  Newton falls only linearly from far above, so the start is a float
+    estimate from x's top 64 bits, good to far better than 2^-30 relative,
+    raised just above the root: then a few steps remain.
+    """
+    if q == 2:
+        return math.isqrt(x)
+    bits = x.bit_length()
+    if bits <= q:
+        return 1
+    cut = max(0, bits - 64)
+    log2_root = (math.log2(x >> cut) + cut) / q
+    whole = int(log2_root)
+    r = int(2.0 ** (log2_root - whole + 52))  # 53 bits
+    r = r << (whole - 52) if whole >= 52 else r >> (52 - whole)
+    r += (r >> 30) + 2
+    r = ((q - 1) * r + x // r ** (q - 1)) // q  # at or above the floor root
+    while True:
+        step = ((q - 1) * r + x // r ** (q - 1)) // q
+        if step >= r:
+            return r
+        r = step
+
+
+def _exact_root(x: int, q: int) -> int | None:
+    """The r with r^q = x, for x >= 1 and q >= 2, or None."""
+    if x == 1:
+        return 1
+    if x.bit_length() <= q:  # 1 < x < 2^q: any root lies strictly in (1, 2)
+        return None
+    r = _iroot(x, q)
+    return r if r**q == x else None
+
+
+def _pow_fixed(x: int, e: int, prec: int, up: bool) -> int:
+    """(x / 2^prec)^e 2^prec for x >= 0 and e >= 1, by binary powering with
+    every product rounded down (up); as products of nonnegative values are
+    monotone, the result is a lower (upper) bound of the exact scaled power."""
+    result = None
+    while True:
+        if e & 1:
+            result = x if result is None else (
+                -((-result * x) >> prec) if up else (result * x) >> prec)
+        e >>= 1
+        if not e:
+            return result
+        x = -((-x * x) >> prec) if up else (x * x) >> prec
+
+
+def _algebraic_power(base: Fraction, exponent: Fraction, tn: int, td: int) -> Ball | None:
+    """Ball containing base^exponent for base > 0 and exponent = P/Q, Q >= 2,
+    with radius <= tn / td, or None where exp/ln should run instead.
+
+    Exact when base's numerator and denominator are perfect Q-th powers;
+    otherwise the certified Newton root of the module docstring, behind its
+    gate, with None when the certificate fails.
+    """
+    n, d = base.numerator, base.denominator
+    P, Q = exponent.numerator, exponent.denominator
+    rd = _exact_root(d, Q)
+    rn = rd and _exact_root(n, Q)
+    if rn:
+        exact = _exact_int_pow(Fraction(rn, rd), P)
+        if exact is not None:
+            return Ball(exact)
+    if P < 0:
+        n, d, P = d, n, -P
+    bits = _tol_bits(tn, td) + 16  # the snap grid of power's exp/ln exit
+    height = P * max(n.bit_length(), d.bit_length())
+    if Q.bit_length() > _ROOT_Q_BITS or height > max(
+            bits + (P * (n.bit_length() - d.bit_length())) // Q + 16, 64):
+        return None
+    N, D = n**P, d**P
+    k = (N.bit_length() - D.bit_length()) // Q  # m^Q = N / (D 2^(kQ)) in (1/2, 2^Q)
+    if k > MAX_MAGNITUDE_BITS:
+        raise MagnitudeError("power result would blow past the magnitude cap")
+    prec = max(bits + k + 16, 64)
+    shift = prec - k * Q  # m^Q 2^prec = Nc / Dc
+    Nc, Dc = N << max(shift, 0), D << max(-shift, 0)
+    A = _fix(Nc, Dc, 0)
+    # Newton on r^Q = A at doubling precisions, each step p <= 2 p' - margin
+    # over the previous p', so the quadratic term stays below an ulp
+    margin = Q.bit_length() + 4
+    steps = []
+    p = prec
+    while p > _ROOT_START_BITS:
+        steps.append(p)
+        p = (p + margin + 1) // 2
+    cut = A.bit_length() - 64
+    log2_m = (math.log2(A >> cut) + cut - prec) / Q
+    r, last = int(2.0 ** (log2_m + _ROOT_START_BITS)), _ROOT_START_BITS
+    for p in reversed(steps):
+        r <<= p - last
+        w = r if Q == 2 else _pow_fixed(r, Q - 1, p, False)
+        r = ((Q - 1) * r + ((A >> (prec - p)) << p) // w) // Q
+        last = p
+    lo, hi = r - _ROOT_GUARD, r + _ROOT_GUARD
+    if not _pow_fixed(lo, Q, prec, True) * Dc <= Nc <= _pow_fixed(hi, Q, prec, False) * Dc:
+        return None
+    return _snap(r, _ROOT_GUARD, 1 << (prec - k), bits)
+
+
+def _primitive_power(x: Fraction) -> tuple[int, int, int]:
+    """(u, v, e) with x = (u/v)^e, u > v >= 1 coprime, and u/v no perfect
+    power, for x > 0 and x != 1.
+
+    A p-th root of u/v other than itself needs u >= 2^p and v = 1 or v >=
+    2^p, so only primes p below both bit lengths are tried, each until it
+    fails.
+    """
+    u, v, e = x.numerator, x.denominator, 1
+    if u < v:
+        u, v, e = v, u, -1
+    p = 2
+    while p < u.bit_length() and (v == 1 or p < v.bit_length()):
+        rv = _exact_root(v, p)
+        ru = rv and _exact_root(u, p)
+        if ru:
+            u, v, e = ru, rv, e * p
+        else:
+            p += 1
+            while any(p % f == 0 for f in range(2, math.isqrt(p) + 1)):
+                p += 1
+    return u, v, e
+
+
+def _rational_log(a: Fraction, b: Fraction) -> Fraction | None:
+    """log_b a when it is rational, for a, b > 0 and b != 1; None when it is
+    irrational or the operands' heights are past the search bound.
+
+    log_b a = j/k exactly when a^k = b^j, that is (unique factorization)
+    when a = c^j and b = c^k for the c > 1 that is no perfect power.  So c is
+    the primitive root of b (or of a, whichever has the smaller height; the
+    search costs a root per prime below it), and j follows from the heights:
+    a's larger part is c's numerator to the |j|.  One exact power decides.
+    """
+    if a == 1:
+        return Fraction(0)
+    height_a = max(a.numerator, a.denominator).bit_length()
+    height_b = max(b.numerator, b.denominator).bit_length()
+    if min(height_a, height_b) > _EXACT_LOG_HEIGHT:
+        return None
+    if height_a < height_b:
+        inverse = _rational_log(b, a)
+        return inverse and 1 / inverse
+    u, v, e = _primitive_power(b)
+    j = round(math.log2(max(a.numerator, a.denominator)) / math.log2(u))
+    j = j if a > 1 else -j
+    if j and Fraction(u, v) ** j == a:
+        return Fraction(j, e)
+    return None
+
+
 def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     """Ball containing a^b.
 
@@ -422,6 +606,10 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
                 return Ball(exact)
             if av.center > 1 and n > 0:
                 raise MagnitudeError("integer power exceeds the magnitude cap")
+        elif av.is_exact:  # a positive base and a non-integer exponent
+            out = _algebraic_power(av.center, bv.center, tol.numerator, tol.denominator)
+            if out is not None:
+                return out
 
     # Refine only the computational error; spread inherited from ball inputs
     # is propagated rigorously but cannot be shrunk here, so it rides on top
@@ -511,16 +699,15 @@ def log(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     bv = as_ball(b)
     if bv.is_exact and bv.center == 1:
         raise DomainError("log base 1")
-    if av.is_exact and bv.is_exact:
-        if av.center == bv.center and av.center > 1:
-            return Ball(Fraction(1))
-        if av.center == 1 and bv.center > 0:
-            return Ball(Fraction(0))
     for name, ball in (("value", av), ("base", bv)):
         if (ball.is_exact and ball.center <= 0) or ball.hi <= 0:
             raise DomainError(f"log {name} must be positive")
         if ball.lo <= 0:
             raise PrecisionError(f"log {name} interval reaches zero")
+    if av.is_exact and bv.is_exact:
+        exact = _rational_log(av.center, bv.center)
+        if exact is not None:
+            return Ball(exact)
     extra_a = av.radius / av.lo
     extra_b = bv.radius / bv.lo
     tn, td = tol.numerator, tol.denominator

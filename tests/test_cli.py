@@ -78,12 +78,25 @@ def test_exit_code_numeric_error():
     code, _, err = run_cli("eval", "[[1+1]++++[[[[[1+1]+1]+1]+1]+1]]")
     assert code == 3
     assert "numeric error" in err
-    # a value on a digit boundary cannot certify; its radius prints as a
-    # power-of-two bound, where a float of it read 0.000e+00
-    code, _, err = run_cli("trace", "[[1+1]///[[1+1]++[1+1]]]", "--digits", "1")
+    # a ball on a digit boundary cannot certify (sqrt 2 * sqrt 2); its radius
+    # prints as a power-of-two bound, where a float of it read 0.000e+00
+    code, _, err = run_cli("trace", "[[[1+1]---[1+1]]++[[1+1]---[1+1]]]", "--digits", "1")
     assert code == 3
-    assert "uncertified digits 0.5, radius < 2^-" in err
+    assert "uncertified digits 2.0, radius < 2^-" in err
     assert "e+00" not in err
+    # log_4 2 is rational, so its digits are exact
+    code, out, _ = run_cli("trace", "[[1+1]///[[1+1]++[1+1]]]", "--digits", "1")
+    assert (code, out.splitlines()[-1]) == (0, "0.5")
+
+
+@pytest.mark.parametrize("text", ["[[9--4]---[2--1]]", "[[8--1]///[4--1]]", "[[27--8]///[9--4]]"])
+def test_rational_rank_3_values_print_exact_digits(text):
+    # each is exactly 3/2: a perfect-square root and two rational logs, whose
+    # digits used to sit on a boundary that a ball around 3/2 never clears
+    code, out, err = run_main("eval", text, "--digits", "30", "--format", "json")
+    payload = json.loads(out)
+    assert (code, err) == (0, "")
+    assert (payload["value"], payload["radius"]) == ("1." + "5" + "0" * 29, "0/1")
 
 
 # (sqrt 2 - sqrt 2)^n: an integer power of a ball around 0 certifies 0, a
@@ -288,7 +301,32 @@ def test_repl_json_session(monkeypatch):
         "radius": "0/1", "digits": 20,
     }
     assert json.loads(lines[1])["value"] == "0.50"
-    assert lines[2:] == ["error: stray character 'b' at offset 0"]
+    # a failure is a record, as `eval --file --format json` prints it
+    assert [json.loads(line) for line in lines[2:]] == [
+        {"input": "bogus(", "error": "parse error: stray character 'b' at offset 0", "exit": 1},
+    ]
+
+
+def test_repl_json_failures(monkeypatch):
+    # every line of a JSON session parses: bad settings, parse, domain and
+    # numeric errors are records with the exit code the command would give
+    stdin = io.StringIO(":digits x\n:base\n:base 40\n[1--0]\n[[1+1]++++[[[[[1+1]+1]+1]+1]+1]]\n"
+                        "[1+1]\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["repl", "--format", "json", "--digits", "2"])
+    assert code == 0
+    records = [json.loads(line) for line in out.getvalue().splitlines()]
+    assert records[:3] == [
+        {"input": ":digits x", "error": "invalid literal for int() with base 10: 'x'", "exit": 1},
+        {"input": ":base", "error": "list index out of range", "exit": 1},
+        {"input": ":base 40", "error": "base must be in [2, 36]", "exit": 1},
+    ]
+    assert records[3] == {"input": "[1--0]", "error": "domain error: division by zero (at root)",
+                          "exit": 2}
+    assert (records[4]["exit"], records[4]["error"].startswith("numeric error: ")) == (3, True)
+    assert records[5]["value"] == "2.00"
 
 
 def test_repl_settings(monkeypatch):

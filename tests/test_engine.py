@@ -273,9 +273,9 @@ def test_adaptive_render_extends_prefixes():
 
 def test_adaptive_render_boundary_tie_raises():
     # an approximate value that sits exactly on a digit edge can never be
-    # certified: log base 4 of 2 is exactly 1/2, computed through series,
-    # and 1/2 lies on every base-10 digit grid
-    term = parse("[[1+1]///[[1+1]++[1+1]]]")
+    # certified: 1 / (sqrt 2 * sqrt 2) is exactly 1/2, computed through
+    # balls, and 1/2 lies on every base-10 digit grid
+    term = parse("[1--[[[1+1]---[1+1]]++[[1+1]---[1+1]]]]")
     ctx = NumericContext(digits=1, guard_digits=4)
     with pytest.raises(PrecisionError) as err:
         adaptive_render(term, ctx)

@@ -379,9 +379,26 @@ def test_ln_split_kernel_skips_exact_zero_parts():
     near_one = Fraction(1) + Fraction(1, 2**40)
     assert midops._fix(near_one.numerator, near_one.denominator, midops._SPLIT_BITS) == K_ONE
     assert_fixed_encloses(ln_split(near_one, 200), reference("log", near_one, 200), 200)
-    dyadic = Fraction(3, 4)  # b = 0: only the small-ratio series runs
+    dyadic = Fraction(3 * 2**23 + 1, 2**24)  # b = 0: only the small-ratio series runs
     assert (dyadic * K_ONE).denominator == 1
     assert_fixed_encloses(ln_split(dyadic, 200), reference("log", dyadic, 200), 200)
+
+
+@pytest.mark.parametrize("prec", [64, 3000])
+def test_ln_of_a_small_height_rational_is_one_series(monkeypatch, prec):
+    # num + den below 2^(K+1): 2 atanh((num - den)/(num + den)) alone, the
+    # same kernel with the same bound
+    calls = []
+    for name in ("_atanh_series_fixed", "_atanh_ratio_fixed"):
+        monkeypatch.setattr(midops, name, counted(calls, name, getattr(midops, name)))
+    for m in (Fraction(7, 5), Fraction(3, 4), Fraction(1, 2), Fraction(2**24 - 3, 2**24 - 1)):
+        calls.clear()
+        value, err = ln_split(m, prec)
+        assert calls == ["_atanh_ratio_fixed"]
+        assert_fixed_encloses((value, err), reference("log", m, prec), prec)
+    calls.clear()  # one more bit of height and the split runs both series
+    ln_split(Fraction(2**24 - 3, 2**24 + 5), prec)
+    assert sorted(calls) == ["_atanh_ratio_fixed", "_atanh_series_fixed"]
 
 
 EXP_ARGUMENTS = [
@@ -605,13 +622,141 @@ def test_power_and_log_match_the_fraction_reference(a, ra, b, rb, tol):
         return  # refused before any series runs
     cfg = SeriesConfig(tol)
     exact_a, exact_b = av.is_exact, bv.is_exact
+    if exact_a and exact_b:
+        return  # the exact-operand paths have properties of their own below
     if not ((exact_a and a == 1) or (exact_b and b.denominator == 1)):
         want = outcome(reference_power_series, av, bv, tol)
         assert outcome(power, a if exact_a else av, b if exact_b else bv, cfg) == want
-    if bv.lo > 0 and not ((exact_b and b == 1) or (
-            exact_a and exact_b and (a == 1 or (a == b and a > 1)))):
+    if bv.lo > 0 and not (exact_b and b == 1):
         want = outcome(reference_log_series, av, bv, tol)
         assert outcome(log, a if exact_a else av, b if exact_b else bv, cfg) == want
+
+
+# ---------------------------------------------------------------------------
+# exact operands: algebraic powers and rational logs
+
+algebraic_exponents = st.builds(
+    Fraction, st.integers(min_value=-60, max_value=60),
+    st.sampled_from([2, 3, 5, 12, 37, 60, 255])
+).filter(lambda b: b.denominator > 1)
+wide_tols = st.sampled_from([Fraction(1, 10**8), Fraction(1, 10**30), Fraction(1, 3 * 2**100),
+                             Fraction(1, 2**1000), Fraction(1, 2**3400)])
+
+
+@given(st.one_of(positive_rats, st.fractions(min_value=Fraction(1, 10**6), max_value=10**6,
+                                             max_denominator=10**6)),
+       st.one_of(any_rats, algebraic_exponents), wide_tols)
+@settings(max_examples=150, deadline=None)
+def test_algebraic_power_encloses_the_root(a, b, tol):
+    # exact base, exact non-integer exponent P/Q: the ball holds the root,
+    # checked in Fractions as lo^Q <= a^P <= hi^Q, within tol and no wider
+    # than the exp/ln reference on the same inputs
+    if a == 1 or b.denominator == 1:
+        return  # the exact paths above the algebraic one
+    P, Q = b.numerator, b.denominator
+    out = power(a, b, SeriesConfig(tol))
+    assert out.radius <= tol
+    assert max(out.lo, 0) ** Q <= a**P <= out.hi ** Q
+    want = outcome(reference_power_series, Ball(a), Ball(b), tol)
+    if not isinstance(want[0], type):
+        assert out.radius <= want[1]
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (Fraction(9, 4), Fraction(1, 2), Fraction(3, 2)),
+    (Fraction(27, 8), Fraction(-2, 3), Fraction(4, 9)),
+    (Fraction(1, 32), Fraction(3, 5), Fraction(1, 8)),
+    (Fraction(36), Fraction(1, 2), Fraction(6)),
+    (Fraction(3**40, 7**20), Fraction(7, 20), Fraction(3**14, 7**7)),
+])
+def test_perfect_power_roots_are_exact(a, b, want):
+    assert power(a, b, TIGHT) == Ball(want)
+    assert root(a, 1 / b, TIGHT) == Ball(want)
+
+
+def test_exact_roots_respect_the_size_cap():
+    # 4^((2^21 + 1)/2) = 2^(2^21 + 1) is past the cap, as the integer path
+    # refuses it; the reciprocal is a ball near 0 from exp/ln, as before
+    with pytest.raises(MagnitudeError):
+        power(Fraction(4), Fraction(2**21 + 1, 2), MED)
+    out = power(Fraction(1, 4), Fraction(2**21 + 1, 2), MED)
+    assert out.lo <= 0 < out.hi <= Fraction(1, 10**12)
+
+
+def test_algebraic_power_magnitude_cap(monkeypatch):
+    # a result past MAX_MAGNITUDE_BITS raises, read at call time
+    monkeypatch.setattr(midops, "MAX_MAGNITUDE_BITS", 8)
+    with pytest.raises(MagnitudeError, match="power result would blow past the magnitude cap"):
+        power(Fraction(2**40 + 1), Fraction(1, 2), MED)
+
+
+@pytest.mark.parametrize("a, b, takes_series", [
+    (Fraction(3), Fraction(5, 2), False),
+    (Fraction(3), Fraction(1, 2**16 - 1), False),
+    (Fraction(3), Fraction(1, 2**16), True),  # q past the gate
+    (Fraction(3), Fraction(3, 2) + Fraction(1, 2**24), True),  # a probe's dyadic
+    (Fraction(3**200 + 1), Fraction(1, 2), True),  # height past the precision
+    (Ball(Fraction(3), Fraction(1, 2**80)), Fraction(1, 2), True),
+    (Fraction(3), Ball(Fraction(1, 2), Fraction(1, 2**80)), True),
+])
+def test_algebraic_gate(monkeypatch, a, b, takes_series):
+    calls = []
+    monkeypatch.setattr(midops, "_ln_fixed", counted(calls, "_ln_fixed", midops._ln_fixed))
+    power(a, b, SeriesConfig(Fraction(1, 10**30)))
+    assert bool(calls) == takes_series
+
+
+@given(st.integers(min_value=1, max_value=2**3000), st.integers(min_value=2, max_value=300))
+@settings(max_examples=200, deadline=None)
+def test_iroot_is_the_floor_root(x, q):
+    r = midops._iroot(x, q)
+    assert r**q <= x < (r + 1) ** q
+    assert midops._exact_root(r**q, q) == r
+    assert midops._exact_root(x, q) == (r if r**q == x else None)
+
+
+@given(st.integers(min_value=0, max_value=2**400), st.integers(min_value=1, max_value=70),
+       st.sampled_from([1, 64, 300]))
+@settings(max_examples=200, deadline=None)
+def test_pow_fixed_rounds_down_and_up(x, e, prec):
+    exact = Fraction(x, 1 << prec) ** e * (1 << prec)
+    assert midops._pow_fixed(x, e, prec, False) <= exact <= midops._pow_fixed(x, e, prec, True)
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (Fraction(8), Fraction(4), Fraction(3, 2)),
+    (Fraction(27, 8), Fraction(9, 4), Fraction(3, 2)),
+    (Fraction(2), Fraction(16), Fraction(1, 4)),
+    (Fraction(1, 4), Fraction(16), Fraction(-1, 2)),
+    (Fraction(4, 9), Fraction(27, 8), Fraction(-2, 3)),
+    (Fraction(5, 7), Fraction(5, 7), Fraction(1)),
+    (Fraction(10**30), Fraction(1000), Fraction(10)),
+    (Fraction(144), Fraction(12), Fraction(2)),
+    (Fraction(2**4000), Fraction(2**4096), Fraction(4000, 4096)),
+])
+def test_rational_logs_are_exact(a, b, want):
+    assert log(a, b, MED) == Ball(want)
+
+
+def test_rational_log_search_is_bounded_by_height():
+    # both heights past the bound: the series answers, as before
+    out = log(Fraction(2**5000), Fraction(2**4100), MED)
+    assert out.radius > 0 and out.contains(Fraction(50, 41))
+
+
+@given(positive_rats, positive_rats, tols)
+@settings(max_examples=150, deadline=None)
+def test_log_of_exact_operands(a, b, tol):
+    # exact exactly when a^k = b^j for small j, k; else the series reference
+    if b == 1:
+        return
+    out = log(a, b, SeriesConfig(tol))
+    rational = [Fraction(j, k) for k in range(1, 13) for j in range(-72, 73)
+                if a**k == b**j]
+    if rational:
+        assert out == Ball(rational[0])
+    else:
+        assert (out.center, out.radius) == outcome(reference_log_series, Ball(a), Ball(b), tol)
 
 
 def reference_exp_e(b: Ball, tol: Fraction) -> Ball:
@@ -652,8 +797,11 @@ def test_exp_and_ln_match_the_fraction_reference(x, r, tol):
 # 16.  A round that stops before exp failed r_comp <= 1/8; one that runs exp
 # and retries failed widen_comp <= tol / 2.  ln 2's error depends on the
 # precision alone, so the counts hold whatever ran earlier in the process.
+# The exponents over 2^41, like the root finders' dyadic probes, and the
+# 2^34/3 over a 301-bit base are past the algebraic path's gate.
 T30 = Fraction(1, 10**30)
 NEAR_ONE = 1 + Fraction(1, 2**300)
+DYADIC = Fraction(1, 2**40)
 
 
 def counted(calls, name, real):
@@ -665,11 +813,11 @@ def counted(calls, name, real):
 
 
 @pytest.mark.parametrize("a, b, tol, ln_calls, exp_calls, radius", [
-    (Fraction(3), Fraction(27, 2), T30, 2, 2, Fraction(63711, 2**117)),
-    (Fraction(3), Fraction(41, 2), T30, 5, 5, Fraction(27673, 2**116)),
+    (Fraction(3), Fraction(27, 2) + DYADIC, T30, 2, 2, Fraction(63711, 2**117)),
+    (Fraction(3), Fraction(41, 2) + DYADIC, T30, 5, 5, Fraction(27673, 2**116)),
     # one r_comp retry, then two widen_comp retries
     (NEAR_ONE, Fraction(2**34, 3), Fraction(1, 2**10), 4, 3, Fraction(8875, 2**27)),
-    (Fraction(3), Fraction(61, 2), T30, 9, 9, Fraction(81613, 2**117)),  # the last round
+    (Fraction(3), Fraction(61, 2) + DYADIC, T30, 9, 9, Fraction(20403, 2**115)),  # the last round
 ])
 def test_power_refinement_rounds(monkeypatch, a, b, tol, ln_calls, exp_calls, radius):
     mpmath = pytest.importorskip("mpmath")
@@ -691,5 +839,5 @@ def test_power_refinement_gives_up(monkeypatch):
     calls = []
     monkeypatch.setattr(midops, "_ln_fixed", counted(calls, "_ln_fixed", midops._ln_fixed))
     with pytest.raises(PrecisionError, match="power failed to reach the requested radius"):
-        power(Fraction(3), Fraction(65, 2), SeriesConfig(T30))
+        power(Fraction(3), Fraction(65, 2) + DYADIC, SeriesConfig(T30))
     assert len(calls) == midops._REFINE_ATTEMPTS == 9
