@@ -19,7 +19,9 @@ Both series split their argument at a K-bit dyadic (K = _SPLIT_BITS; Brent
            c = round(m 2^K), p/q = (c - 2^K)/(c + 2^K), |p/q| < 0.18,
            b = (m 2^K - c)/(m 2^K + c), |b| < 2^-K.  The first series steps
            by the small-int ratio p^2/q^2 in linear time; the second is
-           full width but needs only about prec/(2K) terms.
+           full width but needs only about prec/(2K) terms.  A small-height
+           m = num/den, num + den < 2^(K+1), needs only the first series,
+           with p/q = (num - den)/(num + den).
   ln(a)  = ln(m) + shift * ln 2,  ln 2 = 2 atanh(1/3) by the small-ratio
            series, kept as one copy per power-of-two width; a request is a
            rounding shift of the copy at the next power of two above it (plus
@@ -39,6 +41,35 @@ integer snap (`log` divides with its integer quotient first), with the digits
 and radii that the same formulas give over Fractions.  Integer exponents take
 an exact path when the result stays representable; a base ball that reaches 0
 takes an integer exponent n >= 2 to within max|x|^n of 0.
+
+Exact operands skip the series where the answer is algebraic (Brent &
+Zimmermann, 1.5.2 and 4.2; Bernstein, "Detecting perfect powers in
+essentially linear time", Math. Comp. 67, 1998):
+
+  a^(P/Q), a = n/d > 0 exact, Q >= 2.  Exact when n and d are perfect Q-th
+           powers (integer Newton roots, one exact power each), under the
+           integer path's size cap.  Otherwise, with P > 0 after swapping n
+           and d, N = n^P, D = d^P, k = floor((bits N - bits D) / Q) and
+           m = (N/D)^(1/Q) / 2^k in (2^(-1/Q), 2): Newton's
+           r' = ((Q-1) r + A / r^(Q-1)) / Q on A = round(m^Q 2^prec), from a
+           50-bit float start at precisions p <= 2p' - bits(Q) - 4, so each
+           step's quadratic term stays below an ulp; it lands within about
+           2 ulps of m 2^prec.  Certificate: with lo, hi = r -/+ G (G = 64),
+           (lo/2^prec)^Q 2^prec rounded up at every product is at most N 2^prec
+           / (D 2^(kQ)), and hi's rounded down at least that.  Products of
+           nonnegative values are monotone, so those bounds bracket the exact
+           powers, and lo^Q <= m^Q <= hi^Q puts m in [lo, hi] / 2^prec.  A
+           failed check falls back to exp/ln; nothing widens to pass.  prec =
+           tol_bits + 16 + k + 16 puts G ulps at 2^-(tol_bits + 26), so the
+           snap onto exp/ln's 2^-(tol_bits + 16) grid ends at one ulp, never
+           wider than exp/ln's own result.  Gate: Q < 2^_ROOT_Q_BITS and a
+           radicand height P bits(a) within prec; exp/ln takes ball operands,
+           the root finders' dyadic exponents (Q >= 2^24) and tall radicands.
+  log_b a, a, b > 0 exact.  Rational exactly when a = c^j and b = c^k for the
+           c > 1 that is no perfect power: c is the primitive root of the
+           operand of smaller height, found by prime roots below its bit
+           length (skipped past _EXACT_LOG_HEIGHT bits), and one exact power
+           tests the other.  The answer is j/k.
 """
 
 from __future__ import annotations
@@ -478,9 +509,11 @@ def _algebraic_power(base: Fraction, exponent: Fraction, tn: int, td: int) -> Ba
     if P < 0:
         n, d, P = d, n, -P
     bits = _tol_bits(tn, td) + 16  # the snap grid of power's exp/ln exit
+    # the gate: q below the crossover, and the radicand's height within the
+    # precision below, with k estimated from the base's bit lengths
+    k_estimate = (P * (n.bit_length() - d.bit_length())) // Q
     height = P * max(n.bit_length(), d.bit_length())
-    if Q.bit_length() > _ROOT_Q_BITS or height > max(
-            bits + (P * (n.bit_length() - d.bit_length())) // Q + 16, 64):
+    if Q.bit_length() > _ROOT_Q_BITS or height > max(bits + k_estimate + 16, 64):
         return None
     N, D = n**P, d**P
     k = (N.bit_length() - D.bit_length()) // Q  # m^Q = N / (D 2^(kQ)) in (1/2, 2^Q)
