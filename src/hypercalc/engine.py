@@ -37,11 +37,14 @@ the previous event's, cut back to the deepest ancestor still to fire and
 extended down to the node.  An event costs O(1) bookkeeping plus one copy
 of its line and of its path.
 
-`to_base_b` produces truncated positional digits per the digit recurrences
-(quotient/remainder above the point, digit = floor(base * fractional-part)
-below), certifying for approximate values that every real in the ball
-shares the emitted digits; `adaptive_evaluate` doubles the guard digits until
-certification succeeds.
+`to_base_b` truncates the value scaled by base^digits to an integer and
+prints it with `rationals.digit_text`, whose leaves are CPython's C
+conversions in bases 2, 8, 10 and 16.  A ball is certified on its integer
+form (c +/- r) / d: the radius bound, the sign and the shared truncated
+digits are each an integer comparison, and one divmod of (c - r) * base^digits
+by d gives the digits, certified when every real in the ball truncates to
+them.  No Fraction is built.  `adaptive_evaluate` doubles the guard digits
+until certification succeeds.
 """
 
 from __future__ import annotations
@@ -51,12 +54,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import hyperops, midops
-from .balls import Ball, divide, round_ball
+from .balls import Ball, _ints, divide, round_ball
 from .errors import DomainError, HypercalcError, PrecisionError, ResourceError
 from .midops import SeriesConfig, tol_bits
+from .rationals import digit_text
 from .terms import Chain, Leaf, OpKind, Operator, Path, Term, TraceEvent, plus_one_chain, render
-
-_DIGIT_ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 # Refinement rounds: `evaluate` re-runs at a tighter working tolerance, and
 # `adaptive_evaluate` doubles the guard digits, at most this many times each.
@@ -115,17 +117,25 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class BasebExpansion:
+    """Truncated base-b digits as text (0-9A-Z): `int_text` has no leading
+    zeros but is "0" below 1, `frac_text` holds every fractional digit."""
+
     sign: str  # "+" or "-"
     base: int
-    int_digits: tuple[int, ...]
-    frac_digits: tuple[int, ...]
+    int_text: str
+    frac_text: str
+
+    @property
+    def int_digits(self) -> tuple[int, ...]:
+        return tuple(int(c, 36) for c in self.int_text)
+
+    @property
+    def frac_digits(self) -> tuple[int, ...]:
+        return tuple(int(c, 36) for c in self.frac_text)
 
     def text(self) -> str:
-        head = "".join(_DIGIT_ALPHABET[d] for d in self.int_digits)
-        out = ("-" if self.sign == "-" else "") + head
-        if self.frac_digits:
-            out += "." + "".join(_DIGIT_ALPHABET[d] for d in self.frac_digits)
-        return out
+        out = ("-" if self.sign == "-" else "") + self.int_text
+        return out + "." + self.frac_text if self.frac_text else out
 
     __str__ = text
 
@@ -352,21 +362,12 @@ def _display_value(value: Value, ctx: NumericContext) -> str:
     """Compact human form of an intermediate value for trace lines."""
     if isinstance(value, Fraction):
         if value.denominator == 1:
-            try:
-                return str(value.numerator)
-            except ValueError:  # past `sys.get_int_max_str_digits()` digits
-                return _expansion_of_exact(value, 10, 0).text()
+            return digit_text(value.numerator, 10)
         exp = _expansion_of_exact(value, ctx.base, ctx.digits)
-        return _trim_zeros(exp)
-    center = _expansion_of_exact(value.center, ctx.base, ctx.digits)
-    return center.text()
-
-
-def _trim_zeros(exp: "BasebExpansion") -> str:
-    frac = list(exp.frac_digits)
-    while len(frac) > 1 and frac[-1] == 0:
-        frac.pop()
-    return replace(exp, frac_digits=tuple(frac)).text()
+        # trailing zeros go, down to one fractional digit
+        frac = exp.frac_text.rstrip("0") or exp.frac_text[:1]
+        return replace(exp, frac_text=frac).text()
+    return _expansion_of_exact(value.center, ctx.base, ctx.digits).text()
 
 
 # ---------------------------------------------------------------------------
@@ -379,49 +380,11 @@ def _expansion_of_exact(r: Fraction, base: int, digits: int) -> BasebExpansion:
     return _expansion_from_scaled(scaled, base, digits, sign)
 
 
-# Below this many digits a run of single-digit divmods beats another split.
-_DIGIT_LEAF = 32
-
-
-def _digits(n: int, base: int, count: int) -> list[int]:
-    """The lowest `count` base-`base` digits of n >= 0, most significant first.
-
-    Divide and conquer on base^(2^k): each split is one division of a
-    number by a power about half its size, so the whole costs a few
-    divisions of n's size, where one divmod per digit is quadratic.
-    """
-    powers = [base]  # powers[k] = base^(2^k)
-    while 1 << len(powers) < count:
-        powers.append(powers[-1] ** 2)
-    out: list[int] = []
-
-    def split(n: int, count: int) -> None:
-        if count <= _DIGIT_LEAF:
-            block = [0] * count
-            for i in range(count - 1, -1, -1):
-                n, block[i] = divmod(n, base)
-            out.extend(block)
-            return
-        k = (count - 1).bit_length() - 1  # 2^k < count <= 2^(k+1)
-        high, low = divmod(n, powers[k])
-        split(high, count - (1 << k))
-        split(low, 1 << k)
-
-    split(n, count)
-    return out
-
-
-def _int_digits(n: int, base: int) -> tuple[int, ...]:
-    # n < 2^bits <= base^count; the float bound gets one digit of slack
-    count = int(n.bit_length() * math.log(2) / math.log(base)) + 2
-    ds = _digits(n, base, count)
-    first = next((i for i, d in enumerate(ds) if d), len(ds) - 1)
-    return tuple(ds[first:])
-
-
 def _expansion_from_scaled(scaled: int, base: int, digits: int, sign: str) -> BasebExpansion:
-    whole, frac = divmod(scaled, base**digits)
-    return BasebExpansion(sign, base, _int_digits(whole, base), tuple(_digits(frac, base, digits)))
+    """The expansion of sign * scaled / base^digits, scaled >= 0."""
+    text = digit_text(scaled, base, digits + 1)  # at least one digit before the point
+    cut = len(text) - digits
+    return BasebExpansion(sign, base, text[:cut], text[cut:])
 
 
 def to_base_b(value: EvalResult | Value, ctx: NumericContext) -> BasebExpansion:
@@ -429,31 +392,35 @@ def to_base_b(value: EvalResult | Value, ctx: NumericContext) -> BasebExpansion:
 
     Exact rationals convert directly.  For a ball, every real in
     [lo, hi] must share the emitted digits, else PrecisionError; the
-    caller (`adaptive_evaluate`) reacts by tightening and retrying.
+    caller (`adaptive_evaluate`) reacts by tightening and retrying.  The
+    ball is checked as the integer ball (c +/- r) / d, d > 0.
     """
     v = value.value if isinstance(value, EvalResult) else value
     if isinstance(v, Ball) and v.is_exact:
         v = v.center
+    base, digits = ctx.base, ctx.digits
     if isinstance(v, Fraction):
-        return _expansion_of_exact(v, ctx.base, ctx.digits)
-    if v.radius > ctx.precision_target():
+        return _expansion_of_exact(v, base, digits)
+    c, r, d = _ints(v)
+    scale = base**digits
+    if r * scale * base**ctx.guard_digits > d:  # radius > base^-(digits+guard)
         raise PrecisionError("ball radius exceeds the certification precondition")
-    scale = ctx.base**ctx.digits
-    lo, hi = v.lo, v.hi
+    lo, hi = c - r, c + r  # the ball's ends times d
     if lo >= 0:
         sign = "+"
     elif hi <= 0:
         sign = "-"
-        lo, hi = -hi, -lo
+        lo = -hi
     else:
-        if max(-lo, hi) * scale < 1:
-            return BasebExpansion("+", ctx.base, (0,), (0,) * ctx.digits)
+        if max(-lo, hi) * scale < d:
+            return BasebExpansion("+", base, "0", "0" * digits)
         raise PrecisionError("sign of the value is not certified at this radius")
-    d_lo = (lo * scale).__floor__()
-    d_hi = (hi * scale).__floor__()
-    if d_lo != d_hi:
+    # every real in the ball truncates to q when lo*scale/d and
+    # hi*scale/d = (lo*scale + 2r*scale)/d share their integer part
+    q, rem = divmod(lo * scale, d)
+    if rem + 2 * r * scale >= d:
         raise PrecisionError("digits are not certified at this radius")
-    return _expansion_from_scaled(d_lo, ctx.base, ctx.digits, sign)
+    return _expansion_from_scaled(q, base, digits, sign)
 
 
 def adaptive_evaluate(term: Term, ctx: NumericContext) -> tuple[EvalResult, BasebExpansion]:

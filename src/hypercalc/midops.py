@@ -108,8 +108,15 @@ def tol_bits(tol: Fraction) -> int:
 
 
 def _tol_bits(tn: int, td: int) -> int:
-    """tol_bits(tn / td), for a tolerance passed as a pair of ints > 0."""
-    return 1 if tn >= td else (td // tn).bit_length() + 1
+    """tol_bits(tn / td), for a tolerance passed as a pair of ints > 0.
+
+    (td // tn).bit_length() + 1 without the division: with k the bit
+    lengths' difference, td // tn has k + 1 bits when td >= tn * 2^k, else k.
+    """
+    if tn >= td:
+        return 1
+    k = td.bit_length() - tn.bit_length()
+    return k + 1 + (td >= tn << k)
 
 
 def _fix(num: int, den: int, bits: int) -> int:

@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -192,6 +193,38 @@ def test_determinism():
     a = run_cli(*args)
     b = run_cli(*args)
     assert a == b
+
+
+def parse_long_fraction(text):
+    """Fraction(text) with the interpreter's cap on int text lifted."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return Fraction(text)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return Fraction(text)
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_eval_prints_a_radius_longer_than_the_int_text_cap(tmp_path):
+    # sqrt 2 at 5,000 digits has a radius whose denominator runs past the
+    # 4,300 digits `str` of an int allows; plain, JSON and --file all print
+    code, out, err = run_cli("eval", "[[1+1]---[1+1]]", "--digits", "5000")
+    assert (code, err) == (0, "")
+    head, tail = out.strip().split(".")
+    assert head == "1" and len(tail) == 5000 and tail.startswith("41421356237")
+    code, out, err = run_cli("eval", "[[1+1]---[1+1]]", "--digits", "5000", "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert payload["value"] == "1." + tail
+    radius = parse_long_fraction(payload["radius"])
+    assert 0 < radius <= Fraction(1, 10**5010)
+    batch = tmp_path / "exprs.txt"
+    batch.write_text("[[1+1]---[1+1]]\n")
+    code, out, _ = run_main("eval", "--file", str(batch), "--digits", "5000",
+                            "--format", "json")
+    assert code == 0 and json.loads(out) == payload
 
 
 def test_eval_file_batch(tmp_path):

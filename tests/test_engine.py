@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 from dataclasses import replace
@@ -237,6 +238,93 @@ def test_to_base_b_certifies_balls():
     # radius precondition
     with pytest.raises(PrecisionError):
         to_base_b(Ball(Fraction(1, 3), Fraction(1, 100)), ctx)
+
+
+def test_display_value_trims_trailing_zeros_to_one_digit():
+    ctx = NumericContext(base=10, digits=4)
+    shown = [engine._display_value(Fraction(n, d), ctx)
+             for n, d in ((5, 2), (1, 100000), (-7, 3), (10**5000, 1))]
+    assert shown == ["2.5", "0.0", "-2.3333", "1" + "0" * 5000]
+    assert engine._display_value(Fraction(5, 2), replace(ctx, digits=0)) == "2"
+    assert engine._display_value(Ball(Fraction(5, 2), Fraction(1, 10**9)), ctx) == "2.5000"
+
+
+def fraction_certification(ball, ctx):
+    """to_base_b's certification of a ball by Fraction endpoints: the
+    PrecisionError message it raises, or (sign, truncated digits as an int)."""
+    if ball.radius > ctx.precision_target():
+        return "ball radius exceeds the certification precondition"
+    scale = ctx.base**ctx.digits
+    lo, hi = ball.lo, ball.hi
+    if lo >= 0:
+        sign = "+"
+    elif hi <= 0:
+        sign, lo, hi = "-", -hi, -lo
+    elif max(-lo, hi) * scale < 1:
+        return "+", 0
+    else:
+        return "sign of the value is not certified at this radius"
+    if math.floor(lo * scale) != math.floor(hi * scale):
+        return "digits are not certified at this radius"
+    return sign, math.floor(lo * scale)
+
+
+def test_integer_certification_matches_the_fraction_rule():
+    rng = random.Random(2024)
+    for _ in range(3000):
+        base, digits, guard = rng.randrange(2, 37), rng.randrange(0, 30), rng.randrange(0, 6)
+        ctx = NumericContext(base=base, digits=digits, guard_digits=guard)
+        scale, target = base**digits, ctx.precision_target()
+        m = rng.randrange(-(10**6), 10**6)
+        kind = rng.randrange(5)
+        if kind == 0:  # anywhere
+            center = Fraction(rng.randrange(-(10**30), 10**30), rng.randrange(1, 10**20))
+        elif kind == 1:  # on a digit boundary: lo and hi truncate differently
+            center = Fraction(m, scale)
+        elif kind == 2:  # lo on a boundary, or just below or above it
+            center = Fraction(m, scale) + target + Fraction(rng.choice((-1, 0, 1)), 10**40)
+        elif kind == 3:  # straddles 0, its ends below or above base^-digits
+            center = Fraction(rng.randrange(-(10**6), 10**6), 10**6) * target
+        else:  # a truncated digit run that differs between lo and hi
+            center = Fraction(m, scale) + Fraction(rng.randrange(1, 10**6), 10**6) * target
+        radius = rng.choice((
+            target,  # exactly at the precision target
+            target * Fraction(rng.randrange(1, 10**6), 10**6),
+            target + Fraction(1, 10**50),  # just past it
+        ))
+        ball = Ball(center, radius)
+        expected = fraction_certification(ball, ctx)
+        try:
+            exp = to_base_b(ball, ctx)
+        except PrecisionError as err:
+            assert str(err) == expected
+            continue
+        sign, scaled = expected
+        _, head, tail = long_division_digits(Fraction(scaled, scale), base, digits)
+        assert (exp.sign, exp.int_digits, exp.frac_digits) == (sign, head, tail)
+
+
+def test_integer_certification_edges():
+    # guard 0: the precision target is base^-digits itself
+    ctx = NumericContext(base=10, digits=2, guard_digits=0)
+    unit = Fraction(1, 100)
+    # a radius exactly at the target passes the precondition (and fails on
+    # the digits); a radius past it does not
+    assert to_base_b(Ball(Fraction(37, 200), unit / 4), ctx).text() == "0.18"
+    with pytest.raises(PrecisionError, match="digits"):
+        to_base_b(Ball(Fraction(37, 200), unit), ctx)
+    with pytest.raises(PrecisionError, match="precondition"):
+        to_base_b(Ball(Fraction(37, 200), unit + Fraction(1, 10**30)), ctx)
+    # straddling 0 with both ends inside base^-digits prints 0; an end at or
+    # beyond it leaves the sign uncertified
+    assert to_base_b(Ball(unit / 10, unit / 2), ctx).text() == "0.00"
+    with pytest.raises(PrecisionError, match="sign"):
+        to_base_b(Ball(unit / 4, unit * 3 / 4), ctx)  # hi is base^-digits exactly
+    # lo exactly on a boundary certifies, hi exactly on the next does not
+    assert to_base_b(Ball(unit * 3 + unit / 4, unit / 4), ctx).text() == "0.03"
+    with pytest.raises(PrecisionError, match="digits"):
+        to_base_b(Ball(unit * 3 + unit / 2, unit / 2), ctx)
+    assert to_base_b(Ball(-unit * 3 - unit / 4, unit / 4), ctx).text() == "-0.03"
 
 
 def test_to_base_b_zero_straddling_ball():

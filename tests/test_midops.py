@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercalc import midops
@@ -490,6 +490,20 @@ def test_tol_bits_and_log_abs_float_match_the_fraction_reference(num, den, negat
     x = Fraction(-num if negative else num, den)
     assert midops._log_abs_float(x) == reference_log_abs_float(x)
     assert midops.tol_bits(abs(x)) == reference_tol_bits(abs(x))
+
+
+@given(st.integers(min_value=1, max_value=2**300), st.integers(min_value=0, max_value=400),
+       st.integers(min_value=-1, max_value=1), st.integers(min_value=1, max_value=2**700))
+@settings(max_examples=300, deadline=None)
+@example(tn=1, k=0, delta=0, td=1)
+@example(tn=3, k=1, delta=-1, td=1)
+@example(tn=2**64 - 1, k=64, delta=1, td=1)
+def test_tol_bits_of_int_pairs_matches_the_division_form(tn, k, delta, td):
+    # the division form is reference_tol_bits; td = tn * 2^k and its
+    # neighbours are the edges of the bit-length rule
+    for num, den in ((tn, (tn << k) + delta), (tn, td), (td, tn)):
+        if den >= 1:
+            assert midops._tol_bits(num, den) == reference_tol_bits(Fraction(num, den))
 
 
 def reference_exp_rational(a: Fraction, tol: Fraction) -> Ball:

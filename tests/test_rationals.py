@@ -1,3 +1,5 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -6,8 +8,10 @@ from hypothesis import strategies as st
 
 from hypercalc.engine import _apply
 from hypercalc.errors import DomainError
-from hypercalc.rationals import format_fraction, gcd
+from hypercalc.rationals import digit_text, format_fraction, gcd
 from hypercalc.terms import OpKind, Operator
+
+from test_engine import long_division_digits
 
 
 def brute_force_gcd(a, b):
@@ -105,3 +109,51 @@ def test_fraction_text_roundtrip():
     assert format_fraction(Fraction(5)) == "5/1"
     for r in (Fraction(-3, 7), Fraction(5), Fraction(6, 4)):
         assert Fraction(format_fraction(r)) == r
+
+
+@pytest.fixture
+def lowest_str_limit():
+    """`str` of an int refuses past `sys.get_int_max_str_digits()` digits;
+    run at the lowest setting it allows, 640."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no integer string limit")
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_fraction_text_past_the_int_string_limit(lowest_str_limit):
+    # 10^-5000 / 3: both parts are far past the digits `str` allows
+    text = format_fraction(Fraction(-1, 3 * 10**5000))
+    assert text == "-1/3" + "0" * 5000
+
+
+ALPHABET = "0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+
+
+def long_division_text(n: int, base: int, count: int) -> str:
+    """digit_text's contract from the long-division reference: the digits
+    of n / base^count, head and tail run together, are n's digits."""
+    sign, head, tail = long_division_digits(Fraction(n, base**count), base, count)
+    text = "".join(ALPHABET[d] for d in head + tail).lstrip("0").zfill(max(count, 1))
+    return ("-" if sign == "-" else "") + text
+
+
+@pytest.mark.parametrize("count", [0, 1, 31, 32, 33, 511, 512, 513])
+def test_digit_text_matches_long_division_in_every_base(count, lowest_str_limit):
+    # the counts sit on the divmod leaf (32) and the base-10 C leaf (512)
+    rng = random.Random(count)
+    for base in range(2, 37):
+        top = base**count
+        for n in (0, top - 1, -top, rng.randrange(top), -rng.randrange(top * base**40)):
+            assert digit_text(n, base, count) == long_division_text(n, base, count)
+
+
+def test_digit_text_past_the_int_string_limit(lowest_str_limit):
+    rng = random.Random(4400)
+    count = 4400
+    for n in (rng.randrange(10**count), -rng.randrange(10**(count + 200))):
+        assert digit_text(n, 10, count) == long_division_text(n, 10, count)
