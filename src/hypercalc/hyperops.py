@@ -12,9 +12,11 @@ fractional height 0 < p/q < 1 (always in lowest terms) splits as
 so rational heights reduce to integer towers plus one super-root.  The
 inverses are bracketed searches:
 
-  * super-root   x = a (-^r) b   solves x (+^r) b = a; at rank 4 by a
-    Newton-type root search inside [1, a] that starts at a float estimate
-    of the root, after an exact check of the nearest integer;
+  * super-root   x = a (-^r) b   solves x (+^r) b = a; at rank 4 by
+    `brent`'s monotone search inside [1, a], after an exact check of the
+    nearest integer.  x (+^4) b grows with x, so each certified probe moves
+    one end of the bracket to it; the search starts at a float estimate of
+    the root and takes Newton-type steps toward it;
   * super-log    x = a (/^r) b   solves b (+^r) x = a.
 
 The split is not continuous in its height: 2 (+^4) (p/q) tends to sqrt(2)

@@ -1,37 +1,54 @@
-"""Bracketed scalar root finding over Ball-valued functions.
+"""Bracketed scalar root finding over Ball-valued increasing functions.
 
-`brent` drives a function f(x, tol) -> Ball (an enclosure of f(x) with
-radius <= tol) to a root enclosure of width <= 2 * x-tolerance.  Probe signs
-are resolved rigorously: a sign is accepted only from a ball that excludes
-zero or is exact, and a ball that is exactly zero is an exact root.  A ball
-that straddles zero is re-evaluated at a tolerance sized from that ball
-(see `_SignResolver`) before the probe is declared ambiguous.
+`brent` drives an increasing function f(x, tol) -> Ball (an enclosure of
+f(x) with radius <= tol) to a root enclosure of width <= 2 * x-tolerance.
+Probe signs are resolved rigorously: a sign is accepted only from a ball
+that excludes zero or is exact, and a ball that is exactly zero is an exact
+root.  A ball that straddles zero is re-evaluated at a tolerance sized from
+that ball (see `_SignResolver`) before the probe is declared ambiguous.
+
+Because f increases, the search is two endpoints: the root lies in [a, b],
+a probe certified negative moves a up to it, and one certified positive
+moves b down to it.  Every probe lies in [a, b], so each step goes toward
+the root, and the answer rests only on the two certified ends.  At first
+the ends are the given bracket's, not yet certified; a probe at an
+uncertified end whose sign puts the root outside the bracket raises
+DomainError.  So a good start never evaluates f far from the root.
 
 The search takes Newton-type steps.  It starts at the caller's estimate of
-the root, or at the bracket's midpoint, probes once more beside it (|c|/16
-away, as if the slope were 1), and then steps x <- x - c/s, with c the
-certified center of f at the last probe and s the secant slope through the
-last two.  Each probe asks for f 2^-20 below the |f| it expects: a step
+the root, or at the bracket's midpoint, and then steps x <- x - c/s, with c
+the certified center of f at the last probe and s the secant slope through
+the last two.  Each probe asks for f 2^-20 below the |f| it expects: a step
 expects |s| h, what the closing pair will see, so its center is accurate
 enough to step on.  Here h is the largest power of two <= the x-tolerance.
 Once the residuals, shrinking at least at their last rate, put the next
 point within h/8 of the root, two probes at that point -+ h close the
 search.
 
-The steps need no proof: the answer rests only on the certified bracket,
-the closest pair of probes whose signs differ.  A step is refused when it
-would leave that bracket (or, before any sign change, the given one), or
-when it is more than half the step before it.  A refused step is a
-bisection of the certified bracket; with no sign change yet, a pair of
-probes instead widens geometrically (x4) around the last point until one
-certifies.  A closing pair that does not straddle the root is followed by
-a step inside the certified bracket, or, with no sign change yet, by the
-same widening.  The given bracket only bounds the probes: its ends are
-probed only when a widening reaches them, so a good start never evaluates f
-far from the root.
+The steps need no proof.  A Newton step is taken only when it lands
+strictly inside (a, b) and is at most half the step before it.  A refused
+step is replaced:
+
+  * before both ends are certified, by a step from the last probe, itself
+    the certified end, toward the other end: first min(|c|/16, 2^-52 max(1, |x|)),
+    as if the slope were 1 and at most a float estimate's error, then
+    x4 a step, clamped at that end.  The second probe is such a step.
+  * once both are certified, by a split of [a, b]: at the mean of the ends'
+    binary exponents when b > 4a > 0, else at the midpoint.  f is steep in
+    towers: halving down from a far end probes just above the root, where
+    x (+^4) q can have hundreds of thousands of bits.
+
+The closing pair is also taken at a point that rounds onto a certified
+end, where a Newton step is refused and a split would crawl down from the
+other end.  After a closing pair that does not straddle the root, the
+secant through its probes is accurate, so the next Newton step lands
+inside [a, b] next to the root.
 
 `expand_upper` and `bisect_integers` search integers only: doubling to a
 first bracket, then bisection down to consecutive integers or an exact hit.
+They stay apart from `brent`: their probes must be integers and their
+answer is an integer bracket, not a ball, so one kernel would branch on
+which caller it serves.
 
 A `Bracket` is its two ordered endpoints: the integer searches return
 lo = hi on an exact hit.
@@ -53,9 +70,10 @@ _SIGN_ROUNDS = 60
 _START_SIGN_TOL = Fraction(1, 1 << 12)
 # A probe asks for f this many bits below the |f| its step predicts.
 _PROBE_MARGIN = 20
-# A start estimate is taken to be good to about a float's 52 bits.
+# A start estimate is taken to be good to about a float's 52 bits; so is
+# the first step toward an uncertified end.
 _ESTIMATE_BITS = 52
-# A widening pair's half-width grows by this factor a round.
+# Each later step toward an uncertified end grows by this factor.
 _WIDEN = 4
 # Probes per `brent` search, and bracket doublings per `expand_upper`.
 MAX_ITERATIONS = 1000
@@ -140,19 +158,10 @@ def _probe_tol(expect: Fraction | None) -> Fraction:
     return Fraction(1, 1 << (tol_bits(expect) + _PROBE_MARGIN))
 
 
-def _power_of_two_below(v: Fraction) -> Fraction:
-    """The largest power of two <= v, for v > 0."""
-    p = Fraction(2) ** (v.numerator.bit_length() - v.denominator.bit_length())
-    return p if p <= v else p / 2
-
-
-def _sign_change(signs: dict[Fraction, int]) -> tuple[Fraction, Fraction] | None:
-    """The closest pair of probes whose certified signs differ."""
-    xs = sorted(signs)
-    for a, b in zip(xs, xs[1:]):
-        if signs[a] != signs[b]:
-            return a, b
-    return None
+def _exponent(v: Fraction) -> int:
+    """floor(log2 v), for v > 0."""
+    e = v.numerator.bit_length() - v.denominator.bit_length()
+    return e if Fraction(2) ** e <= v else e - 1
 
 
 def brent(
@@ -161,8 +170,12 @@ def brent(
     cfg: RootConfig,
     start: Fraction | float | None = None,
 ) -> Ball:
-    """Enclose the unique root of a sign-changing f inside the bracket.
+    """Enclose the root of an increasing f inside the bracket.
 
+    f must increase in x on the bracket; a probe that puts the root outside
+    it raises DomainError.  Every caller's f does: `hyperops` solves
+    x (+^4) q = g, and a tower grows with its base; a fractional q splits
+    into integer towers and a super-root, a composition of increasing maps.
     `start` is an estimate of the root (a float is fine); without one the
     search starts at the bracket's midpoint.  Returns a Ball of radius <=
     cfg.x_tolerance containing the root; the ball is exact (radius 0) when a
@@ -172,94 +185,77 @@ def brent(
     bits = tol_bits(tol)
     h = Fraction(1, 1 << bits)  # the closing pair's half-width
     grid = 1 << (bits + 8)  # steps are rounded to multiples of 1/grid
-    lo, hi = bracket.lo, bracket.hi
+    a, b = bracket.lo, bracket.hi  # the root lies in [a, b]
+    a_seen = b_seen = False  # whether f(a) < 0, f(b) > 0 are certified
     resolve = _SignResolver(f)
-    signs: dict[Fraction, int] = {}
     last: list[tuple[Fraction, Fraction]] = []  # the last two probes, (x, center)
-    sides: tuple[Fraction, Fraction] | None = None  # the certified bracket
-    center = w = None  # the probe pair being widened, and its half-width
     last_step = None  # the size of the last Newton-type step
-
-    def pair(scale):
-        # probes at center -+ w, clamped to the given bracket; known points
-        # are skipped, and with no sign change yet the pair widens past them
-        nonlocal w
-        while True:
-            points = sorted({min(max(center + k * w, lo), hi) for k in (-1, 1)})
-            fresh = [(p, scale * w or None) for p in points if p not in signs]
-            if fresh or sides is not None:
-                return fresh
-            if center - w <= lo and center + w >= hi:
-                raise DomainError("bracket does not straddle a sign change")
-            w *= _WIDEN
+    stride = None  # the size of the last step toward an uncertified end
 
     def plan():
-        nonlocal center, w, last_step
+        nonlocal last_step, stride
         x1, c1 = last[-1]
-        if len(last) == 1:
-            # a second probe beside the first gives the first slope; at
-            # |c|/16 or less, as if the slope were 1, the difference of the
-            # two centers stays far above their error
-            d = _power_of_two_below(abs(c1) / 16)
-            x2 = x1 + d if x1 + d <= hi else x1 - d
-            if x2 >= lo:
-                return [(x2, abs(c1))]
-            center, w = x1, d
-            return pair(0)
-        x0, c0 = last[0]
-        slope = (c1 - c0) / (x1 - x0)
-        if sides is None and center is not None:
-            w *= _WIDEN
-            return pair(abs(slope))
-        center, previous, last_step = None, last_step, None
+        previous, last_step = last_step, None
+        slope = 0
+        if len(last) == 2:
+            x0, c0 = last[0]
+            slope = (c1 - c0) / (x1 - x0)
         if slope:
             step = c1 / slope
             x = Fraction(round((x1 - step) * grid), grid)
-            inside = lo <= x <= hi if sides is None else sides[0] < x < sides[1]
             # each step must at most halve the one before it, unless the
             # last probe was of another kind
-            shrinks = previous is None or abs(step) <= previous / 2
-            if inside and shrinks and x not in signs:
+            if a <= x <= b and (previous is None or abs(step) <= previous / 2):
                 # the residual at x if the residuals keep shrinking at least
-                # at their last rate; within h/8 of the root, close
+                # at their last rate; within h/8 of the root, close, even at a
+                # certified end
                 small, large = sorted((abs(c0), abs(c1)))
-                if small * small / large > abs(slope) * h / 8:
+                if small * small / large <= abs(slope) * h / 8:
+                    return [(min(max(p, a), b), abs(slope) * h) for p in (x - h, x + h)]
+                if a < x < b:
                     last_step = abs(step)
                     return [(x, abs(slope) * h)]
-                center, w = x, h
-                closing = pair(abs(slope))
-                if closing:
-                    return closing
-                center = None  # both known: the root lies elsewhere
-        if sides is not None:
-            width = sides[1] - sides[0]
-            return [(sides[0] + width / 2, abs(slope) * width / 4)]
-        center, w = x1, _WIDEN * abs(x1 - x0)
-        return pair(abs(slope))
+        if not (a_seen and b_seen):
+            # x1 is the certified end, so the root lies toward the other one
+            if stride is None:
+                scale = Fraction(max(1, abs(x1))) / (1 << _ESTIMATE_BITS)
+                stride = Fraction(2) ** _exponent(min(abs(c1) / 16, scale))
+            else:
+                stride *= _WIDEN
+            return [(min(x1 + stride, b) if c1 < 0 else max(x1 - stride, a), abs(c1))]
+        if b > 4 * a > 0:
+            x = Fraction(2) ** ((_exponent(a) + _exponent(b)) // 2)
+        else:
+            x = a + (b - a) / 2
+        return [(x, abs(slope) * (x - a) / 2)]
 
-    x = lo + (hi - lo) / 2 if start is None else min(max(Fraction(start), lo), hi)
+    x = a + (b - a) / 2 if start is None else min(max(Fraction(start), a), b)
     queue = [(x, Fraction(max(1, abs(x))) / (1 << _ESTIMATE_BITS))]
     for _ in range(MAX_ITERATIONS):
         while not queue:
             queue = plan()
         x, expect = queue.pop(0)
-        if x in signs or (sides is not None and not sides[0] < x < sides[1]):
-            continue  # already known, or its sign follows from the bracket
+        if (a_seen and x <= a) or (b_seen and x >= b):
+            continue  # its sign follows from a certified end
         try:
             s, c = resolve.at(x, _probe_tol(expect))
         except AmbiguityError:
             # the probe may sit exactly on the root; nudge once before giving up
-            a, b = sides or (lo, hi)
-            x = x + (b - a) / 1024 if x + (b - a) / 1024 <= b else x - (b - a) / 1024
+            nudge = (b - a) / 1024
+            x = x + nudge if x + nudge <= b else x - nudge
             s, c = resolve.at(x, _probe_tol(expect))
         if s == 0:
             return Ball(x)
-        signs[x] = s
+        if x == (b if s < 0 else a):
+            raise DomainError("bracket does not straddle a sign change")
+        if s < 0:
+            a, a_seen = x, True
+        else:
+            b, b_seen = x, True
         last = [*last[-1:], (x, c)]
-        sides = _sign_change(signs)
-        if sides is not None and sides[1] - sides[0] <= 2 * tol:
-            half = (sides[1] - sides[0]) / 2
-            return Ball(sides[0] + half, half)
+        if a_seen and b_seen and b - a <= 2 * tol:
+            half = (b - a) / 2
+            return Ball(a + half, half)
     raise ConvergenceError("root finder exceeded its iteration budget")
 
 

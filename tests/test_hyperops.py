@@ -1,4 +1,6 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -157,6 +159,40 @@ def test_fifths_heights_certify(text, digits):
     # rational-height split at 50 digits, truncated
     _, expansion = adaptive_evaluate(parse(text), NumericContext(digits=30))
     assert expansion.text() == digits
+
+
+def mpmath_split_11_4(x: Fraction):
+    """x^^(11/4) = x^(x^y) with y^^4 = x^^3, the rational-height split, by
+    mpmath bisection for y at 200 bits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(200):
+        x = mpmath.mpf(x.numerator) / x.denominator
+        goal, lo, hi = x ** (x ** x), mpmath.mpf(1), x
+        for _ in range(200):  # y^^4 increases for y >= 1, and y <= x
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if mid ** (mid ** (mid ** mid)) < goal else (lo, mid)
+        return x ** (x ** lo)
+
+
+def eval_within(seconds, text):
+    proc = subprocess.run([sys.executable, "-m", "hypercalc", "eval", text, "--digits", "20"],
+                          capture_output=True, text=True, timeout=seconds)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+def test_steep_super_root_searches_certify_within_five_seconds():
+    # both searches start next to roots where x^^q is steep: one probe far
+    # past the root would be a power of thousands of bits, so each ends at
+    # once only if every probe goes toward the root
+    value = eval_within(5, "[[2.75+++3]----[2.75-0]]")
+    assert value == "2.13267592713549151056"
+    x = Fraction(value)
+    # 1331/64 is a float exactly
+    assert mpmath_split_11_4(x) <= 1331 / 64 <= mpmath_split_11_4(x + Fraction(1, 10**20))
+    # perfbench/oracles.tower_fractional(5, 11/4) at 400 bits, truncated
+    value = eval_within(5, "[5++++2.75]")
+    assert value == "60106627595490688163733857294361831027.06032680872600197724"
 
 
 def test_split_against_direct_root():

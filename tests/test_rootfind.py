@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypercalc import hyperops, rootfind
 from hypercalc.balls import Ball
@@ -185,6 +187,34 @@ def test_any_start_encloses_the_root_within_the_tolerance():
             assert out.contains(root) and out.radius <= TOL10.x_tolerance, (root, start)
 
 
+MILLIONTHS = st.integers(-5 * 10**6, 5 * 10**6)
+WIDTHS = st.integers(1, 10**7)
+
+
+@given(MILLIONTHS, MILLIONTHS, st.integers(0, 50), st.integers(1, 50), WIDTHS, WIDTHS)
+@settings(max_examples=40, deadline=None)
+def test_every_probe_goes_toward_the_root(root, bend, cubic, linear, below, above):
+    # f = cubic * ((x - s)^3 - (r - s)^3) + linear * (x - r) increases and
+    # vanishes at r; a probe certified + at x is an upper end, so no later
+    # probe exceeds x, and one certified - is a lower end
+    r, s = Fraction(root, 10**6), Fraction(bend, 10**6)
+    lo, hi = r - Fraction(below, 10**6), r + Fraction(above, 10**6)
+    for start in (r, float(r), float(r) + 1e-9, float(r) - 1e-9, r + 10**6, lo, hi, None):
+        probes = []
+
+        def f(x, tol):
+            ball = Ball(cubic * ((x - s) ** 3 - (r - s) ** 3) + linear * (x - r), tol / 8)
+            probes.append((x, 1 if ball.lo > 0 else -1 if ball.hi < 0 else 0))
+            return ball
+
+        out = brent(f, Bracket(lo, hi), TOL10, start=start)
+        assert out.contains(r) and out.radius <= TOL10.x_tolerance, start
+        a, b = lo, hi
+        for x, sign in probes:
+            assert a <= x <= b, start
+            a, b = (x, b) if sign < 0 else (a, x) if sign > 0 else (a, b)
+
+
 def evaluations_per_search(monkeypatch):
     """A list that gets, for each `hyperops.brent` search as it runs, the
     number of times the search evaluates its f."""
@@ -203,12 +233,22 @@ def evaluations_per_search(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("text", ["[5----4]", "[1000----3]", "[100----3]", "[1.5----3]", "[2++++0.5]"])
+@pytest.mark.parametrize("text", ["[5----4]", "[1000----3]", "[100----3]", "[1.5----3]", "[2++++0.5]",
+                                  "[5++++2.75]"])
 def test_super_root_searches_take_at_most_eight_evaluations(monkeypatch, text):
     # each starts at a float estimate: one probe there, one beside it, two
     # or three Newton-type steps and the closing pair
     counts = evaluations_per_search(monkeypatch)
     adaptive_evaluate(parse(text), NumericContext(digits=30))
+    assert counts and max(counts) <= 8
+
+
+def test_a_newton_point_on_a_certified_end_still_closes(monkeypatch):
+    # at 25 digits the Newton point of [1.5----3] rounds onto its certified
+    # lower end; the closing pair is taken there, where a split would halve
+    # down from the upper end (34 evaluations)
+    counts = evaluations_per_search(monkeypatch)
+    adaptive_evaluate(parse("[1.5----3]"), NumericContext(digits=25))
     assert counts and max(counts) <= 8
 
 
