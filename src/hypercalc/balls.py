@@ -1,18 +1,27 @@
-"""Ball arithmetic: a rational center plus a rational absolute-error radius.
+"""Ball arithmetic: the integer ball (c +/- r) / d, d > 0, r >= 0.
 
 Every approximate value in the package is a Ball whose interval
-[center - radius, center + radius] is guaranteed to contain the represented
-real.  Arithmetic here propagates radii rigorously.  Two rules live here
-once, over integer balls (c +/- r) / d, d > 0: `_snap` puts a ball onto a
-dyadic grid, widening the radius by the snap error, so that exact rationals
-never grow without bound, and `_quotient` divides two balls by their extreme
-corners.  `round_ball` and `divide` are their Fraction front-ends; `midops`'
-fixed-point pipeline calls the integer cores directly.
+[(c - r) / d, (c + r) / d] is guaranteed to contain the represented real.
+The three integers are the representation, as in Arb's midpoint-radius
+balls (Johansson, IEEE Trans. Computers 66(8), 2017), with the exponent
+folded into d: arithmetic, the sign and order tests and `is_exact` are
+integer operations, and no value is ever reduced to lowest terms.  Equality
+compares values by cross-multiplication, so two forms of one ball are equal.
+`center`, `radius`, `lo` and `hi` are Fraction views for the API's edges
+(radius text, digit extraction of exact values, tests); `Ball(center,
+radius)` accepts ints and Fractions, and `_ball(c, r, d)` builds the integer
+form directly.
+
+Arithmetic propagates radii rigorously.  Two rules live here once: `_snap`
+puts a ball onto the dyadic grid 2^-bits (d = 2^bits), widening the radius
+by the snap error, so that exact rationals never grow without bound, and
+`_quotient` divides two balls by their extreme corners.  `round_ball` and
+`divide` are their Ball front-ends; `midops`' fixed-point pipeline calls the
+integer cores directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, PrecisionError
@@ -20,41 +29,70 @@ from .errors import DomainError, PrecisionError
 Rational = int | Fraction
 
 
-@dataclass(frozen=True)
 class Ball:
-    center: Fraction
-    radius: Fraction = Fraction(0)
+    __slots__ = ("c", "r", "d")
 
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("negative radius")
+    def __init__(self, center: Rational, radius: Rational = 0):
+        c, d = center.numerator, center.denominator
+        r = 0
+        if radius:
+            r, rd = radius.numerator, radius.denominator
+            if r < 0:
+                raise ValueError("negative radius")
+            if rd != d:
+                c, r, d = c * rd, r * d, d * rd
+        self.c, self.r, self.d = c, r, d
+
+    @property
+    def center(self) -> Fraction:
+        return Fraction(self.c, self.d)
+
+    @property
+    def radius(self) -> Fraction:
+        return Fraction(self.r, self.d)
 
     @property
     def lo(self) -> Fraction:
-        return self.center - self.radius
+        return Fraction(self.c - self.r, self.d)
 
     @property
     def hi(self) -> Fraction:
-        return self.center + self.radius
+        return Fraction(self.c + self.r, self.d)
 
     @property
     def is_exact(self) -> bool:
-        return self.radius == 0
+        return self.r == 0
 
     def contains(self, x: Rational) -> bool:
-        return self.lo <= x <= self.hi
+        n, m = x.numerator * self.d, x.denominator
+        return (self.c - self.r) * m <= n <= (self.c + self.r) * m
 
     def overlaps(self, other: "Ball") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
+        c, r, d, oc, orr, od = self.c, self.r, self.d, other.c, other.r, other.d
+        return (c - r) * od <= (oc + orr) * d and (oc - orr) * d <= (c + r) * od
+
+    def __eq__(self, other):
+        if not isinstance(other, Ball):
+            return NotImplemented
+        return self.c * other.d == other.c * self.d and self.r * other.d == other.r * self.d
+
+    def __hash__(self):
+        return hash((self.center, self.radius))
+
+    def __repr__(self):
+        return f"Ball(center={self.center!r}, radius={self.radius!r})"
 
     def __add__(self, other: "Ball | Rational") -> "Ball":
         o = as_ball(other)
-        return Ball(self.center + o.center, self.radius + o.radius)
+        d, od = self.d, o.d
+        if d == od:
+            return _ball(self.c + o.c, self.r + o.r, d)
+        return _ball(self.c * od + o.c * d, self.r * od + o.r * d, d * od)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Ball":
-        return Ball(-self.center, self.radius)
+        return _ball(-self.c, self.r, self.d)
 
     def __sub__(self, other: "Ball | Rational") -> "Ball":
         return self + (-as_ball(other))
@@ -64,47 +102,48 @@ class Ball:
 
     def __mul__(self, other: "Ball | Rational") -> "Ball":
         o = as_ball(other)
-        radius = (
-            abs(self.center) * o.radius
-            + abs(o.center) * self.radius
-            + self.radius * o.radius
-        )
-        return Ball(self.center * o.center, radius)
+        c, r, oc, orr = self.c, self.r, o.c, o.r
+        return _ball(c * oc, abs(c) * orr + abs(oc) * r + r * orr, self.d * o.d)
 
     __rmul__ = __mul__
 
 
+def _ball(c: int, r: int, d: int) -> Ball:
+    """The Ball (c +/- r) / d, for d > 0 and r >= 0, taken as it is."""
+    ball = object.__new__(Ball)
+    ball.c, ball.r, ball.d = c, r, d
+    return ball
+
+
 def as_ball(x: "Ball | Rational") -> Ball:
-    if isinstance(x, Ball):
-        return x
-    return Ball(Fraction(x))
+    return x if isinstance(x, Ball) else Ball(x)
 
 
-def from_endpoints(lo: Fraction, hi: Fraction) -> Ball:
+def from_endpoints(lo: Rational, hi: Rational) -> Ball:
     if hi < lo:
         raise ValueError("endpoints out of order")
-    half = Fraction(hi - lo, 2)
-    return Ball(lo + half, half)
+    return _halfway(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+
+
+def _halfway(ln: int, ld: int, hn: int, hd: int) -> Ball:
+    """The ball from ln / ld up to hn / hd."""
+    return _ball(ln * hd + hn * ld, hn * ld - ln * hd, 2 * ld * hd)
 
 
 def hull(a: Ball, b: Ball) -> Ball:
-    return from_endpoints(min(a.lo, b.lo), max(a.hi, b.hi))
-
-
-def _ints(x: Ball) -> tuple[int, int, int]:
-    """x as an integer ball (c, r, d): center c / d, radius r / d."""
-    c, r = x.center, x.radius
-    return c.numerator * r.denominator, r.numerator * c.denominator, c.denominator * r.denominator
+    lo = (a.c - a.r, a.d) if (a.c - a.r) * b.d <= (b.c - b.r) * a.d else (b.c - b.r, b.d)
+    hi = (a.c + a.r, a.d) if (a.c + a.r) * b.d >= (b.c + b.r) * a.d else (b.c + b.r, b.d)
+    return _halfway(*lo, *hi)
 
 
 def divide(x: "Ball | Rational", y: "Ball | Rational") -> Ball:
     """Interval quotient; the divisor interval must exclude zero."""
     xb, yb = as_ball(x), as_ball(y)
-    q = _quotient(*_ints(xb), *_ints(yb))
+    q = _quotient(xb.c, xb.r, xb.d, yb.c, yb.r, yb.d)
     if q is None:
-        raise (DomainError("division by zero") if yb.is_exact
+        raise (DomainError("division by zero") if yb.r == 0
                else PrecisionError("divisor interval contains zero"))
-    return Ball(Fraction(q[0], q[2]), Fraction(q[1], q[2]))
+    return _ball(*q)
 
 
 def _quotient(xc: int, xr: int, xd: int,
@@ -122,7 +161,7 @@ def _quotient(xc: int, xr: int, xd: int,
 
 def round_ball(x: Ball, bits: int) -> Ball:
     """Snap onto the 2^-bits grid; the enclosure only ever widens."""
-    return _snap(*_ints(x), bits)
+    return _snap(x.c, x.r, x.d, bits)
 
 
 def _snap(c: int, r: int, d: int, bits: int) -> Ball:
@@ -130,4 +169,4 @@ def _snap(c: int, r: int, d: int, bits: int) -> Ball:
     rounds to nearest (halves up), the radius grows by that and rounds up."""
     s = ((c << (bits + 1)) + d) // (2 * d)
     rup = -(-((r << bits) + abs((c << bits) - s * d)) // d)
-    return Ball(Fraction(s, 1 << bits), Fraction(rup, 1 << bits))
+    return _ball(s, rup, 1 << bits)

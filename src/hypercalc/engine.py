@@ -49,12 +49,11 @@ until certification succeeds.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import hyperops, midops
-from .balls import Ball, _ints, divide, round_ball
+from .balls import Ball, divide, round_ball
 from .errors import DomainError, HypercalcError, PrecisionError, ResourceError
 from .midops import SeriesConfig, tol_bits
 from .rationals import digit_text
@@ -153,11 +152,12 @@ def evaluate(term: Term, ctx: NumericContext, *, collect_trace: bool = False) ->
     text = render(term) if collect_trace else None
     for _ in range(MAX_DOUBLINGS + 1):
         value, events = _eval_once(flat, ctx, working, text)
-        if isinstance(value, Fraction) or value.radius <= target:
+        if isinstance(value, Fraction) or value.r * target.denominator <= target.numerator * value.d:
             return EvalResult(value, tuple(events) if collect_trace else None)
         # a power of an inexact base amplifies its error by far more than 16,
         # so the next round asks for the overshoot it just measured
-        working /= max(16, 2 * math.ceil(value.radius / target))
+        overshoot = -(-(value.r * target.denominator) // (target.numerator * value.d))
+        working /= max(16, 2 * overshoot)
     raise PrecisionError("evaluation radius did not reach the precision target")
 
 
@@ -401,7 +401,7 @@ def to_base_b(value: EvalResult | Value, ctx: NumericContext) -> BasebExpansion:
     base, digits = ctx.base, ctx.digits
     if isinstance(v, Fraction):
         return _expansion_of_exact(v, base, digits)
-    c, r, d = _ints(v)
+    c, r, d = v.c, v.r, v.d
     scale = base**digits
     if r * scale * base**ctx.guard_digits > d:  # radius > base^-(digits+guard)
         raise PrecisionError("ball radius exceeds the certification precondition")

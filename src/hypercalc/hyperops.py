@@ -43,7 +43,7 @@ from fractions import Fraction
 from . import midops
 from .balls import Ball, as_ball, hull, round_ball
 from .errors import DomainError, MagnitudeError, PrecisionError, ResourceError
-from .midops import _EXP_ARG_CAP, SeriesConfig, _log_abs_float, tol_bits
+from .midops import _EXP_ARG_CAP, SeriesConfig, _log_abs_float, _lowest, tol_bits
 from .rootfind import (
     BallFn, Bracket, RootConfig, bisect_integers, brent, expand_upper,
 )
@@ -99,12 +99,9 @@ def hyper_forward(
     if height < 0:
         raise DomainError("heights below zero are not defined at rank >= 4")
     base = as_ball(a)
-    if base.is_exact:
-        if base.center < 1:
-            raise DomainError("rank >= 4 operators need a base >= 1")
-    elif base.lo < 1:
-        if base.hi < 1:
-            raise DomainError("rank >= 4 operators need a base >= 1")
+    if base.c + base.r < base.d:
+        raise DomainError("rank >= 4 operators need a base >= 1")
+    if base.c - base.r < base.d:
         raise PrecisionError("base interval reaches below 1")
     return _forward(rank, base, height, tol)
 
@@ -120,36 +117,36 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
                 " this tower needs an approximate intermediate as a height"
             )
     if rank == 3:
-        return midops.power(base.center if base.is_exact else base, height,
-                            SeriesConfig(tol))
+        return midops.power(base, height, SeriesConfig(tol))
     if height == 0:
-        return Ball(Fraction(1))
-    if base.is_exact and base.center == 1:
-        return Ball(Fraction(1))
+        return Ball(1)
+    if base.is_exact and base.c == base.d:
+        return Ball(1)
     if height == 1:
         return base
     if not base.is_exact:
         return _endpoint_hull(lambda x, t: _forward(rank, x, height, t), base.lo, base.hi, tol)
 
-    steps = int(height) - (height.denominator == 1)
-    frac = height - int(height)
+    # height = steps + p/q, 0 <= p/q < 1, with the last whole step in p/q = 1 when q = 1
+    q = height.denominator
+    steps, p = divmod(height.numerator, q)
+    steps -= q == 1
+    ln_base = _log_abs_float(*_lowest(base.c, base.d))
     if steps > _LIMITS.max_height_steps:
-        if rank == 4 or base.center.denominator == 1:
+        if rank == 4 or base.c % base.d == 0:
             # The tower over an inner value >= 1 is at least base (+^4) steps,
             # so one that passes the magnitude cap within the first cap + 1
             # steps is a blow-up, whatever the cap says about its length.
             # So is one at rank r >= 5 over an integer a >= 2, as a (+^r) h >=
             # a (+^4) h: a (+^r) grows with its height and a (+^r) h >= h + 1, so by
             # induction on h, a (+^(r+1)) (h+1) = a (+^r) (a (+^(r+1)) h) >= a (+^r) (h+1).
-            _unroll_budgets(0.0, _log_abs_float(base.center),
-                            _LIMITS.max_height_steps + 1)
+            _unroll_budgets(0.0, ln_base, _LIMITS.max_height_steps + 1)
         raise ResourceError(
             f"unrolling a height of {height} needs {steps} applications, "
             f"over the cap of {_LIMITS.max_height_steps}"
         )
 
     def fractional_tail(t: Fraction) -> Ball:
-        p, q = frac.numerator, frac.denominator
         try:
             tower = _forward(rank, base, Fraction(p), t / 4)
             return _inverse_minus(rank, tower, Fraction(q), t / 4)
@@ -159,27 +156,27 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
             # here says nothing about the result's magnitude.
             raise ResourceError(str(err)) from err
 
-    if frac == 0:
-        inner_log = _log_abs_float(base.center)
+    if not p:
+        inner_log = ln_base
     else:
         if steps == 0:
             return fractional_tail(tol)
         coarse = fractional_tail(Fraction(1, 1 << 16))
-        inner_log = max(_log_abs_float(coarse.hi), 0.0)
+        inner_log = max(_log_abs_float(*_lowest(coarse.c + coarse.r, coarse.d)), 0.0)
     # Each tower step amplifies the error underneath it by roughly
     # (step output) * ln(base); budget the inner tolerances accordingly,
     # with a refinement backstop since the budgets are estimates.
-    budgets = _unroll_budgets(inner_log, _log_abs_float(base.center), steps)
+    budgets = _unroll_budgets(inner_log, ln_base, steps)
+    tn, td = tol.numerator, tol.denominator
     extra = 0
     for _ in range(_REFINE_ATTEMPTS):
-        if frac == 0:
+        if not p:
             value: Ball = base
         else:
-            value = fractional_tail(tol / (1 << (budgets[0] + extra)))
+            value = fractional_tail(Fraction(tn, td << (budgets[0] + extra)))
         for i in range(1, steps + 1):
-            value = _forward(rank - 1, base, value,
-                             tol / (1 << (budgets[i] + extra)))
-        if value.radius <= tol:
+            value = _forward(rank - 1, base, value, Fraction(tn, td << (budgets[i] + extra)))
+        if value.r * td <= tn * value.d:
             return value
         extra += 8
     raise PrecisionError("tower unrolling failed to reach the requested radius")
@@ -234,14 +231,14 @@ def hyper_inverse_minus(
     if order <= 0:
         raise DomainError("super-root order must be positive")
     target = as_ball(a)
-    if (target.is_exact and target.center < 1) or target.hi < 1:
+    if target.c + target.r < target.d:
         raise DomainError("super-roots are defined for values >= 1")
     return _inverse_minus(rank, target, order, tol)
 
 
 def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction) -> Ball:
-    if target.is_exact and target.center == 1:
-        return Ball(Fraction(1))
+    if target.is_exact and target.c == target.d:
+        return Ball(1)
     if order == 1:
         return target
     if order.denominator != 1 and order < 1:
@@ -293,7 +290,7 @@ def _super_root_estimate(goal: Fraction, order: Fraction) -> float:
     between x (+^4) n and x (+^4) (n + 1).  It is only a start for the
     certified search.
     """
-    ln_goal = _log_abs_float(goal)
+    ln_goal = _log_abs_float(goal.numerator, goal.denominator)
     if order.denominator != 1:
         n = math.floor(order)
         return math.sqrt(_super_root_estimate(goal, Fraction(n))

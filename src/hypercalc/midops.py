@@ -35,12 +35,18 @@ a tolerance passed as ints (tn, td), and exp squares its halved value by
 err^2 + |v^2 - s 2^prec|) / 2^prec).
 
 The general power `[a+++b]` is exp(b * ln a), root `[a---b]` is pow(a, 1/b),
-and log `[a///b]` is ln a / ln b; `power` and `log` test their bounds by
-integer cross-multiplication and build one Ball at the exit with `balls`'
-integer snap (`log` divides with its integer quotient first), with the digits
-and radii that the same formulas give over Fractions.  Integer exponents take
-an exact path when the result stays representable; a base ball that reaches 0
-takes an integer exponent n >= 2 to within max|x|^n of 0.
+and log `[a///b]` is ln a / ln b.  Every operation reads its operands as
+integer balls (c +/- r) / d: the domain and sign tests, ln's Lipschitz term
+r / (c - r), the exponent's input spread and the radius checks are integer
+cross-multiplications, and `power` builds one Ball at the exit with `balls`'
+integer snap (`log` divides with its integer quotient first).  Those steps
+depend on values only, so a ball's integer form, which is not in lowest
+terms, gives the digits and radii that the same formulas give over
+Fractions.  Two steps depend on the form, `_ln_fixed`'s small-height series
+and `_log_abs_float`'s split of a rational into mantissa and exponent; they
+take their input in lowest terms (`_lowest`, one gcd).  Integer exponents
+take an exact path when the result stays representable; a base ball that
+reaches 0 takes an integer exponent n >= 2 to within max|x|^n of 0.
 
 Exact operands skip the series where the answer is algebraic (Brent &
 Zimmermann, 1.5.2 and 4.2; Bernstein, "Detecting perfect powers in
@@ -378,38 +384,43 @@ def _ln_fixed(num: int, den: int, tn: int, td: int) -> tuple[int, int, int]:
     return value, err, prec
 
 
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n / d in lowest terms, d > 0: the form `_ln_fixed` and `_log_abs_float`
+    are defined on (their results depend on it, not on the value alone)."""
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
 def exp_e(a: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     """Ball containing e^a with radius <= the configured target error."""
     tol = cfg.target_error
     b = as_ball(a)
-    num, den = b.center.numerator, b.center.denominator
-    if b.is_exact:
-        value, err, prec = _exp_fixed(num, den, tol.numerator, tol.denominator)
+    c, r, d = b.c, b.r, b.d
+    if not r:
+        value, err, prec = _exp_fixed(c, d, tol.numerator, tol.denominator)
         return _snap(value, err, 1 << prec, prec)
-    if b.radius > Fraction(1, 2):
+    if 2 * r > d:
         raise PrecisionError("exp argument too imprecise")
-    value, err, prec = _exp_fixed(num, den, tol.numerator, 2 * tol.denominator)
+    value, err, prec = _exp_fixed(c, d, tol.numerator, 2 * tol.denominator)
     # e^(c +/- r) within e^c * e^(+/-r), and e^r - 1 <= 2r for r <= ln 2
-    rn, rd = b.radius.numerator, b.radius.denominator
-    return _snap(value * rd, err * rd + 2 * rn * (value + err), rd << prec, tol_bits(tol) + 16)
+    return _snap(value * d, err * d + 2 * r * (value + err), d << prec, tol_bits(tol) + 16)
 
 
 def ln_e(a: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     """Ball containing ln a (a > 0) with radius <= the target error."""
     tol = cfg.target_error
     b = as_ball(a)
-    num, den = b.center.numerator, b.center.denominator
-    if b.is_exact:
-        value, err, prec = _ln_fixed(num, den, tol.numerator, tol.denominator)
+    c, r, d = b.c, b.r, b.d
+    if not r:
+        value, err, prec = _ln_fixed(*_lowest(c, d), tol.numerator, tol.denominator)
         return _snap(value, err, 1 << prec, prec)
-    if b.lo <= 0:
-        if b.hi <= 0:
+    if c <= r:
+        if c + r <= 0:
             raise DomainError("log of a non-positive value")
         raise PrecisionError("log argument interval reaches zero")
-    value, err, prec = _ln_fixed(num, den, tol.numerator, 2 * tol.denominator)
-    extra = b.radius / b.lo  # Lipschitz bound 1/min on [lo, hi]
-    xn, xd = extra.numerator, extra.denominator
-    return _snap(value * xd, err * xd + (xn << prec), xd << prec, tol_bits(tol) + 16)
+    value, err, prec = _ln_fixed(*_lowest(c, d), tol.numerator, 2 * tol.denominator)
+    # Lipschitz bound 1/min on [lo, hi]: radius / lo = r / (c - r)
+    return _snap(value * (c - r), err * (c - r) + (r << prec), (c - r) << prec, tol_bits(tol) + 16)
 
 
 # ---------------------------------------------------------------------------
@@ -497,16 +508,14 @@ def _pow_fixed(x: int, e: int, prec: int, up: bool) -> int:
         x = -((-x * x) >> prec) if up else (x * x) >> prec
 
 
-def _algebraic_power(base: Fraction, exponent: Fraction, tn: int, td: int) -> Ball | None:
-    """Ball containing base^exponent for base > 0 and exponent = P/Q, Q >= 2,
-    with radius <= tn / td, or None where exp/ln should run instead.
+def _algebraic_power(n: int, d: int, P: int, Q: int, tn: int, td: int) -> Ball | None:
+    """Ball containing (n/d)^(P/Q) for n/d > 0 and P/Q, Q >= 2, each in lowest
+    terms, with radius <= tn / td, or None where exp/ln should run instead.
 
-    Exact when base's numerator and denominator are perfect Q-th powers;
-    otherwise the certified Newton root of the module docstring, behind its
-    gate, with None when the certificate fails.
+    Exact when n and d are perfect Q-th powers; otherwise the certified
+    Newton root of the module docstring, behind its gate, with None when the
+    certificate fails.
     """
-    n, d = base.numerator, base.denominator
-    P, Q = exponent.numerator, exponent.denominator
     rd = _exact_root(d, Q)
     rn = rd and _exact_root(n, Q)
     if rn:
@@ -613,78 +622,83 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     tol = cfg.target_error
     av = as_ball(a)
     bv = as_ball(b)
-    n = bv.center.numerator if bv.is_exact and bv.center.denominator == 1 else None
+    ac, ar, ad = av.c, av.r, av.d
+    bc, br, bd = bv.c, bv.r, bv.d
+    n = bc // bd if not br and not bc % bd else None
 
-    if av.lo <= 0:  # a base that is not certainly positive
-        if av.is_exact and av.center == 0:
-            if bv.is_exact and bv.center > 0:
-                return Ball(Fraction(0))
+    if ac <= ar:  # a base that is not certainly positive
+        if not ar and not ac:
+            if not br and bc > 0:
+                return Ball(0)
             raise DomainError("0 may only be raised to an exact positive power")
-        if n is None and av.is_exact:
+        if n is None and not ar:
             raise DomainError("negative base needs an exact integer exponent")
-        if n is not None and av.hi < 0:  # sign by parity
+        if n is not None and ac + ar < 0:  # sign by parity
             out = power(-av, bv, cfg)
             return -out if n % 2 else out
         if n is not None and n >= 2:  # x^n within M^n of 0, M = max |x|
             bound = power(max(-av.lo, av.hi), bv, cfg).hi
-            return round_ball(Ball(Fraction(0), bound), tol_bits(tol) + 16)
+            return round_ball(Ball(0, bound), tol_bits(tol) + 16)
         if n not in (0, 1):  # exponents 0 and 1 take the exact paths below
-            if av.hi <= 0:
+            if ac + ar <= 0:
                 raise DomainError("power base must be positive")
             raise PrecisionError("power base interval reaches zero")
 
-    if av.is_exact and av.center == 1:
-        return Ball(Fraction(1))
-    if bv.is_exact:
-        if bv.center == 0:
-            return Ball(Fraction(1))
-        if bv.center == 1:
-            return round_ball(av, tol_bits(tol) + 16) if not av.is_exact else av
-        if n is not None and av.is_exact:
+    if not ar and ac == ad:
+        return Ball(1)
+    if not br:
+        if not bc:
+            return Ball(1)
+        if bc == bd:
+            return round_ball(av, tol_bits(tol) + 16) if ar else av
+        if n is not None and not ar:
             exact = _exact_int_pow(av.center, n)
             if exact is not None:
                 return Ball(exact)
-            if av.center > 1 and n > 0:
+            if ac > ad and n > 0:
                 raise MagnitudeError("integer power exceeds the magnitude cap")
-        elif av.is_exact:  # a positive base and a non-integer exponent
-            out = _algebraic_power(av.center, bv.center, tol.numerator, tol.denominator)
+        elif not ar:  # a positive base and a non-integer exponent
+            out = _algebraic_power(*_lowest(ac, ad), *_lowest(bc, bd),
+                                   tol.numerator, tol.denominator)
             if out is not None:
                 return out
 
     # Refine only the computational error; spread inherited from ball inputs
     # is propagated rigorously but cannot be shrunk here, so it rides on top
     # of the target (whole-expression refinement re-requests tighter inputs).
-    tn, td, bn, bd = tol.numerator, tol.denominator, bv.center.numerator, bv.center.denominator
+    tn, td = tol.numerator, tol.denominator
+    ln_num, ln_den = _lowest(ac, ad)
     ln_shift = _power_scale_bits(av, bv)  # ln's tolerance is tol / 2^ln_shift
-    ln_input = av.radius / av.lo  # Lipschitz bound for ln over [lo, hi]
+    lo = ac - ar  # ln's Lipschitz bound over [lo, hi] is 1/lo: radius / lo = ar / lo
     for _ in range(_REFINE_ATTEMPTS):
-        L, l_err, p = _ln_fixed(av.center.numerator, av.center.denominator, tn, td << ln_shift)
-        if bn * L > (_EXP_ARG_CAP * bd) << p:
+        L, l_err, p = _ln_fixed(ln_num, ln_den, tn, td << ln_shift)
+        if bc * L > (_EXP_ARG_CAP * bd) << p:
             raise MagnitudeError("power result would blow past the magnitude cap")
-        if 8 * abs(bn) * l_err > bd << p:  # r_comp = |b| l_err / 2^p > 1/8
+        if 8 * abs(bc) * l_err > bd << p:  # r_comp = |b| l_err / 2^p > 1/8
             ln_shift += 4
             continue
-        r_input = abs(bv.center) * ln_input + bv.radius * (
-            Fraction(abs(L) + l_err, 1 << p) + ln_input)
-        if r_input > Fraction(1, 2):
+        # r_input = |b| ar/lo + br/bd ((|L| + l_err) / 2^p + ar/lo) = rn / rd
+        rn = (abs(bc) * ar << p) + br * ((abs(L) + l_err) * lo + (ar << p))
+        rd = (bd * lo) << p
+        if 2 * rn > rd:
             raise PrecisionError("power inputs too imprecise for an enclosure")
-        E, e_err, q = _exp_fixed(bn * L, bd << p, tn, td << 2)
+        E, e_err, q = _exp_fixed(bc * L, bd << p, tn, td << 2)
         # e^r - 1 <= 2r for r <= ln 2: r_comp widens by 2 r_comp (E + e_err) / 2^q
         d = bd << (p + q)
-        widen_comp = 2 * abs(bn) * l_err * (E + e_err)
+        widen_comp = 2 * abs(bc) * l_err * (E + e_err)
         if 2 * widen_comp * td > tn * d:  # widen_comp / d > tol / 2
             ln_shift += 4
             continue
-        widen = 2 * r_input * Fraction(E + e_err, 1 << q)  # the inputs' share
-        wn, wd = widen.numerator, widen.denominator
+        # the inputs' share 2 r_input (E + e_err) / 2^q = wn / wd
+        wn, wd = (2 * rn * (E + e_err), rd << q) if rn else (0, 1)
         return _snap(((E * bd) << p) * wd, (((e_err * bd) << p) + widen_comp) * wd + wn * d,
                      d * wd, _tol_bits(tn * wd + wn * td, td * wd) + 16)
     raise PrecisionError("power failed to reach the requested radius")
 
 
-def _log_abs_float(x: Fraction) -> float:
-    """Rough ln|x| for a nonzero rational of any magnitude."""
-    num, den = abs(x.numerator), x.denominator
+def _log_abs_float(num: int, den: int) -> float:
+    """Rough ln|num/den| for a nonzero rational of any magnitude, den > 0."""
+    num = abs(num)
     shift = num.bit_length() - den.bit_length()
     # int true division is correctly rounded, as float(Fraction) is
     m = num / (den << shift) if shift >= 0 else (num << -shift) / den
@@ -698,12 +712,13 @@ def _power_scale_bits(av: Ball, bv: Ball) -> int:
     exponent's error, and the exponent's error scales with |b| times the
     log's error; a magnitude-blind starting tolerance would take thousands
     of refinement rounds on tower-sized values.  Blow-ups surface here
-    before any expensive arithmetic runs.
+    before any expensive arithmetic runs.  The centers' logs are taken in
+    lowest terms.
     """
     ln2 = math.log(2)
-    ln_a = _log_abs_float(av.center) if av.center != 1 else 0.0
-    b_log = _log_abs_float(bv.center) if bv.center != 0 else -1e9
-    positive = (bv.center > 0) == (ln_a > 0)
+    ln_a = _log_abs_float(*_lowest(av.c, av.d)) if av.c != av.d else 0.0
+    b_log = _log_abs_float(*_lowest(bv.c, bv.d)) if bv.c else -1e9
+    positive = (bv.c > 0) == (ln_a > 0)
     if ln_a == 0.0:
         magnitude = 0.0
     else:
@@ -721,13 +736,13 @@ def root(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     """Ball containing the b-th root of a: the x with x^b = a (a > 0, b != 0)."""
     bv = as_ball(b)
     if bv.is_exact:
-        if bv.center == 0:
+        if bv.c == 0:
             raise DomainError("0th root")
         recip: Fraction | Ball = 1 / bv.center
     else:
-        recip = divide(Ball(Fraction(1)), bv)
+        recip = divide(Ball(1), bv)
     av = as_ball(a)
-    if (av.is_exact and av.center <= 0) or (not av.is_exact and av.hi <= 0):
+    if av.c + av.r <= 0:
         raise DomainError("root base must be positive")
     return power(a, recip, cfg)
 
@@ -737,38 +752,39 @@ def log(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     tol = cfg.target_error
     av = as_ball(a)
     bv = as_ball(b)
-    if bv.is_exact and bv.center == 1:
+    if bv.is_exact and bv.c == bv.d:
         raise DomainError("log base 1")
     for name, ball in (("value", av), ("base", bv)):
-        if (ball.is_exact and ball.center <= 0) or ball.hi <= 0:
+        if ball.c + ball.r <= 0:
             raise DomainError(f"log {name} must be positive")
-        if ball.lo <= 0:
+        if ball.c <= ball.r:
             raise PrecisionError(f"log {name} interval reaches zero")
     if av.is_exact and bv.is_exact:
         exact = _rational_log(av.center, bv.center)
         if exact is not None:
             return Ball(exact)
-    extra_a = av.radius / av.lo
-    extra_b = bv.radius / bv.lo
     tn, td = tol.numerator, tol.denominator
+    a_num, a_den = _lowest(av.c, av.d)
+    b_num, b_den = _lowest(bv.c, bv.d)
 
-    def widened(v, e, p, extra):  # v / 2^p +/- (e / 2^p + extra) as an integer ball
-        xn, xd = extra.numerator, extra.denominator
-        return v * xd, e * xd + (xn << p), xd << p
+    def widened(v, e, p, ball):  # v / 2^p +/- (e / 2^p + radius / lo) as an integer ball
+        if not ball.r:
+            return v, e, 1 << p
+        lo = ball.c - ball.r  # ln's Lipschitz bound over [lo, hi] is 1/lo
+        return v * lo, e * lo + (ball.r << p), lo << p
 
     for attempt in range(_REFINE_ATTEMPTS):  # the logs' tolerance is tol / 16^attempt
-        ln_a = _ln_fixed(av.center.numerator, av.center.denominator, tn, td << 4 * attempt)
-        ln_b = _ln_fixed(bv.center.numerator, bv.center.denominator, tn, td << 4 * attempt)
-        full = _quotient(*widened(*ln_a, extra_a), *widened(*ln_b, extra_b))
+        ln_a = _ln_fixed(a_num, a_den, tn, td << 4 * attempt)
+        ln_b = _ln_fixed(b_num, b_den, tn, td << 4 * attempt)
+        full = _quotient(*widened(*ln_a, av), *widened(*ln_b, bv))
         if full is None:
             if bv.is_exact:  # b != 1 exactly, so tightening must separate it
                 continue
             raise PrecisionError("log base interval reaches 1")
         # computational part alone must meet the target; input spread rides
-        _, cr, cd = _quotient(*widened(*ln_a, 0), *widened(*ln_b, 0))
+        _, cr, cd = _quotient(*widened(*ln_a, Ball(0)), *widened(*ln_b, Ball(0)))
         if cr * td > tn * cd:
             continue
         _, fr, fd = full  # rounded at tol_bits(tol + fr/fd - cr/cd) + 16 bits
         return _snap(*full, _tol_bits(tn * fd * cd + td * (fr * cd - cr * fd), td * fd * cd) + 16)
     raise PrecisionError("log failed to reach the requested radius")
-

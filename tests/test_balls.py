@@ -1,10 +1,13 @@
+import contextlib
+import io
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypercalc.balls import Ball, as_ball, divide, from_endpoints, hull, round_ball
+from hypercalc import cli
+from hypercalc.balls import Ball, _ball, _snap, as_ball, divide, from_endpoints, hull, round_ball
 from hypercalc.errors import DomainError, HypercalcError, PrecisionError
 
 balls = st.builds(
@@ -133,3 +136,88 @@ def test_hull_and_endpoints():
     e = from_endpoints(Fraction(2), Fraction(3))
     assert e.lo == 2 and e.hi == 3
     assert as_ball(3).center == 3
+
+
+# The integer ball against the Fraction formulas it replaced: a ball is the
+# pair (center, radius) of Fractions, and each operation below is the
+# formula the Fraction representation used.
+
+
+def pair(x: Ball) -> tuple[Fraction, Fraction]:
+    return x.center, x.radius
+
+
+def reference_mul(x, y):
+    (c, r), (oc, orr) = x, y
+    return c * oc, abs(c) * orr + abs(oc) * r + r * orr
+
+
+scales = st.integers(1, 2**70)
+
+
+@given(wide_rats, wide_rats, wide_rats, wide_rats, scales, scales)
+@settings(max_examples=500, deadline=None)
+def test_integer_balls_match_the_fraction_formulas(xc, xr, yc, yr, k, j):
+    xr, yr = abs(xr), abs(yr)
+    x, y = Ball(xc, xr), Ball(yc, yr)
+    assert pair(x) == (xc, xr) and pair(y) == (yc, yr)
+    # the same balls in integer forms that are not in lowest terms
+    xs = _ball(x.c * k, x.r * k, x.d * k)
+    ys = _ball(y.c * j, y.r * j, y.d * j)
+    assert xs == x and ys == y and hash(xs) == hash(x) and repr(xs) == repr(x)
+    assert (x == y) == ((xc, xr) == (yc, yr))
+    for u, v in ((x, y), (xs, ys), (x, ys)):
+        assert pair(u + v) == (xc + yc, xr + yr)
+        assert pair(u - v) == (xc - yc, xr + yr)
+        assert pair(u * v) == reference_mul((xc, xr), (yc, yr))
+        assert pair(v + xc) == pair(xc + v) == (yc + xc, yr)
+        assert pair(xc - v) == (xc - yc, yr)
+        assert pair(v * xc) == pair(xc * v) == reference_mul((yc, yr), (xc, 0))
+        assert outcome(divide, u, v) == outcome(reference_divide, x, y)
+        assert u.overlaps(v) == (xc - xr <= yc + yr and yc - yr <= xc + xr)
+    for u, (c, r) in ((x, (xc, xr)), (xs, (xc, xr)), (ys, (yc, yr))):
+        assert pair(-u) == (-c, r)
+        assert (u.lo, u.hi) == (c - r, c + r)
+        assert u.is_exact == (r == 0)
+        assert (u.c > u.r, u.c < -u.r) == (c - r > 0, c + r < 0)  # the sign tests
+        for p in (c, c - r, c + r, yc, xc + yr, Fraction(0)):
+            assert u.contains(p) == (c - r <= p <= c + r)
+
+
+@given(wide_balls, scales, st.integers(0, 300))
+@settings(max_examples=300, deadline=None)
+def test_snap_matches_the_fraction_reference_on_any_integer_form(x, k, bits):
+    snapped = _snap(x.c * k, x.r * k, x.d * k, bits)
+    assert snapped.d == 1 << bits  # the grid's denominator, with no gcd taken
+    assert pair(snapped) == pair(reference_round_ball(x, bits))
+
+
+def test_ball_construction_checks_its_radius():
+    assert pair(Ball(3)) == (3, 0) and pair(Ball(Fraction(1, 3), 1)) == (Fraction(1, 3), 1)
+    assert as_ball(Fraction(5, 7)) == Ball(Fraction(5, 7)) and Ball(1) != Ball(1, Fraction(1, 2))
+    with pytest.raises(ValueError):
+        Ball(1, -1)
+    assert Ball(1) != 1  # a ball equals balls only
+
+
+def fractions_built(monkeypatch, argv) -> int:
+    """Fractions constructed by one `hypercalc` command line."""
+    count = [0]
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        count[0] += 1
+        return new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(Fraction, "__new__", counting)
+        assert cli.main(argv) == 0
+    return count[0]
+
+
+@pytest.mark.parametrize("text, before", [("[1000----3]", 352), ("[1.5++++0.75]", 935)])
+def test_rank_4_probes_build_few_fractions(monkeypatch, text, before):
+    # before: the count when balls, the root finder and power computed in
+    # Fractions; the probe path now builds a Fraction only for what a probe
+    # hands its function (x and its tolerance), a tolerance, or a center
+    assert fractions_built(monkeypatch, ["eval", text, "--digits", "30"]) <= before // 4

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercalc import midops
-from hypercalc.balls import Ball
+from hypercalc.balls import Ball, _ball
 from hypercalc.errors import (
     DomainError, HypercalcError, MagnitudeError, PrecisionError, ResourceError,
 )
@@ -488,7 +488,7 @@ huge_ints = st.integers(min_value=1, max_value=2**5000)
 @settings(max_examples=200, deadline=None)
 def test_tol_bits_and_log_abs_float_match_the_fraction_reference(num, den, negative):
     x = Fraction(-num if negative else num, den)
-    assert midops._log_abs_float(x) == reference_log_abs_float(x)
+    assert midops._log_abs_float(x.numerator, x.denominator) == reference_log_abs_float(x)
     assert midops.tol_bits(abs(x)) == reference_tol_bits(abs(x))
 
 
@@ -644,6 +644,20 @@ def test_power_and_log_match_the_fraction_reference(a, ra, b, rb, tol):
     if bv.lo > 0 and not (exact_b and b == 1):
         want = outcome(reference_log_series, av, bv, tol)
         assert outcome(log, a if exact_a else av, b if exact_b else bv, cfg) == want
+
+
+@given(positive_rats, radii, any_rats, radii, tols, st.integers(2, 2**40))
+@settings(max_examples=100, deadline=None)
+def test_results_do_not_depend_on_the_integer_form(a, ra, b, rb, tol, k):
+    # a ball's integer form (c +/- r) / d is not in lowest terms; scaled by k
+    # it is the same ball, and every operation gives the same result on it
+    cfg = SeriesConfig(tol)
+    for x, y in ((Ball(a, ra), Ball(b, rb)), (Ball(b, rb), Ball(a, ra))):
+        xk, yk = _ball(x.c * k, x.r * k, x.d * k), _ball(y.c * k, y.r * k, y.d * k)
+        for op in (exp_e, ln_e):
+            assert outcome(op, xk, cfg) == outcome(op, x, cfg)
+        for op in (power, log, root):
+            assert outcome(op, xk, yk, cfg) == outcome(op, x, y, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -267,6 +267,153 @@ def test_a_bad_start_estimate_certifies_the_same_digits(monkeypatch, text, estim
     assert adaptive_evaluate(parse(text), ctx)[1].text() == want
 
 
+# (x, ft) for each probe `brent` hands f, recorded when the root finder
+# computed in Fractions, as (n, e, t) for x = n / 2^e and ft = 2^-t.  The
+# first three are the searches behind the inputs at 30 digits.  The last is
+# [100----3] without a start estimate: it steps down from the bracket's
+# midpoint by growing powers of two, then splits at the mean binary exponent
+# of the ends and at midpoints.
+PINNED_PROBES = [
+    ("[1000----3]", None, Fraction(1, 4008 * 10**40), [
+        (2685169708817751, 50, 72),
+        (5370339417635503, 51, 60),
+        (54461711889559716629909217610098142681396405429, 154, 154),
+        (54461711889559716629909217609662887935806560501, 154, 154),
+        (13615427972389929157477304402415721983951659391, 152, 154),
+        (13615427972389929157477304402415721983951659519, 152, 154),
+    ]),
+    ("[1.5----3]", None, Fraction(1, 108 * 10**40), [
+        (2979292680731157, 51, 73),
+        (1525397852534352383, 60, 77),
+        (472087769373052721072151604804789857434977431, 148, 161),
+        (118021942343263180268037901185531526867293825, 146, 161),
+        (236043884686526360536075802371063053734593085, 147, 161),
+        (236043884686526360536075802371063053734593213, 147, 161),
+    ]),
+    ("[2++++0.75]", None, Fraction(1, 2816 * 10**40), [
+        (1995426675126447, 50, 73),
+        (7981706700505787, 52, 67),
+        (10118015289741842092133811682289813239693291651, 152, 160),
+        (5059007644870921046066905841108616909625823301, 151, 160),
+        (20236030579483684184267623364434467638503259033, 153, 160),
+        (20236030579483684184267623364434467638503259289, 153, 160),
+    ]),
+    ("[100----3]", "no estimate", Fraction(1, 408 * 10**40), [
+        (101, 1, 68),
+        (7107243161944063, 47, 21),
+        (7107243161944059, 47, 21),
+        (7107243161944043, 47, 21),
+        (7107243161943979, 47, 21),
+        (7107243161943723, 47, 21),
+        (7107243161942699, 47, 21),
+        (7107243161938603, 47, 21),
+        (7107243161922219, 47, 21),
+        (7107243161856683, 47, 21),
+        (7107243161594539, 47, 21),
+        (7107243160545963, 47, 21),
+        (7107243156351659, 47, 21),
+        (7107243139574443, 47, 21),
+        (7107243072465579, 47, 21),
+        (7107242804030123, 47, 21),
+        (7107241730288299, 47, 21),
+        (7107237435321003, 47, 21),
+        (7107220255451819, 47, 21),
+        (7107151535975083, 47, 21),
+        (7106876658068139, 47, 21),
+        (7105777146440363, 47, 21),
+        (7101379099929259, 47, 21),
+        (7083786913884843, 47, 21),
+        (7013418169707179, 47, 21),
+        (6731943192996523, 47, 21),
+        (5606043286153899, 47, 21),
+        (1102443658783403, 47, 21),
+        (1, 0, 21),
+        (614413661849753, 47, 160),
+        (2, 0, 21),
+        (22300745198530623141535718272648361505980417, 143, 21),
+        (70979610650547108305108650426119054031847425, 144, 12),
+        (2854495385411919763425778830763638232917485705, 150, 98),
+        (5708990770823839529469971445256572381045697869, 151, 98),
+        (14794380934093869392523878699799811297122168269, 152, 21),
+        (356929563932436954761826836817757090274818729, 147, 148),
+        (5712751592631271118659199553452280864232713295, 151, 148),
+        (26219884119356411629842277806704373025587594859, 153, 21),
+        (2993981501420899809578569935292612914784245429, 150, 155),
+        (768241138400687864336622432555504435419666573, 148, 154),
+        (50803600548178423288614195648480514959016925195, 154, 21),
+        (3151089792154671236499630256229819722825881461, 150, 155),
+        (6315308842745233260398952182463801330125333561, 151, 154),
+        (1579113030609482072536229534591844218477448117, 149, 154),
+        (3158207662054677321303991136039450155086448809, 150, 154),
+        (789551927251020545514692081178209424017434791, 148, 154),
+        (6316415418016128723998504797695055211243446543, 151, 154),
+        (1579103854504032180567578311257076220806393995, 149, 154),
+        (6316415418016128722270313245060109254302896323, 151, 154),
+        (6316415418016128722270313245060109254302896579, 151, 154),
+    ]),
+]
+
+
+@pytest.mark.parametrize("text, estimate, tol, pinned", PINNED_PROBES)
+def test_integer_search_repeats_the_fraction_search_probes(monkeypatch, text, estimate, tol, pinned):
+    searches = []
+
+    def recorded(f, bracket, cfg, start=None):
+        probes = []
+        searches.append((cfg.x_tolerance, probes))
+        return brent(lambda x, ft: probes.append((x, ft)) or f(x, ft), bracket, cfg, start=start)
+
+    monkeypatch.setattr(hyperops, "brent", recorded)
+    if estimate == "no estimate":
+        monkeypatch.setattr(hyperops, "_super_root_estimate", lambda goal, order: None)
+    adaptive_evaluate(parse(text), NumericContext(digits=30))
+    want = [(Fraction(n, 1 << e), Fraction(1, 1 << t)) for n, e, t in pinned]
+    assert searches == [(tol, want)]
+
+
+@pytest.mark.parametrize("offset", [0, 1])
+def test_newton_point_rounds_half_to_even(offset):
+    # f(x) = x - root with the root halfway between two grid points: the
+    # first probe is at the start, the second 2^-52 below it, and the
+    # secant through them lands on the root, which rounds to the even one
+    tol = Fraction(1, 2**20)
+    grid = 1 << (rootfind.tol_bits(tol) + 8)
+    j = grid // 3 + offset
+    root = Fraction(2 * j + 1, 2 * grid)
+    probes = []
+
+    def f(x, t):
+        probes.append(x)
+        return Ball(x - root)
+
+    out = brent(f, Bracket(Fraction(0), Fraction(1)), RootConfig(tol), start=root + Fraction(1, 1000))
+    assert probes[1] == probes[0] - Fraction(1, 2**52)
+    assert probes[2] == Fraction(j + j % 2, grid)
+    assert out.contains(root) and out.radius <= tol
+
+
+def test_a_nudge_finer_than_the_points_so_far():
+    # the secant lands exactly on a grid point that is a root f never
+    # certifies; the nudge (b - a)/1024 from there is finer than any point
+    # before it (a is the bracket's 0, b the second probe)
+    tol = Fraction(1, 2**20)
+    grid = 1 << (rootfind.tol_bits(tol) + 8)
+    root = Fraction(2 * (grid // 3) + 1, grid)
+    start = root + Fraction(1, 1000)
+    probes = []
+
+    def f(x, t):
+        probes.append(x)
+        return Ball(x - root, t)
+
+    out = brent(f, Bracket(Fraction(0), Fraction(1)), RootConfig(tol), start=start)
+    b = start - Fraction(1, 2**52)
+    rounds = rootfind._SIGN_ROUNDS
+    assert probes[:2 + rounds] == [start, b] + [root] * rounds
+    assert probes[2 + rounds] == root + b / 1024
+    assert out.contains(root) and out.radius <= tol
+
+
 def test_bracket_validation():
     with pytest.raises(ValueError):
         Bracket(Fraction(2), Fraction(1))
