@@ -25,7 +25,11 @@ Fractions (balls once an operand is approximate), rank 3 the series
 operations in `midops`, rank >= 4 the hyperoperations in `hyperops`.
 Results stay exact whenever every step was exact; otherwise they are Balls
 whose radius is driven below base^-(digits+guard) by re-running at tighter
-working tolerances.
+working tolerances.  Only `evaluate` re-runs work to meet a radius: the
+kernels (`midops.power` and `log`, `hyperops`' tower unrolling) make one
+attempt each.  A miss sets the next working tolerance from the measured
+overshoot, and a kernel's PrecisionError (an operand ball too wide for its
+operation) divides it by 16.
 
 The reduction trace renders no text itself: it starts from the canonical
 text `terms.render` gives and finds each entry's offset and length in it
@@ -80,11 +84,11 @@ class NumericContext:
     digits, worked out with `guard_digits` extra digits of precision.
 
     The budgets are not settable here; each is a constant of the layer that
-    enforces it: the refinement rounds (`MAX_DOUBLINGS` = 8) here, the
-    series terms per call (`midops.MAX_SERIES_TERMS` = 100,000), the root
-    finder's probes and bracket doublings (`rootfind.MAX_ITERATIONS` =
-    1000, `rootfind.MAX_EXPANSIONS` = 80), and the tower height steps
-    (`hyperops.EngineLimits`, 50,000).
+    enforces it: the refinement rounds (`MAX_DOUBLINGS` = 8) here, the only
+    retries of a kernel; the series terms per call (`midops.MAX_SERIES_TERMS`
+    = 100,000), the root finder's probes and bracket doublings
+    (`rootfind.MAX_ITERATIONS` = 1000, `rootfind.MAX_EXPANSIONS` = 80), and
+    the tower height steps (`hyperops.EngineLimits`, 50,000).
     """
 
     base: int = 10
@@ -150,8 +154,14 @@ def evaluate(term: Term, ctx: NumericContext, *, collect_trace: bool = False) ->
     nodes = sum(k or 1 for *_, k in flat)
     working = target / (4 * max(1, nodes))
     text = render(term) if collect_trace else None
-    for _ in range(MAX_DOUBLINGS + 1):
-        value, events = _eval_once(flat, ctx, working, text)
+    for attempt in range(MAX_DOUBLINGS + 1):
+        try:
+            value, events = _eval_once(flat, ctx, working, text)
+        except PrecisionError:  # an operand ball too wide for its operation
+            if attempt == MAX_DOUBLINGS:
+                raise
+            working /= 16
+            continue
         if isinstance(value, Fraction) or value.r * target.denominator <= target.numerator * value.d:
             return EvalResult(value, tuple(events) if collect_trace else None)
         # a power of an inexact base amplifies its error by far more than 16,

@@ -48,8 +48,6 @@ from .rootfind import (
     BallFn, Bracket, RootConfig, bisect_integers, brent, expand_upper,
 )
 
-_REFINE_ATTEMPTS = 8
-
 
 @dataclass(frozen=True)
 class EngineLimits:
@@ -164,22 +162,15 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
         coarse = fractional_tail(Fraction(1, 1 << 16))
         inner_log = max(_log_abs_float(*_lowest(coarse.c + coarse.r, coarse.d)), 0.0)
     # Each tower step amplifies the error underneath it by roughly
-    # (step output) * ln(base); budget the inner tolerances accordingly,
-    # with a refinement backstop since the budgets are estimates.
+    # (step output) * ln(base); budget the inner tolerances accordingly.  The
+    # budgets are estimates: one pass returns the ball it reaches, and
+    # `engine.evaluate` re-runs the term tighter when that misses its target.
     budgets = _unroll_budgets(inner_log, ln_base, steps)
     tn, td = tol.numerator, tol.denominator
-    extra = 0
-    for _ in range(_REFINE_ATTEMPTS):
-        if not p:
-            value: Ball = base
-        else:
-            value = fractional_tail(Fraction(tn, td << (budgets[0] + extra)))
-        for i in range(1, steps + 1):
-            value = _forward(rank - 1, base, value, Fraction(tn, td << (budgets[i] + extra)))
-        if value.r * td <= tn * value.d:
-            return value
-        extra += 8
-    raise PrecisionError("tower unrolling failed to reach the requested radius")
+    value = base if not p else fractional_tail(Fraction(tn, td << budgets[0]))
+    for i in range(1, steps + 1):
+        value = _forward(rank - 1, base, value, Fraction(tn, td << budgets[i]))
+    return value
 
 
 def _unroll_budgets(inner_log: float, ln_base: float, steps: int) -> list[int]:

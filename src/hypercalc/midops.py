@@ -48,6 +48,11 @@ take their input in lowest terms (`_lowest`, one gcd).  Integer exponents
 take an exact path when the result stays representable; a base ball that
 reaches 0 takes an integer exponent n >= 2 to within max|x|^n of 0.
 
+Each operation makes one attempt and returns the rigorous ball it reaches,
+which may be wider than asked (a base near 1 multiplies log's errors by
+1/ln b); an operand ball too wide for an enclosure raises PrecisionError.
+`engine.evaluate`, not a kernel, re-runs at a tighter tolerance.
+
 Exact operands skip the series where the answer is algebraic (Brent &
 Zimmermann, 1.5.2 and 4.2; Bernstein, "Detecting perfect powers in
 essentially linear time", Math. Comp. 67, 1998):
@@ -92,8 +97,6 @@ from .errors import DomainError, MagnitudeError, PrecisionError, ResourceError
 # as a blow-up; exp() arguments are capped at MAX_MAGNITUDE_BITS * ln 2.
 MAX_MAGNITUDE_BITS = 1 << 20
 _EXP_ARG_CAP = 726_817  # floor(2^20 * ln 2)
-
-_REFINE_ATTEMPTS = 9
 
 # Terms per series call.
 MAX_SERIES_TERMS = 100_000
@@ -613,7 +616,7 @@ def _rational_log(a: Fraction, b: Fraction) -> Fraction | None:
 
 
 def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
-    """Ball containing a^b.
+    """Ball containing a^b; the inputs' spread rides on top of the target.
 
     Domain: a > 0 with any rational/ball b; a < 0 only with an exact
     integer b (sign by parity); a = 0 only with exact b > 0; a ball that
@@ -663,37 +666,27 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
             if out is not None:
                 return out
 
-    # Refine only the computational error; spread inherited from ball inputs
-    # is propagated rigorously but cannot be shrunk here, so it rides on top
-    # of the target (whole-expression refinement re-requests tighter inputs).
+    # one attempt: ln a at a tolerance sized from the result's magnitude
     tn, td = tol.numerator, tol.denominator
-    ln_num, ln_den = _lowest(ac, ad)
-    ln_shift = _power_scale_bits(av, bv)  # ln's tolerance is tol / 2^ln_shift
+    L, l_err, p = _ln_fixed(*_lowest(ac, ad), tn, td << _power_scale_bits(av, bv))
+    if bc * L > (_EXP_ARG_CAP * bd) << p:
+        raise MagnitudeError("power result would blow past the magnitude cap")
+    if 8 * abs(bc) * l_err > bd << p:  # r_comp = |b| l_err / 2^p > 1/8
+        raise PrecisionError("power base's log too imprecise for an enclosure")
     lo = ac - ar  # ln's Lipschitz bound over [lo, hi] is 1/lo: radius / lo = ar / lo
-    for _ in range(_REFINE_ATTEMPTS):
-        L, l_err, p = _ln_fixed(ln_num, ln_den, tn, td << ln_shift)
-        if bc * L > (_EXP_ARG_CAP * bd) << p:
-            raise MagnitudeError("power result would blow past the magnitude cap")
-        if 8 * abs(bc) * l_err > bd << p:  # r_comp = |b| l_err / 2^p > 1/8
-            ln_shift += 4
-            continue
-        # r_input = |b| ar/lo + br/bd ((|L| + l_err) / 2^p + ar/lo) = rn / rd
-        rn = (abs(bc) * ar << p) + br * ((abs(L) + l_err) * lo + (ar << p))
-        rd = (bd * lo) << p
-        if 2 * rn > rd:
-            raise PrecisionError("power inputs too imprecise for an enclosure")
-        E, e_err, q = _exp_fixed(bc * L, bd << p, tn, td << 2)
-        # e^r - 1 <= 2r for r <= ln 2: r_comp widens by 2 r_comp (E + e_err) / 2^q
-        d = bd << (p + q)
-        widen_comp = 2 * abs(bc) * l_err * (E + e_err)
-        if 2 * widen_comp * td > tn * d:  # widen_comp / d > tol / 2
-            ln_shift += 4
-            continue
-        # the inputs' share 2 r_input (E + e_err) / 2^q = wn / wd
-        wn, wd = (2 * rn * (E + e_err), rd << q) if rn else (0, 1)
-        return _snap(((E * bd) << p) * wd, (((e_err * bd) << p) + widen_comp) * wd + wn * d,
-                     d * wd, _tol_bits(tn * wd + wn * td, td * wd) + 16)
-    raise PrecisionError("power failed to reach the requested radius")
+    # r_input = |b| ar/lo + br/bd ((|L| + l_err) / 2^p + ar/lo) = rn / rd
+    rn = (abs(bc) * ar << p) + br * ((abs(L) + l_err) * lo + (ar << p))
+    rd = (bd * lo) << p
+    if 2 * rn > rd:
+        raise PrecisionError("power inputs too imprecise for an enclosure")
+    E, e_err, q = _exp_fixed(bc * L, bd << p, tn, td << 2)
+    # e^r - 1 <= 2r for r <= ln 2: r_comp widens by 2 r_comp (E + e_err) / 2^q
+    d = bd << (p + q)
+    widen_comp = 2 * abs(bc) * l_err * (E + e_err)
+    # the inputs' share 2 r_input (E + e_err) / 2^q = wn / wd
+    wn, wd = (2 * rn * (E + e_err), rd << q) if rn else (0, 1)
+    return _snap(((E * bd) << p) * wd, (((e_err * bd) << p) + widen_comp) * wd + wn * d,
+                 d * wd, _tol_bits(tn * wd + wn * td, td * wd) + 16)
 
 
 def _log_abs_float(num: int, den: int) -> float:
@@ -710,10 +703,10 @@ def _power_scale_bits(av: Ball, bv: Ball) -> int:
 
     The absolute output error scales with the result magnitude times the
     exponent's error, and the exponent's error scales with |b| times the
-    log's error; a magnitude-blind starting tolerance would take thousands
-    of refinement rounds on tower-sized values.  Blow-ups surface here
-    before any expensive arithmetic runs.  The centers' logs are taken in
-    lowest terms.
+    log's error; a magnitude-blind tolerance would miss the target by
+    thousands of bits on tower-sized values.  Blow-ups surface here before
+    any expensive arithmetic runs.  The centers' logs are taken in lowest
+    terms.
     """
     ln2 = math.log(2)
     ln_a = _log_abs_float(*_lowest(av.c, av.d)) if av.c != av.d else 0.0
@@ -764,8 +757,6 @@ def log(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
         if exact is not None:
             return Ball(exact)
     tn, td = tol.numerator, tol.denominator
-    a_num, a_den = _lowest(av.c, av.d)
-    b_num, b_den = _lowest(bv.c, bv.d)
 
     def widened(v, e, p, ball):  # v / 2^p +/- (e / 2^p + radius / lo) as an integer ball
         if not ball.r:
@@ -773,18 +764,13 @@ def log(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
         lo = ball.c - ball.r  # ln's Lipschitz bound over [lo, hi] is 1/lo
         return v * lo, e * lo + (ball.r << p), lo << p
 
-    for attempt in range(_REFINE_ATTEMPTS):  # the logs' tolerance is tol / 16^attempt
-        ln_a = _ln_fixed(a_num, a_den, tn, td << 4 * attempt)
-        ln_b = _ln_fixed(b_num, b_den, tn, td << 4 * attempt)
-        full = _quotient(*widened(*ln_a, av), *widened(*ln_b, bv))
-        if full is None:
-            if bv.is_exact:  # b != 1 exactly, so tightening must separate it
-                continue
-            raise PrecisionError("log base interval reaches 1")
-        # computational part alone must meet the target; input spread rides
-        _, cr, cd = _quotient(*widened(*ln_a, Ball(0)), *widened(*ln_b, Ball(0)))
-        if cr * td > tn * cd:
-            continue
-        _, fr, fd = full  # rounded at tol_bits(tol + fr/fd - cr/cd) + 16 bits
-        return _snap(*full, _tol_bits(tn * fd * cd + td * (fr * cd - cr * fd), td * fd * cd) + 16)
-    raise PrecisionError("log failed to reach the requested radius")
+    ln_a = _ln_fixed(*_lowest(av.c, av.d), tn, td)
+    ln_b = _ln_fixed(*_lowest(bv.c, bv.d), tn, td)
+    full = _quotient(*widened(*ln_a, av), *widened(*ln_b, bv))
+    if full is None:
+        raise PrecisionError("log base interval reaches 1")
+    # the logs' errors are sized to the target and input spread rides; a base
+    # near 1 amplifies the former past the target, and the ball still returns
+    _, cr, cd = _quotient(*widened(*ln_a, Ball(0)), *widened(*ln_b, Ball(0)))
+    _, fr, fd = full  # rounded at tol_bits(tol + fr/fd - cr/cd) + 16 bits
+    return _snap(*full, _tol_bits(tn * fd * cd + td * (fr * cd - cr * fd), td * fd * cd) + 16)

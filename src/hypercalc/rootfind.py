@@ -6,6 +6,9 @@ Probe signs are resolved rigorously: a sign is accepted only from a ball
 that excludes zero or is exact, and a ball that is exactly zero is an exact
 root.  A ball that straddles zero is re-evaluated at a tolerance sized from
 that ball (see `_SignResolver`) before the probe is declared ambiguous.
+`brent` moves an ambiguous probe by 1/1024 of the bracket, as it may sit
+exactly on the root; one on an end not yet certified raises AmbiguityError,
+as no probe beyond the bracket can certify that end.
 
 Because f increases, the search is two endpoints: the root lies in [a, b],
 a probe certified negative moves a up to it, and one certified positive
@@ -294,6 +297,9 @@ def brent(
         try:
             s, c = resolve.at(Fraction(X, D), ft)
         except AmbiguityError:
+            if (X == a and not a_seen) or (X == b and not b_seen):
+                raise AmbiguityError(f"cannot resolve the sign of f at the bracket's end"
+                                     f" {Fraction(X, D)}; the root may sit exactly on it") from None
             # the probe may sit exactly on the root; nudge once before giving up
             if (b - a) % 1024:
                 refine(10)

@@ -119,6 +119,43 @@ def test_evaluate_retries_from_the_overshoot():
     assert exp.text().startswith("21343946363862392998112.869329202494020386323438192828039")
 
 
+def test_evaluate_retries_kernel_precision_errors():
+    # A kernel's PrecisionError means an operand ball was too wide for its
+    # operation; `evaluate` re-runs the term at a 16x tighter working
+    # tolerance.  2^(2^-120) raised to 2^130 is exactly 2^1024, so no radius
+    # certifies its digits, but the power's inputs do get tight enough.
+    term = parse("[[[1+1]---[[1+1]+++120]]+++[[1+1]+++130]]")
+    result = evaluate(term, NumericContext(digits=20))
+    assert result.ball().contains(Fraction(2**1024))
+    with pytest.raises(PrecisionError, match="may sit exactly on a digit boundary"):
+        adaptive_evaluate(term, NumericContext(digits=20))
+    # sqrt 2 - sqrt 2 reaches zero at every precision: after the last round
+    # the last error comes out as it was raised
+    rounds = mock.Mock(wraps=engine._eval_once)
+    with mock.patch.object(engine, "_eval_once", rounds):
+        with pytest.raises(PrecisionError, match="divisor interval contains zero") as err:
+            evaluate(parse("[1//[[[1+1]---[1+1]]-[[1+1]---[1+1]]]]"), CTX10)
+    assert err.value.path == ()
+    working = [call.args[2] for call in rounds.call_args_list]
+    assert working == [working[0] / 16**k for k in range(engine.MAX_DOUBLINGS + 1)]
+
+
+@pytest.mark.parametrize("text, digits", [
+    # log base 1 + 2^-30 of 3 and log base 2^(2^-120) of 3 = 2^120 log2 3:
+    # the base's ln is near 0, so the quotient's error is the logs' times
+    # 2^60 or more, and only the whole-term retry can pay for it.  At
+    # 2^(2^-130) the base ball first reaches 1 ("log base interval reaches
+    # 1"), and the retry at a tighter working tolerance separates it.
+    ("[3///[[[[1+1]+++30]+1]--[[1+1]+++30]]]", "1179625963.25261677491959903592"),
+    ("[3///[[1+1]---[[1+1]+++120]]]",
+     "2106776528227830709928956833162496941.81697010403480288099"),
+    ("[3///[[1+1]---[[1+1]+++130]]]",
+     "2157339164905298646967251797158396868420.57738653163815013846"),
+])
+def test_log_base_near_one_certifies(text, digits):
+    assert adaptive_render(parse(text), NumericContext(digits=20)).text() == digits
+
+
 def test_evaluate_rejects_irrational_heights():
     # the height of a rank-4 operator must come out exactly rational
     with pytest.raises(DomainError) as err:

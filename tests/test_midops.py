@@ -245,9 +245,11 @@ def test_log_examples():
         log(Fraction(2), Fraction(1), MED)
 
 
-def test_log_refines_a_base_near_one(monkeypatch):
-    # ln(1 + 2^-20) is about 2^-20, so the quotient's error is about 2^40
-    # times the logs' errors: `log` tightens them by 16 a round, five rounds
+def test_log_makes_one_attempt(monkeypatch):
+    # ln of each operand once, at the target; ln(1 + 2^-20) is about 2^-20,
+    # so the quotient's error is about 2^40 times the logs' errors, and the
+    # rigorous ball comes back wider than the target for the caller to
+    # tighten
     calls = []
     real = midops._ln_fixed
 
@@ -257,10 +259,23 @@ def test_log_refines_a_base_near_one(monkeypatch):
 
     monkeypatch.setattr(midops, "_ln_fixed", spy)
     tol = Fraction(1, 10**30)
+    out = log(Fraction(3), Fraction(7, 2), SeriesConfig(tol))
+    assert len(calls) == 2 and out.radius <= tol
+    calls.clear()
     out = log(Fraction(3), 1 + Fraction(1, 2**20), SeriesConfig(tol))
-    assert len(calls) == 10
-    assert out.radius <= tol
+    assert len(calls) == 2
+    assert tol < out.radius < tol * 2**41
     assert abs(out.center - LOG3_BASE_NEAR_ONE) <= out.radius + Fraction(1, 10**38)
+
+
+def test_log_refuses_a_base_ball_around_one():
+    # a base ball around 1, or an exact base whose ln at the target still
+    # reaches 0: `engine.evaluate` asks again at a tighter target
+    near = Ball(1 + Fraction(1, 2**40), Fraction(1, 2**38))
+    with pytest.raises(PrecisionError, match="log base interval reaches 1"):
+        log(Fraction(3), near, MED)
+    with pytest.raises(PrecisionError, match="log base interval reaches 1"):
+        log(Fraction(3), 1 + Fraction(1, 2**100), SeriesConfig(Fraction(1, 2**50)))
 
 
 def test_ball_arguments():
@@ -560,57 +575,39 @@ def reference_ln_rational(a: Fraction, tol: Fraction) -> Ball:
 
 
 def reference_power_series(av: Ball, bv: Ball, tol: Fraction) -> Ball:
-    """`power`'s refinement loop, for a positive base off the exact paths."""
-    ln_tol = tol / (1 << midops._power_scale_bits(av, bv))
+    """`power`'s one attempt, for a positive base off the exact paths."""
+    ln_core = reference_ln_rational(av.center, tol / (1 << midops._power_scale_bits(av, bv)))
     ln_input = av.radius / av.lo
-    for _ in range(midops._REFINE_ATTEMPTS):
-        ln_core = reference_ln_rational(av.center, ln_tol)
-        exp_center = bv.center * ln_core.center
-        r_comp = abs(bv.center) * ln_core.radius
-        r_input = abs(bv.center) * ln_input + bv.radius * (
-            abs(ln_core.center) + ln_core.radius + ln_input
-        )
-        if exp_center > midops._EXP_ARG_CAP:
-            raise MagnitudeError("power result would blow past the magnitude cap")
-        if r_comp > Fraction(1, 8):
-            ln_tol /= 16
-            continue
-        if r_input > Fraction(1, 2):
-            raise PrecisionError("power inputs too imprecise for an enclosure")
-        core = reference_exp_rational(exp_center, tol / 4)
-        bound = core.center + core.radius
-        widen_comp = 2 * r_comp * bound
-        if widen_comp > tol / 2:
-            ln_tol /= 16
-            continue
-        widen_input = 2 * r_input * bound
-        out = Ball(core.center, core.radius + widen_comp + widen_input)
-        return reference_round_ball(out, reference_tol_bits(tol + widen_input) + 16)
-    raise PrecisionError("power failed to reach the requested radius")
+    exp_center = bv.center * ln_core.center
+    r_comp = abs(bv.center) * ln_core.radius
+    r_input = abs(bv.center) * ln_input + bv.radius * (
+        abs(ln_core.center) + ln_core.radius + ln_input
+    )
+    if exp_center > midops._EXP_ARG_CAP:
+        raise MagnitudeError("power result would blow past the magnitude cap")
+    if r_comp > Fraction(1, 8):
+        raise PrecisionError("power base's log too imprecise for an enclosure")
+    if r_input > Fraction(1, 2):
+        raise PrecisionError("power inputs too imprecise for an enclosure")
+    core = reference_exp_rational(exp_center, tol / 4)
+    bound = core.center + core.radius
+    widen_comp = 2 * r_comp * bound
+    widen_input = 2 * r_input * bound
+    out = Ball(core.center, core.radius + widen_comp + widen_input)
+    return reference_round_ball(out, reference_tol_bits(tol + widen_input) + 16)
 
 
 def reference_log_series(av: Ball, bv: Ball, tol: Fraction) -> Ball:
-    """`log`'s refinement loop, for positive value and base off the exact paths."""
-    extra_a = av.radius / av.lo
-    extra_b = bv.radius / bv.lo
-    inner_tol = tol
-    for _ in range(midops._REFINE_ATTEMPTS):
-        ln_a = reference_ln_rational(av.center, inner_tol)
-        ln_b = reference_ln_rational(bv.center, inner_tol)
-        denom = Ball(ln_b.center, ln_b.radius + extra_b)
-        if denom.lo <= 0 <= denom.hi:
-            if bv.is_exact:
-                inner_tol /= 16
-                continue
-            raise PrecisionError("log base interval reaches 1")
-        core = reference_divide(ln_a, ln_b)
-        if core.radius > tol:
-            inner_tol /= 16
-            continue
-        full = reference_divide(Ball(ln_a.center, ln_a.radius + extra_a), denom)
-        bits = reference_tol_bits(tol + (full.radius - core.radius)) + 16
-        return reference_round_ball(full, bits)
-    raise PrecisionError("log failed to reach the requested radius")
+    """`log`'s one attempt, for positive value and base off the exact paths."""
+    ln_a = reference_ln_rational(av.center, tol)
+    ln_b = reference_ln_rational(bv.center, tol)
+    denom = Ball(ln_b.center, ln_b.radius + bv.radius / bv.lo)
+    if denom.lo <= 0 <= denom.hi:
+        raise PrecisionError("log base interval reaches 1")
+    core = reference_divide(ln_a, ln_b)
+    full = reference_divide(Ball(ln_a.center, ln_a.radius + av.radius / av.lo), denom)
+    bits = reference_tol_bits(tol + (full.radius - core.radius)) + 16
+    return reference_round_ball(full, bits)
 
 
 def outcome(fn, *args):
@@ -820,13 +817,14 @@ def test_exp_and_ln_match_the_fraction_reference(x, r, tol):
     assert outcome(ln_e, b, cfg) == outcome(reference_ln_e, b, tol)
 
 
-# Without its magnitude estimate, `power` starts ln a at the target itself,
-# which is too coarse for a large or sharp result: each round tightens it by
-# 16.  A round that stops before exp failed r_comp <= 1/8; one that runs exp
-# and retries failed widen_comp <= tol / 2.  ln 2's error depends on the
-# precision alone, so the counts hold whatever ran earlier in the process.
-# The exponents over 2^41, like the root finders' dyadic probes, and the
-# 2^34/3 over a 301-bit base are past the algebraic path's gate.
+# `power` makes one attempt: one ln and one exp, at tolerances sized from
+# the result's magnitude, and returns the rigorous ball they reach; a caller
+# that needs it tighter asks again.  Without the magnitude estimate ln a runs
+# at the target itself, too coarse for a large or sharp result, so the ball
+# comes back wider than asked, or a too-coarse ln is refused outright (the
+# e^r - 1 <= 2r bound needs r <= 1/8).  The exponents over 2^41, like the
+# root finders' dyadic probes, and the 2^34/3 over a 301-bit base are past
+# the algebraic path's gate.
 T30 = Fraction(1, 10**30)
 NEAR_ONE = 1 + Fraction(1, 2**300)
 DYADIC = Fraction(1, 2**40)
@@ -840,32 +838,30 @@ def counted(calls, name, real):
     return spy
 
 
-@pytest.mark.parametrize("a, b, tol, ln_calls, exp_calls, radius", [
-    (Fraction(3), Fraction(27, 2) + DYADIC, T30, 2, 2, Fraction(63711, 2**117)),
-    (Fraction(3), Fraction(41, 2) + DYADIC, T30, 5, 5, Fraction(27673, 2**116)),
-    # one r_comp retry, then two widen_comp retries
-    (NEAR_ONE, Fraction(2**34, 3), Fraction(1, 2**10), 4, 3, Fraction(8875, 2**27)),
-    (Fraction(3), Fraction(61, 2) + DYADIC, T30, 9, 9, Fraction(20403, 2**115)),  # the last round
+@pytest.mark.parametrize("sized", [True, False])
+@pytest.mark.parametrize("a, b, tol", [
+    (Fraction(3), Fraction(27, 2) + DYADIC, T30),
+    (Fraction(3), Fraction(41, 2) + DYADIC, T30),
+    (NEAR_ONE, Fraction(2**34, 3), Fraction(1, 2**10)),
+    (Fraction(3), Fraction(61, 2) + DYADIC, T30),
+    (Fraction(3), Fraction(65, 2) + DYADIC, T30),
 ])
-def test_power_refinement_rounds(monkeypatch, a, b, tol, ln_calls, exp_calls, radius):
+def test_power_makes_one_attempt(monkeypatch, a, b, tol, sized):
     mpmath = pytest.importorskip("mpmath")
-    monkeypatch.setattr(midops, "_power_scale_bits", lambda av, bv: 0)
+    if not sized:
+        monkeypatch.setattr(midops, "_power_scale_bits", lambda av, bv: 0)
     calls = []
     for name in ("_ln_fixed", "_exp_fixed"):
         monkeypatch.setattr(midops, name, counted(calls, name, getattr(midops, name)))
+    if not sized and a == NEAR_ONE:
+        with pytest.raises(PrecisionError, match="power base's log too imprecise"):
+            power(a, b, SeriesConfig(tol))
+        assert calls == ["_ln_fixed"]
+        return
     out = power(a, b, SeriesConfig(tol))
-    assert (calls.count("_ln_fixed"), calls.count("_exp_fixed")) == (ln_calls, exp_calls)
-    assert out.radius == radius <= tol
+    assert calls == ["_ln_fixed", "_exp_fixed"]
+    assert (out.radius <= tol) == sized
     with mpmath.workprec(800):
         want = mpmath.power(mpmath.mpf(a.numerator) / a.denominator,
                             mpmath.mpf(b.numerator) / b.denominator)
         assert abs(out.center - floor_fraction(want, 700)) <= out.radius + Fraction(1, 2**700)
-
-
-def test_power_refinement_gives_up(monkeypatch):
-    monkeypatch.setattr(midops, "_power_scale_bits", lambda av, bv: 0)
-    calls = []
-    monkeypatch.setattr(midops, "_ln_fixed", counted(calls, "_ln_fixed", midops._ln_fixed))
-    with pytest.raises(PrecisionError, match="power failed to reach the requested radius"):
-        power(Fraction(3), Fraction(65, 2) + DYADIC, SeriesConfig(T30))
-    assert len(calls) == midops._REFINE_ATTEMPTS == 9

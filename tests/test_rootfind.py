@@ -82,6 +82,24 @@ def test_probe_on_a_root_that_never_certifies_is_nudged():
     assert probes[first + rootfind._SIGN_ROUNDS] == Fraction(1, 2) + Fraction(1, 1024)
 
 
+def test_a_root_on_an_uncertified_end_is_ambiguous_at_once():
+    # f is exactly 0 at the bracket's lower end but only ever answers a ball
+    # around it: no probe inside the bracket can certify that end, so the
+    # search stops at its first ambiguity there instead of nudging
+    r = Fraction(547137, 100)
+    calls = []
+
+    def f(x, t):
+        calls.append(x)
+        y = x - r
+        return Ball(Fraction(4 * y**3 + 48 * y, 2**34), t / 8)
+
+    with pytest.raises(AmbiguityError, match="the root may sit exactly on it"):
+        brent(f, Bracket(r, r + Fraction(856, 100)), RootConfig(Fraction(1, 10**5)))
+    assert len(calls) <= 200
+    assert calls[-rootfind._SIGN_ROUNDS:] == [r] * rootfind._SIGN_ROUNDS
+
+
 def spy(*answers):
     """f answering its n-th call with the n-th of `answers` (the last one
     from then on), each a function of the tolerance asked for; the
