@@ -3,30 +3,43 @@
 The rank-3 pipeline runs in integer fixed point (values scaled by 2^prec)
 with explicit ulp accounting, so results are rigorous Balls.  Every rounding
 is to nearest: a division by 2^prec is a rounding shift, and a division by
-2^prec * n is that shift then a small-int divide, so no series step divides
-by a big integer.
+2^prec * n is that shift then a divide by n alone, so no series step divides
+by a number of the working width.
 
 Both series split their argument at a K-bit dyadic (K = _SPLIT_BITS; Brent
 & Zimmermann, Modern Computer Arithmetic, 4.4 and 4.9):
 
   exp(x) = exp(c/2^K) * exp(x - c/2^K),  c = round(x 2^K), after halving
            the argument into |x| <= 1.  The first factor is sum u^n/n! with
-           u = c/2^K, each term the previous one times c/(n 2^K), a
-           linear-time step; the second is the full-width Taylor series of
-           an argument below 2^-K, about prec/K terms.  One fixed-point
-           product joins them.
+           u = c/2^K, a small-ratio series (below); the second is the
+           full-width Taylor series of an argument below 2^-K, about prec/K
+           terms.  One fixed-point product joins them.
   ln(m)  = 2 atanh(p/q) + 2 atanh(b),  m = a / 2^shift in [1/sqrt 2, sqrt 2),
            c = round(m 2^K), p/q = (c - 2^K)/(c + 2^K), |p/q| < 0.18,
-           b = (m 2^K - c)/(m 2^K + c), |b| < 2^-K.  The first series steps
-           by the small-int ratio p^2/q^2 in linear time; the second is
-           full width but needs only about prec/(2K) terms.  A small-height
-           m = num/den, num + den < 2^(K+1), needs only the first series,
-           with p/q = (num - den)/(num + den).
+           b = (m 2^K - c)/(m 2^K + c), |b| < 2^-K.  The first is a
+           small-ratio series in p^2/q^2; the second is full width but needs
+           only about prec/(2K) terms.  A small-height m = num/den, num + den
+           < 2^(K+1), needs only the first series, with p/q = (num - den)/(num
+           + den).
   ln(a)  = ln(m) + shift * ln 2,  ln 2 = 2 atanh(1/3) by the small-ratio
            series, kept as one copy per power-of-two width; a request is a
            rounding shift of the copy at the next power of two above it (plus
            guard bits), with error ceil(e/2^d) + 1 ulps for a copy e ulps off
            and d bits wider, so it depends on the request alone.
+
+In the two small-ratio series each term is the last one times a small
+rational, c/(n 2^K) or (p/q)^2 (2n-1)/(2n+1), so they sum blocks of B terms
+in one full-width step each (rectangular, or concurrent, series splitting:
+Brent & Zimmermann, 4.4.3; mpmath's `log_taylor` and `exp_basecase` share
+one full-width product between two terms).  A Horner loop of small-int steps builds the block's exact sum
+as one rational U/V, as wide as B small ratios; the block adds round(w U/V) to
+the sum, w the scaled first term, and rounds w times the block's ratio into
+the next block's first term.  A block thus costs about what one term did,
+and the roundings, and so the ulps of error, count blocks, not terms.  B is
+a quarter of the series' estimated length, prec over the bits a term drops
+(bits(q^2) - bits(p^2), or about log2 prec + K - bits(c)), held within
+[3, 32]: blocks of 3 to 10 terms at 64-256 bits, of 32 at 3,000 bits.
+MAX_SERIES_TERMS still counts terms.
 
 Each kernel's docstring states its error bound in ulps of 2^-prec with the
 proof.  Above them `_exp_fixed` and `_ln_fixed` return (value, err, prec) for
@@ -46,7 +59,9 @@ Fractions.  Two steps depend on the form, `_ln_fixed`'s small-height series
 and `_log_abs_float`'s split of a rational into mantissa and exponent; they
 take their input in lowest terms (`_lowest`, one gcd).  Integer exponents
 take an exact path when the result stays representable; a base ball that
-reaches 0 takes an integer exponent n >= 2 to within max|x|^n of 0.
+reaches 0 takes an integer exponent n >= 2 to within max|x|^n of 0.  A power
+certainly below `power`'s snap grid, 2^-(tol_bits + 16), is the ball 0 +/-
+that grid (`_underflow_bits`, integers only) before any series runs.
 
 Each operation makes one attempt and returns the rigorous ball it reaches,
 which may be wider than asked (a base near 1 multiplies log's errors by
@@ -151,6 +166,8 @@ def _shift_div_round(x: int, bits: int, n: int) -> int:
 # The series split their arguments at K-bit dyadics, so the full-width
 # series run on arguments below 2^-K.
 _SPLIT_BITS = 24
+# Bounds on the terms a small-ratio series sums per full-width step.
+_MIN_BLOCK, _MAX_BLOCK = 3, 32
 
 
 # ---------------------------------------------------------------------------
@@ -173,26 +190,56 @@ def _exp_series_fixed(xf: int, prec: int) -> tuple[int, int]:
     return acc, n + 10
 
 
+def _block_terms(prec: int, shed: int) -> int:
+    """Terms per block of a small-ratio series that starts near 2^prec and
+    loses about `shed` bits a term: a quarter of its prec / shed terms,
+    within [_MIN_BLOCK, _MAX_BLOCK].  Each block is a handful of small-int
+    steps a term and one full-width product and rounding, so blocks pay
+    once there are several of them; the cap bounds the block's exact
+    rational, as wide as B small ratios."""
+    return min(_MAX_BLOCK, max(_MIN_BLOCK, prec // (4 * shed)))
+
+
 def _exp_ratio_fixed(c: int, prec: int) -> tuple[int, int]:
     """(value, error) in 2^-prec ulps of exp(u), u = c/2^K, |u| <= 1.
 
-    The terms t_0 = 2^prec and t_n = round(t_(n-1) c / (n 2^K)) cost a
-    product by the K-bit c, a shift and a small-int divide each.  Against
-    the exact scaled terms T_n, |t_n - T_n| <= |t_(n-1) - T_(n-1)| |u|/n
-    + 1/2, which is 0 for n = 0, 1/2 for n = 1 and at most 3/4 after.  The
-    loop stops at the first N >= 1 with |t_N| <= 1, so |T_N| < 2; every
-    later ratio |u|/(n+1) is at most 1/(N+1), so the tail is below
-    |T_N| / N <= 2.  Error: N terms of at most 3/4 plus the tail, < N + 2.
+    Blocks of B terms (`_block_terms`, B >= 2): from the exact scaled terms
+    T_n = u^n/n! 2^prec, T_(n+j) = T_n F_j with F_j = c^j / (2^(Kj) (n+1)
+    ... (n+j)).  A Horner loop of small-int steps builds the block's sum
+    F = sum_(j<B) F_j = U / (V 2^(K(B-1))), so w ~ T_n adds round(w F), a
+    product, a rounding shift and a divide by V, a product of B - 1 term
+    indices; then w <- round(w F_B), with F_B = c^B / (2^(KB) (n+1) ...
+    (n+B)), starts the next block.  w starts exact at 2^prec.  Its error
+    e_k at the k-th block is at most 3/4: e_1 <= 1/2 and e_(k+1) <=
+    e_k / (n+1) + 1/2 with n >= 2.  A block's sum is then within e_k |F| +
+    1/2 of the exact one: within 1/2 for k = 0, and within 3/4 * 3/2 + 1/2
+    = 13/8 after, as |F| <= sum (1/(n+1))^j <= 3/2.  The loop stops after
+    the first block whose next w has |w| <= 1 and adds that w, the term
+    T_N of N = B * blocks terms, within 3/4; so |T_N| < 7/4, every later
+    ratio |u|/(n+1) is at most 1/(N+1), and the tail is below |T_N| / N <
+    7/8.  Error: 1/2 + 13/8 (blocks - 1) + 3/4 + 7/8 <= 2 blocks + 1.
     """
-    acc = term = 1 << prec
-    n = 0
-    while n == 0 or abs(term) > 1:
-        n += 1
+    K = _SPLIT_BITS
+    B = _block_terms(prec, max(1, prec.bit_length() - 2 + K - abs(c).bit_length()))
+    cB, s, one, inner = c**B, K * (B - 1), 1 << K, range(B - 1)
+    acc, w, n = 0, 1 << prec, 0
+    while True:
+        n += B
         if n > MAX_SERIES_TERMS:
             raise ResourceError("exp series exceeded the term budget")
-        term = _shift_div_round(term * c, _SPLIT_BITS, n)
-        acc += term
-    return acc, n + 2
+        # Horner from the block's last term n - 1 down: each step multiplies
+        # z by (index << K), so z = V 2^(K(B-1)) at the end
+        u = z = 1
+        m = n << K
+        for _ in inner:
+            m -= one
+            z *= m
+            u = z + c * u
+        acc += ((w * u + (z >> 1)) >> s) // (z >> s)
+        z *= n << K
+        w = ((w * cB + (z >> 1)) >> (s + K)) // (z >> (s + K))
+        if abs(w) <= 1:
+            return acc + w, 2 * (n // B) + 1
 
 
 def _exp_split_fixed(num: int, den: int, prec: int) -> tuple[int, int]:
@@ -237,27 +284,43 @@ def _atanh_series_fixed(bf: int, prec: int) -> tuple[int, int]:
 def _atanh_ratio_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
     """(value, error) in 2^-prec ulps of 2 atanh(p/q), q > 0, |p/q| <= 1/3.
 
-    With r = p/q, the powers w_0 = round(p 2^prec / q) and
-    w_n = round(w_(n-1) p^2 / q^2) are linear-time steps for small p, q.
-    Against W_n = r^(2n+1) 2^prec, |w_0 - W_0| <= 1/2 and |w_n - W_n| <=
-    |w_(n-1) - W_(n-1)| r^2 + 1/2 <= 9/16, as r^2 <= 1/9.  So the summand
-    round(w_n / (2n+1)) is within 9/16/3 + 1/2 < 1 of W_n / (2n+1) (w_0
-    itself, within 1/2, for n = 0).  The loop stops at the first N with
-    |w_N| <= 1, so |W_N| < 2 and the tail sum_(n>N) |W_n|/(2n+1) is below
-    |W_N| r^2/(1 - r^2)/(2N+3) < 1/12 < 0.2.  Doubled, the N+1 summands
-    and the tail give less than 2(N+1) + 0.4 < 2N + 4 ulps.
+    Blocks of B terms (`_block_terms`, B >= 2): with r = p/q, x = r^2 and
+    W_n = r^(2n+1) 2^prec, the terms n to n + B - 1 sum to W_n U/V, U/V =
+    sum_(j<B) x^j / (2(n+j)+1), an exact rational that a Horner loop of
+    small-int steps builds.  So w ~ W_n adds round(w U/V), and w <-
+    round(w p^(2B) / q^(2B)) starts the next block, each one product and
+    one divide.  w_0 = round(p 2^prec / q) is within 1/2 of W_0, and each
+    step keeps w within 9/16, as e' <= e x^B + 1/2 with x <= 1/9.  U/V is
+    at most (9/8) / (2n+1): the first block's sum is within 1/2 * 9/8 + 1/2
+    < 1.07 of the exact one, every later one (2n+1 >= 5) within 9/16 * 9/40
+    + 1/2 < 0.63.  The loop stops at the first block start N with |w| <= 1,
+    so |W_N| < 25/16 and the tail sum_(n>=N) |W_n|/(2n+1) is below
+    25/16 * 9/8 / (2N+1): under 0.36 for N >= 2, and 1.76 if no block ran.
+    Doubled: 2 * 1.76 < 4 with no block, else 2 (1.07 + 0.63 (blocks - 1)
+    + 0.36) < 2 blocks + 4.
     """
-    p2x2, q2, q2x2 = 2 * p * p, q * q, 2 * q * q
-    power = _fix(p, q, prec)
-    acc = power
-    n = 0
-    while abs(power) > 1:
-        n += 1
+    p2, q2 = p * p, q * q
+    B = _block_terms(prec, q2.bit_length() - p2.bit_length())
+    P, Q, inner = p2**B, q2**B, range(B - 1)
+    half = Q >> 1
+    w = _fix(p, q, prec)
+    acc = n = 0
+    while abs(w) > 1:
+        n += B
         if n > MAX_SERIES_TERMS:
             raise ResourceError("log series exceeded the term budget")
-        power = (power * p2x2 + q2) // q2x2
-        acc += (power + n) // (2 * n + 1)  # nearest, as 2n+1 is odd
-    return 2 * acc, 2 * n + 4
+        # Horner from the block's last term n - 1 down: u/v = 1/d + x u/v
+        # over the odd d = 2(n - B) + 1 ... 2n - 1
+        u = 1
+        v = d = 2 * n - 1
+        for _ in inner:
+            d -= 2
+            t = q2 * v
+            u = t + d * p2 * u
+            v = d * t
+        acc += (w * u + (v >> 1)) // v
+        w = (w * P + half) // Q
+    return 2 * acc, 2 * (n // B) + 4
 
 
 def _ln_split_fixed(num: int, den: int, prec: int) -> tuple[int, int]:
@@ -307,7 +370,8 @@ def _ln2_fixed(prec: int) -> tuple[int, int]:
     within e / 2^d of the scaled ln 2 and the rounding adds 1/2 ulp, so the
     error is ceil(e / 2^d) + 1 ulps.
     """
-    # guard bits: the series' 2N + 4 ulps, N ~ prec/3, shift to ~2 ulps
+    # guard bits: enough to shift 2N + 4 ulps, N ~ prec/3 terms, to ~2 ulps;
+    # the series' blocks err by far less
     wide = 1 << (prec + prec.bit_length() + 1).bit_length()
     value, err = _ln2_copy(wide)
     d = wide - prec
@@ -620,7 +684,8 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
 
     Domain: a > 0 with any rational/ball b; a < 0 only with an exact
     integer b (sign by parity); a = 0 only with exact b > 0; a ball that
-    reaches 0 only with an exact integer b >= 0.
+    reaches 0 only with an exact integer b >= 0.  A power that underflows
+    the snap grid returns 0 +/- the grid at once.
     """
     tol = cfg.target_error
     av = as_ball(a)
@@ -666,6 +731,9 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
             if out is not None:
                 return out
 
+    bits = _underflow_bits(av, bv, tol)
+    if bits:
+        return Ball(0, Fraction(1, 1 << bits))
     # one attempt: ln a at a tolerance sized from the result's magnitude
     tn, td = tol.numerator, tol.denominator
     L, l_err, p = _ln_fixed(*_lowest(ac, ad), tn, td << _power_scale_bits(av, bv))
@@ -687,6 +755,49 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     wn, wd = (2 * rn * (E + e_err), rd << q) if rn else (0, 1)
     return _snap(((E * bd) << p) * wd, (((e_err * bd) << p) + widen_comp) * wd + wn * d,
                  d * wd, _tol_bits(tn * wd + wn * td, td * wd) + 16)
+
+
+# ln 2 = 0.6931471805599453... < 3465735903 / 5000000000
+_LN2_ABOVE = (3465735903, 5_000_000_000)
+
+
+def _underflow_bits(av: Ball, bv: Ball, tol: Fraction) -> int:
+    """The bits of `power`'s snap grid, bits = tol_bits(tol) + 16, when a^b
+    <= 2^-bits over the whole balls, for a > 0, else 0.  Then Ball(0,
+    2^-bits) holds the power, and the ln and exp that the general path sizes
+    to the exponent's magnitude (100,000 bits and more for an exponent near
+    10^30000) never run.
+
+    a^b = e^(b ln a) <= 2^-bits when b ln a <= -bits ln 2, which holds when
+    b and ln a have opposite signs on the balls and |b| |ln a| >= bits R for
+    a rational R > ln 2.  Bit lengths bound |b| < 2^s and |ln a| < (k + 1)
+    ln 2 for a's binary exponent k, so most calls end at an integer
+    comparison.  Otherwise a 64-bit `_ln_fixed` ball v +/- e of ln at a's
+    center, widened by ln's Lipschitz term r / (c - r), bounds |ln a| from
+    below, and |b| >= (|c_b| - r_b) / d_b; all in integers.
+    """
+    ac, ar, ad = av.c, av.r, av.d
+    bc, br, bd = bv.c, bv.r, bv.d
+    if bc - br > 0:
+        if ac + ar >= ad:  # b > 0 needs a < 1 throughout
+            return 0
+        k = ad.bit_length() - (ac - ar).bit_length()
+    elif bc + br < 0:
+        if ac - ar <= ad:  # b < 0 needs a > 1 throughout
+            return 0
+        k = (ac + ar).bit_length() - ad.bit_length()
+    else:
+        return 0
+    bits = tol_bits(tol) + 16
+    s = (abs(bc) + br).bit_length() - bd.bit_length() + 1
+    if (k + 1) << max(s, 0) <= bits:
+        return 0
+    lo = ac - ar
+    value, err, p = _ln_fixed(*_lowest(ac, ad), 1, 1 << 64)
+    m = (abs(value) - err) * lo - (ar << p)  # |ln a| >= m / (lo 2^p)
+    num, den = _LN2_ABOVE
+    certain = m > 0 and (abs(bc) - br) * m * den >= bits * num * bd * (lo << p)
+    return bits if certain else 0
 
 
 def _log_abs_float(num: int, den: int) -> float:

@@ -167,6 +167,15 @@ def test_integer_super_roots_print_exact_digits(text, root):
     assert payload["radius"] == "0/1"
 
 
+@pytest.mark.parametrize("text", ["[[1--2]+++[10+++30000]]", "[2+++[0-[10+++30000]]]"])
+def test_underflowing_powers_print_zero_at_once(text):
+    # 2^-(10^30000) is certainly below power's snap grid, so it is 0 +/- the
+    # grid without an ln or exp sized to the exponent's 100,000 bits
+    start = time.monotonic()
+    assert run_main("eval", text, "--digits", "20") == (0, "0." + "0" * 20 + "\n", "")
+    assert time.monotonic() - start < 1
+
+
 def test_super_log_to_a_non_integer_base():
     # towers over 6/5 are irrational above height 1, so only the base itself
     # has an exact super-log; every other value refuses at once

@@ -190,7 +190,7 @@ def test_power_of_a_ball_reaching_zero():
         Fraction(0), Fraction(27, 64))
     assert power(Ball(Fraction(-1, 2), Fraction(1, 2)), Fraction(2), cfg) == Ball(
         Fraction(0), Fraction(1))
-    # past the exact path's size cap, the bound comes from the series
+    # past the exact path's size cap, (1/3)^(10^6) is below the snap grid
     assert power(Ball(Fraction(0), Fraction(1, 3)), Fraction(10**6), cfg).radius == Fraction(
         1, 2**150)
     with pytest.raises(MagnitudeError):
@@ -203,6 +203,58 @@ def test_power_of_a_ball_reaching_zero():
             power(x, b, cfg)
     with pytest.raises(DomainError, match="power base must be positive"):
         power(Ball(Fraction(-1, 2), Fraction(1, 2)), Fraction(-2), cfg)
+
+
+def test_power_underflow_is_the_snap_grid_ball(monkeypatch):
+    # (1/2)^(10^30000) = 2^-(10^30000) is far below power's snap grid
+    # 2^-(tol_bits + 16), which holds it: the ball 0 +/- grid, with no ln or
+    # exp sized to the exponent's 100,000 bits
+    calls = []
+    for name in ("_ln_fixed", "_exp_fixed"):
+        monkeypatch.setattr(midops, name, counted(calls, name, getattr(midops, name)))
+    bits = midops.tol_bits(TIGHT.target_error) + 16
+    grid = Ball(Fraction(0), Fraction(1, 2**bits))
+    huge = Fraction(10**30000)
+    assert 10**30000 >= bits  # 2^-(10^30000) <= 2^-bits
+    assert power(Fraction(1, 2), huge, TIGHT) == grid
+    assert power(Fraction(2), -huge, TIGHT) == grid
+    assert calls == ["_ln_fixed", "_ln_fixed"]  # the 64-bit certificates
+    # balls: every a^b on them is below the grid
+    assert power(Ball(Fraction(1, 2), Fraction(1, 2**70)), Ball(huge, Fraction(1)), TIGHT) == grid
+    assert power(Ball(Fraction(3), Fraction(1, 10**9)), Ball(-huge, huge / 2), TIGHT) == grid
+
+
+@pytest.mark.parametrize("b, below", [
+    (Fraction(301, 2), True), (Fraction(299, 2), False),  # 2^-(bits +/- 1/2)
+    (Fraction(-301, 2), True), (Fraction(-299, 2), False),
+])
+def test_power_underflow_at_the_grid(b, below):
+    # bits = 150 at TIGHT: 2^-150.5 is the ball 0 +/- 2^-150, and 2^-149.5
+    # takes the series, a ball around the value
+    bits = midops.tol_bits(TIGHT.target_error) + 16
+    assert bits == 150
+    a = Fraction(1, 2) if b > 0 else Fraction(2)
+    out = power(a, b, TIGHT)
+    assert (out == Ball(Fraction(0), Fraction(1, 2**bits))) == below
+    assert out.center != 0 or below
+    # out holds 2^-|b|: lo^2 <= 2^-2|b| <= hi^2, 2|b| odd
+    assert max(out.lo, 0) ** 2 <= Fraction(1, 2 ** int(2 * abs(b))) <= out.hi**2
+
+
+def test_no_underflow_without_a_certain_sign():
+    # b ln a must be certainly negative on the balls: a ball exponent around
+    # 0 or a ball base around 1 takes the general path
+    tol = TIGHT.target_error
+    half, big = Ball(Fraction(1, 2)), Fraction(10**6)
+    assert midops._underflow_bits(half, Ball(Fraction(0), big), tol) == 0
+    assert midops._underflow_bits(Ball(Fraction(1), Fraction(1, 2)), Ball(big), tol) == 0
+    assert midops._underflow_bits(Ball(Fraction(2)), Ball(big), tol) == 0
+    assert midops._underflow_bits(half, Ball(-big), tol) == 0
+    assert midops._underflow_bits(half, Ball(big), tol) == 150
+    # a base ball is judged by its largest value: (1/2)^151 is below the
+    # grid, but [1/4, 3/4] reaches (3/4)^151, about 2^-63
+    wide = Ball(Fraction(1, 2), Fraction(1, 4))
+    assert midops._underflow_bits(wide, Ball(Fraction(151)), tol) == 0
 
 
 def test_power_zero_base():
@@ -441,6 +493,102 @@ def test_ln_split_kernel_random(m, prec):
 @settings(max_examples=40, deadline=None)
 def test_exp_split_kernel_random(x, prec):
     assert_fixed_encloses(exp_split(x, prec), reference("exp", x, prec), prec)
+
+
+# ---------------------------------------------------------------------------
+# the small-ratio kernels, summed in blocks of `_block_terms` terms
+
+# blocks of 3 terms at 8 bits, 3 to 16 at 64 and 200 bits, 32 from 1000 bits
+RATIO_PRECS = [8, 64, 200, 1000, 3000, 32000]
+
+
+def term_loop_bound(kernel, args):
+    """The ulp bound of the term-by-term loop the blocks replaced: 2N + 4 for
+    atanh and N + 2 for exp, N its term count under per-term rounding."""
+    if kernel == "atanh":
+        p, q, prec = args
+        w, n = midops._fix(p, q, prec), 0
+        while abs(w) > 1:
+            w, n = (2 * w * p * p + q * q) // (2 * q * q), n + 1
+        return 2 * n + 4
+    c, prec = args
+    w, n = 1 << prec, 0
+    while n == 0 or abs(w) > 1:
+        n += 1
+        w = midops._shift_div_round(w * c, midops._SPLIT_BITS, n)
+    return n + 2
+
+
+def assert_ratio_kernel(kernel, args):
+    """The kernel encloses mpmath's value within its bound, and the bound is
+    no wider than the term loop's."""
+    prec = args[-1]
+    if kernel == "atanh":  # 2 atanh(p/q) = ln((q + p)/(q - p))
+        p, q, _ = args
+        out, want = midops._atanh_ratio_fixed(*args), reference("log", Fraction(q + p, q - p), prec)
+    else:
+        out, want = midops._exp_ratio_fixed(*args), reference("exp", Fraction(args[0], K_ONE), prec)
+    assert_fixed_encloses(out, want, prec)
+    assert out[1] <= term_loop_bound(kernel, args)
+
+
+# 1/3 is `_ln2_copy`'s ratio; the long pairs are ln's splits (c - 2^K)/(c +
+# 2^K) of m = 0.7071068, 1 + 2^-20 and 1.4142135, reduced by their gcd
+ATANH_RATIOS = [(1, 3), (-1, 3), (-5, 17), (2, 11), (-1228483, 7160125),
+                (1, 2097153), (6949349, 40503781)]
+EXP_RATIOS = [1, -1, K_ONE, -K_ONE, 12345678, -9876543, 0]
+
+
+@pytest.mark.parametrize("prec", RATIO_PRECS)
+@pytest.mark.parametrize("p, q", ATANH_RATIOS)
+def test_atanh_ratio_kernel_encloses(p, q, prec):
+    assert_ratio_kernel("atanh", (p, q, prec))
+
+
+@pytest.mark.parametrize("prec", RATIO_PRECS)
+@pytest.mark.parametrize("c", EXP_RATIOS)
+def test_exp_ratio_kernel_encloses(c, prec):
+    assert_ratio_kernel("exp", (c, prec))
+
+
+@given(st.fractions(min_value=Fraction(-1, 3), max_value=Fraction(1, 3), max_denominator=2**26),
+       st.integers(-K_ONE, K_ONE), st.integers(2, 4000))
+@settings(max_examples=60, deadline=None)
+def test_ratio_kernels_random(r, c, prec):
+    assert_ratio_kernel("atanh", (r.numerator, r.denominator, prec))
+    assert_ratio_kernel("exp", (c, prec))
+
+
+def test_series_term_budget_counts_terms(monkeypatch):
+    # the kernels stop at the first block start n (a multiple of the block
+    # size B) whose scaled term is at most 1, within 9/16 (atanh) or 3/4
+    # (exp) of the exact term; where the exact terms at block starts stay
+    # clear of that band, the term count n is known, and a cap of n - 1
+    # terms refuses while a cap of n does not
+    K = midops._SPLIT_BITS
+    cases = []
+    for prec in (200, 1000):
+        B = midops._block_terms(prec, 3)  # atanh(1/3): bits(9) - bits(1)
+        n = B  # exact terms 2^prec / 3^(2n+1)
+        while 2**prec * 16 > 25 * 3 ** (2 * n + 1):
+            n += B
+        assert 2**prec * 16 < 7 * 3 ** (2 * n + 1)
+        cases.append((midops._atanh_ratio_fixed, (1, 3, prec), n, B))
+        B = midops._block_terms(prec, prec.bit_length() - 2 + K - (K + 1))
+        n = B  # exp(1): exact terms 2^prec / n!
+        while 2**prec * 4 > 7 * math.factorial(n):
+            n += B
+        assert 2**prec * 4 < math.factorial(n)
+        cases.append((midops._exp_ratio_fixed, (K_ONE, prec), n, B))
+    for kernel, args, terms, B in cases:
+        assert terms // B < terms - 1  # a cap on blocks would not refuse
+        want = kernel(*args)
+        monkeypatch.setattr(midops, "MAX_SERIES_TERMS", terms)
+        assert kernel(*args) == want
+        monkeypatch.setattr(midops, "MAX_SERIES_TERMS", terms - 1)
+        with pytest.raises(ResourceError, match="series exceeded the term budget"):
+            kernel(*args)
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("bits", [64, 3000, 32000])
