@@ -31,14 +31,15 @@ In the two small-ratio series each term is the last one times a small
 rational, c/(n 2^K) or (p/q)^2 (2n-1)/(2n+1), so they sum blocks of B terms
 in one full-width step each (rectangular, or concurrent, series splitting:
 Brent & Zimmermann, 4.4.3; mpmath's `log_taylor` and `exp_basecase` share
-one full-width product between two terms).  A Horner loop of small-int steps builds the block's exact sum
-as one rational U/V, as wide as B small ratios; the block adds round(w U/V) to
-the sum, w the scaled first term, and rounds w times the block's ratio into
-the next block's first term.  A block thus costs about what one term did,
-and the roundings, and so the ulps of error, count blocks, not terms.  B is
-a quarter of the series' estimated length, prec over the bits a term drops
-(bits(q^2) - bits(p^2), or about log2 prec + K - bits(c)), held within
-[3, 32]: blocks of 3 to 10 terms at 64-256 bits, of 32 at 3,000 bits.
+one full-width product between two terms).  A Horner loop of small-int
+steps builds the block's exact sum as one rational U/V, as wide as B small
+ratios; the block adds round(w U/V) to the sum, w the scaled first term,
+and rounds w times the block's ratio into the next block's first term.  A
+block thus costs about what one term did, and the roundings, and so the
+ulps of error, count blocks, not terms.  B is a quarter of the series'
+estimated length, prec over the bits a term drops (bits(q^2) - bits(p^2),
+or about log2 prec + K - bits(c)), held within [3, 32]: blocks of 3 to 10
+terms at 64-256 bits, of 32 at 3,000 bits.
 MAX_SERIES_TERMS still counts terms.
 
 Each kernel's docstring states its error bound in ulps of 2^-prec with the
@@ -60,8 +61,9 @@ and `_log_abs_float`'s split of a rational into mantissa and exponent; they
 take their input in lowest terms (`_lowest`, one gcd).  Integer exponents
 take an exact path when the result stays representable; a base ball that
 reaches 0 takes an integer exponent n >= 2 to within max|x|^n of 0.  A power
-certainly below `power`'s snap grid, 2^-(tol_bits + 16), is the ball 0 +/-
-that grid (`_underflow_bits`, integers only) before any series runs.
+certainly below a quarter of `power`'s snap grid 2^-(tol_bits + 16) is the
+ball 0 +/- that grid, the ball the general path snaps it to, before any
+series runs (`_underflow_bits`, integers only).
 
 Each operation makes one attempt and returns the rigorous ball it reaches,
 which may be wider than asked (a base near 1 multiplies log's errors by
@@ -203,21 +205,22 @@ def _block_terms(prec: int, shed: int) -> int:
 def _exp_ratio_fixed(c: int, prec: int) -> tuple[int, int]:
     """(value, error) in 2^-prec ulps of exp(u), u = c/2^K, |u| <= 1.
 
-    Blocks of B terms (`_block_terms`, B >= 2): from the exact scaled terms
-    T_n = u^n/n! 2^prec, T_(n+j) = T_n F_j with F_j = c^j / (2^(Kj) (n+1)
-    ... (n+j)).  A Horner loop of small-int steps builds the block's sum
-    F = sum_(j<B) F_j = U / (V 2^(K(B-1))), so w ~ T_n adds round(w F), a
-    product, a rounding shift and a divide by V, a product of B - 1 term
-    indices; then w <- round(w F_B), with F_B = c^B / (2^(KB) (n+1) ...
-    (n+B)), starts the next block.  w starts exact at 2^prec.  Its error
-    e_k at the k-th block is at most 3/4: e_1 <= 1/2 and e_(k+1) <=
-    e_k / (n+1) + 1/2 with n >= 2.  A block's sum is then within e_k |F| +
-    1/2 of the exact one: within 1/2 for k = 0, and within 3/4 * 3/2 + 1/2
-    = 13/8 after, as |F| <= sum (1/(n+1))^j <= 3/2.  The loop stops after
-    the first block whose next w has |w| <= 1 and adds that w, the term
-    T_N of N = B * blocks terms, within 3/4; so |T_N| < 7/4, every later
-    ratio |u|/(n+1) is at most 1/(N+1), and the tail is below |T_N| / N <
-    7/8.  Error: 1/2 + 13/8 (blocks - 1) + 3/4 + 7/8 <= 2 blocks + 1.
+    Blocks of B terms (`_block_terms`, B >= _MIN_BLOCK = 3): from the exact
+    scaled terms T_n = u^n/n! 2^prec, T_(n+j) = T_n F_j with F_j = c^j /
+    (2^(Kj) (n+1) ... (n+j)).  A Horner loop of small-int steps builds the
+    block's sum F = sum_(j<B) F_j = U / (V 2^(K(B-1))), so w ~ T_n adds
+    round(w F), a product, a rounding shift and a divide by V, a product of
+    B - 1 term indices; then w <- round(w F_B), with F_B = c^B / (2^(KB)
+    (n+1) ... (n+B)), starts the next block.  w starts exact at 2^prec.
+    Its error e_k at the k-th block is at most 3/4: e_1 <= 1/2 and e_(k+1)
+    <= e_k |F_B| + 1/2 with |F_B| <= 1/B! <= 1/6, as B >= 3.  A block's sum
+    is then within e_k |F| + 1/2 of the exact one: within 1/2 for k = 0,
+    and within 3/4 * 3/2 + 1/2 = 13/8 after, as |F| <= sum (1/(n+1))^j <=
+    3/2 for n >= B.  The loop stops after the first block whose next w has
+    |w| <= 1 and adds that w, the term T_N of N = B * blocks terms, within
+    3/4; so |T_N| < 7/4, every later ratio |u|/(n+1) is at most 1/(N+1),
+    and the tail is below |T_N| / N < 7/8.  Error: 1/2 + 13/8 (blocks - 1)
+    + 3/4 + 7/8 <= 2 blocks + 1.
     """
     K = _SPLIT_BITS
     B = _block_terms(prec, max(1, prec.bit_length() - 2 + K - abs(c).bit_length()))
@@ -284,20 +287,20 @@ def _atanh_series_fixed(bf: int, prec: int) -> tuple[int, int]:
 def _atanh_ratio_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
     """(value, error) in 2^-prec ulps of 2 atanh(p/q), q > 0, |p/q| <= 1/3.
 
-    Blocks of B terms (`_block_terms`, B >= 2): with r = p/q, x = r^2 and
-    W_n = r^(2n+1) 2^prec, the terms n to n + B - 1 sum to W_n U/V, U/V =
-    sum_(j<B) x^j / (2(n+j)+1), an exact rational that a Horner loop of
-    small-int steps builds.  So w ~ W_n adds round(w U/V), and w <-
+    Blocks of B terms (`_block_terms`, B >= _MIN_BLOCK = 3): with r = p/q,
+    x = r^2 and W_n = r^(2n+1) 2^prec, the terms n to n + B - 1 sum to W_n
+    U/V, U/V = sum_(j<B) x^j / (2(n+j)+1), an exact rational that a Horner
+    loop of small-int steps builds.  So w ~ W_n adds round(w U/V), and w <-
     round(w p^(2B) / q^(2B)) starts the next block, each one product and
     one divide.  w_0 = round(p 2^prec / q) is within 1/2 of W_0, and each
     step keeps w within 9/16, as e' <= e x^B + 1/2 with x <= 1/9.  U/V is
     at most (9/8) / (2n+1): the first block's sum is within 1/2 * 9/8 + 1/2
-    < 1.07 of the exact one, every later one (2n+1 >= 5) within 9/16 * 9/40
-    + 1/2 < 0.63.  The loop stops at the first block start N with |w| <= 1,
-    so |W_N| < 25/16 and the tail sum_(n>=N) |W_n|/(2n+1) is below
-    25/16 * 9/8 / (2N+1): under 0.36 for N >= 2, and 1.76 if no block ran.
-    Doubled: 2 * 1.76 < 4 with no block, else 2 (1.07 + 0.63 (blocks - 1)
-    + 0.36) < 2 blocks + 4.
+    < 1.07 of the exact one, every later one (2n+1 >= 5) within 9/16 *
+    9/40 + 1/2 < 0.63.  The loop stops at the first block start N with |w|
+    <= 1, so |W_N| < 25/16 and the tail sum_(n>=N) |W_n|/(2n+1) is below
+    25/16 * 9/8 / (2N+1): under 0.36 for N >= B >= 3, and 1.76 if no block
+    ran.  Doubled: 2 * 1.76 < 4 with no block, else 2 (1.07 + 0.63 (blocks
+    - 1) + 0.36) < 2 blocks + 4.
     """
     p2, q2 = p * p, q * q
     B = _block_terms(prec, q2.bit_length() - p2.bit_length())
@@ -757,24 +760,26 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
                  d * wd, _tol_bits(tn * wd + wn * td, td * wd) + 16)
 
 
-# ln 2 = 0.6931471805599453... < 3465735903 / 5000000000
-_LN2_ABOVE = (3465735903, 5_000_000_000)
-
-
 def _underflow_bits(av: Ball, bv: Ball, tol: Fraction) -> int:
     """The bits of `power`'s snap grid, bits = tol_bits(tol) + 16, when a^b
-    <= 2^-bits over the whole balls, for a > 0, else 0.  Then Ball(0,
-    2^-bits) holds the power, and the ln and exp that the general path sizes
-    to the exponent's magnitude (100,000 bits and more for an exponent near
-    10^30000) never run.
+    <= 2^-(bits + 2) over the whole balls, for a > 0, else 0.  Then Ball(0,
+    2^-bits) holds the power, and it is the ball the general path gives
+    there: that path's center, at most a few ulps above 2^-(bits + 2),
+    snaps to 0 and its radius rounds up to the grid.  (Just under a half
+    grid the two could part, as that center may round either way.)  Ball
+    operands make the general path snap to the grid of tol plus their share
+    of the result, under 2^-(bits + 1); a tol at or just under a power of
+    two, where that sum can have fewer tol_bits, is left to that path.  The
+    ln and exp that the general path sizes to the exponent's magnitude
+    (100,000 bits and more for an exponent near 10^30000) never run.
 
-    a^b = e^(b ln a) <= 2^-bits when b ln a <= -bits ln 2, which holds when
-    b and ln a have opposite signs on the balls and |b| |ln a| >= bits R for
-    a rational R > ln 2.  Bit lengths bound |b| < 2^s and |ln a| < (k + 1)
-    ln 2 for a's binary exponent k, so most calls end at an integer
-    comparison.  Otherwise a 64-bit `_ln_fixed` ball v +/- e of ln at a's
-    center, widened by ln's Lipschitz term r / (c - r), bounds |ln a| from
-    below, and |b| >= (|c_b| - r_b) / d_b; all in integers.
+    a^b = e^(b ln a) <= 2^-(bits + 2) when b and ln a have opposite signs on
+    the balls and |b| |ln a| >= (bits + 2) ln 2.  Bit lengths bound |b| <
+    2^s and |ln a| < (k + 1) ln 2 for a's binary exponent k, so most calls
+    end at an integer comparison.  Otherwise a 64-bit `_ln_fixed` ball v
+    +/- e of ln at a's center, widened by ln's Lipschitz term r / (c - r),
+    bounds |ln a| from below, |b| >= (|c_b| - r_b) / d_b, and `_ln2_fixed`
+    at the same precision bounds ln 2 from above; all in integers.
     """
     ac, ar, ad = av.c, av.r, av.d
     bc, br, bd = bv.c, bv.r, bv.d
@@ -790,13 +795,16 @@ def _underflow_bits(av: Ball, bv: Ball, tol: Fraction) -> int:
         return 0
     bits = tol_bits(tol) + 16
     s = (abs(bc) + br).bit_length() - bd.bit_length() + 1
-    if (k + 1) << max(s, 0) <= bits:
+    if (k + 1) << max(s, 0) <= bits + 2:
         return 0
+    tn, td = tol.numerator, tol.denominator
+    if (ar or br) and _tol_bits((tn << (bits + 1)) + td, td << (bits + 1)) + 16 != bits:
+        return 0  # the inputs' share may coarsen the general path's grid
     lo = ac - ar
     value, err, p = _ln_fixed(*_lowest(ac, ad), 1, 1 << 64)
     m = (abs(value) - err) * lo - (ar << p)  # |ln a| >= m / (lo 2^p)
-    num, den = _LN2_ABOVE
-    certain = m > 0 and (abs(bc) - br) * m * den >= bits * num * bd * (lo << p)
+    ln2, ln2_err = _ln2_fixed(p)
+    certain = m > 0 and (abs(bc) - br) * m >= (bits + 2) * (ln2 + ln2_err) * bd * lo
     return bits if certain else 0
 
 

@@ -224,19 +224,22 @@ def test_power_underflow_is_the_snap_grid_ball(monkeypatch):
     assert power(Ball(Fraction(3), Fraction(1, 10**9)), Ball(-huge, huge / 2), TIGHT) == grid
 
 
-@pytest.mark.parametrize("b, below", [
-    (Fraction(301, 2), True), (Fraction(299, 2), False),  # 2^-(bits +/- 1/2)
-    (Fraction(-301, 2), True), (Fraction(-299, 2), False),
-])
-def test_power_underflow_at_the_grid(b, below):
-    # bits = 150 at TIGHT: 2^-150.5 is the ball 0 +/- 2^-150, and 2^-149.5
-    # takes the series, a ball around the value
+@pytest.mark.parametrize("b", [Fraction(k, 2) for k in (299, 301, 303, 305, 307)])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_power_underflow_at_the_grid(monkeypatch, b, sign):
+    # bits = 150 at TIGHT.  2^-|b| for |b| = 149.5 ... 153.5: the shortcut
+    # takes only the powers below 2^-(bits + 2), and gives each the ball the
+    # general path gives it; 2^-150.5, under the grid but over its half,
+    # and 2^-149.5 snap to the center 2^-150
     bits = midops.tol_bits(TIGHT.target_error) + 16
     assert bits == 150
-    a = Fraction(1, 2) if b > 0 else Fraction(2)
+    a, b = (Fraction(1, 2), b) if sign > 0 else (Fraction(2), -b)
     out = power(a, b, TIGHT)
-    assert (out == Ball(Fraction(0), Fraction(1, 2**bits))) == below
-    assert out.center != 0 or below
+    assert (midops._underflow_bits(Ball(a), Ball(b), TIGHT.target_error) != 0) == (abs(b) > 152)
+    monkeypatch.setattr(midops, "_underflow_bits", lambda *args: 0)
+    assert power(a, b, TIGHT) == out
+    grid = Fraction(1, 2**bits)
+    assert out == (Ball(grid, grid) if abs(b) < 151 else Ball(Fraction(0), grid))
     # out holds 2^-|b|: lo^2 <= 2^-2|b| <= hi^2, 2|b| odd
     assert max(out.lo, 0) ** 2 <= Fraction(1, 2 ** int(2 * abs(b))) <= out.hi**2
 
@@ -251,10 +254,30 @@ def test_no_underflow_without_a_certain_sign():
     assert midops._underflow_bits(Ball(Fraction(2)), Ball(big), tol) == 0
     assert midops._underflow_bits(half, Ball(-big), tol) == 0
     assert midops._underflow_bits(half, Ball(big), tol) == 150
-    # a base ball is judged by its largest value: (1/2)^151 is below the
-    # grid, but [1/4, 3/4] reaches (3/4)^151, about 2^-63
+    # (1/2)^152 is a quarter grid exactly: the certificate bounds ln a from
+    # below and ln 2 from above, each with an error, so it cannot pass there
+    assert midops._underflow_bits(half, Ball(Fraction(152)), tol) == 0
+    assert midops._underflow_bits(half, Ball(Fraction(153)), tol) == 150
+    # a base ball is judged by its largest value: (1/2)^153 is below a
+    # quarter grid, but [1/4, 3/4] reaches (3/4)^153, about 2^-63
     wide = Ball(Fraction(1, 2), Fraction(1, 4))
-    assert midops._underflow_bits(wide, Ball(Fraction(151)), tol) == 0
+    assert midops._underflow_bits(wide, Ball(Fraction(153)), tol) == 0
+
+
+def test_underflow_of_balls_keeps_the_general_grid(monkeypatch):
+    # at tol = 2^-60 a ball operand's share of the result coarsens the
+    # general path's grid 2^-78 to 2^-77, so the shortcut leaves the ball
+    # to that path; an exact operand keeps the grid
+    tol = Fraction(1, 2**60)
+    cfg = SeriesConfig(tol)
+    a, b = Ball(Fraction(1, 2), Fraction(1, 2**70)), Fraction(1000)
+    assert midops._underflow_bits(Ball(a.center), Ball(b), tol) == 78
+    assert midops._underflow_bits(a, Ball(b), tol) == 0
+    assert power(a, b, cfg) == Ball(Fraction(0), Fraction(1, 2**77))
+    exact = power(a.center, b + Fraction(1, 3), cfg)
+    assert exact == Ball(Fraction(0), Fraction(1, 2**78))
+    monkeypatch.setattr(midops, "_underflow_bits", lambda *args: 0)
+    assert power(a.center, b + Fraction(1, 3), cfg) == exact
 
 
 def test_power_zero_base():
@@ -775,6 +798,7 @@ tols = st.sampled_from([Fraction(1, 10**8), Fraction(1, 10**30), Fraction(1, 3 *
 
 @given(positive_rats, radii, any_rats, radii, tols)
 @settings(max_examples=150, deadline=None)
+@example(Fraction(1, 3), 0, Fraction(279, 10), Fraction(1, 2**20), Fraction(1, 10**8))
 def test_power_and_log_match_the_fraction_reference(a, ra, b, rb, tol):
     av, bv = Ball(a, ra), Ball(b, rb)
     if av.lo <= 0:
