@@ -152,7 +152,9 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
             # The split detours through a tower of the fraction's numerator,
             # which can dwarf the (possibly modest) final value; a blow-up
             # here says nothing about the result's magnitude.
-            raise ResourceError(str(err)) from err
+            raise _split_blowup(
+                f"{base.center} (+^{rank}) {p} (the tower of the height's numerator)"
+            ) from err
 
     if not p:
         inner_log = ln_base
@@ -238,8 +240,7 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction) -> B
         try:
             grown = _forward(rank, target, Fraction(q), tol / 8)
         except MagnitudeError as err:
-            # an intermediate of the construction, not the result itself
-            raise ResourceError(str(err)) from err
+            raise _split_blowup(f"x (+^{rank}) {q} (x the super-root's operand)") from err
         return _inverse_minus(rank, grown, Fraction(p), tol)
     if rank >= 5:
         if not target.is_exact:
@@ -430,6 +431,16 @@ def _integer_search(tower: BallFn, goal: Fraction) -> Bracket:
     tower = _capped(tower, goal)
     bracket = expand_upper(tower, goal)
     return bisect_integers(lambda x, ft: tower(x, ft) - goal, bracket)
+
+
+def _split_blowup(intermediate: str) -> ResourceError:
+    """A magnitude blow-up in an intermediate of the rational-height split,
+    as a plain ResourceError: it says nothing about the result's size, so
+    callers that read a MagnitudeError as "too big" must not see one."""
+    return ResourceError(
+        f"the rational-height split's intermediate {intermediate} exceeds the"
+        " magnitude cap; the value itself may be modest"
+    )
 
 
 def _refusal(reason: str) -> DomainError:

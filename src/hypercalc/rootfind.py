@@ -5,7 +5,7 @@ f(x) with radius <= tol) to a root enclosure of width <= 2 * x-tolerance.
 Probe signs are resolved rigorously: a sign is accepted only from a ball
 that excludes zero or is exact, and a ball that is exactly zero is an exact
 root.  A ball that straddles zero is re-evaluated at a tolerance sized from
-that ball (see `_SignResolver`) before the probe is declared ambiguous.
+that ball (see `_sign`) before the probe is declared ambiguous.
 `brent` moves an ambiguous probe by 1/1024 of the bracket, as it may sit
 exactly on the root; one on an end not yet certified raises AmbiguityError,
 as no probe beyond the bracket can certify that end.
@@ -114,46 +114,34 @@ class RootConfig:
             raise ValueError("tolerance must be positive")
 
 
-class _SignResolver:
-    """Evaluates f at probes, tightening tolerance until the sign is certain.
+def _sign(f: BallFn, x: Fraction, t: Fraction = _START_SIGN_TOL) -> tuple[int, Fraction]:
+    """(sign, center-of-f) at x, evaluating f until the sign is certain;
+    sign 0 means exactly zero.
 
-    A query starts at the tolerance its caller passes to `at` (the integer
-    searches call the resolver directly and start at 2^-12).  A ball c ± r
-    that straddles zero is asked for again at min(t/4, 2^-(tol_bits(|c|) +
-    3)), at most |c|/8, or for c = 0 at min(t/4, 2^-(tol_bits(r) + 2)), at
-    most r/4.  Probe balls usually come back much tighter than asked
-    (`power` snaps at 16 bits below the tolerance), so |c| is close to
-    |f(x)| and one re-query at |c|/8 separates the ball from zero; a fixed
-    t/4 step would mostly ask again for the ball already in hand.  The
-    tolerance only decides how hard f works: a sign is still taken only from
-    a ball that excludes zero or is exact, so the rule cannot certify a
-    wrong sign.  Every tolerance is a power of two and falls by at least 4x
-    per round, even for an f that returns balls wider than asked.
+    The query starts at tolerance t (the integer searches start at 2^-12).
+    A ball c ± r that straddles zero is asked for again at min(t/4,
+    2^-(tol_bits(|c|) + 3)), at most |c|/8, or for c = 0 at min(t/4,
+    2^-(tol_bits(r) + 2)), at most r/4.  Probe balls usually come back much
+    tighter than asked (`power` snaps at 16 bits below the tolerance), so
+    |c| is close to |f(x)| and one re-query at |c|/8 separates the ball from
+    zero; a fixed t/4 step would mostly ask again for the ball already in
+    hand.  The tolerance only decides how hard f works: a sign is still
+    taken only from a ball that excludes zero or is exact, so the rule
+    cannot certify a wrong sign.  Every tolerance is a power of two and
+    falls by at least 4x per round, even for an f that returns balls wider
+    than asked.
     """
-
-    def __init__(self, f: BallFn):
-        self.f = f
-        self.tol = _START_SIGN_TOL
-
-    def at(self, x: Fraction, tol: Fraction) -> tuple[int, Fraction]:
-        """The query at x, starting at tolerance tol."""
-        self.tol = tol
-        return self(x)
-
-    def __call__(self, x: Fraction) -> tuple[int, Fraction]:
-        """(sign, center-of-f) at x; sign 0 means exactly zero."""
-        t = self.tol
-        for _ in range(_SIGN_ROUNDS):
-            ball = self.f(x, t)
-            c, r = ball.c, ball.r
-            if c > r:
-                return 1, ball.center
-            if c < -r:
-                return -1, ball.center
-            if not r:  # c = 0 exactly
-                return 0, ball.center
-            t = _retry_tol(ball, t)
-        raise AmbiguityError(f"cannot resolve the sign of f({x}) — possible exact tie")
+    for _ in range(_SIGN_ROUNDS):
+        ball = f(x, t)
+        c, r = ball.c, ball.r
+        if c > r:
+            return 1, ball.center
+        if c < -r:
+            return -1, ball.center
+        if not r:  # c = 0 exactly
+            return 0, ball.center
+        t = _retry_tol(ball, t)
+    raise AmbiguityError(f"cannot resolve the sign of f({x}) — possible exact tie")
 
 
 def _retry_tol(ball: Ball, t: Fraction) -> Fraction:
@@ -206,7 +194,6 @@ def brent(
     D = m << k
     a, b = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
     a_seen = b_seen = False  # whether f(a) < 0, f(b) > 0 are certified
-    resolve = _SignResolver(f)
     last: list[tuple[int, int, int]] = []  # the last two probes, (X, f's center as n, d)
     last_step = None  # the size of the last Newton-type step, as n, d
     stride = None  # log2 of the size of the last step toward an uncertified end
@@ -295,7 +282,7 @@ def brent(
             continue  # its sign follows from a certified end
         ft = _probe_tol(en, ed)
         try:
-            s, c = resolve.at(Fraction(X, D), ft)
+            s, c = _sign(f, Fraction(X, D), ft)
         except AmbiguityError:
             if (X == a and not a_seen) or (X == b and not b_seen):
                 raise AmbiguityError(f"cannot resolve the sign of f at the bracket's end"
@@ -306,7 +293,7 @@ def brent(
                 X <<= 10
             nudge = (b - a) // 1024
             X = X + nudge if X + nudge <= b else X - nudge
-            s, c = resolve.at(Fraction(X, D), ft)
+            s, c = _sign(f, Fraction(X, D), ft)
         if s == 0:
             return _ball(X, 0, D)
         if X == (b if s < 0 else a):
@@ -328,11 +315,10 @@ def expand_upper(f: BallFn, target: Fraction) -> Bracket:
     A probe with f(m) exactly equal to the target returns the degenerate
     bracket [m, m].
     """
-    resolve = _SignResolver(lambda x, t: f(x, t) - target)
     prev = Fraction(0)
     m = Fraction(1)
     for _ in range(MAX_EXPANSIONS):
-        s, _ = resolve(m)
+        s, _ = _sign(lambda x, t: f(x, t) - target, m)
         if s == 0:
             return Bracket(m, m)
         if s > 0:
@@ -349,11 +335,10 @@ def bisect_integers(f: BallFn, bracket: Bracket) -> Bracket:
     A probe with f(n) exactly zero returns the degenerate bracket [n, n];
     a degenerate bracket is returned as it is.
     """
-    resolve = _SignResolver(f)
     lo, hi = bracket.lo, bracket.hi
     while hi - lo > 1:
         mid = Fraction((lo + hi) // 2)
-        s, _ = resolve(mid)
+        s, _ = _sign(f, mid)
         if s == 0:
             return Bracket(mid, mid)
         if s < 0:

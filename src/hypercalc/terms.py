@@ -23,6 +23,8 @@ alike, when they render alike, however `Node`s and `Chain`s hold them.
 from __future__ import annotations
 
 import enum
+import itertools
+import re
 from dataclasses import dataclass
 from typing import Union
 
@@ -144,65 +146,7 @@ class TraceEvent:
 
 
 # ---------------------------------------------------------------------------
-# tokenizer
-
-_ONE = "one"
-_OPEN = "open"
-_CLOSE = "close"
-_RUN = "run"
-_INT = "int"
-_DEC = "dec"
-# literal digits: `str.isdigit` would also take `²`, which `int` refuses, and `١`
-_DIGITS = frozenset("0123456789")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Split into (type, lexeme, offset) triples.
-
-    Whitespace is insignificant; `#` starts a comment running to end of line.
-    Operator runs are maximal: `+++` is one token, never `+` then `++`.
-    """
-    tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "[" or c == "]":
-            tokens.append((_OPEN if c == "[" else _CLOSE, c, i))
-            i += 1
-            continue
-        if c in "+-/":
-            j = i
-            while j < n and text[j] == c:
-                j += 1
-            tokens.append((_RUN, text[i:j], i))
-            i = j
-            continue
-        if c in _DIGITS:
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            if j < n and text[j] == "." and j + 1 < n and text[j + 1] in _DIGITS:
-                k = j + 1
-                while k < n and text[k] in _DIGITS:
-                    k += 1
-                tokens.append((_DEC, text[i:k], i))
-                i = k
-            elif text[i:j] == "1":
-                tokens.append((_ONE, "1", i))
-                i = j
-            else:
-                tokens.append((_INT, text[i:j], i))
-                i = j
-            continue
-        raise ParseError(f"stray character {c!r}", i)
-    return tokens
+# parser (iterative, so deeply nested input cannot overflow the call stack)
 
 
 def desugar_integer(value: int) -> Term:
@@ -244,8 +188,19 @@ def _desugar_literal(values: list[int]) -> Term:
     return Node(Operator(OpKind.MINUS, 2), desugar_integer(num), desugar_integer(den))
 
 
-# ---------------------------------------------------------------------------
-# parser (iterative, so deeply nested input cannot overflow the call stack)
+# One match per token, in group 1, with the whitespace and comments before
+# it.  Whitespace (`\s` is exactly `str.isspace`) does not matter, and `#`
+# starts a comment that runs to the end of the line.  Operator runs are
+# maximal: `+++` is one token, never `+` then `++`, and `+-` is two runs.
+# Literal digits are ASCII only: `str.isdigit` would also take `²`, which
+# `int` refuses, and `١`.  Group 2 is a character no token can start, and the
+# end of the text is the empty token.
+_TOKEN = re.compile(r"(?:\s|#[^\n]*)*([\[\]]|\++|-+|/+|[0-9]+(?:\.[0-9]+)?|(.)|\Z)")
+
+
+def _expected(what: str, token: re.Match) -> ParseError:
+    got = f", got {token[1]!r}" if token[1] else ""
+    return ParseError(f"expected {what}{got}", token.start(1))
 
 
 def parse(text: str) -> Term:
@@ -254,72 +209,66 @@ def parse(text: str) -> Term:
     Raises ParseError with the character offset of the first problem:
     unbalanced brackets, a missing operand, stray characters, nesting
     deeper than `MAX_DEPTH`, or a term of more than `MAX_NODES`
-    internal nodes.  Literals count as desugared (`20000` is 19,999 nodes,
+    internal nodes.  A stray character anywhere is reported before any
+    other problem.  Literals count as desugared (`20000` is 19,999 nodes,
     `0.001` is 1,000), so a short literal can exceed the cap; the error
     then points at that literal, and it is refused before it is built.  A
     mixed run such as `+-` tokenizes as two adjacent runs and is rejected
     where the second one appears.
     """
-    tokens = _tokenize(text)
-    pos = 0
-    end = len(text)
+    tokens = _TOKEN.finditer(text)
     nodes = 0
-    # Each frame is a half-built bracket: [left, operator].
-    stack: list[list] = []
-
-    while True:
-        # --- parse one operand ---
-        if pos >= len(tokens):
-            raise ParseError("expected an operand", end)
-        kind, lexeme, offset = tokens[pos]
-        pos += 1
-        if kind == _OPEN:
-            nodes += 1
-        elif kind in (_INT, _DEC):
-            values = _literal_values(lexeme)
-            nodes += _literal_nodes(values)
-        if nodes > MAX_NODES:
-            raise ParseError(
-                f"term has more than {MAX_NODES} nodes with literals desugared",
-                offset,
-            )
-        if kind == _OPEN:
-            stack.append([None, None])
-            if len(stack) > MAX_DEPTH:
-                raise ParseError(f"nesting deeper than {MAX_DEPTH}", offset)
-            continue
-        if kind == _ONE:
-            current: Term = ONE
-        elif kind in (_INT, _DEC):
-            current = _desugar_literal(values)
-        else:
-            raise ParseError(f"expected an operand, got {lexeme!r}", offset)
-
-        # --- settle the operand into enclosing frames ---
+    # (left, operator) of each open bracket, None until its operator is read
+    stack: list = []
+    try:
         while True:
+            # an operand: `[` opens a bracket, whose left operand comes next
+            token = next(tokens)
+            lexeme = token[1]
+            if lexeme == "[":
+                nodes += 1
+                if nodes > MAX_NODES:
+                    raise ParseError(f"term has more than {MAX_NODES} nodes with literals desugared",
+                                     token.start(1))
+                stack.append(None)
+                if len(stack) > MAX_DEPTH:
+                    raise ParseError(f"nesting deeper than {MAX_DEPTH}", token.start(1))
+                continue
+            if lexeme == "1":
+                term: Term = ONE
+            elif "0" <= lexeme[:1] <= "9":
+                values = _literal_values(lexeme)
+                nodes += _literal_nodes(values)
+                if nodes > MAX_NODES:
+                    raise ParseError(f"term has more than {MAX_NODES} nodes with literals desugared",
+                                     token.start(1))
+                term = _desugar_literal(values)
+            else:
+                raise _expected("an operand", token)
+            # close every bracket whose right operand this is
+            while stack and stack[-1] is not None:
+                left, op = stack.pop()
+                token = next(tokens)
+                if token[1] != "]":
+                    raise _expected("']'", token)
+                term = Node(op, left, term)
+            # then an operator, or the end
+            token = next(tokens)
+            lexeme = token[1]
             if not stack:
-                if pos < len(tokens):
-                    raise ParseError(f"trailing {tokens[pos][1]!r}", tokens[pos][2])
-                return current
-            frame = stack[-1]
-            if frame[0] is None:
-                frame[0] = current
-                if pos >= len(tokens):
-                    raise ParseError("expected an operator", end)
-                kind, lexeme, offset = tokens[pos]
-                if kind != _RUN:
-                    raise ParseError(f"expected an operator, got {lexeme!r}", offset)
-                frame[1] = Operator(OpKind(lexeme[0]), len(lexeme))
-                pos += 1
-                break  # go parse the right operand
-            if pos >= len(tokens):
-                raise ParseError("expected ']'", end)
-            kind, lexeme, offset = tokens[pos]
-            if kind != _CLOSE:
-                raise ParseError(f"expected ']', got {lexeme!r}", offset)
-            pos += 1
-            current = Node(frame[1], frame[0], current)
-            stack.pop()
+                if lexeme:
+                    raise ParseError(f"trailing {lexeme!r}", token.start(1))
+                return term
+            if lexeme[:1] not in ("+", "-", "/"):
+                raise _expected("an operator", token)
+            stack[-1] = (term, Operator(OpKind(lexeme[0]), len(lexeme)))
+    except ParseError:
+        # a stray character anywhere comes before any other problem; the
+        # tokens read so far are not stray, or they would not have parsed
+        for token in itertools.chain([token], tokens):
+            if token[2]:
+                raise ParseError(f"stray character {token[2]!r}", token.start(2)) from None
+        raise
 
 
 # ---------------------------------------------------------------------------

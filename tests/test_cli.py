@@ -90,6 +90,37 @@ def test_exit_code_numeric_error():
     assert (code, out.splitlines()[-1]) == (0, "0.5")
 
 
+SPLIT_BLOWUP = "exceeds the magnitude cap; the value itself may be modest"
+
+
+@pytest.mark.parametrize("text, intermediate", [
+    # modest values (2^^(6/7) < 2) whose split needs 1000^^3 or 2^^6
+    ("[1000++++0.75]", "1000 (+^4) 3 (the tower of the height's numerator)"),
+    ("[2++++[6//7]]", "2 (+^4) 6 (the tower of the height's numerator)"),
+    # a super-root of order 1/7 goes through x (+^4) 7
+    ("[[10+++100]----[1//7]]", "x (+^4) 7 (x the super-root's operand)"),
+])
+def test_split_blowup_names_its_intermediate(text, intermediate):
+    code, out, err = run_main("eval", text)
+    assert (code, out) == (3, "")
+    assert f"the rational-height split's intermediate {intermediate} {SPLIT_BLOWUP}" in err
+
+
+def test_tower_blowup_keeps_its_message():
+    code, _, err = run_main("eval", "[10++++5]")
+    assert code == 3
+    assert "tower magnitude exceeds the configured cap" in err
+    assert "split" not in err
+
+
+def test_inexact_height_at_rank_4_is_refused():
+    # 1.5 (+^5) 3 = 1.5 (+^4) (1.5 (+^4) 1.5), whose inner tower is a ball
+    code, _, err = run_main("eval", "[1.5+++++3]")
+    assert code == 2
+    assert ("the height of a rank-4 operator must be an exact rational; this tower"
+            " needs an approximate intermediate as a height") in err
+
+
 @pytest.mark.parametrize("text", ["[[9--4]---[2--1]]", "[[8--1]///[4--1]]", "[[27--8]///[9--4]]"])
 def test_rational_rank_3_values_print_exact_digits(text):
     # each is exactly 3/2: a perfect-square root and two rational logs, whose

@@ -121,7 +121,7 @@ def is_power_of_two(t):
 def test_straddle_is_asked_again_below_its_center(center):
     # a ball c ± 2|c| straddles zero; the next ball is c ± tol/2
     f = spy(lambda t: Ball(center, 2 * abs(center)), lambda t: Ball(center, t / 2))
-    sign, _ = rootfind._SignResolver(f)(Fraction(1))
+    sign, _ = rootfind._sign(f, Fraction(1))
     assert sign == (1 if center > 0 else -1) and len(f.tols) == 2
     first, second = f.tols
     assert is_power_of_two(second)
@@ -132,7 +132,7 @@ def test_straddle_is_asked_again_below_its_center(center):
 def test_straddle_around_zero_is_asked_again_below_its_radius(scale):
     radius = rootfind._START_SIGN_TOL * scale
     f = spy(lambda t: Ball(Fraction(0), radius), lambda t: Ball(Fraction(1), t))
-    assert rootfind._SignResolver(f)(Fraction(1)) == (1, 1) and len(f.tols) == 2
+    assert rootfind._sign(f, Fraction(1)) == (1, 1) and len(f.tols) == 2
     first, second = f.tols
     assert first == rootfind._START_SIGN_TOL
     assert is_power_of_two(second) and second <= radius / 4
@@ -141,7 +141,7 @@ def test_straddle_around_zero_is_asked_again_below_its_radius(scale):
 def test_tolerance_falls_at_least_4x_for_balls_wider_than_asked():
     f = spy(lambda t: Ball(Fraction(1), Fraction(2)))
     with pytest.raises(AmbiguityError):
-        rootfind._SignResolver(f)(Fraction(1))
+        rootfind._sign(f, Fraction(1))
     assert len(f.tols) == rootfind._SIGN_ROUNDS
     assert all(later <= earlier / 4 for earlier, later in zip(f.tols, f.tols[1:]))
 
@@ -152,7 +152,7 @@ def test_probe_with_a_sign_definite_second_ball_takes_two_evaluations():
     # second, asked for below its center, excludes it (a 4x step needs four)
     value = Fraction(3, 2**40)
     f = spy(lambda t: Ball(value + t / 2**21, t / 2**20))
-    sign, _ = rootfind._SignResolver(f)(Fraction(1))
+    sign, _ = rootfind._sign(f, Fraction(1))
     assert sign == 1 and len(f.tols) == 2
 
 
@@ -174,19 +174,16 @@ def mpmath_cube_super_root(goal: Fraction) -> str:
     ("[100----3]", Fraction(100)), ("[1000----3]", Fraction(1000)), ("[1.5----3]", Fraction(3, 2)),
 ])
 def test_super_root_sign_queries_take_at_most_two_evaluations(monkeypatch, text, goal):
-    evaluations = []
+    evaluations, sign = [], rootfind._sign
 
-    class Counting(rootfind._SignResolver):
-        def __call__(self, x):
-            f, calls = self.f, []
-            self.f = lambda x, t: calls.append(t) or f(x, t)
-            try:
-                return super().__call__(x)
-            finally:
-                self.f = f
-                evaluations.append(len(calls))
+    def counting(f, x, t=rootfind._START_SIGN_TOL):
+        calls = []
+        try:
+            return sign(lambda x, t: calls.append(t) or f(x, t), x, t)
+        finally:
+            evaluations.append(len(calls))
 
-    monkeypatch.setattr(rootfind, "_SignResolver", Counting)
+    monkeypatch.setattr(rootfind, "_sign", counting)
     _, expansion = adaptive_evaluate(parse(text), NumericContext(digits=30))
     assert evaluations and max(evaluations) <= 2
     assert expansion.text() == mpmath_cube_super_root(goal)

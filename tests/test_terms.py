@@ -80,6 +80,17 @@ def test_parse_rejects_garbage():
         with pytest.raises(ParseError) as err:
             parse(text)
         assert err.value.offset == offset, text
+    for text, message, offset in [
+        ("[1", "expected an operator", 2),
+        ("[1 1]", "expected an operator, got '1'", 3),
+        ("[1+1", "expected ']'", 4),
+        ("[1+1 1]", "expected ']', got '1'", 5),
+        # a stray character anywhere comes before any grammar error
+        ("[+1]\u00b2", "stray character '\u00b2'", 4),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"{message} at offset {offset}", text
 
 
 def test_parse_mixed_run_is_two_runs():
@@ -91,6 +102,11 @@ def test_parse_mixed_run_is_two_runs():
 def test_whitespace_and_comments():
     text = "[ 1 +\n1 ]  # trailing comment"
     assert parse(text) == Node(PLUS1, ONE, ONE)
+
+
+def test_every_space_character_is_whitespace():
+    spaces = "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+    assert parse("[1" + spaces + "+1]") == Node(PLUS1, ONE, ONE)
 
 
 def test_depth_cap():
