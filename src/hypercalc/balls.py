@@ -8,9 +8,8 @@ folded into d: arithmetic, the sign and order tests and `is_exact` are
 integer operations, and no value is ever reduced to lowest terms.  Equality
 compares values by cross-multiplication, so two forms of one ball are equal.
 `center`, `radius`, `lo` and `hi` are Fraction views for the API's edges
-(radius text, digit extraction of exact values, tests); `Ball(center,
-radius)` accepts ints and Fractions, and `_ball(c, r, d)` builds the integer
-form directly.
+(radius text, tests); `Ball(center, radius)` accepts ints and Fractions, and
+`_ball(c, r, d)` builds the integer form directly.
 
 Arithmetic propagates radii rigorously.  Two rules live here once: `_snap`
 puts a ball onto the dyadic grid 2^-bits (d = 2^bits), widening the radius
@@ -119,21 +118,11 @@ def as_ball(x: "Ball | Rational") -> Ball:
     return x if isinstance(x, Ball) else Ball(x)
 
 
-def from_endpoints(lo: Rational, hi: Rational) -> Ball:
-    if hi < lo:
-        raise ValueError("endpoints out of order")
-    return _halfway(lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-
-
-def _halfway(ln: int, ld: int, hn: int, hd: int) -> Ball:
-    """The ball from ln / ld up to hn / hd."""
-    return _ball(ln * hd + hn * ld, hn * ld - ln * hd, 2 * ld * hd)
-
-
 def hull(a: Ball, b: Ball) -> Ball:
-    lo = (a.c - a.r, a.d) if (a.c - a.r) * b.d <= (b.c - b.r) * a.d else (b.c - b.r, b.d)
-    hi = (a.c + a.r, a.d) if (a.c + a.r) * b.d >= (b.c + b.r) * a.d else (b.c + b.r, b.d)
-    return _halfway(*lo, *hi)
+    """The smallest ball holding both: from ln / ld up to hn / hd."""
+    ln, ld = (a.c - a.r, a.d) if (a.c - a.r) * b.d <= (b.c - b.r) * a.d else (b.c - b.r, b.d)
+    hn, hd = (a.c + a.r, a.d) if (a.c + a.r) * b.d >= (b.c + b.r) * a.d else (b.c + b.r, b.d)
+    return _ball(ln * hd + hn * ld, hn * ld - ln * hd, 2 * ld * hd)
 
 
 def divide(x: "Ball | Rational", y: "Ball | Rational") -> Ball:

@@ -47,8 +47,9 @@ conversions in bases 2, 8, 10 and 16.  A ball is certified on its integer
 form (c +/- r) / d: the radius bound, the sign and the shared truncated
 digits are each an integer comparison, and one divmod of (c - r) * base^digits
 by d gives the digits, certified when every real in the ball truncates to
-them.  No Fraction is built.  `adaptive_evaluate` doubles the guard digits
-until certification succeeds.
+them.  An exact rational n / d is the ball (n +/- 0) / d, and a trace line
+shows a ball's center as the ball (c +/- 0) / d.  No Fraction is built.
+`adaptive_evaluate` doubles the guard digits until certification succeeds.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import hyperops, midops
-from .balls import Ball, divide, round_ball
+from .balls import Ball, _ball, divide, round_ball
 from .errors import DomainError, HypercalcError, PrecisionError, ResourceError
 from .midops import SeriesConfig, tol_bits
 from .rationals import digit_text
@@ -369,25 +370,20 @@ class _Trace:
 
 
 def _display_value(value: Value, ctx: NumericContext) -> str:
-    """Compact human form of an intermediate value for trace lines."""
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return digit_text(value.numerator, 10)
-        exp = _expansion_of_exact(value, ctx.base, ctx.digits)
-        # trailing zeros go, down to one fractional digit
-        frac = exp.frac_text.rstrip("0") or exp.frac_text[:1]
-        return replace(exp, frac_text=frac).text()
-    return _expansion_of_exact(value.center, ctx.base, ctx.digits).text()
+    """Compact human form of an intermediate value for trace lines: a ball
+    shows its center's digits."""
+    if isinstance(value, Ball):
+        return to_base_b(_ball(value.c, 0, value.d), ctx).text()
+    if value.denominator == 1:
+        return digit_text(value.numerator, 10)
+    exp = to_base_b(value, ctx)
+    # trailing zeros go, down to one fractional digit
+    frac = exp.frac_text.rstrip("0") or exp.frac_text[:1]
+    return replace(exp, frac_text=frac).text()
 
 
 # ---------------------------------------------------------------------------
 # base-b digit extraction
-
-
-def _expansion_of_exact(r: Fraction, base: int, digits: int) -> BasebExpansion:
-    sign = "-" if r < 0 else "+"
-    scaled = abs(r.numerator) * base**digits // r.denominator
-    return _expansion_from_scaled(scaled, base, digits, sign)
 
 
 def _expansion_from_scaled(scaled: int, base: int, digits: int, sign: str) -> BasebExpansion:
@@ -400,18 +396,14 @@ def _expansion_from_scaled(scaled: int, base: int, digits: int, sign: str) -> Ba
 def to_base_b(value: EvalResult | Value, ctx: NumericContext) -> BasebExpansion:
     """Truncated base-b digits, certified over the whole ball.
 
-    Exact rationals convert directly.  For a ball, every real in
-    [lo, hi] must share the emitted digits, else PrecisionError; the
-    caller (`adaptive_evaluate`) reacts by tightening and retrying.  The
-    ball is checked as the integer ball (c +/- r) / d, d > 0.
+    Every real in the ball [lo, hi] must share the emitted digits, else
+    PrecisionError; the caller (`adaptive_evaluate`) reacts by tightening
+    and retrying.  The ball is checked as the integer ball (c +/- r) / d,
+    d > 0, and an exact rational n / d is the ball (n +/- 0) / d.
     """
     v = value.value if isinstance(value, EvalResult) else value
-    if isinstance(v, Ball) and v.is_exact:
-        v = v.center
+    c, r, d = (v.numerator, 0, v.denominator) if isinstance(v, Fraction) else (v.c, v.r, v.d)
     base, digits = ctx.base, ctx.digits
-    if isinstance(v, Fraction):
-        return _expansion_of_exact(v, base, digits)
-    c, r, d = v.c, v.r, v.d
     scale = base**digits
     if r * scale * base**ctx.guard_digits > d:  # radius > base^-(digits+guard)
         raise PrecisionError("ball radius exceeds the certification precondition")
@@ -446,7 +438,7 @@ def adaptive_evaluate(term: Term, ctx: NumericContext) -> tuple[EvalResult, Base
             guard *= 2
     assert last is not None
     ball = last.ball()
-    uncertified = _expansion_of_exact(ball.center, ctx.base, ctx.digits)
+    uncertified = to_base_b(_ball(ball.c, 0, ball.d), ctx)
     # n/d < 2^(bits(n) - bits(d) + 1); a float of n/d underflows to 0 below 1e-308
     n, d = ball.radius.numerator, ball.radius.denominator
     raise PrecisionError(

@@ -50,20 +50,25 @@ err^2 + |v^2 - s 2^prec|) / 2^prec).
 
 The general power `[a+++b]` is exp(b * ln a), root `[a---b]` is pow(a, 1/b),
 and log `[a///b]` is ln a / ln b.  Every operation reads its operands as
-integer balls (c +/- r) / d: the domain and sign tests, ln's Lipschitz term
-r / (c - r), the exponent's input spread and the radius checks are integer
-cross-multiplications, and `power` builds one Ball at the exit with `balls`'
-integer snap (`log` divides with its integer quotient first).  Those steps
-depend on values only, so a ball's integer form, which is not in lowest
-terms, gives the digits and radii that the same formulas give over
-Fractions.  Two steps depend on the form, `_ln_fixed`'s small-height series
-and `_log_abs_float`'s split of a rational into mantissa and exponent; they
-take their input in lowest terms (`_lowest`, one gcd).  Integer exponents
-take an exact path when the result stays representable; a base ball that
-reaches 0 takes an integer exponent n >= 2 to within max|x|^n of 0.  A power
-certainly below a quarter of `power`'s snap grid 2^-(tol_bits + 16) is the
-ball 0 +/- that grid, the ball the general path snaps it to, before any
-series runs (`_underflow_bits`, integers only).
+integer balls (c +/- r) / d, and ln and exp of a ball are each written once
+(as in Arb's midpoint-radius model, Johansson, IEEE Trans. Computers 66(8),
+2017): `_ln_ball` is `_ln_fixed` at the center widened by ln's Lipschitz
+term r / (c - r), and `_exp_ball` is `_exp_fixed` at the center widened by
+e^r - 1 <= 2r, which holds for the spread r <= 5/8 that it checks, the one
+spread check of the module.  Both return unsnapped integer balls.  `power`
+multiplies the ln ball by b with `Ball`'s exact product and takes its exp,
+`log` divides two ln balls with `balls`' integer quotient, and `exp_e` and
+`ln_e` are one primitive each; every ball result is then snapped once, onto
+the grid 2^-(tol_bits(tol) + 16).  Those steps depend on values only, so a
+ball's integer form, which is not in lowest terms, gives the digits and
+radii that the same formulas give over Fractions.  Two steps depend on the
+form, `_ln_fixed`'s small-height series and `_log_abs_float`'s split of a
+rational into mantissa and exponent; they take their input in lowest terms
+(`_lowest`, one gcd).  Integer exponents take an exact path when the result
+stays representable; a base ball that reaches 0 takes an integer exponent
+n >= 2 to within max|x|^n of 0.  A power certainly below a quarter of the
+snap grid is the ball 0 +/- that grid, the ball the general path snaps it
+to, before any series runs (`_underflow_bits`, integers only).
 
 Each operation makes one attempt and returns the rigorous ball it reaches,
 which may be wider than asked (a base near 1 multiplies log's errors by
@@ -107,7 +112,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .balls import Ball, _quotient, _snap, as_ball, divide, round_ball
+from .balls import Ball, _ball, _quotient, _snap, as_ball, divide, round_ball
 from .errors import DomainError, MagnitudeError, PrecisionError, ResourceError
 
 # Any value whose integer part would exceed 2^MAX_MAGNITUDE_BITS is treated
@@ -461,36 +466,48 @@ def _lowest(n: int, d: int) -> tuple[int, int]:
     return n // g, d // g
 
 
+def _ln_ball(b: Ball, tn: int, td: int) -> tuple[int, int, int]:
+    """ln of the ball b, c > r >= 0, as the integer ball (n +/- e) / den:
+    `_ln_fixed` at b's center in lowest terms, at tolerance tn / td, widened
+    by ln's Lipschitz bound 1/lo over [lo, hi], radius / lo = r / (c - r).
+    Unsnapped."""
+    c, r = b.c, b.r
+    value, err, prec = _ln_fixed(*_lowest(c, b.d), tn, td)
+    if not r:
+        return value, err, 1 << prec
+    lo = c - r
+    return value * lo, err * lo + (r << prec), lo << prec
+
+
+def _exp_ball(c: int, r: int, d: int, tn: int, td: int) -> tuple[int, int, int]:
+    """e^((c +/- r) / d) as the integer ball (n +/- e) / den: `_exp_fixed` at
+    the center, at tolerance tn / td, widened by e^c' (e^r' - 1) <= 2 r'
+    e^c', which holds for r' = r / d <= 5/8 (up to about 1.25).  Unsnapped;
+    a wider spread raises PrecisionError."""
+    if 8 * r > 5 * d:
+        raise PrecisionError("exp argument too imprecise for an enclosure")
+    value, err, prec = _exp_fixed(c, d, tn, td)
+    if not r:
+        return value, err, 1 << prec
+    return value * d, err * d + 2 * r * (value + err), d << prec
+
+
 def exp_e(a: Fraction | Ball, cfg: SeriesConfig) -> Ball:
-    """Ball containing e^a with radius <= the configured target error."""
+    """Ball containing e^a, snapped to the 2^-(tol_bits + 16) grid."""
     tol = cfg.target_error
     b = as_ball(a)
-    c, r, d = b.c, b.r, b.d
-    if not r:
-        value, err, prec = _exp_fixed(c, d, tol.numerator, tol.denominator)
-        return _snap(value, err, 1 << prec, prec)
-    if 2 * r > d:
-        raise PrecisionError("exp argument too imprecise")
-    value, err, prec = _exp_fixed(c, d, tol.numerator, 2 * tol.denominator)
-    # e^(c +/- r) within e^c * e^(+/-r), and e^r - 1 <= 2r for r <= ln 2
-    return _snap(value * d, err * d + 2 * r * (value + err), d << prec, tol_bits(tol) + 16)
+    return _snap(*_exp_ball(b.c, b.r, b.d, tol.numerator, tol.denominator), tol_bits(tol) + 16)
 
 
 def ln_e(a: Fraction | Ball, cfg: SeriesConfig) -> Ball:
-    """Ball containing ln a (a > 0) with radius <= the target error."""
+    """Ball containing ln a (a > 0), snapped to the 2^-(tol_bits + 16) grid."""
     tol = cfg.target_error
     b = as_ball(a)
-    c, r, d = b.c, b.r, b.d
-    if not r:
-        value, err, prec = _ln_fixed(*_lowest(c, d), tol.numerator, tol.denominator)
-        return _snap(value, err, 1 << prec, prec)
-    if c <= r:
-        if c + r <= 0:
+    if b.c <= b.r:
+        if b.c + b.r <= 0:
             raise DomainError("log of a non-positive value")
         raise PrecisionError("log argument interval reaches zero")
-    value, err, prec = _ln_fixed(*_lowest(c, d), tol.numerator, 2 * tol.denominator)
-    # Lipschitz bound 1/min on [lo, hi]: radius / lo = r / (c - r)
-    return _snap(value * (c - r), err * (c - r) + (r << prec), (c - r) << prec, tol_bits(tol) + 16)
+    return _snap(*_ln_ball(b, tol.numerator, tol.denominator), tol_bits(tol) + 16)
 
 
 # ---------------------------------------------------------------------------
@@ -683,7 +700,8 @@ def _rational_log(a: Fraction, b: Fraction) -> Fraction | None:
 
 
 def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
-    """Ball containing a^b; the inputs' spread rides on top of the target.
+    """Ball containing a^b on the 2^-(tol_bits + 16) grid; a ball operand's
+    spread widens it past the target.
 
     Domain: a > 0 with any rational/ball b; a < 0 only with an exact
     integer b (sign by parity); a = 0 only with exact b > 0; a ball that
@@ -737,27 +755,13 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     bits = _underflow_bits(av, bv, tol)
     if bits:
         return Ball(0, Fraction(1, 1 << bits))
-    # one attempt: ln a at a tolerance sized from the result's magnitude
+    # one attempt: ln a at a tolerance sized from the result's magnitude, and
+    # exp of the ball b ln a
     tn, td = tol.numerator, tol.denominator
-    L, l_err, p = _ln_fixed(*_lowest(ac, ad), tn, td << _power_scale_bits(av, bv))
-    if bc * L > (_EXP_ARG_CAP * bd) << p:
+    x = _ball(*_ln_ball(av, tn, td << _power_scale_bits(av, bv))) * bv
+    if x.c > _EXP_ARG_CAP * x.d:
         raise MagnitudeError("power result would blow past the magnitude cap")
-    if 8 * abs(bc) * l_err > bd << p:  # r_comp = |b| l_err / 2^p > 1/8
-        raise PrecisionError("power base's log too imprecise for an enclosure")
-    lo = ac - ar  # ln's Lipschitz bound over [lo, hi] is 1/lo: radius / lo = ar / lo
-    # r_input = |b| ar/lo + br/bd ((|L| + l_err) / 2^p + ar/lo) = rn / rd
-    rn = (abs(bc) * ar << p) + br * ((abs(L) + l_err) * lo + (ar << p))
-    rd = (bd * lo) << p
-    if 2 * rn > rd:
-        raise PrecisionError("power inputs too imprecise for an enclosure")
-    E, e_err, q = _exp_fixed(bc * L, bd << p, tn, td << 2)
-    # e^r - 1 <= 2r for r <= ln 2: r_comp widens by 2 r_comp (E + e_err) / 2^q
-    d = bd << (p + q)
-    widen_comp = 2 * abs(bc) * l_err * (E + e_err)
-    # the inputs' share 2 r_input (E + e_err) / 2^q = wn / wd
-    wn, wd = (2 * rn * (E + e_err), rd << q) if rn else (0, 1)
-    return _snap(((E * bd) << p) * wd, (((e_err * bd) << p) + widen_comp) * wd + wn * d,
-                 d * wd, _tol_bits(tn * wd + wn * td, td * wd) + 16)
+    return _snap(*_exp_ball(x.c, x.r, x.d, tn, td << 2), tol_bits(tol) + 16)
 
 
 def _underflow_bits(av: Ball, bv: Ball, tol: Fraction) -> int:
@@ -766,20 +770,16 @@ def _underflow_bits(av: Ball, bv: Ball, tol: Fraction) -> int:
     2^-bits) holds the power, and it is the ball the general path gives
     there: that path's center, at most a few ulps above 2^-(bits + 2),
     snaps to 0 and its radius rounds up to the grid.  (Just under a half
-    grid the two could part, as that center may round either way.)  Ball
-    operands make the general path snap to the grid of tol plus their share
-    of the result, under 2^-(bits + 1); a tol at or just under a power of
-    two, where that sum can have fewer tol_bits, is left to that path.  The
+    grid the two could part, as that center may round either way.)  The
     ln and exp that the general path sizes to the exponent's magnitude
     (100,000 bits and more for an exponent near 10^30000) never run.
 
     a^b = e^(b ln a) <= 2^-(bits + 2) when b and ln a have opposite signs on
     the balls and |b| |ln a| >= (bits + 2) ln 2.  Bit lengths bound |b| <
     2^s and |ln a| < (k + 1) ln 2 for a's binary exponent k, so most calls
-    end at an integer comparison.  Otherwise a 64-bit `_ln_fixed` ball v
-    +/- e of ln at a's center, widened by ln's Lipschitz term r / (c - r),
-    bounds |ln a| from below, |b| >= (|c_b| - r_b) / d_b, and `_ln2_fixed`
-    at the same precision bounds ln 2 from above; all in integers.
+    end at an integer comparison.  Otherwise `_ln_ball` at tolerance 2^-64
+    bounds |ln a| from below, |b| >= (|c_b| - r_b) / d_b, and a 64-bit
+    `_ln2_fixed` bounds ln 2 from above; all in integers.
     """
     ac, ar, ad = av.c, av.r, av.d
     bc, br, bd = bv.c, bv.r, bv.d
@@ -797,14 +797,10 @@ def _underflow_bits(av: Ball, bv: Ball, tol: Fraction) -> int:
     s = (abs(bc) + br).bit_length() - bd.bit_length() + 1
     if (k + 1) << max(s, 0) <= bits + 2:
         return 0
-    tn, td = tol.numerator, tol.denominator
-    if (ar or br) and _tol_bits((tn << (bits + 1)) + td, td << (bits + 1)) + 16 != bits:
-        return 0  # the inputs' share may coarsen the general path's grid
-    lo = ac - ar
-    value, err, p = _ln_fixed(*_lowest(ac, ad), 1, 1 << 64)
-    m = (abs(value) - err) * lo - (ar << p)  # |ln a| >= m / (lo 2^p)
-    ln2, ln2_err = _ln2_fixed(p)
-    certain = m > 0 and (abs(bc) - br) * m >= (bits + 2) * (ln2 + ln2_err) * bd * lo
+    n, e, den = _ln_ball(av, 1, 1 << 64)
+    m = abs(n) - e  # |ln a| >= m / den
+    ln2, ln2_err = _ln2_fixed(64)
+    certain = m > 0 and (abs(bc) - br) * (m << 64) >= (bits + 2) * (ln2 + ln2_err) * bd * den
     return bits if certain else 0
 
 
@@ -876,20 +872,7 @@ def log(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
         if exact is not None:
             return Ball(exact)
     tn, td = tol.numerator, tol.denominator
-
-    def widened(v, e, p, ball):  # v / 2^p +/- (e / 2^p + radius / lo) as an integer ball
-        if not ball.r:
-            return v, e, 1 << p
-        lo = ball.c - ball.r  # ln's Lipschitz bound over [lo, hi] is 1/lo
-        return v * lo, e * lo + (ball.r << p), lo << p
-
-    ln_a = _ln_fixed(*_lowest(av.c, av.d), tn, td)
-    ln_b = _ln_fixed(*_lowest(bv.c, bv.d), tn, td)
-    full = _quotient(*widened(*ln_a, av), *widened(*ln_b, bv))
-    if full is None:
+    quotient = _quotient(*_ln_ball(av, tn, td), *_ln_ball(bv, tn, td))
+    if quotient is None:
         raise PrecisionError("log base interval reaches 1")
-    # the logs' errors are sized to the target and input spread rides; a base
-    # near 1 amplifies the former past the target, and the ball still returns
-    _, cr, cd = _quotient(*widened(*ln_a, Ball(0)), *widened(*ln_b, Ball(0)))
-    _, fr, fd = full  # rounded at tol_bits(tol + fr/fd - cr/cd) + 16 bits
-    return _snap(*full, _tol_bits(tn * fd * cd + td * (fr * cd - cr * fd), td * fd * cd) + 16)
+    return _snap(*quotient, tol_bits(tol) + 16)

@@ -265,19 +265,20 @@ def test_no_underflow_without_a_certain_sign():
 
 
 def test_underflow_of_balls_keeps_the_general_grid(monkeypatch):
-    # at tol = 2^-60 a ball operand's share of the result coarsens the
-    # general path's grid 2^-78 to 2^-77, so the shortcut leaves the ball
-    # to that path; an exact operand keeps the grid
+    # every rank-3 ball result snaps at tol_bits(tol) + 16, ball operands
+    # too: at tol = 2^-60 the shortcut gives a ball base the grid 2^-78, the
+    # ball the general path gives it and an exact base
     tol = Fraction(1, 2**60)
     cfg = SeriesConfig(tol)
     a, b = Ball(Fraction(1, 2), Fraction(1, 2**70)), Fraction(1000)
+    grid = Ball(Fraction(0), Fraction(1, 2**78))
     assert midops._underflow_bits(Ball(a.center), Ball(b), tol) == 78
-    assert midops._underflow_bits(a, Ball(b), tol) == 0
-    assert power(a, b, cfg) == Ball(Fraction(0), Fraction(1, 2**77))
-    exact = power(a.center, b + Fraction(1, 3), cfg)
-    assert exact == Ball(Fraction(0), Fraction(1, 2**78))
+    assert midops._underflow_bits(a, Ball(b), tol) == 78
+    assert power(a, b, cfg) == grid
+    assert power(a.center, b + Fraction(1, 3), cfg) == grid
     monkeypatch.setattr(midops, "_underflow_bits", lambda *args: 0)
-    assert power(a.center, b + Fraction(1, 3), cfg) == exact
+    assert power(a, b, cfg) == grid
+    assert power(a.center, b + Fraction(1, 3), cfg) == grid
 
 
 def test_power_zero_base():
@@ -745,40 +746,40 @@ def reference_ln_rational(a: Fraction, tol: Fraction) -> Ball:
     return out
 
 
+def reference_ln_ball(a: Ball, tol: Fraction) -> Ball:
+    """ln of the ball a: the rational reference at a's center, widened by
+    ln's Lipschitz term radius / lo; unsnapped."""
+    core = reference_ln_rational(a.center, tol)
+    return Ball(core.center, core.radius + a.radius / a.lo)
+
+
+def reference_exp_ball(x: Ball, tol: Fraction) -> Ball:
+    """e^x for |x's spread| <= 5/8: the rational reference at x's center,
+    widened by e^r - 1 <= 2r; unsnapped."""
+    if x.radius > Fraction(5, 8):
+        raise PrecisionError("exp argument too imprecise for an enclosure")
+    core = reference_exp_rational(x.center, tol)
+    return Ball(core.center, core.radius + 2 * x.radius * (core.center + core.radius))
+
+
 def reference_power_series(av: Ball, bv: Ball, tol: Fraction) -> Ball:
     """`power`'s one attempt, for a positive base off the exact paths."""
-    ln_core = reference_ln_rational(av.center, tol / (1 << midops._power_scale_bits(av, bv)))
-    ln_input = av.radius / av.lo
-    exp_center = bv.center * ln_core.center
-    r_comp = abs(bv.center) * ln_core.radius
-    r_input = abs(bv.center) * ln_input + bv.radius * (
-        abs(ln_core.center) + ln_core.radius + ln_input
-    )
-    if exp_center > midops._EXP_ARG_CAP:
+    ln_a = reference_ln_ball(av, tol / (1 << midops._power_scale_bits(av, bv)))
+    b, rb = bv.center, bv.radius
+    x = Ball(b * ln_a.center,
+             abs(b) * ln_a.radius + abs(ln_a.center) * rb + ln_a.radius * rb)
+    if x.center > midops._EXP_ARG_CAP:
         raise MagnitudeError("power result would blow past the magnitude cap")
-    if r_comp > Fraction(1, 8):
-        raise PrecisionError("power base's log too imprecise for an enclosure")
-    if r_input > Fraction(1, 2):
-        raise PrecisionError("power inputs too imprecise for an enclosure")
-    core = reference_exp_rational(exp_center, tol / 4)
-    bound = core.center + core.radius
-    widen_comp = 2 * r_comp * bound
-    widen_input = 2 * r_input * bound
-    out = Ball(core.center, core.radius + widen_comp + widen_input)
-    return reference_round_ball(out, reference_tol_bits(tol + widen_input) + 16)
+    return reference_round_ball(reference_exp_ball(x, tol / 4), reference_tol_bits(tol) + 16)
 
 
 def reference_log_series(av: Ball, bv: Ball, tol: Fraction) -> Ball:
     """`log`'s one attempt, for positive value and base off the exact paths."""
-    ln_a = reference_ln_rational(av.center, tol)
-    ln_b = reference_ln_rational(bv.center, tol)
-    denom = Ball(ln_b.center, ln_b.radius + bv.radius / bv.lo)
+    denom = reference_ln_ball(bv, tol)
     if denom.lo <= 0 <= denom.hi:
         raise PrecisionError("log base interval reaches 1")
-    core = reference_divide(ln_a, ln_b)
-    full = reference_divide(Ball(ln_a.center, ln_a.radius + av.radius / av.lo), denom)
-    bits = reference_tol_bits(tol + (full.radius - core.radius)) + 16
-    return reference_round_ball(full, bits)
+    quotient = reference_divide(reference_ln_ball(av, tol), denom)
+    return reference_round_ball(quotient, reference_tol_bits(tol) + 16)
 
 
 def outcome(fn, *args):
@@ -813,6 +814,40 @@ def test_power_and_log_match_the_fraction_reference(a, ra, b, rb, tol):
     if bv.lo > 0 and not (exact_b and b == 1):
         want = outcome(reference_log_series, av, bv, tol)
         assert outcome(log, a if exact_a else av, b if exact_b else bv, cfg) == want
+
+
+# radii up to 2^-8; with exponents up to 400 the spread of b ln a reaches
+# past 1/2 (2 +/- 2^-8 to the 300th: about 0.59), up to `_exp_ball`'s 5/8
+ball_radii = st.one_of(st.just(Fraction(0)), st.builds(
+    lambda m, k: Fraction(m, 2**k), st.integers(1, 256), st.integers(16, 90)))
+
+
+@given(positive_rats, ball_radii, st.fractions(min_value=-400, max_value=400, max_denominator=60),
+       ball_radii, positive_rats, ball_radii, tols)
+@settings(max_examples=150, deadline=None)
+@example(Fraction(2), Fraction(1, 2**8), Fraction(300), Fraction(0),
+         Fraction(3), Fraction(1, 2**8), Fraction(1, 10**8))
+def test_power_and_log_of_balls_enclose_mpmath(a, ra, b, rb, c, rc, tol):
+    # independent of the Fraction references: mpmath's a^b and log_c a at
+    # 800 bits, at the operand boxes' centers and all four corners, lie in
+    # the returned balls; a ball too wide for an enclosure may be refused
+    mpmath = pytest.importorskip("mpmath")
+    av, bv, cv = Ball(a, ra), Ball(b, rb), Ball(c, rc)
+    if av.lo <= 0 or cv.lo <= 0 or cv == Ball(1):
+        return
+    cfg = SeriesConfig(tol)
+    for fn, mp_fn, yv in ((power, mpmath.power, bv), (log, mpmath.log, cv)):
+        try:
+            out = fn(av, yv, cfg)
+        except PrecisionError:
+            continue
+        points = [(av.center, yv.center)] + [(x, y) for x in (av.lo, av.hi) for y in (yv.lo, yv.hi)]
+        with mpmath.workprec(800):
+            for x, y in points:
+                want = floor_fraction(mp_fn(mpmath.mpf(x.numerator) / x.denominator,
+                                            mpmath.mpf(y.numerator) / y.denominator), 700)
+                slack = (abs(want) + 1) / 2**700  # mpmath's error and the floor
+                assert out.lo - slack <= want <= out.hi + slack, (fn.__name__, x, y)
 
 
 @given(positive_rats, radii, any_rats, radii, tols, st.integers(2, 2**40))
@@ -957,27 +992,15 @@ def test_log_of_exact_operands(a, b, tol):
 
 
 def reference_exp_e(b: Ball, tol: Fraction) -> Ball:
-    if b.is_exact:
-        return reference_exp_rational(b.center, tol)
-    if b.radius > Fraction(1, 2):
-        raise PrecisionError("exp argument too imprecise")
-    core = reference_exp_rational(b.center, tol / 2)
-    extra = 2 * b.radius * (core.center + core.radius)
-    out = Ball(core.center, core.radius + extra)
-    return reference_round_ball(out, reference_tol_bits(tol) + 16)
+    return reference_round_ball(reference_exp_ball(b, tol), reference_tol_bits(tol) + 16)
 
 
 def reference_ln_e(b: Ball, tol: Fraction) -> Ball:
-    if b.is_exact:
-        return reference_ln_rational(b.center, tol)
     if b.lo <= 0:
         if b.hi <= 0:
             raise DomainError("log of a non-positive value")
         raise PrecisionError("log argument interval reaches zero")
-    core = reference_ln_rational(b.center, tol / 2)
-    extra = b.radius / b.lo
-    out = Ball(core.center, core.radius + extra)
-    return reference_round_ball(out, reference_tol_bits(tol) + 16)
+    return reference_round_ball(reference_ln_ball(b, tol), reference_tol_bits(tol) + 16)
 
 
 @given(any_rats, radii, tols)
@@ -993,10 +1016,10 @@ def test_exp_and_ln_match_the_fraction_reference(x, r, tol):
 # the result's magnitude, and returns the rigorous ball they reach; a caller
 # that needs it tighter asks again.  Without the magnitude estimate ln a runs
 # at the target itself, too coarse for a large or sharp result, so the ball
-# comes back wider than asked, or a too-coarse ln is refused outright (the
-# e^r - 1 <= 2r bound needs r <= 1/8).  The exponents over 2^41, like the
-# root finders' dyadic probes, and the 2^34/3 over a 301-bit base are past
-# the algebraic path's gate.
+# comes back wider than asked: for the 2^34/3 over a base near 1, b ln a's
+# spread is about 0.14, within the 5/8 that e^r - 1 <= 2r is taken up to.
+# The exponents over 2^41, like the root finders' dyadic probes, and the
+# 2^34/3 over a 301-bit base are past the algebraic path's gate.
 T30 = Fraction(1, 10**30)
 NEAR_ONE = 1 + Fraction(1, 2**300)
 DYADIC = Fraction(1, 2**40)
@@ -1025,11 +1048,6 @@ def test_power_makes_one_attempt(monkeypatch, a, b, tol, sized):
     calls = []
     for name in ("_ln_fixed", "_exp_fixed"):
         monkeypatch.setattr(midops, name, counted(calls, name, getattr(midops, name)))
-    if not sized and a == NEAR_ONE:
-        with pytest.raises(PrecisionError, match="power base's log too imprecise"):
-            power(a, b, SeriesConfig(tol))
-        assert calls == ["_ln_fixed"]
-        return
     out = power(a, b, SeriesConfig(tol))
     assert calls == ["_ln_fixed", "_exp_fixed"]
     assert (out.radius <= tol) == sized

@@ -283,35 +283,36 @@ def test_a_bad_start_estimate_certifies_the_same_digits(monkeypatch, text, estim
 
 
 # (x, ft) for each probe `brent` hands f, recorded when the root finder
-# computed in Fractions, as (n, e, t) for x = n / 2^e and ft = 2^-t.  The
-# first three are the searches behind the inputs at 30 digits.  The last is
-# [100----3] without a start estimate: it steps down from the bracket's
-# midpoint by growing powers of two, then splits at the mean binary exponent
-# of the ends and at midpoints.
+# computed in Fractions, as (n, e, t) for x = n / 2^e and ft = 2^-t.  Later
+# probes follow f's values, and were recorded again when every rank-3 ball
+# result took the one snap grid 2^-(tol_bits + 16).  The first three are the
+# searches behind the inputs at 30 digits.  The last is [100----3] without a
+# start estimate: it steps down from the bracket's midpoint by growing
+# powers of two, then splits at the mean binary exponent of the ends and at
+# midpoints.
 PINNED_PROBES = [
     ("[1000----3]", None, Fraction(1, 4008 * 10**40), [
         (2685169708817751, 50, 72),
         (5370339417635503, 51, 60),
-        (54461711889559716629909217610098142681396405429, 154, 154),
-        (54461711889559716629909217609662887935806560501, 154, 154),
+        (54461711889559716629909217609606605952611073821, 154, 154),
+        (13615427972389929157477304402415721983951659159, 152, 154),
         (13615427972389929157477304402415721983951659391, 152, 154),
         (13615427972389929157477304402415721983951659519, 152, 154),
     ]),
     ("[1.5----3]", None, Fraction(1, 108 * 10**40), [
         (2979292680731157, 51, 73),
         (1525397852534352383, 60, 77),
-        (472087769373052721072151604804789857434977431, 148, 161),
-        (118021942343263180268037901185531526867293825, 146, 161),
+        (944175538746105442144303209589609375841747543, 149, 161),
+        (236043884686526360536075802371063053734596661, 147, 161),
         (236043884686526360536075802371063053734593085, 147, 161),
         (236043884686526360536075802371063053734593213, 147, 161),
     ]),
     ("[2++++0.75]", None, Fraction(1, 2816 * 10**40), [
         (1995426675126447, 50, 73),
         (7981706700505787, 52, 67),
-        (10118015289741842092133811682289813239693291651, 152, 160),
-        (5059007644870921046066905841108616909625823301, 151, 160),
+        (40472061158967368368535246728885203293271336179, 154, 160),
+        (40472061158967368368535246728868935277006518569, 154, 160),
         (20236030579483684184267623364434467638503259033, 153, 160),
-        (20236030579483684184267623364434467638503259289, 153, 160),
     ]),
     ("[100----3]", "no estimate", Fraction(1, 408 * 10**40), [
         (101, 1, 68),
@@ -350,19 +351,19 @@ PINNED_PROBES = [
         (2854495385411919763425778830763638232917485705, 150, 98),
         (5708990770823839529469971445256572381045697869, 151, 98),
         (14794380934093869392523878699799811297122168269, 152, 21),
-        (356929563932436954761826836817757090274818729, 147, 148),
-        (5712751592631271118659199553452280864232713295, 151, 148),
-        (26219884119356411629842277806704373025587594859, 153, 21),
-        (2993981501420899809578569935292612914784245429, 150, 155),
-        (768241138400687864336622432555504435419666573, 148, 154),
-        (50803600548178423288614195648480514959016925195, 154, 21),
-        (3151089792154671236499630256229819722825881461, 150, 155),
-        (6315308842745233260398952182463801330125333561, 151, 154),
-        (1579113030609482072536229534591844218477448117, 149, 154),
-        (3158207662054677321303991136039450155086448809, 150, 154),
-        (789551927251020545514692081178209424017434791, 148, 154),
-        (6316415418016128723998504797695055211243446543, 151, 154),
-        (1579103854504032180567578311257076220806393995, 149, 154),
+        (5710873022918991276177868229703944696750530191, 151, 148),
+        (5712751592631271118636521694909317861059169977, 151, 148),
+        (26219884119356411629796922089618447019240508223, 153, 21),
+        (2993981501420899809570034847088128668012702963, 150, 155),
+        (6145929107205502914680346497252776235142155969, 151, 154),
+        (50803600548178423288518308078629551959809132099, 154, 21),
+        (6302179584309341280333671464755853881093643997, 151, 155),
+        (6315308842745232857895958863404919360029408881, 151, 154),
+        (197389128826185259581326654986546780905587511, 146, 154),
+        (1579103831027338660632924789906743478396052193, 149, 154),
+        (6316415418008164364117526608764628559406262351, 151, 154),
+        (394775963626008045249906549856164862490080545, 147, 154),
+        (6316415418016128722270313245028304883225469953, 151, 154),
         (6316415418016128722270313245060109254302896323, 151, 154),
         (6316415418016128722270313245060109254302896579, 151, 154),
     ]),
