@@ -1,7 +1,8 @@
 """Command line: one-shot evaluation, reduction traces, a REPL, table dumps.
 
 Exit codes: 0 success, 1 parse errors, 2 domain errors, 3 numeric failures
-(convergence, precision, resource caps).
+(convergence, precision, resource caps), 141 (128 + SIGPIPE) when the reader
+of standard output closes it early, as `| head` does.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from dataclasses import replace
@@ -276,11 +278,26 @@ def _failure(err: HypercalcError) -> tuple[int, str]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except _REPORTED as err:
         code, message = _failure(err)
         print(message, file=sys.stderr)
         return code
+    except BrokenPipeError:
+        # the reader is gone: what is still buffered goes to the null device,
+        # so the interpreter's last flush cannot fail again.  No SIGPIPE
+        # handler, since callers that run `main` in process share the process;
+        # a stream with no file descriptor (a StringIO) is left alone
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return 141
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

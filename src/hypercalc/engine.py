@@ -11,14 +11,15 @@ size.  A node's path is rebuilt from parent links only when an error
 escapes it; a trace derives each event's path from the previous one.
 
 Entries are not nodes.  A literal n is one `Chain` object standing for
-n - 1 `[X+1]` nodes, and an untraced run folds each chain of k steps, a
-`Chain` or hand-built `Node`s, into one entry "X plus k": the constant
-k + 1 over the leaf, one addition over an exact X, and over a ball the same
-k rounded steps the nodes would take.  A trace needs one event per node, so
-a traced run expands a `Chain` into its k entries and keeps one entry per
-`Node`.  Both shapes run through the same `_eval_once`, since a chain entry
-computes exactly what its nodes would; and the working tolerance divides by
-nodes, not entries, so both give the same radii.
+n - 1 `[X+1]` nodes, and every chain of k steps, a `Chain` or hand-built
+`Node`s, is one entry "X plus k": the constant k + 1 over the leaf, one
+addition over an exact X, and over a ball the same k rounded steps the
+nodes would take.  Traced and untraced runs share that list.  A trace still
+shows one event per node, so a chain entry hands the trace its k steps'
+displays, made one at a time as the trace asks for them: n + j's digits
+over an exact integer n, X + j over another rational, each rounded step's
+center over a ball.  The working tolerance divides by nodes, not entries,
+so folding changes no radius.
 
 `_apply` is the single rank dispatcher: ranks 1-2 are exact arithmetic on
 Fractions (balls once an operand is approximate), rank 3 the series
@@ -38,7 +39,8 @@ span in the current line is found from the length change of the events
 before it, and the next line splices the value's display text over that
 span; each event's `before` is the previous event's `after`.  Its path is
 the previous event's, cut back to the deepest ancestor still to fire and
-extended down to the node.  An event costs O(1) bookkeeping plus one copy
+extended down to the node.  A chain entry's k events share one split of
+the line around its span.  An event costs O(1) bookkeeping plus one copy
 of its line and of its path.
 
 `to_base_b` truncates the value scaled by base^digits to an integer and
@@ -54,15 +56,16 @@ shows a ball's center as the ball (c +/- 0) / d.  No Fraction is built.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import hyperops, midops
-from .balls import Ball, _ball, divide, round_ball
+from .balls import Ball, divide, round_ball
 from .errors import DomainError, HypercalcError, PrecisionError, ResourceError
 from .midops import SeriesConfig, tol_bits
 from .rationals import digit_text
-from .terms import Chain, Leaf, OpKind, Operator, Path, Term, TraceEvent, plus_one_chain, render
+from .terms import Leaf, OpKind, Operator, Path, Term, TraceEvent, plus_one_chain, render
 
 # Refinement rounds: `evaluate` re-runs at a tighter working tolerance, and
 # `adaptive_evaluate` doubles the guard digits, at most this many times each.
@@ -151,7 +154,7 @@ class BasebExpansion:
 def evaluate(term: Term, ctx: NumericContext, *, collect_trace: bool = False) -> EvalResult:
     """Evaluate with a final radius <= base^-(digits+guard), or exactly."""
     target = ctx.precision_target()
-    flat = _flatten(term, fold_chains=not collect_trace)
+    flat = _flatten(term)
     nodes = sum(k or 1 for *_, k in flat)
     working = target / (4 * max(1, nodes))
     text = render(term) if collect_trace else None
@@ -185,8 +188,8 @@ _Flat = list[tuple[Operator, int, int, int]]
 _LEAF = -1
 
 
-def _flatten(term: Term, fold_chains: bool) -> _Flat:
-    """Post-order entries: one per node, or one per chain when folding."""
+def _flatten(term: Term) -> _Flat:
+    """Post-order entries: one per `+1` chain, and one per other node."""
     flat: _Flat = []
     done: list[int] = []  # indices of finished operands, innermost last
     # (term, None) is still to expand, (node, k) is ready once its operands are
@@ -196,20 +199,12 @@ def _flatten(term: Term, fold_chains: bool) -> _Flat:
         if k is not None:
             right = _LEAF if k else done.pop()
             left = done.pop()
-            if k and not fold_chains:  # a Chain's k nodes, one entry each
-                for _ in range(k - 1):
-                    flat.append((t.op, left, _LEAF, 0))
-                    left = len(flat) - 1
-                k = 0
             done.append(len(flat))
             flat.append((t.op, left, right, k))
         elif isinstance(t, Leaf):
             done.append(_LEAF)
         else:
-            if fold_chains:
-                k, bottom = plus_one_chain(t)
-            else:
-                k, bottom = (t.k, t.base) if isinstance(t, Chain) else (0, t)
+            k, bottom = plus_one_chain(t)
             stack.append((t, k))
             if k:
                 stack.append((bottom, None))
@@ -230,19 +225,36 @@ def _eval_once(flat: _Flat, ctx, op_tol, text: str | None):
         right = one if r == _LEAF else values.pop()
         left = one if l == _LEAF else values.pop()
         try:
-            if k and isinstance(left, Fraction):
-                value = left + k
-            else:  # one node, or a ball taking each of a chain's k rounded steps
+            if not k:
                 value = _apply(op, left, right, op_tol)
-                for _ in range(k - 1):
+            elif isinstance(left, Fraction):
+                value = left + k
+            else:  # a ball takes each of the chain's k rounded steps
+                steps = []  # kept for a trace's displays
+                value = left
+                for _ in range(k):
                     value = _apply(op, value, one, op_tol)
+                    if trace is not None:
+                        steps.append(value)
         except HypercalcError as err:
             if err.path is None:
                 err.path = _path_of(i, *_parents(flat))
             raise
         values.append(value)
-        if trace is not None:
-            trace.fire(i, _display_value(value, ctx))
+        if trace is None:
+            continue
+        # displays are made as `fire` asks for them, so a trace stopped at
+        # the text cap partway through a chain builds none of the rest
+        if not k:
+            shown = (_display_value(value, ctx),)
+        elif not isinstance(left, Fraction):
+            shown = (_display_value(v, ctx) for v in steps)
+        elif left.denominator == 1:  # an integer's digits, no Fraction per step
+            n = left.numerator
+            shown = (digit_text(n + j, 10) for j in range(1, k + 1))
+        else:
+            shown = (_display_value(left + j, ctx) for j in range(1, k + 1))
+        trace.fire(i, k, shown)
     return (values[-1] if flat else one), (trace.events if trace is not None else [])
 
 
@@ -310,73 +322,89 @@ class _Trace:
 
     The first line is `render`'s text; the current line is one string.
     Entry i's text starts at `start[i]` in the first line and is `size[i]`
-    long, sized from operator ranks alone; in post-order its subtree is
-    entries `first[i]` to i, and `shift[j]` is the length change of the
-    events before entry j.  Each earlier event lies left of i's span or
-    inside it, so when i fires its span runs from `start[i] + shift[first[i]]`
-    to `start[i] + size[i] + shift[i]`, and the value's text is spliced in.
-    `nodes` and `path` hold the previous event's nodes below the root and
-    the steps down to them.  Those nodes x >= i contain i; the rest are
-    popped, and parent links lead from i up to the deepest one left.  An
-    event costs O(1) bookkeeping plus a copy of its line and path; no path
-    table is built up front.  It takes one entry per node, and stops with a
-    `ResourceError` past `MAX_TRACE_CHARS`.
+    long, sized from operator ranks alone: a node is `[`, its operands, its
+    operator and `]`, and a chain of k steps over X is `size[X] + 4k` long,
+    X starting k characters in.  In post-order i's subtree is entries
+    `first[i]` to i, and `shift[j]` is the length change of the events
+    before entry j.  Each earlier event lies left of i's span or inside it,
+    so when i fires its span runs from `start[i] + shift[first[i]]` to
+    `start[i] + size[i] + shift[i]`; the text around it, split off once, is
+    the head and tail of each of i's lines.  A node fires one event, its
+    value's text spliced over the span.  A chain fires k, one per step: step
+    j's line keeps k - j of the chain's `[`s and `+1]`s around step j's
+    value, and its path is the chain's plus k - j steps "L".
+    `nodes` and `path` hold the previous entry's ancestors below the root
+    and the steps down to them.  Those entries x >= i contain i; the rest
+    are popped, and parent links lead from i up to the deepest one left.
+    An event costs O(1) bookkeeping plus a copy of its line and path; no
+    path table is built up front.  It stops with a `ResourceError` past
+    `MAX_TRACE_CHARS`.
     """
 
     def __init__(self, flat: _Flat, text: str):
         n = len(flat)
         size = [0] * n + [1]  # size[_LEAF] is the leaf's 1
         first = list(range(n + 1))  # first[_LEAF] = n, past every entry
-        for i, (op, l, r, _) in enumerate(flat):
-            size[i] = 2 + op.rank + size[l] + size[r]  # `[`, operator, `]`
+        for i, (op, l, r, k) in enumerate(flat):
+            # `[`, operator, `]`; a chain's right is the leaf, not in its size
+            size[i] = size[l] + 4 * k if k else 2 + op.rank + size[l] + size[r]
             first[i] = min(first[l], first[r], i)
         start = [0] * (n + 1)  # start[_LEAF] is scratch; `fire` never reads it
         for i in range(n - 1, -1, -1):  # reverse post-order: parents first
-            op, l, r, _ = flat[i]
-            start[l] = start[i] + 1
+            op, l, r, k = flat[i]
+            start[l] = start[i] + (k or 1)
             start[r] = start[l] + size[l] + op.rank
         self.start, self.size, self.first = start, size, first
         self.shift, self.root = [0], n - 1
+        self.node_count = sum(k or 1 for *_, k in flat)
         self.parent, self.step = _parents(flat)
         self.nodes, self.path = [], []
         self.text, self.chars = text, len(text)
         self.events: list[TraceEvent] = []
 
-    def fire(self, i: int, shown: str) -> None:
-        shift, text = self.shift, self.text
-        at = self.start[i] + shift[self.first[i]]
-        end = self.start[i] + self.size[i] + shift[i]
-        grow = len(shown) - (end - at)
-        self.chars += len(text) + grow
-        if self.chars > MAX_TRACE_CHARS:
-            raise ResourceError(
-                f"the reduction trace passed {MAX_TRACE_CHARS:,} characters of "
-                f"text at step {len(self.events) + 1} of {self.root + 1:,}"
-            )
-        self.text = text[:at] + shown + text[end:]
-        shift.append(shift[i] + grow)
+    def fire(self, i: int, k: int, shown: Iterable[str]) -> None:
+        """Entry i's events: one for a node (k = 0), or one per step of a
+        chain of k steps; `shown` yields each event's display in turn."""
         nodes, path = self.nodes, self.path
         while nodes and nodes[-1] < i:
             nodes.pop()
             path.pop()
         top = nodes[-1] if nodes else self.root
-        climb = []
-        while i != top:
-            climb.append(i)
-            i = self.parent[i]
+        climb, x = [], i
+        while x != top:
+            climb.append(x)
+            x = self.parent[x]
         nodes += reversed(climb)
         path += [self.step[j] for j in reversed(climb)]
-        self.events.append(TraceEvent(len(self.events) + 1, tuple(path), text, self.text))
+        steps = "".join(path)
+        shift, text, events = self.shift, self.text, self.events
+        at = self.start[i] + shift[self.first[i]]
+        end = self.start[i] + self.size[i] + shift[i]
+        head, tail = text[:at], text[end:]
+        kept = len(head) + len(tail)
+        before = text
+        for depth, display in zip(range(k - 1, -1, -1) if k else (0,), shown):
+            self.chars += kept + 4 * depth + len(display)
+            if self.chars > MAX_TRACE_CHARS:
+                raise ResourceError(
+                    f"the reduction trace passed {MAX_TRACE_CHARS:,} characters of "
+                    f"text at step {len(events) + 1} of {self.node_count:,}"
+                )
+            after = "".join((head, "[" * depth, display, "+1]" * depth, tail))
+            events.append(TraceEvent(len(events) + 1, tuple(steps + "L" * depth), before, after))
+            before = after
+        self.text = before
+        shift.append(shift[i] + len(before) - len(text))
 
 
 def _display_value(value: Value, ctx: NumericContext) -> str:
     """Compact human form of an intermediate value for trace lines: a ball
     shows its center's digits."""
     if isinstance(value, Ball):
-        return to_base_b(_ball(value.c, 0, value.d), ctx).text()
+        return _certified_digits(value.c, 0, value.d, ctx).text()
     if value.denominator == 1:
         return digit_text(value.numerator, 10)
-    exp = to_base_b(value, ctx)
+    exp = _certified_digits(value.numerator, 0, value.denominator, ctx)
     # trailing zeros go, down to one fractional digit
     frac = exp.frac_text.rstrip("0") or exp.frac_text[:1]
     return replace(exp, frac_text=frac).text()
@@ -402,7 +430,16 @@ def to_base_b(value: EvalResult | Value, ctx: NumericContext) -> BasebExpansion:
     d > 0, and an exact rational n / d is the ball (n +/- 0) / d.
     """
     v = value.value if isinstance(value, EvalResult) else value
-    c, r, d = (v.numerator, 0, v.denominator) if isinstance(v, Fraction) else (v.c, v.r, v.d)
+    if isinstance(v, Fraction):
+        return _certified_digits(v.numerator, 0, v.denominator, ctx)
+    return _certified_digits(v.c, v.r, v.d, ctx)
+
+
+def _certified_digits(c: int, r: int, d: int, ctx: NumericContext) -> BasebExpansion:
+    """The digits of the integer ball (c +/- r) / d, certified as `to_base_b`
+    says.  Trace displays and the uncertified-digits message, which show a
+    ball's center as r = 0, call this core, so that every `to_base_b` call
+    is a certification."""
     base, digits = ctx.base, ctx.digits
     scale = base**digits
     if r * scale * base**ctx.guard_digits > d:  # radius > base^-(digits+guard)
@@ -438,7 +475,7 @@ def adaptive_evaluate(term: Term, ctx: NumericContext) -> tuple[EvalResult, Base
             guard *= 2
     assert last is not None
     ball = last.ball()
-    uncertified = to_base_b(_ball(ball.c, 0, ball.d), ctx)
+    uncertified = _certified_digits(ball.c, 0, ball.d, ctx)
     # n/d < 2^(bits(n) - bits(d) + 1); a float of n/d underflows to 0 below 1e-308
     n, d = ball.radius.numerator, ball.radius.denominator
     raise PrecisionError(

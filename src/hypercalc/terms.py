@@ -34,8 +34,9 @@ from .errors import ParseError
 MAX_DEPTH = 10_000
 # Internal nodes per parsed term, literals counted as desugared: an integer
 # literal n counts as its n - 1 `[X+1]` steps.  A literal is one `Chain`
-# object, but traces and ball chains still take a step per node, so the
-# cap is what bounds literals.
+# object and evaluates as one entry, but a chain over a ball still takes a
+# rounded step per node and a trace an event per node, so the cap is what
+# bounds literals.
 MAX_NODES = 100_000
 
 Path = tuple[str, ...]

@@ -461,3 +461,20 @@ def test_trace_shows_an_integer_past_the_int_to_str_limit():
         exact.prec = 20_000
         digits = str(decimal.Decimal(2) ** 64_000)
     assert out.splitlines()[-2:] == ["[2+++64000]", digits + "." + "0" * 20]
+
+
+def test_trace_into_a_closed_pipe_exits_quietly():
+    # 3,000 lines of ~18 MB in all: the pipe fills long before the trace
+    # ends, so the reader closing it after one line makes the next write fail
+    chain = "[" * 3000 + "1" + "+1]" * 3000
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hypercalc", "trace", chain, "--digits", "0"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+    assert first == ("[" * 2999 + "2" + "+1]" * 2999 + "\n").encode()

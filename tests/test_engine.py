@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -20,7 +21,7 @@ from hypercalc.engine import (
     to_base_b,
     trace_reduce,
 )
-from hypercalc.errors import DomainError, HypercalcError, PrecisionError
+from hypercalc.errors import DomainError, HypercalcError, PrecisionError, ResourceError
 from hypercalc.terms import Leaf, Node, OpKind, Operator, TraceEvent, parse, render
 
 CTX10 = NumericContext(digits=10, guard_digits=10)
@@ -568,10 +569,15 @@ def low_rank_terms(draw, depth=3):
 # traced event takes the test from seconds to most of a minute
 @example(term=parse("[[2.75+++[[2+++0.5]+1]]+1]"), collect=False)
 @example(term=parse("[[2.75---[1+1]]+[2.75//0]]"), collect=True)
+# traced chains over an operator's result, a non-integer rational and a ball
+@example(term=parse("[[[2++3]+1]+1]"), collect=True)
+@example(term=parse("[[[1--2]+1]+1]"), collect=True)
+@example(term=parse("[[[2+++0.5]+1]+1]"), collect=True)
 def test_post_order_evaluation_matches_path_keyed_reference(term, collect):
-    # untraced runs fold chains, traced runs keep one entry per node
+    # a `+1` chain is one entry, traced or not; the reference takes a step
+    # and fires an event per node
     op_tol = CTX10.precision_target() / 64
-    flat = engine._flatten(term, fold_chains=not collect)
+    flat = engine._flatten(term)
     text = render(term) if collect else None
     new = outcome(lambda: engine._eval_once(flat, CTX10, op_tol, text))
     old = outcome(lambda: reference_eval_once(term, CTX10, op_tol, collect))
@@ -582,8 +588,8 @@ def test_post_order_evaluation_matches_path_keyed_reference(term, collect):
 @settings(max_examples=300, deadline=None)
 @example(term=parse("[[[[2+++0.5]+1]+1]+[[40+1]---[3+1]]]"))
 def test_trace_paths_follow_from_the_previous_event(term):
-    flat = engine._flatten(term, fold_chains=False)
-    path_of, parents = engine._path_of, engine._parents(flat)
+    flat = engine._flatten(term)
+    path_of = engine._path_of
     calls = []
 
     def counted(*args):
@@ -599,7 +605,8 @@ def test_trace_paths_follow_from_the_previous_event(term):
             return
     # no walk up the parent links per event
     assert calls == []
-    assert [e.path for e in events] == [path_of(i, *parents) for i in range(len(flat))]
+    _, reference = reference_eval_once(term, CTX10, op_tol, True)
+    assert [e.path for e in events] == [e.path for e in reference]
 
 
 def test_trace_of_an_explicit_chain_in_closed_form():
@@ -633,14 +640,32 @@ def test_folded_chain_over_a_ball_matches_per_node_steps():
     term = parse("[2+++0.5]")
     for _ in range(2000):
         term = Node(PLUS1, term, Leaf())
-    folded = engine._flatten(term, fold_chains=True)
-    per_node = engine._flatten(term, fold_chains=False)
+    folded = engine._flatten(term)
     # 2, 5 and 10 are chains, then `--`, `+++` and the 2,000-step chain
-    assert (len(folded), len(per_node)) == (6, 2016)
+    assert len(folded) == 6
     op_tol = CTX10.precision_target() / 64
     value, _ = engine._eval_once(folded, CTX10, op_tol, None)
     assert isinstance(value, Ball)
-    assert value == engine._eval_once(per_node, CTX10, op_tol, None)[0]
+    # the reference takes the 2,016 nodes one by one
+    assert value == reference_eval_once(term, CTX10, op_tol, False)[0]
+
+
+def test_trace_stops_partway_through_a_chain_without_the_rest(monkeypatch):
+    # 99999's chain shows n + j per step; each display is made as its event
+    # fires, so the text cap stops the trace before the other steps' digits
+    built = []
+    digit_text = engine.digit_text
+
+    def counted(*args):
+        built.append(args)
+        return digit_text(*args)
+
+    monkeypatch.setattr(engine, "digit_text", counted)
+    monkeypatch.setattr(engine, "MAX_TRACE_CHARS", 10**6)
+    with pytest.raises(ResourceError) as err:
+        trace_reduce(parse("99999"), CTX10)
+    step = int(re.search(r"at step (\d+) of 99,998$", str(err.value)).group(1))
+    assert len(built) <= step + 1
 
 
 def test_literal_evaluates_without_operator_calls(monkeypatch):
