@@ -9,14 +9,21 @@ fractional height 0 < p/q < 1 (always in lowest terms) splits as
 
     a (+^r) (p/q)  =  (a (+^r) p) (-^r) q,
 
-so rational heights reduce to integer towers plus one super-root.  The
-inverses are bracketed searches:
+so rational heights reduce to integer towers plus one super-root.  Below
+the whole steps of a height, that tail is solved once, at the tolerance
+its steps need: the budgets are sized in floats, from ln(a (+^4) p) and a
+float estimate of its root of order q.  The inverses are bracketed searches:
 
   * super-root   x = a (-^r) b   solves x (+^r) b = a; at rank 4 by
     `brent`'s monotone search inside [1, a], after an exact check of the
     nearest integer.  x (+^4) b grows with x, so each certified probe moves
     one end of the bracket to it; the search starts at a float estimate of
-    the root and takes Newton-type steps toward it;
+    the root and takes Newton-type steps toward it.  An inexact goal
+    g +/- r with g - r >= 1 and an integer order q >= 2 is one search at g,
+    widened by r: x (+^4) q has slope >= 1 on x >= 1 (by induction,
+    (x^^q)' = x^^q ((x^^(q-1))' ln x + x^^(q-1) / x) >= x^^(q-1) / x >= 1),
+    so the roots of g - r and g + r lie within r of g's.  Other inexact
+    goals take the hull of the searches at both ends;
   * super-log    x = a (/^r) b   solves b (+^r) x = a.
 
 The split is not continuous in its height: 2 (+^4) (p/q) tends to sqrt(2)
@@ -41,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import midops
-from .balls import Ball, as_ball, hull, round_ball
+from .balls import Ball, _ball, as_ball, hull, round_ball
 from .errors import DomainError, MagnitudeError, PrecisionError, ResourceError
 from .midops import _EXP_ARG_CAP, SeriesConfig, _log_abs_float, _lowest, tol_bits
 from .rootfind import (
@@ -144,32 +151,45 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
             f"over the cap of {_LIMITS.max_height_steps}"
         )
 
+    def numerator_blowup() -> ResourceError:
+        # The split detours through a tower of the fraction's numerator,
+        # which can dwarf the (possibly modest) final value; a blow-up
+        # there says nothing about the result's magnitude.
+        return _split_blowup(f"{base.center} (+^{rank}) {p} (the tower of the height's numerator)")
+
     def fractional_tail(t: Fraction) -> Ball:
         try:
             tower = _forward(rank, base, Fraction(p), t / 4)
             return _inverse_minus(rank, tower, Fraction(q), t / 4)
         except MagnitudeError as err:
-            # The split detours through a tower of the fraction's numerator,
-            # which can dwarf the (possibly modest) final value; a blow-up
-            # here says nothing about the result's magnitude.
-            raise _split_blowup(
-                f"{base.center} (+^{rank}) {p} (the tower of the height's numerator)"
-            ) from err
+            raise numerator_blowup() from err
 
+    value = base  # the innermost value: the base, or the fractional tail
     if not p:
         inner_log = ln_base
+    elif steps == 0:
+        return fractional_tail(tol)
+    elif rank >= 5:
+        # exact (an integer base) or refused, whatever the tolerance
+        value = fractional_tail(tol)
+        inner_log = max(_log_abs_float(*_lowest(value.c, value.d)), 0.0)
     else:
-        if steps == 0:
-            return fractional_tail(tol)
-        coarse = fractional_tail(Fraction(1, 1 << 16))
-        inner_log = max(_log_abs_float(*_lowest(coarse.c + coarse.r, coarse.d)), 0.0)
+        # sized in floats, from ln(base ^^ p) and the order-q root's estimate;
+        # the tail itself is solved once, at its budgeted tolerance
+        try:
+            ln_goal = _tower_logs(ln_base, ln_base, p - 1)[-1] if p > 1 else ln_base
+        except MagnitudeError as err:
+            raise numerator_blowup() from err
+        inner_log = max(math.log(_integer_order_estimate(ln_goal, q)), 0.0)
+        value = None
     # Each tower step amplifies the error underneath it by roughly
     # (step output) * ln(base); budget the inner tolerances accordingly.  The
     # budgets are estimates: one pass returns the ball it reaches, and
     # `engine.evaluate` re-runs the term tighter when that misses its target.
     budgets = _unroll_budgets(inner_log, ln_base, steps)
     tn, td = tol.numerator, tol.denominator
-    value = base if not p else fractional_tail(Fraction(tn, td << budgets[0]))
+    if value is None:
+        value = fractional_tail(Fraction(tn, td << budgets[0]))
     for i in range(1, steps + 1):
         value = _forward(rank - 1, base, value, Fraction(tn, td << budgets[i]))
     return value
@@ -185,17 +205,9 @@ def _unroll_budgets(inner_log: float, ln_base: float, steps: int) -> list[int]:
     surface here, before any expensive arithmetic runs.
     """
     ln_ln_base = math.log(max(ln_base, 1e-300))
-    blow_threshold = math.log(_EXP_ARG_CAP) - ln_ln_base
-    level = inner_log
-    gains = []  # log2 of each step's amplification factor
-    for _ in range(steps):
-        if level > blow_threshold:  # exp(level) * ln_base would pass the cap
-            raise MagnitudeError("tower magnitude exceeds the configured cap")
-        out = math.exp(level) * ln_base
-        if out > _EXP_ARG_CAP:
-            raise MagnitudeError("tower magnitude exceeds the configured cap")
-        gains.append(max(0.0, (out + ln_ln_base) / math.log(2)))
-        level = out
+    # log2 of each step's amplification factor
+    gains = [max(0.0, (out + ln_ln_base) / math.log(2))
+             for out in _tower_logs(inner_log, ln_base, steps)]
     budgets = [0] * (steps + 1)
     suffix = 0.0
     for i in range(steps, 0, -1):
@@ -203,6 +215,24 @@ def _unroll_budgets(inner_log: float, ln_base: float, steps: int) -> list[int]:
         suffix += gains[i - 1]
     budgets[0] = math.ceil(suffix) + steps + 4
     return budgets
+
+
+def _tower_logs(inner_log: float, ln_base: float, steps: int) -> list[float]:
+    """Float logs of the values of `steps` rank-4 steps over a base of log
+    ln_base, starting from a value of log inner_log: each is exp(the last)
+    * ln_base.  A value past the magnitude cap raises MagnitudeError, before
+    its exp can overflow."""
+    blow_threshold = math.log(_EXP_ARG_CAP) - math.log(max(ln_base, 1e-300))
+    level = inner_log
+    levels = []
+    for _ in range(steps):
+        if level > blow_threshold:  # exp(level) * ln_base would pass the cap
+            raise MagnitudeError("tower magnitude exceeds the configured cap")
+        level = math.exp(level) * ln_base
+        if level > _EXP_ARG_CAP:
+            raise MagnitudeError("tower magnitude exceeds the configured cap")
+        levels.append(level)
+    return levels
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +284,11 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction) -> B
             f" bases {bases.lo} and {bases.hi}"
         )
     if not target.is_exact:
+        if order.denominator == 1 and target.c - target.r >= target.d:
+            # x^^q has slope >= 1 on x >= 1, so the roots of the goal's ends
+            # lie within r of the center's
+            center = _inverse_minus(rank, Ball(target.center), order, tol / 2)
+            return round_ball(center + _ball(0, target.r, target.d), tol_bits(tol) + 16)
         return _endpoint_hull(lambda x, t: _inverse_minus(rank, x, order, t),
                               max(target.lo, Fraction(1)), target.hi, tol)
 
@@ -272,15 +307,13 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction) -> B
 
 
 def _super_root_estimate(goal: Fraction, order: Fraction) -> float:
-    """Float x >= 1 with x (+^4) order close to goal, for an order > 1.
+    """Float x >= 1 with x (+^4) order close to goal, for an order >= 1.
 
-    For an integer order q it bisects x^^(q - 1) * ln x = ln goal in floats
-    on [1, max(e, ln goal)], which holds the root (for x >= e, x^^(q - 1) >=
-    x); a tower that overflows counts as too big.  A fractional order n + p/r
-    gives the geometric mean of the estimates for n and n + 1, whose roots
-    enclose its own: x (+^4) (p/r) lies in [1, x], so x (+^4) order lies
-    between x (+^4) n and x (+^4) (n + 1).  It is only a start for the
-    certified search.
+    An integer order q >= 2 is `_integer_order_estimate`'s.  A fractional
+    order n + p/r gives the geometric mean of the estimates for n and n + 1,
+    whose roots enclose its own: x (+^4) (p/r) lies in [1, x], so
+    x (+^4) order lies between x (+^4) n and x (+^4) (n + 1).  It is only a
+    start for the certified search.
     """
     ln_goal = _log_abs_float(goal.numerator, goal.denominator)
     if order.denominator != 1:
@@ -289,11 +322,21 @@ def _super_root_estimate(goal: Fraction, order: Fraction) -> float:
                          * _super_root_estimate(goal, Fraction(n + 1)))
     if order == 1:
         return math.exp(min(ln_goal, 700.0))  # x = goal, kept finite
+    return _integer_order_estimate(ln_goal, int(order))
 
+
+def _integer_order_estimate(ln_goal: float, order: int) -> float:
+    """Float x >= 1 with x (+^4) order close to the goal of log ln_goal, for
+    an integer order >= 2.
+
+    It bisects x^^(order - 1) * ln x = ln_goal in floats on [1, max(e,
+    ln_goal)], which holds the root (for x >= e, x^^(order - 1) >= x); a
+    tower that overflows counts as too big.
+    """
     def too_big(x: float) -> bool:
         ln_x, level = math.log(x), x  # level = x^^k, increasing in k
         try:
-            for _ in range(int(order) - 2):
+            for _ in range(order - 2):
                 if level * ln_x > ln_goal:
                     return True
                 level, prev = math.exp(level * ln_x), level

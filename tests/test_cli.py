@@ -106,6 +106,19 @@ def test_split_blowup_names_its_intermediate(text, intermediate):
     assert f"the rational-height split's intermediate {intermediate} {SPLIT_BLOWUP}" in err
 
 
+@pytest.mark.parametrize("text, intermediate", [
+    # a tail's budgets are sized from ln(base ^^ p) in floats; ln of
+    # (2^1017) ^^ 2 overflows a float, which is the same blow-up
+    ("[[2+++1017]++++1.75]", f"{2**1017} (+^4) 3 (the tower of the height's numerator)"),
+    ("[1000++++1.75]", "1000 (+^4) 3 (the tower of the height's numerator)"),
+    ("[2++++[13//7]]", "2 (+^4) 6 (the tower of the height's numerator)"),
+], ids=["2^1017 to 1.75", "1000 to 1.75", "2 to 13/7"])
+def test_split_blowup_of_a_budgeted_tail_names_its_intermediate(text, intermediate):
+    code, out, err = run_main("eval", text)
+    assert (code, out) == (3, "")
+    assert f"the rational-height split's intermediate {intermediate} {SPLIT_BLOWUP}" in err
+
+
 def test_tower_blowup_keeps_its_message():
     code, _, err = run_main("eval", "[10++++5]")
     assert code == 3

@@ -4,8 +4,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from hypercalc import hyperops, midops, rootfind
+from hypercalc import engine, hyperops, midops, rootfind
 from hypercalc.balls import Ball
 from hypercalc.engine import NumericContext, adaptive_evaluate, evaluate
 from hypercalc.errors import (
@@ -192,6 +194,36 @@ def test_steep_super_root_searches_certify_within_five_seconds():
     assert value == "60106627595490688163733857294361831027.06032680872600197724"
 
 
+def counted_calls(monkeypatch, module, name):
+    """A list that gets one entry per call of module.name."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    return calls
+
+
+def test_a_split_with_inexact_goals_searches_once_per_tail(monkeypatch):
+    # every probe of the order-11/4 search evaluates x^^(11/4), whose tail
+    # is one search for the inexact goal x^^3: 17 searches in all, where a
+    # coarse tail solve and a search per end of each goal made 65
+    searches = counted_calls(monkeypatch, hyperops, "brent")
+    _, expansion = adaptive_evaluate(parse("[[2.75+++3]----[2.75-0]]"), NumericContext(digits=20))
+    assert expansion.text() == "2.13267592713549151056"
+    assert len(searches) <= 32
+
+
+@pytest.mark.parametrize("digits", [20, 25, 30])
+@pytest.mark.parametrize("text", ["[2++++2.75]", "[2++++2.5]", "[2++++1.5]", "[3++++1.5]",
+                                  "[1.5++++2.5]", "[1.5++++0.75]"])
+def test_a_fractional_height_is_one_search_in_one_round(monkeypatch, text, digits):
+    # the tail's budgets are sized in floats, and they never cost the term
+    # another refinement round
+    searches = counted_calls(monkeypatch, hyperops, "brent")
+    rounds = counted_calls(monkeypatch, engine, "_eval_once")
+    adaptive_evaluate(parse(text), NumericContext(digits=digits))
+    assert (len(searches), len(rounds)) == (1, 1)
+
+
 def test_split_against_direct_root():
     # a ^^ (p/q) must agree with the root of X ^^ q = a ^^ p found directly
     from hypercalc.rootfind import Bracket, brent
@@ -262,6 +294,70 @@ def test_super_root_fractional_order():
     out = hyper_inverse_minus(4, Fraction(5), Fraction(3, 2), T8)
     back = hyper_forward(4, out.center, Fraction(3, 2), Fraction(1, 10**10))
     assert abs(back.center - 5) <= 100 * (back.radius + out.radius * 30)
+
+
+def mpmath_super_root(value: Fraction, order: int):
+    """[lo, hi] around the x >= 1 with x^^order = value, for value >= 1, by
+    300-bit mpmath bisection on [1, max(value, 2)], which holds it as
+    x^^order >= x; a tower stops once a level passes the value, as x^^k
+    grows with k."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(300):
+        v = mpmath.mpf(value.numerator) / value.denominator
+
+        def too_big(x):
+            level = x
+            for _ in range(order - 1):
+                if level > v:
+                    return True
+                level = x**level
+            return level > v
+
+        lo, hi = mpmath.mpf(1), max(v, mpmath.mpf(2))
+        for _ in range(310):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if too_big(mid) else (mid, hi)
+        return lo, hi
+
+
+@given(order=st.integers(2, 5),
+       goal=st.fractions(min_value=1, max_value=10**6, max_denominator=10**6),
+       spread=st.integers(0, 1 << 20),
+       bits=st.integers(30, 120))
+@settings(max_examples=40, deadline=None)
+def test_an_inexact_goal_takes_one_widened_search(order, goal, spread, bits):
+    # an integer order q >= 2 and a goal g +/- r with g - r >= 1: one search
+    # at g, widened by r, holds the roots of both ends, as x^^q has slope
+    # >= 1 on x >= 1; the radius is at most tol beyond r (and at most tol
+    # for an exact goal), where no enclosure of both roots can be within tol
+    assume(goal > 1)
+    radius = min(goal * Fraction(spread, 1 << 40), goal - 1)
+    tol = Fraction(1, 1 << bits)
+    out = hyper_inverse_minus(4, Ball(goal, radius), Fraction(order), tol)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(300):
+        lo = mpmath.mpf(out.lo.numerator) / out.lo.denominator
+        hi = mpmath.mpf(out.hi.numerator) / out.hi.denominator
+        assert lo <= mpmath_super_root(goal - radius, order)[0]
+        assert mpmath_super_root(goal + radius, order)[1] <= hi
+    assert out.radius <= tol + radius
+    if not radius:
+        assert out.radius <= tol
+
+
+def test_fractional_orders_and_goals_below_one_keep_both_ends(monkeypatch):
+    # the slope rule needs an integer order and a goal ball above 1; a
+    # fractional order, or a goal that reaches below 1, takes both ends
+    hulls = counted_calls(monkeypatch, hyperops, "_endpoint_hull")
+    searches = counted_calls(monkeypatch, hyperops, "brent")
+    goal = Ball(Fraction(100), Fraction(1, 10**9))
+    out = hyper_inverse_minus(4, goal, Fraction(3), T12)
+    assert (len(hulls), len(searches)) == (0, 1)
+    assert out.radius <= T12 + goal.radius
+    hyper_inverse_minus(4, goal, Fraction(5, 2), T12)
+    assert len(hulls) == 1
+    out = hyper_inverse_minus(4, Ball(Fraction(1), Fraction(1, 10**9)), Fraction(3), T12)
+    assert len(hulls) == 2 and out.contains(1)
 
 
 def test_super_root_domain():

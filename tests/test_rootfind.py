@@ -271,6 +271,8 @@ def test_a_newton_point_on_a_certified_end_still_closes(monkeypatch):
     ("[100----3]", 1e6), ("[100----3]", 1.0), ("[100----3]", None),
     ("[1.5----3]", 1e6), ("[1.5----3]", None), ("[2++++0.5]", 1.0),
     ("[5----4]", 1e6), ("[5----4]", None),
+    # a fractional tail's budgets are sized without this estimate
+    ("[2++++2.75]", None), ("[2++++2.75]", 1e6), ("[1.5++++0.75]", None), ("[1.5++++0.75]", 1e6),
 ])
 def test_a_bad_start_estimate_certifies_the_same_digits(monkeypatch, text, estimate):
     # the estimate only places the first probe: one far above the root
