@@ -16,7 +16,8 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
-from .engine import NumericContext, adaptive_evaluate, evaluate, trace_reduce
+from .engine import NumericContext, adaptive_evaluate, evaluate
+from .engine import trace_reduce  # noqa: F401  perfbench/tracing.py wraps cli.trace_reduce
 from .errors import (
     ConvergenceError,
     DomainError,
@@ -96,8 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _result_payload(text: str, ctx, trace: bool):
     term = parse(text)
-    trace_lines = _chain_lines(term, ctx) if trace else None
-    result, expansion = adaptive_evaluate(term, ctx)
+    result, expansion = adaptive_evaluate(term, ctx, collect_trace=trace)
     payload = {
         "input": text,
         "canonical": render(term),
@@ -105,14 +105,9 @@ def _result_payload(text: str, ctx, trace: bool):
         "radius": format_fraction(result.ball().radius),
         "digits": ctx.digits,
     }
-    if trace_lines is not None:
-        payload["trace"] = trace_lines
+    if trace:
+        payload["trace"] = [ev.after for ev in result.trace[:-1]]
     return payload
-
-
-def _chain_lines(term, ctx) -> list[str]:
-    events = trace_reduce(term, ctx)
-    return [ev.after for ev in events[:-1]]
 
 
 def _emit(payload, args):

@@ -4,21 +4,16 @@
 entries, each holding a node's operator and the indices of its two
 operands (-1 for the constant 1).  Every retry round then loops over that
 list, so each binary operation fires as soon as both operands are values
-(the order of the printable reduction chain), and keeps its result on a
-values stack.
-Nothing is keyed by a node's path, so the walk is linear in the term's
-size.  A node's path is rebuilt from parent links only when an error
-escapes it; a trace derives each event's path from the previous one.
+(the order of the printable reduction chain), and stores its result at its
+own index.  Nothing is keyed by a node's path, so the walk is linear in
+the term's size.  A node's path is rebuilt from parent links only when an
+error escapes it; a trace derives each event's path from the previous one.
 
 Entries are not nodes.  A literal n is one `Chain` object standing for
 n - 1 `[X+1]` nodes, and every chain of k steps, a `Chain` or hand-built
 `Node`s, is one entry "X plus k": the constant k + 1 over the leaf, one
 addition over an exact X, and over a ball the same k rounded steps the
-nodes would take.  Traced and untraced runs share that list.  A trace still
-shows one event per node, so a chain entry hands the trace its k steps'
-displays, made one at a time as the trace asks for them: n + j's digits
-over an exact integer n, X + j over another rational, each rounded step's
-center over a ball.  The working tolerance divides by nodes, not entries,
+nodes would take.  The working tolerance divides by nodes, not entries,
 so folding changes no radius.
 
 `_apply` is the single rank dispatcher: ranks 1-2 are exact arithmetic on
@@ -32,16 +27,13 @@ attempt each.  A miss sets the next working tolerance from the measured
 overshoot, and a kernel's PrecisionError (an operand ball too wide for its
 operation) divides it by 16.
 
-The reduction trace renders no text itself: it starts from the canonical
-text `terms.render` gives and finds each entry's offset and length in it
-from operator ranks alone.  Events fire in post-order, so a firing node's
-span in the current line is found from the length change of the events
-before it, and the next line splices the value's display text over that
-span; each event's `before` is the previous event's `after`.  Its path is
-the previous event's, cut back to the deepest ancestor still to fire and
-extended down to the node.  A chain entry's k events share one split of
-the line around its span.  An event costs O(1) bookkeeping plus one copy
-of its line and of its path.
+The reduction trace is not part of a round: once a round meets the target,
+`_Trace.replay` walks the list again with that round's values, so a trace
+is built once.  A chain entry fires k events, each display made as the
+trace asks for it: n + j's digits over an exact integer n, X + j over
+another rational, and over a ball each rounded step's center, the steps
+taken again at the round's working tolerance.  `_Trace` splices each
+display into the term's render.
 
 `to_base_b` truncates the value scaled by base^digits to an integer and
 prints it with `rationals.digit_text`, whose leaves are CPython's C
@@ -51,7 +43,8 @@ digits are each an integer comparison, and one divmod of (c - r) * base^digits
 by d gives the digits, certified when every real in the ball truncates to
 them.  An exact rational n / d is the ball (n +/- 0) / d, and a trace line
 shows a ball's center as the ball (c +/- 0) / d.  No Fraction is built.
-`adaptive_evaluate` doubles the guard digits until certification succeeds.
+`adaptive_evaluate` doubles the guard digits until certification succeeds;
+a traced call traces its first round only.
 """
 
 from __future__ import annotations
@@ -152,22 +145,25 @@ class BasebExpansion:
 
 
 def evaluate(term: Term, ctx: NumericContext, *, collect_trace: bool = False) -> EvalResult:
-    """Evaluate with a final radius <= base^-(digits+guard), or exactly."""
+    """Evaluate with a final radius <= base^-(digits+guard), or exactly;
+    `collect_trace` adds the trace of the round that met that radius."""
     target = ctx.precision_target()
     flat = _flatten(term)
     nodes = sum(k or 1 for *_, k in flat)
     working = target / (4 * max(1, nodes))
-    text = render(term) if collect_trace else None
     for attempt in range(MAX_DOUBLINGS + 1):
         try:
-            value, events = _eval_once(flat, ctx, working, text)
+            values = _eval_once(flat, working)
         except PrecisionError:  # an operand ball too wide for its operation
             if attempt == MAX_DOUBLINGS:
                 raise
             working /= 16
             continue
+        value = values[len(flat) - 1]  # the root's, or the leaf's 1
         if isinstance(value, Fraction) or value.r * target.denominator <= target.numerator * value.d:
-            return EvalResult(value, tuple(events) if collect_trace else None)
+            if not collect_trace:
+                return EvalResult(value)
+            return EvalResult(value, _Trace(flat, render(term)).replay(values, ctx, working))
         # a power of an inexact base amplifies its error by far more than 16,
         # so the next round asks for the overshoot it just measured
         overshoot = -(-(value.r * target.denominator) // (target.numerator * value.d))
@@ -214,48 +210,33 @@ def _flatten(term: Term) -> _Flat:
     return flat
 
 
-def _eval_once(flat: _Flat, ctx, op_tol, text: str | None):
-    # In post-order a node's operand values are the top of this stack,
-    # right above left, and each value is dropped as its parent fires;
-    # `text`, the term's render, is given to trace the run.
-    values: list[Value] = []
-    trace = _Trace(flat, text) if text is not None else None
-    one = Fraction(1)
+def _eval_once(flat: _Flat, op_tol: Fraction) -> list[Value]:
+    """Entry i's value at `values[i]`; the leaf's 1 fills the last slot."""
+    values: list[Value] = [Fraction(1)] * (len(flat) + 1)
     for i, (op, l, r, k) in enumerate(flat):
-        right = one if r == _LEAF else values.pop()
-        left = one if l == _LEAF else values.pop()
+        left = values[l]
         try:
             if not k:
-                value = _apply(op, left, right, op_tol)
+                value = _apply(op, left, values[r], op_tol)
             elif isinstance(left, Fraction):
                 value = left + k
             else:  # a ball takes each of the chain's k rounded steps
-                steps = []  # kept for a trace's displays
-                value = left
-                for _ in range(k):
-                    value = _apply(op, value, one, op_tol)
-                    if trace is not None:
-                        steps.append(value)
+                for value in _ball_steps(op, left, k, op_tol):
+                    pass
         except HypercalcError as err:
             if err.path is None:
                 err.path = _path_of(i, *_parents(flat))
             raise
-        values.append(value)
-        if trace is None:
-            continue
-        # displays are made as `fire` asks for them, so a trace stopped at
-        # the text cap partway through a chain builds none of the rest
-        if not k:
-            shown = (_display_value(value, ctx),)
-        elif not isinstance(left, Fraction):
-            shown = (_display_value(v, ctx) for v in steps)
-        elif left.denominator == 1:  # an integer's digits, no Fraction per step
-            n = left.numerator
-            shown = (digit_text(n + j, 10) for j in range(1, k + 1))
-        else:
-            shown = (_display_value(left + j, ctx) for j in range(1, k + 1))
-        trace.fire(i, k, shown)
-    return (values[-1] if flat else one), (trace.events if trace is not None else [])
+        values[i] = value
+    return values
+
+
+def _ball_steps(op, x: Ball, k: int, op_tol: Fraction):
+    """The k rounded steps of a chain of `[X+1]` nodes over the ball x."""
+    one = Fraction(1)
+    for _ in range(k):
+        x = _apply(op, x, one, op_tol)
+        yield x
 
 
 def _parents(flat: _Flat) -> tuple[list[int], list[str]]:
@@ -354,13 +335,32 @@ class _Trace:
             op, l, r, k = flat[i]
             start[l] = start[i] + (k or 1)
             start[r] = start[l] + size[l] + op.rank
-        self.start, self.size, self.first = start, size, first
+        self.flat, self.start, self.size, self.first = flat, start, size, first
         self.shift, self.root = [0], n - 1
         self.node_count = sum(k or 1 for *_, k in flat)
         self.parent, self.step = _parents(flat)
         self.nodes, self.path = [], []
         self.text, self.chars = text, len(text)
         self.events: list[TraceEvent] = []
+
+    def replay(self, values: list[Value], ctx, op_tol) -> tuple[TraceEvent, ...]:
+        """Every entry's events from one round's values; a chain over a ball
+        takes its k rounded steps again at that round's `op_tol`."""
+        for i, (op, l, _, k) in enumerate(self.flat):
+            # displays are made as `fire` asks for them, so a trace stopped at
+            # the text cap partway through a chain builds none of the rest
+            left = values[l]
+            if not k:
+                shown = (_display_value(values[i], ctx),)
+            elif not isinstance(left, Fraction):
+                shown = (_display_value(v, ctx) for v in _ball_steps(op, left, k, op_tol))
+            elif left.denominator == 1:  # an integer's digits, no Fraction per step
+                n = left.numerator
+                shown = (digit_text(n + j, 10) for j in range(1, k + 1))
+            else:
+                shown = (_display_value(left + j, ctx) for j in range(1, k + 1))
+            self.fire(i, k, shown)
+        return tuple(self.events)
 
     def fire(self, i: int, k: int, shown: Iterable[str]) -> None:
         """Entry i's events: one for a node (k = 0), or one per step of a
@@ -462,13 +462,17 @@ def _certified_digits(c: int, r: int, d: int, ctx: NumericContext) -> BasebExpan
     return _expansion_from_scaled(q, base, digits, sign)
 
 
-def adaptive_evaluate(term: Term, ctx: NumericContext) -> tuple[EvalResult, BasebExpansion]:
-    """Evaluate, certify digits, and escalate guard digits until certified."""
+def adaptive_evaluate(
+    term: Term, ctx: NumericContext, *, collect_trace: bool = False
+) -> tuple[EvalResult, BasebExpansion]:
+    """Evaluate, certify digits, and escalate guard digits until certified;
+    `collect_trace` traces the first round, at guard max(1, guard_digits)."""
     guard = max(1, ctx.guard_digits)
     last: EvalResult | None = None
     for _ in range(MAX_DOUBLINGS + 1):
         attempt_ctx = replace(ctx, guard_digits=guard)
-        last = evaluate(term, attempt_ctx)
+        result = evaluate(term, attempt_ctx, collect_trace=collect_trace and last is None)
+        last = result if last is None else replace(result, trace=last.trace)
         try:
             return last, to_base_b(last, attempt_ctx)
         except PrecisionError:

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from hypercalc import engine
 from hypercalc.cli import main
 from hypercalc.terms import parse, render
 
@@ -464,6 +465,38 @@ def test_trace_of_a_long_literal_stops_at_the_text_cap():
     code, out, err = run_main("trace", "99999")
     assert (code, out) == (3, "")
     assert "the reduction trace passed 20,000,000 characters of text" in err
+
+
+def test_trace_reports_the_evaluation_error_before_the_text_cap():
+    # the division fails before any event fires, so its error is the one
+    # reported, as `eval` reports it, not the cap on the chain's trace
+    for command in ("trace", "eval"):
+        code, out, err = run_main(command, "[99999//0]")
+        assert (code, out, err) == (2, "", "domain error: division by zero (at root)\n")
+
+
+def test_trace_evaluates_the_term_once(monkeypatch):
+    # the trace is replayed from the values of the round that met the
+    # target, so `trace` runs one evaluation and builds one trace
+    calls = []
+    evaluate, trace_init = engine.evaluate, engine._Trace.__init__
+
+    def counted_evaluate(*args, **kwargs):
+        calls.append("evaluate")
+        return evaluate(*args, **kwargs)
+
+    def counted_init(self, *args):
+        calls.append("trace")
+        trace_init(self, *args)
+
+    monkeypatch.setattr(engine, "evaluate", counted_evaluate)
+    monkeypatch.setattr(engine._Trace, "__init__", counted_init)
+    code, out, err = run_main("trace", "[3///[[1+1]---[[1+1]+++120]]]", "--digits", "20")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 126
+    assert lines[-1] == "2106776528227830709928956833162496941.81697010403480288099"
+    assert sorted(calls) == ["evaluate", "trace"]
 
 
 def test_trace_shows_an_integer_past_the_int_to_str_limit():

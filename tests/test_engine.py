@@ -137,7 +137,7 @@ def test_evaluate_retries_kernel_precision_errors():
         with pytest.raises(PrecisionError, match="divisor interval contains zero") as err:
             evaluate(parse("[1//[[[1+1]---[1+1]]-[[1+1]---[1+1]]]]"), CTX10)
     assert err.value.path == ()
-    working = [call.args[2] for call in rounds.call_args_list]
+    working = [call.args[1] for call in rounds.call_args_list]
     assert working == [working[0] / 16**k for k in range(engine.MAX_DOUBLINGS + 1)]
 
 
@@ -531,6 +531,14 @@ def reference_render_with(term, display):
     return "".join(out)
 
 
+def post_order_run(term, op_tol, collect):
+    """One `_eval_once` round, and its trace replayed from the round's values."""
+    flat = engine._flatten(term)
+    values = engine._eval_once(flat, op_tol)
+    events = engine._Trace(flat, render(term)).replay(values, CTX10, op_tol) if collect else ()
+    return values[len(flat) - 1], list(events)
+
+
 def outcome(run):
     try:
         value, events = run()
@@ -577,9 +585,7 @@ def test_post_order_evaluation_matches_path_keyed_reference(term, collect):
     # a `+1` chain is one entry, traced or not; the reference takes a step
     # and fires an event per node
     op_tol = CTX10.precision_target() / 64
-    flat = engine._flatten(term)
-    text = render(term) if collect else None
-    new = outcome(lambda: engine._eval_once(flat, CTX10, op_tol, text))
+    new = outcome(lambda: post_order_run(term, op_tol, collect))
     old = outcome(lambda: reference_eval_once(term, CTX10, op_tol, collect))
     assert new == old
 
@@ -588,7 +594,6 @@ def test_post_order_evaluation_matches_path_keyed_reference(term, collect):
 @settings(max_examples=300, deadline=None)
 @example(term=parse("[[[[2+++0.5]+1]+1]+[[40+1]---[3+1]]]"))
 def test_trace_paths_follow_from_the_previous_event(term):
-    flat = engine._flatten(term)
     path_of = engine._path_of
     calls = []
 
@@ -599,7 +604,7 @@ def test_trace_paths_follow_from_the_previous_event(term):
     op_tol = CTX10.precision_target() / 64
     with mock.patch.object(engine, "_path_of", counted):
         try:
-            _, events = engine._eval_once(flat, CTX10, op_tol, render(term))
+            _, events = post_order_run(term, op_tol, True)
         except HypercalcError:
             assert len(calls) <= 1  # only the escaping error's path
             return
@@ -607,6 +612,30 @@ def test_trace_paths_follow_from_the_previous_event(term):
     assert calls == []
     _, reference = reference_eval_once(term, CTX10, op_tol, True)
     assert [e.path for e in events] == [e.path for e in reference]
+
+
+@given(low_rank_terms(), st.sampled_from([0, 1, 3]), st.sampled_from([2, 10]))
+@settings(max_examples=150, deadline=None)
+# at guard 0 this root's display is ...216.47 and at guard 1 ...216.46
+@example(term=parse("[[2+++7]+++[[5++0.5]///[2---7]]]"), guard=0, digits=2)
+@example(term=parse("[[2.75---[1+1]]+[2.75//0]]"), guard=0, digits=10)
+def test_a_traced_evaluation_shows_its_first_rounds_trace(term, guard, digits):
+    # `adaptive_evaluate` traces its first round, at guard max(1, guard), and
+    # no other; a term that fails there fails with the untraced error
+    ctx = NumericContext(digits=digits, guard_digits=guard)
+    try:
+        expected = trace_reduce(term, replace(ctx, guard_digits=max(1, guard)))
+    except HypercalcError as err:
+        with pytest.raises(type(err)) as again:
+            adaptive_evaluate(term, ctx, collect_trace=True)
+        assert (str(again.value), again.value.path) == (str(err), err.path)
+        return
+    try:
+        result, _ = adaptive_evaluate(term, ctx, collect_trace=True)
+    except PrecisionError as err:  # digits never certified, as untraced
+        assert "digits not certified" in str(err)
+        return
+    assert result.trace == expected
 
 
 def test_trace_of_an_explicit_chain_in_closed_form():
@@ -644,7 +673,7 @@ def test_folded_chain_over_a_ball_matches_per_node_steps():
     # 2, 5 and 10 are chains, then `--`, `+++` and the 2,000-step chain
     assert len(folded) == 6
     op_tol = CTX10.precision_target() / 64
-    value, _ = engine._eval_once(folded, CTX10, op_tol, None)
+    value, _ = post_order_run(term, op_tol, False)
     assert isinstance(value, Ball)
     # the reference takes the 2,016 nodes one by one
     assert value == reference_eval_once(term, CTX10, op_tol, False)[0]
