@@ -5,9 +5,10 @@ entries, each holding a node's operator and the indices of its two
 operands (-1 for the constant 1).  Every retry round then loops over that
 list, so each binary operation fires as soon as both operands are values
 (the order of the printable reduction chain), and stores its result at its
-own index.  Nothing is keyed by a node's path, so the walk is linear in
-the term's size.  A node's path is rebuilt from parent links only when an
-error escapes it; a trace derives each event's path from the previous one.
+own index until its parent fires.  Nothing is keyed by a node's path, so
+the walk is linear in the term's size.  A node's path is rebuilt from
+parent links only when an error escapes it; a trace derives each event's
+path from the previous one.
 
 Entries are not nodes.  A literal n is one `Chain` object standing for
 n - 1 `[X+1]` nodes, and every chain of k steps, a `Chain` or hand-built
@@ -27,13 +28,13 @@ attempt each.  A miss sets the next working tolerance from the measured
 overshoot, and a kernel's PrecisionError (an operand ball too wide for its
 operation) divides it by 16.
 
-The reduction trace is not part of a round: once a round meets the target,
-`_Trace.replay` walks the list again with that round's values, so a trace
-is built once.  A chain entry fires k events, each display made as the
-trace asks for it: n + j's digits over an exact integer n, X + j over
-another rational, and over a ball each rounded step's center, the steps
-taken again at the round's working tolerance.  `_Trace` splices each
-display into the term's render.
+The reduction trace is not part of a round: a traced round keeps every
+entry's value, and once a round meets the target `_Trace.replay` walks
+the list again with those values, so a trace is built once.  A chain
+entry fires k events, each display made as the trace asks for it: n + j's
+digits over an exact integer n, X + j over another rational, and over a
+ball each rounded step's center, the steps taken again at the round's
+working tolerance.  `_Trace` splices each display into the term's render.
 
 `to_base_b` truncates the value scaled by base^digits to an integer and
 prints it with `rationals.digit_text`, whose leaves are CPython's C
@@ -49,7 +50,8 @@ a traced call traces its first round only.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections import deque
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -152,18 +154,20 @@ def evaluate(term: Term, ctx: NumericContext, *, collect_trace: bool = False) ->
     nodes = sum(k or 1 for *_, k in flat)
     working = target / (4 * max(1, nodes))
     for attempt in range(MAX_DOUBLINGS + 1):
+        kept = None  # a missed round's values go before the next round runs
         try:
             values = _eval_once(flat, working)
+            kept = _kept(values) if collect_trace else deque(values, maxlen=1)
         except PrecisionError:  # an operand ball too wide for its operation
             if attempt == MAX_DOUBLINGS:
                 raise
             working /= 16
             continue
-        value = values[len(flat) - 1]  # the root's, or the leaf's 1
+        value = kept[-1] if kept else Fraction(1)  # the root's, or the leaf's 1
         if isinstance(value, Fraction) or value.r * target.denominator <= target.numerator * value.d:
             if not collect_trace:
                 return EvalResult(value)
-            return EvalResult(value, _Trace(flat, render(term)).replay(values, ctx, working))
+            return EvalResult(value, _Trace(flat, render(term)).replay(kept, ctx, working))
         # a power of an inexact base amplifies its error by far more than 16,
         # so the next round asks for the overshoot it just measured
         overshoot = -(-(value.r * target.denominator) // (target.numerator * value.d))
@@ -210,9 +214,12 @@ def _flatten(term: Term) -> _Flat:
     return flat
 
 
-def _eval_once(flat: _Flat, op_tol: Fraction) -> list[Value]:
-    """Entry i's value at `values[i]`; the leaf's 1 fills the last slot."""
-    values: list[Value] = [Fraction(1)] * (len(flat) + 1)
+def _eval_once(flat: _Flat, op_tol: Fraction) -> Iterator[Value]:
+    """Each entry's value in turn.  Entry i's value sits at `values[i]`
+    until its parent fires, then the slot is let go, so a round holds only
+    the values still pending; a caller that wants them all keeps them."""
+    one = Fraction(1)
+    values: list[Value] = [one] * (len(flat) + 1)  # the leaf's 1 fills the last slot
     for i, (op, l, r, k) in enumerate(flat):
         left = values[l]
         try:
@@ -228,7 +235,8 @@ def _eval_once(flat: _Flat, op_tol: Fraction) -> list[Value]:
                 err.path = _path_of(i, *_parents(flat))
             raise
         values[i] = value
-    return values
+        values[l] = values[r] = one
+        yield value
 
 
 def _ball_steps(op, x: Ball, k: int, op_tol: Fraction):
@@ -298,6 +306,20 @@ def _apply(op, a: Value, b: Value, tol: Fraction) -> Value:
 # trace display
 
 
+def _kept(values: Iterable[Value]) -> list[Value]:
+    """Every value of a traced round, for `_Trace.replay`, counted against
+    `MAX_TRACE_CHARS` at 3 digits per 10 bits (an integer's display is all
+    its digits), so a round holds no more than its trace text may."""
+    kept, digits = [], 0
+    for v in values:
+        n, d = (v.numerator, v.denominator) if isinstance(v, Fraction) else (v.c, v.d)
+        digits += (n.bit_length() + d.bit_length()) * 3 // 10
+        if digits > MAX_TRACE_CHARS:
+            raise ResourceError(f"the reduction trace's values passed {MAX_TRACE_CHARS:,} digits")
+        kept.append(v)
+    return kept
+
+
 class _Trace:
     """The reduction chain, spliced line by line into the term's render.
 
@@ -344,8 +366,10 @@ class _Trace:
         self.events: list[TraceEvent] = []
 
     def replay(self, values: list[Value], ctx, op_tol) -> tuple[TraceEvent, ...]:
-        """Every entry's events from one round's values; a chain over a ball
-        takes its k rounded steps again at that round's `op_tol`."""
+        """Every entry's events from one round's values, entry i's at
+        `values[i]`; a chain over a ball takes its k rounded steps again at
+        that round's `op_tol`."""
+        values = [*values, Fraction(1)]  # the leaf's 1, where `_LEAF` reads it
         for i, (op, l, _, k) in enumerate(self.flat):
             # displays are made as `fire` asks for them, so a trace stopped at
             # the text cap partway through a chain builds none of the rest

@@ -479,6 +479,27 @@ def test_evaluate_deep_literal_in_bounded_memory():
     assert peak < 64 * 2**20
 
 
+def test_a_left_deep_sum_of_large_values_in_bounded_memory():
+    # 300 additions over 2^500,000, each value 62 KB: untraced, an operand
+    # is let go once its parent fires; traced, the values kept for the
+    # replay count against the text budget, whose 20,000,000 characters of
+    # trace text are about 40 MB
+    term = parse("[" * 300 + "[2+++[1000++500]]" + "+[1+1]]" * 300)
+    tracemalloc.start()
+    try:
+        value = evaluate(term, CTX10).value
+        _, untraced = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        with pytest.raises(ResourceError, match="reduction trace's values passed"):
+            trace_reduce(term, CTX10)
+        _, traced = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 2**500_000 + 600
+    assert untraced < 4 * 2**20
+    assert traced < 48 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # the path-keyed evaluator that post-order arrays replaced, kept as the
 # reference for values, traces and error paths
@@ -534,9 +555,9 @@ def reference_render_with(term, display):
 def post_order_run(term, op_tol, collect):
     """One `_eval_once` round, and its trace replayed from the round's values."""
     flat = engine._flatten(term)
-    values = engine._eval_once(flat, op_tol)
+    values = [*engine._eval_once(flat, op_tol)] or [Fraction(1)]  # the leaf's 1
     events = engine._Trace(flat, render(term)).replay(values, CTX10, op_tol) if collect else ()
-    return values[len(flat) - 1], list(events)
+    return values[-1], list(events)
 
 
 def outcome(run):
