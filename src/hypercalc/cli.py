@@ -53,7 +53,8 @@ def _int_in(low: int, high: int | None = None):
 def _add_numeric_flags(sub):
     sub.add_argument("--base", type=_int_in(2, 36), default=10, help="output base, 2..36")
     sub.add_argument("--digits", type=_int_in(0), default=20, help="fractional digits")
-    sub.add_argument("--guard", type=_int_in(0), default=10, help="guard digits")
+    # `adaptive_evaluate` starts at max(1, guard), so 0 would act as 1
+    sub.add_argument("--guard", type=_int_in(1), default=10, help="guard digits")
     sub.add_argument(
         "--format", choices=("plain", "json"), default="plain", dest="format_"
     )

@@ -18,12 +18,16 @@ float estimate of its root of order q.  The inverses are bracketed searches:
     `brent`'s monotone search inside [1, a], after an exact check of the
     nearest integer.  x (+^4) b grows with x, so each certified probe moves
     one end of the bracket to it; the search starts at a float estimate of
-    the root and takes Newton-type steps toward it.  An inexact goal
+    the root and takes Newton-type steps toward it.  For an integer order
+    q >= 2 the search first takes interval-Newton steps from the estimate,
+    on a slope ball of x^^q over a ball X (`_tower_slope`): the forward-mode
+    recurrence T_1 = X, T_1' = 1, T_k = X^T_(k-1), T_k' = T_k (T_(k-1)' ln X
+    + T_(k-1) / X), over `midops.power`, `ln_e` and `divide`.  It is >= 1 on
+    x >= 1: by induction T_k >= 1, T_(k-1)' >= 0, ln x >= 0 and T_(k-1) / x
+    >= 1, as T_(k-1) >= x.  So its lower end is positive, and an inexact goal
     g +/- r with g - r >= 1 and an integer order q >= 2 is one search at g,
-    widened by r: x (+^4) q has slope >= 1 on x >= 1 (by induction,
-    (x^^q)' = x^^q ((x^^(q-1))' ln x + x^^(q-1) / x) >= x^^(q-1) / x >= 1),
-    so the roots of g - r and g + r lie within r of g's.  Other inexact
-    goals take the hull of the searches at both ends;
+    widened by r: the roots of g - r and g + r lie within r of g's.  Other
+    inexact goals take the hull of the searches at both ends;
   * super-log    x = a (/^r) b   solves b (+^r) x = a.
 
 The split is not continuous in its height: 2 (+^4) (p/q) tends to sqrt(2)
@@ -48,7 +52,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import midops
-from .balls import Ball, _ball, as_ball, hull, round_ball
+from .balls import Ball, _ball, as_ball, divide, hull, round_ball
 from .errors import DomainError, MagnitudeError, PrecisionError, ResourceError
 from .midops import _EXP_ARG_CAP, SeriesConfig, _log_abs_float, _lowest, tol_bits
 from .rootfind import (
@@ -298,12 +302,29 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction) -> B
     if start is not None:  # without one, `brent` starts at the midpoint
         # an integer root is checked exactly before any search
         n = round(start)
-        if n >= 2 and abs(start - n) < 2.0**-30:
-            hit = tower(Fraction(n), tol)
-            if hit.is_exact and hit.center == goal:
-                return Ball(Fraction(n))
+        if n >= 2 and abs(start - n) < 2.0**-30 and tower(Fraction(n), tol) == Ball(goal):
+            return Ball(Fraction(n))
+    slope = None
+    if order.denominator == 1:
+        slope = lambda x, t: _tower_slope(x, order.numerator, t)
     return brent(lambda x, ft: tower(x, ft) - goal, Bracket(Fraction(1), goal),
-                 RootConfig(tol), start=start)
+                 RootConfig(tol), start=start, slope=slope)
+
+
+def _tower_slope(x: Ball, order: int, t: Fraction) -> Ball | None:
+    """A ball holding (y (+^4) order)' over the ball x >= 1 by the module
+    docstring's recurrence, each power and ln within t; None when one fails
+    (past the magnitude cap, or a ball too wide)."""
+    cfg = SeriesConfig(t)
+    try:
+        ln_x = midops.ln_e(x, cfg)
+        level, slope = x, Ball(1)
+        for _ in range(order - 1):
+            up = midops.power(x, level, cfg)
+            level, slope = up, up * (slope * ln_x + divide(level, x))
+    except (MagnitudeError, PrecisionError):
+        return None
+    return slope
 
 
 def _super_root_estimate(goal: Fraction, order: Fraction) -> float:
@@ -454,15 +475,16 @@ def _endpoint_hull(fn, lo: Fraction, hi: Fraction, tol: Fraction) -> Ball:
 
 def _capped(tower: BallFn, goal: Fraction) -> BallFn:
     """tower, with a value past the magnitude cap read as certainly above
-    goal (towers grow with base and height)."""
+    goal (towers grow with base and height): the bound 2 goal + 2, a bare
+    rational, which the root finders take as a sign only."""
     goal_bits = goal.numerator.bit_length() - goal.denominator.bit_length()
 
-    def capped(x: Fraction, ft: Fraction) -> Ball:
+    def capped(x: Fraction, ft: Fraction) -> Ball | Fraction:
         try:
             return tower(x, ft)
         except MagnitudeError:
             if goal_bits < midops.MAX_MAGNITUDE_BITS - 64:
-                return Ball(2 * goal + 2)
+                return 2 * goal + 2
             raise
 
     return capped

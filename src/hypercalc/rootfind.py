@@ -18,6 +18,30 @@ the ends are the given bracket's, not yet certified; a probe at an
 uncertified end whose sign puts the root outside the bracket raises
 DomainError.  So a good start never evaluates f far from the root.
 
+f may answer a bare rational in place of a ball where it can only bound
+f(x) (`hyperops._capped`, past the magnitude cap): its sign is the probe's
+sign, and it is no enclosure.
+
+Given a slope, the search first takes interval-Newton steps from the start
+(Moore, Kearfott & Cloud, Introduction to Interval Analysis, SIAM 2009,
+ch. 8; Krawczyk, Computing 4, 1969).  slope(X, t) must return a ball D
+holding f' over the whole ball X.  X starts as the start +/- 2^-46
+max(1, |start|), inside the bracket, on the grid 2^-s, s = max(bits, 46) + 8.
+A step takes f at a point m of X (the start, then X's midpoint) through
+`_sign`, and forms N(X) = m - f(m) / D, rounded out onto the grid.  When
+N(X) lies strictly inside X, X holds a root, and every root in X lies in
+N(X); X becomes N(X), which is then N(X) ∩ X.  That containment is the only
+proof of a root the steps use.  A step stops them, and the probe loop
+below starts over from the start, unchanged, when its N(X) is not strictly
+inside X or not at most half as wide, when f(m) is a bound, not a ball,
+when its sign stays ambiguous, or when D is missing or not positive.  The
+steps take at most `MAX_ITERATIONS` probes, and end once the width is <= 2
+tol.  N's width is at most 2 rad(f(m)) / lo(D) + |X| rad(D) /
+lo(D), so f is asked at lo(D) / 2 times max(tol, |X| rad(D) / lo(D)), and D
+is taken again, over the new X, only while |X| rad(D) / lo(D) > tol.  D's
+roundings are asked at 2^-50, or finer when both |X| and tol / |X| are:
+then the second term falls quadratically from step to step.
+
 The search takes Newton-type steps.  It starts at the caller's estimate of
 the root, or at the bracket's midpoint, and then steps x <- x - c/s, with c
 the certified center of f at the last probe and s the secant slope through
@@ -75,11 +99,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .balls import Ball, _ball
+from .balls import Ball, _ball, _quotient
 from .errors import AmbiguityError, ConvergenceError, DomainError
 from .midops import _tol_bits, tol_bits
 
-BallFn = Callable[[Fraction, Fraction], Ball]
+BallFn = Callable[[Fraction, Fraction], "Ball | Fraction"]
+SlopeFn = Callable[[Ball, Fraction], "Ball | None"]
 
 _SIGN_ROUNDS = 60
 _START_SIGN_TOL = Fraction(1, 1 << 12)
@@ -90,6 +115,10 @@ _PROBE_MARGIN = 20
 _ESTIMATE_BITS = 52
 # Each later step toward an uncertified end grows by 2^_WIDEN_BITS.
 _WIDEN_BITS = 2
+# The first interval-Newton ball is the start +/- 2^-_NEWTON_START_BITS
+# max(1, |start|); a slope ball is asked for at 2^-_SLOPE_BITS or finer.
+_NEWTON_START_BITS = 46
+_SLOPE_BITS = 50
 # Probes per `brent` search, and bracket doublings per `expand_upper`.
 MAX_ITERATIONS = 1000
 MAX_EXPANSIONS = 80
@@ -133,6 +162,8 @@ def _sign(f: BallFn, x: Fraction, t: Fraction = _START_SIGN_TOL) -> tuple[int, F
     """
     for _ in range(_SIGN_ROUNDS):
         ball = f(x, t)
+        if not isinstance(ball, Ball):  # a bound: only its sign is f's
+            return (ball > 0) - (ball < 0), Fraction(ball)
         c, r = ball.c, ball.r
         if c > r:
             return 1, ball.center
@@ -172,6 +203,7 @@ def brent(
     bracket: Bracket,
     cfg: RootConfig,
     start: Fraction | float | None = None,
+    slope: SlopeFn | None = None,
 ) -> Ball:
     """Enclose the root of an increasing f inside the bracket.
 
@@ -180,11 +212,18 @@ def brent(
     x (+^4) q = g, and a tower grows with its base; a fractional q splits
     into integer towers and a super-root, a composition of increasing maps.
     `start` is an estimate of the root (a float is fine); without one the
-    search starts at the bracket's midpoint.  Returns a Ball of radius <=
+    search starts at the bracket's midpoint.  `slope(X, t)`, given with a
+    start, must return a ball holding f' over the whole ball X (or None),
+    each of its roundings within t; the search then first takes
+    interval-Newton steps from the start.  Returns a Ball of radius <=
     cfg.x_tolerance containing the root; the ball is exact (radius 0) when a
     probe evaluates to exactly zero.
     """
     tol = cfg.x_tolerance
+    if slope is not None and start is not None:
+        root = _newton(f, slope, bracket, tol, Fraction(start))
+        if root is not None:
+            return root
     bits = tol_bits(tol)
     lo, hi = bracket.lo, bracket.hi
     x = None if start is None else Fraction(start)
@@ -306,6 +345,63 @@ def brent(
         if a_seen and b_seen and (b - a) * tol.denominator <= 2 * tol.numerator * D:
             return _ball(a + b, b - a, 2 * D)  # the ball from a to b
     raise ConvergenceError("root finder exceeded its iteration budget")
+
+
+def _newton(f: BallFn, slope: SlopeFn, bracket: Bracket, tol: Fraction,
+            x: Fraction) -> Ball | None:
+    """The root's enclosure by interval-Newton steps from the estimate x, or
+    None when a step fails (see the module docstring).  X is [L, U] / 2^s
+    and m is M / 2^s."""
+    tn, td = tol.numerator, tol.denominator
+    bits = tol_bits(tol)
+    s = max(bits, _NEWTON_START_BITS) + 8
+    one = 1 << s
+    M = round(x * one)
+    w = max(one, abs(M)) >> _NEWTON_START_BITS
+    L = max(M - w, math.ceil(bracket.lo * one))
+    U = min(M + w, math.floor(bracket.hi * one))
+    if not L < M < U:
+        return None
+    D = value = None
+
+    def seen(x: Fraction, t: Fraction):
+        """f, keeping the answer `_sign` decides on."""
+        nonlocal value
+        value = f(x, t)
+        return value
+
+    for _ in range(MAX_ITERATIONS):
+        # |X| rad(D) / lo(D): N's width beyond the part f's tolerance adds
+        if D is None or (U - L) * D.r * td > tn * (D.c - D.r) * one:
+            # finer than 2^-_SLOPE_BITS only when neither |X| nor tol / |X| is
+            # coarser, so that the next |X| rad(D) / lo(D) falls quadratically
+            width = s - (U - L).bit_length()
+            D = slope(_ball(L + U, U - L, 2 * one),
+                      Fraction(1, 1 << max(_SLOPE_BITS, min(width, bits - width))))
+            if D is None or D.c <= D.r:
+                return None
+        lo_D = D.c - D.r
+        # aim N's width at max(tol, |X| rad(D) / lo(D)), half of it from f's radius
+        ft = Fraction(1, 1 << _tol_bits(max(tn * lo_D * one, (U - L) * D.r * td),
+                                        2 * td * D.d * one))
+        try:
+            sign, _ = _sign(seen, Fraction(M, one), ft)
+        except AmbiguityError:
+            return None
+        if not isinstance(value, Ball):
+            return None
+        if not sign:
+            return _ball(M, 0, one)
+        qc, qr, qd = _quotient(value.c, value.r, value.d, D.c, D.r, D.d)
+        NL = (M * qd - ((qc + qr) << s)) // qd
+        NU = -((((qc - qr) << s) - M * qd) // qd)
+        if not (L < NL and NU < U and 2 * (NU - NL) <= U - L):
+            return None
+        L, U = NL, NU
+        if (U - L) * td <= 2 * tn * one:
+            return _ball(L + U, U - L, 2 * one)
+        M = (L + U) >> 1
+    return None
 
 
 def expand_upper(f: BallFn, target: Fraction) -> Bracket:

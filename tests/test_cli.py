@@ -163,7 +163,8 @@ def test_negative_power_of_a_ball_around_zero():
 
 
 @pytest.mark.parametrize(
-    "flag, value", [("--digits", "-1"), ("--guard", "-2"), ("--base", "1"), ("--base", "40")]
+    "flag, value",
+    [("--digits", "-1"), ("--guard", "-2"), ("--guard", "0"), ("--base", "1"), ("--base", "40")],
 )
 def test_bad_numeric_flag_is_usage_error(flag, value):
     code, out, err = run_cli("eval", "1", flag, value)
@@ -451,7 +452,7 @@ def test_selftest_passes():
 def test_working_tolerance_counts_nodes_not_entries():
     # chains fold into single entries; the radii stay those of one term per node
     for text, radius in [
-        ("[2++++2.75]", "2243/11692013098647223345629478661730264157247460343808"),
+        ("[2++++2.75]", "3/5846006549323611672814739330865132078623730171904"),
         ("[[2+++0.5]+40]", "1/365375409332725729550921208179070754913983135744"),
     ]:
         code, out, _ = run_main("eval", text, "--digits", "30", "--format", "json")

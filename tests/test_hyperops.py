@@ -127,9 +127,11 @@ def test_unroll_makes_one_pass(monkeypatch):
     # With budgets of 0 extra bits (their blow-up checks still run), the
     # tower's one pass misses 10^-30 and returns the rigorous ball it
     # reached; `evaluate` then re-runs the term tighter, so the digits do
-    # not change.
+    # not change.  The slope is withheld: the loop's tail ball fills its
+    # tolerance, where the interval-Newton one lands well inside it.
     T30 = Fraction(1, 10**30)
     want = hyper_forward(4, Fraction(2), Fraction(5, 2), T30)
+    monkeypatch.setattr(hyperops, "_tower_slope", lambda x, order, t: None)
     real_budgets, real_forward = hyperops._unroll_budgets, hyperops._forward
     monkeypatch.setattr(hyperops, "_unroll_budgets", lambda *args: [0] * len(real_budgets(*args)))
     steps = []  # (base, tolerance) of each rank-3 step
@@ -296,13 +298,13 @@ def test_super_root_fractional_order():
     assert abs(back.center - 5) <= 100 * (back.radius + out.radius * 30)
 
 
-def mpmath_super_root(value: Fraction, order: int):
+def mpmath_super_root(value: Fraction, order: int, bits: int = 300):
     """[lo, hi] around the x >= 1 with x^^order = value, for value >= 1, by
-    300-bit mpmath bisection on [1, max(value, 2)], which holds it as
+    mpmath bisection at `bits` bits on [1, max(value, 2)], which holds it as
     x^^order >= x; a tower stops once a level passes the value, as x^^k
     grows with k."""
     mpmath = pytest.importorskip("mpmath")
-    with mpmath.workprec(300):
+    with mpmath.workprec(bits):
         v = mpmath.mpf(value.numerator) / value.denominator
 
         def too_big(x):
@@ -314,7 +316,7 @@ def mpmath_super_root(value: Fraction, order: int):
             return level > v
 
         lo, hi = mpmath.mpf(1), max(v, mpmath.mpf(2))
-        for _ in range(310):
+        for _ in range(bits + 10):
             mid = (lo + hi) / 2
             lo, hi = (lo, mid) if too_big(mid) else (mid, hi)
         return lo, hi
@@ -343,6 +345,68 @@ def test_an_inexact_goal_takes_one_widened_search(order, goal, spread, bits):
     assert out.radius <= tol + radius
     if not radius:
         assert out.radius <= tol
+
+
+def encloses_mpmath_root(out: Ball, goal: Fraction, order: int) -> bool:
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workprec(400):
+        lo, hi = mpmath_super_root(goal, order, bits=400)
+        return (mpmath.mpf(out.lo.numerator) / out.lo.denominator <= lo
+                and hi <= mpmath.mpf(out.hi.numerator) / out.hi.denominator)
+
+
+@given(order=st.integers(2, 6),
+       goal=st.fractions(min_value=1, max_value=10**6, max_denominator=10**6),
+       bits=st.integers(20, 200))
+@settings(max_examples=40, deadline=None)
+def test_an_exact_goal_is_one_search_within_tol(order, goal, bits):
+    # the interval-Newton steps from a slope ball of x^^q certify the root
+    # inside the one search; an integer root is checked without a search
+    assume(goal > 1)
+    tol = Fraction(1, 1 << bits)
+    with pytest.MonkeyPatch.context() as mp:
+        searches = counted_calls(mp, hyperops, "brent")
+        out = hyper_inverse_minus(4, goal, Fraction(order), tol)
+    assert out.radius <= tol
+    assert encloses_mpmath_root(out, goal, order)
+    assert len(searches) == 1 or (not searches and out == Ball(out.center)
+                                  and out.center.denominator == 1)
+
+
+def test_a_capped_probe_is_a_sign_and_never_a_newton_step(monkeypatch):
+    # the first tower probe raises MagnitudeError, so `_capped` answers with
+    # its bound 2 goal + 2.  The slope ball is 2^200: a Newton step on that
+    # bound would land within 2^-190 of the start and certify a ball that
+    # misses the root, so the steps must stop there and the loop take over
+    real, calls = hyperops._forward, []
+
+    def forward(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise MagnitudeError("tower magnitude exceeds the configured cap")
+        return real(*args)
+
+    monkeypatch.setattr(hyperops, "_forward", forward)
+    monkeypatch.setattr(hyperops, "_tower_slope", lambda x, order, t: Ball(2**200))
+    tol = Fraction(1, 10**30)
+    out = hyper_inverse_minus(4, Fraction(1000), Fraction(3), tol)
+    assert out.radius <= tol and encloses_mpmath_root(out, Fraction(1000), 3)
+    assert len(calls) > 1
+
+
+@pytest.mark.parametrize("text", ["[1000----3]", "[1.5++++0.75]"])
+def test_a_start_off_by_2_to_the_minus_30_falls_back_to_the_same_digits(monkeypatch, text):
+    # X0 = start +/- 2^-46 x then misses the root, so N(X0) leaves X0; the
+    # loop the steps fall back to certifies the same digits
+    ctx = NumericContext(digits=30)
+    want = adaptive_evaluate(parse(text), ctx)[1].text()
+    estimate, newton, steps = hyperops._super_root_estimate, rootfind._newton, []
+    monkeypatch.setattr(hyperops, "_super_root_estimate",
+                        lambda goal, order: estimate(goal, order) + 2.0**-30)
+    monkeypatch.setattr(rootfind, "_newton",
+                        lambda *args: steps.append(newton(*args)) or steps[-1])
+    assert adaptive_evaluate(parse(text), ctx)[1].text() == want
+    assert steps == [None]
 
 
 def test_fractional_orders_and_goals_below_one_keep_both_ends(monkeypatch):
@@ -554,9 +618,12 @@ def test_root_finder_budget_is_one_config(monkeypatch):
     evaluate(term, NumericContext(digits=12))
     assert direct == seen == [rootfind.Bracket(Fraction(1), Fraction(3))]
     assert (rootfind.MAX_ITERATIONS, rootfind.MAX_EXPANSIONS) == (1000, 80)
-    # the search starts at an estimate good to about 2^-50, so a budget that
-    # must stop it is one probe: a single sign certifies no bracket
+    # the search starts at an estimate good to about 2^-50, where one probe
+    # and one slope ball of x^^2 certify the root at 2^-40 by an
+    # interval-Newton step; so a budget that must stop it allows no probe
     monkeypatch.setattr(rootfind, "MAX_ITERATIONS", 1)
+    assert hyper_inverse_minus(4, Fraction(16), Fraction(2), T12).radius <= T12
+    monkeypatch.setattr(rootfind, "MAX_ITERATIONS", 0)
     with pytest.raises(ConvergenceError, match="iteration budget"):
         hyper_inverse_minus(4, Fraction(16), Fraction(2), T12)
     with pytest.raises(ConvergenceError, match="iteration budget"):

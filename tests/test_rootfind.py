@@ -251,20 +251,22 @@ def evaluations_per_search(monkeypatch):
 @pytest.mark.parametrize("text", ["[5----4]", "[1000----3]", "[100----3]", "[1.5----3]", "[2++++0.5]",
                                   "[5++++2.75]"])
 def test_super_root_searches_take_at_most_eight_evaluations(monkeypatch, text):
-    # each starts at a float estimate: one probe there, one beside it, two
-    # or three Newton-type steps and the closing pair
+    # each starts at a float estimate with a slope ball of x^^q: one
+    # interval-Newton step there and one or two more certify the root
+    # (the loop without a slope took up to 8: a probe there, one beside it,
+    # Newton-type steps and the closing pair)
     counts = evaluations_per_search(monkeypatch)
     adaptive_evaluate(parse(text), NumericContext(digits=30))
-    assert counts and max(counts) <= 8
+    assert counts and max(counts) <= 4
 
 
 def test_a_newton_point_on_a_certified_end_still_closes(monkeypatch):
-    # at 25 digits the Newton point of [1.5----3] rounds onto its certified
-    # lower end; the closing pair is taken there, where a split would halve
-    # down from the upper end (34 evaluations)
+    # at 25 digits the loop's Newton point of [1.5----3] rounds onto its
+    # certified lower end, where a split would halve down from the upper end
+    # (34 evaluations); the interval-Newton steps never get there
     counts = evaluations_per_search(monkeypatch)
     adaptive_evaluate(parse("[1.5----3]"), NumericContext(digits=25))
-    assert counts and max(counts) <= 8
+    assert counts and max(counts) <= 4
 
 
 @pytest.mark.parametrize("text, estimate", [
@@ -288,10 +290,13 @@ def test_a_bad_start_estimate_certifies_the_same_digits(monkeypatch, text, estim
 # computed in Fractions, as (n, e, t) for x = n / 2^e and ft = 2^-t.  Later
 # probes follow f's values, and were recorded again when every rank-3 ball
 # result took the one snap grid 2^-(tol_bits + 16).  The first three are the
-# searches behind the inputs at 30 digits.  The last is [100----3] without a
-# start estimate: it steps down from the bracket's midpoint by growing
-# powers of two, then splits at the mean binary exponent of the ends and at
-# midpoints.
+# searches behind the inputs at 30 digits, with the slope withheld, so they
+# pin the loop the interval-Newton steps fall back to.  The fourth is
+# [100----3] without a start estimate: it steps down from the bracket's
+# midpoint by growing powers of two, then splits at the mean binary exponent
+# of the ends and at midpoints.  The last is [1000----3] with its slope: an
+# interval-Newton step at the start, asked at about |X| rad(D) / lo(D), and
+# one at the midpoint of N, asked at the tolerance.
 PINNED_PROBES = [
     ("[1000----3]", None, Fraction(1, 4008 * 10**40), [
         (2685169708817751, 50, 72),
@@ -369,6 +374,10 @@ PINNED_PROBES = [
         (6316415418016128722270313245060109254302896323, 151, 154),
         (6316415418016128722270313245060109254302896579, 151, 154),
     ]),
+    ("[1000----3]", "with slope", Fraction(1, 4008 * 10**40), [
+        (2685169708817751, 50, 71),
+        (27230855944779858314954608804835122926097159883, 153, 133),
+    ]),
 ]
 
 
@@ -376,12 +385,15 @@ PINNED_PROBES = [
 def test_integer_search_repeats_the_fraction_search_probes(monkeypatch, text, estimate, tol, pinned):
     searches = []
 
-    def recorded(f, bracket, cfg, start=None):
+    def recorded(f, bracket, cfg, start=None, slope=None):
         probes = []
         searches.append((cfg.x_tolerance, probes))
-        return brent(lambda x, ft: probes.append((x, ft)) or f(x, ft), bracket, cfg, start=start)
+        return brent(lambda x, ft: probes.append((x, ft)) or f(x, ft), bracket, cfg,
+                     start=start, slope=slope)
 
     monkeypatch.setattr(hyperops, "brent", recorded)
+    if estimate != "with slope":
+        monkeypatch.setattr(hyperops, "_tower_slope", lambda x, order, t: None)
     if estimate == "no estimate":
         monkeypatch.setattr(hyperops, "_super_root_estimate", lambda goal, order: None)
     adaptive_evaluate(parse(text), NumericContext(digits=30))
