@@ -161,10 +161,10 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
         # there says nothing about the result's magnitude.
         return _split_blowup(f"{base.center} (+^{rank}) {p} (the tower of the height's numerator)")
 
-    def fractional_tail(t: Fraction) -> Ball:
+    def fractional_tail(t: Fraction, start: float | None = None) -> Ball:
         try:
             tower = _forward(rank, base, Fraction(p), t / 4)
-            return _inverse_minus(rank, tower, Fraction(q), t / 4)
+            return _inverse_minus(rank, tower, Fraction(q), t / 4, start)
         except MagnitudeError as err:
             raise numerator_blowup() from err
 
@@ -179,12 +179,14 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
         inner_log = max(_log_abs_float(*_lowest(value.c, value.d)), 0.0)
     else:
         # sized in floats, from ln(base ^^ p) and the order-q root's estimate;
-        # the tail itself is solved once, at its budgeted tolerance
+        # the tail itself is solved once, at its budgeted tolerance, and its
+        # search starts at that estimate
         try:
             ln_goal = _tower_logs(ln_base, ln_base, p - 1)[-1] if p > 1 else ln_base
         except MagnitudeError as err:
             raise numerator_blowup() from err
-        inner_log = max(math.log(_integer_order_estimate(ln_goal, q)), 0.0)
+        estimate = _integer_order_estimate(ln_goal, q)
+        inner_log = max(math.log(estimate), 0.0)
         value = None
     # Each tower step amplifies the error underneath it by roughly
     # (step output) * ln(base); budget the inner tolerances accordingly.  The
@@ -193,7 +195,7 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
     budgets = _unroll_budgets(inner_log, ln_base, steps)
     tn, td = tol.numerator, tol.denominator
     if value is None:
-        value = fractional_tail(Fraction(tn, td << budgets[0]))
+        value = fractional_tail(Fraction(tn, td << budgets[0]), estimate)
     for i in range(1, steps + 1):
         value = _forward(rank - 1, base, value, Fraction(tn, td << budgets[i]))
     return value
@@ -263,7 +265,11 @@ def hyper_inverse_minus(
     return _inverse_minus(rank, target, order, tol)
 
 
-def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction) -> Ball:
+def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
+                   start: float | None = None) -> Ball:
+    """`hyper_inverse_minus` past its checks.  `start` is a float estimate
+    of the root that the caller has already made (a fractional tail's, from
+    its budgets); without one the search makes its own."""
     if target.is_exact and target.c == target.d:
         return Ball(1)
     if order == 1:
@@ -291,19 +297,30 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction) -> B
         if order.denominator == 1 and target.c - target.r >= target.d:
             # x^^q has slope >= 1 on x >= 1, so the roots of the goal's ends
             # lie within r of the center's
-            center = _inverse_minus(rank, Ball(target.center), order, tol / 2)
+            center = _inverse_minus(rank, Ball(target.center), order, tol / 2, start)
             return round_ball(center + _ball(0, target.r, target.d), tol_bits(tol) + 16)
         return _endpoint_hull(lambda x, t: _inverse_minus(rank, x, order, t),
                               max(target.lo, Fraction(1)), target.hi, tol)
 
     goal = target.center  # exact rational > 1
     tower = _capped(lambda x, ft: _forward(rank, Ball(x), order, ft), goal)
-    start = _super_root_estimate(goal, order)
-    if start is not None:  # without one, `brent` starts at the midpoint
-        # an integer root is checked exactly before any search
-        n = round(start)
-        if n >= 2 and abs(start - n) < 2.0**-30 and tower(Fraction(n), tol) == Ball(goal):
-            return Ball(Fraction(n))
+    if (goal.numerator - goal.denominator) << 53 <= goal.denominator:
+        # g rounds to the float 1.0, and so does the root, as x^^q = 1 + d +
+        # d^2 + O(d^3) at x = 1 + d: a float estimate would sit on the
+        # bracket's end, where no interval-Newton step can start.  The root
+        # is 1 + e - e^2 + O(e^3), e = g - 1, and steps from there certify
+        # it when e^2 > tol; closer to g than that no step can tell the root
+        # from the bracket's end, and they start from 1 + e / q inside it
+        e = goal - 1
+        start = 1 + e - e * e if e * e > tol else 1 + e / order
+    else:
+        if start is None:
+            start = _super_root_estimate(goal, order)
+        if start is not None:  # without one, `brent` starts at the midpoint
+            # an integer root is checked exactly before any search
+            n = round(start)
+            if n >= 2 and abs(start - n) < 2.0**-30 and tower(Fraction(n), tol) == Ball(goal):
+                return Ball(Fraction(n))
     slope = None
     if order.denominator == 1:
         slope = lambda x, t: _tower_slope(x, order.numerator, t)
@@ -350,32 +367,70 @@ def _integer_order_estimate(ln_goal: float, order: int) -> float:
     """Float x >= 1 with x (+^4) order close to the goal of log ln_goal, for
     an integer order >= 2.
 
-    It bisects x^^(order - 1) * ln x = ln_goal in floats on [1, max(e,
-    ln_goal)], which holds the root (for x >= e, x^^(order - 1) >= x); a
-    tower that overflows counts as too big.
+    It is the crossing, to adjacent floats, of x^^(order - 1) * ln x >
+    ln_goal in floats on [1, max(e, ln_goal)], which holds the root (for x
+    >= e, x^^(order - 1) >= x); a tower that overflows counts as too big.
+    Each float step of the tower (log, product, exp) is monotone, so the
+    test is, and the crossing is one pair of adjacent floats however it is
+    found: (lo + hi) / 2 of that pair is what bisecting to adjacent floats
+    returns.  Each probe moves one end of the bracket and proposes a Newton
+    step on F(u) = ln(x^^(order - 1) ln x) - ln(ln_goal) in u = ln ln x,
+    with d ln(x^^k)/dx = x^^(k-1) (d ln(x^^(k-1))/dx ln x + 1/x) carried
+    beside the tower (a tower cut short when a level already passes the
+    goal proposes the step of that level, which also lies above the root).
+    F is convex and increasing in u, near-linear close to x = 1, so Newton
+    approaches from above; a run of probes on one side pushes the next one
+    past the root by 1, 2, 4, ... ulps, so both ends close in.  A probe
+    without a step (overflow), or a step from below past the upper end,
+    bisects.  About 6 to 15 probes where bisection takes 53.
     """
-    def too_big(x: float) -> bool:
-        ln_x, level = math.log(x), x  # level = x^^k, increasing in k
+    if not ln_goal > 0.0:  # every x > 1 is too big
+        return 1.0
+    target = math.log(ln_goal)
+
+    def probe(x: float) -> tuple[bool, float | None]:
+        """Whether x is too big, and the Newton step from x (or None)."""
+        ln_x, level = math.log(x), x
+        slope = 1.0 / x  # d ln(level) / dx
         try:
             for _ in range(order - 2):
                 if level * ln_x > ln_goal:
-                    return True
+                    break
+                slope = level * (slope * ln_x + 1.0 / x)
                 level, prev = math.exp(level * ln_x), level
                 if level == prev:  # a convergent tower has settled
                     break
         except OverflowError:
-            return True
-        return level * ln_x > ln_goal
+            return True, None
+        g = level * ln_x
+        if not 0.0 < g < math.inf:
+            return g > ln_goal, None
+        try:  # u' = u - F / (dF/du), dF/du = slope x ln x + 1, x' = e^(e^u')
+            step = math.exp(ln_x * math.exp((target - math.log(g)) / (slope * x * ln_x + 1.0)))
+        except OverflowError:
+            step = None
+        return g > ln_goal, step
 
     lo, hi = 1.0, max(math.e, ln_goal)
+    x = (lo + hi) / 2
+    push, last = 0.0, None
     while True:
+        big, step = probe(x)
+        if big:
+            hi = x
+        else:
+            lo = x
         mid = (lo + hi) / 2
         if mid in (lo, hi):
             return mid
-        if too_big(mid):
-            hi = mid
-        else:
-            lo = mid
+        if step is None or (not big and step >= hi):
+            x, last = mid, None
+            continue
+        push = max(2 * push, math.ulp(x)) if big == last else 0.0
+        last = big
+        x = step - push if big else step + push
+        if not lo < x < hi:
+            x = math.nextafter(lo, hi) if x <= lo else math.nextafter(hi, lo)
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,16 @@ Both series split their argument at a K-bit dyadic (K = _SPLIT_BITS; Brent
   exp(x) = exp(c/2^K) * exp(x - c/2^K),  c = round(x 2^K), after halving
            the argument into |x| <= 1.  The first factor is sum u^n/n! with
            u = c/2^K, a small-ratio series (below); the second is the
-           full-width Taylor series of an argument below 2^-K, about prec/K
-           terms.  One fixed-point product joins them.
+           full-width Taylor series of an argument below 2^-K, N ~ prec/K
+           terms in about 2 sqrt(2N) products (below).  One fixed-point
+           product joins them.
   ln(m)  = 2 atanh(p/q) + 2 atanh(b),  m = a / 2^shift in [1/sqrt 2, sqrt 2),
            c = round(m 2^K), p/q = (c - 2^K)/(c + 2^K), |p/q| < 0.18,
            b = (m 2^K - c)/(m 2^K + c), |b| < 2^-K.  The first is a
-           small-ratio series in p^2/q^2; the second is full width but needs
-           only about prec/(2K) terms.  A small-height m = num/den, num + den
-           < 2^(K+1), needs only the first series, with p/q = (num - den)/(num
-           + den).
+           small-ratio series in p^2/q^2; the second is full width, N ~
+           prec/(2K) terms in about 2 sqrt(2N) products.  A small-height
+           m = num/den, num + den < 2^(K+1), needs only the first series,
+           with p/q = (num - den)/(num + den).
   ln(a)  = ln(m) + shift * ln 2,  ln 2 = 2 atanh(1/3) by the small-ratio
            series, kept as one copy per power-of-two width; a request is a
            rounding shift of the copy at the next power of two above it (plus
@@ -41,6 +42,22 @@ estimated length, prec over the bits a term drops (bits(q^2) - bits(p^2),
 or about log2 prec + K - bits(c)), held within [3, 32]: blocks of 3 to 10
 terms at 64-256 bits, of 32 at 3,000 bits.
 MAX_SERIES_TERMS still counts terms.
+
+The two full-width series have no small ratio between terms, so there a
+term costs a full-width product unless the products are shared:
+rectangular splitting in Smith's concurrent form (D. M. Smith, Math. Comp.
+52, 1989; Brent & Zimmermann, 4.4.3; mpmath's `exponential_series`).  The
+term n = jk + i is x^i (x = b^2 for atanh) times a shrinking a that moves
+by small-int divides within a block of k terms and by one product with x^k
+between blocks, and each column i sums its a's before one product with
+x^i.  The powers x^2 ... x^k take k - 1 products, the blocks one each and
+the columns k - 1: about N/k + 2k products for N terms, least at k =
+sqrt(N/2), so k = isqrt(N/2) for N estimated from prec and the argument's
+bit length.  Below _MIN_SPLIT_TERMS = 16 terms (about 400 bits for exp,
+800 for atanh) k = 1, the term-by-term loop, which costs least there and
+which the 64-200-bit calls of the root finders take.  At 3,000 bits an exp
+series of about 100 terms takes about 30 products, and at 32,000 bits one
+of about 1,000 terms about 90.
 
 Each kernel's docstring states its error bound in ulps of 2^-prec with the
 proof.  Above them `_exp_fixed` and `_ln_fixed` return (value, err, prec) for
@@ -175,6 +192,10 @@ def _shift_div_round(x: int, bits: int, n: int) -> int:
 _SPLIT_BITS = 24
 # Bounds on the terms a small-ratio series sums per full-width step.
 _MIN_BLOCK, _MAX_BLOCK = 3, 32
+# A full-width series of fewer terms than this is summed term by term (k =
+# 1): below about 400 bits a block's small-int steps cost what the products
+# they save do (CPython 3.11, 64-1,000 bits).
+_MIN_SPLIT_TERMS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -182,19 +203,66 @@ _MIN_BLOCK, _MAX_BLOCK = 3, 32
 
 
 def _exp_series_fixed(xf: int, prec: int) -> tuple[int, int]:
-    """(value, error) in 2^-prec ulps of exp(x) for |x| <= 1, given
-    xf = x 2^prec rounded to nearest."""
-    acc = (1 << prec) + xf
-    term = xf
-    n = 1
-    while not (abs(term) <= 2 and n >= 2):
-        n += 1
-        if n > MAX_SERIES_TERMS:
+    """(value, error) in 2^-prec ulps of exp(x) for |x| <= 2^-K, given
+    xf = x 2^prec rounded to nearest.
+
+    Rectangular splitting in the concurrent form of the module docstring.
+    With x' = xf / 2^prec, s = prec - bits(xf) (so |x'| < 2^-s), k =
+    isqrt(N/2) for the term estimate N = prec / s (k = 1 below
+    _MIN_SPLIT_TERMS terms), and n = jk + i, the term x'^n / n! is A_n x'^i
+    with A_n = x'^(jk) / n!.  The powers P_i ~ x'^i 2^prec (P_1 = xf) take
+    k - 1 products.  a_n ~ A_n 2^prec is
+    a_(n-1) / n, a small-int divide, except at a block start (i = 0), where
+    the divide also takes one product by P_k of the shrinking a_(n-1).  a_n
+    adds into its column's sum S_i, and the value is S_0 + sum_(i>=1)
+    round(S_i P_i / 2^prec), k - 1 products more.  Block 0 and a_k are
+    formed before the loop (for k = 1, a_1 = xf); k = 1 is the term-by-term
+    loop.  The loop stops at the first block start N = Jk >= 2 with |a_N| <=
+    2.
+
+    Error.  P_i is within d_i <= d_(i-1) |x'| + 1/2 < 0.51 of x'^i 2^prec.
+    a_0 = 2^prec and a_1 (2^prec / 1, or xf when k = 1) are exact; at n >= 2
+    a divide adds 1/2 to e_(n-1) / n, a block start adds 1/2 to (e_(n-1)
+    |P_k| + d_k |A_(n-1)| 2^prec) / (n 2^prec) <= (2^-23 e_(n-1) + 0.51) /
+    n, so every e_n <= 1 and a block start's <= 0.76.  S_0 is then within
+    0.76 J and each S_i, i >= 1, within J.  round(S_i P_i / 2^prec) is
+    within J 2^-23 + 0.51 |sum_j A_(jk+i)| + 1/2 of its exact column, and
+    the sums over i >= 1 of |A_(jk+i)| add to at most sum_(n>=1) 1/n! <
+    1.72.  The terms past N fall by |x'| a term from |A_N 2^prec| < 3, so
+    they add under 2^-21, and e^x - e^x' adds 0.51 for xf's rounding.
+    With (k - 1) J <= MAX_SERIES_TERMS < 2^17: 0.76 J + (k - 1)/2 + 2^-6 +
+    0.88 + 2^-21 + 0.51 < J + k + 1.
+    """
+    terms = prec // (prec - xf.bit_length())
+    k = math.isqrt(terms >> 1) if terms >= _MIN_SPLIT_TERMS else 1
+    a = xk = xf  # for k = 1, block 0 is a_0 alone and a_1 = xf is exact
+    if k > 1:  # the powers, then block 0's columns i >= 1 and a_k
+        powers = [xf]
+        for _ in range(k - 1):
+            powers.append(_shift_round(powers[-1] * xf, prec))
+        xk = powers.pop()
+        inner, sums, a = range(k - 1), [], 1 << prec
+        for i in range(1, k):
+            a = ((a << 1) + i) // (i << 1)
+            sums.append(a)
+        a = _shift_div_round(a * xk, prec, k)
+    acc = (1 << prec) + a
+    n = k
+    while abs(a) > 2 or n < 2:
+        if n + k > MAX_SERIES_TERMS:
             raise ResourceError("exp series exceeded the term budget")
-        term = _shift_div_round(term * xf, prec, n)
-        acc += term
-    # per-term rounding <= 1 ulp each, tail <= 2*(|term|+1) <= 6, snap <= 2
-    return acc, n + 10
+        if k > 1:  # an empty loop's set-up would cost k = 1 a tenth
+            for i in inner:
+                n += 1
+                a = ((a << 1) + n) // (n << 1)
+                sums[i] += a
+        n += 1
+        a = (((a * xk) << 1) + (n << prec) >> (prec + 1)) // n  # `_shift_div_round`, inline
+        acc += a
+    if k > 1:
+        for column, power in zip(sums, powers):
+            acc += _shift_round(column * power, prec)
+    return acc, n // k + k + 1
 
 
 def _block_terms(prec: int, shed: int) -> int:
@@ -274,19 +342,60 @@ def _exp_split_fixed(num: int, den: int, prec: int) -> tuple[int, int]:
 
 
 def _atanh_series_fixed(bf: int, prec: int) -> tuple[int, int]:
-    """(value, error) in ulps of 2*sum b^(2n+1)/(2n+1) = 2*atanh(b), |b| <= 1/3,
-    given bf = b 2^prec rounded to nearest."""
-    b2 = _shift_round(bf * bf, prec)
-    acc = bf
-    power = bf
-    n = 1
-    while abs(power) > 2:
-        if n > MAX_SERIES_TERMS:
+    """(value, error) in 2^-prec ulps of 2 atanh(b) = 2 sum b^(2n+1)/(2n+1)
+    for |b| <= 2^-K, given bf = b 2^prec rounded to nearest.
+
+    Rectangular splitting in the concurrent form of the module docstring,
+    in y = b^2.  With b' = bf / 2^prec, s = prec - bits(bf) (so |b'| <
+    2^-s), y' = b'^2, k = isqrt(N/2) for the term estimate N = prec / 2s
+    (k = 1 below _MIN_SPLIT_TERMS terms), and n = jk + i, the term
+    b'^(2n+1) / (2n+1) is A_j y'^i / (2n+1) with A_j = b' y'^(jk).  The
+    powers Y_i ~ y'^i 2^prec (Y_1 = round(bf^2 / 2^prec)) take k products.
+    a_0 = bf, and a_j ~ A_j 2^prec is round(a_(j-1) Y_k / 2^prec), one
+    product of the shrinking a per block; the block adds round(a_j /
+    (2n+1)), a small-int divide, into each column's sum S_i.  The value is
+    2 (S_0 + sum_(i>=1) round(S_i Y_i / 2^prec)), k - 1 products more.  k =
+    1 is the term-by-term loop.  The loop stops after the first block J
+    with |a_J| <= 2.
+
+    Error.  Y_i is within h_i <= h_(i-1) |y'| + |Y_(i-1)| / 2^(prec+1) +
+    1/2 < 0.51 of y'^i 2^prec, and a_j within a_(j-1)'s error times |y'|^k
+    plus |A_(j-1)| h_k + 1/2 < 0.51, as |A| <= 2^-K.  So round(a_j /
+    (2n+1)) is within 0.51/3 + 1/2 < 0.67 of its exact term for n >= 1 and
+    exact for n = 0: S_0 within 0.67 J, each S_i within 0.67 (J + 1), and
+    round(S_i Y_i / 2^prec) within 1/2 + 2^-20 of its exact column, as
+    |Y_i| <= 2^(prec-48) and the column is at most 2^(prec-K).  The terms
+    after block J fall from |A_J 2^prec| < 2.51 by y'^k <= 2^-48, under
+    2^-45, and bf's rounding adds 0.51.  Doubled: 2 (0.67 J + (k - 1) (1/2
+    + 2^-20) + 2^-45 + 0.51) < 2J + k + 1.
+    """
+    terms = prec // (2 * (prec - bf.bit_length()))
+    k = math.isqrt(terms >> 1) if terms >= _MIN_SPLIT_TERMS else 1
+    half = 1 << (prec - 1)
+    yk = (bf * bf + half) >> prec
+    if k > 1:  # the powers Y_1 .. Y_(k-1), Y_k and block 0's columns i >= 1
+        powers = [yk]
+        for _ in range(k - 1):
+            powers.append(_shift_round(powers[-1] * powers[0], prec))
+        yk = powers.pop()
+        inner = range(k - 1)
+        sums = [(bf + i + 1) // (2 * i + 3) for i in inner]  # nearest, as 2n+1 is odd
+    acc = a = bf
+    n = 0
+    while abs(a) > 2:
+        n += k
+        if n + k - 1 > MAX_SERIES_TERMS:
             raise ResourceError("log series exceeded the term budget")
-        power = _shift_round(power * b2, prec)
-        acc += (power + n) // (2 * n + 1)  # nearest, as 2n+1 is odd
-        n += 1
-    return 2 * acc, 3 * n + 10
+        a = (a * yk + half) >> prec
+        acc += (a + n) // (2 * n + 1)
+        if k > 1:  # as in `_exp_series_fixed`
+            for i in inner:
+                m = n + i + 1
+                sums[i] += (a + m) // (2 * m + 1)
+    if k > 1:
+        for column, power in zip(sums, powers):
+            acc += _shift_round(column * power, prec)
+    return 2 * acc, 2 * (n // k) + k + 1
 
 
 def _atanh_ratio_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
@@ -394,8 +503,8 @@ def _exp_fixed(num: int, den: int, tn: int, td: int) -> tuple[int, int, int]:
     """(value, err, prec) of e^(num/den), den > 0, with err / 2^prec <= tn / td.
 
     Each series stops within M = MAX_SERIES_TERMS terms (else ResourceError),
-    so the kernel errs by under 4 M < 2^19 ulps of 2^-prec (about 0.5 prec in
-    practice).  Squaring back h halvings, roundings included, scales that by
+    so the kernel errs by under 4 M < 2^19 ulps of 2^-prec (about 0.1 prec at
+    3,000 bits in practice).  Squaring back h halvings, roundings included, scales that by
     under 2.01^h, and e^x < 2^(mag_bits - 1): prec's 2h + mag_bits + 26 bits over
     tol_bits leave the error below tol / 2^7, and the check only guards this.
     """
@@ -426,8 +535,9 @@ def _ln_fixed(num: int, den: int, tn: int, td: int) -> tuple[int, int, int]:
     Each series stops within M = MAX_SERIES_TERMS terms (else ResourceError),
     so ln m errs by at most 5 M + 17 ulps of 2^-prec and ln 2 by 2 M + 4; with
     s = bit_length(max(1, |shift|)), ln m + shift ln 2 errs by under 2^(s + 20)
-    ulps (about 0.5 prec in practice).  prec's s + 26 bits over tol_bits put
-    the error below tol / 2^6, so the check only guards this.
+    ulps (about 0.03 prec at 3,000 bits in practice).  prec's s + 26 bits
+    over tol_bits put the error below tol / 2^6, so the check only guards
+    this.
     """
     if num <= 0:
         raise DomainError("log of a non-positive value")

@@ -520,6 +520,108 @@ def test_exp_split_kernel_random(x, prec):
 
 
 # ---------------------------------------------------------------------------
+# the full-width kernels, summed by rectangular splitting
+
+def series_block(terms: int) -> int:
+    """The documented block size k for a term estimate N: isqrt(N/2), or 1
+    below `_MIN_SPLIT_TERMS` terms."""
+    return math.isqrt(terms // 2) if terms >= midops._MIN_SPLIT_TERMS else 1
+
+
+def series_bound(kernel: str, xf: int, prec: int) -> int:
+    """The ulp bound the kernel's docstring proves, from its argument: J + k +
+    1 (exp) or 2J + k + 1 (atanh), with k the documented block size and J
+    at most the blocks before the first block start where the scaled term
+    is below 1, |x| < 2^-s with s = prec - bits(xf)."""
+    s = prec - abs(xf).bit_length()
+    shed = -(-prec // s)  # terms n with s n >= prec
+    if kernel == "exp":  # x^n / n! 2^prec <= 1/2 from n = max(2, shed)
+        k = series_block(prec // s)
+        return -(-max(2, shed) // k) + k + 1
+    k = series_block(prec // (2 * s))  # b^(2n+1) 2^prec <= 1 from 2n + 1 = shed
+    return 2 * -(-max(0, shed - 1) // (2 * k)) + k + 1
+
+
+def exp_term_loop(xf: int, prec: int) -> int:
+    """The term-by-term exp loop the blocks replaced, as it stood."""
+    acc, term, n = (1 << prec) + xf, xf, 1
+    while not (abs(term) <= 2 and n >= 2):
+        n += 1
+        term = midops._shift_div_round(term * xf, prec, n)
+        acc += term
+    return acc
+
+
+def atanh_term_loop(bf: int, prec: int) -> int:
+    """The term-by-term 2 atanh loop the blocks replaced, as it stood."""
+    b2 = midops._shift_round(bf * bf, prec)
+    acc, power, n = bf, bf, 1
+    while abs(power) > 2:
+        power = midops._shift_round(power * b2, prec)
+        acc += (power + n) // (2 * n + 1)
+        n += 1
+    return 2 * acc
+
+
+def assert_series_kernel(kernel: str, x: Fraction, prec: int):
+    """The kernel at xf = round(x 2^prec) is within its error of mpmath's
+    2^prec f(x) at prec + 64 bits, and that error within the proved bound."""
+    mpmath = pytest.importorskip("mpmath")
+    xf = midops._fix(x.numerator, x.denominator, prec)
+    if kernel == "exp":
+        value, err = midops._exp_series_fixed(xf, prec)
+    else:
+        value, err = midops._atanh_series_fixed(xf, prec)
+    assert err <= series_bound(kernel, xf, prec)
+    with mpmath.workprec(prec + 64):
+        arg = mpmath.mpf(x.numerator) / x.denominator
+        f = mpmath.exp(arg) if kernel == "exp" else 2 * mpmath.atanh(arg)
+        want = f * mpmath.mpf(2) ** prec
+        assert abs(value - want) <= err
+
+
+@st.composite
+def series_arguments(draw):
+    """(prec, x): |x| <= 2^-K, the splits' bound, given to 30 bits past
+    prec, so that xf's rounding counts too."""
+    prec = draw(st.integers(min_value=64, max_value=6000))
+    top = 1 << (prec + 30 - midops._SPLIT_BITS)
+    n = draw(st.one_of(st.sampled_from([0, 1, -1, top, -top]), st.integers(-top, top)))
+    return prec, Fraction(n, 1 << (prec + 30))
+
+
+@given(series_arguments(), st.sampled_from(["exp", "atanh"]))
+@example((64, Fraction(1, K_ONE)), "exp")
+@example((64, Fraction(-1, K_ONE)), "atanh")
+@example((6000, Fraction(1, K_ONE)), "exp")
+@example((6000, Fraction(-1, K_ONE)), "atanh")
+@settings(max_examples=150, deadline=None)
+def test_series_kernels_enclose_within_their_bound(args, kernel):
+    assert_series_kernel(kernel, args[1], args[0])
+
+
+@given(st.integers(min_value=30, max_value=800), st.data())
+@settings(max_examples=150, deadline=None)
+def test_short_series_are_the_term_loop(prec, data):
+    # below `_MIN_SPLIT_TERMS` estimated terms k = 1, and the kernels give
+    # the term-by-term loop's value to the bit
+    top = 1 << (prec - midops._SPLIT_BITS)
+    xf = data.draw(st.one_of(st.sampled_from([0, 1, -1, top, -top]), st.integers(-top, top)))
+    s = prec - abs(xf).bit_length()
+    if prec // s < midops._MIN_SPLIT_TERMS:
+        assert midops._exp_series_fixed(xf, prec)[0] == exp_term_loop(xf, prec)
+    if prec // (2 * s) < midops._MIN_SPLIT_TERMS:
+        assert midops._atanh_series_fixed(xf, prec)[0] == atanh_term_loop(xf, prec)
+
+
+@pytest.mark.parametrize("kernel", ["exp", "atanh"])
+@pytest.mark.parametrize("x", [Fraction(1, K_ONE), Fraction(-1, K_ONE),
+                               Fraction(-0x2545F4914F6CDD1D, 1 << 90), Fraction(0)])
+def test_series_kernels_enclose_at_32000_bits(kernel, x):
+    assert_series_kernel(kernel, x, 32000)
+
+
+# ---------------------------------------------------------------------------
 # the small-ratio kernels, summed in blocks of `_block_terms` terms
 
 # blocks of 3 terms at 8 bits, 3 to 16 at 64 and 200 bits, 32 from 1000 bits
