@@ -304,15 +304,15 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
 
     goal = target.center  # exact rational > 1
     tower = _capped(lambda x, ft: _forward(rank, Ball(x), order, ft), goal)
-    if (goal.numerator - goal.denominator) << 53 <= goal.denominator:
+    e = goal - 1
+    if e.numerator << 53 <= e.denominator and e * e > tol:
         # g rounds to the float 1.0, and so does the root, as x^^q = 1 + d +
         # d^2 + O(d^3) at x = 1 + d: a float estimate would sit on the
         # bracket's end, where no interval-Newton step can start.  The root
-        # is 1 + e - e^2 + O(e^3), e = g - 1, and steps from there certify
-        # it when e^2 > tol; closer to g than that no step can tell the root
-        # from the bracket's end, and they start from 1 + e / q inside it
-        e = goal - 1
-        start = 1 + e - e * e if e * e > tol else 1 + e / order
+        # is 1 + e - e^2 + O(e^3), and steps from there certify it.  When
+        # e^2 <= tol no step can tell the root from the bracket's end g, and
+        # the loop certifies it from the float estimate
+        start = 1 + e - e * e
     else:
         if start is None:
             start = _super_root_estimate(goal, order)
@@ -367,70 +367,32 @@ def _integer_order_estimate(ln_goal: float, order: int) -> float:
     """Float x >= 1 with x (+^4) order close to the goal of log ln_goal, for
     an integer order >= 2.
 
-    It is the crossing, to adjacent floats, of x^^(order - 1) * ln x >
-    ln_goal in floats on [1, max(e, ln_goal)], which holds the root (for x
-    >= e, x^^(order - 1) >= x); a tower that overflows counts as too big.
-    Each float step of the tower (log, product, exp) is monotone, so the
-    test is, and the crossing is one pair of adjacent floats however it is
-    found: (lo + hi) / 2 of that pair is what bisecting to adjacent floats
-    returns.  Each probe moves one end of the bracket and proposes a Newton
-    step on F(u) = ln(x^^(order - 1) ln x) - ln(ln_goal) in u = ln ln x,
-    with d ln(x^^k)/dx = x^^(k-1) (d ln(x^^(k-1))/dx ln x + 1/x) carried
-    beside the tower (a tower cut short when a level already passes the
-    goal proposes the step of that level, which also lies above the root).
-    F is convex and increasing in u, near-linear close to x = 1, so Newton
-    approaches from above; a run of probes on one side pushes the next one
-    past the root by 1, 2, 4, ... ulps, so both ends close in.  A probe
-    without a step (overflow), or a step from below past the upper end,
-    bisects.  About 6 to 15 probes where bisection takes 53.
+    It bisects x^^(order - 1) * ln x = ln_goal in floats on [1, max(e,
+    ln_goal)], which holds the root (for x >= e, x^^(order - 1) >= x); a
+    tower that overflows counts as too big.
     """
-    if not ln_goal > 0.0:  # every x > 1 is too big
-        return 1.0
-    target = math.log(ln_goal)
-
-    def probe(x: float) -> tuple[bool, float | None]:
-        """Whether x is too big, and the Newton step from x (or None)."""
-        ln_x, level = math.log(x), x
-        slope = 1.0 / x  # d ln(level) / dx
+    def too_big(x: float) -> bool:
+        ln_x, level = math.log(x), x  # level = x^^k, increasing in k
         try:
             for _ in range(order - 2):
                 if level * ln_x > ln_goal:
-                    break
-                slope = level * (slope * ln_x + 1.0 / x)
+                    return True
                 level, prev = math.exp(level * ln_x), level
                 if level == prev:  # a convergent tower has settled
                     break
         except OverflowError:
-            return True, None
-        g = level * ln_x
-        if not 0.0 < g < math.inf:
-            return g > ln_goal, None
-        try:  # u' = u - F / (dF/du), dF/du = slope x ln x + 1, x' = e^(e^u')
-            step = math.exp(ln_x * math.exp((target - math.log(g)) / (slope * x * ln_x + 1.0)))
-        except OverflowError:
-            step = None
-        return g > ln_goal, step
+            return True
+        return level * ln_x > ln_goal
 
     lo, hi = 1.0, max(math.e, ln_goal)
-    x = (lo + hi) / 2
-    push, last = 0.0, None
     while True:
-        big, step = probe(x)
-        if big:
-            hi = x
-        else:
-            lo = x
         mid = (lo + hi) / 2
         if mid in (lo, hi):
             return mid
-        if step is None or (not big and step >= hi):
-            x, last = mid, None
-            continue
-        push = max(2 * push, math.ulp(x)) if big == last else 0.0
-        last = big
-        x = step - push if big else step + push
-        if not lo < x < hi:
-            x = math.nextafter(lo, hi) if x <= lo else math.nextafter(hi, lo)
+        if too_big(mid):
+            hi = mid
+        else:
+            lo = mid
 
 
 # ---------------------------------------------------------------------------

@@ -257,7 +257,9 @@ def _exp_series_fixed(xf: int, prec: int) -> tuple[int, int]:
                 a = ((a << 1) + n) // (n << 1)
                 sums[i] += a
         n += 1
-        a = (((a * xk) << 1) + (n << prec) >> (prec + 1)) // n  # `_shift_div_round`, inline
+        # `_shift_div_round(a * xk, prec, n)`, written out: the call costs
+        # 64-400-bit series about a tenth of their time
+        a = ((2 * (a * xk) + (n << prec)) >> (prec + 1)) // n
         acc += a
     if k > 1:
         for column, power in zip(sums, powers):

@@ -425,63 +425,6 @@ def test_fractional_orders_and_goals_below_one_keep_both_ends(monkeypatch):
     assert len(hulls) == 2 and out.contains(1)
 
 
-def bisected_order_estimate(ln_goal: float, order: int) -> float:
-    """`hyperops._integer_order_estimate` as it bisected to adjacent floats:
-    the reference its Newton steps must land on."""
-    def too_big(x: float) -> bool:
-        ln_x, level = math.log(x), x
-        try:
-            for _ in range(order - 2):
-                if level * ln_x > ln_goal:
-                    return True
-                level, prev = math.exp(level * ln_x), level
-                if level == prev:
-                    break
-        except OverflowError:
-            return True
-        return level * ln_x > ln_goal
-
-    lo, hi = 1.0, max(math.e, ln_goal)
-    while True:
-        mid = (lo + hi) / 2
-        if mid in (lo, hi):
-            return mid
-        if too_big(mid):
-            hi = mid
-        else:
-            lo = mid
-
-
-# ln of the goals whose estimates the tower-search grid asks for, with their
-# orders: ln 1.5, ln 2, ln 3, ln 5, ln 10, ln 100, ln 1000, ln(2^^3) and the
-# split goals of 1.5^^(3/4) and 1.5^^(5/2)
-GRID_ESTIMATES = [(0.4054651081081644, 2), (0.4054651081081644, 3), (0.6931471805599453, 2),
-                  (0.6931471805599453, 3), (0.7448869675255657, 4), (1.0986122886681096, 2),
-                  (1.0986122886681096, 4), (1.6094379124341003, 4), (2.302585092994046, 2),
-                  (2.772588722239781, 4), (4.605170185988091, 3), (6.907755278982137, 3)]
-
-
-@pytest.mark.parametrize("ln_goal, order", GRID_ESTIMATES)
-def test_order_estimate_is_the_bisected_float_on_the_grid(ln_goal, order):
-    estimate = hyperops._integer_order_estimate(ln_goal, order)
-    assert estimate == bisected_order_estimate(ln_goal, order)
-
-
-@given(st.floats(min_value=-80, max_value=13.5), st.integers(2, 9))
-@settings(max_examples=300, deadline=None)
-def test_order_estimate_is_the_bisected_float(log_ln_goal, order):
-    # the crossing of a monotone float test is one pair of adjacent floats,
-    # however it is found; goals from just above 1 to the magnitude cap
-    ln_goal = math.exp(log_ln_goal)
-    estimate = hyperops._integer_order_estimate(ln_goal, order)
-    assert estimate == bisected_order_estimate(ln_goal, order)
-
-
-def test_order_estimate_of_a_goal_that_rounds_to_one():
-    # ln g underflows to 0.0 for g within 2^-1075 of 1: every x > 1 is too big
-    assert hyperops._integer_order_estimate(0.0, 3) == bisected_order_estimate(0.0, 3) == 1.0
-
-
 def test_a_fractional_tail_estimates_its_root_once(monkeypatch):
     # the tail's budgets and its search start share one float estimate
     calls = counted_calls(monkeypatch, hyperops, "_integer_order_estimate")
@@ -490,30 +433,34 @@ def test_a_fractional_tail_estimates_its_root_once(monkeypatch):
     assert out.contains(hyper_forward(4, Fraction(2), Fraction(11, 4), T12 / 1000).center)
 
 
-@pytest.mark.parametrize("order, goal_bits, tol_bits, certified", [
-    # (g - 1)^2 >= tol: no step can tell the root, 1 + e - e^2 + O(e^3) for
-    # e = g - 1, from the bracket's end g on the search's grid, but a step
-    # is taken from 1 + e/q, and the loop certifies
-    (2, 100, 100, False), (6, 300, 300, False),
-    # (g - 1)^2 > tol: the steps from 1 + e - e^2 certify the root
-    (3, 60, 200, True), (6, 100, 300, True),
+@pytest.mark.parametrize("order, goal_bits, tol_bits, evaluations", [
+    # (g - 1)^2 > tol: interval-Newton steps from 1 + e - e^2, e = g - 1,
+    # certify the root (from the float estimate 1.0 the loop took 8 and 9)
+    (3, 60, 200, 5), (6, 100, 300, 5),
+    # (g - 1)^2 <= tol: the root lies within e^2 of the bracket's end g,
+    # where no step can tell them apart; the loop certifies it from the
+    # float estimate, with no wasted step
+    (2, 100, 100, 7), (6, 300, 300, 15),
 ])
-def test_a_goal_that_rounds_to_one_takes_newton_steps(monkeypatch, order, goal_bits, tol_bits,
-                                                      certified):
+def test_a_goal_that_rounds_to_one_takes_newton_steps_where_they_certify(
+        monkeypatch, order, goal_bits, tol_bits, evaluations):
     # the float estimate of such a root is 1.0, the bracket's lower end,
     # where no interval-Newton step can start
     newton, steps = rootfind._newton, []
 
     def spy(f, slope, bracket, tol, x):
-        evaluations = []
-        out = newton(lambda *args: evaluations.append(args) or f(*args), slope, bracket, tol, x)
-        steps.append((len(evaluations), out is not None))
+        out = newton(f, slope, bracket, tol, x)
+        steps.append(out is not None)
         return out
 
     monkeypatch.setattr(rootfind, "_newton", spy)
+    search, probes = hyperops.brent, []
+    monkeypatch.setattr(hyperops, "brent", lambda f, *args, **kwargs: search(
+        lambda x, ft: probes.append(x) or f(x, ft), *args, **kwargs))
     goal, tol = 1 + Fraction(1, 1 << goal_bits), Fraction(1, 1 << tol_bits)
     out = hyper_inverse_minus(4, goal, Fraction(order), tol)
-    assert len(steps) == 1 and steps[0][0] >= 1 and steps[0][1] == certified
+    assert steps == [Fraction(1, 1 << 2 * goal_bits) > tol]
+    assert len(probes) <= evaluations
     assert out.radius <= tol
     # the root is within about (g - 1)^2 of g: the reference resolves that,
     # and the tolerance

@@ -273,7 +273,7 @@ def test_a_newton_point_on_a_certified_end_still_closes(monkeypatch):
     ("[100----3]", 1e6), ("[100----3]", 1.0), ("[100----3]", None),
     ("[1.5----3]", 1e6), ("[1.5----3]", None), ("[2++++0.5]", 1.0),
     ("[5----4]", 1e6), ("[5----4]", None),
-    # a fractional tail's budgets are sized without this estimate
+    # fractional tails, whose budgets are sized by their own estimate
     ("[2++++2.75]", None), ("[2++++2.75]", 1e6), ("[1.5++++0.75]", None), ("[1.5++++0.75]", 1e6),
 ])
 def test_a_bad_start_estimate_certifies_the_same_digits(monkeypatch, text, estimate):
@@ -283,7 +283,16 @@ def test_a_bad_start_estimate_certifies_the_same_digits(monkeypatch, text, estim
     ctx = NumericContext(digits=30)
     want = adaptive_evaluate(parse(text), ctx)[1].text()
     monkeypatch.setattr(hyperops, "_super_root_estimate", lambda goal, order: estimate)
+    # a fractional tail hands its search the estimate that sized its
+    # budgets; dropping it sends that search to the bad one as well
+    inverse = hyperops._inverse_minus
+    monkeypatch.setattr(hyperops, "_inverse_minus",
+                        lambda rank, target, order, tol, start=None: inverse(rank, target, order, tol))
+    search, starts = hyperops.brent, []
+    monkeypatch.setattr(hyperops, "brent", lambda *args, start=None, **kwargs: starts.append(start)
+                        or search(*args, start=start, **kwargs))
     assert adaptive_evaluate(parse(text), ctx)[1].text() == want
+    assert starts and all(start == estimate for start in starts)
 
 
 # (x, ft) for each probe `brent` hands f, recorded when the root finder
