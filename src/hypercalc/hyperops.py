@@ -150,10 +150,7 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
             # a (+^4) h: a (+^r) grows with its height and a (+^r) h >= h + 1, so by
             # induction on h, a (+^(r+1)) (h+1) = a (+^r) (a (+^(r+1)) h) >= a (+^r) (h+1).
             _unroll_budgets(0.0, ln_base, _LIMITS.max_height_steps + 1)
-        raise ResourceError(
-            f"unrolling a height of {height} needs {steps} applications, "
-            f"over the cap of {_LIMITS.max_height_steps}"
-        )
+        raise _over_step_cap(height)
 
     def numerator_blowup() -> ResourceError:
         # The split detours through a tower of the fraction's numerator,
@@ -178,6 +175,11 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
         value = fractional_tail(tol)
         inner_log = max(_log_abs_float(*_lowest(value.c, value.d)), 0.0)
     else:
+        if q - 1 > _LIMITS.max_height_steps:
+            # the tail refuses its order q (see `_inverse_minus`), or its
+            # numerator's tower, at once; the float sizing below would take
+            # about p + q steps first
+            fractional_tail(tol)
         # sized in floats, from ln(base ^^ p) and the order-q root's estimate;
         # the tail itself is solved once, at its budgeted tolerance, and its
         # search starts at that estimate
@@ -293,6 +295,10 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
             f"the rank-{rank} super-root lies strictly between the integer"
             f" bases {bases.lo} and {bases.hi}"
         )
+    if math.ceil(order) - 1 > _LIMITS.max_height_steps:
+        # every probe's tower would pass the step cap: refused before the
+        # estimate and the slope, each of which takes about `order` steps
+        raise _over_step_cap(order)
     if not target.is_exact:
         if order.denominator == 1 and target.c - target.r >= target.d:
             # x^^q has slope >= 1 on x >= 1, so the roots of the goal's ends
@@ -513,6 +519,15 @@ def _integer_search(tower: BallFn, goal: Fraction) -> Bracket:
     tower = _capped(tower, goal)
     bracket = expand_upper(tower, goal)
     return bisect_integers(lambda x, ft: tower(x, ft) - goal, bracket)
+
+
+def _over_step_cap(height: Fraction) -> ResourceError:
+    """The refusal of a rank >= 4 height whose unrolling takes more whole
+    steps than `EngineLimits.max_height_steps`."""
+    return ResourceError(
+        f"unrolling a height of {height} needs {math.ceil(height) - 1} applications, "
+        f"over the cap of {_LIMITS.max_height_steps}"
+    )
 
 
 def _split_blowup(intermediate: str) -> ResourceError:

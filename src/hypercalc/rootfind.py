@@ -42,7 +42,12 @@ is taken again, over the new X, only while |X| rad(D) / lo(D) > tol.  D's
 roundings are asked at 2^-50, or finer when both |X| and tol / |X| are:
 then the second term falls quadratically from step to step.
 
-The search takes Newton-type steps.  It starts at the caller's estimate of
+Without a slope or a start, or after a step that fails, a probe loop
+searches.  In `hyperops` that is a super-root of a fractional order >= 1,
+which has no slope, and an integer order whose steps fail, such as one of
+a goal so close to 1 that its float start sits on the bracket's end; the
+steps certify every search of the benchmark's workloads.  The loop takes
+Newton-type steps.  It starts at the caller's estimate of
 the root, or at the bracket's midpoint, and then steps x <- x - c/s, with c
 the certified center of f at the last probe and s the secant slope through
 the last two.  Each probe asks for f 2^-20 below the |f| it expects: a step
@@ -70,17 +75,6 @@ end, where a Newton step is refused and a split would crawl down from the
 other end.  After a closing pair that does not straddle the root, the
 secant through its probes is accurate, so the next Newton step lands
 inside [a, b] next to the root.
-
-The search runs on integers.  Every point x is the integer X = x D, with
-D = m 2^k: m is the lcm of the bracket's and the start's denominators, and
-k starts at bits + 8 (h = 2^-bits), so the Newton point's 1/2^(bits + 8)
-lattice is the multiples of D / 2^(bits + 8).  Strides, binary-exponent
-splits, midpoints and nudges only halve, so when one needs a finer point,
-k grows and every stored point shifts with it.  Slopes, the Newton point
-(rounded half to even), the step sizes and the closing test are integer
-cross-multiplications of these points and of the probes' centers, so the
-probes are the ones the same formulas give over Fractions.  f still
-receives x and its tolerance as Fractions.
 
 `expand_upper` and `bisect_integers` search integers only: doubling to a
 first bracket, then bisection down to consecutive integers or an exact hit.
@@ -184,16 +178,17 @@ def _retry_tol(ball: Ball, t: Fraction) -> Fraction:
     return min(t / 4, Fraction(1, 1 << bits))
 
 
-def _probe_tol(en: int, ed: int) -> Fraction:
-    """A power of two 2^-_PROBE_MARGIN below the |f| = en / ed a probe
-    expects, for en, ed >= 0; the start tolerance when en is 0."""
-    if not en:
+def _probe_tol(expect: Fraction) -> Fraction:
+    """A power of two 2^-_PROBE_MARGIN below the |f| a probe expects, for
+    expect >= 0; the start tolerance when it is 0."""
+    if not expect:
         return _START_SIGN_TOL
-    return Fraction(1, 1 << (_tol_bits(en, ed) + _PROBE_MARGIN))
+    return Fraction(1, 1 << (tol_bits(expect) + _PROBE_MARGIN))
 
 
-def _exponent(n: int, d: int) -> int:
-    """floor(log2(n / d)), for n, d > 0."""
+def _exponent(x: Fraction) -> int:
+    """floor(log2(x)), for x > 0."""
+    n, d = x.numerator, x.denominator
     e = n.bit_length() - d.bit_length()
     return e if (d << e <= n if e >= 0 else d <= n << -e) else e - 1
 
@@ -225,125 +220,86 @@ def brent(
         if root is not None:
             return root
     bits = tol_bits(tol)
-    lo, hi = bracket.lo, bracket.hi
-    x = None if start is None else Fraction(start)
-    # every point x is the integer X = x D, D = m 2^k (see the module docstring)
-    m = math.lcm(lo.denominator, hi.denominator, 1 if x is None else x.denominator)
-    k = bits + 8
-    D = m << k
-    a, b = lo.numerator * (D // lo.denominator), hi.numerator * (D // hi.denominator)
+    h = Fraction(1, 1 << bits)
+    grid = 1 << (bits + 8)  # the Newton point rounds onto multiples of 1/grid
+    a, b = bracket.lo, bracket.hi
     a_seen = b_seen = False  # whether f(a) < 0, f(b) > 0 are certified
-    last: list[tuple[int, int, int]] = []  # the last two probes, (X, f's center as n, d)
-    last_step = None  # the size of the last Newton-type step, as n, d
+    last: list[tuple[Fraction, Fraction]] = []  # the last two probes, (x, f's center)
+    last_step = None  # the size of the last Newton-type step
     stride = None  # log2 of the size of the last step toward an uncertified end
-    queue: list[tuple[int, int, int]] = []  # the next probes, (X, the |f| expected as n, d)
 
-    def refine(shift: int) -> None:
-        """D <<= shift, and every stored point with it."""
-        nonlocal D, k, a, b, last, queue
-        D, k, a, b = D << shift, k + shift, a << shift, b << shift
-        last = [(X << shift, cn, cd) for X, cn, cd in last]
-        queue = [(X << shift, en, ed) for X, en, ed in queue]
-
-    def power_of_two(e: int) -> int:
-        """The point 2^e."""
-        if k < -e:
-            refine(-e - k)
-        return D << e if e >= 0 else D >> -e
-
-    def midpoint() -> int:
-        """The point (a + b) / 2."""
-        if (a + b) & 1:
-            refine(1)
-        return (a + b) >> 1
-
-    def plan():
+    def plan() -> list[tuple[Fraction, Fraction]]:
+        """The next probes, as (x, the |f| expected there)."""
         nonlocal last_step, stride
-        X1, cn1, cd1 = last[-1]
+        x1, c1 = last[-1]
         previous, last_step = last_step, None
-        slope = (0, 1)  # the secant slope through the last two probes, as n, d
+        slope = Fraction(0)  # the secant slope through the last two probes
         if len(last) == 2:
-            X0, cn0, cd0 = last[0]
-            dc, dX = cn1 * cd0 - cn0 * cd1, X1 - X0  # slope = dc D / (cd0 cd1 dX)
-            slope = abs(dc) * D, cd0 * cd1 * abs(dX)
-        if slope[0]:
-            # x = round((x1 - c1 / slope) grid) / grid, halves to even, where
-            # (x1 - c1 / slope) grid = (X1 dc - cn1 cd0 dX) / (dc unit)
-            unit = D >> (bits + 8)
-            num, den = X1 * dc - cn1 * cd0 * dX, dc * unit
-            if den < 0:
-                num, den = -num, -den
-            q, rem = divmod(num, den)
-            X = (q + (2 * rem > den or (2 * rem == den and q & 1))) * unit
-            step = abs(cn1 * cd0 * dX), abs(dc) * D  # |c1 / slope|
+            x0, c0 = last[0]
+            slope = (c1 - c0) / (x1 - x0)
+        if slope:
+            x = Fraction(round((x1 - c1 / slope) * grid), grid)  # halves to even
+            step = abs(c1 / slope)
             # each step must at most halve the one before it, unless the
             # last probe was of another kind
-            if a <= X <= b and (previous is None
-                                or 2 * step[0] * previous[1] <= previous[0] * step[1]):
-                expect = slope[0], slope[1] << bits  # |slope| h, h = 2^-bits
+            if a <= x <= b and (previous is None or 2 * step <= previous):
+                expect = abs(slope) * h
                 # the residual at x if the residuals keep shrinking at least
                 # at their last rate, small^2 / large of |c0|, |c1|; within
                 # h/8 of the root, close, even at a certified end
-                small, large = (abs(cn0), cd0), (abs(cn1), cd1)
-                if small[0] * large[1] > large[0] * small[1]:
-                    small, large = large, small
-                if 8 * small[0] ** 2 * large[1] * expect[1] <= expect[0] * small[1] ** 2 * large[0]:
-                    h = unit << 8
-                    return [(min(max(P, a), b), *expect) for P in (X - h, X + h)]
-                if a < X < b:
+                small, large = sorted((abs(c0), abs(c1)))
+                if 8 * small * small <= expect * large:
+                    return [(min(max(p, a), b), expect) for p in (x - h, x + h)]
+                if a < x < b:
                     last_step = step
-                    return [(X, *expect)]
+                    return [(x, expect)]
         if not (a_seen and b_seen):
             # x1 is the certified end, so the root lies toward the other one:
             # first min(|c1| / 16, max(1, |x1|) 2^-_ESTIMATE_BITS), rounded
             # down to a power of two, then _WIDEN_BITS bits more each time
             if stride is None:
-                whole = _exponent(abs(X1), D) if abs(X1) > D else 0
-                stride = min(_exponent(abs(cn1), cd1) - 4, whole - _ESTIMATE_BITS)
+                whole = _exponent(abs(x1)) if abs(x1) > 1 else 0
+                stride = min(_exponent(abs(c1)) - 4, whole - _ESTIMATE_BITS)
             else:
                 stride += _WIDEN_BITS
-            S = power_of_two(stride)
-            X1 = last[-1][0]  # as refined
-            return [(min(X1 + S, b) if cn1 < 0 else max(X1 - S, a), abs(cn1), cd1)]
+            step = Fraction(2) ** stride
+            return [(min(x1 + step, b) if c1 < 0 else max(x1 - step, a), abs(c1))]
         if b > 4 * a > 0:
-            X = power_of_two((_exponent(a, D) + _exponent(b, D)) // 2)
+            x = Fraction(2) ** ((_exponent(a) + _exponent(b)) // 2)
         else:
-            X = midpoint()
-        return [(X, slope[0] * (X - a), 2 * slope[1] * D)]  # |slope| (x - a) / 2
+            x = (a + b) / 2
+        return [(x, abs(slope) * (x - a) / 2)]
 
-    X = midpoint() if x is None else min(max(x.numerator * (D // x.denominator), a), b)
-    queue = [(X, max(D, abs(X)), D << _ESTIMATE_BITS)]  # max(1, |x|) 2^-_ESTIMATE_BITS
+    x = (a + b) / 2 if start is None else min(max(Fraction(start), a), b)
+    queue = [(x, Fraction(max(1, abs(x)), 1 << _ESTIMATE_BITS))]
     for _ in range(MAX_ITERATIONS):
         while not queue:
             queue = plan()
-        X, en, ed = queue.pop(0)
-        if (a_seen and X <= a) or (b_seen and X >= b):
+        x, expect = queue.pop(0)
+        if (a_seen and x <= a) or (b_seen and x >= b):
             continue  # its sign follows from a certified end
-        ft = _probe_tol(en, ed)
+        ft = _probe_tol(expect)
         try:
-            s, c = _sign(f, Fraction(X, D), ft)
+            s, c = _sign(f, x, ft)
         except AmbiguityError:
-            if (X == a and not a_seen) or (X == b and not b_seen):
+            if (x == a and not a_seen) or (x == b and not b_seen):
                 raise AmbiguityError(f"cannot resolve the sign of f at the bracket's end"
-                                     f" {Fraction(X, D)}; the root may sit exactly on it") from None
+                                     f" {x}; the root may sit exactly on it") from None
             # the probe may sit exactly on the root; nudge once before giving up
-            if (b - a) % 1024:
-                refine(10)
-                X <<= 10
-            nudge = (b - a) // 1024
-            X = X + nudge if X + nudge <= b else X - nudge
-            s, c = _sign(f, Fraction(X, D), ft)
+            nudge = (b - a) / 1024
+            x = x + nudge if x + nudge <= b else x - nudge
+            s, c = _sign(f, x, ft)
         if s == 0:
-            return _ball(X, 0, D)
-        if X == (b if s < 0 else a):
+            return Ball(x)
+        if x == (b if s < 0 else a):
             raise DomainError("bracket does not straddle a sign change")
         if s < 0:
-            a, a_seen = X, True
+            a, a_seen = x, True
         else:
-            b, b_seen = X, True
-        last = [*last[-1:], (X, c.numerator, c.denominator)]
-        if a_seen and b_seen and (b - a) * tol.denominator <= 2 * tol.numerator * D:
-            return _ball(a + b, b - a, 2 * D)  # the ball from a to b
+            b, b_seen = x, True
+        last = [*last[-1:], (x, c)]
+        if a_seen and b_seen and b - a <= 2 * tol:
+            return Ball((a + b) / 2, (b - a) / 2)
     raise ConvergenceError("root finder exceeded its iteration budget")
 
 

@@ -113,7 +113,11 @@ def test_split_blowup_names_its_intermediate(text, intermediate):
     ("[[2+++1017]++++1.75]", f"{2**1017} (+^4) 3 (the tower of the height's numerator)"),
     ("[1000++++1.75]", "1000 (+^4) 3 (the tower of the height's numerator)"),
     ("[2++++[13//7]]", "2 (+^4) 6 (the tower of the height's numerator)"),
-], ids=["2^1017 to 1.75", "1000 to 1.75", "2 to 13/7"])
+    # a numerator past the height-step cap: over base 2 its tower passes the
+    # magnitude cap within the cap's first steps
+    ("[2++++[1+[[999+++3]//[1000+++3]]]]",
+     "2 (+^4) 997002999 (the tower of the height's numerator)"),
+], ids=["2^1017 to 1.75", "1000 to 1.75", "2 to 13/7", "2 to 1 + 997002999/10^9"])
 def test_split_blowup_of_a_budgeted_tail_names_its_intermediate(text, intermediate):
     code, out, err = run_main("eval", text)
     assert (code, out) == (3, "")

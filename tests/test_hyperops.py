@@ -2,6 +2,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,36 @@ def test_height_step_cap(monkeypatch):
     for rank in (4, 5):  # at rank 5 a non-integer base has no blow-up bound
         with pytest.raises(ResourceError, match="over the cap of 50000"):
             hyper_forward(rank, Fraction(10001, 10000), Fraction(50002), T8)
+
+
+@pytest.mark.parametrize("text, height", [
+    ("[1.4----[1000+++3]]", "1000000000"),  # the slope would take 10^9 powers
+    ("[20----[1000+++3]]", "1000000000"),  # the float estimate, 10^9 steps a probe
+    ("[1.4----[[1000+++3]+[1//2]]]", "2000000001/2"),  # a fractional order alike
+    # a tail whose numerator or order passes the cap, under a whole step:
+    # the float sizing of ln(1.4^^p) and of the order-q estimate
+    ("[1.4++++[1+[[999+++3]//[1000+++3]]]]", "997002999"),
+    ("[1.4++++[1+[1//[1000+++3]]]]", "1000000000"),
+    # a rank-5 super-root of order 1/3 goes through sqrt(2) (+^5) 3, whose
+    # steps take sqrt(2)'s ball ends as rank-4 heights: their numerators
+    # pass the cap
+    ("[[2---2]-----[1//3]]", "[0-9]{40,}"),
+])
+def test_a_height_past_the_step_cap_is_refused_before_any_search(monkeypatch, text, height):
+    # every tower these values need passes the height-step cap, and the
+    # values are modest (a super-root near e^(1/e)): the refusal names the
+    # cap, not a magnitude, and comes before the float sizing, the estimate,
+    # the slope and the search, each of which takes about `height` steps
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ran past the height-step cap")
+
+    for name in ("brent", "_tower_slope", "_integer_order_estimate"):
+        monkeypatch.setattr(hyperops, name, unreachable)
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match=f"unrolling a height of {height} needs [0-9]+"
+                                            " applications, over the cap of 50000"):
+        adaptive_evaluate(parse(text), NumericContext(digits=30))
+    assert time.perf_counter() - start < 2
 
 
 # ---------------------------------------------------------------------------

@@ -410,6 +410,49 @@ def test_integer_search_repeats_the_fraction_search_probes(monkeypatch, text, es
     assert searches == [(tol, want)]
 
 
+# The probe loop's one production path: a fractional order has no slope, so
+# the outer search of [1000----2.5] at 30 digits runs the loop from the
+# float estimate.  Its probes (x, ft) as (n, e, t): x = n / 2^e, ft = 2^-t.
+FALLBACK_PROBES = [
+    (7422248392961213, 51, 72),
+    (1855562098240303, 49, 21),
+    (73359758507902839997354387814567690566783391453, 154, 148),
+    (73359758507902799432535180511226842672280819421, 154, 21),
+    (35680913470201805473767383383151940321494395919, 153, 149),
+    (35680913470201724344128968776470244532489251855, 153, 21),
+    (8666527554025291597524099618385129911268352063, 151, 151),
+    (8666527554025210467885685011703434122263207999, 151, 21),
+    (67433561929865615361776852645992432652132138335, 154, 152),
+    (66514862439872146901719555932779459074947341393, 154, 153),
+    (66514862439869550753290288518965193826782731345, 154, 21),
+    (16380759431072386897105804978327919119557338521, 152, 154),
+    (65306721107742206202668207543114141471432672021, 154, 154),
+    (65244761785656761747086217970317883011477356765, 154, 154),
+    (65241192700774878204863263233625857822215510949, 154, 154),
+    (65241145620477932919886020703166449013165528195, 154, 154),
+    (65241145586504430272162702908147571128198515443, 154, 154),
+    (32620572793252055513797323658036905625616814409, 153, 154),
+    (65241145586504111027592484120930116373422896105, 154, 154),
+    (32620572793252055513796242060465058117843522889, 153, 154),
+    (32620572793252055513796242060465058117843523145, 153, 154),
+]
+
+
+def test_a_fractional_order_search_repeats_the_pinned_probes(monkeypatch):
+    searches = []
+
+    def recorded(f, bracket, cfg, start=None, slope=None):
+        probes = []
+        searches.append((cfg.x_tolerance, slope, probes))
+        return brent(lambda x, ft: probes.append((x, ft)) or f(x, ft), bracket, cfg,
+                     start=start, slope=slope)
+
+    monkeypatch.setattr(hyperops, "brent", recorded)
+    adaptive_evaluate(parse("[1000----2.5]"), NumericContext(digits=30))
+    want = [(Fraction(n, 1 << e), Fraction(1, 1 << t)) for n, e, t in FALLBACK_PROBES]
+    assert searches[0] == (Fraction(1, 4136 * 10**40), None, want)
+
+
 @pytest.mark.parametrize("offset", [0, 1])
 def test_newton_point_rounds_half_to_even(offset):
     # f(x) = x - root with the root halfway between two grid points: the
