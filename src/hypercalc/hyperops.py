@@ -21,13 +21,14 @@ float estimate of its root of order q.  The inverses are bracketed searches:
     the root and takes Newton-type steps toward it.  For an integer order
     q >= 2 the search first takes interval-Newton steps from the estimate,
     on a slope ball of x^^q over a ball X (`_tower_slope`): the forward-mode
-    recurrence T_1 = X, T_1' = 1, T_k = X^T_(k-1), T_k' = T_k (T_(k-1)' ln X
-    + T_(k-1) / X), over `midops.power`, `ln_e` and `divide`.  It is >= 1 on
-    x >= 1: by induction T_k >= 1, T_(k-1)' >= 0, ln x >= 0 and T_(k-1) / x
-    >= 1, as T_(k-1) >= x.  So its lower end is positive, and an inexact goal
-    g +/- r with g - r >= 1 and an integer order q >= 2 is one search at g,
-    widened by r: the roots of g - r and g + r lie within r of g's.  Other
-    inexact goals take the hull of the searches at both ends;
+    recurrence T_1 = X, T_1' = 1, T_k = e^(T_(k-1) ln X), T_k' = T_k
+    (T_(k-1)' ln X + T_(k-1) / X), over one `midops.ln_e`, an `exp_e` a
+    level and `divide`.  It is >= 1 on x >= 1: by induction T_k >= 1,
+    T_(k-1)' >= 0, ln x >= 0 and T_(k-1) / x >= 1, as T_(k-1) >= x.  So its
+    lower end is positive, and an inexact goal g +/- r with g - r >= 1 and
+    an integer order q >= 2 is one search at g, widened by r: the roots of
+    g - r and g + r lie within r of g's.  Other inexact goals take the hull
+    of the searches at both ends;
   * super-log    x = a (/^r) b   solves b (+^r) x = a.
 
 The split is not continuous in its height: 2 (+^4) (p/q) tends to sqrt(2)
@@ -121,10 +122,7 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
         if height.is_exact:
             height = height.center
         elif rank >= 4:
-            raise DomainError(
-                f"the height of a rank-{rank} operator must be an exact rational;"
-                " this tower needs an approximate intermediate as a height"
-            )
+            raise _approximate_height(rank)
     if rank == 3:
         return midops.power(base, height, SeriesConfig(tol))
     if height == 0:
@@ -134,6 +132,10 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
     if height == 1:
         return base
     if not base.is_exact:
+        if rank >= 5:
+            # the first step is base (+^(rank-1)) base: the base is a height,
+            # and the hull's exact ends would stand in for it as ones
+            raise _approximate_height(rank - 1)
         return _endpoint_hull(lambda x, t: _forward(rank, x, height, t), base.lo, base.hi, tol)
 
     # height = steps + p/q, 0 <= p/q < 1, with the last whole step in p/q = 1 when q = 1
@@ -336,14 +338,24 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
 
 def _tower_slope(x: Ball, order: int, t: Fraction) -> Ball | None:
     """A ball holding (y (+^4) order)' over the ball x >= 1 by the module
-    docstring's recurrence, each power and ln within t; None when one fails
-    (past the magnitude cap, or a ball too wide)."""
+    docstring's recurrence, each level within t; None when one fails (past
+    the magnitude cap, or a ball too wide).
+
+    ln x is taken once, and each level is T_k = e^(T_(k-1) ln x).  Its
+    tolerance is sized from the largest level as `midops.power` sizes its
+    ln: the float logs of the levels over x's center give the top exponent
+    T_(q-1) and result T_q, and t / 2^s, s = log2 T_q + log2 T_(q-1) + 16,
+    puts ln x's share of every level's error below t / 2^16.
+    """
     cfg = SeriesConfig(t)
+    ln_c = _log_abs_float(*_lowest(x.c, x.d))
     try:
-        ln_x = midops.ln_e(x, cfg)
+        logs = [ln_c] + _tower_logs(ln_c, ln_c, order - 1)  # ln T_1 .. ln T_q
+        scale = math.ceil((logs[-1] + logs[-2]) / math.log(2)) + 16
+        ln_x = midops.ln_e(x, SeriesConfig(t / (1 << scale)))
         level, slope = x, Ball(1)
         for _ in range(order - 1):
-            up = midops.power(x, level, cfg)
+            up = midops.exp_e(level * ln_x, cfg)
             level, slope = up, up * (slope * ln_x + divide(level, x))
     except (MagnitudeError, PrecisionError):
         return None
@@ -527,6 +539,14 @@ def _over_step_cap(height: Fraction) -> ResourceError:
     return ResourceError(
         f"unrolling a height of {height} needs {math.ceil(height) - 1} applications, "
         f"over the cap of {_LIMITS.max_height_steps}"
+    )
+
+
+def _approximate_height(rank: int) -> DomainError:
+    """The refusal of an inexact value as the height of a rank >= 4 operator."""
+    return DomainError(
+        f"the height of a rank-{rank} operator must be an exact rational;"
+        " this tower needs an approximate intermediate as a height"
     )
 
 

@@ -6,8 +6,9 @@ is to nearest: a division by 2^prec is a rounding shift, and a division by
 2^prec * n is that shift then a divide by n alone, so no series step divides
 by a number of the working width.
 
-Both series split their argument at a K-bit dyadic (K = _SPLIT_BITS; Brent
-& Zimmermann, Modern Computer Arithmetic, 4.4 and 4.9):
+From _BASECASE_PREC bits of working precision up, both series split their
+argument at a K-bit dyadic (K = _SPLIT_BITS; Brent & Zimmermann, Modern
+Computer Arithmetic, 4.4 and 4.9):
 
   exp(x) = exp(c/2^K) * exp(x - c/2^K),  c = round(x 2^K), after halving
            the argument into |x| <= 1.  The first factor is sum u^n/n! with
@@ -27,6 +28,23 @@ Both series split their argument at a K-bit dyadic (K = _SPLIT_BITS; Brent
            rounding shift of the copy at the next power of two above it (plus
            guard bits), with error ceil(e/2^d) + 1 ulps for a copy e ulps off
            and d bits wider, so it depends on the request alone.
+
+Below _BASECASE_PREC bits of working precision the split's two series cost
+more than one short series, and a full-height argument takes that instead
+(Brent & Zimmermann, 4.3-4.4; mpmath's `exp_basecase`):
+
+  exp(x) = exp(x / 2^m)^(2^m),  m the fewest halvings with |x| / 2^m <=
+           2^-r, r = max(6, isqrt(tol_bits)): one full-width series of
+           about prec / r terms and m squarings rounded to nearest, whose
+           error is bounded once, after them, from the series' error.
+  ln(m)  = 2 atanh(z),  z = (num - den)/(num + den), |z| < 0.172 on
+           [1/sqrt 2, sqrt 2): one full-width series of about prec / 5
+           terms.
+
+A small-height m keeps the small-ratio series at every precision: its terms
+shrink by a ratio of small ints, so for m = 7/5 it costs 5.8 us against the
+z series' 7.6 at 128 bits, and 192 against 798 at 3,200.  The measured table
+is at _BASECASE_PREC; above it both kernels split as before.
 
 In the two small-ratio series each term is the last one times a small
 rational, c/(n 2^K) or (p/q)^2 (2n-1)/(2n+1), so they sum blocks of B terms
@@ -53,11 +71,10 @@ between blocks, and each column i sums its a's before one product with
 x^i.  The powers x^2 ... x^k take k - 1 products, the blocks one each and
 the columns k - 1: about N/k + 2k products for N terms, least at k =
 sqrt(N/2), so k = isqrt(N/2) for N estimated from prec and the argument's
-bit length.  Below _MIN_SPLIT_TERMS = 16 terms (about 400 bits for exp,
-800 for atanh) k = 1, the term-by-term loop, which costs least there and
-which the 64-200-bit calls of the root finders take.  At 3,000 bits an exp
-series of about 100 terms takes about 30 products, and at 32,000 bits one
-of about 1,000 terms about 90.
+bit length.  Below _MIN_SPLIT_TERMS = 16 terms (about 400 bits for the
+split's exp series, 800 for its atanh) k = 1, the term-by-term loop, which
+costs least there.  At 3,000 bits an exp series of about 100 terms takes
+about 30 products, and at 32,000 bits one of about 1,000 terms about 90.
 
 Each kernel's docstring states its error bound in ulps of 2^-prec with the
 proof.  Above them `_exp_fixed` and `_ln_fixed` return (value, err, prec) for
@@ -196,6 +213,23 @@ _MIN_BLOCK, _MAX_BLOCK = 3, 32
 # 1): below about 400 bits a block's small-int steps cost what the products
 # they save do (CPython 3.11, 64-1,000 bits).
 _MIN_SPLIT_TERMS = 16
+# Below this working precision `_exp_fixed` and `_ln_split_fixed` skip the
+# K-bit split for a full-height argument: exp reduces it to |x| <= 2^-6 or
+# less and squares back, ln sums one full-width series on the whole z.  Per
+# call in us, CPython 3.11 on a 2-core x86-64 container, best of 21 over 16
+# full-height arguments (x in [-3, 6], ln's a in [1, 40]), by tol_bits; the
+# working precision is about 30 bits more:
+#
+#   tol_bits      48    100   160   230   500  1,000  1,500  1,850  2,000  2,500  3,200
+#   exp split   13.3   15.4  14.9  20.1  38.9   79.3    139    192    216    302    458
+#   exp reduced  8.1   10.1  10.2  13.4  23.6   58.8    111    169    195    327    511
+#   ln split     7.8   10.9  15.1  20.0  43.5    102    180    246    308    393    594
+#   ln z series  5.4    8.5  10.8  14.3  29.8   78.4    153    248    319    426    705
+#
+# ln's one series stops paying near 1,900 working bits, exp's reduction near
+# 2,400; the series-digits workload's calls (2,883 bits and more) keep the
+# split either way.
+_BASECASE_PREC = 1920
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +237,9 @@ _MIN_SPLIT_TERMS = 16
 
 
 def _exp_series_fixed(xf: int, prec: int) -> tuple[int, int]:
-    """(value, error) in 2^-prec ulps of exp(x) for |x| <= 2^-K, given
-    xf = x 2^prec rounded to nearest.
+    """(value, error) in 2^-prec ulps of exp(x) for |x| <= 2^-6, given
+    xf = x 2^prec rounded to nearest.  The K-bit split hands it |x| < 2^-K,
+    `_exp_fixed`'s reduction below _BASECASE_PREC |x| <= 2^-6.
 
     Rectangular splitting in the concurrent form of the module docstring.
     With x' = xf / 2^prec, s = prec - bits(xf) (so |x'| < 2^-s), k =
@@ -220,18 +255,20 @@ def _exp_series_fixed(xf: int, prec: int) -> tuple[int, int]:
     loop.  The loop stops at the first block start N = Jk >= 2 with |a_N| <=
     2.
 
-    Error.  P_i is within d_i <= d_(i-1) |x'| + 1/2 < 0.51 of x'^i 2^prec.
-    a_0 = 2^prec and a_1 (2^prec / 1, or xf when k = 1) are exact; at n >= 2
-    a divide adds 1/2 to e_(n-1) / n, a block start adds 1/2 to (e_(n-1)
-    |P_k| + d_k |A_(n-1)| 2^prec) / (n 2^prec) <= (2^-23 e_(n-1) + 0.51) /
-    n, so every e_n <= 1 and a block start's <= 0.76.  S_0 is then within
-    0.76 J and each S_i, i >= 1, within J.  round(S_i P_i / 2^prec) is
-    within J 2^-23 + 0.51 |sum_j A_(jk+i)| + 1/2 of its exact column, and
-    the sums over i >= 1 of |A_(jk+i)| add to at most sum_(n>=1) 1/n! <
-    1.72.  The terms past N fall by |x'| a term from |A_N 2^prec| < 3, so
-    they add under 2^-21, and e^x - e^x' adds 0.51 for xf's rounding.
-    With (k - 1) J <= MAX_SERIES_TERMS < 2^17: 0.76 J + (k - 1)/2 + 2^-6 +
-    0.88 + 2^-21 + 0.51 < J + k + 1.
+    Error.  |x'| <= 2^-6, as xf rounds a value of at most 2^(prec-6).  P_i
+    is within d_i <= d_(i-1) |x'| + 1/2 < 0.51 of x'^i 2^prec.  a_0 = 2^prec
+    and a_1 (2^prec / 1, or xf when k = 1) are exact; at n >= 2 a divide
+    adds 1/2 to e_(n-1) / n, a block start adds 1/2 to (e_(n-1) |P_k| + d_k
+    |A_(n-1)| 2^prec) / (n 2^prec) <= (2^-5.9 e_(n-1) + 0.51) / n, so every
+    e_n <= 1 and a block start's <= 0.77.  S_0 is then within 0.77 J and
+    each S_i, i >= 1, within J.  round(S_i P_i / 2^prec) is within J
+    (|x'|^i + 2^-prec) + 0.51 |sum_j A_(jk+i)| + 1/2 of its exact column.
+    Over i >= 1 the first parts add to under 0.016 J (k > 1 needs N >= 16,
+    so prec >= 96, and (k - 1) J <= MAX_SERIES_TERMS < 2^17), and the sums
+    of |A_(jk+i)| to at most sum_(n>=1) 1/n! < 1.72.  The terms past N fall
+    by |x'| / (N + 1) <= 2^-6 / 3 a term from |A_N 2^prec| < 3, so they add
+    under 0.016, and e^x - e^x' adds 0.51 for xf's rounding (e^x < 1.016).
+    Total: 0.786 J + (k - 1)/2 + 0.88 + 0.016 + 0.51 < J + k + 1.
     """
     terms = prec // (prec - xf.bit_length())
     k = math.isqrt(terms >> 1) if terms >= _MIN_SPLIT_TERMS else 1
@@ -345,7 +382,9 @@ def _exp_split_fixed(num: int, den: int, prec: int) -> tuple[int, int]:
 
 def _atanh_series_fixed(bf: int, prec: int) -> tuple[int, int]:
     """(value, error) in 2^-prec ulps of 2 atanh(b) = 2 sum b^(2n+1)/(2n+1)
-    for |b| <= 2^-K, given bf = b 2^prec rounded to nearest.
+    for |b| <= 1/3, given bf = b 2^prec rounded to nearest.  The K-bit
+    split hands it |b| < 2^-K, `_ln_split_fixed` below _BASECASE_PREC the
+    whole z = (num - den)/(num + den), |z| <= 1/3 on [1/2, 2].
 
     Rectangular splitting in the concurrent form of the module docstring,
     in y = b^2.  With b' = bf / 2^prec, s = prec - bits(bf) (so |b'| <
@@ -360,16 +399,24 @@ def _atanh_series_fixed(bf: int, prec: int) -> tuple[int, int]:
     1 is the term-by-term loop.  The loop stops after the first block J
     with |a_J| <= 2.
 
-    Error.  Y_i is within h_i <= h_(i-1) |y'| + |Y_(i-1)| / 2^(prec+1) +
-    1/2 < 0.51 of y'^i 2^prec, and a_j within a_(j-1)'s error times |y'|^k
-    plus |A_(j-1)| h_k + 1/2 < 0.51, as |A| <= 2^-K.  So round(a_j /
-    (2n+1)) is within 0.51/3 + 1/2 < 0.67 of its exact term for n >= 1 and
-    exact for n = 0: S_0 within 0.67 J, each S_i within 0.67 (J + 1), and
-    round(S_i Y_i / 2^prec) within 1/2 + 2^-20 of its exact column, as
-    |Y_i| <= 2^(prec-48) and the column is at most 2^(prec-K).  The terms
-    after block J fall from |A_J 2^prec| < 2.51 by y'^k <= 2^-48, under
-    2^-45, and bf's rounding adds 0.51.  Doubled: 2 (0.67 J + (k - 1) (1/2
-    + 2^-20) + 2^-45 + 0.51) < 2J + k + 1.
+    Error.  |b'| < 0.3334, so y' < 0.1112.  Y_i is within h_i <= h_(i-1)
+    (y' + 2^-prec) + y'^(i-1) h_1 + 1/2 < 0.63 of y'^i 2^prec (h_1 <= 1/2),
+    and a_j within e_j <= e_(j-1) (y'^k + 2^-prec) + |A_(j-1)| h_k + 1/2 <
+    0.8, as |A| <= |b'|.  So round(a_j / (2n+1)) is within 0.8/3 + 1/2 <
+    0.77 of its exact term for n >= 1 and exact for n = 0: S_0 within 0.77
+    J, each S_i within 0.77 (J + 1).  round(S_i Y_i / 2^prec) is within
+    0.77 (J + 1) (y'^i + 2^-prec) + |S_i exact| h_i / 2^prec + 1/2 of its
+    exact column, with |S_i exact| <= |b'| 2^prec / ((1 - y') (2i+1)): over
+    i = 1 .. k - 1 the first parts add to under 0.097 (J + 1) and the
+    second to under 0.24 sum 1/(2i+1) <= 0.12 ln(2k - 1).  The terms after
+    block J fall from |A_J 2^prec| < 2.8 by y' a term, under 0.12, and
+    bf's rounding adds 0.57 (atanh' <= 1/(1 - y')).  So the half-sum errs by
+    0.867 J + k/2 + 0.12 ln(2k - 1) + 0.29, under J + k/2 + 1/2 when k = 1
+    and when J >= k.  And k > 1 gives J >= k: |b'| >= 2^-(s+1) and the
+    loop stops only once 2.8 > |A_J| 2^prec >= 2^(prec - (s+1)(2Jk+1)),
+    while N = floor(prec / 2s) >= 2k^2 puts prec >= 4sk^2, so 2Jk + 1 >
+    (4sk^2 - 2) / (s + 1) >= 2k^2 - 1 (s >= 1) and Jk > k^2 - 1.  Doubled:
+    the error is under 2J + k + 1.
     """
     terms = prec // (2 * (prec - bf.bit_length()))
     k = math.isqrt(terms >> 1) if terms >= _MIN_SPLIT_TERMS else 1
@@ -445,9 +492,12 @@ def _atanh_ratio_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
 def _ln_split_fixed(num: int, den: int, prec: int) -> tuple[int, int]:
     """(value, error) in 2^-prec ulps of ln m, m = num/den in [1/2, 2].
 
-    A small-height m, num + den below 2^(K+1), is one small-ratio series:
-    ln m = 2 atanh((num - den)/(num + den)), and |num - den|/(num + den)
-    <= 1/3 on [1/2, 2], so the kernel's bound holds as it stands.
+    ln m = 2 atanh(z), z = (num - den)/(num + den), |z| <= 1/3 on [1/2, 2].
+    m = 1 is (0, 0).  A small-height m, num + den below 2^(K+1), is one
+    small-ratio series in z, at every precision: its terms shrink by a
+    ratio of small ints, so it costs far less than a full-width one.  A
+    full-height m below _BASECASE_PREC is one full-width series in z; both
+    kernels' bounds hold for |z| <= 1/3 as they stand.
 
     Otherwise m = (c/2^K) t with c = round(m 2^K) in [2^(K-1), 2^(K+1)], so
     ln m = 2 atanh(p/q) + 2 atanh(b) with p/q = (c - 2^K)/(c + 2^K) in
@@ -457,9 +507,13 @@ def _ln_split_fixed(num: int, den: int, prec: int) -> tuple[int, int]:
     in about prec/(2K) terms; the error is the sum of their two bounds.
     Either part is skipped when it is exactly zero (c = 2^K, or b = 0).
     """
-    if num != den and (num + den).bit_length() <= _SPLIT_BITS + 1:
+    if num == den:
+        return 0, 0
+    if (num + den).bit_length() <= _SPLIT_BITS + 1:
         g = math.gcd(num - den, num + den)
         return _atanh_ratio_fixed((num - den) // g, (num + den) // g, prec)
+    if prec < _BASECASE_PREC:
+        return _atanh_series_fixed(_fix(num - den, num + den, prec), prec)
     one = 1 << _SPLIT_BITS
     c = _fix(num, den, _SPLIT_BITS)
     value = err = 0
@@ -501,31 +555,70 @@ def _ln2_fixed(prec: int) -> tuple[int, int]:
 # exp / ln: integer cores and their Ball wrappers
 
 
+def _halvings(a: int, den: int) -> int:
+    """The fewest h >= 0 with a <= den 2^h, for a >= 0 and den > 0."""
+    h = max(0, a.bit_length() - den.bit_length())
+    return h + (a > den << h)
+
+
 def _exp_fixed(num: int, den: int, tn: int, td: int) -> tuple[int, int, int]:
     """(value, err, prec) of e^(num/den), den > 0, with err / 2^prec <= tn / td.
 
-    Each series stops within M = MAX_SERIES_TERMS terms (else ResourceError),
-    so the kernel errs by under 4 M < 2^19 ulps of 2^-prec (about 0.1 prec at
-    3,000 bits in practice).  Squaring back h halvings, roundings included, scales that by
-    under 2.01^h, and e^x < 2^(mag_bits - 1): prec's 2h + mag_bits + 26 bits over
-    tol_bits leave the error below tol / 2^7, and the check only guards this.
+    The argument x is halved h times into |x| <= 1, and the split path's
+    precision is prec = tol_bits + 2h + mag_bits + 26, where e^x <
+    2^(mag_bits - 1).
+
+    At or above _BASECASE_PREC, `_exp_split_fixed` sums x / 2^h.  Each
+    series stops within M = MAX_SERIES_TERMS terms (else ResourceError), so
+    the kernel errs by under 4 M < 2^19 ulps of 2^-prec (about 0.1 prec at
+    3,000 bits in practice).  Squaring back, with `round_ball`'s error rule
+    at each step, scales that by under 2.01^h: prec's 2h + mag_bits + 26
+    bits over tol_bits leave the error below tol / 2^7.
+
+    Below it (the table there), x is halved m times into |x| <= 2^-r, r =
+    max(6, isqrt(tol_bits)), and one `_exp_series_fixed` runs at prec =
+    tol_bits + m + mag_bits + 26 (r more halvings, for about prec / r terms
+    instead of prec / K plus the small-ratio series).  The m squarings
+    round to nearest and the error is bounded once, after them.  With V_j
+    the exact scaled e^(x 2^(j-m)), v_j the computed one, e_0 the series'
+    error and t = (e_0 + 1/2) 2^m / 2^prec: e_0 < 2^18 puts t under 2^-10
+    (prec >= m + 29), and |v_(j+1) - V_(j+1)| <= |v_j - V_j| (2 V_j + |v_j
+    - V_j|) / 2^prec + 1/2.  For x > 0 every V_j >= 2^prec, so the relative
+    errors n_j obey 1 + n_(j+1) <= (1 + n_j)^2 (1 + 2^-(prec+1)): ln(1 +
+    n_m) <= t, n_m <= t (1 + t), and the error is at most n_m v_m / (1 -
+    n_m) <= 1.003 t v_m.  For x < 0 every V_j <= 2^prec, so f_j = e_j + 1/2
+    obeys f_(j+1) <= 2 f_j (1 + f_j / 2^(prec+1)): f_m <= 1.002 2^m f_0 =
+    1.002 t 2^prec.  Either way the error is at most (1 + 2^-8) t max(v_m,
+    2^prec), under 2^(18 + m + mag_bits), so prec's m + mag_bits + 26 bits
+    over tol_bits leave it below tol / 2^7.  The check only guards these
+    bounds.
     """
     if num > _EXP_ARG_CAP * den:
         raise MagnitudeError("exp argument too large; result would blow past the magnitude cap")
     if num == 0:
         return 1, 0, 0
-    halvings = max(0, abs(num).bit_length() - den.bit_length())
-    halvings += abs(num) > den << halvings  # the fewest h with |num| <= den 2^h
+    bits = _tol_bits(tn, td)
     mag_bits = 2 if num < 0 else (3 * num) // (2 * den) + 2
+    halvings = _halvings(abs(num), den)
     # 2 bits above the 24 guard bits keep the split series' ulps below the
     # single series' ones, so no radius widens
-    prec = _tol_bits(tn, td) + 2 * halvings + mag_bits + 26
-    value, err = _exp_split_fixed(num, den << halvings, prec)
-    for _ in range(halvings):  # round_ball's rule for a squared ball
-        square = value * value
-        s = _shift_round(square, prec)
-        err = -(-(2 * abs(value) * err + err * err + abs(square - (s << prec))) >> prec)
-        value = s
+    prec = bits + 2 * halvings + mag_bits + 26
+    if prec < _BASECASE_PREC:
+        halvings = _halvings(abs(num) << max(6, math.isqrt(bits)), den)
+        prec = bits + halvings + mag_bits + 26
+        value, err = _exp_series_fixed(_fix(num, den << halvings, prec), prec)
+        for _ in range(halvings):
+            value = _shift_round(value * value, prec)
+        if halvings:  # ceil((1 + 2^-8) t max(v_m, 2^prec)) ulps
+            spread = (2 * err + 1) * max(value, 1 << prec)
+            err = -(-(spread + (spread >> 8) + 1) >> (prec + 1 - halvings))
+    else:
+        value, err = _exp_split_fixed(num, den << halvings, prec)
+        for _ in range(halvings):  # round_ball's rule for a squared ball
+            square = value * value
+            s = _shift_round(square, prec)
+            err = -(-(2 * abs(value) * err + err * err + abs(square - (s << prec))) >> prec)
+            value = s
     if err * td > tn << prec:
         raise PrecisionError("exp failed to reach the requested radius")
     return value, err, prec
@@ -533,6 +626,13 @@ def _exp_fixed(num: int, den: int, tn: int, td: int) -> tuple[int, int, int]:
 
 def _ln_fixed(num: int, den: int, tn: int, td: int) -> tuple[int, int, int]:
     """(value, err, prec) of ln(num/den), den > 0, with err / 2^prec <= tn / td.
+
+    num/den = m 2^shift with m in [1/sqrt 2, sqrt 2), and `_ln_split_fixed`
+    takes ln m in one of its three ways: a small height by the small-ratio
+    series at any precision, where it beats a full-width one (the module
+    docstring), a full height below _BASECASE_PREC (the table there) by one
+    full-width series in z = (num - den)/(num + den), |z| <= 3 - 2 sqrt 2 <
+    0.172, and otherwise by the K-bit split.
 
     Each series stops within M = MAX_SERIES_TERMS terms (else ResourceError),
     so ln m errs by at most 5 M + 17 ulps of 2^-prec and ln 2 by 2 M + 4; with
@@ -546,7 +646,7 @@ def _ln_fixed(num: int, den: int, tn: int, td: int) -> tuple[int, int, int]:
     if num == den:
         return 0, 0, 0
     # scale by powers of two into m = num/den in (1/2, 2), then into
-    # [1/sqrt 2, sqrt 2), where the small-ratio series steps by (p/q)^2 < 0.03
+    # [1/sqrt 2, sqrt 2), where a series in z steps by z^2 < 0.03
     shift = num.bit_length() - den.bit_length()
     if shift >= 0:
         den <<= shift

@@ -139,6 +139,20 @@ def test_inexact_height_at_rank_4_is_refused():
             " needs an approximate intermediate as a height") in err
 
 
+@pytest.mark.parametrize("text", ["[[2---2]+++++2]", "[[2---2]+++++3]", "[[2---2]-----[1//3]]"])
+def test_an_inexact_base_at_rank_5_is_refused_as_a_height(text):
+    # sqrt(2) (+^5) n starts with sqrt(2) (+^4) sqrt(2), whose height is a
+    # ball; the super-root of order 1/3 goes through sqrt(2) (+^5) 3.  The
+    # refusal comes at once, not from the step cap on an exact end of the
+    # ball standing in for the height
+    start = time.perf_counter()
+    code, out, err = run_main("eval", text)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert ("the height of a rank-4 operator must be an exact rational; this tower"
+            " needs an approximate intermediate as a height") in err
+
+
 @pytest.mark.parametrize("text", ["[[9--4]---[2--1]]", "[[8--1]///[4--1]]", "[[27--8]///[9--4]]"])
 def test_rational_rank_3_values_print_exact_digits(text):
     # each is exactly 3/2: a perfect-square root and two rational logs, whose

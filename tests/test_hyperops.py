@@ -121,10 +121,6 @@ def test_height_step_cap(monkeypatch):
     # the float sizing of ln(1.4^^p) and of the order-q estimate
     ("[1.4++++[1+[[999+++3]//[1000+++3]]]]", "997002999"),
     ("[1.4++++[1+[1//[1000+++3]]]]", "1000000000"),
-    # a rank-5 super-root of order 1/3 goes through sqrt(2) (+^5) 3, whose
-    # steps take sqrt(2)'s ball ends as rank-4 heights: their numerators
-    # pass the cap
-    ("[[2---2]-----[1//3]]", "[0-9]{40,}"),
 ])
 def test_a_height_past_the_step_cap_is_refused_before_any_search(monkeypatch, text, height):
     # every tower these values need passes the height-step cap, and the
@@ -424,6 +420,37 @@ def test_a_capped_probe_is_a_sign_and_never_a_newton_step(monkeypatch):
     out = hyper_inverse_minus(4, Fraction(1000), Fraction(3), tol)
     assert out.radius <= tol and encloses_mpmath_root(out, Fraction(1000), 3)
     assert len(calls) > 1
+
+
+# the largest center drawn for each order: x^^order stays below 10^13
+SLOPE_CENTERS = {2: 8, 3: 3, 4: 2, 5: 1.8}
+
+
+@given(order=st.integers(2, 5), data=st.data(), width=st.integers(8, 120),
+       bits=st.integers(20, 200))
+@settings(max_examples=80, deadline=None)
+def test_tower_slope_holds_the_derivative_over_its_ball(order, data, width, bits):
+    # (x^^q)' by mpmath at 600 bits, from T_1 = x, T_1' = 1, T_k = x^T_(k-1),
+    # T_k' = T_k (T_(k-1)' ln x + T_(k-1) / x), at both ends and the middle
+    # of X = [c, c + 2^(1-width) c] lies in the slope ball, which may be
+    # None only for a ball too wide
+    mpmath = pytest.importorskip("mpmath")
+    c = 1 + Fraction(data.draw(st.floats(0, SLOPE_CENTERS[order] - 1))).limit_denominator(2**60)
+    x = Ball(c + c / 2**width, c / 2**width)
+    slope = hyperops._tower_slope(x, order, Fraction(1, 2**bits))
+    if slope is None:
+        assert width < 40
+        return
+    with mpmath.workprec(600):
+        for point in (x.lo, x.center, x.hi):
+            v = mpmath.mpf(point.numerator) / point.denominator
+            level, d = v, mpmath.mpf(1)
+            for _ in range(order - 1):
+                up = mpmath.power(v, level)
+                level, d = up, up * (d * mpmath.log(v) + level / v)
+            want = Fraction(int(mpmath.floor(d * mpmath.mpf(2) ** 500)), 2**500)
+            slack = (abs(want) + 1) / 2**490
+            assert slope.lo - slack <= want <= slope.hi + slack
 
 
 @pytest.mark.parametrize("text", ["[1000----3]", "[1.5++++0.75]"])

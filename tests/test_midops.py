@@ -464,21 +464,30 @@ def test_ln_split_kernel_encloses(m, prec):
     assert_fixed_encloses(ln_split(m, prec), reference("log", m, prec), prec)
 
 
-def test_ln_split_kernel_skips_exact_zero_parts():
-    # c = 2^K: only the full-width series runs, and with b = 0 neither does
+def test_ln_split_kernel_skips_exact_zero_parts(monkeypatch):
+    # ln 1 is (0, 0).  From the crossover on, the split skips a part that is
+    # exactly zero: c = 2^K leaves only the full-width series, b = 0 (m a
+    # K-bit dyadic) only the small-ratio one; at 200 bits both m take the
+    # one series in z
     assert ln_split(Fraction(1), 200) == (0, 0)
     near_one = Fraction(1) + Fraction(1, 2**40)
     assert midops._fix(near_one.numerator, near_one.denominator, midops._SPLIT_BITS) == K_ONE
-    assert_fixed_encloses(ln_split(near_one, 200), reference("log", near_one, 200), 200)
-    dyadic = Fraction(3 * 2**23 + 1, 2**24)  # b = 0: only the small-ratio series runs
+    dyadic = Fraction(3 * 2**23 + 1, 2**24)
     assert (dyadic * K_ONE).denominator == 1
-    assert_fixed_encloses(ln_split(dyadic, 200), reference("log", dyadic, 200), 200)
+    calls = []
+    for name in ("_atanh_series_fixed", "_atanh_ratio_fixed"):
+        monkeypatch.setattr(midops, name, counted(calls, name, getattr(midops, name)))
+    for m, split_runs in ((near_one, "_atanh_series_fixed"), (dyadic, "_atanh_ratio_fixed")):
+        for prec in (200, 3000):
+            calls.clear()
+            assert_fixed_encloses(ln_split(m, prec), reference("log", m, prec), prec)
+            assert calls == ["_atanh_series_fixed" if prec < midops._BASECASE_PREC else split_runs]
 
 
-@pytest.mark.parametrize("prec", [64, 3000])
+@pytest.mark.parametrize("prec", [64, midops._BASECASE_PREC - 1, midops._BASECASE_PREC, 3000])
 def test_ln_of_a_small_height_rational_is_one_series(monkeypatch, prec):
     # num + den below 2^(K+1): 2 atanh((num - den)/(num + den)) alone, the
-    # same kernel with the same bound
+    # same kernel with the same bound, on both sides of the crossover
     calls = []
     for name in ("_atanh_series_fixed", "_atanh_ratio_fixed"):
         monkeypatch.setattr(midops, name, counted(calls, name, getattr(midops, name)))
@@ -487,9 +496,16 @@ def test_ln_of_a_small_height_rational_is_one_series(monkeypatch, prec):
         value, err = ln_split(m, prec)
         assert calls == ["_atanh_ratio_fixed"]
         assert_fixed_encloses((value, err), reference("log", m, prec), prec)
-    calls.clear()  # one more bit of height and the split runs both series
-    ln_split(Fraction(2**24 - 3, 2**24 + 5), prec)
-    assert sorted(calls) == ["_atanh_ratio_fixed", "_atanh_series_fixed"]
+    # one more bit of height: below the crossover one full-width series in
+    # z, from it on the split's two series
+    m = Fraction(2**24 - 3, 2**24 + 5)
+    calls.clear()
+    value, err = ln_split(m, prec)
+    if prec < midops._BASECASE_PREC:
+        assert calls == ["_atanh_series_fixed"]
+    else:
+        assert sorted(calls) == ["_atanh_ratio_fixed", "_atanh_series_fixed"]
+    assert_fixed_encloses((value, err), reference("log", m, prec), prec)
 
 
 EXP_ARGUMENTS = [
@@ -619,6 +635,84 @@ def test_short_series_are_the_term_loop(prec, data):
                                Fraction(-0x2545F4914F6CDD1D, 1 << 90), Fraction(0)])
 def test_series_kernels_enclose_at_32000_bits(kernel, x):
     assert_series_kernel(kernel, x, 32000)
+
+
+@st.composite
+def wide_series_arguments(draw, kernel):
+    """(prec, x) over the whole range each bound is proved for: |x| <= 2^-6
+    for exp (`_exp_fixed`'s reduction below the crossover), |x| <= 1/3 for
+    atanh (`_ln_split_fixed`'s z on [1/2, 2])."""
+    prec = draw(st.integers(min_value=48, max_value=4000))
+    top = (1 << (prec + 30 - 6)) if kernel == "exp" else (1 << (prec + 30)) // 3
+    n = draw(st.one_of(st.sampled_from([top, -top, top - 1]), st.integers(-top, top)))
+    return prec, Fraction(n, 1 << (prec + 30))
+
+
+@given(st.data(), st.sampled_from(["exp", "atanh"]))
+@settings(max_examples=120, deadline=None)
+def test_series_kernels_enclose_over_their_whole_range(data, kernel):
+    prec, x = data.draw(wide_series_arguments(kernel))
+    assert_series_kernel(kernel, x, prec)
+
+
+# `_exp_fixed` and `_ln_fixed` on both sides of `_BASECASE_PREC`: the reduced
+# exp with its squarings bounded once, and ln's one full-width series on a
+# full-height m, against mpmath.  Arguments are full-height dyadics like the
+# root finders' probes; ln's m sits at both ends of [1/sqrt 2, sqrt 2), where
+# |z| is largest, scaled by a power of two.
+CROSSOVER_BITS = st.one_of(st.integers(48, 400), st.integers(48, 2 * midops._BASECASE_PREC))
+
+
+def assert_fixed_kernel_encloses(kernel, x: Fraction, bits: int):
+    mpmath = pytest.importorskip("mpmath")
+    fixed = midops._exp_fixed if kernel == "exp" else midops._ln_fixed
+    value, err, prec = fixed(x.numerator, x.denominator, 1, 1 << bits)
+    assert err << bits <= 1 << prec  # err / 2^prec <= 2^-bits
+    with mpmath.workprec(prec + 200):
+        arg = mpmath.mpf(x.numerator) / x.denominator
+        want = (mpmath.exp(arg) if kernel == "exp" else mpmath.log(arg)) * mpmath.mpf(2) ** prec
+        assert abs(value - want) <= err
+
+
+@st.composite
+def exp_probe_arguments(draw):
+    """(bits, x): x in [-40, 40] as a dyadic of bits + 8 bits past the
+    point, like a probe, or that scaled down by 2^-e; a float's top bits,
+    then random ones (hypothesis draws integers of a wide range mostly
+    small)."""
+    bits = draw(CROSSOVER_BITS)
+    top = math.floor(Fraction(draw(st.floats(-40, 40))) * 2 ** (bits + 8))
+    low = draw(st.randoms(use_true_random=False)).getrandbits(bits - 40)
+    e = draw(st.sampled_from([0, 0, 0, 8, 60]))
+    return bits, Fraction(top + low, 1 << (bits + 8 + e))
+
+
+@given(exp_probe_arguments())
+@example((midops._BASECASE_PREC - 40, Fraction(-40)))
+@example((midops._BASECASE_PREC - 30, Fraction(40)))
+@example((48, Fraction(1, 2**60)))
+@settings(max_examples=80, deadline=None)
+def test_exp_fixed_encloses_across_the_crossover(case):
+    bits, x = case
+    assert_fixed_kernel_encloses("exp", x, bits)
+
+
+@given(CROSSOVER_BITS, st.integers(0, 2**20), st.booleans(), st.integers(-60, 60),
+       st.integers(40, 200))
+@example(midops._BASECASE_PREC - 30, 0, True, 0, 100)
+@example(midops._BASECASE_PREC - 30, 0, False, 0, 100)
+@example(48, 0, False, -60, 40)
+@settings(max_examples=80, deadline=None)
+def test_ln_fixed_encloses_across_the_crossover(bits, offset, low, shift, height):
+    # m = N / 2^height within offset ulps of 1/sqrt 2 (from above) or of
+    # sqrt 2 (from below), times 2^shift
+    if low:
+        num = math.isqrt(1 << (2 * height - 1)) + 1 + offset
+    else:
+        num = math.isqrt(1 << (2 * height + 1)) - offset
+    m = Fraction(num, 1 << height)
+    assert Fraction(1, 2) <= m * m < 2
+    assert_fixed_kernel_encloses("ln", m * Fraction(2) ** shift, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -806,12 +900,30 @@ def reference_exp_rational(a: Fraction, tol: Fraction) -> Ball:
         x = x / 2
         halvings += 1
     mag_bits = 2 if a <= 0 else (3 * a.numerator) // (2 * a.denominator) + 2
-    prec = reference_tol_bits(tol) + 2 * halvings + mag_bits + 26
-    scale = 1 << prec
-    value, err = midops._exp_split_fixed(x.numerator, x.denominator, prec)
-    out = Ball(Fraction(value, scale), Fraction(err, scale))
-    for _ in range(halvings):
-        out = reference_round_ball(out * out, prec)
+    bits = reference_tol_bits(tol)
+    prec = bits + 2 * halvings + mag_bits + 26
+    if prec < midops._BASECASE_PREC:
+        # halved into |x| <= 2^-r, squared back by rounding to nearest, and
+        # the error bounded once: ceil((1 + 2^-8) (e_0 + 1/2) 2^m max(v, 1))
+        r = max(6, math.isqrt(bits))
+        halvings, x = 0, a
+        while abs(x) > Fraction(1, 2**r):
+            x, halvings = x / 2, halvings + 1
+        prec = bits + halvings + mag_bits + 26
+        scale = 1 << prec
+        value, err = midops._exp_series_fixed(math.floor(x * scale + Fraction(1, 2)), prec)
+        for _ in range(halvings):
+            value = math.floor(Fraction(value * value, scale) + Fraction(1, 2))
+        if halvings:
+            spread = (2 * err + 1) * max(value, scale)
+            err = math.ceil(Fraction(spread + spread // 256 + 1, 2 * scale) * 2**halvings)
+        out = Ball(Fraction(value, scale), Fraction(err, scale))
+    else:
+        scale = 1 << prec
+        value, err = midops._exp_split_fixed(x.numerator, x.denominator, prec)
+        out = Ball(Fraction(value, scale), Fraction(err, scale))
+        for _ in range(halvings):
+            out = reference_round_ball(out * out, prec)
     out = reference_round_ball(out, prec)
     if out.radius > tol:
         raise PrecisionError("exp failed to reach the requested radius")
