@@ -15,12 +15,10 @@ its steps need: the budgets are sized in floats, from ln(a (+^4) p) and a
 float estimate of its root of order q.  The inverses are bracketed searches:
 
   * super-root   x = a (-^r) b   solves x (+^r) b = a; at rank 4 by
-    `brent`'s monotone search inside [1, a], after an exact check of the
-    nearest integer.  x (+^4) b grows with x, so each certified probe moves
-    one end of the bracket to it; the search starts at a float estimate of
-    the root and takes Newton-type steps toward it.  For an integer order
-    q >= 2 the search first takes interval-Newton steps from the estimate,
-    on a slope ball of x^^q over a ball X (`_tower_slope`): the forward-mode
+    `brent`'s interval-Newton search inside [1, a], after an exact check of
+    the nearest integer.  x (+^4) b grows with x.  The search starts at a
+    float estimate of the root, with a slope ball of x (+^4) b over a ball X
+    (`_tower_slope`).  For an integer order q it is the forward-mode
     recurrence T_1 = X, T_1' = 1, T_k = e^(T_(k-1) ln X), T_k' = T_k
     (T_(k-1)' ln X + T_(k-1) / X), over one `midops.ln_e`, an `exp_e` a
     level and `divide`.  It is >= 1 on x >= 1: by induction T_k >= 1,
@@ -28,7 +26,15 @@ float estimate of its root of order q.  The inverses are bracketed searches:
     lower end is positive, and an inexact goal g +/- r with g - r >= 1 and
     an integer order q >= 2 is one search at g, widened by r: the roots of
     g - r and g + r lie within r of g's.  Other inexact goals take the hull
-    of the searches at both ends;
+    of the searches at both ends.  A fractional order n + p/r is n levels
+    over the split's tail y, y (+^4) r = x (+^4) p.  y increases with x, as
+    both towers grow with their bases, so the hull Y of y at X's ends holds
+    y over X.  Implicit differentiation gives y' = (x^^p)' / (y^^r)'(y),
+    which lies in the quotient of the slope balls (x^^p)'(X) / (y^^r)'(Y),
+    whose divisor is >= 1 as y >= 1.  The recurrence then runs its n levels
+    from (Y, y') in place of (X, 1).  The float estimate goes through the
+    split too: it bisects ln(x (+^4) (n + p/r)) = ln a in floats, with the
+    tail's float from the integer-order estimate;
   * super-log    x = a (/^r) b   solves b (+^r) x = a.
 
 The split is not continuous in its height: 2 (+^4) (p/q) tends to sqrt(2)
@@ -54,7 +60,9 @@ from fractions import Fraction
 
 from . import midops
 from .balls import Ball, _ball, as_ball, divide, hull, round_ball
-from .errors import DomainError, MagnitudeError, PrecisionError, ResourceError
+from .errors import (
+    ConvergenceError, DomainError, MagnitudeError, PrecisionError, ResourceError,
+)
 from .midops import _EXP_ARG_CAP, SeriesConfig, _log_abs_float, _lowest, tol_bits
 from .rootfind import (
     BallFn, Bracket, RootConfig, bisect_integers, brent, expand_upper,
@@ -319,7 +327,7 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
         # bracket's end, where no interval-Newton step can start.  The root
         # is 1 + e - e^2 + O(e^3), and steps from there certify it.  When
         # e^2 <= tol no step can tell the root from the bracket's end g, and
-        # the loop certifies it from the float estimate
+        # strides from the float estimate certify it
         start = 1 + e - e * e
     else:
         if start is None:
@@ -329,80 +337,119 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
             n = round(start)
             if n >= 2 and abs(start - n) < 2.0**-30 and tower(Fraction(n), tol) == Ball(goal):
                 return Ball(Fraction(n))
-    slope = None
-    if order.denominator == 1:
-        slope = lambda x, t: _tower_slope(x, order.numerator, t)
     return brent(lambda x, ft: tower(x, ft) - goal, Bracket(Fraction(1), goal),
-                 RootConfig(tol), start=start, slope=slope)
+                 RootConfig(tol), start=start, slope=lambda x, t: _tower_slope(x, order, t))
 
 
-def _tower_slope(x: Ball, order: int, t: Fraction) -> Ball | None:
-    """A ball holding (y (+^4) order)' over the ball x >= 1 by the module
-    docstring's recurrence, each level within t; None when one fails (past
-    the magnitude cap, or a ball too wide).
+def _tower_slope(x: Ball, order: Fraction | int, t: Fraction) -> Ball | None:
+    """A ball holding (y (+^4) order)' over the ball x >= 1, for an order
+    >= 1, by the module docstring's recurrence, each level within t; None
+    when one fails (past the magnitude cap, or a ball too wide).
 
-    ln x is taken once, and each level is T_k = e^(T_(k-1) ln x).  Its
-    tolerance is sized from the largest level as `midops.power` sizes its
-    ln: the float logs of the levels over x's center give the top exponent
-    T_(q-1) and result T_q, and t / 2^s, s = log2 T_q + log2 T_(q-1) + 16,
-    puts ln x's share of every level's error below t / 2^16.
+    An integer order q runs q - 1 levels from (x, 1); an order n + p/r runs
+    n levels from the tail's hull and slope ball (the module docstring), and
+    order 1 is x, of slope 1.  ln x is taken once, and each level is T_k =
+    e^(T_(k-1) ln x).  Its tolerance is sized from the largest level as
+    `midops.power` sizes its ln: the float logs of the levels over the
+    centers of x and of the first level give the top exponent T_(q-1) and
+    result T_q, and t / 2^s, s = log2 T_q + log2 T_(q-1) + 16, puts ln x's
+    share of every level's error below t / 2^16.
     """
-    cfg = SeriesConfig(t)
-    ln_c = _log_abs_float(*_lowest(x.c, x.d))
+    steps = math.ceil(order) - 1
     try:
-        logs = [ln_c] + _tower_logs(ln_c, ln_c, order - 1)  # ln T_1 .. ln T_q
+        if order.denominator == 1:
+            level, slope = x, Ball(1)
+        else:
+            tail = order - steps  # p/r
+            p, r = tail.numerator, tail.denominator
+            level = hull(_forward(4, Ball(x.lo), tail, t), _forward(4, Ball(x.hi), tail, t))
+            up, down = _tower_slope(x, p, t), _tower_slope(level, r, t)
+            if up is None or down is None:
+                return None
+            slope = divide(up, down)
+        if not steps:
+            return slope
+        ln_c = _log_abs_float(*_lowest(x.c, x.d))
+        ln_level = ln_c if level is x else _log_abs_float(*_lowest(level.c, level.d))
+        logs = [ln_level] + _tower_logs(ln_level, ln_c, steps)  # ln T_0 .. ln T_n
         scale = math.ceil((logs[-1] + logs[-2]) / math.log(2)) + 16
         ln_x = midops.ln_e(x, SeriesConfig(t / (1 << scale)))
-        level, slope = x, Ball(1)
-        for _ in range(order - 1):
+        cfg = SeriesConfig(t)
+        for _ in range(steps):
             up = midops.exp_e(level * ln_x, cfg)
             level, slope = up, up * (slope * ln_x + divide(level, x))
-    except (MagnitudeError, PrecisionError):
+    except (ResourceError, PrecisionError, ConvergenceError):
         return None
     return slope
 
 
 def _super_root_estimate(goal: Fraction, order: Fraction) -> float:
-    """Float x >= 1 with x (+^4) order close to goal, for an order >= 1.
+    """Float x >= 1 with x (+^4) order close to goal, for an order > 1.
 
-    An integer order q >= 2 is `_integer_order_estimate`'s.  A fractional
-    order n + p/r gives the geometric mean of the estimates for n and n + 1,
-    whose roots enclose its own: x (+^4) (p/r) lies in [1, x], so
-    x (+^4) order lies between x (+^4) n and x (+^4) (n + 1).  It is only a
-    start for the certified search.
+    An integer order q is `_integer_order_estimate`'s.  A fractional order
+    n + p/r goes through the split: x (+^4) order is n levels over the tail
+    y, y (+^4) r = x (+^4) p, whose float is `_integer_order_estimate` of
+    ln(x (+^4) p) and r; a root past where x (+^4) p passes the magnitude
+    cap raises the split's blow-up.  It is only a start for the certified
+    search.
     """
     ln_goal = _log_abs_float(goal.numerator, goal.denominator)
-    if order.denominator != 1:
-        n = math.floor(order)
-        return math.sqrt(_super_root_estimate(goal, Fraction(n))
-                         * _super_root_estimate(goal, Fraction(n + 1)))
-    if order == 1:
-        return math.exp(min(ln_goal, 700.0))  # x = goal, kept finite
-    return _integer_order_estimate(ln_goal, int(order))
+    if order.denominator == 1:
+        return _integer_order_estimate(ln_goal, int(order))
+    n = math.floor(order)
+    p, r = (order - n).numerator, (order - n).denominator
+
+    def tail(x: float) -> float:
+        ln_x = math.log(x)
+        return _integer_order_estimate(_tower_logs(ln_x, ln_x, p - 1)[-1] if p > 1 else ln_x, r)
+
+    # the root is at most goal, as x (+^4) order >= x; for n >= 2 it is at
+    # most max(e, ln goal), as then ln(x (+^4) order) >= x ln x
+    x = _float_root(ln_goal, n, math.exp(min(ln_goal, 709.0)) if n == 1
+                    else max(math.e, ln_goal), tail)
+    above = math.nextafter(x, math.inf)
+    try:
+        tail(above)
+    except MagnitudeError:
+        # the bisection stopped where x^^p passes the cap, short of the root:
+        # every probe above is that blow-up, and towers just below it have
+        # nearly the cap's bits
+        raise _split_blowup(f"{Fraction(above)} (+^4) {p} (the tower of the height's"
+                            " numerator)") from None
+    return x
 
 
 def _integer_order_estimate(ln_goal: float, order: int) -> float:
     """Float x >= 1 with x (+^4) order close to the goal of log ln_goal, for
-    an integer order >= 2.
+    an integer order >= 2: the root lies in [1, max(e, ln_goal)], as for
+    x >= e, x^^(order - 1) >= x."""
+    return _float_root(ln_goal, order - 1, max(math.e, ln_goal))
 
-    It bisects x^^(order - 1) * ln x = ln_goal in floats on [1, max(e,
-    ln_goal)], which holds the root (for x >= e, x^^(order - 1) >= x); a
-    tower that overflows counts as too big.
+
+def _float_root(ln_goal: float, steps: int, hi: float, tail=None) -> float:
+    """Float x in [1, hi] where `steps` rank-4 levels over x, starting from
+    the value tail(x) in [1, x] (x itself without a tail), reach the log
+    ln_goal.
+
+    It bisects T_(steps-1) * ln x = ln_goal in floats, with T_0 = tail(x)
+    and T_k = x^T_(k-1), which increase in k; a tower that overflows counts
+    as too big.
     """
     def too_big(x: float) -> bool:
-        ln_x, level = math.log(x), x  # level = x^^k, increasing in k
+        ln_x = math.log(x)
         try:
-            for _ in range(order - 2):
+            level = x if tail is None else tail(x)
+            for _ in range(steps - 1):
                 if level * ln_x > ln_goal:
                     return True
                 level, prev = math.exp(level * ln_x), level
                 if level == prev:  # a convergent tower has settled
                     break
-        except OverflowError:
+        except (OverflowError, MagnitudeError):
             return True
         return level * ln_x > ln_goal
 
-    lo, hi = 1.0, max(math.e, ln_goal)
+    lo = 1.0
     while True:
         mid = (lo + hi) / 2
         if mid in (lo, hi):

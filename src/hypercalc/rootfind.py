@@ -2,79 +2,49 @@
 
 `brent` drives an increasing function f(x, tol) -> Ball (an enclosure of
 f(x) with radius <= tol) to a root enclosure of width <= 2 * x-tolerance.
-Probe signs are resolved rigorously: a sign is accepted only from a ball
-that excludes zero or is exact, and a ball that is exactly zero is an exact
-root.  A ball that straddles zero is re-evaluated at a tolerance sized from
-that ball (see `_sign`) before the probe is declared ambiguous.
-`brent` moves an ambiguous probe by 1/1024 of the bracket, as it may sit
-exactly on the root; one on an end not yet certified raises AmbiguityError,
-as no probe beyond the bracket can certify that end.
+A probe's sign is accepted only from a ball that excludes zero or is exact,
+and a ball that is exactly zero is an exact root; a ball that straddles
+zero is asked for again (see `_sign`).  A probe that stays ambiguous is
+moved once by 1/1024 of the bracket (of X, below), as it may sit exactly on
+the root; one on an end not yet certified raises AmbiguityError.  As f increases, a probe
+certified negative puts the root above it and one certified positive below
+it, so every probe lies between the ends certified so far; one on an end
+not yet certified whose sign puts the root outside the bracket raises
+DomainError.  f may answer a bare rational where it can only bound f(x)
+(`hyperops._capped`): its sign is the probe's, and it is no enclosure.
 
-Because f increases, the search is two endpoints: the root lies in [a, b],
-a probe certified negative moves a up to it, and one certified positive
-moves b down to it.  Every probe lies in [a, b], so each step goes toward
-the root, and the answer rests only on the two certified ends.  At first
-the ends are the given bracket's, not yet certified; a probe at an
-uncertified end whose sign puts the root outside the bracket raises
-DomainError.  So a good start never evaluates f far from the root.
+The search is one interval-Newton routine, `_steps` (Moore, Kearfott &
+Cloud, Introduction to Interval Analysis, SIAM 2009, ch. 8; Krawczyk,
+Computing 4, 1969), on a ball X = [L, U] / 2^s, s = max(bits, 46) + 8.
+slope(X, t) must return a ball D holding f' over all of X.  A step takes f
+at a point m of X through `_sign` and forms N(X) = m - f(m) / D, rounded
+out onto the grid; every root in X lies in N(X).  In two phases:
 
-f may answer a bare rational in place of a ball where it can only bound
-f(x) (`hyperops._capped`, past the magnitude cap): its sign is the probe's
-sign, and it is no enclosure.
+  * Uncertified: X is the start +/- 2^-46 max(1, |start|), inside the
+    bracket, and m the start.  When N(X) lies strictly inside X and is at
+    most half as wide, X holds a root, and becomes N(X), certified: the
+    only proof of a root from an estimate.  When the step fails (N(X) is
+    not, f(m) is a bound or stays ambiguous, D is missing or not positive),
+    or without a slope, strides certify a bracket: from the start or the
+    bracket's midpoint, then from the last probe, a certified end, toward
+    the other end, first min(|c|/16, 2^-52 max(1, |x|)) for f's center c,
+    as if the slope were 1 and at most a float estimate's error, then 4x
+    the last, clamped at the bracket's end.
+  * Certified: m is X's midpoint, or the mean of its ends' binary
+    exponents when they are b > 4a > 0 (halving down from a far end of a
+    tower's bracket probes where x (+^4) q has hundreds of thousands of
+    bits).  X keeps the half that f(m)'s sign allows, within N(X) when D
+    has lo(D) > 0 and f(m) is a ball.  So each step at least halves X, and
+    N(X) shrinks it quadratically near the root; without a slope it is a
+    bisection.  It ends once X is at most 2 tol wide.
 
-Given a slope, the search first takes interval-Newton steps from the start
-(Moore, Kearfott & Cloud, Introduction to Interval Analysis, SIAM 2009,
-ch. 8; Krawczyk, Computing 4, 1969).  slope(X, t) must return a ball D
-holding f' over the whole ball X.  X starts as the start +/- 2^-46
-max(1, |start|), inside the bracket, on the grid 2^-s, s = max(bits, 46) + 8.
-A step takes f at a point m of X (the start, then X's midpoint) through
-`_sign`, and forms N(X) = m - f(m) / D, rounded out onto the grid.  When
-N(X) lies strictly inside X, X holds a root, and every root in X lies in
-N(X); X becomes N(X), which is then N(X) ∩ X.  That containment is the only
-proof of a root the steps use.  A step stops them, and the probe loop
-below starts over from the start, unchanged, when its N(X) is not strictly
-inside X or not at most half as wide, when f(m) is a bound, not a ball,
-when its sign stays ambiguous, or when D is missing or not positive.  The
-steps take at most `MAX_ITERATIONS` probes, and end once the width is <= 2
-tol.  N's width is at most 2 rad(f(m)) / lo(D) + |X| rad(D) /
-lo(D), so f is asked at lo(D) / 2 times max(tol, |X| rad(D) / lo(D)), and D
-is taken again, over the new X, only while |X| rad(D) / lo(D) > tol.  D's
-roundings are asked at 2^-50, or finer when both |X| and tol / |X| are:
-then the second term falls quadratically from step to step.
-
-Without a slope or a start, or after a step that fails, a probe loop
-searches.  In `hyperops` that is a super-root of a fractional order >= 1,
-which has no slope, and an integer order whose steps fail, such as one of
-a goal so close to 1 that its float start sits on the bracket's end; the
-steps certify every search of the benchmark's workloads.  The loop takes
-Newton-type steps.  It starts at the caller's estimate of
-the root, or at the bracket's midpoint, and then steps x <- x - c/s, with c
-the certified center of f at the last probe and s the secant slope through
-the last two.  Each probe asks for f 2^-20 below the |f| it expects: a step
-expects |s| h, what the closing pair will see, so its center is accurate
-enough to step on.  Here h is the largest power of two <= the x-tolerance.
-Once the residuals, shrinking at least at their last rate, put the next
-point within h/8 of the root, two probes at that point -+ h close the
-search.
-
-The steps need no proof.  A Newton step is taken only when it lands
-strictly inside (a, b) and is at most half the step before it.  A refused
-step is replaced:
-
-  * before both ends are certified, by a step from the last probe, itself
-    the certified end, toward the other end: first min(|c|/16, 2^-52 max(1, |x|)),
-    as if the slope were 1 and at most a float estimate's error, then
-    x4 a step, clamped at that end.  The second probe is such a step.
-  * once both are certified, by a split of [a, b]: at the mean of the ends'
-    binary exponents when b > 4a > 0, else at the midpoint.  f is steep in
-    towers: halving down from a far end probes just above the root, where
-    x (+^4) q can have hundreds of thousands of bits.
-
-The closing pair is also taken at a point that rounds onto a certified
-end, where a Newton step is refused and a split would crawl down from the
-other end.  After a closing pair that does not straddle the root, the
-secant through its probes is accurate, so the next Newton step lands
-inside [a, b] next to the root.
+Each phase takes at most `MAX_ITERATIONS` probes.  N's width is at most
+2 rad(f(m)) / lo(D) + |X| rad(D) / lo(D): so f is asked at lo(D) / 2 times
+max(tol, |X| rad(D) / lo(D)), and D again, over the current X, only while
+|X| rad(D) / lo(D) > tol, at 2^-50, or finer when both |X| and tol / |X|
+are, so that the second term falls quadratically.  Without D, f is asked
+at 1/8 of the last probe's |f|, times tol at the bracket's end, which may
+sit within tol of the root.
 
 `expand_upper` and `bisect_integers` search integers only: doubling to a
 first bracket, then bisection down to consecutive integers or an exact hit.
@@ -102,13 +72,9 @@ SlopeFn = Callable[[Ball, Fraction], "Ball | None"]
 
 _SIGN_ROUNDS = 60
 _START_SIGN_TOL = Fraction(1, 1 << 12)
-# A probe asks for f this many bits below the |f| its step predicts.
-_PROBE_MARGIN = 20
-# A start estimate is taken to be good to about a float's 52 bits; so is
-# the first step toward an uncertified end.
+# The first step toward an uncertified end is at most a float estimate's
+# error, 2^-_ESTIMATE_BITS max(1, |x|).
 _ESTIMATE_BITS = 52
-# Each later step toward an uncertified end grows by 2^_WIDEN_BITS.
-_WIDEN_BITS = 2
 # The first interval-Newton ball is the start +/- 2^-_NEWTON_START_BITS
 # max(1, |start|); a slope ball is asked for at 2^-_SLOPE_BITS or finer.
 _NEWTON_START_BITS = 46
@@ -178,14 +144,6 @@ def _retry_tol(ball: Ball, t: Fraction) -> Fraction:
     return min(t / 4, Fraction(1, 1 << bits))
 
 
-def _probe_tol(expect: Fraction) -> Fraction:
-    """A power of two 2^-_PROBE_MARGIN below the |f| a probe expects, for
-    expect >= 0; the start tolerance when it is 0."""
-    if not expect:
-        return _START_SIGN_TOL
-    return Fraction(1, 1 << (tol_bits(expect) + _PROBE_MARGIN))
-
-
 def _exponent(x: Fraction) -> int:
     """floor(log2(x)), for x > 0."""
     n, d = x.numerator, x.denominator
@@ -206,81 +164,26 @@ def brent(
     it raises DomainError.  Every caller's f does: `hyperops` solves
     x (+^4) q = g, and a tower grows with its base; a fractional q splits
     into integer towers and a super-root, a composition of increasing maps.
-    `start` is an estimate of the root (a float is fine); without one the
-    search starts at the bracket's midpoint.  `slope(X, t)`, given with a
-    start, must return a ball holding f' over the whole ball X (or None),
-    each of its roundings within t; the search then first takes
-    interval-Newton steps from the start.  Returns a Ball of radius <=
-    cfg.x_tolerance containing the root; the ball is exact (radius 0) when a
-    probe evaluates to exactly zero.
+    `start` is an estimate of the root (a float is fine).  `slope(X, t)`
+    must return a ball holding f' over the whole ball X (or None), each of
+    its roundings within t.  Given both, the search starts with an
+    interval-Newton step from the start; a call without a slope is a
+    certified bisection, bounded by `MAX_ITERATIONS` probes.  Returns a Ball
+    of radius <= cfg.x_tolerance containing the root, exact (radius 0) when
+    a probe evaluates to exactly zero.
     """
     tol = cfg.x_tolerance
     if slope is not None and start is not None:
         root = _newton(f, slope, bracket, tol, Fraction(start))
         if root is not None:
             return root
-    bits = tol_bits(tol)
-    h = Fraction(1, 1 << bits)
-    grid = 1 << (bits + 8)  # the Newton point rounds onto multiples of 1/grid
     a, b = bracket.lo, bracket.hi
     a_seen = b_seen = False  # whether f(a) < 0, f(b) > 0 are certified
-    last: list[tuple[Fraction, Fraction]] = []  # the last two probes, (x, f's center)
-    last_step = None  # the size of the last Newton-type step
-    stride = None  # log2 of the size of the last step toward an uncertified end
-
-    def plan() -> list[tuple[Fraction, Fraction]]:
-        """The next probes, as (x, the |f| expected there)."""
-        nonlocal last_step, stride
-        x1, c1 = last[-1]
-        previous, last_step = last_step, None
-        slope = Fraction(0)  # the secant slope through the last two probes
-        if len(last) == 2:
-            x0, c0 = last[0]
-            slope = (c1 - c0) / (x1 - x0)
-        if slope:
-            x = Fraction(round((x1 - c1 / slope) * grid), grid)  # halves to even
-            step = abs(c1 / slope)
-            # each step must at most halve the one before it, unless the
-            # last probe was of another kind
-            if a <= x <= b and (previous is None or 2 * step <= previous):
-                expect = abs(slope) * h
-                # the residual at x if the residuals keep shrinking at least
-                # at their last rate, small^2 / large of |c0|, |c1|; within
-                # h/8 of the root, close, even at a certified end
-                small, large = sorted((abs(c0), abs(c1)))
-                if 8 * small * small <= expect * large:
-                    return [(min(max(p, a), b), expect) for p in (x - h, x + h)]
-                if a < x < b:
-                    last_step = step
-                    return [(x, expect)]
-        if not (a_seen and b_seen):
-            # x1 is the certified end, so the root lies toward the other one:
-            # first min(|c1| / 16, max(1, |x1|) 2^-_ESTIMATE_BITS), rounded
-            # down to a power of two, then _WIDEN_BITS bits more each time
-            if stride is None:
-                whole = _exponent(abs(x1)) if abs(x1) > 1 else 0
-                stride = min(_exponent(abs(c1)) - 4, whole - _ESTIMATE_BITS)
-            else:
-                stride += _WIDEN_BITS
-            step = Fraction(2) ** stride
-            return [(min(x1 + step, b) if c1 < 0 else max(x1 - step, a), abs(c1))]
-        if b > 4 * a > 0:
-            x = Fraction(2) ** ((_exponent(a) + _exponent(b)) // 2)
-        else:
-            x = (a + b) / 2
-        return [(x, abs(slope) * (x - a) / 2)]
-
     x = (a + b) / 2 if start is None else min(max(Fraction(start), a), b)
-    queue = [(x, Fraction(max(1, abs(x)), 1 << _ESTIMATE_BITS))]
+    t, step = _START_SIGN_TOL, None
     for _ in range(MAX_ITERATIONS):
-        while not queue:
-            queue = plan()
-        x, expect = queue.pop(0)
-        if (a_seen and x <= a) or (b_seen and x >= b):
-            continue  # its sign follows from a certified end
-        ft = _probe_tol(expect)
         try:
-            s, c = _sign(f, x, ft)
+            sign, c = _sign(f, x, t)
         except AmbiguityError:
             if (x == a and not a_seen) or (x == b and not b_seen):
                 raise AmbiguityError(f"cannot resolve the sign of f at the bracket's end"
@@ -288,76 +191,113 @@ def brent(
             # the probe may sit exactly on the root; nudge once before giving up
             nudge = (b - a) / 1024
             x = x + nudge if x + nudge <= b else x - nudge
-            s, c = _sign(f, x, ft)
-        if s == 0:
+            sign, c = _sign(f, x, t)
+        if sign == 0:
             return Ball(x)
-        if x == (b if s < 0 else a):
+        if x == (b if sign < 0 else a):
             raise DomainError("bracket does not straddle a sign change")
-        if s < 0:
+        if sign < 0:
             a, a_seen = x, True
         else:
             b, b_seen = x, True
-        last = [*last[-1:], (x, c)]
-        if a_seen and b_seen and b - a <= 2 * tol:
-            return Ball((a + b) / 2, (b - a) / 2)
+        if a_seen and b_seen:
+            return _steps(f, slope, tol, a, b)
+        # a stride from the certified end x toward the other: 4x the last,
+        # first min(|c| / 16, 2^-_ESTIMATE_BITS max(1, |x|)) rounded down
+        step = 4 * step if step else Fraction(2) ** min(
+            _exponent(abs(c)) - 4, max(_exponent(abs(x)), 0) - _ESTIMATE_BITS)
+        x = min(x + step, b) if sign < 0 else max(x - step, a)
+        # a probe inside asks at |c| / 8; the bracket's end, which may sit
+        # within tol of the root, at |c| tol / 8
+        t = _eighth(c * tol if x in (a, b) else c)
     raise ConvergenceError("root finder exceeded its iteration budget")
+
+
+def _eighth(c: Fraction) -> Fraction:
+    """A power of two at most |c| / 8, c != 0: asked after a probe of f = c."""
+    return Fraction(1, 1 << (_tol_bits(abs(c.numerator), c.denominator) + 3))
 
 
 def _newton(f: BallFn, slope: SlopeFn, bracket: Bracket, tol: Fraction,
             x: Fraction) -> Ball | None:
     """The root's enclosure by interval-Newton steps from the estimate x, or
-    None when a step fails (see the module docstring).  X is [L, U] / 2^s
-    and m is M / 2^s."""
-    tn, td = tol.numerator, tol.denominator
-    bits = tol_bits(tol)
+    None when the first step fails (see the module docstring)."""
+    return _steps(f, slope, tol, bracket.lo, bracket.hi, x)
+
+
+def _steps(f: BallFn, slope: SlopeFn | None, tol: Fraction, a: Fraction, b: Fraction,
+           x: Fraction | None = None) -> Ball | None:
+    """Interval-Newton steps on X = [a, b], certified to hold the root; or,
+    given the estimate x, on X = x +/- 2^-46 max(1, |x|) within [a, b], not
+    yet certified, returning None when that first step fails.  X is [L, U]
+    / 2^s and m is M / 2^s."""
+    bits, tn, td = tol_bits(tol), tol.numerator, tol.denominator
     s = max(bits, _NEWTON_START_BITS) + 8
     one = 1 << s
-    M = round(x * one)
-    w = max(one, abs(M)) >> _NEWTON_START_BITS
-    L = max(M - w, math.ceil(bracket.lo * one))
-    U = min(M + w, math.floor(bracket.hi * one))
-    if not L < M < U:
-        return None
-    D = value = None
+    certified = x is None
+    if certified:
+        L, U = math.floor(a * one), math.ceil(b * one)
+    else:
+        M = round(x * one)
+        w = max(one, abs(M)) >> _NEWTON_START_BITS
+        L, U = max(M - w, math.ceil(a * one)), min(M + w, math.floor(b * one))
+        if not L < M < U:
+            return None
+    D = value = c = None
+    t = _START_SIGN_TOL
 
-    def seen(x: Fraction, t: Fraction):
-        """f, keeping the answer `_sign` decides on."""
+    def seen(x: Fraction, t: Fraction):  # f, keeping the answer `_sign` decides on
         nonlocal value
         value = f(x, t)
         return value
 
-    for _ in range(MAX_ITERATIONS):
+    probes = 0
+    while not (certified and (U - L) * td <= 2 * tn * one):
+        if probes == MAX_ITERATIONS:
+            raise ConvergenceError("root finder exceeded its iteration budget")
+        probes += 1
+        if certified:
+            M = 1 << ((L.bit_length() + U.bit_length()) // 2 - 1) if U > 4 * L > 0 else (L + U) >> 1
         # |X| rad(D) / lo(D): N's width beyond the part f's tolerance adds
-        if D is None or (U - L) * D.r * td > tn * (D.c - D.r) * one:
+        if slope is not None and (D is None or (U - L) * D.r * td > tn * (D.c - D.r) * one):
             # finer than 2^-_SLOPE_BITS only when neither |X| nor tol / |X| is
             # coarser, so that the next |X| rad(D) / lo(D) falls quadratically
             width = s - (U - L).bit_length()
             D = slope(_ball(L + U, U - L, 2 * one),
                       Fraction(1, 1 << max(_SLOPE_BITS, min(width, bits - width))))
-            if D is None or D.c <= D.r:
-                return None
-        lo_D = D.c - D.r
-        # aim N's width at max(tol, |X| rad(D) / lo(D)), half of it from f's radius
-        ft = Fraction(1, 1 << _tol_bits(max(tn * lo_D * one, (U - L) * D.r * td),
-                                        2 * td * D.d * one))
+            if D is not None and D.c <= D.r:
+                D = None
+        if D is not None:
+            # aim N's width at max(tol, |X| rad(D) / lo(D)), half of it from f's radius
+            t = Fraction(1, 1 << _tol_bits(max(tn * (D.c - D.r) * one, (U - L) * D.r * td),
+                                           2 * td * D.d * one))
+        elif not certified:
+            return None
+        elif c is not None:
+            t = _eighth(c)
         try:
-            sign, _ = _sign(seen, Fraction(M, one), ft)
+            sign, c = _sign(seen, Fraction(M, one), t)
         except AmbiguityError:
-            return None
-        if not isinstance(value, Ball):
-            return None
+            if not certified:
+                return None
+            # m may sit exactly on the root; nudge it once, by 1/1024 of X
+            nudge = max((U - L) >> 10, 1)
+            M += nudge if M + nudge < U else -nudge
+            sign, c = _sign(seen, Fraction(M, one), t)
         if not sign:
             return _ball(M, 0, one)
-        qc, qr, qd = _quotient(value.c, value.r, value.d, D.c, D.r, D.d)
-        NL = (M * qd - ((qc + qr) << s)) // qd
-        NU = -((((qc - qr) << s) - M * qd) // qd)
-        if not (L < NL and NU < U and 2 * (NU - NL) <= U - L):
+        NL, NU = L, U  # N(X), or X without D or with a bound for f(m)
+        if D is not None and isinstance(value, Ball):
+            qc, qr, qd = _quotient(value.c, value.r, value.d, D.c, D.r, D.d)
+            NL = (M * qd - ((qc + qr) << s)) // qd
+            NU = -((((qc - qr) << s) - M * qd) // qd)
+        if certified:  # the half f(m)'s sign allows, within N(X)
+            L, U = (max(M, NL), min(U, NU)) if sign < 0 else (max(L, NL), min(M, NU))
+        elif L < NL and NU < U and 2 * (NU - NL) <= U - L:
+            L, U, certified = NL, NU, True
+        else:
             return None
-        L, U = NL, NU
-        if (U - L) * td <= 2 * tn * one:
-            return _ball(L + U, U - L, 2 * one)
-        M = (L + U) >> 1
-    return None
+    return _ball(L + U, U - L, 2 * one)
 
 
 def expand_upper(f: BallFn, target: Fraction) -> Bracket:

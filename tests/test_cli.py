@@ -124,6 +124,17 @@ def test_split_blowup_of_a_budgeted_tail_names_its_intermediate(text, intermedia
     assert f"the rational-height split's intermediate {intermediate} {SPLIT_BLOWUP}" in err
 
 
+def test_a_super_root_whose_tail_passes_the_cap_is_refused_at_once():
+    # the root of x^^(11/6) = 6 needs x^^5 past the magnitude cap: the float
+    # estimate stops where x^^5 passes it and refuses there, where a search
+    # from just below the cap computes towers of nearly the cap's bits
+    start = time.perf_counter()
+    code, out, err = run_main("eval", "[6----[11//6]]")
+    assert (code, out) == (3, "")
+    assert f"(+^4) 5 (the tower of the height's numerator) {SPLIT_BLOWUP}" in err
+    assert time.perf_counter() - start < 5
+
+
 def test_tower_blowup_keeps_its_message():
     code, _, err = run_main("eval", "[10++++5]")
     assert code == 3

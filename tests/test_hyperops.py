@@ -396,16 +396,19 @@ def test_an_exact_goal_is_one_search_within_tol(order, goal, bits):
         searches = counted_calls(mp, hyperops, "brent")
         out = hyper_inverse_minus(4, goal, Fraction(order), tol)
     assert out.radius <= tol
-    assert encloses_mpmath_root(out, goal, order)
+    if out.radius:
+        assert encloses_mpmath_root(out, goal, order)
+    else:  # an exact root, which no bisection bracket fits inside: its tower is goal
+        assert hyper_forward(4, out.center, Fraction(order), tol) == Ball(goal)
     assert len(searches) == 1 or (not searches and out == Ball(out.center)
                                   and out.center.denominator == 1)
 
 
 def test_a_capped_probe_is_a_sign_and_never_a_newton_step(monkeypatch):
     # the first tower probe raises MagnitudeError, so `_capped` answers with
-    # its bound 2 goal + 2.  The slope ball is 2^200: a Newton step on that
-    # bound would land within 2^-190 of the start and certify a ball that
-    # misses the root, so the steps must stop there and the loop take over
+    # its bound 2 goal + 2, and f with goal + 2: a sign, and no enclosure of
+    # f.  The step from the start stops there, and no quotient f(m) / D of
+    # any later step takes the bound, so it never enters an N(X)
     real, calls = hyperops._forward, []
 
     def forward(*args):
@@ -415,18 +418,23 @@ def test_a_capped_probe_is_a_sign_and_never_a_newton_step(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(hyperops, "_forward", forward)
-    monkeypatch.setattr(hyperops, "_tower_slope", lambda x, order, t: Ball(2**200))
+    newton, steps = rootfind._newton, []
+    monkeypatch.setattr(rootfind, "_newton", lambda *args: steps.append(newton(*args)) or steps[-1])
+    quotient, numerators = rootfind._quotient, []
+    monkeypatch.setattr(rootfind, "_quotient",
+                        lambda c, r, d, *slope: numerators.append(Fraction(c, d)) or quotient(c, r, d, *slope))
     tol = Fraction(1, 10**30)
     out = hyper_inverse_minus(4, Fraction(1000), Fraction(3), tol)
     assert out.radius <= tol and encloses_mpmath_root(out, Fraction(1000), 3)
-    assert len(calls) > 1
+    assert len(calls) > 1 and steps == [None]
+    assert numerators and Fraction(1002) not in numerators
 
 
 # the largest center drawn for each order: x^^order stays below 10^13
-SLOPE_CENTERS = {2: 8, 3: 3, 4: 2, 5: 1.8}
+SLOPE_CENTERS = {1: 1000, 2: 8, 3: 3, 4: 2, 5: 1.8}
 
 
-@given(order=st.integers(2, 5), data=st.data(), width=st.integers(8, 120),
+@given(order=st.integers(1, 5), data=st.data(), width=st.integers(8, 120),
        bits=st.integers(20, 200))
 @settings(max_examples=80, deadline=None)
 def test_tower_slope_holds_the_derivative_over_its_ball(order, data, width, bits):
@@ -446,6 +454,55 @@ def test_tower_slope_holds_the_derivative_over_its_ball(order, data, width, bits
             v = mpmath.mpf(point.numerator) / point.denominator
             level, d = v, mpmath.mpf(1)
             for _ in range(order - 1):
+                up = mpmath.power(v, level)
+                level, d = up, up * (d * mpmath.log(v) + level / v)
+            want = Fraction(int(mpmath.floor(d * mpmath.mpf(2) ** 500)), 2**500)
+            slack = (abs(want) + 1) / 2**490
+            assert slope.lo - slack <= want <= slope.hi + slack
+
+
+def mpmath_tower_slope(v, order: int):
+    """(v^^order, (v^^order)') by mpmath, from T_1 = v, T_1' = 1."""
+    mpmath = pytest.importorskip("mpmath")
+    level, d = v, mpmath.mpf(1)
+    for _ in range(order - 1):
+        up = mpmath.power(v, level)
+        level, d = up, up * (d * mpmath.log(v) + level / v)
+    return level, d
+
+
+@given(n=st.integers(1, 2), r=st.integers(2, 4), data=st.data(), width=st.integers(8, 120),
+       bits=st.integers(20, 200))
+@settings(max_examples=40, deadline=None)
+def test_fractional_slope_holds_the_derivative_over_its_ball(n, r, data, width, bits):
+    # (x^^(n + p/r))' by mpmath at 600 bits: y from y^^r = x^^p by findroot,
+    # y' = (x^^p)' / (y^^r)'(y), then n levels of the recurrence from (y, y'),
+    # at both ends and the middle of X = [c, c + 2^(1-width) c], lies in the
+    # slope ball, which may be None only for a ball too wide
+    mpmath = pytest.importorskip("mpmath")
+    tail = Fraction(data.draw(st.integers(1, r - 1)), r)  # the split takes lowest terms
+    p, r = tail.numerator, tail.denominator
+    c = 1 + Fraction(data.draw(st.floats(0.01, 2))).limit_denominator(2**60)
+    x = Ball(c + c / 2**width, c / 2**width)
+    slope = hyperops._tower_slope(x, n + tail, Fraction(1, 2**bits))
+    if slope is None:
+        assert width < 40
+        return
+    with mpmath.workprec(600):
+        for point in (x.lo, x.center, x.hi):
+            v = mpmath.mpf(point.numerator) / point.denominator
+            goal, up = mpmath_tower_slope(v, p)
+            # y^^(r-1) ln y = ln goal: 60 bisection steps on [1, x] at 80
+            # bits, then findroot's secant steps from the pair at 600
+            g = lambda y: mpmath_tower_slope(y, r - 1)[0] * mpmath.log(y) - mpmath.log(goal)
+            lo, hi = mpmath.mpf(1), v
+            with mpmath.workprec(80):
+                for _ in range(60):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if g(mid) < 0 else (lo, mid)
+            y = mpmath.findroot(g, (lo, hi), tol=mpmath.mpf(2)**-1180)
+            level, d = y, up / mpmath_tower_slope(y, r)[1]
+            for _ in range(n):
                 up = mpmath.power(v, level)
                 level, d = up, up * (d * mpmath.log(v) + level / v)
             want = Fraction(int(mpmath.floor(d * mpmath.mpf(2) ** 500)), 2**500)

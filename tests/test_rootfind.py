@@ -295,99 +295,87 @@ def test_a_bad_start_estimate_certifies_the_same_digits(monkeypatch, text, estim
     assert starts and all(start == estimate for start in starts)
 
 
-# (x, ft) for each probe `brent` hands f, recorded when the root finder
-# computed in Fractions, as (n, e, t) for x = n / 2^e and ft = 2^-t.  Later
-# probes follow f's values, and were recorded again when every rank-3 ball
-# result took the one snap grid 2^-(tol_bits + 16).  The first three are the
-# searches behind the inputs at 30 digits, with the slope withheld, so they
-# pin the loop the interval-Newton steps fall back to.  The fourth is
-# [100----3] without a start estimate: it steps down from the bracket's
-# midpoint by growing powers of two, then splits at the mean binary exponent
-# of the ends and at midpoints.  The last is [1000----3] with its slope: an
-# interval-Newton step at the start, asked at about |X| rad(D) / lo(D), and
-# one at the midpoint of N, asked at the tolerance; that midpoint was
-# recorded again when the slope came to take ln x once, at the top level's
-# tolerance.
+# (x, ft) for each probe `brent` hands f, as (n, e, t) for x = n / 2^e and
+# ft = 2^-t, for the searches behind the inputs at 30 digits.  [1000----3]
+# with its slope takes an interval-Newton step at the start, asked at about
+# |X| rad(D) / lo(D), and one at the midpoint of N, asked at the tolerance.
+# The other two pin the certified phase.  With the start 2^-30 above its
+# estimate, the first step's box misses the root; the search probes the
+# start again at 2^-12, strides down by growing powers of two to a certified
+# bracket, and then a split and the steps inside it close the search.
+# [100----3] without a start estimate strides down from the bracket's
+# midpoint to its lower end, asked at |c| tol / 8 there, then splits at the
+# mean binary exponent of the ends and at midpoints while the slope ball is
+# too wide, and certifies by steps on N(X) once it is not.
 PINNED_PROBES = [
-    ("[1000----3]", None, Fraction(1, 4008 * 10**40), [
-        (2685169708817751, 50, 72),
-        (5370339417635503, 51, 60),
-        (54461711889559716629909217609606605952611073821, 154, 154),
-        (13615427972389929157477304402415721983951659159, 152, 154),
-        (13615427972389929157477304402415721983951659391, 152, 154),
-        (13615427972389929157477304402415721983951659519, 152, 154),
-    ]),
-    ("[1.5----3]", None, Fraction(1, 108 * 10**40), [
-        (2979292680731157, 51, 73),
-        (1525397852534352383, 60, 77),
-        (944175538746105442144303209589609375841747543, 149, 161),
-        (236043884686526360536075802371063053734596661, 147, 161),
-        (236043884686526360536075802371063053734593085, 147, 161),
-        (236043884686526360536075802371063053734593213, 147, 161),
-    ]),
-    ("[2++++0.75]", None, Fraction(1, 2816 * 10**40), [
-        (1995426675126447, 50, 73),
-        (7981706700505787, 52, 67),
-        (40472061158967368368535246728885203293271336179, 154, 160),
-        (40472061158967368368535246728868935277006518569, 154, 160),
-        (20236030579483684184267623364434467638503259033, 153, 160),
-    ]),
     ("[100----3]", "no estimate", Fraction(1, 408 * 10**40), [
-        (101, 1, 68),
-        (7107243161944063, 47, 21),
-        (7107243161944059, 47, 21),
-        (7107243161944043, 47, 21),
-        (7107243161943979, 47, 21),
-        (7107243161943723, 47, 21),
-        (7107243161942699, 47, 21),
-        (7107243161938603, 47, 21),
-        (7107243161922219, 47, 21),
-        (7107243161856683, 47, 21),
-        (7107243161594539, 47, 21),
-        (7107243160545963, 47, 21),
-        (7107243156351659, 47, 21),
-        (7107243139574443, 47, 21),
-        (7107243072465579, 47, 21),
-        (7107242804030123, 47, 21),
-        (7107241730288299, 47, 21),
-        (7107237435321003, 47, 21),
-        (7107220255451819, 47, 21),
-        (7107151535975083, 47, 21),
-        (7106876658068139, 47, 21),
-        (7105777146440363, 47, 21),
-        (7101379099929259, 47, 21),
-        (7083786913884843, 47, 21),
-        (7013418169707179, 47, 21),
-        (6731943192996523, 47, 21),
-        (5606043286153899, 47, 21),
-        (1102443658783403, 47, 21),
-        (1, 0, 21),
-        (614413661849753, 47, 160),
-        (2, 0, 21),
-        (22300745198530623141535718272648361505980417, 143, 21),
-        (70979610650547108305108650426119054031847425, 144, 12),
-        (2854495385411919763425778830763638232917485705, 150, 98),
-        (5708990770823839529469971445256572381045697869, 151, 98),
-        (14794380934093869392523878699799811297122168269, 152, 21),
-        (5710873022918991276177868229703944696750530191, 151, 148),
-        (5712751592631271118636521694909317861059169977, 151, 148),
-        (26219884119356411629796922089618447019240508223, 153, 21),
-        (2993981501420899809570034847088128668012702963, 150, 155),
-        (6145929107205502914680346497252776235142155969, 151, 154),
-        (50803600548178423288518308078629551959809132099, 154, 21),
-        (6302179584309341280333671464755853881093643997, 151, 155),
-        (6315308842745232857895958863404919360029408881, 151, 154),
-        (197389128826185259581326654986546780905587511, 146, 154),
-        (1579103831027338660632924789906743478396052193, 149, 154),
-        (6316415418008164364117526608764628559406262351, 151, 154),
-        (394775963626008045249906549856164862490080545, 147, 154),
-        (6316415418016128722270313245028304883225469953, 151, 154),
-        (6316415418016128722270313245060109254302896323, 151, 154),
-        (6316415418016128722270313245060109254302896579, 151, 154),
+        (101, 1, 12),
+        (7107243161944063, 47, 4),
+        (7107243161944059, 47, 4),
+        (7107243161944043, 47, 4),
+        (7107243161943979, 47, 4),
+        (7107243161943723, 47, 4),
+        (7107243161942699, 47, 4),
+        (7107243161938603, 47, 4),
+        (7107243161922219, 47, 4),
+        (7107243161856683, 47, 4),
+        (7107243161594539, 47, 4),
+        (7107243160545963, 47, 4),
+        (7107243156351659, 47, 4),
+        (7107243139574443, 47, 4),
+        (7107243072465579, 47, 4),
+        (7107242804030123, 47, 4),
+        (7107241730288299, 47, 4),
+        (7107237435321003, 47, 4),
+        (7107220255451819, 47, 4),
+        (7107151535975083, 47, 4),
+        (7106876658068139, 47, 4),
+        (7105777146440363, 47, 4),
+        (7101379099929259, 47, 4),
+        (7083786913884843, 47, 4),
+        (7013418169707179, 47, 4),
+        (6731943192996523, 47, 4),
+        (5606043286153899, 47, 4),
+        (1102443658783403, 47, 4),
+        (1, 0, 139),
+        (2, 0, 12),
+        (1383918635494059, 48, 4),
+        (1946868588915371, 49, 4),
+        (3072768495757995, 50, 4),
+        (5324568309443243, 51, 4),
+        (9828167936813739, 52, 4),
+        (20477304555700225, 53, 4),
+        (40133640429327703, 54, 4),
+        (79446312176582659, 55, 4),
+        (159713593035238065, 56, 1),
+        (789099596136705950669368070561919729065871681, 148, 3),
+        (6316492568437942788257553824229414619866740707, 151, 11),
+        (6316415428737957727258626201108823880588121537, 151, 31),
+        (3158207709008064493767294253314660214456059485, 150, 76),
+        (6316415418016128722270313245060258261682036307, 151, 134),
     ]),
     ("[1000----3]", "with slope", Fraction(1, 4008 * 10**40), [
         (2685169708817751, 50, 71),
         (54461711889559716629909217609670245853553993833, 154, 133),
+    ]),
+    ("[1000----3]", "off by 2^-30", Fraction(1, 4008 * 10**40), [
+        (2685169709866327, 50, 71),
+        (2685169709866327, 50, 12),
+        (5370339419732653, 51, 21),
+        (5370339419732649, 51, 21),
+        (5370339419732633, 51, 21),
+        (5370339419732569, 51, 21),
+        (5370339419732313, 51, 21),
+        (5370339419731289, 51, 21),
+        (5370339419727193, 51, 21),
+        (5370339419710809, 51, 21),
+        (5370339419645273, 51, 21),
+        (5370339419383129, 51, 21),
+        (5370339418334553, 51, 21),
+        (5370339414140249, 51, 22),
+        (5370339416237401, 51, 42),
+        (54461711889559716711730347762369004167106040425, 154, 91),
+        (6807713986194964578738652201207861332594119421, 151, 133),
     ]),
 ]
 
@@ -403,8 +391,10 @@ def test_integer_search_repeats_the_fraction_search_probes(monkeypatch, text, es
                      start=start, slope=slope)
 
     monkeypatch.setattr(hyperops, "brent", recorded)
-    if estimate != "with slope":
-        monkeypatch.setattr(hyperops, "_tower_slope", lambda x, order, t: None)
+    real = hyperops._super_root_estimate
+    if estimate == "off by 2^-30":
+        monkeypatch.setattr(hyperops, "_super_root_estimate",
+                            lambda goal, order: real(goal, order) + 2.0**-30)
     if estimate == "no estimate":
         monkeypatch.setattr(hyperops, "_super_root_estimate", lambda goal, order: None)
     adaptive_evaluate(parse(text), NumericContext(digits=30))
@@ -412,31 +402,13 @@ def test_integer_search_repeats_the_fraction_search_probes(monkeypatch, text, es
     assert searches == [(tol, want)]
 
 
-# The probe loop's one production path: a fractional order has no slope, so
-# the outer search of [1000----2.5] at 30 digits runs the loop from the
-# float estimate.  Its probes (x, ft) as (n, e, t): x = n / 2^e, ft = 2^-t.
-FALLBACK_PROBES = [
-    (7422248392961213, 51, 72),
-    (1855562098240303, 49, 21),
-    (73359758507902839997354387814567690566783391453, 154, 148),
-    (73359758507902799432535180511226842672280819421, 154, 21),
-    (35680913470201805473767383383151940321494395919, 153, 149),
-    (35680913470201724344128968776470244532489251855, 153, 21),
-    (8666527554025291597524099618385129911268352063, 151, 151),
-    (8666527554025210467885685011703434122263207999, 151, 21),
-    (67433561929865615361776852645992432652132138335, 154, 152),
-    (66514862439872146901719555932779459074947341393, 154, 153),
-    (66514862439869550753290288518965193826782731345, 154, 21),
-    (16380759431072386897105804978327919119557338521, 152, 154),
-    (65306721107742206202668207543114141471432672021, 154, 154),
-    (65244761785656761747086217970317883011477356765, 154, 154),
-    (65241192700774878204863263233625857822215510949, 154, 154),
-    (65241145620477932919886020703166449013165528195, 154, 154),
-    (65241145586504430272162702908147571128198515443, 154, 154),
-    (32620572793252055513797323658036905625616814409, 153, 154),
-    (65241145586504111027592484120930116373422896105, 154, 154),
-    (32620572793252055513796242060465058117843522889, 153, 154),
-    (32620572793252055513796242060465058117843523145, 153, 154),
+# A fractional order has a slope ball through the split, and a start
+# estimate through it: the outer search of [1000----2.5] at 30 digits takes
+# an interval-Newton step at the start and one at the midpoint of N.  Its
+# probes (x, ft) as (n, e, t): x = n / 2^e, ft = 2^-t.
+FRACTIONAL_PROBES = [
+    (3216636822814091, 50, 73),
+    (65241145586504111027592484120934974344938692723, 154, 134),
 ]
 
 
@@ -445,56 +417,46 @@ def test_a_fractional_order_search_repeats_the_pinned_probes(monkeypatch):
 
     def recorded(f, bracket, cfg, start=None, slope=None):
         probes = []
-        searches.append((cfg.x_tolerance, slope, probes))
+        searches.append((cfg.x_tolerance, slope is not None, probes))
         return brent(lambda x, ft: probes.append((x, ft)) or f(x, ft), bracket, cfg,
                      start=start, slope=slope)
 
     monkeypatch.setattr(hyperops, "brent", recorded)
     adaptive_evaluate(parse("[1000----2.5]"), NumericContext(digits=30))
-    want = [(Fraction(n, 1 << e), Fraction(1, 1 << t)) for n, e, t in FALLBACK_PROBES]
-    assert searches[0] == (Fraction(1, 4136 * 10**40), None, want)
+    want = [(Fraction(n, 1 << e), Fraction(1, 1 << t)) for n, e, t in FRACTIONAL_PROBES]
+    assert searches[0] == (Fraction(1, 4136 * 10**40), True, want)
 
 
-@pytest.mark.parametrize("offset", [0, 1])
-def test_newton_point_rounds_half_to_even(offset):
-    # f(x) = x - root with the root halfway between two grid points: the
-    # first probe is at the start, the second 2^-52 below it, and the
-    # secant through them lands on the root, which rounds to the even one
-    tol = Fraction(1, 2**20)
-    grid = 1 << (rootfind.tol_bits(tol) + 8)
-    j = grid // 3 + offset
-    root = Fraction(2 * j + 1, 2 * grid)
-    probes = []
-
-    def f(x, t):
-        probes.append(x)
-        return Ball(x - root)
-
-    out = brent(f, Bracket(Fraction(0), Fraction(1)), RootConfig(tol), start=root + Fraction(1, 1000))
-    assert probes[1] == probes[0] - Fraction(1, 2**52)
-    assert probes[2] == Fraction(j + j % 2, grid)
-    assert out.contains(root) and out.radius <= tol
+@pytest.mark.parametrize("text", ["[1000----2.5]", "[[2.75+++3]----[2.75-0]]", "[5----[7//3]]",
+                                  "[100----[11//4]]"])
+def test_a_fractional_order_takes_at_most_twelve_evaluations(monkeypatch, text):
+    # the outer search and the tails its probes and slope balls solve, all
+    # certified by interval-Newton steps from their estimates (the probe
+    # loop without a slope took 43-58)
+    counts = evaluations_per_search(monkeypatch)
+    newton, steps = rootfind._newton, []
+    monkeypatch.setattr(rootfind, "_newton", lambda *args: steps.append(newton(*args)) or steps[-1])
+    adaptive_evaluate(parse(text), NumericContext(digits=30))
+    assert sum(counts) <= 12
+    assert steps and None not in steps
 
 
 def test_a_nudge_finer_than_the_points_so_far():
-    # the secant lands exactly on a grid point that is a root f never
-    # certifies; the nudge (b - a)/1024 from there is finer than any point
-    # before it (a is the bracket's 0, b the second probe)
+    # the certified phase splits [0, 1] at 1/2, a root f never certifies:
+    # the nudge is 1/1024 of X, finer than any point before it, and the
+    # slope ball's steps then close the search
     tol = Fraction(1, 2**20)
-    grid = 1 << (rootfind.tol_bits(tol) + 8)
-    root = Fraction(2 * (grid // 3) + 1, grid)
-    start = root + Fraction(1, 1000)
+    root = Fraction(1, 2)
     probes = []
 
     def f(x, t):
         probes.append(x)
         return Ball(x - root, t)
 
-    out = brent(f, Bracket(Fraction(0), Fraction(1)), RootConfig(tol), start=start)
-    b = start - Fraction(1, 2**52)
+    out = rootfind._steps(f, lambda x, t: Ball(1), tol, Fraction(0), Fraction(1))
     rounds = rootfind._SIGN_ROUNDS
-    assert probes[:2 + rounds] == [start, b] + [root] * rounds
-    assert probes[2 + rounds] == root + b / 1024
+    assert probes[:rounds] == [root] * rounds
+    assert probes[rounds] == root + Fraction(1, 1024)
     assert out.contains(root) and out.radius <= tol
 
 
@@ -511,6 +473,22 @@ def test_iteration_budget(monkeypatch):
     cfg = RootConfig(Fraction(1, 10**30))
     with pytest.raises(ConvergenceError, match="iteration budget"):
         brent(exact_fn(lambda x: x * x - 2), Bracket(Fraction(1), Fraction(2)), cfg)
+
+
+@pytest.mark.parametrize("poly", [lambda x: x**3 - 2, lambda x: x - Fraction(1, 3)])
+def test_a_call_without_a_slope_certifies_within_the_budget(poly):
+    # a certified bisection: strides from the midpoint to a certified
+    # bracket, then about one bit a probe down to 2^-200
+    probes = []
+
+    def f(x, t):
+        probes.append(x)
+        return Ball(poly(x), t / 8)
+
+    tol = Fraction(1, 2**200)
+    out = brent(f, Bracket(Fraction(0), Fraction(2)), RootConfig(tol))
+    assert out.radius <= tol and poly(out.lo) <= 0 <= poly(out.hi)
+    assert len(probes) <= rootfind.MAX_ITERATIONS
 
 
 def test_bracket_preservation_and_width_decay():
