@@ -22,19 +22,21 @@ float estimate of its root of order q.  The inverses are bracketed searches:
     recurrence T_1 = X, T_1' = 1, T_k = e^(T_(k-1) ln X), T_k' = T_k
     (T_(k-1)' ln X + T_(k-1) / X), over one `midops.ln_e`, an `exp_e` a
     level and `divide`.  It is >= 1 on x >= 1: by induction T_k >= 1,
-    T_(k-1)' >= 0, ln x >= 0 and T_(k-1) / x >= 1, as T_(k-1) >= x.  So its
-    lower end is positive, and an inexact goal g +/- r with g - r >= 1 and
-    an integer order q >= 2 is one search at g, widened by r: the roots of
-    g - r and g + r lie within r of g's.  Other inexact goals take the hull
-    of the searches at both ends.  A fractional order n + p/r is n levels
-    over the split's tail y, y (+^4) r = x (+^4) p.  y increases with x, as
-    both towers grow with their bases, so the hull Y of y at X's ends holds
-    y over X.  Implicit differentiation gives y' = (x^^p)' / (y^^r)'(y),
-    which lies in the quotient of the slope balls (x^^p)'(X) / (y^^r)'(Y),
-    whose divisor is >= 1 as y >= 1.  The recurrence then runs its n levels
-    from (Y, y') in place of (X, 1).  The float estimate goes through the
-    split too: it bisects ln(x (+^4) (n + p/r)) = ln a in floats, with the
-    tail's float from the integer-order estimate;
+    T_(k-1)' >= 0, ln x >= 0 and T_(k-1) / x >= 1, as T_(k-1) >= x.  A
+    fractional order n + p/r is n levels over the split's tail y, y (+^4) r
+    = x (+^4) p.  y increases with x, as both towers grow with their bases,
+    so the hull Y of y at X's ends holds y over X.  Implicit differentiation
+    gives y' = (x^^p)' / (y^^r)'(y), which lies in the quotient of the slope
+    balls (x^^p)'(X) / (y^^r)'(Y), whose divisor is >= 1 as y >= 1.  The
+    recurrence then runs its n levels from (Y, y') in place of (X, 1).  With
+    y in [1, x] and y' >= 0, T_1' = x^y (y' ln x + y / x) >= y x^(y-1) >= 1,
+    and T_k' >= T_(k-1) / x >= 1 after (orders below 1 reduce to integer
+    ones first); from order 2 up, ln T_k = T_(k-1) ln x has slope >= 1 too.
+    So an inexact goal g +/- r is one search at max(g, 1), widened by r, or
+    from order 2 up by r / max(g - r, 1), ln's change over the goal (values
+    below 1 read as 1).  The float estimate goes through the split too: it
+    bisects ln(x (+^4) (n + p/r)) = ln a in floats, with the tail's float
+    from the integer-order estimate;
   * super-log    x = a (/^r) b   solves b (+^r) x = a.
 
 The split is not continuous in its height: 2 (+^4) (p/q) tends to sqrt(2)
@@ -47,9 +49,11 @@ n + p/q checks exactly with integer towers, and every other input is a
 DomainError naming the integers whose towers enclose it.
 
 Integer towers over integer bases stay exact all the way up (2 (+^5) 3 is
-exactly 65536).  Anything that would need an approximate intermediate as
-the height of a rank >= 4 operator is rejected: the rational-height
-construction defines no enclosure there.
+exactly 65536), and over an inexact base a rank-4 tower is ball arithmetic
+through `midops.power`.  Anything that would need an approximate
+intermediate as the height of a rank >= 4 operator, a rank >= 5 tower over
+an inexact base among them, is rejected: the rational-height construction
+defines no enclosure there.
 """
 
 from __future__ import annotations
@@ -139,12 +143,9 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
         return Ball(1)
     if height == 1:
         return base
-    if not base.is_exact:
-        if rank >= 5:
-            # the first step is base (+^(rank-1)) base: the base is a height,
-            # and the hull's exact ends would stand in for it as ones
-            raise _approximate_height(rank - 1)
-        return _endpoint_hull(lambda x, t: _forward(rank, x, height, t), base.lo, base.hi, tol)
+    if not base.is_exact and rank >= 5:
+        # the first step is base (+^(rank-1)) base: the base is a height
+        raise _approximate_height(rank - 1)
 
     # height = steps + p/q, 0 <= p/q < 1, with the last whole step in p/q = 1 when q = 1
     q = height.denominator
@@ -194,10 +195,9 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
         # the tail itself is solved once, at its budgeted tolerance, and its
         # search starts at that estimate
         try:
-            ln_goal = _tower_logs(ln_base, ln_base, p - 1)[-1] if p > 1 else ln_base
+            estimate = _tail_estimate(ln_base, p, q)
         except MagnitudeError as err:
             raise numerator_blowup() from err
-        estimate = _integer_order_estimate(ln_goal, q)
         inner_log = max(math.log(estimate), 0.0)
         value = None
     # Each tower step amplifies the error underneath it by roughly
@@ -310,13 +310,11 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
         # estimate and the slope, each of which takes about `order` steps
         raise _over_step_cap(order)
     if not target.is_exact:
-        if order.denominator == 1 and target.c - target.r >= target.d:
-            # x^^q has slope >= 1 on x >= 1, so the roots of the goal's ends
-            # lie within r of the center's
-            center = _inverse_minus(rank, Ball(target.center), order, tol / 2, start)
-            return round_ball(center + _ball(0, target.r, target.d), tol_bits(tol) + 16)
-        return _endpoint_hull(lambda x, t: _inverse_minus(rank, x, order, t),
-                              max(target.lo, Fraction(1)), target.hi, tol)
+        # the roots of the goal's ends lie within r, from order 2 up within
+        # r / max(g - r, 1), of max(g, 1)'s (the module docstring)
+        center = _inverse_minus(rank, Ball(max(target.center, Fraction(1))), order, tol / 2, start)
+        low = target.d if order < 2 else max(target.c - target.r, target.d)
+        return round_ball(center + _ball(0, target.r, low), tol_bits(tol) + 16)
 
     goal = target.center  # exact rational > 1
     tower = _capped(lambda x, ft: _forward(rank, Ball(x), order, ft), goal)
@@ -400,8 +398,7 @@ def _super_root_estimate(goal: Fraction, order: Fraction) -> float:
     p, r = (order - n).numerator, (order - n).denominator
 
     def tail(x: float) -> float:
-        ln_x = math.log(x)
-        return _integer_order_estimate(_tower_logs(ln_x, ln_x, p - 1)[-1] if p > 1 else ln_x, r)
+        return _tail_estimate(math.log(x), p, r)
 
     # the root is at most goal, as x (+^4) order >= x; for n >= 2 it is at
     # most max(e, ln goal), as then ln(x (+^4) order) >= x ln x
@@ -417,6 +414,12 @@ def _super_root_estimate(goal: Fraction, order: Fraction) -> float:
         raise _split_blowup(f"{Fraction(above)} (+^4) {p} (the tower of the height's"
                             " numerator)") from None
     return x
+
+
+def _tail_estimate(ln_x: float, p: int, r: int) -> float:
+    """Float of the split's tail y = x (+^4) (p/r), ln_x = ln x: y (+^4) r =
+    x (+^4) p, past the magnitude cap a MagnitudeError."""
+    return _integer_order_estimate(([ln_x] + _tower_logs(ln_x, ln_x, p - 1))[-1], r)
 
 
 def _integer_order_estimate(ln_goal: float, order: int) -> float:
@@ -548,11 +551,6 @@ def _split_height(rank: int, base: Fraction, value: Fraction, n: int) -> Fractio
 
 # ---------------------------------------------------------------------------
 # shared by the forward and inverse operations
-
-
-def _endpoint_hull(fn, lo: Fraction, hi: Fraction, tol: Fraction) -> Ball:
-    """Increasing fn(x, t) over [lo, hi]: the snapped hull of both ends at tol / 2."""
-    return round_ball(hull(fn(Ball(lo), tol / 2), fn(Ball(hi), tol / 2)), tol_bits(tol) + 16)
 
 
 def _capped(tower: BallFn, goal: Fraction) -> BallFn:

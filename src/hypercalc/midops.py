@@ -88,11 +88,11 @@ integer balls (c +/- r) / d, and ln and exp of a ball are each written once
 (as in Arb's midpoint-radius model, Johansson, IEEE Trans. Computers 66(8),
 2017): `_ln_ball` is `_ln_fixed` at the center widened by ln's Lipschitz
 term r / (c - r), and `_exp_ball` is `_exp_fixed` at the center widened by
-e^r - 1 <= 2r, which holds for the spread r <= 5/8 that it checks, the one
-spread check of the module.  Both return unsnapped integer balls.  `power`
-multiplies the ln ball by b with `Ball`'s exact product and takes its exp,
-`log` divides two ln balls with `balls`' integer quotient, and `exp_e` and
-`ln_e` are one primitive each; every ball result is then snapped once, onto
+e^r - 1 <= r (1 + r), exactly, for the spread r <= 5/8 that it checks, the
+one spread check of the module.  Both return unsnapped integer balls.
+`power` multiplies the ln ball by b with `Ball`'s exact product and takes
+its exp, `log` divides two ln balls with `balls`' integer quotient, and
+`exp_e` and `ln_e` are one primitive each; every ball result is then snapped once, onto
 the grid 2^-(tol_bits(tol) + 16).  Those steps depend on values only, so a
 ball's integer form, which is not in lowest terms, gives the digits and
 radii that the same formulas give over Fractions.  Two steps depend on the
@@ -693,15 +693,16 @@ def _ln_ball(b: Ball, tn: int, td: int) -> tuple[int, int, int]:
 
 def _exp_ball(c: int, r: int, d: int, tn: int, td: int) -> tuple[int, int, int]:
     """e^((c +/- r) / d) as the integer ball (n +/- e) / den: `_exp_fixed` at
-    the center, at tolerance tn / td, widened by e^c' (e^r' - 1) <= 2 r'
-    e^c', which holds for r' = r / d <= 5/8 (up to about 1.25).  Unsnapped;
-    a wider spread raises PrecisionError."""
+    the center, at tolerance tn / td, widened by e^c' (e^r' - 1) <= e^c' r' (1
+    + r') for r' = r / d <= 5/8, where sum_(k>=2) r'^(k-2) / k! <= 0.63.  den =
+    d^2 2^prec keeps that exact, so no integer form of the ball rounds it
+    differently.  Unsnapped; a wider spread raises PrecisionError."""
     if 8 * r > 5 * d:
         raise PrecisionError("exp argument too imprecise for an enclosure")
     value, err, prec = _exp_fixed(c, d, tn, td)
     if not r:
         return value, err, 1 << prec
-    return value * d, err * d + 2 * r * (value + err), d << prec
+    return value * d * d, err * d * d + (value + err) * r * (d + r), d * d << prec
 
 
 def exp_e(a: Fraction | Ball, cfg: SeriesConfig) -> Ball:

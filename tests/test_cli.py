@@ -481,7 +481,7 @@ def test_selftest_passes():
 def test_working_tolerance_counts_nodes_not_entries():
     # chains fold into single entries; the radii stay those of one term per node
     for text, radius in [
-        ("[2++++2.75]", "3/5846006549323611672814739330865132078623730171904"),
+        ("[2++++2.75]", "1/5846006549323611672814739330865132078623730171904"),
         ("[[2+++0.5]+40]", "1/365375409332725729550921208179070754913983135744"),
     ]:
         code, out, _ = run_main("eval", text, "--digits", "30", "--format", "json")

@@ -525,19 +525,69 @@ def test_a_start_off_by_2_to_the_minus_30_falls_back_to_the_same_digits(monkeypa
     assert steps == [None]
 
 
-def test_fractional_orders_and_goals_below_one_keep_both_ends(monkeypatch):
-    # the slope rule needs an integer order and a goal ball above 1; a
-    # fractional order, or a goal that reaches below 1, takes both ends
-    hulls = counted_calls(monkeypatch, hyperops, "_endpoint_hull")
-    searches = counted_calls(monkeypatch, hyperops, "brent")
-    goal = Ball(Fraction(100), Fraction(1, 10**9))
-    out = hyper_inverse_minus(4, goal, Fraction(3), T12)
-    assert (len(hulls), len(searches)) == (0, 1)
-    assert out.radius <= T12 + goal.radius
-    hyper_inverse_minus(4, goal, Fraction(5, 2), T12)
-    assert len(hulls) == 1
-    out = hyper_inverse_minus(4, Ball(Fraction(1), Fraction(1, 10**9)), Fraction(3), T12)
-    assert len(hulls) == 2 and out.contains(1)
+@pytest.mark.parametrize("goal, order", [
+    (Ball(Fraction(100), Fraction(1, 10**9)), Fraction(5, 2)),
+    (Ball(Fraction(100), Fraction(1, 10**9)), Fraction(7, 3)),
+    (Ball(Fraction(3, 2), Fraction(1, 10**9)), Fraction(3, 4)),
+    (Ball(1 + Fraction(1, 10**6), Fraction(2, 10**6)), Fraction(3)),  # reaches below 1
+    (Ball(Fraction(10**50), Fraction(10**30)), Fraction(4)),
+    (Ball(Fraction(10**50), Fraction(10**30)), Fraction(3, 2)),
+])
+def test_an_inexact_goal_of_any_order_is_one_search(goal, order):
+    # x^^order has slope >= 1 on x >= 1 for every order, and from order 2
+    # up so has its ln, so a goal g +/- r is the one search of max(g, 1),
+    # widened by r, or by r / max(g - r, 1) from order 2 up: as many
+    # searches as the exact goal's at tol / 2 (order 3/4 searches once, on
+    # x^^4 = g^^4), and it holds the roots of both ends, an end below 1
+    # read as 1
+    with pytest.MonkeyPatch.context() as mp:
+        searches = counted_calls(mp, hyperops, "brent")
+        out = hyper_inverse_minus(4, goal, order, T12)
+    with pytest.MonkeyPatch.context() as mp:
+        exact = counted_calls(mp, hyperops, "brent")
+        hyper_inverse_minus(4, max(goal.center, Fraction(1)), order, T12 / 2)
+    assert len(searches) == len(exact) >= 1
+    low = hyper_inverse_minus(4, max(goal.lo, Fraction(1)), order, T12 / 1000)
+    high = hyper_inverse_minus(4, goal.hi, order, T12 / 1000)
+    assert out.lo <= low.lo and high.hi <= out.hi
+    if order >= 2:
+        assert out.radius <= T12 + goal.radius / max(goal.lo, 1)
+    elif order > 1:
+        assert out.radius <= T12 + goal.radius
+
+
+def test_a_steep_tail_over_a_ball_certifies():
+    # the tail of 3.59^^2.75 solves y^^4 = x^^3 for a goal near 10^54, whose
+    # radius is about 10^54 times the base's: widened by r, the tail's
+    # radius would pass the spread exp takes in the next step; widened by r
+    # / (g - r), the change of ln over the goal, the term certifies
+    _, expansion = adaptive_evaluate(parse("[[5-[2---2]]++++2.75]"), NumericContext(digits=20))
+    assert expansion.text() == "6571539464.59482751806915423121"
+
+
+@pytest.mark.parametrize("height", [Fraction(3), Fraction(5, 2), Fraction(1, 2), Fraction(50),
+                                    Fraction(500)])
+def test_a_tower_over_a_ball_holds_the_towers_of_its_ends(height):
+    # [[2---2]++++h]: ball arithmetic over the ball of sqrt 2, through
+    # `power` and, for a fractional height, a search for an inexact goal,
+    # holds the towers of both exact ends of that ball.  At 500 levels an
+    # exp radius of 2 r e^c took the exp arguments past the spread exp takes
+    base = midops.root(Fraction(2), Fraction(2), midops.SeriesConfig(Fraction(1, 2**80)))
+    assert not base.is_exact
+    out = hyper_forward(4, base, height, T12)
+    for end in (base.lo, base.hi):
+        want = hyper_forward(4, end, height, T12 / 1000)
+        assert out.lo <= want.lo and want.hi <= out.hi
+
+
+@pytest.mark.parametrize("goal, order", [(Fraction(3), 243), (Fraction(10), 3125)])
+def test_the_slope_of_a_long_tower_is_a_ball(goal, order):
+    # over a ball 2^-45 wide at the root's estimate: an exp radius of 2 r
+    # e^c, twice e^c's Lipschitz bound, compounded level by level past the
+    # spread exp takes (level 50 of 3,124), and the slope was None
+    x = Fraction(hyperops._super_root_estimate(goal, Fraction(order)))
+    slope = hyperops._tower_slope(Ball(x, Fraction(1, 2**46)), Fraction(order), Fraction(1, 2**60))
+    assert slope is not None and slope.lo >= 1
 
 
 def test_a_fractional_tail_estimates_its_root_once(monkeypatch):
