@@ -14,7 +14,8 @@ compares values by cross-multiplication, so two forms of one ball are equal.
 Arithmetic propagates radii rigorously.  Two rules live here once: `_snap`
 puts a ball onto the dyadic grid 2^-bits (d = 2^bits), widening the radius
 by the snap error, so that exact rationals never grow without bound, and
-`_quotient` divides two balls by their extreme corners.  `round_ball` and
+`_quotient` divides two balls by their extreme corners; most balls `_snap`
+meets are dyadic, and those it rounds by a shift.  `round_ball` and
 `divide` are their Ball front-ends; `midops`' fixed-point pipeline calls the
 integer cores directly.
 """
@@ -155,7 +156,14 @@ def round_ball(x: Ball, bits: int) -> Ball:
 
 def _snap(c: int, r: int, d: int, bits: int) -> Ball:
     """The integer ball (c +/- r) / d, d > 0, r >= 0, on the 2^-bits grid: the center
-    rounds to nearest (halves up), the radius grows by that and rounds up."""
-    s = ((c << (bits + 1)) + d) // (2 * d)
-    rup = -(-((r << bits) + abs((c << bits) - s * d)) // d)
-    return _ball(s, rup, 1 << bits)
+    rounds to nearest (halves up), the radius grows by that and rounds up.
+    A d = 2^k takes a shift by k - bits, bit for bit the division."""
+    if d & (d - 1):
+        s = ((c << (bits + 1)) + d) // (2 * d)
+        rup = -(-((r << bits) + abs((c << bits) - s * d)) // d)
+        return _ball(s, rup, 1 << bits)
+    k = d.bit_length() - 1 - bits
+    if k <= 0:
+        return _ball(c << -k, r << -k, 1 << bits)
+    s = (c + (1 << (k - 1))) >> k
+    return _ball(s, -(-(r + abs(c - (s << k))) >> k), 1 << bits)

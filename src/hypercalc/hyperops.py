@@ -167,7 +167,8 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
         # The split detours through a tower of the fraction's numerator,
         # which can dwarf the (possibly modest) final value; a blow-up
         # there says nothing about the result's magnitude.
-        return _split_blowup(f"{base.center} (+^{rank}) {p} (the tower of the height's numerator)")
+        return _split_blowup(
+            f"{_quantity(base.center)} (+^{rank}) {p} (the tower of the height's numerator)")
 
     def fractional_tail(t: Fraction, start: float | None = None) -> Ball:
         try:
@@ -351,7 +352,9 @@ def _tower_slope(x: Ball, order: Fraction | int, t: Fraction) -> Ball | None:
     `midops.power` sizes its ln: the float logs of the levels over the
     centers of x and of the first level give the top exponent T_(q-1) and
     result T_q, and t / 2^s, s = log2 T_q + log2 T_(q-1) + 16, puts ln x's
-    share of every level's error below t / 2^16.
+    share of every level's error below t / 2^16.  Each level's slope is
+    snapped onto `exp_e`'s grid, as the level is: unsnapped, the slope of
+    order 3,125 at the root of 10 (-^4) 3125 would carry 1.4 million bits.
     """
     steps = math.ceil(order) - 1
     try:
@@ -372,10 +375,10 @@ def _tower_slope(x: Ball, order: Fraction | int, t: Fraction) -> Ball | None:
         logs = [ln_level] + _tower_logs(ln_level, ln_c, steps)  # ln T_0 .. ln T_n
         scale = math.ceil((logs[-1] + logs[-2]) / math.log(2)) + 16
         ln_x = midops.ln_e(x, SeriesConfig(t / (1 << scale)))
-        cfg = SeriesConfig(t)
+        cfg, bits = SeriesConfig(t), tol_bits(t) + 16
         for _ in range(steps):
             up = midops.exp_e(level * ln_x, cfg)
-            level, slope = up, up * (slope * ln_x + divide(level, x))
+            level, slope = up, round_ball(up * (slope * ln_x + divide(level, x)), bits)
     except (ResourceError, PrecisionError, ConvergenceError):
         return None
     return slope
@@ -492,7 +495,7 @@ def hyper_inverse_slash(
     goal = target.center
     if base.center.denominator != 1 and goal != base.center:
         raise DomainError(
-            f"a rank-{rank} super-log to the non-integer base {base.center}"
+            f"a rank-{rank} super-log to the non-integer base {_quantity(base.center)}"
             " is exact only at height 1: towers over a non-integer rational"
             " base are irrational above height 1"
         )
@@ -582,9 +585,19 @@ def _over_step_cap(height: Fraction) -> ResourceError:
     """The refusal of a rank >= 4 height whose unrolling takes more whole
     steps than `EngineLimits.max_height_steps`."""
     return ResourceError(
-        f"unrolling a height of {height} needs {math.ceil(height) - 1} applications, "
-        f"over the cap of {_LIMITS.max_height_steps}"
+        f"unrolling a height of {_quantity(height)} needs {_quantity(math.ceil(height) - 1)}"
+        f" applications, over the cap of {_LIMITS.max_height_steps}"
     )
+
+
+def _quantity(x: Fraction | int) -> str:
+    """x for a message; past about 900 digits "about 1.5" or "about 10^k",
+    as `str` of an int refuses more than 4,300 digits."""
+    x = Fraction(x)
+    if max(abs(x.numerator), x.denominator).bit_length() <= 3000:
+        return str(x)
+    k = math.floor(_log_abs_float(x.numerator, x.denominator) / math.log(10))
+    return f"about {float(x):.6g}" if abs(k) < 300 else f"about 10^{k}"
 
 
 def _approximate_height(rank: int) -> DomainError:

@@ -88,21 +88,23 @@ integer balls (c +/- r) / d, and ln and exp of a ball are each written once
 (as in Arb's midpoint-radius model, Johansson, IEEE Trans. Computers 66(8),
 2017): `_ln_ball` is `_ln_fixed` at the center widened by ln's Lipschitz
 term r / (c - r), and `_exp_ball` is `_exp_fixed` at the center widened by
-e^r - 1 <= r (1 + r), exactly, for the spread r <= 5/8 that it checks, the
-one spread check of the module.  Both return unsnapped integer balls.
-`power` multiplies the ln ball by b with `Ball`'s exact product and takes
-its exp, `log` divides two ln balls with `balls`' integer quotient, and
-`exp_e` and `ln_e` are one primitive each; every ball result is then snapped once, onto
-the grid 2^-(tol_bits(tol) + 16).  Those steps depend on values only, so a
-ball's integer form, which is not in lowest terms, gives the digits and
-radii that the same formulas give over Fractions.  Two steps depend on the
-form, `_ln_fixed`'s small-height series and `_log_abs_float`'s split of a
+e^r - 1 <= r (1 + r), for the spread r <= 5/8 that it checks, the one
+spread check of the module.  Both return unsnapped integer balls on the
+center's grid 2^-prec, the widening rounded up to it, so an operand's long
+denominator never reaches the result.  `power` multiplies the ln ball by b
+with `Ball`'s exact product and takes its exp, `log` divides two ln balls
+with `balls`' integer quotient, and `exp_e` and `ln_e` are one primitive
+each; every ball result is then snapped once, onto the grid
+2^-(tol_bits(tol) + 16).  Those steps depend on values only, so a ball's
+integer form, which is not in lowest terms, gives the digits and radii that
+the same formulas give over Fractions.  Two steps depend on the form,
+`_ln_fixed`'s small-height series and `_log_abs_float`'s split of a
 rational into mantissa and exponent; they take their input in lowest terms
-(`_lowest`, one gcd).  Integer exponents take an exact path when the result
-stays representable; a base ball that reaches 0 takes an integer exponent
-n >= 2 to within max|x|^n of 0.  A power certainly below a quarter of the
-snap grid is the ball 0 +/- that grid, the ball the general path snaps it
-to, before any series runs (`_underflow_bits`, integers only).
+(`_lowest`).  Integer exponents take an exact path when the result stays
+representable; a base ball that reaches 0 takes an integer exponent n >= 2
+to within max|x|^n of 0.  A power certainly below a quarter of the snap
+grid is the ball 0 +/- that grid, the ball the general path snaps it to,
+before any series runs (`_underflow_bits`, integers only).
 
 Each operation makes one attempt and returns the rigorous ball it reaches,
 which may be wider than asked (a base near 1 multiplies log's errors by
@@ -673,36 +675,46 @@ def _ln_fixed(num: int, den: int, tn: int, td: int) -> tuple[int, int, int]:
 
 def _lowest(n: int, d: int) -> tuple[int, int]:
     """n / d in lowest terms, d > 0: the form `_ln_fixed` and `_log_abs_float`
-    are defined on (their results depend on it, not on the value alone)."""
+    are defined on (their results depend on it, not on the value alone).
+    Over d = 2^k a shift replaces the gcd."""
+    if n and not d & (d - 1):
+        k = min((n & -n).bit_length(), d.bit_length()) - 1
+        return n >> k, d >> k
     g = math.gcd(n, d)
     return n // g, d // g
 
 
 def _ln_ball(b: Ball, tn: int, td: int) -> tuple[int, int, int]:
-    """ln of the ball b, c > r >= 0, as the integer ball (n +/- e) / den:
+    """ln of the ball b, c > r >= 0, as the integer ball (n +/- e) / 2^prec:
     `_ln_fixed` at b's center in lowest terms, at tolerance tn / td, widened
-    by ln's Lipschitz bound 1/lo over [lo, hi], radius / lo = r / (c - r).
+    by ln's Lipschitz bound 1/lo over [lo, hi], r / (c - r), rounded up.
+    ln 1, at `_ln_fixed`'s prec 0, takes the grid 2^-(tol_bits + 26).
     Unsnapped."""
     c, r = b.c, b.r
     value, err, prec = _ln_fixed(*_lowest(c, b.d), tn, td)
     if not r:
         return value, err, 1 << prec
-    lo = c - r
-    return value * lo, err * lo + (r << prec), lo << prec
+    if not prec:  # ln 1 = 0 exactly
+        prec = _tol_bits(tn, td) + 26
+    return value, err + -(-(r << prec) // (c - r)), 1 << prec
 
 
 def _exp_ball(c: int, r: int, d: int, tn: int, td: int) -> tuple[int, int, int]:
-    """e^((c +/- r) / d) as the integer ball (n +/- e) / den: `_exp_fixed` at
-    the center, at tolerance tn / td, widened by e^c' (e^r' - 1) <= e^c' r' (1
-    + r') for r' = r / d <= 5/8, where sum_(k>=2) r'^(k-2) / k! <= 0.63.  den =
-    d^2 2^prec keeps that exact, so no integer form of the ball rounds it
-    differently.  Unsnapped; a wider spread raises PrecisionError."""
+    """e^((c +/- r) / d) as the integer ball (n +/- e) / 2^prec: `_exp_fixed`
+    at the center, at tolerance tn / td, widened by e^c' (e^r' - 1) <= e^c' r'
+    (1 + r') for r' = r / d <= 5/8, where sum_(k>=2) r'^(k-2) / k! <= 0.63:
+    (value + err) r (d + r) / d^2 ulps, rounded up, as e^c' <= (value + err)
+    / 2^prec.  e^0, at `_exp_fixed`'s prec 0, takes the grid 2^-(tol_bits +
+    26).  Unsnapped; a wider spread raises PrecisionError."""
     if 8 * r > 5 * d:
         raise PrecisionError("exp argument too imprecise for an enclosure")
     value, err, prec = _exp_fixed(c, d, tn, td)
     if not r:
         return value, err, 1 << prec
-    return value * d * d, err * d * d + (value + err) * r * (d + r), d * d << prec
+    if not prec:  # e^0 = 1 exactly
+        prec = _tol_bits(tn, td) + 26
+        value <<= prec
+    return value, err + -(-(value + err) * r * (d + r) // (d * d)), 1 << prec
 
 
 def exp_e(a: Fraction | Ball, cfg: SeriesConfig) -> Ball:

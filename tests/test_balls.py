@@ -191,6 +191,21 @@ def test_snap_matches_the_fraction_reference_on_any_integer_form(x, k, bits):
     assert pair(snapped) == pair(reference_round_ball(x, bits))
 
 
+def division_snap(c: int, r: int, d: int, bits: int) -> tuple[int, int, int]:
+    """`_snap`'s division formula, for any d > 0."""
+    s = ((c << (bits + 1)) + d) // (2 * d)
+    return s, -(-((r << bits) + abs((c << bits) - s * d)) // d), 1 << bits
+
+
+@given(st.integers(-2**4000, 2**4000), st.integers(0, 2**4000), st.integers(0, 4000),
+       st.integers(0, 4000))
+@settings(max_examples=300, deadline=None)
+def test_a_dyadic_snap_is_the_division_formula(c, r, k, bits):
+    # a power-of-two d rounds by a shift, bit for bit what the division gives
+    snapped = _snap(c, r, 1 << k, bits)
+    assert (snapped.c, snapped.r, snapped.d) == division_snap(c, r, 1 << k, bits)
+
+
 def test_ball_construction_checks_its_radius():
     assert pair(Ball(3)) == (3, 0) and pair(Ball(Fraction(1, 3), 1)) == (Fraction(1, 3), 1)
     assert as_ball(Fraction(5, 7)) == Ball(Fraction(5, 7)) and Ball(1) != Ball(1, Fraction(1, 2))

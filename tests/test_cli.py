@@ -135,6 +135,26 @@ def test_a_super_root_whose_tail_passes_the_cap_is_refused_at_once():
     assert time.perf_counter() - start < 5
 
 
+@pytest.mark.parametrize("text, code, message", [
+    ("[5----[[3--0.5]++++3]]", 3, "unrolling a height of about 10^36305 needs about"
+                                  " 10^36305 applications, over the cap of 50000"),
+    ("[[2+++20000]++++1.75]", 3, "the rational-height split's intermediate about 10^6020"
+                                 " (+^4) 3 (the tower of the height's numerator)"),
+    ("[3////[[2+++20000]+[1//2]]]", 2, "a rank-4 super-log to the non-integer base about"
+                                       " 10^6020 is exact only at height 1"),
+    ("[3////[1+[1//[2+++20000]]]]", 2, "a rank-4 super-log to the non-integer base about"
+                                       " 1 is exact only at height 1"),
+], ids=["order 6^^3", "base 2^20000 to 1.75", "super-log base 2^20000 + 1/2",
+        "super-log base 1 + 2^-20000"])
+def test_a_number_past_the_int_text_cap_is_named_by_its_size(text, code, message):
+    # the order 6 (+^4) 3 has 36,306 digits and 2^20000 has 6,021, past the
+    # 4,300 that `str` of an int allows: a refusal that names such a number
+    # gives an approximation of it, with the refusal's own exit code
+    exit_code, out, err = run_main("eval", text)
+    assert (exit_code, out) == (code, "")
+    assert message in err
+
+
 def test_tower_blowup_keeps_its_message():
     code, _, err = run_main("eval", "[10++++5]")
     assert code == 3

@@ -889,11 +889,12 @@ def test_tol_bits_of_int_pairs_matches_the_division_form(tn, k, delta, td):
             assert midops._tol_bits(num, den) == reference_tol_bits(Fraction(num, den))
 
 
-def reference_exp_rational(a: Fraction, tol: Fraction) -> Ball:
+def reference_exp_rational(a: Fraction, tol: Fraction) -> tuple[Ball, int]:
+    """(e^a, prec): the ball and the grid 2^-prec it lies on."""
     if a > midops._EXP_ARG_CAP:
         raise MagnitudeError("exp argument too large; result would blow past the magnitude cap")
     if a == 0:
-        return Ball(Fraction(1))
+        return Ball(Fraction(1)), reference_tol_bits(tol) + 26
     halvings = 0
     x = a
     while abs(x) > 1:
@@ -927,14 +928,15 @@ def reference_exp_rational(a: Fraction, tol: Fraction) -> Ball:
     out = reference_round_ball(out, prec)
     if out.radius > tol:
         raise PrecisionError("exp failed to reach the requested radius")
-    return out
+    return out, prec
 
 
-def reference_ln_rational(a: Fraction, tol: Fraction) -> Ball:
+def reference_ln_rational(a: Fraction, tol: Fraction) -> tuple[Ball, int]:
+    """(ln a, prec): the ball and the grid 2^-prec it lies on."""
     if a <= 0:
         raise DomainError("log of a non-positive value")
     if a == 1:
-        return Ball(Fraction(0))
+        return Ball(Fraction(0)), reference_tol_bits(tol) + 26
     num, den = a.numerator, a.denominator
     shift = num.bit_length() - den.bit_length()
     if shift >= 0:
@@ -957,23 +959,35 @@ def reference_ln_rational(a: Fraction, tol: Fraction) -> Ball:
     out = reference_round_ball(Ball(Fraction(value, scale), Fraction(err, scale)), prec)
     if out.radius > tol:
         raise PrecisionError("ln failed to reach the requested radius")
-    return out
+    return out, prec
+
+
+def ceil_to(x: Fraction, prec: int) -> Fraction:
+    """x rounded up onto the grid 2^-prec."""
+    return Fraction(math.ceil(x * 2**prec), 2**prec)
 
 
 def reference_ln_ball(a: Ball, tol: Fraction) -> Ball:
     """ln of the ball a: the rational reference at a's center, widened by
-    ln's Lipschitz term radius / lo; unsnapped."""
-    core = reference_ln_rational(a.center, tol)
-    return Ball(core.center, core.radius + a.radius / a.lo)
+    ln's Lipschitz term radius / lo rounded up onto the center's grid;
+    unsnapped."""
+    core, prec = reference_ln_rational(a.center, tol)
+    if a.is_exact:
+        return core
+    return Ball(core.center, core.radius + ceil_to(a.radius / a.lo, prec))
 
 
 def reference_exp_ball(x: Ball, tol: Fraction) -> Ball:
     """e^x for |x's spread| <= 5/8: the rational reference at x's center,
-    widened by e^r - 1 <= r (1 + r); unsnapped."""
+    widened by e^r - 1 <= r (1 + r) rounded up onto the center's grid;
+    unsnapped."""
     if x.radius > Fraction(5, 8):
         raise PrecisionError("exp argument too imprecise for an enclosure")
-    core = reference_exp_rational(x.center, tol)
-    return Ball(core.center, core.radius + x.radius * (1 + x.radius) * (core.center + core.radius))
+    core, prec = reference_exp_rational(x.center, tol)
+    if x.is_exact:
+        return core
+    r = x.radius
+    return Ball(core.center, core.radius + ceil_to(r * (1 + r) * (core.center + core.radius), prec))
 
 
 def reference_power_series(av: Ball, bv: Ball, tol: Fraction) -> Ball:
@@ -1250,6 +1264,71 @@ def test_exp_ball_encloses_exp_over_the_whole_ball(center, radius, bits):
         assert mp(out.lo) <= mpmath.exp(mp(x.lo))
         assert mpmath.exp(mp(x.hi)) <= mp(out.hi)
     assert out.radius <= out.center * radius * (1 + radius) + Fraction(1, 1 << bits)
+
+
+def mp_fraction(v: Fraction):
+    mpmath = pytest.importorskip("mpmath")
+    return mpmath.mpf(v.numerator) / v.denominator
+
+
+dyadic_or_not = st.one_of(
+    st.fractions(min_value=-40, max_value=40, max_denominator=2**30),
+    st.builds(lambda m, k: Fraction(m, 2**k), st.integers(-2**60, 2**60), st.integers(0, 3000)))
+
+
+@given(center=dyadic_or_not.filter(lambda c: abs(c) <= 40),
+       radius=st.one_of(st.fractions(min_value=0, max_value=Fraction(5, 8), max_denominator=2**64),
+                        st.builds(lambda m, k: Fraction(m, 2**k), st.integers(1, 2**20),
+                                  st.integers(20, 3000))),
+       bits=st.integers(8, 400))
+@settings(max_examples=150, deadline=None)
+@example(Fraction(0), Fraction(1, 3 * 2**40), 64)
+@example(Fraction(0), Fraction(5, 8), 8)
+@example(Fraction(40), Fraction(1, 3 * 2**210), 100)
+def test_exp_ball_is_dyadic_within_an_ulp_of_the_exact_widening(center, radius, bits):
+    # the ball lies on the center's grid 2^-prec, or on the tolerance's for
+    # e^0 = 1, holds e^x at both ends of its input (mpmath at 1,500 bits),
+    # and its radius is the kernel's error plus the exact widening e^c r (1
+    # + r), rounded up by less than an ulp
+    mpmath = pytest.importorskip("mpmath")
+    x = Ball(center, radius)
+    value, err, prec = midops._exp_fixed(x.c, x.d, 1, 1 << bits)
+    n, e, den = midops._exp_ball(x.c, x.r, x.d, 1, 1 << bits)
+    assert den == 1 << (prec or (midops.tol_bits(Fraction(1, 1 << bits)) + 26 if radius else 0))
+    out = _ball(n, e, den)
+    with mpmath.workprec(1500):
+        assert mp_fraction(out.lo) <= mpmath.exp(mp_fraction(x.lo))
+        assert mpmath.exp(mp_fraction(x.hi)) <= mp_fraction(out.hi)
+    exact = Fraction(err, 1 << prec) + Fraction(value + err, 1 << prec) * radius * (1 + radius)
+    assert exact <= out.radius < exact + Fraction(1, den)
+
+
+@given(center=st.one_of(st.fractions(min_value=Fraction(1, 50), max_value=50,
+                                     max_denominator=2**30),
+                        st.builds(lambda m, k: Fraction(m, 2**k), st.integers(1, 2**60),
+                                  st.integers(55, 3000))),
+       share=st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=2**64),
+       bits=st.integers(8, 400))
+@settings(max_examples=150, deadline=None)
+@example(Fraction(1), Fraction(1, 3 * 2**40), 64)
+@example(Fraction(1), Fraction(1, 2), 8)
+@example(Fraction(3, 2**1500), Fraction(1, 7), 300)
+def test_ln_ball_is_dyadic_within_an_ulp_of_the_exact_widening(center, share, bits):
+    # radius = share * center, so the ball stays positive: it lies on the
+    # center's grid 2^-prec, or on the tolerance's for ln 1 = 0, holds ln x
+    # at both ends of its input (mpmath at 1,500 bits), and its radius is
+    # the kernel's error plus the exact r / lo, rounded up by less than an ulp
+    mpmath = pytest.importorskip("mpmath")
+    x = Ball(center, share * center)
+    value, err, prec = midops._ln_fixed(center.numerator, center.denominator, 1, 1 << bits)
+    n, e, den = midops._ln_ball(x, 1, 1 << bits)
+    assert den == 1 << (prec or (midops.tol_bits(Fraction(1, 1 << bits)) + 26 if share else 0))
+    out = _ball(n, e, den)
+    with mpmath.workprec(1500):
+        assert mp_fraction(out.lo) <= mpmath.log(mp_fraction(x.lo))
+        assert mpmath.log(mp_fraction(x.hi)) <= mp_fraction(out.hi)
+    exact = Fraction(err, 1 << prec) + (x.radius / x.lo if share else 0)
+    assert exact <= out.radius < exact + Fraction(1, den)
 
 
 # `power` makes one attempt: one ln and one exp, at tolerances sized from

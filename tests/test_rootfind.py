@@ -349,15 +349,15 @@ PINNED_PROBES = [
         (20477304555700225, 53, 4),
         (40133640429327703, 54, 4),
         (79446312176582659, 55, 1),
-        (6322376474885888538671450623749448419757558569, 151, 3),
-        (1579119050760681641218977379006581258648865531, 149, 14),
-        (3158207713189281988148224684284354714057262753, 150, 37),
-        (6316415418016128883850696846657095139033427283, 151, 86),
-        (394775963626008045141894577816260598755563043, 147, 134),
+        (395148529680368033666966121636112286055680515, 147, 3),
+        (6316476203042726564875917283352452627855863573, 151, 14),
+        (6316415426378563976296457129439805648217235811, 151, 37),
+        (3158207709008064441925352303764368359474952723, 150, 86),
+        (3158207709008064361135156622530084789249848941, 150, 134),
     ]),
     ("[1000----3]", "with slope", Fraction(1, 4008 * 10**40), [
         (2685169708817751, 50, 73),
-        (54461711889559716629909217609670387802527360225, 154, 133),
+        (54461711889559716629909217609670387802222689833, 154, 133),
     ]),
     ("[1000----3]", "off by 2^-30", Fraction(1, 4008 * 10**40), [
         (2685169709866327, 50, 73),
@@ -375,8 +375,8 @@ PINNED_PROBES = [
         (5370339418334553, 51, 21),
         (5370339414140249, 51, 22),
         (5370339416237401, 51, 43),
-        (27230855944779858355865151682245700184906167011, 153, 96),
-        (54461711889559716629909217609662890660631557053, 154, 133),
+        (54461711889559716711730303364491324075157850593, 154, 96),
+        (54461711889559716629909217609662890660635650459, 154, 133),
     ]),
 ]
 
@@ -409,7 +409,7 @@ def test_integer_search_repeats_the_fraction_search_probes(monkeypatch, text, es
 # probes (x, ft) as (n, e, t): x = n / 2^e, ft = 2^-t.
 FRACTIONAL_PROBES = [
     (3216636822814091, 50, 74),
-    (32620572793252055513796242060467417250638289715, 153, 134),
+    (65241145586504111027592484120934834501786965423, 154, 134),
 ]
 
 
