@@ -325,13 +325,14 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
         # d^2 + O(d^3) at x = 1 + d: a float estimate would sit on the
         # bracket's end, where no interval-Newton step can start.  The root
         # is 1 + e - e^2 + O(e^3), and steps from there certify it.  When
-        # e^2 <= tol no step can tell the root from the bracket's end g, and
-        # strides from the float estimate certify it
+        # e^2 <= tol no step can tell the root from the bracket's end g: the
+        # float estimate 1.0 sits on the other end, and the steps on the
+        # bracket [1, g] certify it
         start = 1 + e - e * e
     else:
         if start is None:
             start = _super_root_estimate(goal, order)
-        if start is not None:  # without one, `brent` starts at the midpoint
+        if start is not None:  # without one, `brent` steps on the bracket alone
             # an integer root is checked exactly before any search
             n = round(start)
             if n >= 2 and abs(start - n) < 2.0**-30 and tower(Fraction(n), tol) == Ball(goal):

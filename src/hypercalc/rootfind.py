@@ -5,38 +5,42 @@ f(x) with radius <= tol) to a root enclosure of width <= 2 * x-tolerance.
 A probe's sign is accepted only from a ball that excludes zero or is exact,
 and a ball that is exactly zero is an exact root; a ball that straddles
 zero is asked for again (see `_sign`).  A probe that stays ambiguous is
-moved once by 1/1024 of the bracket (of X, below), as it may sit exactly on
-the root; one on an end not yet certified raises AmbiguityError.  As f increases, a probe
-certified negative puts the root above it and one certified positive below
-it, so every probe lies between the ends certified so far; one on an end
-not yet certified whose sign puts the root outside the bracket raises
-DomainError.  f may answer a bare rational where it can only bound f(x)
+moved once by 1/1024 of X (below), as it may sit exactly on the root.  As f
+increases, a probe certified negative puts the root above it and one
+certified positive below it, so every probe lies between the ends certified
+so far.  f may answer a bare rational where it can only bound f(x)
 (`hyperops._capped`): its sign is the probe's, and it is no enclosure.
 
-The search is one interval-Newton routine, `_steps` (Moore, Kearfott &
+The search is one interval-Newton loop, `_steps` (Moore, Kearfott &
 Cloud, Introduction to Interval Analysis, SIAM 2009, ch. 8; Krawczyk,
 Computing 4, 1969), on a ball X = [L, U] / 2^s, s = max(bits, 46) + 8.
 slope(X, t) must return a ball D holding f' over all of X.  A step takes f
 at a point m of X through `_sign` and forms N(X) = m - f(m) / D, rounded
-out onto the grid; every root in X lies in N(X).  In two phases:
+out onto the grid; every root in X lies in N(X).  It runs in two phases:
 
-  * Uncertified: X is the start +/- 2^-46 max(1, |start|), inside the
-    bracket, and m the start.  When N(X) lies strictly inside X and is at
-    most half as wide, X holds a root, and becomes N(X), certified: the
-    only proof of a root from an estimate.  When the step fails (N(X) is
-    not, f(m) is a bound or stays ambiguous, D is missing or not positive),
-    or without a slope, strides certify a bracket: from the start or the
-    bracket's midpoint, then from the last probe, a certified end, toward
-    the other end, first min(|c|/16, 2^-52 max(1, |x|)) for f's center c,
-    as if the slope were 1 and at most a float estimate's error, then 4x
-    the last, clamped at the bracket's end.
-  * Certified: m is X's midpoint, or the mean of its ends' binary
-    exponents when they are b > 4a > 0 (halving down from a far end of a
-    tower's bracket probes where x (+^4) q has hundreds of thousands of
-    bits).  X keeps the half that f(m)'s sign allows, within N(X) when D
-    has lo(D) > 0 and f(m) is a ball.  So each step at least halves X, and
-    N(X) shrinks it quadratically near the root; without a slope it is a
-    bisection.  It ends once X is at most 2 tol wide.
+  * From the estimate: X is the start +/- 2^-46 max(1, |start|), inside
+    the bracket, and m the start.  When N(X) lies strictly inside X and is
+    at most half as wide, X holds a root and becomes N(X): the only proof
+    of a root from an estimate, which certifies both of X's ends.  When the
+    step fails (N(X) is not, f(m) is a bound or stays ambiguous, D is
+    missing or not positive), the loop starts again on the bracket.
+  * On the bracket, after that step fails or at once without a start or a
+    slope: X is the caller's bracket, rounded out onto the grid.  m is the
+    start at the first step when it lies strictly inside X, then X's
+    midpoint, or the mean of its ends' binary exponents when b > 4a > 0
+    (halving down from a far end of a tower's bracket probes where x (+^4)
+    q has hundreds of thousands of bits).  X keeps the half that f(m)'s
+    sign allows, within N(X) when D has lo(D) > 0 and f(m) is a ball.  So
+    each step at least halves X, and N(X) shrinks it quadratically near the
+    root; without a slope it is a bisection.  It ends once X is at most 2
+    tol wide.  An empty N(X) within X proves that X, and so the bracket,
+    holds no root: DomainError.
+
+The bracket's ends are checked lazily: once the loop has ended, an end is
+probed only if no probe certified f's sign on its side.  f exactly zero
+there is the exact root, the wrong sign (the root lies outside the bracket)
+raises DomainError, and a sign that stays ambiguous raises AmbiguityError,
+as the root may sit exactly on that end.
 
 Each phase takes at most `MAX_ITERATIONS` probes.  N's width is at most
 2 rad(f(m)) / lo(D) + |X| rad(D) / lo(D): so f is asked at lo(D) / 2 times
@@ -72,9 +76,6 @@ SlopeFn = Callable[[Ball, Fraction], "Ball | None"]
 
 _SIGN_ROUNDS = 60
 _START_SIGN_TOL = Fraction(1, 1 << 12)
-# The first step toward an uncertified end is at most a float estimate's
-# error, 2^-_ESTIMATE_BITS max(1, |x|).
-_ESTIMATE_BITS = 52
 # The first interval-Newton ball is the start +/- 2^-_NEWTON_START_BITS
 # max(1, |start|); a slope ball is asked for at 2^-_SLOPE_BITS or finer.
 _NEWTON_START_BITS = 46
@@ -144,13 +145,6 @@ def _retry_tol(ball: Ball, t: Fraction) -> Fraction:
     return min(t / 4, Fraction(1, 1 << bits))
 
 
-def _exponent(x: Fraction) -> int:
-    """floor(log2(x)), for x > 0."""
-    n, d = x.numerator, x.denominator
-    e = n.bit_length() - d.bit_length()
-    return e if (d << e <= n if e >= 0 else d <= n << -e) else e - 1
-
-
 def brent(
     f: BallFn,
     bracket: Bracket,
@@ -160,57 +154,26 @@ def brent(
 ) -> Ball:
     """Enclose the root of an increasing f inside the bracket.
 
-    f must increase in x on the bracket; a probe that puts the root outside
-    it raises DomainError.  Every caller's f does: `hyperops` solves
-    x (+^4) q = g, and a tower grows with its base; a fractional q splits
-    into integer towers and a super-root, a composition of increasing maps.
-    `start` is an estimate of the root (a float is fine).  `slope(X, t)`
-    must return a ball holding f' over the whole ball X (or None), each of
-    its roundings within t.  Given both, the search starts with an
-    interval-Newton step from the start; a call without a slope is a
-    certified bisection, bounded by `MAX_ITERATIONS` probes.  Returns a Ball
-    of radius <= cfg.x_tolerance containing the root, exact (radius 0) when
-    a probe evaluates to exactly zero.
+    f must increase in x on the bracket; a bracket that holds no root raises
+    DomainError.  Every caller's f does: `hyperops` solves x (+^4) q = g,
+    and a tower grows with its base; a fractional q splits into integer
+    towers and a super-root, a composition of increasing maps.  `start` is
+    an estimate of the root (a float is fine).  `slope(X, t)` must return a
+    ball holding f' over the whole ball X (or None), each of its roundings
+    within t.  Given both, the search starts with an interval-Newton step
+    from the start; when that fails, or without them, the steps run on the
+    bracket, from the start when it lies inside.  A call without a slope is
+    a certified bisection, bounded by `MAX_ITERATIONS` probes.  Returns a
+    Ball of radius <= cfg.x_tolerance containing the root, exact (radius 0)
+    when a probe evaluates to exactly zero.
     """
     tol = cfg.x_tolerance
+    start = None if start is None else Fraction(start)
     if slope is not None and start is not None:
-        root = _newton(f, slope, bracket, tol, Fraction(start))
+        root = _newton(f, slope, bracket, tol, start)
         if root is not None:
             return root
-    a, b = bracket.lo, bracket.hi
-    a_seen = b_seen = False  # whether f(a) < 0, f(b) > 0 are certified
-    x = (a + b) / 2 if start is None else min(max(Fraction(start), a), b)
-    t, step = _START_SIGN_TOL, None
-    for _ in range(MAX_ITERATIONS):
-        try:
-            sign, c = _sign(f, x, t)
-        except AmbiguityError:
-            if (x == a and not a_seen) or (x == b and not b_seen):
-                raise AmbiguityError(f"cannot resolve the sign of f at the bracket's end"
-                                     f" {x}; the root may sit exactly on it") from None
-            # the probe may sit exactly on the root; nudge once before giving up
-            nudge = (b - a) / 1024
-            x = x + nudge if x + nudge <= b else x - nudge
-            sign, c = _sign(f, x, t)
-        if sign == 0:
-            return Ball(x)
-        if x == (b if sign < 0 else a):
-            raise DomainError("bracket does not straddle a sign change")
-        if sign < 0:
-            a, a_seen = x, True
-        else:
-            b, b_seen = x, True
-        if a_seen and b_seen:
-            return _steps(f, slope, tol, a, b)
-        # a stride from the certified end x toward the other: 4x the last,
-        # first min(|c| / 16, 2^-_ESTIMATE_BITS max(1, |x|)) rounded down
-        step = 4 * step if step else Fraction(2) ** min(
-            _exponent(abs(c)) - 4, max(_exponent(abs(x)), 0) - _ESTIMATE_BITS)
-        x = min(x + step, b) if sign < 0 else max(x - step, a)
-        # a probe inside asks at |c| / 8; the bracket's end, which may sit
-        # within tol of the root, at |c| tol / 8
-        t = _eighth(c * tol if x in (a, b) else c)
-    raise ConvergenceError("root finder exceeded its iteration budget")
+    return _steps(f, slope, tol, bracket.lo, bracket.hi, start)
 
 
 def _eighth(c: Fraction) -> Fraction:
@@ -222,29 +185,31 @@ def _newton(f: BallFn, slope: SlopeFn, bracket: Bracket, tol: Fraction,
             x: Fraction) -> Ball | None:
     """The root's enclosure by interval-Newton steps from the estimate x, or
     None when the first step fails (see the module docstring)."""
-    return _steps(f, slope, tol, bracket.lo, bracket.hi, x)
+    return _steps(f, slope, tol, bracket.lo, bracket.hi, x, local=True)
 
 
 def _steps(f: BallFn, slope: SlopeFn | None, tol: Fraction, a: Fraction, b: Fraction,
-           x: Fraction | None = None) -> Ball | None:
-    """Interval-Newton steps on X = [a, b], certified to hold the root; or,
-    given the estimate x, on X = x +/- 2^-46 max(1, |x|) within [a, b], not
-    yet certified, returning None when that first step fails.  X is [L, U]
-    / 2^s and m is M / 2^s."""
+           x: Fraction | None = None, local: bool = False) -> Ball | None:
+    """Interval-Newton steps on X = [a, b], first at x when it lies inside,
+    and then a probe of each end no probe certified; or, local, on X = x +/-
+    2^-46 max(1, |x|) within [a, b], not yet known to hold a root, returning
+    None when that first step fails.  X is [L, U] / 2^s and m is M / 2^s."""
     bits, tn, td = tol_bits(tol), tol.numerator, tol.denominator
     s = max(bits, _NEWTON_START_BITS) + 8
     one = 1 << s
-    certified = x is None
-    if certified:
-        L, U = math.floor(a * one), math.ceil(b * one)
-    else:
-        M = round(x * one)
+    M = None if x is None else round(x * one)
+    if local:
         w = max(one, abs(M)) >> _NEWTON_START_BITS
         L, U = max(M - w, math.ceil(a * one)), min(M + w, math.floor(b * one))
-        if not L < M < U:
+    else:
+        L, U = math.floor(a * one), math.ceil(b * one)
+    if M is not None and not L < M < U:
+        if local:
             return None
+        M = None
     D = value = c = None
     t = _START_SIGN_TOL
+    signs = set()  # the signs of f that probes certified
 
     def seen(x: Fraction, t: Fraction):  # f, keeping the answer `_sign` decides on
         nonlocal value
@@ -252,11 +217,11 @@ def _steps(f: BallFn, slope: SlopeFn | None, tol: Fraction, a: Fraction, b: Frac
         return value
 
     probes = 0
-    while not (certified and (U - L) * td <= 2 * tn * one):
+    while local or (U - L) * td > 2 * tn * one:
         if probes == MAX_ITERATIONS:
             raise ConvergenceError("root finder exceeded its iteration budget")
         probes += 1
-        if certified:
+        if M is None:
             M = 1 << ((L.bit_length() + U.bit_length()) // 2 - 1) if U > 4 * L > 0 else (L + U) >> 1
         # |X| rad(D) / lo(D): N's width beyond the part f's tolerance adds
         if slope is not None and (D is None or (U - L) * D.r * td > tn * (D.c - D.r) * one):
@@ -271,14 +236,14 @@ def _steps(f: BallFn, slope: SlopeFn | None, tol: Fraction, a: Fraction, b: Frac
             # aim N's width at max(tol, |X| rad(D) / lo(D)), half of it from f's radius
             t = Fraction(1, 1 << _tol_bits(max(tn * (D.c - D.r) * one, (U - L) * D.r * td),
                                            2 * td * D.d * one))
-        elif not certified:
+        elif local:
             return None
         elif c is not None:
             t = _eighth(c)
         try:
             sign, c = _sign(seen, Fraction(M, one), t)
         except AmbiguityError:
-            if not certified:
+            if local:
                 return None
             # m may sit exactly on the root; nudge it once, by 1/1024 of X
             nudge = max((U - L) >> 10, 1)
@@ -291,12 +256,28 @@ def _steps(f: BallFn, slope: SlopeFn | None, tol: Fraction, a: Fraction, b: Frac
             qc, qr, qd = _quotient(value.c, value.r, value.d, D.c, D.r, D.d)
             NL = (M * qd - ((qc + qr) << s)) // qd
             NU = -((((qc - qr) << s) - M * qd) // qd)
-        if certified:  # the half f(m)'s sign allows, within N(X)
+        if not local:  # the half f(m)'s sign allows, within N(X)
             L, U = (max(M, NL), min(U, NU)) if sign < 0 else (max(L, NL), min(M, NU))
+            if L > U:  # X holds no root, and so neither does the bracket
+                raise DomainError("bracket does not straddle a sign change")
+            signs.add(sign)
         elif L < NL and NU < U and 2 * (NU - NL) <= U - L:
-            L, U, certified = NL, NU, True
+            L, U, local, signs = NL, NU, False, {-1, 1}
         else:
             return None
+        M = None
+    for end, want in ((a, -1), (b, 1)):  # an end no probe certified
+        if want in signs:
+            continue
+        try:
+            sign, c = _sign(f, end, _START_SIGN_TOL if c is None else _eighth(c * tol))
+        except AmbiguityError:
+            raise AmbiguityError(f"cannot resolve the sign of f at the bracket's end"
+                                 f" {end}; the root may sit exactly on it") from None
+        if not sign:
+            return Ball(end)
+        if sign != want:
+            raise DomainError("bracket does not straddle a sign change")
     return _ball(L + U, U - L, 2 * one)
 
 

@@ -1,4 +1,6 @@
+import ast
 from dataclasses import fields
+from pathlib import Path
 
 import hypercalc
 from hypercalc.hyperops import EngineLimits
@@ -29,3 +31,24 @@ def test_settable_values_are_pinned():
     assert names(hypercalc.SeriesConfig) == ["target_error"]
     assert names(hypercalc.RootConfig) == ["x_tolerance"]
     assert names(EngineLimits) == ["max_height_steps"]
+
+
+def test_every_private_name_is_used_in_the_package():
+    # a module-level _name that no code in the package reads is dead: a
+    # helper or constant left behind when its caller went
+    trees = [ast.parse(path.read_text()) for path in Path(hypercalc.__file__).parent.glob("*.py")]
+    defined, loaded = set(), set()
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                loaded.add(node.attr)
+    private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
+    assert sorted(private - loaded) == []

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercalc import hyperops, rootfind
@@ -230,6 +230,70 @@ def test_every_probe_goes_toward_the_root(root, bend, cubic, linear, below, abov
             a, b = (x, b) if sign < 0 else (a, x) if sign > 0 else (a, b)
 
 
+# where the root r lies against the bracket, as the bracket's ends from r
+# and two widths
+PLACES = {
+    "inside": lambda r, u, v: (r - u, r + v),
+    "on the lower end": lambda r, u, v: (r, r + v),
+    "on the upper end": lambda r, u, v: (r - u, r),
+    "below": lambda r, u, v: (r + u, r + u + v),
+    "above": lambda r, u, v: (r - u - v, r - u),
+}
+
+
+@given(MILLIONTHS, MILLIONTHS, st.integers(0, 50), st.integers(1, 50), WIDTHS, WIDTHS,
+       st.sampled_from(sorted(PLACES)),
+       st.sampled_from(["none", "root", "root's float", "lower end", "upper end", "offset"]),
+       MILLIONTHS, st.booleans())
+@settings(max_examples=60, deadline=None)
+@example(0, 0, 0, 1, 1, 2, "inside", "none", 0, True)  # N(X) moves the lower end at once
+def test_an_end_no_probe_certified_is_checked_once_the_steps_end(
+        root, bend, cubic, linear, u, v, place, start, offset, with_slope):
+    # f = cubic * ((x - s)^3 - (r - s)^3) + linear * (x - r), exactly 0 at r
+    # only, with its exact slope ball over X: the bracket's ends are probed
+    # after every other probe, where none certified their sign.  A root
+    # inside is enclosed within the tolerance, one exactly on an end is that
+    # end, exact, and one outside the bracket is a DomainError, from any start
+    r, s = Fraction(root, 10**6), Fraction(bend, 10**6)
+    lo, hi = PLACES[place](r, Fraction(u, 10**6), Fraction(v, 10**6))
+    x = {"none": None, "root": r, "root's float": float(r), "lower end": lo, "upper end": hi,
+         "offset": r + Fraction(offset, 10**6)}[start]
+    probes = []
+
+    def f(x, tol):
+        value = cubic * ((x - s) ** 3 - (r - s) ** 3) + linear * (x - r)
+        ball = Ball(value, tol / 8 if value else 0)
+        probes.append((x, -1 if ball.hi < 0 else 1 if ball.lo > 0 else 0))
+        return ball
+
+    def slope(X, t):  # 3 cubic (x - s)^2 + linear over X
+        ends = ((X.lo - s) ** 2, (X.hi - s) ** 2)
+        low, high = 0 if X.lo <= s <= X.hi else min(ends), max(ends)
+        low, high = 3 * cubic * low + linear, 3 * cubic * high + linear
+        return Ball((low + high) / 2, (high - low) / 2)
+
+    search = lambda: brent(f, Bracket(lo, hi), TOL10, start=x, slope=slope if with_slope else None)
+    if place in ("below", "above"):
+        with pytest.raises(DomainError, match="does not straddle"):
+            search()
+    else:
+        out = search()
+        if place == "inside":
+            assert out.contains(r) and out.radius <= TOL10.x_tolerance
+        else:
+            assert out.center == r and out.radius == 0
+    inner = [sign for x, sign in probes if lo < x < hi]
+    ends = [x for x, _ in probes[len(inner):]]
+    assert all(x in (lo, hi) for x in ends)
+    assert lo not in ends or -1 not in inner
+    assert hi not in ends or 1 not in inner
+    if place == "inside" and out.radius and (x is None or not with_slope):
+        # no first step from an estimate, which certifies both ends at once:
+        # an end is probed wherever no probe certified it, even where N(X)
+        # moved it
+        assert (lo in ends or -1 in inner) and (hi in ends or 1 in inner)
+
+
 def evaluations_per_search(monkeypatch):
     """A list that gets, for each `hyperops.brent` search as it runs, the
     number of times the search evaluates its f."""
@@ -277,6 +341,10 @@ def test_a_newton_point_on_a_certified_end_still_closes(monkeypatch):
     ("[5----4]", 1e6), ("[5----4]", None),
     # fractional tails, whose budgets are sized by their own estimate
     ("[2++++2.75]", None), ("[2++++2.75]", 1e6), ("[1.5++++0.75]", None), ("[1.5++++0.75]", 1e6),
+    # a start on the bracket's end and none at all: the steps on [1, g]
+    # must stay clear of towers whose ln passes the series term cap, and of
+    # the split's blow-up at the midpoint of [1, 2.75^^3]
+    ("[1000----3]", 1.0), ("[[2.75+++3]----[2.75-0]]", None),
 ])
 def test_a_bad_start_estimate_certifies_the_same_digits(monkeypatch, text, estimate):
     # the estimate only places the first probe: one far above the root
@@ -301,59 +369,30 @@ def test_a_bad_start_estimate_certifies_the_same_digits(monkeypatch, text, estim
 # ft = 2^-t, for the searches behind the inputs at 30 digits.  [1000----3]
 # with its slope takes an interval-Newton step at the start, asked at about
 # |X| rad(D) / lo(D), and one at the midpoint of N, asked at the tolerance.
-# The other two pin the certified phase.  With the start 2^-30 above its
-# estimate, the first step's box misses the root; the search probes the
-# start again at 2^-12, strides down by growing powers of two to a certified
-# bracket, and then a split and the steps inside it close the search.
-# [100----3] without a start estimate strides down from the bracket's
-# midpoint to its lower end, asked at |c| tol / 8 there, then splits at the
-# mean binary exponent of the ends and at midpoints while the slope ball is
+# The other two pin the steps on the bracket [1, goal].  With the start
+# 2^-30 above its estimate, the first step's box misses the root; the steps
+# on the bracket probe the start again at 2^-12, as no slope ball holds over
+# [1, 1000], halve X at |c| / 8 until one does, and then close on N(X).
+# [100----3] without a start estimate splits the bracket at the mean binary
+# exponent of its ends, then at midpoints while the slope ball is missing or
 # too wide, and certifies by steps on N(X) once it is not.
 PINNED_PROBES = [
     ("[100----3]", "no estimate", Fraction(1, 408 * 10**40), [
-        (101, 1, 12),
-        (7107243161944063, 47, 4),
-        (7107243161944059, 47, 4),
-        (7107243161944043, 47, 4),
-        (7107243161943979, 47, 4),
-        (7107243161943723, 47, 4),
-        (7107243161942699, 47, 4),
-        (7107243161938603, 47, 4),
-        (7107243161922219, 47, 4),
-        (7107243161856683, 47, 4),
-        (7107243161594539, 47, 4),
-        (7107243160545963, 47, 4),
-        (7107243156351659, 47, 4),
-        (7107243139574443, 47, 4),
-        (7107243072465579, 47, 4),
-        (7107242804030123, 47, 4),
-        (7107241730288299, 47, 4),
-        (7107237435321003, 47, 4),
-        (7107220255451819, 47, 4),
-        (7107151535975083, 47, 4),
-        (7106876658068139, 47, 4),
-        (7105777146440363, 47, 4),
-        (7101379099929259, 47, 4),
-        (7083786913884843, 47, 4),
-        (7013418169707179, 47, 4),
-        (6731943192996523, 47, 4),
-        (5606043286153899, 47, 4),
-        (1102443658783403, 47, 4),
-        (1, 0, 139),
-        (2, 0, 12),
-        (1383918635494059, 48, 4),
-        (1946868588915371, 49, 4),
-        (3072768495757995, 50, 4),
-        (5324568309443243, 51, 4),
-        (9828167936813739, 52, 4),
-        (20477304555700225, 53, 4),
-        (40133640429327703, 54, 4),
-        (79446312176582659, 55, 1),
-        (395148529680368033666966121636112286055680515, 147, 3),
-        (6316476203042726564875917283352452627855863573, 151, 14),
-        (6316415426378563976296457129439805648217235811, 151, 37),
-        (3158207709008064441925352303764368359474952723, 150, 86),
-        (3158207709008064361135156622530084789249848941, 150, 134),
+        (8, 0, 12),
+        (2, 0, 4),
+        (5, 0, 4),
+        (7, 1, 4),
+        (11, 2, 4),
+        (19, 3, 4),
+        (35, 4, 4),
+        (73, 5, 4),
+        (143, 6, 4),
+        (283, 7, 1),
+        (3158870213960363924766419042363170196557036185, 150, 7),
+        (3158209602136887530384786560676807611030731595, 150, 22),
+        (1579103854512305828561734641422736519912087807, 149, 54),
+        (6316415418016128722272844052281872912750412955, 151, 119),
+        (3158207709008064361135156622530054627151455561, 150, 134),
     ]),
     ("[1000----3]", "with slope", Fraction(1, 4008 * 10**40), [
         (2685169708817751, 50, 73),
@@ -362,21 +401,17 @@ PINNED_PROBES = [
     ("[1000----3]", "off by 2^-30", Fraction(1, 4008 * 10**40), [
         (2685169709866327, 50, 73),
         (2685169709866327, 50, 12),
-        (5370339419732653, 51, 21),
-        (5370339419732649, 51, 21),
-        (5370339419732633, 51, 21),
-        (5370339419732569, 51, 21),
-        (5370339419732313, 51, 21),
-        (5370339419731289, 51, 21),
-        (5370339419727193, 51, 21),
-        (5370339419710809, 51, 21),
-        (5370339419645273, 51, 21),
-        (5370339419383129, 51, 21),
-        (5370339418334553, 51, 21),
-        (5370339414140249, 51, 22),
-        (5370339416237401, 51, 43),
-        (54461711889559716711730303364491324075157850593, 154, 96),
-        (54461711889559716629909217609662890660635650459, 154, 133),
+        (3811069616708951, 51, 21),
+        (9181409036441605, 52, 4),
+        (19922087875906913, 53, 4),
+        (41403445554837529, 54, 4),
+        (84366160912698761, 55, 4),
+        (170291591628421225, 56, 1),
+        (54407018053146075686610058792641827091523786679, 154, 1),
+        (54461056716689681405615187807806792715087723387, 154, 13),
+        (54461711807840826712209306544476165876636722637, 154, 39),
+        (3403856993097482459245897984695043726506680267, 150, 86),
+        (27230855944779858314954608804832947402341016783, 153, 133),
     ]),
 ]
 
@@ -478,8 +513,8 @@ def test_iteration_budget(monkeypatch):
 
 @pytest.mark.parametrize("poly", [lambda x: x**3 - 2, lambda x: x - Fraction(1, 3)])
 def test_a_call_without_a_slope_certifies_within_the_budget(poly):
-    # a certified bisection: strides from the midpoint to a certified
-    # bracket, then about one bit a probe down to 2^-200
+    # a certified bisection on the bracket, about one bit a probe down to
+    # 2^-200, and a probe of each end no probe certified once it stops
     probes = []
 
     def f(x, t):
