@@ -35,6 +35,9 @@ entry fires k events, each display made as the trace asks for it: n + j's
 digits over an exact integer n, X + j over another rational, and over a
 ball each rounded step's center, the steps taken again at the round's
 working tolerance.  `_Trace` splices each display into the term's render.
+An event costs about a copy of its line and of its path: a chain builds
+its path tuple and its runs of `[` and `+1]` once, and each event takes a
+slice of each.
 
 `to_base_b` truncates the value scaled by base^digits to an integer and
 prints it with `rationals.digit_text`, whose leaves are CPython's C
@@ -54,12 +57,13 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain, repeat
 
 from . import hyperops, midops
 from .balls import Ball, divide, round_ball
 from .errors import DomainError, HypercalcError, PrecisionError, ResourceError
 from .midops import SeriesConfig, tol_bits
-from .rationals import digit_text
+from .rationals import _C_LEAF_10_BITS, digit_text
 from .terms import Leaf, OpKind, Operator, Path, Term, TraceEvent, plus_one_chain, render
 
 # Refinement rounds: `evaluate` re-runs at a tighter working tolerance, and
@@ -339,9 +343,19 @@ class _Trace:
     `nodes` and `path` hold the previous entry's ancestors below the root
     and the steps down to them.  Those entries x >= i contain i; the rest
     are popped, and parent links lead from i up to the deepest one left.
-    An event costs O(1) bookkeeping plus a copy of its line and path; no
-    path table is built up front.  It stops with a `ResourceError` past
-    `MAX_TRACE_CHARS`.
+    No path table is built up front.
+
+    An event costs a copy of its line, a slice of its path and a tuple.
+    Each entry joins its path once, into the path of its first event, the
+    deepest; every event's path is a prefix of it, and its `[`s and `+1]`s
+    are prefixes of the chain's two runs.  An integer chain whose values
+    fit `digit_text`'s C leaf shows them with `str`, which is that leaf;
+    past it `digit_text` shows each.  The trace stops with a
+    `ResourceError` past `MAX_TRACE_CHARS`.  Its lines are k * (kept
+    text) + 2k(k - 1) + the displays' lengths long, so when that sum,
+    with every display as long as the longest, fits under the cap, the
+    integer chain's lines and events are built in bulk; otherwise each
+    event checks the cap before it builds its line.
     """
 
     def __init__(self, flat: _Flat, text: str):
@@ -373,22 +387,27 @@ class _Trace:
         for i, (op, l, _, k) in enumerate(self.flat):
             # displays are made as `fire` asks for them, so a trace stopped at
             # the text cap partway through a chain builds none of the rest
-            left = values[l]
+            left, width = values[l], None
             if not k:
                 shown = (_display_value(values[i], ctx),)
             elif not isinstance(left, Fraction):
                 shown = (_display_value(v, ctx) for v in _ball_steps(op, left, k, op_tol))
-            elif left.denominator == 1:  # an integer's digits, no Fraction per step
-                n = left.numerator
-                shown = (digit_text(n + j, 10) for j in range(1, k + 1))
-            else:
+            elif left.denominator != 1:
                 shown = (_display_value(left + j, ctx) for j in range(1, k + 1))
-            self.fire(i, k, shown)
+            elif max(-(n := left.numerator) - 1, n + k).bit_length() <= _C_LEAF_10_BITS:
+                # `digit_text` is `str` below its C leaf; the largest |n + j|,
+                # and the longest display, is at one end of the chain
+                shown = map(str, range(n + 1, n + k + 1))
+                width = max(len(str(n + 1)), len(str(n + k)))
+            else:  # `str` refuses more than 4,300 digits
+                shown = (digit_text(n + j, 10) for j in range(1, k + 1))
+            self.fire(i, k, shown, width)
         return tuple(self.events)
 
-    def fire(self, i: int, k: int, shown: Iterable[str]) -> None:
+    def fire(self, i: int, k: int, shown: Iterable[str], width: int | None = None) -> None:
         """Entry i's events: one for a node (k = 0), or one per step of a
-        chain of k steps; `shown` yields each event's display in turn."""
+        chain of k steps; `shown` yields each event's display in turn, and
+        `width`, when known, bounds every display's length."""
         nodes, path = self.nodes, self.path
         while nodes and nodes[-1] < i:
             nodes.pop()
@@ -400,25 +419,43 @@ class _Trace:
             x = self.parent[x]
         nodes += reversed(climb)
         path += [self.step[j] for j in reversed(climb)]
-        steps = "".join(path)
-        shift, text, events = self.shift, self.text, self.events
-        at = self.start[i] + shift[self.first[i]]
-        end = self.start[i] + self.size[i] + shift[i]
+        text, events = self.text, self.events
+        at = self.start[i] + self.shift[self.first[i]]
+        end = self.start[i] + self.size[i] + self.shift[i]
         head, tail = text[:at], text[end:]
+        # the event at depth d keeps d of the chain's `[`s and `+1]`s, and its
+        # path is the entry's plus d steps "L": one slice of each run
+        deepest = k - 1 if k else 0
+        opens, closes = "[" * deepest, "+1]" * deepest
+        full = tuple("".join(path) + "L" * deepest)
+        m = len(full) - deepest
+        depths = range(deepest, -1, -1)
+        step, chars = len(events), self.chars
         kept = len(head) + len(tail)
-        before = text
-        for depth, display in zip(range(k - 1, -1, -1) if k else (0,), shown):
-            self.chars += kept + 4 * depth + len(display)
-            if self.chars > MAX_TRACE_CHARS:
-                raise ResourceError(
-                    f"the reduction trace passed {MAX_TRACE_CHARS:,} characters of "
-                    f"text at step {len(events) + 1} of {self.node_count:,}"
-                )
-            after = "".join((head, "[" * depth, display, "+1]" * depth, tail))
-            events.append(TraceEvent(len(events) + 1, tuple(steps + "L" * depth), before, after))
-            before = after
-        self.text = before
-        shift.append(shift[i] + len(before) - len(text))
+        # the lines' lengths sum to k * kept + 2k(k - 1) + the displays'
+        if width is not None and chars + k * (kept + width) + 2 * k * deepest <= MAX_TRACE_CHARS:
+            afters = [f"{head}{opens[:d]}{s}{closes[:3 * d]}{tail}" for d, s in zip(depths, shown)]
+            # `tuple.__new__` is `TraceEvent._make` without its Python frame
+            events += map(tuple.__new__, repeat(TraceEvent), zip(
+                range(step + 1, step + k + 1), [full[:m + d] for d in depths],
+                chain((text,), afters), afters))
+            chars += sum(map(len, afters))
+            before = afters[-1]
+        else:
+            before = text
+            for d, display in zip(depths, shown):
+                chars += kept + 4 * d + len(display)
+                if chars > MAX_TRACE_CHARS:
+                    raise ResourceError(
+                        f"the reduction trace passed {MAX_TRACE_CHARS:,} characters of "
+                        f"text at step {step + 1} of {self.node_count:,}"
+                    )
+                after = f"{head}{opens[:d]}{display}{closes[:3 * d]}{tail}"
+                step += 1
+                events.append(TraceEvent(step, full[:m + d], before, after))
+                before = after
+        self.text, self.chars = before, chars
+        self.shift.append(self.shift[i] + len(before) - len(text))
 
 
 def _display_value(value: Value, ctx: NumericContext) -> str:

@@ -26,7 +26,7 @@ import enum
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import ParseError
 
@@ -136,9 +136,11 @@ class Chain:
 Term = Union[Leaf, Node, Chain]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One reduction step: the subterm at `path` was replaced by its value."""
+class TraceEvent(NamedTuple):
+    """One reduction step: the subterm at `path` was replaced by its value.
+
+    A named tuple, not a dataclass: a trace builds one per node, and a
+    tuple is about half the cost of a frozen dataclass to build."""
 
     step: int
     path: Path

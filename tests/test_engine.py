@@ -22,6 +22,7 @@ from hypercalc.engine import (
     trace_reduce,
 )
 from hypercalc.errors import DomainError, HypercalcError, PrecisionError, ResourceError
+from hypercalc.rationals import _C_LEAF_10_BITS as C_LEAF_BITS, digit_text
 from hypercalc.terms import Leaf, Node, OpKind, Operator, TraceEvent, parse, render
 
 CTX10 = NumericContext(digits=10, guard_digits=10)
@@ -663,6 +664,7 @@ def test_trace_of_an_explicit_chain_in_closed_form():
     steps = 1000
     events = trace_reduce(parse("[" * steps + "1" + "+1]" * steps), CTX10)
     assert len(events) == steps
+    assert {type(event) for event in events} == {TraceEvent}
     for j, event in enumerate(events, start=1):
         assert event.path == ("L",) * (steps - j)
         assert event.after == "[" * (steps - j) + str(j + 1) + "+1]" * (steps - j)
@@ -703,19 +705,71 @@ def test_folded_chain_over_a_ball_matches_per_node_steps():
 def test_trace_stops_partway_through_a_chain_without_the_rest(monkeypatch):
     # 99999's chain shows n + j per step; each display is made as its event
     # fires, so the text cap stops the trace before the other steps' digits
+    def counted(convert, built):
+        def wrapper(*args):
+            built.append(args)
+            return convert(*args)
+        return wrapper
+
+    # below `digit_text`'s C leaf the displays are `str`'s, and two more
+    # `str` calls size the chain's widest display
     built = []
-    digit_text = engine.digit_text
-
-    def counted(*args):
-        built.append(args)
-        return digit_text(*args)
-
-    monkeypatch.setattr(engine, "digit_text", counted)
+    monkeypatch.setattr(engine, "str", counted(str, built), raising=False)
     monkeypatch.setattr(engine, "MAX_TRACE_CHARS", 10**6)
     with pytest.raises(ResourceError) as err:
         trace_reduce(parse("99999"), CTX10)
     step = int(re.search(r"at step (\d+) of 99,998$", str(err.value)).group(1))
-    assert len(built) <= step + 1
+    assert step < 1000
+    assert len(built) <= step + 3
+    # past the leaf they are `digit_text`'s: 10^600's, shown by the `+++`
+    # node at step 609, after lines of about 20,000 characters each, then one
+    # per step of the chain over it
+    built = []
+    monkeypatch.setattr(engine, "digit_text", counted(digit_text, built))
+    monkeypatch.setattr(engine, "MAX_TRACE_CHARS", 15 * 10**6)
+    with pytest.raises(ResourceError) as err:
+        trace_reduce(parse("[" * 5000 + "[10+++600]" + "+1]" * 5000), CTX10)
+    step = int(re.search(r"at step (\d+) of 5,609$", str(err.value)).group(1))
+    assert 609 < step < 1000
+    assert len(built) <= 1 + step - 609
+
+
+def test_the_text_cap_names_the_step_it_stops_at(monkeypatch):
+    # a chain is built in bulk when its text surely fits under the cap, and
+    # event by event otherwise; the cap counts the same characters either
+    # way: `MAX_TRACE_CHARS` = the render plus every line up to step s
+    # stops the trace at step s + 1, and one more allows it
+    term = parse("[[[6.1+81]+[[2---2]+[1--3]]]+[" + "[" * 40 + "1" + "+1]" * 40 + "+1]]")
+    events = trace_reduce(term, CTX10)
+    nodes = len(events)
+    total = len(render(term))
+    for s, event in enumerate(events):
+        monkeypatch.setattr(engine, "MAX_TRACE_CHARS", total)
+        with pytest.raises(ResourceError, match=f"at step {s + 1} of {nodes:,}$"):
+            trace_reduce(term, CTX10)
+        total += len(event.after)
+    monkeypatch.setattr(engine, "MAX_TRACE_CHARS", total)
+    assert trace_reduce(term, CTX10) == events
+
+
+@pytest.mark.parametrize("text, value", [
+    # 1,001 digits, past the C leaf of `digit_text`
+    ("[[[10+++1000]+1]+1]", 10**1000),
+    # 10,001 digits, past the 4,300 that `str()` of an int allows
+    ("[[[10+++[100++100]]+1]+1]", 10**10000),
+    # the last `str` chain and the first `digit_text` one, of either sign
+    (f"[[[[2+++{C_LEAF_BITS}]-3]+1]+1]", 2**C_LEAF_BITS - 3),
+    (f"[[[[2+++{C_LEAF_BITS}]-2]+1]+1]", 2**C_LEAF_BITS - 2),
+    (f"[[[1-[[2+++{C_LEAF_BITS}]+1]]+1]+1]", -(2**C_LEAF_BITS)),
+    (f"[[[1-[[2+++{C_LEAF_BITS}]+2]]+1]+1]", -(2**C_LEAF_BITS) - 1),
+], ids=["1001-digits", "10001-digits", "leaf-top", "leaf-past", "negative-leaf-top",
+        "negative-leaf-past"])
+def test_an_integer_chain_shows_each_step_as_digit_text(text, value):
+    events = trace_reduce(parse(text), CTX10)
+    assert [e.after for e in events[-2:]] == [
+        "[" + digit_text(value + 1, 10) + "+1]",
+        digit_text(value + 2, 10),
+    ]
 
 
 def test_literal_evaluates_without_operator_calls(monkeypatch):

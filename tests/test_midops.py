@@ -1278,7 +1278,8 @@ dyadic_or_not = st.one_of(
 
 @given(center=dyadic_or_not.filter(lambda c: abs(c) <= 40),
        radius=st.one_of(st.fractions(min_value=0, max_value=Fraction(5, 8), max_denominator=2**64),
-                        st.builds(lambda m, k: Fraction(m, 2**k), st.integers(1, 2**20),
+                        # m / 2^k <= 5 * 2^17 / 2^20 = 5/8, the kernel's spread limit
+                        st.builds(lambda m, k: Fraction(m, 2**k), st.integers(1, 5 * 2**17),
                                   st.integers(20, 3000))),
        bits=st.integers(8, 400))
 @settings(max_examples=150, deadline=None)

@@ -19,6 +19,7 @@ from hypercalc.terms import (
     Node,
     OpKind,
     Operator,
+    TraceEvent,
     desugar_integer,
     parse,
     plus_one_chain,
@@ -392,3 +393,19 @@ def test_largest_literal_parses_in_constant_memory():
         tracemalloc.stop()
     assert term == Chain(99998, ONE)
     assert peak < 64 * 2**10
+
+
+def test_trace_event_contract():
+    # a named tuple: four fields in this order, read-only, equal and
+    # hashing alike when their fields are, and the dataclass's repr
+    event = TraceEvent(3, ("L", "R"), "[[1+1]+[1+1]]", "[2+[1+1]]")
+    assert TraceEvent._fields == ("step", "path", "before", "after")
+    assert (event.step, event.path, event.before, event.after) == (
+        3, ("L", "R"), "[[1+1]+[1+1]]", "[2+[1+1]]")
+    with pytest.raises(AttributeError):
+        event.step = 4
+    twin = TraceEvent(step=3, path=("L", "R"), before="[[1+1]+[1+1]]", after="[2+[1+1]]")
+    assert twin == event and hash(twin) == hash(event) and twin is not event
+    assert event != TraceEvent(4, ("L", "R"), "[[1+1]+[1+1]]", "[2+[1+1]]")
+    assert repr(event) == (
+        "TraceEvent(step=3, path=('L', 'R'), before='[[1+1]+[1+1]]', after='[2+[1+1]]')")
