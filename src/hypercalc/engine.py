@@ -394,20 +394,23 @@ class _Trace:
                 shown = (_display_value(v, ctx) for v in _ball_steps(op, left, k, op_tol))
             elif left.denominator != 1:
                 shown = (_display_value(left + j, ctx) for j in range(1, k + 1))
-            elif max(-(n := left.numerator) - 1, n + k).bit_length() <= _C_LEAF_10_BITS:
-                # `digit_text` is `str` below its C leaf; the largest |n + j|,
-                # and the longest display, is at one end of the chain
-                shown = map(str, range(n + 1, n + k + 1))
-                width = max(len(str(n + 1)), len(str(n + k)))
-            else:  # `str` refuses more than 4,300 digits
-                shown = (digit_text(n + j, 10) for j in range(1, k + 1))
+            else:
+                # `digit_text` is `str` below its C leaf, and `str` refuses more
+                # than 4,300 digits; the largest |n + j|, and the longest
+                # display, is at one end of the chain
+                n = left.numerator
+                if max(-n - 1, n + k).bit_length() <= _C_LEAF_10_BITS:
+                    shown = map(str, range(n + 1, n + k + 1))
+                    width = max(len(str(n + 1)), len(str(n + k)))
+                else:
+                    shown = (digit_text(n + j, 10) for j in range(1, k + 1))
             self.fire(i, k, shown, width)
         return tuple(self.events)
 
-    def fire(self, i: int, k: int, shown: Iterable[str], width: int | None = None) -> None:
+    def fire(self, i: int, k: int, shown: Iterable[str], width: int | None) -> None:
         """Entry i's events: one for a node (k = 0), or one per step of a
         chain of k steps; `shown` yields each event's display in turn, and
-        `width`, when known, bounds every display's length."""
+        `width`, when not None, bounds every display's length."""
         nodes, path = self.nodes, self.path
         while nodes and nodes[-1] < i:
             nodes.pop()
@@ -419,9 +422,9 @@ class _Trace:
             x = self.parent[x]
         nodes += reversed(climb)
         path += [self.step[j] for j in reversed(climb)]
-        text, events = self.text, self.events
-        at = self.start[i] + self.shift[self.first[i]]
-        end = self.start[i] + self.size[i] + self.shift[i]
+        shift, text, events = self.shift, self.text, self.events
+        at = self.start[i] + shift[self.first[i]]
+        end = self.start[i] + self.size[i] + shift[i]
         head, tail = text[:at], text[end:]
         # the event at depth d keeps d of the chain's `[`s and `+1]`s, and its
         # path is the entry's plus d steps "L": one slice of each run
@@ -455,7 +458,7 @@ class _Trace:
                 events.append(TraceEvent(step, full[:m + d], before, after))
                 before = after
         self.text, self.chars = before, chars
-        self.shift.append(self.shift[i] + len(before) - len(text))
+        shift.append(shift[i] + len(before) - len(text))
 
 
 def _display_value(value: Value, ctx: NumericContext) -> str:
