@@ -738,7 +738,7 @@ def test_the_text_cap_names_the_step_it_stops_at(monkeypatch):
     # a chain is built in bulk when its text surely fits under the cap, and
     # event by event otherwise; the cap counts the same characters either
     # way: `MAX_TRACE_CHARS` = the render plus every line up to step s
-    # stops the trace at step s + 1, and one more allows it
+    # stops the trace at step s + 1, and the whole text lets it finish
     term = parse("[[[6.1+81]+[[2---2]+[1--3]]]+[" + "[" * 40 + "1" + "+1]" * 40 + "+1]]")
     events = trace_reduce(term, CTX10)
     nodes = len(events)

@@ -397,7 +397,7 @@ def test_largest_literal_parses_in_constant_memory():
 
 def test_trace_event_contract():
     # a named tuple: four fields in this order, read-only, equal and
-    # hashing alike when their fields are, and the dataclass's repr
+    # hashing alike when their fields are, with a keyword-style repr
     event = TraceEvent(3, ("L", "R"), "[[1+1]+[1+1]]", "[2+[1+1]]")
     assert TraceEvent._fields == ("step", "path", "before", "after")
     assert (event.step, event.path, event.before, event.after) == (
