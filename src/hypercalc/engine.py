@@ -57,13 +57,12 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, repeat
 
 from . import hyperops, midops
 from .balls import Ball, divide, round_ball
 from .errors import DomainError, HypercalcError, PrecisionError, ResourceError
 from .midops import SeriesConfig, tol_bits
-from .rationals import _C_LEAF_10_BITS, digit_text
+from .rationals import decimal_texts, digit_text
 from .terms import Leaf, OpKind, Operator, Path, Term, TraceEvent, plus_one_chain, render
 
 # Refinement rounds: `evaluate` re-runs at a tighter working tolerance, and
@@ -348,14 +347,10 @@ class _Trace:
     An event costs a copy of its line, a slice of its path and a tuple.
     Each entry joins its path once, into the path of its first event, the
     deepest; every event's path is a prefix of it, and its `[`s and `+1]`s
-    are prefixes of the chain's two runs.  An integer chain whose values
-    fit `digit_text`'s C leaf shows them with `str`, which is that leaf;
-    past it `digit_text` shows each.  The trace stops with a
-    `ResourceError` past `MAX_TRACE_CHARS`.  Its lines are k * (kept
-    text) + 2k(k - 1) + the displays' lengths long, so when that sum,
-    with every display as long as the longest, fits under the cap, the
-    integer chain's lines and events are built in bulk; otherwise each
-    event checks the cap before it builds its line.
+    are prefixes of the chain's two runs.  An integer chain's steps are
+    `rationals.decimal_texts` of its run.  Each event checks
+    `MAX_TRACE_CHARS` before it builds its line, and the trace stops with a
+    `ResourceError` past it.
     """
 
     def __init__(self, flat: _Flat, text: str):
@@ -387,30 +382,22 @@ class _Trace:
         for i, (op, l, _, k) in enumerate(self.flat):
             # displays are made as `fire` asks for them, so a trace stopped at
             # the text cap partway through a chain builds none of the rest
-            left, width = values[l], None
+            left = values[l]
             if not k:
                 shown = (_display_value(values[i], ctx),)
             elif not isinstance(left, Fraction):
                 shown = (_display_value(v, ctx) for v in _ball_steps(op, left, k, op_tol))
-            elif left.denominator != 1:
-                shown = (_display_value(left + j, ctx) for j in range(1, k + 1))
-            else:
-                # `digit_text` is `str` below its C leaf, and `str` refuses more
-                # than 4,300 digits; the largest |n + j|, and the longest
-                # display, is at one end of the chain
+            elif left.denominator == 1:  # an integer's digits, no Fraction per step
                 n = left.numerator
-                if max(-n - 1, n + k).bit_length() <= _C_LEAF_10_BITS:
-                    shown = map(str, range(n + 1, n + k + 1))
-                    width = max(len(str(n + 1)), len(str(n + k)))
-                else:
-                    shown = (digit_text(n + j, 10) for j in range(1, k + 1))
-            self.fire(i, k, shown, width)
+                shown = decimal_texts(n + 1, n + k + 1)
+            else:
+                shown = (_display_value(left + j, ctx) for j in range(1, k + 1))
+            self.fire(i, k, shown)
         return tuple(self.events)
 
-    def fire(self, i: int, k: int, shown: Iterable[str], width: int | None) -> None:
+    def fire(self, i: int, k: int, shown: Iterable[str]) -> None:
         """Entry i's events: one for a node (k = 0), or one per step of a
-        chain of k steps; `shown` yields each event's display in turn, and
-        `width`, when not None, bounds every display's length."""
+        chain of k steps; `shown` yields each event's display in turn."""
         nodes, path = self.nodes, self.path
         while nodes and nodes[-1] < i:
             nodes.pop()
@@ -435,28 +422,18 @@ class _Trace:
         depths = range(deepest, -1, -1)
         step, chars = len(events), self.chars
         kept = len(head) + len(tail)
-        # the lines' lengths sum to k * kept + 2k(k - 1) + the displays'
-        if width is not None and chars + k * (kept + width) + 2 * k * deepest <= MAX_TRACE_CHARS:
-            afters = [f"{head}{opens[:d]}{s}{closes[:3 * d]}{tail}" for d, s in zip(depths, shown)]
-            # `tuple.__new__` is `TraceEvent._make` without its Python frame
-            events += map(tuple.__new__, repeat(TraceEvent), zip(
-                range(step + 1, step + k + 1), [full[:m + d] for d in depths],
-                chain((text,), afters), afters))
-            chars += sum(map(len, afters))
-            before = afters[-1]
-        else:
-            before = text
-            for d, display in zip(depths, shown):
-                chars += kept + 4 * d + len(display)
-                if chars > MAX_TRACE_CHARS:
-                    raise ResourceError(
-                        f"the reduction trace passed {MAX_TRACE_CHARS:,} characters of "
-                        f"text at step {step + 1} of {self.node_count:,}"
-                    )
-                after = f"{head}{opens[:d]}{display}{closes[:3 * d]}{tail}"
-                step += 1
-                events.append(TraceEvent(step, full[:m + d], before, after))
-                before = after
+        before = text
+        for d, display in zip(depths, shown):
+            chars += kept + 4 * d + len(display)
+            if chars > MAX_TRACE_CHARS:
+                raise ResourceError(
+                    f"the reduction trace passed {MAX_TRACE_CHARS:,} characters of "
+                    f"text at step {step + 1} of {self.node_count:,}"
+                )
+            after = f"{head}{opens[:d]}{display}{closes[:3 * d]}{tail}"
+            step += 1
+            events.append(TraceEvent(step, full[:m + d], before, after))
+            before = after
         self.text, self.chars = before, chars
         shift.append(shift[i] + len(before) - len(text))
 

@@ -3,13 +3,15 @@
 `fractions.Fraction` is the value type (unbounded integers, positive
 denominator, always in lowest terms); this module adds the Euclidean gcd
 with explicit domain errors, `digit_text`, the one conversion of an
-integer to base-b digits, and the `p/q` text form of a radius.  The
-rank-1/rank-2 operator arithmetic on Fractions is `engine._apply`.
+integer to base-b digits, `decimal_texts` over a run of integers, and the
+`p/q` text form of a radius.  The rank-1/rank-2 operator arithmetic on
+Fractions is `engine._apply`.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 
 from .errors import DomainError
@@ -61,6 +63,15 @@ def digit_text(n: int, base: int, count: int = 1) -> str:
     # n < 2^bits <= base^width; the float bound gets one digit of slack
     width = max(count, int(n.bit_length() * math.log(2) / math.log(base)) + 2)
     return _split(n, base, width).lstrip("0").zfill(max(count, 1))
+
+
+def decimal_texts(start: int, stop: int) -> Iterator[str]:
+    """`digit_text(j, 10)` for each j in range(start, stop), each made as
+    the iterator reaches it.  When every j fits one C leaf that is `str`
+    over the range, with no Python frame per integer."""
+    if max(-start, stop - 1).bit_length() <= _C_LEAF_10_BITS:
+        return map(str, range(start, stop))
+    return (digit_text(j, 10) for j in range(start, stop))
 
 
 def _split(n: int, base: int, count: int) -> str:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from hypercalc.engine import _apply
 from hypercalc.errors import DomainError
-from hypercalc.rationals import digit_text, format_fraction, gcd
+from hypercalc.rationals import _C_LEAF_10_BITS, decimal_texts, digit_text, format_fraction, gcd
 from hypercalc.terms import OpKind, Operator
 
 from test_engine import long_division_digits
@@ -157,3 +157,13 @@ def test_digit_text_past_the_int_string_limit(lowest_str_limit):
     count = 4400
     for n in (rng.randrange(10**count), -rng.randrange(10**(count + 200))):
         assert digit_text(n, 10, count) == long_division_text(n, 10, count)
+
+
+def test_decimal_texts_is_digit_text_over_a_run(lowest_str_limit):
+    # runs inside the C leaf, up to its top, across it and far past `str`'s
+    # limit, of either sign, and an empty run
+    top = 2**_C_LEAF_10_BITS
+    for start, stop in ((-5, 6), (top - 3, top), (top - 3, top + 2), (-top + 1, -top + 4),
+                        (-top - 2, -top + 3), (10**1000, 10**1000 + 3),
+                        (-10**1000 - 3, -10**1000), (7, 7)):
+        assert list(decimal_texts(start, stop)) == [digit_text(j, 10) for j in range(start, stop)]
