@@ -18,14 +18,7 @@ from fractions import Fraction
 
 from .engine import NumericContext, adaptive_evaluate, evaluate
 from .engine import trace_reduce  # noqa: F401  perfbench/tracing.py wraps cli.trace_reduce
-from .errors import (
-    ConvergenceError,
-    DomainError,
-    HypercalcError,
-    ParseError,
-    PrecisionError,
-    ResourceError,
-)
+from .errors import DomainError, HypercalcError, ParseError
 from .farey import farey_row
 from .rationals import format_fraction
 from .terms import parse, render
@@ -145,7 +138,7 @@ def _cmd_eval(args) -> int:
     for number, text in lines:
         try:
             payload = _result_payload(text, ctx, args.trace)
-        except _REPORTED as err:
+        except HypercalcError as err:
             code, message = _failure(err)
             if args.format_ == "json":
                 record = {"input": text, "line": number, "error": message, "exit": code}
@@ -258,12 +251,9 @@ def _random_term(rng, max_depth):
     )
 
 
-# the errors a command reports with an exit code instead of a traceback
-_REPORTED = (ParseError, DomainError, ConvergenceError, PrecisionError, ResourceError)
-
-
 def _failure(err: HypercalcError) -> tuple[int, str]:
-    """Exit code and message of a reported error."""
+    """Exit code and message of a package error, which a command reports
+    in place of a traceback."""
     if isinstance(err, ParseError):
         return 1, f"parse error: {err}"
     if isinstance(err, DomainError):
@@ -277,7 +267,7 @@ def main(argv=None) -> int:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
         return code
-    except _REPORTED as err:
+    except HypercalcError as err:
         code, message = _failure(err)
         print(message, file=sys.stderr)
         return code

@@ -12,10 +12,13 @@ path from the previous one.
 
 Entries are not nodes.  A literal n is one `Chain` object standing for
 n - 1 `[X+1]` nodes, and every chain of k steps, a `Chain` or hand-built
-`Node`s, is one entry "X plus k": the constant k + 1 over the leaf, one
-addition over an exact X, and over a ball the same k rounded steps the
-nodes would take.  The working tolerance divides by nodes, not entries,
-so folding changes no radius.
+`Node`s, is one entry "X plus k", evaluated as the one node X + k: the
+constant k + 1 over the leaf, one exact addition over a rational X, and
+over a ball one `round_ball` of X + k in `_apply`.  That is bit for bit the
+ball the k rounded steps reach, as `balls._snap` commutes with adding an
+integer: in both of its branches the center and the radius move by whole
+grid steps, and a ball already on the grid snaps to itself.  The working
+tolerance divides by nodes, not entries, so folding changes no radius.
 
 `_apply` is the single rank dispatcher: ranks 1-2 are exact arithmetic on
 Fractions (balls once an operand is approximate), rank 3 the series
@@ -32,9 +35,9 @@ The reduction trace is not part of a round: a traced round keeps every
 entry's value, and once a round meets the target `_Trace.replay` walks
 the list again with those values, so a trace is built once.  A chain
 entry fires k events, each display made as the trace asks for it: n + j's
-digits over an exact integer n, X + j over another rational, and over a
-ball each rounded step's center, the steps taken again at the round's
-working tolerance.  `_Trace` splices each display into the term's render.
+digits over an exact integer n, and otherwise `_apply`'s X + j at the
+round's working tolerance, which over a ball is again one rounding per
+step.  `_Trace` splices each display into the term's render.
 An event costs about a copy of its line and of its path: a chain builds
 its path tuple and its runs of `[` and `+1]` once, and each event takes a
 slice of each.
@@ -90,7 +93,7 @@ class NumericContext:
     retries of a kernel; the series terms per call (`midops.MAX_SERIES_TERMS`
     = 100,000), the root finder's probes and bracket doublings
     (`rootfind.MAX_ITERATIONS` = 1000, `rootfind.MAX_EXPANSIONS` = 80), and
-    the tower height steps (`hyperops.EngineLimits`, 50,000).
+    the tower height steps (`hyperops.MAX_HEIGHT_STEPS` = 50,000).
     """
 
     base: int = 10
@@ -226,13 +229,10 @@ def _eval_once(flat: _Flat, op_tol: Fraction) -> Iterator[Value]:
     for i, (op, l, r, k) in enumerate(flat):
         left = values[l]
         try:
-            if not k:
-                value = _apply(op, left, values[r], op_tol)
-            elif isinstance(left, Fraction):
+            if k and isinstance(left, Fraction):
                 value = left + k
-            else:  # a ball takes each of the chain's k rounded steps
-                for value in _ball_steps(op, left, k, op_tol):
-                    pass
+            else:  # a node, or a chain over a ball as the one node X + k
+                value = _apply(op, left, k or values[r], op_tol)
         except HypercalcError as err:
             if err.path is None:
                 err.path = _path_of(i, *_parents(flat))
@@ -240,14 +240,6 @@ def _eval_once(flat: _Flat, op_tol: Fraction) -> Iterator[Value]:
         values[i] = value
         values[l] = values[r] = one
         yield value
-
-
-def _ball_steps(op, x: Ball, k: int, op_tol: Fraction):
-    """The k rounded steps of a chain of `[X+1]` nodes over the ball x."""
-    one = Fraction(1)
-    for _ in range(k):
-        x = _apply(op, x, one, op_tol)
-        yield x
 
 
 def _parents(flat: _Flat) -> tuple[list[int], list[str]]:
@@ -376,8 +368,8 @@ class _Trace:
 
     def replay(self, values: list[Value], ctx, op_tol) -> tuple[TraceEvent, ...]:
         """Every entry's events from one round's values, entry i's at
-        `values[i]`; a chain over a ball takes its k rounded steps again at
-        that round's `op_tol`."""
+        `values[i]`; step j of a chain over X shows X + j, taken at that
+        round's `op_tol`."""
         values = [*values, Fraction(1)]  # the leaf's 1, where `_LEAF` reads it
         for i, (op, l, _, k) in enumerate(self.flat):
             # displays are made as `fire` asks for them, so a trace stopped at
@@ -385,13 +377,11 @@ class _Trace:
             left = values[l]
             if not k:
                 shown = (_display_value(values[i], ctx),)
-            elif not isinstance(left, Fraction):
-                shown = (_display_value(v, ctx) for v in _ball_steps(op, left, k, op_tol))
-            elif left.denominator == 1:  # an integer's digits, no Fraction per step
-                n = left.numerator
+            elif isinstance(left, Fraction) and left.denominator == 1:
+                n = left.numerator  # an integer's digits, no Fraction per step
                 shown = decimal_texts(n + 1, n + k + 1)
             else:
-                shown = (_display_value(left + j, ctx) for j in range(1, k + 1))
+                shown = (_display_value(_apply(op, left, j, op_tol), ctx) for j in range(1, k + 1))
             self.fire(i, k, shown)
         return tuple(self.events)
 

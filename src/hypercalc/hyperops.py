@@ -73,19 +73,16 @@ from .rootfind import (
 )
 
 
+# Integer height steps per rank >= 4 node: the tower-unrolling budget.
+MAX_HEIGHT_STEPS = 50_000
+
+
 @dataclass(frozen=True)
 class EngineLimits:
-    """The tower-unrolling budget: integer height steps per rank >= 4 node.
+    """The tower-unrolling budget `MAX_HEIGHT_STEPS` as a record, which the
+    acceptance tests construct; the checks read the constant."""
 
-    The other budgets are constants of the layer that enforces them: the
-    series term cap `midops.MAX_SERIES_TERMS`, the root finder's
-    `rootfind.MAX_ITERATIONS` and `rootfind.MAX_EXPANSIONS`.
-    """
-
-    max_height_steps: int = 50_000
-
-
-_LIMITS = EngineLimits()
+    max_height_steps: int = MAX_HEIGHT_STEPS
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +149,7 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
     steps, p = divmod(height.numerator, q)
     steps -= q == 1
     ln_base = _log_abs_float(*_lowest(base.c, base.d))
-    if steps > _LIMITS.max_height_steps:
+    if steps > MAX_HEIGHT_STEPS:
         if rank == 4 or base.c % base.d == 0:
             # The tower over an inner value >= 1 is at least base (+^4) steps,
             # so one that passes the magnitude cap within the first cap + 1
@@ -160,7 +157,7 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
             # So is one at rank r >= 5 over an integer a >= 2, as a (+^r) h >=
             # a (+^4) h: a (+^r) grows with its height and a (+^r) h >= h + 1, so by
             # induction on h, a (+^(r+1)) (h+1) = a (+^r) (a (+^(r+1)) h) >= a (+^r) (h+1).
-            _unroll_budgets(0.0, ln_base, _LIMITS.max_height_steps + 1)
+            _tower_logs(0.0, ln_base, MAX_HEIGHT_STEPS + 1)
         raise _over_step_cap(height)
 
     def numerator_blowup() -> ResourceError:
@@ -187,7 +184,7 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
         value = fractional_tail(tol)
         inner_log = max(_log_abs_float(*_lowest(value.c, value.d)), 0.0)
     else:
-        if q - 1 > _LIMITS.max_height_steps:
+        if q - 1 > MAX_HEIGHT_STEPS:
             # the tail refuses its order q (see `_inverse_minus`), or its
             # numerator's tower, at once; the float sizing below would take
             # about p + q steps first
@@ -306,7 +303,7 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
             f"the rank-{rank} super-root lies strictly between the integer"
             f" bases {bases.lo} and {bases.hi}"
         )
-    if math.ceil(order) - 1 > _LIMITS.max_height_steps:
+    if math.ceil(order) - 1 > MAX_HEIGHT_STEPS:
         # every probe's tower would pass the step cap: refused before the
         # estimate and the slope, each of which takes about `order` steps
         raise _over_step_cap(order)
@@ -584,10 +581,10 @@ def _integer_search(tower: BallFn, goal: Fraction) -> Bracket:
 
 def _over_step_cap(height: Fraction) -> ResourceError:
     """The refusal of a rank >= 4 height whose unrolling takes more whole
-    steps than `EngineLimits.max_height_steps`."""
+    steps than `MAX_HEIGHT_STEPS`."""
     return ResourceError(
         f"unrolling a height of {_quantity(height)} needs {_quantity(math.ceil(height) - 1)}"
-        f" applications, over the cap of {_LIMITS.max_height_steps}"
+        f" applications, over the cap of {MAX_HEIGHT_STEPS}"
     )
 
 

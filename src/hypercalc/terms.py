@@ -34,9 +34,8 @@ from .errors import ParseError
 MAX_DEPTH = 10_000
 # Internal nodes per parsed term, literals counted as desugared: an integer
 # literal n counts as its n - 1 `[X+1]` steps.  A literal is one `Chain`
-# object and evaluates as one entry, but a chain over a ball still takes a
-# rounded step per node and a trace an event per node, so the cap is what
-# bounds literals.
+# object and evaluates as one addition, but its canonical text and its
+# trace still grow with its steps, so the cap is what bounds literals.
 MAX_NODES = 100_000
 
 Path = tuple[str, ...]

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hypercalc import engine
-from hypercalc.balls import Ball
+from hypercalc.balls import Ball, _ball
 from hypercalc.engine import (
     BasebExpansion,
     NumericContext,
@@ -701,6 +701,54 @@ def test_folded_chain_over_a_ball_matches_per_node_steps():
     assert isinstance(value, Ball)
     # the reference takes the 2,016 nodes one by one
     assert value == reference_eval_once(term, CTX10, op_tol, False)[0]
+
+
+def test_a_chain_over_a_ball_is_one_apply_call(monkeypatch):
+    # `--` makes 0.5, `+++` the ball, and the 2,000-step chain over it is one
+    # rounding of X + 2000; the chains 2, 5 and 10 are exact additions
+    term = parse("[2+++0.5]")
+    for _ in range(2000):
+        term = Node(PLUS1, term, Leaf())
+    calls = []
+    apply = engine._apply
+
+    def counted(*args):
+        calls.append(args)
+        return apply(*args)
+
+    monkeypatch.setattr(engine, "_apply", counted)
+    assert isinstance(evaluate(term, CTX10).value, Ball)
+    assert len(calls) == 3
+
+
+def _form(value):
+    """A value's representation: a ball's three integers, or the Fraction."""
+    return (value.c, value.r, value.d) if isinstance(value, Ball) else value
+
+
+@given(
+    st.integers(-(2**80), 2**80),
+    st.integers(0, 2**40),
+    st.one_of(
+        st.integers(0, 2**70).map(lambda m: 2 * m + 1),  # the snap's division
+        st.integers(0, 200).map(lambda e: 1 << e),  # its shift, either way
+    ),
+    st.integers(0, 120),
+    st.integers(1, 60),
+)
+@settings(max_examples=300, deadline=None)
+@example(c=-7, r=1, d=3, bits=0, k=5)
+@example(c=-(2**70) - 1, r=1, d=1 << 200, bits=10, k=60)  # finer than the grid
+@example(c=-3, r=1, d=2, bits=100, k=7)  # coarser than the grid
+def test_x_plus_k_is_k_rounded_steps(c, r, d, bits, k):
+    # the identity a chain over a ball relies on: `balls._snap` commutes with
+    # adding an integer, so one rounding of X + k is the k rounded steps
+    tol = Fraction(1, 1 << bits)
+    x = _ball(c, r, d)
+    stepped = x
+    for _ in range(k):
+        stepped = engine._apply(PLUS1, stepped, Fraction(1), tol)
+    assert _form(engine._apply(PLUS1, x, k, tol)) == _form(stepped)
 
 
 def test_trace_stops_partway_through_a_chain_without_the_rest(monkeypatch):
