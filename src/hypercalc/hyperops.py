@@ -4,7 +4,10 @@ The forward operation at rank r unrolls one step at a time,
 
     a (+^r) b  =  a (+^(r-1)) (a (+^r) (b-1)),      b >= 1,
 
-down to the rank-3 power, with `a (+^r) 0 = 1` and `a (+^r) 1 = a`.  A
+down to the rank-3 power, with `a (+^r) 0 = 1` and `a (+^r) 1 = a`.  At
+rank 4 each level is `power`'s exact answer where its exponent has one
+(`midops._exact_power`), else T_k = e^(T_(k-1) ln a), with ln a taken once
+a tower, at the finest tolerance a level needs (`_tower_ln`).  A
 fractional height 0 < p/q < 1 (always in lowest terms) splits as
 
     a (+^r) (p/q)  =  (a (+^r) p) (-^r) q,
@@ -20,8 +23,8 @@ float estimate of its root of order q.  The inverses are bracketed searches:
     float estimate of the root, with a slope ball of x (+^4) b over a ball X
     (`_tower_slope`).  For an integer order q it is the forward-mode
     recurrence T_1 = X, T_1' = 1, T_k = e^(T_(k-1) ln X), T_k' = T_k
-    (T_(k-1)' ln X + T_(k-1) / X), over one `midops.ln_e`, an `exp_e` a
-    level and `divide`.  It is >= 1 on x >= 1: by induction T_k >= 1,
+    (T_(k-1)' ln X + T_(k-1) / X), over the forward tower's ln and level
+    step and `divide`.  It is >= 1 on x >= 1: by induction T_k >= 1,
     T_(k-1)' >= 0, ln x >= 0 and T_(k-1) / x >= 1, as T_(k-1) >= x.  A
     fractional order n + p/r is n levels over the split's tail y, y (+^4) r
     = x (+^4) p.  y increases with x, as both towers grow with their bases,
@@ -50,7 +53,7 @@ DomainError naming the integers whose towers enclose it.
 
 Integer towers over integer bases stay exact all the way up (2 (+^5) 3 is
 exactly 65536), and over an inexact base a rank-4 tower is ball arithmetic
-through `midops.power`.  Anything that would need an approximate
+over its one ln.  Anything that would need an approximate
 intermediate as the height of a rank >= 4 operator, a rank >= 5 tower over
 an inexact base among them, is rejected: the rational-height construction
 defines no enclosure there.
@@ -202,28 +205,38 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
     # (step output) * ln(base); budget the inner tolerances accordingly.  The
     # budgets are estimates: one pass returns the ball it reaches, and
     # `engine.evaluate` re-runs the term tighter when that misses its target.
-    budgets = _unroll_budgets(inner_log, ln_base, steps)
+    logs = [inner_log] + _tower_logs(inner_log, ln_base, steps)  # ln T_0 .. ln T_steps
+    budgets = _unroll_budgets(logs, ln_base)
     tn, td = tol.numerator, tol.denominator
     if value is None:
         value = fractional_tail(Fraction(tn, td << budgets[0]), estimate)
+    ln_x = None  # the rank-4 tower's one ln, taken at its first use
     for i in range(1, steps + 1):
-        value = _forward(rank - 1, base, value, Fraction(tn, td << budgets[i]))
+        level_tol = Fraction(tn, td << budgets[i])
+        if rank > 4:
+            value = _forward(rank - 1, base, value, level_tol)
+        elif (exact := midops._exact_power(base, value, level_tol)) is not None:
+            value = exact
+        else:  # e^(T_(i-1) ln base) at `power`'s tolerances
+            ln_x = ln_x or _tower_ln(base, logs, tol, budgets)
+            value = midops._exp_product(ln_x, value, tn, td << (budgets[i] + 2),
+                                        tol_bits(level_tol) + 16)
     return value
 
 
-def _unroll_budgets(inner_log: float, ln_base: float, steps: int) -> list[int]:
-    """Extra bits of tolerance for the inner value and each unroll step.
+def _unroll_budgets(logs: list[float], ln_base: float) -> list[int]:
+    """Extra bits of tolerance for the inner value and each unroll step,
+    from the float logs ln T_0 .. ln T_steps of the rank-4 levels.
 
     Index 0 is the innermost value; index i >= 1 is the i-th tower step.
     An error entering step i is amplified by about exp(step output) * ln(base)
     through every later step, so earlier stages need geometrically (in the
-    tower magnitudes) tighter tolerances.  Blow-ups past the magnitude cap
-    surface here, before any expensive arithmetic runs.
+    tower magnitudes) tighter tolerances.
     """
+    steps = len(logs) - 1
     ln_ln_base = math.log(max(ln_base, 1e-300))
     # log2 of each step's amplification factor
-    gains = [max(0.0, (out + ln_ln_base) / math.log(2))
-             for out in _tower_logs(inner_log, ln_base, steps)]
+    gains = [max(0.0, (out + ln_ln_base) / math.log(2)) for out in logs[1:]]
     budgets = [0] * (steps + 1)
     suffix = 0.0
     for i in range(steps, 0, -1):
@@ -231,6 +244,16 @@ def _unroll_budgets(inner_log: float, ln_base: float, steps: int) -> list[int]:
         suffix += gains[i - 1]
     budgets[0] = math.ceil(suffix) + steps + 4
     return budgets
+
+
+def _tower_ln(x: Ball, logs: list[float], tol: Fraction, budgets: list[int]) -> Ball:
+    """ln x for the levels T_k = e^(T_(k-1) ln x) of a tower, float logs
+    logs[k] = ln T_k, level k within tol / 2^budgets[k]: at the finest of
+    `midops.power`'s ln tolerances, level k's / 2^(log2 T_k + log2 T_(k-1)
+    + 16), which puts ln x's share of each level's error below 2^-16 of it."""
+    s = max(budgets[k] + math.ceil((logs[k] + max(logs[k - 1], 0.0)) / math.log(2))
+            for k in range(1, len(logs)))
+    return midops.ln_e(x, SeriesConfig(tol / (1 << (s + 16))))
 
 
 def _tower_logs(inner_log: float, ln_base: float, steps: int) -> list[float]:
@@ -345,13 +368,11 @@ def _tower_slope(x: Ball, order: Fraction | int, t: Fraction) -> Ball | None:
 
     An integer order q runs q - 1 levels from (x, 1); an order n + p/r runs
     n levels from the tail's hull and slope ball (the module docstring), and
-    order 1 is x, of slope 1.  ln x is taken once, and each level is T_k =
-    e^(T_(k-1) ln x).  Its tolerance is sized from the largest level as
-    `midops.power` sizes its ln: the float logs of the levels over the
-    centers of x and of the first level give the top exponent T_(q-1) and
-    result T_q, and t / 2^s, s = log2 T_q + log2 T_(q-1) + 16, puts ln x's
-    share of every level's error below t / 2^16.  Each level's slope is
-    snapped onto `exp_e`'s grid, as the level is: unsnapped, the slope of
+    order 1 is x, of slope 1.  ln x is taken once, by the forward tower's
+    `_tower_ln` over the float logs of the levels from the centers of x and
+    of the first level, each level within t, and each level is T_k =
+    e^(T_(k-1) ln x) by its level step at t.  Each level's slope is snapped
+    onto the level's grid 2^-(tol_bits(t) + 16): unsnapped, the slope of
     order 3,125 at the root of 10 (-^4) 3125 would carry 1.4 million bits.
     """
     steps = math.ceil(order) - 1
@@ -371,11 +392,10 @@ def _tower_slope(x: Ball, order: Fraction | int, t: Fraction) -> Ball | None:
         ln_c = _log_abs_float(*_lowest(x.c, x.d))
         ln_level = ln_c if level is x else _log_abs_float(*_lowest(level.c, level.d))
         logs = [ln_level] + _tower_logs(ln_level, ln_c, steps)  # ln T_0 .. ln T_n
-        scale = math.ceil((logs[-1] + logs[-2]) / math.log(2)) + 16
-        ln_x = midops.ln_e(x, SeriesConfig(t / (1 << scale)))
-        cfg, bits = SeriesConfig(t), tol_bits(t) + 16
+        ln_x = _tower_ln(x, logs, t, [0] * len(logs))
+        tn, td, bits = t.numerator, t.denominator, tol_bits(t) + 16
         for _ in range(steps):
-            up = midops.exp_e(level * ln_x, cfg)
+            up = midops._exp_product(ln_x, level, tn, td, bits)
             level, slope = up, round_ball(up * (slope * ln_x + divide(level, x)), bits)
     except (ResourceError, PrecisionError, ConvergenceError):
         return None

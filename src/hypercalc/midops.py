@@ -958,35 +958,48 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
                 raise DomainError("power base must be positive")
             raise PrecisionError("power base interval reaches zero")
 
-    if not ar and ac == ad:
-        return Ball(1)
-    if not br:
-        if not bc:
-            return Ball(1)
-        if bc == bd:
-            return round_ball(av, tol_bits(tol) + 16) if ar else av
-        if n is not None and not ar:
-            exact = _exact_int_pow(av.center, n)
-            if exact is not None:
-                return Ball(exact)
-            if ac > ad and n > 0:
-                raise MagnitudeError("integer power exceeds the magnitude cap")
-        elif not ar:  # a positive base and a non-integer exponent
-            out = _algebraic_power(*_lowest(ac, ad), *_lowest(bc, bd),
-                                   tol.numerator, tol.denominator)
-            if out is not None:
-                return out
-
+    if (exact := _exact_power(av, bv, tol)) is not None:
+        return exact
     bits = _underflow_bits(av, bv, tol)
     if bits:
         return Ball(0, Fraction(1, 1 << bits))
     # one attempt: ln a at a tolerance sized from the result's magnitude, and
     # exp of the ball b ln a
     tn, td = tol.numerator, tol.denominator
-    x = _ball(*_ln_ball(av, tn, td << _power_scale_bits(av, bv))) * bv
+    ln_a = _ball(*_ln_ball(av, tn, td << _power_scale_bits(av, bv)))
+    return _exp_product(ln_a, bv, tn, td << 2, tol_bits(tol) + 16)
+
+
+def _exact_power(av: Ball, bv: Ball, tol: Fraction) -> Ball | None:
+    """`power`'s answers without exp/ln, or None: a = 1 or b in {0, 1}, an
+    exact integer power under the magnitude cap (past it for a > 1 and b >
+    0 a MagnitudeError), and `_algebraic_power` of an exact base > 0."""
+    ac, ar, ad = av.c, av.r, av.d
+    bc, br, bd = bv.c, bv.r, bv.d
+    if not ar and ac == ad or not br and not bc:
+        return Ball(1)
+    if not br and bc == bd:
+        return round_ball(av, tol_bits(tol) + 16) if ar else av
+    if br or ar:
+        return None
+    if bc % bd:
+        return _algebraic_power(*_lowest(ac, ad), *_lowest(bc, bd),
+                                tol.numerator, tol.denominator)
+    exact = _exact_int_pow(av.center, bc // bd)
+    if exact is not None:
+        return Ball(exact)
+    if ac > ad and bc > 0:
+        raise MagnitudeError("integer power exceeds the magnitude cap")
+    return None
+
+
+def _exp_product(ln_a: Ball, b: Ball, tn: int, td: int, bits: int) -> Ball:
+    """e^(b ln a): `_exp_ball` of the ball product at tolerance tn / td,
+    snapped to the 2^-bits grid, past the magnitude cap a MagnitudeError."""
+    x = ln_a * b
     if x.c > _EXP_ARG_CAP * x.d:
         raise MagnitudeError("power result would blow past the magnitude cap")
-    return _snap(*_exp_ball(x.c, x.r, x.d, tn, td << 2), tol_bits(tol) + 16)
+    return _snap(*_exp_ball(x.c, x.r, x.d, tn, td), bits)
 
 
 def _underflow_bits(av: Ball, bv: Ball, tol: Fraction) -> int:

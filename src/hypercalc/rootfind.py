@@ -37,10 +37,12 @@ out onto the grid; every root in X lies in N(X).  It runs in two phases:
     holds no root: DomainError.
 
 The bracket's ends are checked lazily: once the loop has ended, an end is
-probed only if no probe certified f's sign on its side.  f exactly zero
-there is the exact root, the wrong sign (the root lies outside the bracket)
-raises DomainError, and a sign that stays ambiguous raises AmbiguityError,
-as the root may sit exactly on that end.
+probed only if no probe certified f's sign on its side and no N(X) moved
+it, which proves that sign: N(X) holds every root in X, and when f(U) < 0
+it reaches past U, as then |f(m)| >= lo(D) (U - m) + |f(U)|.  f exactly
+zero at an end is the exact root, the wrong sign (the root lies
+outside the bracket) raises DomainError, and a sign that stays ambiguous
+raises AmbiguityError, as the root may sit exactly on that end.
 
 Each phase takes at most `MAX_ITERATIONS` probes.  N's width is at most
 2 rad(f(m)) / lo(D) + |X| rad(D) / lo(D): so f is asked at lo(D) / 2 times
@@ -257,10 +259,11 @@ def _steps(f: BallFn, slope: SlopeFn | None, tol: Fraction, a: Fraction, b: Frac
             NL = (M * qd - ((qc + qr) << s)) // qd
             NU = -((((qc - qr) << s) - M * qd) // qd)
         if not local:  # the half f(m)'s sign allows, within N(X)
+            # f(m)'s sign, and that of each side whose end N(X) moved
+            signs.update((sign, -1 if NL > L else sign, 1 if NU < U else sign))
             L, U = (max(M, NL), min(U, NU)) if sign < 0 else (max(L, NL), min(M, NU))
             if L > U:  # X holds no root, and so neither does the bracket
                 raise DomainError("bracket does not straddle a sign change")
-            signs.add(sign)
         elif L < NL and NU < U and 2 * (NU - NL) <= U - L:
             L, U, local, signs = NL, NU, False, {-1, 1}
         else:

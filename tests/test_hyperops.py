@@ -104,10 +104,13 @@ def test_height_step_cap(monkeypatch):
     # 50,001 unroll steps is one past the cap; a base this close to 1 keeps
     # the tower small, so only the cap can refuse it, and it must refuse
     # before any tower arithmetic runs
-    def no_power(*args):
+    def no_arithmetic(*args):
         raise AssertionError("tower arithmetic ran before the height-step cap")
 
-    monkeypatch.setattr(midops, "power", no_power)
+    # a rank-4 level is an exact power or an exp over the tower's one ln,
+    # and a rank-5 level a rank-4 tower
+    for name in ("power", "_exact_power", "_ln_ball", "_exp_ball"):
+        monkeypatch.setattr(midops, name, no_arithmetic)
     for rank in (4, 5):  # at rank 5 a non-integer base has no blow-up bound
         with pytest.raises(ResourceError, match="over the cap of 50000"):
             hyper_forward(rank, Fraction(10001, 10000), Fraction(50002), T8)
@@ -162,20 +165,82 @@ def test_unroll_makes_one_pass(monkeypatch):
     monkeypatch.setattr(hyperops, "_tower_slope", lambda x, order, t: None)
     real_budgets, real_forward = hyperops._unroll_budgets, hyperops._forward
     monkeypatch.setattr(hyperops, "_unroll_budgets", lambda *args: [0] * len(real_budgets(*args)))
-    steps = []  # (base, tolerance) of each rank-3 step
+    real_level, ranks, levels = midops._exact_power, [], []
 
-    def spy(rank, base, height, tol):
-        if rank == 3:
-            steps.append((base.center, tol))
+    def forward_spy(rank, base, height, tol):
+        ranks.append(rank)
         return real_forward(rank, base, height, tol)
 
-    monkeypatch.setattr(hyperops, "_forward", spy)
-    # 2^^(5/2) = 2^2^(2^^(1/2)): each of the two steps over base 2 runs once
+    def level_spy(base, value, tol):  # every rank-4 level asks for an exact power first
+        levels.append((base.center, tol))
+        return real_level(base, value, tol)
+
+    monkeypatch.setattr(hyperops, "_forward", forward_spy)
+    monkeypatch.setattr(midops, "_exact_power", level_spy)
+    # 2^^(5/2) = 2^2^(2^^(1/2)): each of the two levels over base 2 runs
+    # once, at its tolerance, in the rank-4 loop and not through rank 3
     out = hyper_forward(4, Fraction(2), Fraction(5, 2), T30)
     assert out.radius > T30 and out.overlaps(want)
-    assert [t for b, t in steps if b == 2 and t <= T30] == [T30, T30]
+    assert 3 not in ranks
+    assert [t for b, t in levels if b == 2 and t <= T30] == [T30, T30]
     _, expansion = adaptive_evaluate(parse("[2++++2.5]"), NumericContext(digits=30))
     assert expansion.text() == "7.715407895929149507014225249034"
+
+
+def sqrt2_ball() -> Ball:
+    return midops.root(Fraction(2), Fraction(2), midops.SeriesConfig(Fraction(1, 2**80)))
+
+
+@pytest.mark.parametrize("base, height", [
+    (Fraction(3 * 2**44 + 1, 2**45), Fraction(4)),  # x^^4 at a dyadic probe point
+    (Fraction(2), Fraction(11, 4)),  # [2++++2.75]'s unroll: two levels over its tail
+    (None, Fraction(50)),  # over the ball of sqrt 2
+])
+def test_a_rank_4_tower_takes_one_ln_of_its_base(monkeypatch, base, height):
+    # every level is e^(T ln x) over one ln x, where a `power` a level took
+    # ln x once per level
+    base = sqrt2_ball() if base is None else Ball(base)
+    real_ln, lns = midops._ln_ball, []
+
+    def spy(ball, tn, td):
+        lns.append(ball)
+        return real_ln(ball, tn, td)
+
+    monkeypatch.setattr(midops, "_ln_ball", spy)
+    hyper_forward(4, base, height, T12)
+    assert lns.count(base) == 1
+
+
+def power_unroll(base: Ball, height: int, tol: Fraction) -> Ball:
+    """base^^height by one `midops.power` a level at the unroll's budgets:
+    the per-level reference for the one-ln tower."""
+    ln_base = midops._log_abs_float(*midops._lowest(base.c, base.d))
+    logs = [ln_base] + hyperops._tower_logs(ln_base, ln_base, height - 1)
+    budgets = hyperops._unroll_budgets(logs, ln_base)
+    value = base
+    for i in range(1, height):
+        value = midops.power(base, value, midops.SeriesConfig(tol / 2**budgets[i]))
+    return value
+
+
+TOWER_BASES = st.one_of(
+    st.fractions(min_value=1, max_value=Fraction(8, 5), max_denominator=1000),  # exact
+    st.integers(2**40, 2**40 * 8 // 5).map(lambda n: Fraction(n, 2**40)),  # dyadic
+    st.builds(lambda c, k: Ball(Fraction(c, 1000), Fraction(1, 2**k)),  # balls
+              st.integers(1001, 1600), st.integers(30, 80)),
+)
+
+
+@given(TOWER_BASES, st.integers(2, 8), st.integers(30, 400))
+@settings(max_examples=40, deadline=None)
+def test_the_one_ln_tower_holds_the_per_level_powers(base, height, bits):
+    # a tower over its one ln overlaps the tower of one `power` a level at
+    # the same budgets, and meets the tolerance wherever that one does
+    base, tol = Ball(base) if isinstance(base, Fraction) else base, Fraction(1, 2**bits)
+    want = power_unroll(base, height, tol)
+    out = hyper_forward(4, base, Fraction(height), tol)
+    assert out.overlaps(want)
+    assert out.radius <= tol or want.radius > tol
 
 
 @pytest.mark.parametrize("text, digits", [
@@ -568,11 +633,11 @@ def test_a_steep_tail_over_a_ball_certifies():
 @pytest.mark.parametrize("height", [Fraction(3), Fraction(5, 2), Fraction(1, 2), Fraction(50),
                                     Fraction(500)])
 def test_a_tower_over_a_ball_holds_the_towers_of_its_ends(height):
-    # [[2---2]++++h]: ball arithmetic over the ball of sqrt 2, through
-    # `power` and, for a fractional height, a search for an inexact goal,
+    # [[2---2]++++h]: ball arithmetic over the ball of sqrt 2, each level
+    # over one ln and, for a fractional height, a search for an inexact goal,
     # holds the towers of both exact ends of that ball.  At 500 levels an
     # exp radius of 2 r e^c took the exp arguments past the spread exp takes
-    base = midops.root(Fraction(2), Fraction(2), midops.SeriesConfig(Fraction(1, 2**80)))
+    base = sqrt2_ball()
     assert not base.is_exact
     out = hyper_forward(4, base, height, T12)
     for end in (base.lo, base.hi):

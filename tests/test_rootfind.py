@@ -246,14 +246,15 @@ PLACES = {
        st.sampled_from(["none", "root", "root's float", "lower end", "upper end", "offset"]),
        MILLIONTHS, st.booleans())
 @settings(max_examples=60, deadline=None)
-@example(0, 0, 0, 1, 1, 2, "inside", "none", 0, True)  # N(X) moves the lower end at once
+@example(0, 0, 0, 1, 1, 2, "inside", "none", 0, True)  # N(X) moves both ends at once
 def test_an_end_no_probe_certified_is_checked_once_the_steps_end(
         root, bend, cubic, linear, u, v, place, start, offset, with_slope):
     # f = cubic * ((x - s)^3 - (r - s)^3) + linear * (x - r), exactly 0 at r
     # only, with its exact slope ball over X: the bracket's ends are probed
-    # after every other probe, where none certified their sign.  A root
-    # inside is enclosed within the tolerance, one exactly on an end is that
-    # end, exact, and one outside the bracket is a DomainError, from any start
+    # after every other probe, where none certified their sign and no N(X)
+    # moved them.  A root inside is enclosed within the tolerance, one
+    # exactly on an end is that end, exact, and one outside the bracket is
+    # a DomainError, from any start
     r, s = Fraction(root, 10**6), Fraction(bend, 10**6)
     lo, hi = PLACES[place](r, Fraction(u, 10**6), Fraction(v, 10**6))
     x = {"none": None, "root": r, "root's float": float(r), "lower end": lo, "upper end": hi,
@@ -287,11 +288,14 @@ def test_an_end_no_probe_certified_is_checked_once_the_steps_end(
     assert all(x in (lo, hi) for x in ends)
     assert lo not in ends or -1 not in inner
     assert hi not in ends or 1 not in inner
-    if place == "inside" and out.radius and (x is None or not with_slope):
-        # no first step from an estimate, which certifies both ends at once:
-        # an end is probed wherever no probe certified it, even where N(X)
-        # moved it
+    if place == "inside" and out.radius and not with_slope:
+        # a bisection: an end is probed wherever no probe certified it
         assert (lo in ends or -1 in inner) and (hi in ends or 1 in inner)
+    if place == "inside" and with_slope and not cubic:
+        # f is linear and its slope ball exact, so from any start the first
+        # N(X) is the root within f's radius, strictly inside X: it moves
+        # both ends, or proves X around the estimate, and no end is probed
+        assert not ends
 
 
 def evaluations_per_search(monkeypatch):
