@@ -100,17 +100,38 @@ def _result_payload(text: str, ctx, trace: bool):
         "digits": ctx.digits,
     }
     if trace:
-        payload["trace"] = [ev.after for ev in result.trace[:-1]]
+        # the chain's lines past the render; the last one is the value's
+        payload["trace"] = result.chain.lines[1:-1]
     return payload
 
 
 def _emit(payload, args):
     if args.format_ == "json":
-        print(json.dumps(payload, sort_keys=True))
+        _write_json(payload)
     else:
         for line in payload.get("trace", ()):
             print(line)
         print(payload["value"])
+
+
+def _write_json(payload) -> None:
+    """Write `json.dumps(payload, sort_keys=True)` and a newline, in pieces,
+    so that the trace's text is copied once: its lines are quoted and joined
+    as they are.  A trace line holds only `[]+-/.`, 0-9 and A-Z (`render`'s
+    brackets, `digit_text`'s and `BasebExpansion.text`'s displays), none of
+    which JSON escapes."""
+    write, sep = sys.stdout.write, "{"
+    for key in sorted(payload):
+        write(f'{sep}"{key}": ')
+        sep = ", "
+        if key == "trace":
+            lines = payload[key]
+            write('["' if lines else "[")
+            write('", "'.join(lines))
+            write('"]' if lines else "]")
+        else:
+            write(json.dumps(payload[key]))
+    write("}\n")
 
 
 def _cmd_eval(args) -> int:
@@ -122,7 +143,7 @@ def _cmd_eval(args) -> int:
         _emit(_result_payload(args.expression, ctx, args.trace), args)
         return 0
     try:
-        with open(args.file, encoding="utf-8") as fh:
+        with open(args.file, encoding="utf-8-sig") as fh:  # a leading BOM is not text
             lines = [
                 (number, line.strip())
                 for number, line in enumerate(fh, 1)

@@ -38,9 +38,11 @@ entry fires k events, each display made as the trace asks for it: n + j's
 digits over an exact integer n, and otherwise `_apply`'s X + j at the
 round's working tolerance, which over a ball is again one rounding per
 step.  `_Trace` splices each display into the term's render.
-An event costs about a copy of its line and of its path: a chain builds
-its path tuple and its runs of `[` and `+1]` once, and each event takes a
-slice of each.
+An event costs a copy of its line: a chain builds its runs of `[` and
+`+1]` once, each line takes a slice of each, and an entry keeps its path
+joined once.  The `TraceEvent`s, paths and all, are built from those
+lines and paths only when `EvalResult.trace` is read; the command line
+prints the lines.
 
 `to_base_b` truncates the value scaled by base^digits to an integer and
 prints it with `rationals.digit_text`, whose leaves are CPython's C
@@ -60,6 +62,7 @@ from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 
 from . import hyperops, midops
 from .balls import Ball, divide, round_ball
@@ -112,8 +115,15 @@ class NumericContext:
 
 @dataclass(frozen=True)
 class EvalResult:
+    """A value, and for a traced evaluation its reduction chain as lines;
+    `trace` builds the chain's events when it is first read."""
+
     value: Value
-    trace: tuple[TraceEvent, ...] | None = None
+    chain: _Chain | None = None
+
+    @cached_property
+    def trace(self) -> tuple[TraceEvent, ...] | None:
+        return None if self.chain is None else tuple(self.chain)
 
     @property
     def is_exact(self) -> bool:
@@ -318,7 +328,7 @@ def _kept(values: Iterable[Value]) -> list[Value]:
 class _Trace:
     """The reduction chain, spliced line by line into the term's render.
 
-    The first line is `render`'s text; the current line is one string.
+    The first line is `render`'s text, and each event adds one line.
     Entry i's text starts at `start[i]` in the first line and is `size[i]`
     long, sized from operator ranks alone: a node is `[`, its operands, its
     operator and `]`, and a chain of k steps over X is `size[X] + 4k` long,
@@ -336,10 +346,11 @@ class _Trace:
     are popped, and parent links lead from i up to the deepest one left.
     No path table is built up front.
 
-    An event costs a copy of its line, a slice of its path and a tuple.
-    Each entry joins its path once, into the path of its first event, the
-    deepest; every event's path is a prefix of it, and its `[`s and `+1]`s
-    are prefixes of the chain's two runs.  An integer chain's steps are
+    An event costs a copy of its line: its `[`s and `+1]`s are prefixes of
+    the chain's two runs.  Each entry joins its path once, the path of its
+    first event, the deepest, and keeps it with its event count; every
+    event's path is a prefix of it, and `_Chain` builds the events from the
+    lines and those paths when they are read.  An integer chain's steps are
     `rationals.decimal_texts` of its run.  Each event checks
     `MAX_TRACE_CHARS` before it builds its line, and the trace stops with a
     `ResourceError` past it.
@@ -363,11 +374,11 @@ class _Trace:
         self.node_count = sum(k or 1 for *_, k in flat)
         self.parent, self.step = _parents(flat)
         self.nodes, self.path = [], []
-        self.text, self.chars = text, len(text)
-        self.events: list[TraceEvent] = []
+        self.lines, self.chars = [text], len(text)
+        self.paths: list[tuple[str, int]] = []
 
-    def replay(self, values: list[Value], ctx, op_tol) -> tuple[TraceEvent, ...]:
-        """Every entry's events from one round's values, entry i's at
+    def replay(self, values: list[Value], ctx, op_tol) -> _Chain:
+        """Every entry's lines from one round's values, entry i's at
         `values[i]`; step j of a chain over X shows X + j, taken at that
         round's `op_tol`."""
         values = [*values, Fraction(1)]  # the leaf's 1, where `_LEAF` reads it
@@ -383,11 +394,11 @@ class _Trace:
             else:
                 shown = (_display_value(_apply(op, left, j, op_tol), ctx) for j in range(1, k + 1))
             self.fire(i, k, shown)
-        return tuple(self.events)
+        return _Chain(tuple(self.lines), tuple(self.paths))
 
     def fire(self, i: int, k: int, shown: Iterable[str]) -> None:
-        """Entry i's events: one for a node (k = 0), or one per step of a
-        chain of k steps; `shown` yields each event's display in turn."""
+        """Entry i's lines: one for a node (k = 0), or one per step of a
+        chain of k steps; `shown` yields each line's display in turn."""
         nodes, path = self.nodes, self.path
         while nodes and nodes[-1] < i:
             nodes.pop()
@@ -399,33 +410,47 @@ class _Trace:
             x = self.parent[x]
         nodes += reversed(climb)
         path += [self.step[j] for j in reversed(climb)]
-        shift, text, events = self.shift, self.text, self.events
+        shift, lines = self.shift, self.lines
+        text = lines[-1]
         at = self.start[i] + shift[self.first[i]]
         end = self.start[i] + self.size[i] + shift[i]
         head, tail = text[:at], text[end:]
         # the event at depth d keeps d of the chain's `[`s and `+1]`s, and its
-        # path is the entry's plus d steps "L": one slice of each run
+        # path is the entry's plus d steps "L"
         deepest = k - 1 if k else 0
         opens, closes = "[" * deepest, "+1]" * deepest
-        full = tuple("".join(path) + "L" * deepest)
-        m = len(full) - deepest
-        depths = range(deepest, -1, -1)
-        step, chars = len(events), self.chars
-        kept = len(head) + len(tail)
-        before = text
-        for d, display in zip(depths, shown):
+        self.paths.append(("".join(path) + "L" * deepest, deepest + 1))
+        chars, kept, add = self.chars, len(head) + len(tail), lines.append
+        for d, display in zip(range(deepest, -1, -1), shown):
             chars += kept + 4 * d + len(display)
             if chars > MAX_TRACE_CHARS:
                 raise ResourceError(
                     f"the reduction trace passed {MAX_TRACE_CHARS:,} characters of "
-                    f"text at step {step + 1} of {self.node_count:,}"
+                    f"text at step {len(lines)} of {self.node_count:,}"
                 )
-            after = f"{head}{opens[:d]}{display}{closes[:3 * d]}{tail}"
-            step += 1
-            events.append(TraceEvent(step, full[:m + d], before, after))
-            before = after
-        self.text, self.chars = before, chars
-        shift.append(shift[i] + len(before) - len(text))
+            add(f"{head}{opens[:d]}{display}{closes[:3 * d]}{tail}")
+        self.chars = chars
+        shift.append(shift[i] + len(lines[-1]) - len(text))
+
+
+@dataclass(frozen=True)
+class _Chain:
+    """A traced round's reduction chain as `_Trace` leaves it: `lines[0]`
+    is the term's render and `lines[s]` the line after step s; `paths`
+    holds each entry's deepest path, joined, and its event count.
+    Iterating it builds the `TraceEvent`s, an entry's paths being the
+    prefixes of its deepest one, longest first."""
+
+    lines: tuple[str, ...]
+    paths: tuple[tuple[str, int], ...]
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        lines, step = self.lines, 0
+        for joined, count in self.paths:
+            path = tuple(joined)
+            for m in range(len(path), len(path) - count, -1):
+                step += 1
+                yield TraceEvent(step, path[:m], lines[step - 1], lines[step])
 
 
 def _display_value(value: Value, ctx: NumericContext) -> str:
@@ -503,7 +528,7 @@ def adaptive_evaluate(
     for _ in range(MAX_DOUBLINGS + 1):
         attempt_ctx = replace(ctx, guard_digits=guard)
         result = evaluate(term, attempt_ctx, collect_trace=collect_trace and last is None)
-        last = result if last is None else replace(result, trace=last.trace)
+        last = result if last is None else replace(result, chain=last.chain)
         try:
             return last, to_base_b(last, attempt_ctx)
         except PrecisionError:

@@ -138,8 +138,9 @@ Term = Union[Leaf, Node, Chain]
 class TraceEvent(NamedTuple):
     """One reduction step: the subterm at `path` was replaced by its value.
 
-    A named tuple, not a dataclass: a trace builds one per node, and a
-    tuple is about half the cost of a frozen dataclass to build."""
+    A named tuple, not a dataclass: reading `EvalResult.trace` builds one
+    per node from the trace's lines, and a tuple is about half the cost of a
+    frozen dataclass to build."""
 
     step: int
     path: Path

@@ -1,16 +1,21 @@
+import argparse
 import contextlib
 import decimal
 import io
 import json
+import re
 import subprocess
 import sys
 import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hypercalc import engine
+from hypercalc import cli, engine
 from hypercalc.cli import main
+from hypercalc.errors import HypercalcError
 from hypercalc.terms import parse, render
 
 
@@ -373,6 +378,19 @@ def test_eval_file_goes_on_past_a_non_ascii_digit(tmp_path):
         1, "", "parse error: stray character '\u00b2' at offset 3\n")
 
 
+def test_eval_file_reads_past_a_byte_order_mark(tmp_path):
+    # an editor's UTF-8 byte order mark is not part of line 1; a U+FEFF
+    # anywhere else is still a stray character
+    batch = tmp_path / "exprs.txt"
+    batch.write_text("\ufeff[1+1]\n[1+\ufeff1]\n\ufeff[1+1]\n", encoding="utf-8")
+    code, out, err = run_main("eval", "--file", str(batch), "--digits", "1")
+    assert (code, out) == (1, "2.0\n")
+    assert err == (
+        "line 2: parse error: stray character '\\ufeff' at offset 3\n"
+        "line 3: parse error: stray character '\\ufeff' at offset 0\n"
+    )
+
+
 def test_parser_is_built_once_and_not_at_import():
     code = (
         "from hypercalc import cli; n = cli.build_parser.cache_info().currsize; "
@@ -574,3 +592,71 @@ def test_trace_into_a_closed_pipe_exits_quietly():
     assert proc.wait(timeout=60) == 141
     assert err == b""
     assert first == ("[" * 2999 + "2" + "+1]" * 2999 + "\n").encode()
+
+
+# what `render` and the trace displays write; JSON escapes none of it
+TRACE_LINE = re.compile(r"[0-9A-Z.\[\]+\-/]*")
+
+
+@st.composite
+def low_rank_texts(draw, depth=3):
+    """Rank-1/2 expressions over literals, with `+1` chains, fractions and
+    negative values."""
+    if depth == 0 or draw(st.booleans()):
+        text = draw(st.sampled_from(["1", "0", "2", "7", "40", "0.5", "2.75"]))
+    else:
+        op = draw(st.sampled_from(["+", "-", "++", "--"]))
+        text = f"[{draw(low_rank_texts(depth - 1))}{op}{draw(low_rank_texts(depth - 1))}]"
+    steps = draw(st.integers(0, 3))
+    return "[" * steps + text + "+1]" * steps
+
+
+@given(low_rank_texts(), st.integers(2, 36), st.integers(0, 40), st.booleans())
+@settings(max_examples=200, deadline=None)
+@example(text="1", base=10, digits=20, traced=True)  # "trace": []
+@example(text="[[1--3]-[5--1]]", base=36, digits=20, traced=True)  # -4.O, 0.C
+@example(text="[1+1]\u00a0", base=10, digits=20, traced=True)  # an escaped input
+def test_json_record_is_json_dumps_byte_for_byte(text, base, digits, traced):
+    # the trace's lines are written quoted and joined, unescaped, so every
+    # line must hold only characters that JSON leaves as they are
+    ctx = engine.NumericContext(base=base, digits=digits)
+    try:
+        payload = cli._result_payload(text, ctx, traced)
+    except HypercalcError:
+        return
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(payload, argparse.Namespace(format_="json"))
+    assert out.getvalue() == json.dumps(payload, sort_keys=True) + "\n"
+    assert ("trace" in payload) == traced
+    for line in payload.get("trace", ()):
+        assert TRACE_LINE.fullmatch(line)
+
+
+def test_a_traced_command_builds_no_trace_event(monkeypatch):
+    # the command prints the chain's lines; `TraceEvent`s are built only
+    # when `EvalResult.trace` is read, as `trace_reduce` reads it
+    built = []
+    trace_event = engine.TraceEvent
+
+    def counted(*args):
+        built.append(args)
+        return trace_event(*args)
+
+    monkeypatch.setattr(engine, "TraceEvent", counted)
+    steps = 2000
+    chain = "[" * steps + "1" + "+1]" * steps
+    afters = ["[" * (steps - j) + str(j + 1) + "+1]" * (steps - j) for j in range(1, steps + 1)]
+    code, out, err = run_main("trace", chain, "--digits", "0")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == afters[:-1] + ["2001"]
+    code, out, err = run_main("trace", chain, "--digits", "0", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["trace"] == afters[:-1]
+    assert built == []
+    events = engine.trace_reduce(parse(chain), engine.NumericContext(digits=0))
+    assert len(built) == steps
+    assert [e.step for e in events] == list(range(1, steps + 1))
+    assert [e.path for e in events] == [("L",) * (steps - j) for j in range(1, steps + 1)]
+    assert [e.before for e in events] == [render(parse(chain))] + afters[:-1]
+    assert [e.after for e in events] == afters
