@@ -114,20 +114,28 @@ def _emit(payload, args):
         print(payload["value"])
 
 
+# Trace lines per write of a JSON record: one join of the whole trace was a
+# second copy of its text, and it doubled the peak memory of a long trace.
+_JSON_BATCH = 64
+
+
 def _write_json(payload) -> None:
     """Write `json.dumps(payload, sort_keys=True)` and a newline, in pieces,
-    so that the trace's text is copied once: its lines are quoted and joined
-    as they are.  A trace line holds only `[]+-/.`, 0-9 and A-Z (`render`'s
-    brackets, `digit_text`'s and `BasebExpansion.text`'s displays), none of
-    which JSON escapes."""
+    so that the trace's text is copied a batch at a time: its lines are
+    quoted and joined as they are, `_JSON_BATCH` lines at a time.  A trace
+    line holds only `[]+-/.`, 0-9 and A-Z (`render`'s brackets,
+    `digit_text`'s and `BasebExpansion.text`'s displays), none of which
+    JSON escapes."""
     write, sep = sys.stdout.write, "{"
     for key in sorted(payload):
         write(f'{sep}"{key}": ')
         sep = ", "
         if key == "trace":
             lines = payload[key]
-            write('["' if lines else "[")
-            write('", "'.join(lines))
+            write("[")
+            for i in range(0, len(lines), _JSON_BATCH):
+                write('", "' if i else '"')
+                write('", "'.join(lines[i:i + _JSON_BATCH]))
             write('"]' if lines else "]")
         else:
             write(json.dumps(payload[key]))

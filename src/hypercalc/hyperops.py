@@ -20,12 +20,15 @@ float estimate of its root of order q.  The inverses are bracketed searches:
   * super-root   x = a (-^r) b   solves x (+^r) b = a; at rank 4 by
     `brent`'s interval-Newton search inside [1, a], after an exact check of
     the nearest integer.  x (+^4) b grows with x.  The search starts at a
-    float estimate of the root, with a slope ball of x (+^4) b over a ball X
-    (`_tower_slope`).  For an integer order q it is the forward-mode
-    recurrence T_1 = X, T_1' = 1, T_k = e^(T_(k-1) ln X), T_k' = T_k
-    (T_(k-1)' ln X + T_(k-1) / X), over the forward tower's ln and level
-    step and `divide`.  It is >= 1 on x >= 1: by induction T_k >= 1,
-    T_(k-1)' >= 0, ln x >= 0 and T_(k-1) / x >= 1, as T_(k-1) >= x.  A
+    float estimate of the root.  A step that needs a slope ball of x (+^4) b
+    asks for it over a ball X = m +/- r about its point m, and one pass over
+    the levels at m gives both that ball and the probe at m (`_tower_pass`):
+    ln m and each level's exp are taken once.  For an integer order q the
+    slope is the forward-mode recurrence T_1 = X, T_1' = 1, T_k = e^(T_(k-1)
+    ln X), T_k' = T_k (T_(k-1)' ln X + T_(k-1) / X), with ln X = ln m +/- r
+    / (m - r) and each level over X the level at m widened by exp's spread
+    rule (`midops._exp_spread`).  It is >= 1 on x >= 1: by induction T_k >=
+    1, T_(k-1)' >= 0, ln x >= 0 and T_(k-1) / x >= 1, as T_(k-1) >= x.  A
     fractional order n + p/r is n levels over the split's tail y, y (+^4) r
     = x (+^4) p.  y increases with x, as both towers grow with their bases,
     so the hull Y of y at X's ends holds y over X.  Implicit differentiation
@@ -66,7 +69,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import midops
-from .balls import Ball, _ball, as_ball, divide, hull, round_ball
+from .balls import Ball, _ball, _snap, as_ball, divide, hull, round_ball
 from .errors import (
     ConvergenceError, DomainError, MagnitudeError, PrecisionError, ResourceError,
 )
@@ -130,19 +133,30 @@ def hyper_forward(
 
 def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
     """Core recursion; height may be a Fraction or an exact-only Ball."""
+    for value, _ in _levels(rank, base, height, tol):
+        pass
+    return value
+
+
+def _levels(rank: int, base: Ball, height, tol: Fraction):
+    """`_forward`'s values from the innermost up, each with the rank-4
+    tower's ln (else None): the innermost value (the base, or a fractional
+    height's tail) and then each whole step's level.  The ln is a thunk
+    that takes it at its first call, once a tower (`_tower_ln`)."""
     if isinstance(height, Ball):
         if height.is_exact:
             height = height.center
         elif rank >= 4:
             raise _approximate_height(rank)
     if rank == 3:
-        return midops.power(base, height, SeriesConfig(tol))
-    if height == 0:
-        return Ball(1)
-    if base.is_exact and base.c == base.d:
-        return Ball(1)
+        yield midops.power(base, height, SeriesConfig(tol)), None
+        return
+    if height == 0 or base.is_exact and base.c == base.d:
+        yield Ball(1), None
+        return
     if height == 1:
-        return base
+        yield base, None
+        return
     if not base.is_exact and rank >= 5:
         # the first step is base (+^(rank-1)) base: the base is a height
         raise _approximate_height(rank - 1)
@@ -181,7 +195,8 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
     if not p:
         inner_log = ln_base
     elif steps == 0:
-        return fractional_tail(tol)
+        yield fractional_tail(tol), None
+        return
     elif rank >= 5:
         # exact (an integer base) or refused, whatever the tolerance
         value = fractional_tail(tol)
@@ -210,7 +225,14 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
     tn, td = tol.numerator, tol.denominator
     if value is None:
         value = fractional_tail(Fraction(tn, td << budgets[0]), estimate)
-    ln_x = None  # the rank-4 tower's one ln, taken at its first use
+    ln = []  # the rank-4 tower's one ln, taken at its first use
+
+    def ln_x() -> Ball:
+        if not ln:
+            ln.append(_tower_ln(base, logs, tol, budgets))
+        return ln[0]
+
+    yield value, ln_x if rank == 4 else None
     for i in range(1, steps + 1):
         level_tol = Fraction(tn, td << budgets[i])
         if rank > 4:
@@ -218,10 +240,9 @@ def _forward(rank: int, base: Ball, height, tol: Fraction) -> Ball:
         elif (exact := midops._exact_power(base, value, level_tol)) is not None:
             value = exact
         else:  # e^(T_(i-1) ln base) at `power`'s tolerances
-            ln_x = ln_x or _tower_ln(base, logs, tol, budgets)
-            value = midops._exp_product(ln_x, value, tn, td << (budgets[i] + 2),
+            value = midops._exp_product(ln_x(), value, tn, td << (budgets[i] + 2),
                                         tol_bits(level_tol) + 16)
-    return value
+        yield value, ln_x
 
 
 def _unroll_budgets(logs: list[float], ln_base: float) -> list[int]:
@@ -357,49 +378,115 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
             n = round(start)
             if n >= 2 and abs(start - n) < 2.0**-30 and tower(Fraction(n), tol) == Ball(goal):
                 return Ball(Fraction(n))
-    return brent(lambda x, ft: tower(x, ft) - goal, Bracket(Fraction(1), goal),
-                 RootConfig(tol), start=start, slope=lambda x, t: _tower_slope(x, order, t))
+    passed, quarter = None, tol / 4  # passed: (m, ft, f(m) within ft) of the last pass
+
+    def f(x: Fraction, ft: Fraction) -> Ball | Fraction:
+        if passed is not None and x == passed[0] and ft >= passed[1]:
+            return passed[2]
+        return tower(x, ft) - goal
+
+    def slope(x: Ball, t: Fraction) -> Ball | None:
+        # one pass takes the slope over x and f at its center m, where the
+        # step probes next, at the finer of tol / 4 and |x|^2 / (16 m)
+        nonlocal passed
+        m, ft, D = x.center, max(quarter, Fraction(x.r * x.r, 4 * x.c * x.d)), None
+
+        def point(m: Fraction, ft: Fraction) -> Ball:
+            nonlocal D
+            value, D = _tower_pass(x, order, ft, t)
+            return value
+
+        try:
+            passed = (m, ft, _capped(point, goal)(m, ft) - goal)
+        except (ResourceError, PrecisionError, ConvergenceError):
+            pass  # the probe at m meets the failure itself
+        return D
+
+    return brent(f, Bracket(Fraction(1), goal), RootConfig(tol), start=start, slope=slope)
 
 
-def _tower_slope(x: Ball, order: Fraction | int, t: Fraction) -> Ball | None:
-    """A ball holding (y (+^4) order)' over the ball x >= 1, for an order
-    >= 1, by the module docstring's recurrence, each level within t; None
-    when one fails (past the magnitude cap, or a ball too wide).
+def _tower_pass(x: Ball, order: Fraction, ft: Fraction, t: Fraction) -> tuple[Ball, Ball | None]:
+    """(y (+^4) order at the center m of the ball x >= 1 within ft, and a
+    ball holding its derivative over x, or None when that fails), for an
+    order >= 1, from one pass over the levels.
 
-    An integer order q runs q - 1 levels from (x, 1); an order n + p/r runs
-    n levels from the tail's hull and slope ball (the module docstring), and
-    order 1 is x, of slope 1.  ln x is taken once, by the forward tower's
-    `_tower_ln` over the float logs of the levels from the centers of x and
-    of the first level, each level within t, and each level is T_k =
-    e^(T_(k-1) ln x) by its level step at t.  Each level's slope is snapped
-    onto the level's grid 2^-(tol_bits(t) + 16): unsnapped, the slope of
-    order 3,125 at the root of 10 (-^4) 3125 would carry 1.4 million bits.
+    The first is `_forward`'s ball, from `_levels`.  The second is the
+    module docstring's recurrence over x = m +/- r, from (x, 1) for an
+    integer order and from the tail's hull Y over x's ends and slope ball
+    for an order n + p/r (its tail's own slopes are passes, within t).  It
+    reuses ln m and each level T_k(m) = e^(T_(k-1)(m) ln m): ln X is ln m
+    +/- r / (m - r), ln's Lipschitz bound on X > 0, and as T_(k-1)(X) ln X
+    lies within its spread s of T_(k-1)(m) ln m, T_k(X) is T_k(m) widened
+    by `midops._exp_spread` for s.  That side runs in integer balls on the
+    grid 2^-(tol_bits(t) + 16), each level and slope snapped onto it, and
+    ln m, 1 / X and the levels at m rounded onto it first: unsnapped, the
+    slope of order 3,125 at the root of 10 (-^4) 3125 would carry 1.4
+    million bits, and unrounded arguments cost time on every level.
     """
-    steps = math.ceil(order) - 1
+    levels = _levels(4, _ball(x.c, 0, x.d), order, ft)
+    value, _ = next(levels)  # m, or the tail at m
+    if x.c == x.d:  # a tower over 1 is 1 with no levels taken: ln 1 = 0 under each
+        levels = ((Ball(1), lambda: Ball(0)) for _ in range(math.ceil(order) - 1))
     try:
         if order.denominator == 1:
             level, slope = x, Ball(1)
         else:
-            tail = order - steps  # p/r
-            p, r = tail.numerator, tail.denominator
+            tail = order - (math.ceil(order) - 1)  # p/r
             level = hull(_forward(4, Ball(x.lo), tail, t), _forward(4, Ball(x.hi), tail, t))
-            up, down = _tower_slope(x, p, t), _tower_slope(level, r, t)
-            if up is None or down is None:
-                return None
-            slope = divide(up, down)
-        if not steps:
-            return slope
-        ln_c = _log_abs_float(*_lowest(x.c, x.d))
-        ln_level = ln_c if level is x else _log_abs_float(*_lowest(level.c, level.d))
-        logs = [ln_level] + _tower_logs(ln_level, ln_c, steps)  # ln T_0 .. ln T_n
-        ln_x = _tower_ln(x, logs, t, [0] * len(logs))
-        tn, td, bits = t.numerator, t.denominator, tol_bits(t) + 16
-        for _ in range(steps):
-            up = midops._exp_product(ln_x, level, tn, td, bits)
-            level, slope = up, round_ball(up * (slope * ln_x + divide(level, x)), bits)
+            up = _tower_slope(x, tail.numerator, t)
+            down = _tower_slope(level, tail.denominator, t)
+            slope = None if up is None or down is None else divide(up, down)
+    except (ResourceError, PrecisionError, ConvergenceError):
+        slope = None
+    # (c, r) for the balls (c +/- r) / 2^b: the level L and the slope S over
+    # x, the level A at m and, once a level needs them, 1 / X, ln m's center
+    # and radius and ln X's radius; every center is >= 0
+    b, ln_r = tol_bits(t) + 16, None
+    if slope is not None:
+        (L_c, L_r), (S_c, S_r), (A_c, A_r) = (_grid(v, b) for v in (level, slope, value))
+    for up, ln_m in levels:
+        if slope is not None:
+            try:
+                if ln_r is None:
+                    if x.c <= x.r:
+                        raise PrecisionError("log argument interval reaches zero")
+                    lo, hi = (x.d << b) // (x.c + x.r), -(-(x.d << b) // (x.c - x.r))
+                    I_c, I_r = (lo + hi) >> 1, (hi - lo + 1) >> 1
+                    ln_c, ln0_r = _grid(ln_m(), b)
+                    ln_r = ln0_r - (-(x.r << b) // (x.c - x.r))
+                U_c, U_r = _grid(up, b)
+                # e^(L ln X) within the spread of L ln X from A ln m, over 2^2b,
+                # of U = e^(A ln m)
+                spread = (abs(ln_c * (L_c - A_c)) + ln_c * (L_r + A_r) + L_c * ln_r + L_r * ln_r
+                          + A_c * ln0_r + A_r * ln0_r)
+                W_r = midops._exp_spread(U_c, U_r, spread, 1 << 2 * b)
+                # S' = W (S ln X + L / X), with W = U +/- W_r, over 2^3b
+                P_c = S_c * ln_c + L_c * I_c
+                P_r = S_c * ln_r + ln_c * S_r + S_r * ln_r + L_c * I_r + I_c * L_r + L_r * I_r
+                out = _snap(U_c * P_c, U_c * P_r + P_c * W_r + W_r * P_r, 1 << 3 * b, b)
+                (L_c, L_r), (S_c, S_r), (A_c, A_r) = (U_c, W_r), (out.c, out.r), (U_c, U_r)
+            except PrecisionError:
+                slope = None
+        value = up
+    if slope is not None:
+        slope = _ball(S_c, S_r, 1 << b)
+    return value, slope
+
+
+def _grid(v: Ball, b: int) -> tuple[int, int]:
+    """(c, r) of v snapped onto the grid 2^-b."""
+    v = round_ball(v, b)
+    return v.c, v.r
+
+
+def _tower_slope(x: Ball, order: Fraction | int, t: Fraction) -> Ball | None:
+    """`_tower_pass`'s slope ball of y (+^4) order over the ball x >= 1, its
+    point within t; None when the pass fails (past the magnitude cap, or a
+    ball too wide)."""
+    try:
+        return _tower_pass(x, Fraction(order), t, t)[1]
     except (ResourceError, PrecisionError, ConvergenceError):
         return None
-    return slope
 
 
 def _super_root_estimate(goal: Fraction, order: Fraction) -> float:

@@ -88,10 +88,10 @@ integer balls (c +/- r) / d, and ln and exp of a ball are each written once
 (as in Arb's midpoint-radius model, Johansson, IEEE Trans. Computers 66(8),
 2017): `_ln_ball` is `_ln_fixed` at the center widened by ln's Lipschitz
 term r / (c - r), and `_exp_ball` is `_exp_fixed` at the center widened by
-e^r - 1 <= r (1 + r), for the spread r <= 5/8 that it checks, the one
-spread check of the module.  Both return unsnapped integer balls on the
-center's grid 2^-prec, the widening rounded up to it, so an operand's long
-denominator never reaches the result.  `power` multiplies the ln ball by b
+`_exp_spread`'s e^r - 1 <= r (1 + r), for the spread r <= 5/8 that it
+checks, the one spread check of the module.  Both return unsnapped integer
+balls on the center's grid 2^-prec, the widening rounded up to it, so an
+operand's long denominator never reaches the result.  `power` multiplies the ln ball by b
 with `Ball`'s exact product and takes its exp, `log` divides two ln balls
 with `balls`' integer quotient, and `exp_e` and `ln_e` are one primitive
 each; every ball result is then snapped once, onto the grid
@@ -701,20 +701,31 @@ def _ln_ball(b: Ball, tn: int, td: int) -> tuple[int, int, int]:
 
 def _exp_ball(c: int, r: int, d: int, tn: int, td: int) -> tuple[int, int, int]:
     """e^((c +/- r) / d) as the integer ball (n +/- e) / 2^prec: `_exp_fixed`
-    at the center, at tolerance tn / td, widened by e^c' (e^r' - 1) <= e^c' r'
-    (1 + r') for r' = r / d <= 5/8, where sum_(k>=2) r'^(k-2) / k! <= 0.63:
-    (value + err) r (d + r) / d^2 ulps, rounded up, as e^c' <= (value + err)
-    / 2^prec.  e^0, at `_exp_fixed`'s prec 0, takes the grid 2^-(tol_bits +
-    26).  Unsnapped; a wider spread raises PrecisionError."""
-    if 8 * r > 5 * d:
-        raise PrecisionError("exp argument too imprecise for an enclosure")
+    at the center, at tolerance tn / td, widened by `_exp_spread` for the
+    spread r / d.  e^0, at `_exp_fixed`'s prec 0, takes the grid
+    2^-(tol_bits + 26).  Unsnapped; a spread past 5/8 raises PrecisionError."""
     value, err, prec = _exp_fixed(c, d, tn, td)
     if not r:
         return value, err, 1 << prec
     if not prec:  # e^0 = 1 exactly
         prec = _tol_bits(tn, td) + 26
         value <<= prec
-    return value, err + -(-(value + err) * r * (d + r) // (d * d)), 1 << prec
+    return value, _exp_spread(value, err, r, d), 1 << prec
+
+
+def _exp_spread(value: int, err: int, r: int, d: int) -> int:
+    """The radius of e^y over every y within r' = r / d of a point c', from a
+    ball value +/- err (on any grid, value + err >= 0) that holds e^c'.
+
+    e^(c' + s) - e^c' lies within e^c' (e^r' - 1) <= e^c' r' (1 + r') for
+    |s| <= r' <= 5/8, where sum_(k>=2) r'^(k-2) / k! <= 0.63, and e^c' <=
+    value + err: err + (value + err) r (d + r) / d^2, rounded up.  A wider
+    spread raises PrecisionError.  Its callers are `_exp_ball`, with c' the
+    center `_exp_fixed` took, and `hyperops`' tower pass, which widens each
+    level it took at a point into that level over a ball."""
+    if 8 * r > 5 * d:
+        raise PrecisionError("exp argument too imprecise for an enclosure")
+    return err + -(-(value + err) * r * (d + r) // (d * d))
 
 
 def exp_e(a: Fraction | Ball, cfg: SeriesConfig) -> Ball:

@@ -14,9 +14,13 @@ so far.  f may answer a bare rational where it can only bound f(x)
 The search is one interval-Newton loop, `_steps` (Moore, Kearfott &
 Cloud, Introduction to Interval Analysis, SIAM 2009, ch. 8; Krawczyk,
 Computing 4, 1969), on a ball X = [L, U] / 2^s, s = max(bits, 46) + 8.
-slope(X, t) must return a ball D holding f' over all of X.  A step takes f
-at a point m of X through `_sign` and forms N(X) = m - f(m) / D, rounded
-out onto the grid; every root in X lies in N(X).  It runs in two phases:
+A step takes f at a point m of X through `_sign` and forms N(X) = m - f(m)
+/ D, rounded out onto the grid; every root in X lies in N(X).  D is
+slope(B, t), a ball holding f' over all of the ball B centered on m that
+covers X, of radius max(m - L, U - m): X itself when X is centered on m,
+as in the local phase.  A step asks for D before it takes f at m, so one
+pass over f's work at m can give both (`hyperops` takes a tower and its
+slope so).  It runs in two phases:
 
   * From the estimate: X is the start +/- 2^-46 max(1, |start|), inside
     the bracket, and m the start.  When N(X) lies strictly inside X and is
@@ -230,7 +234,7 @@ def _steps(f: BallFn, slope: SlopeFn | None, tol: Fraction, a: Fraction, b: Frac
             # finer than 2^-_SLOPE_BITS only when neither |X| nor tol / |X| is
             # coarser, so that the next |X| rad(D) / lo(D) falls quadratically
             width = s - (U - L).bit_length()
-            D = slope(_ball(L + U, U - L, 2 * one),
+            D = slope(_ball(M, max(M - L, U - M), one),
                       Fraction(1, 1 << max(_SLOPE_BITS, min(width, bits - width))))
             if D is not None and D.c <= D.r:
                 D = None

@@ -3,6 +3,7 @@ import contextlib
 import decimal
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -631,6 +632,25 @@ def test_json_record_is_json_dumps_byte_for_byte(text, base, digits, traced):
     assert ("trace" in payload) == traced
     for line in payload.get("trace", ()):
         assert TRACE_LINE.fullmatch(line)
+
+
+def peak_rss_mb(*argv: str) -> float:
+    """Peak RSS of one fresh `hypercalc` process running argv, in MB."""
+    child = subprocess.Popen([sys.executable, "-m", "hypercalc", *argv],
+                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    assert status == 0
+    return usage.ru_maxrss / 1024
+
+
+def test_a_json_trace_peaks_near_the_plain_one():
+    # the record's trace is written a batch of lines at a time: one join of
+    # all 3,000 lines of this chain's trace (and the stream's encoding of it)
+    # took the peak from 34 MB in plain format to 68 MB
+    chain = "[" * 3000 + "1" + "+1]" * 3000
+    plain = peak_rss_mb("trace", chain, "--digits", "0")
+    record = peak_rss_mb("trace", chain, "--digits", "0", "--format", "json")
+    assert record <= 1.1 * plain
 
 
 def test_a_traced_command_builds_no_trace_event(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import subprocess
@@ -133,7 +134,7 @@ def test_a_height_past_the_step_cap_is_refused_before_any_search(monkeypatch, te
     def unreachable(*args, **kwargs):
         raise AssertionError("ran past the height-step cap")
 
-    for name in ("brent", "_tower_slope", "_integer_order_estimate"):
+    for name in ("brent", "_tower_pass", "_tower_slope", "_integer_order_estimate"):
         monkeypatch.setattr(hyperops, name, unreachable)
     start = time.perf_counter()
     with pytest.raises(ResourceError, match=f"unrolling a height of {height} needs [0-9]+"
@@ -158,24 +159,27 @@ def test_unroll_makes_one_pass(monkeypatch):
     # With budgets of 0 extra bits (their blow-up checks still run), the
     # tower's one pass misses 10^-30 and returns the rigorous ball it
     # reached; `evaluate` then re-runs the term tighter, so the digits do
-    # not change.  The slope is withheld: the loop's tail ball fills its
-    # tolerance, where the interval-Newton one lands well inside it.
+    # not change.  The slope is withheld (each pass returns its probe
+    # alone): the loop's tail ball fills its tolerance, where the
+    # interval-Newton one lands well inside it.
     T30 = Fraction(1, 10**30)
     want = hyper_forward(4, Fraction(2), Fraction(5, 2), T30)
-    monkeypatch.setattr(hyperops, "_tower_slope", lambda x, order, t: None)
-    real_budgets, real_forward = hyperops._unroll_budgets, hyperops._forward
+    real_pass = hyperops._tower_pass
+    monkeypatch.setattr(hyperops, "_tower_pass",
+                        lambda x, order, ft, t: (real_pass(x, order, ft, t)[0], None))
+    real_budgets, real_towers = hyperops._unroll_budgets, hyperops._levels
     monkeypatch.setattr(hyperops, "_unroll_budgets", lambda *args: [0] * len(real_budgets(*args)))
     real_level, ranks, levels = midops._exact_power, [], []
 
-    def forward_spy(rank, base, height, tol):
+    def towers_spy(rank, base, height, tol):  # every tower, a probe's or a pass's
         ranks.append(rank)
-        return real_forward(rank, base, height, tol)
+        return real_towers(rank, base, height, tol)
 
     def level_spy(base, value, tol):  # every rank-4 level asks for an exact power first
         levels.append((base.center, tol))
         return real_level(base, value, tol)
 
-    monkeypatch.setattr(hyperops, "_forward", forward_spy)
+    monkeypatch.setattr(hyperops, "_levels", towers_spy)
     monkeypatch.setattr(midops, "_exact_power", level_spy)
     # 2^^(5/2) = 2^2^(2^^(1/2)): each of the two levels over base 2 runs
     # once, at its tolerance, in the rank-4 loop and not through rank 3
@@ -469,30 +473,41 @@ def test_an_exact_goal_is_one_search_within_tol(order, goal, bits):
                                   and out.center.denominator == 1)
 
 
-def test_a_capped_probe_is_a_sign_and_never_a_newton_step(monkeypatch):
-    # the first tower probe raises MagnitudeError, so `_capped` answers with
-    # its bound 2 goal + 2, and f with goal + 2: a sign, and no enclosure of
-    # f.  The step from the start stops there, and no quotient f(m) / D of
-    # any later step takes the bound, so it never enters an N(X)
-    real, calls = hyperops._forward, []
+@pytest.mark.parametrize("seam, newton_steps", [
+    ("_levels", 1),  # the tower of the first step's pass, with its slope
+    ("_forward", 2),  # the first probe a step makes alone, with the slope in hand
+])
+def test_a_capped_probe_is_a_sign_and_never_a_newton_step(monkeypatch, seam, newton_steps):
+    # the first tower through the seam raises MagnitudeError, so `_capped`
+    # answers with its bound 2 goal + 2, and f with goal + 2: a sign, and no
+    # enclosure of f.  A pass stops the step from the start there, as its
+    # slope is missing too; and no quotient f(m) / D of any step takes the
+    # bound, so it never enters an N(X)
+    real, calls = getattr(hyperops, seam), []
 
-    def forward(*args):
+    def tower(*args):
         calls.append(args)
         if len(calls) == 1:
             raise MagnitudeError("tower magnitude exceeds the configured cap")
         return real(*args)
 
-    monkeypatch.setattr(hyperops, "_forward", forward)
+    monkeypatch.setattr(hyperops, seam, tower)
     newton, steps = rootfind._newton, []
     monkeypatch.setattr(rootfind, "_newton", lambda *args: steps.append(newton(*args)) or steps[-1])
     quotient, numerators = rootfind._quotient, []
     monkeypatch.setattr(rootfind, "_quotient",
                         lambda c, r, d, *slope: numerators.append(Fraction(c, d)) or quotient(c, r, d, *slope))
+    search, answers = hyperops.brent, []
+    monkeypatch.setattr(hyperops, "brent", lambda f, *args, **kwargs: search(
+        lambda x, ft: answers.append(f(x, ft)) or answers[-1], *args, **kwargs))
     tol = Fraction(1, 10**30)
     out = hyper_inverse_minus(4, Fraction(1000), Fraction(3), tol)
     assert out.radius <= tol and encloses_mpmath_root(out, Fraction(1000), 3)
-    assert len(calls) > 1 and steps == [None]
-    assert numerators and Fraction(1002) not in numerators
+    assert len(calls) > 1 and len(steps) == 1 and (steps[0] is None) == (seam == "_levels")
+    # probes f answered with the bound (the capped one, and towers past the
+    # cap on the bracket) took no quotient
+    assert Fraction(1002) in answers and Fraction(1002) not in numerators
+    assert len(numerators) >= newton_steps
 
 
 # the largest center drawn for each order: x^^order stays below 10^13
@@ -653,6 +668,90 @@ def test_the_slope_of_a_long_tower_is_a_ball(goal, order):
     x = Fraction(hyperops._super_root_estimate(goal, Fraction(order)))
     slope = hyperops._tower_slope(Ball(x, Fraction(1, 2**46)), Fraction(order), Fraction(1, 2**60))
     assert slope is not None and slope.lo >= 1
+
+
+# the largest center drawn for each order in the pass's property: its
+# tower stays within reach of mpmath at 600 bits
+PASS_CENTERS = {2: 3, 3: 3, 4: 2, 5: 1.8, 6: 1.6}
+
+
+@given(order=st.integers(2, 6), data=st.data(), w=st.integers(20, 200),
+       below=st.integers(0, 3), above=st.integers(1, 4), bits=st.integers(20, 200),
+       probe_bits=st.integers(20, 200))
+@settings(max_examples=60, deadline=None)
+def test_a_tower_pass_gives_the_probe_and_the_slope_over_its_ball(
+        order, data, w, below, above, bits, probe_bits):
+    # one pass at the point x: its probe overlaps the tower `_forward` takes
+    # there, and its slope ball holds (y^^order)' by mpmath at 600 bits at the
+    # ends and the middle of X = [x - below 2^-w, x + above 2^-w], which is off
+    # center as a bracket's halves are around their probe: the pass runs over
+    # the ball about x that covers X.  The slope may be None only for a ball
+    # too wide
+    mpmath = pytest.importorskip("mpmath")
+    x = 1 + Fraction(data.draw(st.floats(0, PASS_CENTERS[order] - 1))).limit_denominator(2**60)
+    lo, hi = x - Fraction(below, 2**w), x + Fraction(above, 2**w)
+    ft, t = Fraction(1, 2**probe_bits), Fraction(1, 2**bits)
+    probe, slope = hyperops._tower_pass(Ball(x, max(x - lo, hi - x)), Fraction(order), ft, t)
+    assert probe.overlaps(hyperops._forward(4, Ball(x), Fraction(order), ft))
+    if slope is None:
+        assert w < 40
+        return
+    with mpmath.workprec(600):
+        for point in (lo, (lo + hi) / 2, hi):
+            _, d = mpmath_tower_slope(mpmath.mpf(point.numerator) / point.denominator, order)
+            want = Fraction(int(mpmath.floor(d * mpmath.mpf(2) ** 500)), 2**500)
+            slack = (abs(want) + 1) / 2**490
+            assert slope.lo - slack <= want <= slope.hi + slack
+
+
+@pytest.mark.parametrize("bits", [140, 106])
+def test_a_newton_step_takes_one_tower_pass(monkeypatch, bits):
+    # 5 (-^4) 4 certifies in two interval-Newton steps.  The first takes its
+    # probe and its slope ball from one pass over the levels at its point,
+    # one ln and three exps, and the second probes alone: 2 lns and 6 exps,
+    # where a step that took its slope in a pass of its own made 4 and 12 at
+    # 2^-140 (3 and 9 at 2^-106)
+    lns = counted_calls(monkeypatch, midops, "_ln_fixed")
+    exps = counted_calls(monkeypatch, midops, "_exp_fixed")
+    tol = Fraction(1, 2**bits)
+    out = hyper_inverse_minus(4, Fraction(5), Fraction(4), tol)
+    assert (len(lns), len(exps)) == (2, 6)
+    assert out.radius <= tol and encloses_mpmath_root(out, Fraction(5), 4)
+
+
+# Digits of the searches that run on the bracket alone (no start estimate)
+# and of fractional orders, whose passes start from the tail's point value
+# and hull: 30 digits in full, and 300 as their last 24 digits and the first
+# 16 hex digits of the text's sha256
+PASS_DIGITS = {
+    ("[1000----3]", True): ("2.384909788604395696350809008456",
+                            "446434296599325578815104", "0e02890a4bee099b"),
+    ("[5----4]", True): ("1.655390902316565458626735639722",
+                         "604296310932119019572343", "326eb967080e05c7"),
+    ("[1.5----3]", True): ("1.323071732497974374992197274387",
+                           "325343772274457653342279", "e6283c1df572dff7"),
+    ("[100----3]", True): ("2.212795806325899665140289117345",
+                           "644428105085852857324674", "f46cfc422f31a1ce"),
+    ("[1000----2.5]", False): ("2.856947410036250866430240085297",
+                               "784829955095531203514722", "75f14e335b2b5853"),
+    ("[5----[7//3]]", False): ("1.892598407982046079810458678617",
+                               "996555795436171416461892", "f7bfe9fd43276988"),
+    ("[100----[11//4]]", False): ("2.377574279826627898609493988166",
+                                  "780595508281868478574600", "1b0374d5990643d2"),
+    ("[[2.75+++3]----[2.75-0]]", False): ("2.132675927135491510560521043560",
+                                          "687978958244430929737803", "d86b5f55797bb0a3"),
+}
+
+
+@pytest.mark.parametrize("text, bracket_only", sorted(PASS_DIGITS))
+def test_one_pass_steps_certify_the_pinned_digits(monkeypatch, text, bracket_only):
+    if bracket_only:
+        monkeypatch.setattr(hyperops, "_super_root_estimate", lambda goal, order: None)
+    short, tail, digest = PASS_DIGITS[text, bracket_only]
+    assert adaptive_evaluate(parse(text), NumericContext(digits=30))[1].text() == short
+    long = adaptive_evaluate(parse(text), NumericContext(digits=300))[1].text()
+    assert long.startswith(short[:-1]) and long.endswith(tail)
+    assert hashlib.sha256(long.encode()).hexdigest()[:16] == digest
 
 
 def test_a_fractional_tail_estimates_its_root_once(monkeypatch):

@@ -379,7 +379,9 @@ def test_a_bad_start_estimate_certifies_the_same_digits(monkeypatch, text, estim
 # [1, 1000], halve X at |c| / 8 until one does, and then close on N(X).
 # [100----3] without a start estimate splits the bracket at the mean binary
 # exponent of its ends, then at midpoints while the slope ball is missing or
-# too wide, and certifies by steps on N(X) once it is not.
+# too wide, and certifies by steps on N(X) once it is not.  A step that asks
+# for a slope ball takes f at m in the same pass, at the finer of tol / 4 and
+# |X|^2 / (16 m), so the midpoints of N(X) sit where that ball puts them.
 PINNED_PROBES = [
     ("[100----3]", "no estimate", Fraction(1, 408 * 10**40), [
         (8, 0, 12),
@@ -392,15 +394,15 @@ PINNED_PROBES = [
         (73, 5, 4),
         (143, 6, 4),
         (283, 7, 1),
-        (3158870213960363924766419042363170196557036185, 150, 7),
-        (3158209602136887530384786560676807611030731595, 150, 22),
-        (1579103854512305828561734641422736519912087807, 149, 54),
-        (6316415418016128722272844052281872912750412955, 151, 119),
-        (3158207709008064361135156622530054627151455561, 150, 134),
+        (6317743145914770222892884837395000900976104639, 151, 7),
+        (394776201216003011779886826359728413175229745, 147, 22),
+        (6316415418049489158904891760915834659335853541, 151, 54),
+        (789551927252016090284110608720597378607521125, 148, 119),
+        (1579103854504032180567578311265027313575727901, 149, 134),
     ]),
     ("[1000----3]", "with slope", Fraction(1, 4008 * 10**40), [
         (2685169708817751, 50, 73),
-        (54461711889559716629909217609670387802222689833, 154, 133),
+        (54461711889559716629909217609670372112546888505, 154, 133),
     ]),
     ("[1000----3]", "off by 2^-30", Fraction(1, 4008 * 10**40), [
         (2685169709866327, 50, 73),
@@ -411,11 +413,11 @@ PINNED_PROBES = [
         (41403445554837529, 54, 4),
         (84366160912698761, 55, 4),
         (170291591628421225, 56, 1),
-        (54407018053146075686610058792641827091523786679, 154, 1),
-        (54461056716689681405615187807806792715087723387, 154, 13),
-        (54461711807840826712209306544476165876636722637, 154, 39),
-        (3403856993097482459245897984695043726506680267, 150, 86),
-        (27230855944779858314954608804832947402341016783, 153, 133),
+        (13601754513329548359398936856455195175290786495, 152, 1),
+        (54461056716914340794368350632312133152704722931, 154, 13),
+        (13615427951960243102379924631442784580245755061, 152, 39),
+        (54461711889559719347923905480291490248974748283, 154, 86),
+        (27230855944779858314954608804832947392370572451, 153, 133),
     ]),
 ]
 
@@ -448,7 +450,7 @@ def test_integer_search_repeats_the_fraction_search_probes(monkeypatch, text, es
 # probes (x, ft) as (n, e, t): x = n / 2^e, ft = 2^-t.
 FRACTIONAL_PROBES = [
     (3216636822814091, 50, 74),
-    (65241145586504111027592484120934834501786965423, 154, 134),
+    (16310286396626027756898121030233695431258135099, 152, 134),
 ]
 
 
