@@ -387,7 +387,7 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
 
     def slope(x: Ball, t: Fraction) -> Ball | None:
         # one pass takes the slope over x and f at its center m, where the
-        # step probes next, at the finer of tol / 4 and |x|^2 / (16 m)
+        # step probes next, at the coarser of tol / 4 and |x|^2 / (16 m)
         nonlocal passed
         m, ft, D = x.center, max(quarter, Fraction(x.r * x.r, 4 * x.c * x.d)), None
 
@@ -406,7 +406,7 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
 
 
 def _tower_pass(x: Ball, order: Fraction, ft: Fraction, t: Fraction) -> tuple[Ball, Ball | None]:
-    """(y (+^4) order at the center m of the ball x >= 1 within ft, and a
+    """(y (+^4) order at the center m of the ball x > 0 within ft, and a
     ball holding its derivative over x, or None when that fails), for an
     order >= 1, from one pass over the levels.
 
@@ -440,7 +440,8 @@ def _tower_pass(x: Ball, order: Fraction, ft: Fraction, t: Fraction) -> tuple[Ba
         slope = None
     # (c, r) for the balls (c +/- r) / 2^b: the level L and the slope S over
     # x, the level A at m and, once a level needs them, 1 / X, ln m's center
-    # and radius and ln X's radius; every center is >= 0
+    # and radius and ln X's radius.  L, A and 1 / X are > 0; ln m, S and the
+    # sum S ln X + L / X may take either sign (x < 1 in the tail's hull)
     b, ln_r = tol_bits(t) + 16, None
     if slope is not None:
         (L_c, L_r), (S_c, S_r), (A_c, A_r) = (_grid(v, b) for v in (level, slope, value))
@@ -457,13 +458,14 @@ def _tower_pass(x: Ball, order: Fraction, ft: Fraction, t: Fraction) -> tuple[Ba
                 U_c, U_r = _grid(up, b)
                 # e^(L ln X) within the spread of L ln X from A ln m, over 2^2b,
                 # of U = e^(A ln m)
-                spread = (abs(ln_c * (L_c - A_c)) + ln_c * (L_r + A_r) + L_c * ln_r + L_r * ln_r
+                spread = (abs(ln_c) * (abs(L_c - A_c) + L_r + A_r) + L_c * ln_r + L_r * ln_r
                           + A_c * ln0_r + A_r * ln0_r)
                 W_r = midops._exp_spread(U_c, U_r, spread, 1 << 2 * b)
                 # S' = W (S ln X + L / X), with W = U +/- W_r, over 2^3b
                 P_c = S_c * ln_c + L_c * I_c
-                P_r = S_c * ln_r + ln_c * S_r + S_r * ln_r + L_c * I_r + I_c * L_r + L_r * I_r
-                out = _snap(U_c * P_c, U_c * P_r + P_c * W_r + W_r * P_r, 1 << 3 * b, b)
+                P_r = (abs(S_c) * ln_r + abs(ln_c) * S_r + S_r * ln_r + L_c * I_r + I_c * L_r
+                       + L_r * I_r)
+                out = _snap(U_c * P_c, U_c * P_r + abs(P_c) * W_r + W_r * P_r, 1 << 3 * b, b)
                 (L_c, L_r), (S_c, S_r), (A_c, A_r) = (U_c, W_r), (out.c, out.r), (U_c, U_r)
             except PrecisionError:
                 slope = None
@@ -480,7 +482,7 @@ def _grid(v: Ball, b: int) -> tuple[int, int]:
 
 
 def _tower_slope(x: Ball, order: Fraction | int, t: Fraction) -> Ball | None:
-    """`_tower_pass`'s slope ball of y (+^4) order over the ball x >= 1, its
+    """`_tower_pass`'s slope ball of y (+^4) order over the ball x > 0, its
     point within t; None when the pass fails (past the magnitude cap, or a
     ball too wide)."""
     try:

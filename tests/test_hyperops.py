@@ -704,6 +704,22 @@ def test_a_tower_pass_gives_the_probe_and_the_slope_over_its_ball(
             assert slope.lo - slack <= want <= slope.hi + slack
 
 
+@pytest.mark.parametrize("center, order", [(Fraction(3, 10), 2), (Fraction(3, 10), 3),
+                                           (Fraction(1, 2), 3), (Fraction(9, 10), 4)])
+def test_a_tower_pass_below_one_holds_the_slope(center, order):
+    # a fractional order's tail hull can reach below 1, where ln m, the
+    # slope and its factor S ln X + L / X go negative: at 0.3 and order 3
+    # a slope whose radii took them as nonnegative missed (x^^3)' at x's ends
+    mpmath = pytest.importorskip("mpmath")
+    t = Fraction(1, 2**60)
+    for r in (Fraction(1, 100), Fraction(1, 1000)):
+        _, slope = hyperops._tower_pass(Ball(center, r), Fraction(order), t, t)
+        with mpmath.workprec(300):
+            for point in (center - r, center, center + r):
+                _, d = mpmath_tower_slope(mpmath.mpf(point.numerator) / point.denominator, order)
+                assert slope.lo <= Fraction(int(mpmath.floor(d * 2**200)), 2**200) <= slope.hi
+
+
 @pytest.mark.parametrize("bits", [140, 106])
 def test_a_newton_step_takes_one_tower_pass(monkeypatch, bits):
     # 5 (-^4) 4 certifies in two interval-Newton steps.  The first takes its

@@ -380,7 +380,7 @@ def test_a_bad_start_estimate_certifies_the_same_digits(monkeypatch, text, estim
 # [100----3] without a start estimate splits the bracket at the mean binary
 # exponent of its ends, then at midpoints while the slope ball is missing or
 # too wide, and certifies by steps on N(X) once it is not.  A step that asks
-# for a slope ball takes f at m in the same pass, at the finer of tol / 4 and
+# for a slope ball takes f at m in the same pass, at the coarser of tol / 4 and
 # |X|^2 / (16 m), so the midpoints of N(X) sit where that ball puts them.
 PINNED_PROBES = [
     ("[100----3]", "no estimate", Fraction(1, 408 * 10**40), [
