@@ -91,10 +91,10 @@ term r / (c - r), and `_exp_ball` is `_exp_fixed` at the center widened by
 `_exp_spread`'s e^r - 1 <= r (1 + r), for the spread r <= 5/8 that it
 checks, the one spread check of the module.  Both return unsnapped integer
 balls on the center's grid 2^-prec, the widening rounded up to it, so an
-operand's long denominator never reaches the result.  `power` multiplies the ln ball by b
-with `Ball`'s exact product and takes its exp, `log` divides two ln balls
-with `balls`' integer quotient, and `exp_e` and `ln_e` are one primitive
-each; every ball result is then snapped once, onto the grid
+operand's long denominator never reaches the result.  `power` multiplies
+the ln ball by b with `Ball`'s exact product and takes its exp, `log`
+divides two ln balls with `balls`' integer quotient, and `exp_e` and `ln_e`
+are one primitive each; every ball result is then snapped once, onto the grid
 2^-(tol_bits(tol) + 16).  Those steps depend on values only, so a ball's
 integer form, which is not in lowest terms, gives the digits and radii that
 the same formulas give over Fractions.  Two steps depend on the form,

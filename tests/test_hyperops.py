@@ -473,16 +473,10 @@ def test_an_exact_goal_is_one_search_within_tol(order, goal, bits):
                                   and out.center.denominator == 1)
 
 
-@pytest.mark.parametrize("seam, newton_steps", [
-    ("_levels", 1),  # the tower of the first step's pass, with its slope
-    ("_forward", 2),  # the first probe a step makes alone, with the slope in hand
-])
-def test_a_capped_probe_is_a_sign_and_never_a_newton_step(monkeypatch, seam, newton_steps):
-    # the first tower through the seam raises MagnitudeError, so `_capped`
-    # answers with its bound 2 goal + 2, and f with goal + 2: a sign, and no
-    # enclosure of f.  A pass stops the step from the start there, as its
-    # slope is missing too; and no quotient f(m) / D of any step takes the
-    # bound, so it never enters an N(X)
+def capped_first_tower(monkeypatch, seam):
+    """Certify 1000 (-^4) 3 with the first tower through `seam` past the
+    magnitude cap: (each interval-Newton step's result, every answer of f,
+    the numerators f(m) of the quotients f(m) / D)."""
     real, calls = getattr(hyperops, seam), []
 
     def tower(*args):
@@ -503,11 +497,29 @@ def test_a_capped_probe_is_a_sign_and_never_a_newton_step(monkeypatch, seam, new
     tol = Fraction(1, 10**30)
     out = hyper_inverse_minus(4, Fraction(1000), Fraction(3), tol)
     assert out.radius <= tol and encloses_mpmath_root(out, Fraction(1000), 3)
-    assert len(calls) > 1 and len(steps) == 1 and (steps[0] is None) == (seam == "_levels")
-    # probes f answered with the bound (the capped one, and towers past the
-    # cap on the bracket) took no quotient
+    assert len(calls) > 1
+    # probes f answered with the bound 2 goal + 2 - goal (the capped one,
+    # and towers past the cap on the bracket) took no quotient
     assert Fraction(1002) in answers and Fraction(1002) not in numerators
-    assert len(numerators) >= newton_steps
+    return steps, answers, numerators
+
+
+def test_a_capped_probe_is_a_sign_and_never_a_newton_step(monkeypatch):
+    # the first tower, the first step's pass, raises MagnitudeError, so
+    # `_capped` answers with its bound 2 goal + 2, and f with goal + 2: a
+    # sign, and no enclosure of f.  The step from the start stops there, as
+    # its slope is missing too, and no quotient f(m) / D of any later step
+    # takes the bound, so it never enters an N(X)
+    steps, _, numerators = capped_first_tower(monkeypatch, "_levels")
+    assert steps == [None] and numerators
+
+
+def test_a_capped_lone_probe_is_a_sign_and_never_a_newton_step(monkeypatch):
+    # the first probe a step makes alone, with the slope in hand, is past
+    # the cap: the step from the start succeeds, and that probe's bound
+    # enters no N(X) either
+    steps, _, numerators = capped_first_tower(monkeypatch, "_forward")
+    assert len(steps) == 1 and steps[0] is not None and len(numerators) >= 2
 
 
 # the largest center drawn for each order: x^^order stays below 10^13
