@@ -21,19 +21,28 @@ float estimate of its root of order q.  The inverses are bracketed searches:
     `brent`'s interval-Newton search inside [1, a], after an exact check of
     the nearest integer.  x (+^4) b grows with x.  The search starts at a
     float estimate of the root.  A step that needs a slope ball of x (+^4) b
-    asks for it over a ball X = m +/- r about its point m, and one pass over
-    the levels at m gives both that ball and the probe at m (`_tower_pass`):
-    ln m and each level's exp are taken once.  For an integer order q the
-    slope is the forward-mode recurrence T_1 = X, T_1' = 1, T_k = e^(T_(k-1)
-    ln X), T_k' = T_k (T_(k-1)' ln X + T_(k-1) / X), with ln X = ln m +/- r
-    / (m - r) and each level over X the level at m widened by exp's spread
-    rule (`midops._exp_spread`).  It is >= 1 on x >= 1: by induction T_k >=
-    1, T_(k-1)' >= 0, ln x >= 0 and T_(k-1) / x >= 1, as T_(k-1) >= x.  A
-    fractional order n + p/r is n levels over the split's tail y, y (+^4) r
-    = x (+^4) p.  y increases with x, as both towers grow with their bases,
-    so the hull Y of y at X's ends holds y over X.  Implicit differentiation
-    gives y' = (x^^p)' / (y^^r)'(y), which lies in the quotient of the slope
-    balls (x^^p)'(X) / (y^^r)'(Y), whose divisor is >= 1 as y >= 1.  The
+    asks for it over its ball X, naming the point m of X where it probes
+    next, and one pass over the levels at m gives both that ball and the
+    probe at m (`_tower_pass`): ln m and each level's exp are taken once.
+    The pass takes that probe at half the least tolerance the step then
+    asks near the root, max(tol lo(D), |X| rad(D)) / 4 (`rootfind`), where
+    rad(D) >= |X| f'' / 2 and f'' >= f'^2 / g, as x^^q is log-convex on x >=
+    1, and f' >= s, the last slope ball's lower end, or g (ln g + 1) / m, as
+    x (x^^q)' / x^^q = x (x^^(q-1))' ln x + x^^(q-1) >= ln g + 1 at the
+    root: max(tol s, |X|^2 s^2 / (2 g)) / 8, and 2^-8 or finer.  A step that
+    asks finer takes its probe again; the digits never depend on the rule.
+    For an integer order q the slope is the forward-mode recurrence T_1 =
+    X, T_1' = 1, T_k = e^(T_(k-1) ln X), T_k' = T_k (T_(k-1)' ln X + T_(k-1)
+    / X), with ln X = ln m +/- R / lo(X), R the distance from m to X's
+    farther end, and each level over X the level at m widened by exp's
+    spread rule (`midops._exp_spread`).  It is >= 1 on x >= 1: by induction
+    T_k >= 1, T_(k-1)' >= 0, ln x >= 0 and T_(k-1) / x >= 1, as T_(k-1) >=
+    x.  A fractional order n + p/r is n levels over the split's tail y, y
+    (+^4) r = x (+^4) p.  y increases with x, as both towers grow with their
+    bases, so the hull Y of y at X's ends holds y over X.  Implicit
+    differentiation gives y' = (x^^p)' / (y^^r)'(y), which lies in the
+    quotient of the slope balls (x^^p)'(X) / (y^^r)'(Y), whose divisor is
+    >= 1 as y >= 1.  The
     recurrence then runs its n levels from (Y, y') in place of (X, 1).  With
     y in [1, x] and y' >= 0, T_1' = x^y (y' ln x + y / x) >= y x^(y-1) >= 1,
     and T_k' >= T_(k-1) / x >= 1 after (orders below 1 reduce to integer
@@ -378,54 +387,62 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
             n = round(start)
             if n >= 2 and abs(start - n) < 2.0**-30 and tower(Fraction(n), tol) == Ball(goal):
                 return Ball(Fraction(n))
-    passed, quarter = None, tol / 4  # passed: (m, ft, f(m) within ft) of the last pass
+    bound = _cap_bound(goal)
+    # at the root, x (x^^q)' / x^^q >= ln g + 1 (the module docstring)
+    root_slope = goal * Fraction(_log_abs_float(goal.numerator, goal.denominator) + 1)
+    passed, low = None, None  # (m, ft, f(m) within ft) of the last pass; lo(D) of its D
 
     def f(x: Fraction, ft: Fraction) -> Ball | Fraction:
         if passed is not None and x == passed[0] and ft >= passed[1]:
             return passed[2]
         return tower(x, ft) - goal
 
-    def slope(x: Ball, t: Fraction) -> Ball | None:
-        # one pass takes the slope over x and f at its center m, where the
-        # step probes next, at the coarser of tol / 4 and |x|^2 / (16 m)
-        nonlocal passed
-        m, ft, D = x.center, max(quarter, Fraction(x.r * x.r, 4 * x.c * x.d)), None
-
-        def point(m: Fraction, ft: Fraction) -> Ball:
-            nonlocal D
-            value, D = _tower_pass(x, order, ft, t)
-            return value
-
+    def slope(x: Ball, t: Fraction, m: Fraction) -> Ball | None:
+        # one pass takes the slope over x and f at m, where the step probes
+        # next, at half the least tolerance the step asks near the root (the
+        # module docstring), and at 2^-8 or finer, as far from it x^^q passes g
+        nonlocal passed, low
+        s, w = max(root_slope / m, low or 0), Fraction(x.r, x.d)
+        ft = min(max(tol * s, 2 * w * w * s * s / goal) / 8, Fraction(1, 256))
         try:
-            passed = (m, ft, _capped(point, goal)(m, ft) - goal)
+            value, D = _tower_pass(x, m, order, ft, t)
+        except MagnitudeError:
+            if bound is None:
+                return None  # the probe at m meets the failure itself
+            value, D = bound, None
         except (ResourceError, PrecisionError, ConvergenceError):
-            pass  # the probe at m meets the failure itself
+            return None
+        passed = (m, ft, value - goal)
+        if D is not None and D.c > D.r:
+            low = D.lo
         return D
 
     return brent(f, Bracket(Fraction(1), goal), RootConfig(tol), start=start, slope=slope)
 
 
-def _tower_pass(x: Ball, order: Fraction, ft: Fraction, t: Fraction) -> tuple[Ball, Ball | None]:
-    """(y (+^4) order at the center m of the ball x > 0 within ft, and a
-    ball holding its derivative over x, or None when that fails), for an
-    order >= 1, from one pass over the levels.
+def _tower_pass(x: Ball, m: Fraction, order: Fraction, ft: Fraction,
+                t: Fraction) -> tuple[Ball, Ball | None]:
+    """(y (+^4) order at the point m of the ball x > 0 within ft, and a ball
+    holding its derivative over x, or None when that fails), for an order
+    >= 1, from one pass over the levels.
 
     The first is `_forward`'s ball, from `_levels`.  The second is the
-    module docstring's recurrence over x = m +/- r, from (x, 1) for an
-    integer order and from the tail's hull Y over x's ends and slope ball
-    for an order n + p/r (its tail's own slopes are passes, within t).  It
-    reuses ln m and each level T_k(m) = e^(T_(k-1)(m) ln m): ln X is ln m
-    +/- r / (m - r), ln's Lipschitz bound on X > 0, and as T_(k-1)(X) ln X
-    lies within its spread s of T_(k-1)(m) ln m, T_k(X) is T_k(m) widened
-    by `midops._exp_spread` for s.  That side runs in integer balls on the
-    grid 2^-(tol_bits(t) + 16), each level and slope snapped onto it, and
-    ln m, 1 / X and the levels at m rounded onto it first: unsnapped, the
-    slope of order 3,125 at the root of 10 (-^4) 3125 would carry 1.4
-    million bits, and unrounded arguments cost time on every level.
+    module docstring's recurrence over x, from (x, 1) for an integer order
+    and from the tail's hull Y over x's ends and slope ball for an order n +
+    p/r (its tail's own slopes are passes, within t).  It reuses ln m and
+    each level T_k(m) = e^(T_(k-1)(m) ln m): ln X is ln m +/- R / lo(x),
+    ln's Lipschitz bound on x > 0 for the distance R from m to x's farther
+    end, and as T_(k-1)(X) ln X lies within its spread s of T_(k-1)(m) ln m,
+    T_k(X) is T_k(m) widened by `midops._exp_spread` for s.  That side runs
+    in integer balls on the grid 2^-(tol_bits(t) + 16), each level and
+    slope snapped onto it, and ln m, 1 / X and the levels at m rounded onto
+    it first: unsnapped, the slope of order 3,125 at the root of 10 (-^4)
+    3125 would carry 1.4 million bits, and unrounded arguments cost time on
+    every level.
     """
-    levels = _levels(4, _ball(x.c, 0, x.d), order, ft)
+    levels = _levels(4, Ball(m), order, ft)
     value, _ = next(levels)  # m, or the tail at m
-    if x.c == x.d:  # a tower over 1 is 1 with no levels taken: ln 1 = 0 under each
+    if m == 1:  # a tower over 1 is 1 with no levels taken: ln 1 = 0 under each
         levels = ((Ball(1), lambda: Ball(0)) for _ in range(math.ceil(order) - 1))
     try:
         if order.denominator == 1:
@@ -454,7 +471,8 @@ def _tower_pass(x: Ball, order: Fraction, ft: Fraction, t: Fraction) -> tuple[Ba
                     lo, hi = (x.d << b) // (x.c + x.r), -(-(x.d << b) // (x.c - x.r))
                     I_c, I_r = (lo + hi) >> 1, (hi - lo + 1) >> 1
                     ln_c, ln0_r = _grid(ln_m(), b)
-                    ln_r = ln0_r - (-(x.r << b) // (x.c - x.r))
+                    far = max(m - x.lo, x.hi - m)
+                    ln_r = ln0_r - (-(far.numerator * x.d << b) // (far.denominator * (x.c - x.r)))
                 U_c, U_r = _grid(up, b)
                 # e^(L ln X) within the spread of L ln X from A ln m, over 2^2b,
                 # of U = e^(A ln m)
@@ -486,7 +504,7 @@ def _tower_slope(x: Ball, order: Fraction | int, t: Fraction) -> Ball | None:
     point within t; None when the pass fails (past the magnitude cap, or a
     ball too wide)."""
     try:
-        return _tower_pass(x, Fraction(order), t, t)[1]
+        return _tower_pass(x, x.center, Fraction(order), t, t)[1]
     except (ResourceError, PrecisionError, ConvergenceError):
         return None
 
@@ -665,19 +683,26 @@ def _split_height(rank: int, base: Fraction, value: Fraction, n: int) -> Fractio
 
 def _capped(tower: BallFn, goal: Fraction) -> BallFn:
     """tower, with a value past the magnitude cap read as certainly above
-    goal (towers grow with base and height): the bound 2 goal + 2, a bare
-    rational, which the root finders take as a sign only."""
-    goal_bits = goal.numerator.bit_length() - goal.denominator.bit_length()
+    goal (towers grow with base and height): `_cap_bound`'s bare rational,
+    which the root finders take as a sign only."""
+    bound = _cap_bound(goal)
 
     def capped(x: Fraction, ft: Fraction) -> Ball | Fraction:
         try:
             return tower(x, ft)
         except MagnitudeError:
-            if goal_bits < midops.MAX_MAGNITUDE_BITS - 64:
-                return 2 * goal + 2
-            raise
+            if bound is None:
+                raise
+            return bound
 
     return capped
+
+
+def _cap_bound(goal: Fraction) -> Fraction | None:
+    """2 goal + 2, a bound above goal for a tower past the magnitude cap;
+    None for a goal too near the cap for that to prove anything."""
+    goal_bits = goal.numerator.bit_length() - goal.denominator.bit_length()
+    return 2 * goal + 2 if goal_bits < midops.MAX_MAGNITUDE_BITS - 64 else None
 
 
 def _integer_search(tower: BallFn, goal: Fraction) -> Bracket:

@@ -14,13 +14,12 @@ so far.  f may answer a bare rational where it can only bound f(x)
 The search is one interval-Newton loop, `_steps` (Moore, Kearfott &
 Cloud, Introduction to Interval Analysis, SIAM 2009, ch. 8; Krawczyk,
 Computing 4, 1969), on a ball X = [L, U] / 2^s, s = max(bits, 46) + 8.
-A step takes f at a point m of X through `_sign` and forms N(X) = m - f(m)
-/ D, rounded out onto the grid; every root in X lies in N(X).  D is
-slope(B, t), a ball holding f' over all of the ball B centered on m that
-covers X, of radius max(m - L, U - m): X itself when X is centered on m,
-as in the local phase.  A step asks for D before it takes f at m, so one
-pass over f's work at m can give both (`hyperops` takes a tower and its
-slope so).  It runs in two phases:
+slope(X, t, m) must return a ball D holding f' over all of X.  A step
+takes f at a point m of X through `_sign` and forms N(X) = m - f(m) / D,
+rounded out onto the grid; every root in X lies in N(X).  A step asks for
+D before it takes f at m, and names m, so one pass over f's work at m can
+give both (`hyperops` takes a tower and its slope so).  It runs in two
+phases:
 
   * From the estimate: X is the start +/- 2^-46 max(1, |start|), inside
     the bracket, and m the start.  When N(X) lies strictly inside X and is
@@ -78,7 +77,7 @@ from .errors import AmbiguityError, ConvergenceError, DomainError
 from .midops import _tol_bits, tol_bits
 
 BallFn = Callable[[Fraction, Fraction], "Ball | Fraction"]
-SlopeFn = Callable[[Ball, Fraction], "Ball | None"]
+SlopeFn = Callable[[Ball, Fraction, Fraction], "Ball | None"]
 
 _SIGN_ROUNDS = 60
 _START_SIGN_TOL = Fraction(1, 1 << 12)
@@ -164,14 +163,15 @@ def brent(
     DomainError.  Every caller's f does: `hyperops` solves x (+^4) q = g,
     and a tower grows with its base; a fractional q splits into integer
     towers and a super-root, a composition of increasing maps.  `start` is
-    an estimate of the root (a float is fine).  `slope(X, t)` must return a
-    ball holding f' over the whole ball X (or None), each of its roundings
-    within t.  Given both, the search starts with an interval-Newton step
-    from the start; when that fails, or without them, the steps run on the
-    bracket, from the start when it lies inside.  A call without a slope is
-    a certified bisection, bounded by `MAX_ITERATIONS` probes.  Returns a
-    Ball of radius <= cfg.x_tolerance containing the root, exact (radius 0)
-    when a probe evaluates to exactly zero.
+    an estimate of the root (a float is fine).  `slope(X, t, m)` must return
+    a ball holding f' over the whole ball X (or None), each of its roundings
+    within t; m is the point of X that the step probes next.  Given both,
+    the search starts with an interval-Newton step from the start; when
+    that fails, or without them, the steps run on the bracket, from the
+    start when it lies inside.  A call without a slope is a certified
+    bisection, bounded by `MAX_ITERATIONS` probes.  Returns a Ball of radius
+    <= cfg.x_tolerance containing the root, exact (radius 0) when a probe
+    evaluates to exactly zero.
     """
     tol = cfg.x_tolerance
     start = None if start is None else Fraction(start)
@@ -234,8 +234,9 @@ def _steps(f: BallFn, slope: SlopeFn | None, tol: Fraction, a: Fraction, b: Frac
             # finer than 2^-_SLOPE_BITS only when neither |X| nor tol / |X| is
             # coarser, so that the next |X| rad(D) / lo(D) falls quadratically
             width = s - (U - L).bit_length()
-            D = slope(_ball(M, max(M - L, U - M), one),
-                      Fraction(1, 1 << max(_SLOPE_BITS, min(width, bits - width))))
+            D = slope(_ball(L + U, U - L, 2 * one),
+                      Fraction(1, 1 << max(_SLOPE_BITS, min(width, bits - width))),
+                      Fraction(M, one))
             if D is not None and D.c <= D.r:
                 D = None
         if D is not None:

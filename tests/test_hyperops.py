@@ -166,7 +166,7 @@ def test_unroll_makes_one_pass(monkeypatch):
     want = hyper_forward(4, Fraction(2), Fraction(5, 2), T30)
     real_pass = hyperops._tower_pass
     monkeypatch.setattr(hyperops, "_tower_pass",
-                        lambda x, order, ft, t: (real_pass(x, order, ft, t)[0], None))
+                        lambda x, m, order, ft, t: (real_pass(x, m, order, ft, t)[0], None))
     real_budgets, real_towers = hyperops._unroll_budgets, hyperops._levels
     monkeypatch.setattr(hyperops, "_unroll_budgets", lambda *args: [0] * len(real_budgets(*args)))
     real_level, ranks, levels = midops._exact_power, [], []
@@ -693,17 +693,16 @@ PASS_CENTERS = {2: 3, 3: 3, 4: 2, 5: 1.8, 6: 1.6}
 @settings(max_examples=60, deadline=None)
 def test_a_tower_pass_gives_the_probe_and_the_slope_over_its_ball(
         order, data, w, below, above, bits, probe_bits):
-    # one pass at the point x: its probe overlaps the tower `_forward` takes
-    # there, and its slope ball holds (y^^order)' by mpmath at 600 bits at the
-    # ends and the middle of X = [x - below 2^-w, x + above 2^-w], which is off
-    # center as a bracket's halves are around their probe: the pass runs over
-    # the ball about x that covers X.  The slope may be None only for a ball
-    # too wide
+    # one pass at the point x of X = [x - below 2^-w, x + above 2^-w], which
+    # is off center as a bracket's halves are around their probe: its probe
+    # overlaps the tower `_forward` takes at x, and its slope ball holds
+    # (y^^order)' by mpmath at 600 bits at X's ends and middle.  The slope
+    # may be None only for a ball too wide
     mpmath = pytest.importorskip("mpmath")
     x = 1 + Fraction(data.draw(st.floats(0, PASS_CENTERS[order] - 1))).limit_denominator(2**60)
     lo, hi = x - Fraction(below, 2**w), x + Fraction(above, 2**w)
     ft, t = Fraction(1, 2**probe_bits), Fraction(1, 2**bits)
-    probe, slope = hyperops._tower_pass(Ball(x, max(x - lo, hi - x)), Fraction(order), ft, t)
+    probe, slope = hyperops._tower_pass(Ball((lo + hi) / 2, (hi - lo) / 2), x, Fraction(order), ft, t)
     assert probe.overlaps(hyperops._forward(4, Ball(x), Fraction(order), ft))
     if slope is None:
         assert w < 40
@@ -719,13 +718,13 @@ def test_a_tower_pass_gives_the_probe_and_the_slope_over_its_ball(
 @pytest.mark.parametrize("center, order", [(Fraction(3, 10), 2), (Fraction(3, 10), 3),
                                            (Fraction(1, 2), 3), (Fraction(9, 10), 4)])
 def test_a_tower_pass_below_one_holds_the_slope(center, order):
-    # a fractional order's tail hull can reach below 1, where ln m, the
-    # slope and its factor S ln X + L / X go negative: at 0.3 and order 3
-    # a slope whose radii took them as nonnegative missed (x^^3)' at x's ends
+    # below 1, ln m, the slope and its factor S ln X + L / X go negative:
+    # at 0.3 and order 3 a slope whose radii took them as nonnegative missed
+    # (x^^3)' at x's ends
     mpmath = pytest.importorskip("mpmath")
     t = Fraction(1, 2**60)
     for r in (Fraction(1, 100), Fraction(1, 1000)):
-        _, slope = hyperops._tower_pass(Ball(center, r), Fraction(order), t, t)
+        _, slope = hyperops._tower_pass(Ball(center, r), center, Fraction(order), t, t)
         with mpmath.workprec(300):
             for point in (center - r, center, center + r):
                 _, d = mpmath_tower_slope(mpmath.mpf(point.numerator) / point.denominator, order)
@@ -762,8 +761,12 @@ PASS_DIGITS = {
                            "644428105085852857324674", "f46cfc422f31a1ce"),
     ("[1000----2.5]", False): ("2.856947410036250866430240085297",
                                "784829955095531203514722", "75f14e335b2b5853"),
+    ("[1000----2.5]", True): ("2.856947410036250866430240085297",
+                              "784829955095531203514722", "75f14e335b2b5853"),
     ("[5----[7//3]]", False): ("1.892598407982046079810458678617",
                                "996555795436171416461892", "f7bfe9fd43276988"),
+    ("[5----[7//3]]", True): ("1.892598407982046079810458678617",
+                              "996555795436171416461892", "f7bfe9fd43276988"),
     ("[100----[11//4]]", False): ("2.377574279826627898609493988166",
                                   "780595508281868478574600", "1b0374d5990643d2"),
     ("[[2.75+++3]----[2.75-0]]", False): ("2.132675927135491510560521043560",

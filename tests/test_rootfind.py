@@ -267,7 +267,7 @@ def test_an_end_no_probe_certified_is_checked_once_the_steps_end(
         probes.append((x, -1 if ball.hi < 0 else 1 if ball.lo > 0 else 0))
         return ball
 
-    def slope(X, t):  # 3 cubic (x - s)^2 + linear over X
+    def slope(X, t, m):  # 3 cubic (x - s)^2 + linear over X
         ends = ((X.lo - s) ** 2, (X.hi - s) ** 2)
         low, high = 0 if X.lo <= s <= X.hi else min(ends), max(ends)
         low, high = 3 * cubic * low + linear, 3 * cubic * high + linear
@@ -380,8 +380,10 @@ def test_a_bad_start_estimate_certifies_the_same_digits(monkeypatch, text, estim
 # [100----3] without a start estimate splits the bracket at the mean binary
 # exponent of its ends, then at midpoints while the slope ball is missing or
 # too wide, and certifies by steps on N(X) once it is not.  A step that asks
-# for a slope ball takes f at m in the same pass, at the coarser of tol / 4 and
-# |X|^2 / (16 m), so the midpoints of N(X) sit where that ball puts them.
+# for a slope ball gets f(m) from the same pass, within a finer tolerance than
+# the step asks, so after the first interval-Newton step the points sit where
+# N(X) from that ball puts them; each search probes as often, at the same
+# tolerances, as when the step's probe was a tower of its own.
 PINNED_PROBES = [
     ("[100----3]", "no estimate", Fraction(1, 408 * 10**40), [
         (8, 0, 12),
@@ -394,15 +396,15 @@ PINNED_PROBES = [
         (73, 5, 4),
         (143, 6, 4),
         (283, 7, 1),
-        (6317743145914770222892884837395000900976104639, 151, 7),
-        (394776201216003011779886826359728413175229745, 147, 22),
-        (6316415418049489158904891760915834659335853541, 151, 54),
-        (789551927252016090284110608720597378607521125, 148, 119),
-        (1579103854504032180567578311265027313575727901, 149, 134),
+        (6317743145915546595871911926603169043432402603, 151, 7),
+        (789552402431835692841910036768692387988209493, 148, 22),
+        (6316415418049489172567644721998662119398091635, 151, 54),
+        (6316415418016128722272884822840912958702552355, 151, 119),
+        (3158207709008064361135156622530054627151455801, 150, 134),
     ]),
     ("[1000----3]", "with slope", Fraction(1, 4008 * 10**40), [
         (2685169708817751, 50, 73),
-        (54461711889559716629909217609670372112546888505, 154, 133),
+        (54461711889559716629909217609670370051355959815, 154, 133),
     ]),
     ("[1000----3]", "off by 2^-30", Fraction(1, 4008 * 10**40), [
         (2685169709866327, 50, 73),
@@ -413,11 +415,11 @@ PINNED_PROBES = [
         (41403445554837529, 54, 4),
         (84366160912698761, 55, 4),
         (170291591628421225, 56, 1),
-        (13601754513329548359398936856455195175290786495, 152, 1),
-        (54461056716914340794368350632312133152704722931, 154, 13),
-        (13615427951960243102379924631442784580245755061, 152, 39),
-        (54461711889559719347923905480291490248974748283, 154, 86),
-        (27230855944779858314954608804832947392370572451, 153, 133),
+        (54407018053314976283383462177137937843806418971, 154, 1),
+        (13615264179228177842078439885127261356760824599, 152, 13),
+        (54461711807840936231745976179914280391346030977, 154, 39),
+        (6807713986194964918490782346139334088361916923, 151, 86),
+        (54461711889559716629909217609665894787061448231, 154, 133),
     ]),
 ]
 
@@ -450,7 +452,7 @@ def test_integer_search_repeats_the_fraction_search_probes(monkeypatch, text, es
 # probes (x, ft) as (n, e, t): x = n / 2^e, ft = 2^-t.
 FRACTIONAL_PROBES = [
     (3216636822814091, 50, 74),
-    (16310286396626027756898121030233695431258135099, 152, 134),
+    (16310286396626027756898121030233691791852034785, 152, 134),
 ]
 
 
@@ -495,7 +497,7 @@ def test_a_nudge_finer_than_the_points_so_far():
         probes.append(x)
         return Ball(x - root, t)
 
-    out = rootfind._steps(f, lambda x, t: Ball(1), tol, Fraction(0), Fraction(1))
+    out = rootfind._steps(f, lambda x, t, m: Ball(1), tol, Fraction(0), Fraction(1))
     rounds = rootfind._SIGN_ROUNDS
     assert probes[:rounds] == [root] * rounds
     assert probes[rounds] == root + Fraction(1, 1024)
