@@ -388,9 +388,13 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
             if n >= 2 and abs(start - n) < 2.0**-30 and tower(Fraction(n), tol) == Ball(goal):
                 return Ball(Fraction(n))
     bound = _cap_bound(goal)
-    # at the root, x (x^^q)' / x^^q >= ln g + 1 (the module docstring)
-    root_slope = goal * Fraction(_log_abs_float(goal.numerator, goal.denominator) + 1)
-    passed, low = None, None  # (m, ft, f(m) within ft) of the last pass; lo(D) of its D
+    # log2 of tol, of g and of g (ln g + 1) (at the root, x (x^^q)' / x^^q >= ln
+    # g + 1: the module docstring), in floats, as the pass's tolerance is a
+    # power of two
+    ln_g = _log_abs_float(goal.numerator, goal.denominator)
+    tol_log, goal_log = math.log2(tol.numerator) - math.log2(tol.denominator), ln_g / math.log(2)
+    root_log = goal_log + math.log2(ln_g + 1)
+    passed, low = None, -math.inf  # (m, ft, f(m) within ft) of the last pass; log2 lo(D)
 
     def f(x: Fraction, ft: Fraction) -> Ball | Fraction:
         if passed is not None and x == passed[0] and ft >= passed[1]:
@@ -399,11 +403,13 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
 
     def slope(x: Ball, t: Fraction, m: Fraction) -> Ball | None:
         # one pass takes the slope over x and f at m, where the step probes
-        # next, at half the least tolerance the step asks near the root (the
-        # module docstring), and at 2^-8 or finer, as far from it x^^q passes g
+        # next, at half the least tolerance the step asks near the root, max(tol
+        # s, |x|^2 s^2 / (2 g)) / 8 (the module docstring), and at 2^-8 or
+        # finer, as far from it x^^q passes g
         nonlocal passed, low
-        s, w = max(root_slope / m, low or 0), Fraction(x.r, x.d)
-        ft = min(max(tol * s, 2 * w * w * s * s / goal) / 8, Fraction(1, 256))
+        s = max(root_log - math.log2(m.numerator) + math.log2(m.denominator), low)
+        w = math.log2(x.r) - math.log2(x.d) + 1  # log2 |x|
+        ft = Fraction(1, 1 << max(8, math.ceil(3 - max(tol_log + s, 2 * (w + s) - 1 - goal_log))))
         try:
             value, D = _tower_pass(x, m, order, ft, t)
         except MagnitudeError:
@@ -414,7 +420,7 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
             return None
         passed = (m, ft, value - goal)
         if D is not None and D.c > D.r:
-            low = D.lo
+            low = math.log2(D.c - D.r) - math.log2(D.d)
         return D
 
     return brent(f, Bracket(Fraction(1), goal), RootConfig(tol), start=start, slope=slope)
@@ -471,8 +477,11 @@ def _tower_pass(x: Ball, m: Fraction, order: Fraction, ft: Fraction,
                     lo, hi = (x.d << b) // (x.c + x.r), -(-(x.d << b) // (x.c - x.r))
                     I_c, I_r = (lo + hi) >> 1, (hi - lo + 1) >> 1
                     ln_c, ln0_r = _grid(ln_m(), b)
-                    far = max(m - x.lo, x.hi - m)
-                    ln_r = ln0_r - (-(far.numerator * x.d << b) // (far.denominator * (x.c - x.r)))
+                    # R / lo(x), for R = far / (q d) the distance from m = p / q
+                    # to x's farther end
+                    p, q = m.numerator, m.denominator
+                    far = max(p * x.d - (x.c - x.r) * q, (x.c + x.r) * q - p * x.d)
+                    ln_r = ln0_r - (-(far << b) // (q * (x.c - x.r)))
                 U_c, U_r = _grid(up, b)
                 # e^(L ln X) within the spread of L ln X from A ln m, over 2^2b,
                 # of U = e^(A ln m)
@@ -500,9 +509,9 @@ def _grid(v: Ball, b: int) -> tuple[int, int]:
 
 
 def _tower_slope(x: Ball, order: Fraction | int, t: Fraction) -> Ball | None:
-    """`_tower_pass`'s slope ball of y (+^4) order over the ball x > 0, its
-    point within t; None when the pass fails (past the magnitude cap, or a
-    ball too wide)."""
+    """`_tower_pass`'s slope ball of y (+^4) order over the ball x > 0, from
+    the pass at x's center within t; None when the pass fails (past the
+    magnitude cap, or a ball too wide)."""
     try:
         return _tower_pass(x, x.center, Fraction(order), t, t)[1]
     except (ResourceError, PrecisionError, ConvergenceError):

@@ -229,14 +229,14 @@ def _steps(f: BallFn, slope: SlopeFn | None, tol: Fraction, a: Fraction, b: Frac
         probes += 1
         if M is None:
             M = 1 << ((L.bit_length() + U.bit_length()) // 2 - 1) if U > 4 * L > 0 else (L + U) >> 1
+        m = Fraction(M, one)
         # |X| rad(D) / lo(D): N's width beyond the part f's tolerance adds
         if slope is not None and (D is None or (U - L) * D.r * td > tn * (D.c - D.r) * one):
             # finer than 2^-_SLOPE_BITS only when neither |X| nor tol / |X| is
             # coarser, so that the next |X| rad(D) / lo(D) falls quadratically
             width = s - (U - L).bit_length()
             D = slope(_ball(L + U, U - L, 2 * one),
-                      Fraction(1, 1 << max(_SLOPE_BITS, min(width, bits - width))),
-                      Fraction(M, one))
+                      Fraction(1, 1 << max(_SLOPE_BITS, min(width, bits - width))), m)
             if D is not None and D.c <= D.r:
                 D = None
         if D is not None:
@@ -248,7 +248,7 @@ def _steps(f: BallFn, slope: SlopeFn | None, tol: Fraction, a: Fraction, b: Frac
         elif c is not None:
             t = _eighth(c)
         try:
-            sign, c = _sign(seen, Fraction(M, one), t)
+            sign, c = _sign(seen, m, t)
         except AmbiguityError:
             if local:
                 return None

@@ -397,14 +397,14 @@ PINNED_PROBES = [
         (143, 6, 4),
         (283, 7, 1),
         (6317743145915546595871911926603169043432402603, 151, 7),
-        (789552402431835692841910036768692387988209493, 148, 22),
-        (6316415418049489172567644721998662119398091635, 151, 54),
-        (6316415418016128722272884822840912958702552355, 151, 119),
-        (3158207709008064361135156622530054627151455801, 150, 134),
+        (6316419219455910650134700299318465753236143875, 151, 22),
+        (3158207709024744539530811432127907643439584819, 150, 54),
+        (6316415418016128722272884819559347429316963779, 151, 119),
+        (1579103854504032180567578311265027313575727901, 149, 134),
     ]),
     ("[1000----3]", "with slope", Fraction(1, 4008 * 10**40), [
         (2685169708817751, 50, 73),
-        (54461711889559716629909217609670370051355959815, 154, 133),
+        (1701928496548741144684663050302199133415904579, 149, 133),
     ]),
     ("[1000----3]", "off by 2^-30", Fraction(1, 4008 * 10**40), [
         (2685169709866327, 50, 73),
@@ -417,9 +417,9 @@ PINNED_PROBES = [
         (170291591628421225, 56, 1),
         (54407018053314976283383462177137937843806418971, 154, 1),
         (13615264179228177842078439885127261356760824599, 152, 13),
-        (54461711807840936231745976179914280391346030977, 154, 39),
-        (6807713986194964918490782346139334088361916923, 151, 86),
-        (54461711889559716629909217609665894787061448231, 154, 133),
+        (54461711807840956707239727888649100960699762519, 154, 39),
+        (54461711889559719347924209533892581643782174547, 154, 86),
+        (27230855944779858314954608804832947392640273817, 153, 133),
     ]),
 ]
 
@@ -452,7 +452,7 @@ def test_integer_search_repeats_the_fraction_search_probes(monkeypatch, text, es
 # probes (x, ft) as (n, e, t): x = n / 2^e, ft = 2^-t.
 FRACTIONAL_PROBES = [
     (3216636822814091, 50, 74),
-    (16310286396626027756898121030233691791852034785, 152, 134),
+    (32620572793252055513796242060467390138876067729, 153, 134),
 ]
 
 
