@@ -78,7 +78,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import midops
-from .balls import Ball, _ball, _snap, as_ball, divide, hull, round_ball
+from .balls import Ball, _ball, as_ball, divide, hull, round_ball
 from .errors import (
     ConvergenceError, DomainError, MagnitudeError, PrecisionError, ResourceError,
 )
@@ -382,7 +382,7 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
     else:
         if start is None:
             start = _super_root_estimate(goal, order)
-        if start is not None:  # without one, `brent` steps on the bracket alone
+        if start is not None:  # None only where a test patches the estimate out
             # an integer root is checked exactly before any search
             n = round(start)
             if n >= 2 and abs(start - n) < 2.0**-30 and tower(Fraction(n), tol) == Ball(goal):
@@ -440,11 +440,13 @@ def _tower_pass(x: Ball, m: Fraction, order: Fraction, ft: Fraction,
     ln's Lipschitz bound on x > 0 for the distance R from m to x's farther
     end, and as T_(k-1)(X) ln X lies within its spread s of T_(k-1)(m) ln m,
     T_k(X) is T_k(m) widened by `midops._exp_spread` for s.  That side runs
-    in integer balls on the grid 2^-(tol_bits(t) + 16), each level and
+    in Ball arithmetic on the grid 2^-(tol_bits(t) + 16), each level and
     slope snapped onto it, and ln m, 1 / X and the levels at m rounded onto
     it first: unsnapped, the slope of order 3,125 at the root of 10 (-^4)
     3125 would carry 1.4 million bits, and unrounded arguments cost time on
-    every level.
+    every level.  Only 1 / X (rounded outward), ln X and the spread s are
+    taken by hand: no `balls` operation gives the first two bit for bit,
+    and s as Ball products takes three more big-integer products a level.
     """
     levels = _levels(4, Ball(m), order, ft)
     value, _ = next(levels)  # m, or the tail at m
@@ -452,60 +454,46 @@ def _tower_pass(x: Ball, m: Fraction, order: Fraction, ft: Fraction,
         levels = ((Ball(1), lambda: Ball(0)) for _ in range(math.ceil(order) - 1))
     try:
         if order.denominator == 1:
-            level, slope = x, Ball(1)
+            level, S = x, Ball(1)
         else:
             tail = order - (math.ceil(order) - 1)  # p/r
             level = hull(_forward(4, Ball(x.lo), tail, t), _forward(4, Ball(x.hi), tail, t))
             up = _tower_slope(x, tail.numerator, t)
             down = _tower_slope(level, tail.denominator, t)
-            slope = None if up is None or down is None else divide(up, down)
+            S = None if up is None or down is None else divide(up, down)
     except (ResourceError, PrecisionError, ConvergenceError):
-        slope = None
-    # (c, r) for the balls (c +/- r) / 2^b: the level L and the slope S over
-    # x, the level A at m and, once a level needs them, 1 / X, ln m's center
-    # and radius and ln X's radius.  L, A and 1 / X are > 0; ln m, S and the
-    # sum S ln X + L / X may take either sign (x < 1 in the tail's hull)
-    b, ln_r = tol_bits(t) + 16, None
-    if slope is not None:
-        (L_c, L_r), (S_c, S_r), (A_c, A_r) = (_grid(v, b) for v in (level, slope, value))
+        S = None
+    # the level L and the slope S over X and the level A at m, on the grid
+    # 2^-b; L and A are > 0, while S may take either sign
+    b, ln_X = tol_bits(t) + 16, None
+    if S is not None:
+        L, S, A = (round_ball(v, b) for v in (level, S, value))
     for up, ln_m in levels:
-        if slope is not None:
+        if S is not None:
             try:
-                if ln_r is None:
+                if ln_X is None:
                     if x.c <= x.r:
                         raise PrecisionError("log argument interval reaches zero")
+                    # 1 / X rounded outward onto the grid
                     lo, hi = (x.d << b) // (x.c + x.r), -(-(x.d << b) // (x.c - x.r))
-                    I_c, I_r = (lo + hi) >> 1, (hi - lo + 1) >> 1
-                    ln_c, ln0_r = _grid(ln_m(), b)
-                    # R / lo(x), for R = far / (q d) the distance from m = p / q
-                    # to x's farther end
+                    inv = _ball((lo + hi) >> 1, (hi - lo + 1) >> 1, 1 << b)
+                    # ln X = ln m +/- R / lo(X), for R = far / (q d) the distance
+                    # from m = p / q to X's farther end
+                    ln0 = round_ball(ln_m(), b)
                     p, q = m.numerator, m.denominator
                     far = max(p * x.d - (x.c - x.r) * q, (x.c + x.r) * q - p * x.d)
-                    ln_r = ln0_r - (-(far << b) // (q * (x.c - x.r)))
-                U_c, U_r = _grid(up, b)
+                    ln_X = _ball(ln0.c, ln0.r - (-(far << b) // (q * (x.c - x.r))), 1 << b)
+                U = round_ball(up, b)
                 # e^(L ln X) within the spread of L ln X from A ln m, over 2^2b,
                 # of U = e^(A ln m)
-                spread = (abs(ln_c) * (abs(L_c - A_c) + L_r + A_r) + L_c * ln_r + L_r * ln_r
-                          + A_c * ln0_r + A_r * ln0_r)
-                W_r = midops._exp_spread(U_c, U_r, spread, 1 << 2 * b)
-                # S' = W (S ln X + L / X), with W = U +/- W_r, over 2^3b
-                P_c = S_c * ln_c + L_c * I_c
-                P_r = (abs(S_c) * ln_r + abs(ln_c) * S_r + S_r * ln_r + L_c * I_r + I_c * L_r
-                       + L_r * I_r)
-                out = _snap(U_c * P_c, U_c * P_r + abs(P_c) * W_r + W_r * P_r, 1 << 3 * b, b)
-                (L_c, L_r), (S_c, S_r), (A_c, A_r) = (U_c, W_r), (out.c, out.r), (U_c, U_r)
+                spread = (abs(ln0.c) * (abs(L.c - A.c) + L.r + A.r) + L.c * ln_X.r
+                          + L.r * ln_X.r + A.c * ln0.r + A.r * ln0.r)
+                W = _ball(U.c, midops._exp_spread(U.c, U.r, spread, 1 << 2 * b), U.d)
+                L, S, A = W, round_ball(W * (S * ln_X + L * inv), b), U
             except PrecisionError:
-                slope = None
+                S = None
         value = up
-    if slope is not None:
-        slope = _ball(S_c, S_r, 1 << b)
-    return value, slope
-
-
-def _grid(v: Ball, b: int) -> tuple[int, int]:
-    """(c, r) of v snapped onto the grid 2^-b."""
-    v = round_ball(v, b)
-    return v.c, v.r
+    return value, S
 
 
 def _tower_slope(x: Ball, order: Fraction | int, t: Fraction) -> Ball | None:

@@ -154,7 +154,7 @@ from .errors import DomainError, MagnitudeError, PrecisionError, ResourceError
 # Any value whose integer part would exceed 2^MAX_MAGNITUDE_BITS is treated
 # as a blow-up; exp() arguments are capped at MAX_MAGNITUDE_BITS * ln 2.
 MAX_MAGNITUDE_BITS = 1 << 20
-_EXP_ARG_CAP = 726_817  # floor(2^20 * ln 2)
+_EXP_ARG_CAP = math.floor(MAX_MAGNITUDE_BITS * math.log(2))
 
 # Terms per series call.
 MAX_SERIES_TERMS = 100_000

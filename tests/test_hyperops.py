@@ -731,6 +731,41 @@ def test_a_tower_pass_below_one_holds_the_slope(center, order):
                 assert slope.lo <= Fraction(int(mpmath.floor(d * 2**200)), 2**200) <= slope.hi
 
 
+# (x, m, order) -> the (c, r, d) of a pass's probe and slope at t = ft =
+# 2^-60: an order-4 ball around 3/2 at an off-centre point, a fractional
+# order through the tail's hull, and a hull below 1
+PASS_INTEGERS = [
+    ((Fraction(3, 2), Fraction(1, 2**40)), Fraction(3, 2) + Fraction(1, 2**42), Fraction(4),
+     (2839773180084214677842974, 1, 2**80),
+     (2374130490781972959533636, 23063535276818, 2**78)),
+    ((Fraction(2), Fraction(1, 2**40)), 2 - Fraction(1, 2**41), Fraction(11, 4),
+     (12903538044801689821916565, 2, 2**80),
+     (14823405910030379287401941, 182605578908705, 2**78)),
+    ((Fraction(3, 10), Fraction(1, 100)), Fraction(3, 10), Fraction(3),
+     (522437155247845761443509, 1, 2**80),
+     (325948264974427217446754, 46794926831566370782302, 2**78)),
+]
+
+
+@pytest.mark.parametrize("ball, m, order, probe, slope", PASS_INTEGERS)
+def test_a_tower_pass_keeps_its_pinned_integers(ball, m, order, probe, slope):
+    t = Fraction(1, 2**60)
+    value, D = hyperops._tower_pass(Ball(*ball), m, order, t, t)
+    assert (value.c, value.r, value.d) == probe
+    assert (D.c, D.r, D.d) == slope
+
+
+def test_a_tower_pass_over_a_ball_reaching_zero_has_no_slope():
+    # ln X is unbounded on a ball down to 0: the pass keeps its probe, the
+    # tower at m, and drops the slope
+    t = Fraction(1, 2**60)
+    value, D = hyperops._tower_pass(Ball(Fraction(1, 2), Fraction(1, 2)), Fraction(1, 2),
+                                    Fraction(3), t, t)
+    want = hyperops._forward(4, Ball(Fraction(1, 2)), Fraction(3), t)
+    assert (value.c, value.r, value.d) == (want.c, want.r, want.d)
+    assert D is None
+
+
 @pytest.mark.parametrize("bits", [140, 106])
 def test_a_newton_step_takes_one_tower_pass(monkeypatch, bits):
     # 5 (-^4) 4 certifies in two interval-Newton steps.  The first takes its
@@ -901,6 +936,16 @@ def test_super_root_rank5_exact_or_refuse():
         hyper_forward(5, Fraction(3), Fraction(1, 2), T12)
     with pytest.raises(DomainError, match="needs an exact value"):
         hyper_inverse_minus(5, Ball(Fraction(5), T12), Fraction(2), T12)
+
+
+def test_a_rank_5_tower_over_a_tail_takes_whole_steps():
+    # 4 (+^5) (1/2) = 2, as 2 (+^4) 2 = 4, and one whole step over it is 4
+    # (+^4) 2 = 256; over base 2 the tail 2 (+^5) (1/2) lies between 1 and 2
+    assert hyper_forward(5, Fraction(4), Fraction(1, 2), T12) == Ball(2)
+    out = hyper_forward(5, Fraction(4), Fraction(3, 2), T12)
+    assert (out.center, out.radius) == (256, 0)
+    with pytest.raises(DomainError, match="the integer bases 1 and 2"):
+        adaptive_evaluate(parse("[2+++++1.5]"), NumericContext(digits=30))
 
 
 # ---------------------------------------------------------------------------
