@@ -382,11 +382,10 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
     else:
         if start is None:
             start = _super_root_estimate(goal, order)
-        if start is not None:  # None only where a test patches the estimate out
-            # an integer root is checked exactly before any search
-            n = round(start)
-            if n >= 2 and abs(start - n) < 2.0**-30 and tower(Fraction(n), tol) == Ball(goal):
-                return Ball(Fraction(n))
+        # an integer root is checked exactly before any search
+        n = round(start)
+        if n >= 2 and abs(start - n) < 2.0**-30 and tower(Fraction(n), tol) == Ball(goal):
+            return Ball(Fraction(n))
     bound = _cap_bound(goal)
     # log2 of tol, of g and of g (ln g + 1) (at the root, x (x^^q)' / x^^q >= ln
     # g + 1: the module docstring), in floats, as the pass's tolerance is a
@@ -458,8 +457,8 @@ def _tower_pass(x: Ball, m: Fraction, order: Fraction, ft: Fraction,
         else:
             tail = order - (math.ceil(order) - 1)  # p/r
             level = hull(_forward(4, Ball(x.lo), tail, t), _forward(4, Ball(x.hi), tail, t))
-            up = _tower_slope(x, tail.numerator, t)
-            down = _tower_slope(level, tail.denominator, t)
+            up = _tower_pass(x, x.center, Fraction(tail.numerator), t, t)[1]
+            down = _tower_pass(level, level.center, Fraction(tail.denominator), t, t)[1]
             S = None if up is None or down is None else divide(up, down)
     except (ResourceError, PrecisionError, ConvergenceError):
         S = None
@@ -494,16 +493,6 @@ def _tower_pass(x: Ball, m: Fraction, order: Fraction, ft: Fraction,
                 S = None
         value = up
     return value, S
-
-
-def _tower_slope(x: Ball, order: Fraction | int, t: Fraction) -> Ball | None:
-    """`_tower_pass`'s slope ball of y (+^4) order over the ball x > 0, from
-    the pass at x's center within t; None when the pass fails (past the
-    magnitude cap, or a ball too wide)."""
-    try:
-        return _tower_pass(x, x.center, Fraction(order), t, t)[1]
-    except (ResourceError, PrecisionError, ConvergenceError):
-        return None
 
 
 def _super_root_estimate(goal: Fraction, order: Fraction) -> float:

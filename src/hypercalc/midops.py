@@ -78,9 +78,8 @@ about 30 products, and at 32,000 bits one of about 1,000 terms about 90.
 
 Each kernel's docstring states its error bound in ulps of 2^-prec with the
 proof.  Above them `_exp_fixed` and `_ln_fixed` return (value, err, prec) for
-a tolerance passed as ints (tn, td), and exp squares its halved value by
-`round_ball`'s rule: s = (v^2 + 2^(prec-1)) >> prec, err' = ceil((2|v| err +
-err^2 + |v^2 - s 2^prec|) / 2^prec).
+a tolerance passed as ints (tn, td), and exp squares its halved value
+back, rounding to nearest, and bounds the error once, after the squarings.
 
 The general power `[a+++b]` is exp(b * ln a), root `[a---b]` is pow(a, 1/b),
 and log `[a///b]` is ln a / ln b.  Every operation reads its operands as
@@ -466,12 +465,19 @@ def _atanh_ratio_fixed(p: int, q: int, prec: int) -> tuple[int, int]:
     25/16 * 9/8 / (2N+1): under 0.36 for N >= B >= 3, and 1.76 if no block
     ran.  Doubled: 2 * 1.76 < 4 with no block, else 2 (1.07 + 0.63 (blocks
     - 1) + 0.36) < 2 blocks + 4.
+
+    Budget.  A block shrinks |w| by at most 2^-D, D = bits(Q) - bits(P) + 1
+    >= 10, and its rounding by at most 1/2, so after k <= (bits(w_0) - 2) //
+    D blocks |w| > 2 - 1/2 (1 - 2^-D)^-1 > 1 and another block runs.  A run
+    whose B times that many blocks pass MAX_SERIES_TERMS is refused at once.
     """
     p2, q2 = p * p, q * q
     B = _block_terms(prec, q2.bit_length() - p2.bit_length())
     P, Q, inner = p2**B, q2**B, range(B - 1)
     half = Q >> 1
     w = _fix(p, q, prec)
+    if B * ((abs(w).bit_length() - 2) // (Q.bit_length() - P.bit_length() + 1) + 1) > MAX_SERIES_TERMS:
+        raise ResourceError("log series exceeded the term budget")
     acc = n = 0
     while abs(w) > 1:
         n += B
@@ -566,34 +572,35 @@ def _halvings(a: int, den: int) -> int:
 def _exp_fixed(num: int, den: int, tn: int, td: int) -> tuple[int, int, int]:
     """(value, err, prec) of e^(num/den), den > 0, with err / 2^prec <= tn / td.
 
-    The argument x is halved h times into |x| <= 1, and the split path's
-    precision is prec = tol_bits + 2h + mag_bits + 26, where e^x <
-    2^(mag_bits - 1).
+    The argument x is halved h times, a kernel sums e^(x / 2^h) at prec
+    bits, and h squarings take it back; e^x < 2^(mag_bits - 1).
 
-    At or above _BASECASE_PREC, `_exp_split_fixed` sums x / 2^h.  Each
-    series stops within M = MAX_SERIES_TERMS terms (else ResourceError), so
-    the kernel errs by under 4 M < 2^19 ulps of 2^-prec (about 0.1 prec at
-    3,000 bits in practice).  Squaring back, with `round_ball`'s error rule
-    at each step, scales that by under 2.01^h: prec's 2h + mag_bits + 26
-    bits over tol_bits leave the error below tol / 2^7.
+    At or above _BASECASE_PREC, h halvings bring x into |x| <= 1 and
+    `_exp_split_fixed` sums it at prec = tol_bits + 2h + mag_bits + 26.
+    Each series stops within M = MAX_SERIES_TERMS terms (else
+    ResourceError), so the kernel errs by under 4 M < 2^19 ulps of 2^-prec
+    (about 0.1 prec at 3,000 bits in practice).
 
-    Below it (the table there), x is halved m times into |x| <= 2^-r, r =
+    Below it (the table there), h halvings bring x into |x| <= 2^-r, r =
     max(6, isqrt(tol_bits)), and one `_exp_series_fixed` runs at prec =
-    tol_bits + m + mag_bits + 26 (r more halvings, for about prec / r terms
-    instead of prec / K plus the small-ratio series).  The m squarings
-    round to nearest and the error is bounded once, after them.  With V_j
-    the exact scaled e^(x 2^(j-m)), v_j the computed one, e_0 the series'
-    error and t = (e_0 + 1/2) 2^m / 2^prec: e_0 < 2^18 puts t under 2^-10
-    (prec >= m + 29), and |v_(j+1) - V_(j+1)| <= |v_j - V_j| (2 V_j + |v_j
-    - V_j|) / 2^prec + 1/2.  For x > 0 every V_j >= 2^prec, so the relative
-    errors n_j obey 1 + n_(j+1) <= (1 + n_j)^2 (1 + 2^-(prec+1)): ln(1 +
-    n_m) <= t, n_m <= t (1 + t), and the error is at most n_m v_m / (1 -
-    n_m) <= 1.003 t v_m.  For x < 0 every V_j <= 2^prec, so f_j = e_j + 1/2
-    obeys f_(j+1) <= 2 f_j (1 + f_j / 2^(prec+1)): f_m <= 1.002 2^m f_0 =
-    1.002 t 2^prec.  Either way the error is at most (1 + 2^-8) t max(v_m,
-    2^prec), under 2^(18 + m + mag_bits), so prec's m + mag_bits + 26 bits
-    over tol_bits leave it below tol / 2^7.  The check only guards these
-    bounds.
+    tol_bits + h + mag_bits + 26 (r more halvings, for about prec / r terms
+    instead of prec / K plus the small-ratio series); it errs by under 2^18
+    ulps.
+
+    On both paths the h squarings round to nearest and the error is
+    bounded once, after them.  With V_j the exact scaled e^(x 2^(j-h)), v_j
+    the computed one, e_0 the kernel's error and t = (e_0 + 1/2) 2^h /
+    2^prec: t is under 2^-10, as prec >= 2h + 29 with e_0 < 2^19 on the
+    split path and prec >= h + 29 with e_0 < 2^18 below it, and |v_(j+1) -
+    V_(j+1)| <= |v_j - V_j| (2 V_j + |v_j - V_j|) / 2^prec + 1/2.  For x >
+    0 every V_j >= 2^prec, so the relative errors n_j obey 1 + n_(j+1) <=
+    (1 + n_j)^2 (1 + 2^-(prec+1)): ln(1 + n_h) <= t, n_h <= t (1 + t), and
+    the error is at most n_h v_h / (1 - n_h) <= 1.003 t v_h.  For x < 0
+    every V_j <= 2^prec, so f_j = e_j + 1/2 obeys f_(j+1) <= 2 f_j (1 + f_j
+    / 2^(prec+1)): f_h <= 1.002 2^h f_0 = 1.002 t 2^prec.  Either way the
+    error is at most (1 + 2^-8) t max(v_h, 2^prec), under 2^(18 + h +
+    mag_bits) ulps, so prec's bits over tol_bits leave it below tol / 2^8
+    on both paths.  The check only guards these bounds.
     """
     if num > _EXP_ARG_CAP * den:
         raise MagnitudeError("exp argument too large; result would blow past the magnitude cap")
@@ -609,18 +616,13 @@ def _exp_fixed(num: int, den: int, tn: int, td: int) -> tuple[int, int, int]:
         halvings = _halvings(abs(num) << max(6, math.isqrt(bits)), den)
         prec = bits + halvings + mag_bits + 26
         value, err = _exp_series_fixed(_fix(num, den << halvings, prec), prec)
-        for _ in range(halvings):
-            value = _shift_round(value * value, prec)
-        if halvings:  # ceil((1 + 2^-8) t max(v_m, 2^prec)) ulps
-            spread = (2 * err + 1) * max(value, 1 << prec)
-            err = -(-(spread + (spread >> 8) + 1) >> (prec + 1 - halvings))
     else:
         value, err = _exp_split_fixed(num, den << halvings, prec)
-        for _ in range(halvings):  # round_ball's rule for a squared ball
-            square = value * value
-            s = _shift_round(square, prec)
-            err = -(-(2 * abs(value) * err + err * err + abs(square - (s << prec))) >> prec)
-            value = s
+    for _ in range(halvings):
+        value = _shift_round(value * value, prec)
+    if halvings:  # ceil((1 + 2^-8) t max(v_h, 2^prec)) ulps
+        spread = (2 * err + 1) * max(value, 1 << prec)
+        err = -(-(spread + (spread >> 8) + 1) >> (prec + 1 - halvings))
     if err * td > tn << prec:
         raise PrecisionError("exp failed to reach the requested radius")
     return value, err, prec
@@ -642,6 +644,11 @@ def _ln_fixed(num: int, den: int, tn: int, td: int) -> tuple[int, int, int]:
     ulps (about 0.03 prec at 3,000 bits in practice).  prec's s + 26 bits
     over tol_bits put the error below tol / 2^6, so the check only guards
     this.
+
+    ln 2 (shift != 0) is taken before ln m: 2 atanh(1/3) at a width of at
+    least prec sheds 3.17 bits a term, the fewest of any series ln takes,
+    so when ln m's series would pass the term budget ln 2's fails first,
+    mostly before its first block (`_atanh_ratio_fixed`).
     """
     if num <= 0:
         raise DomainError("log of a non-positive value")
@@ -663,11 +670,9 @@ def _ln_fixed(num: int, den: int, tn: int, td: int) -> tuple[int, int, int]:
     # 2 bits above the 24 guard bits keep the split series' ulps below the
     # single series' ones, so no radius widens
     prec = _tol_bits(tn, td) + max(1, abs(shift)).bit_length() + 26
+    ln2, ln2_err = _ln2_fixed(prec) if shift else (0, 0)
     value, err = _ln_split_fixed(num, den, prec)
-    if shift:
-        ln2, ln2_err = _ln2_fixed(prec)
-        value += shift * ln2
-        err += abs(shift) * ln2_err
+    value, err = value + shift * ln2, err + abs(shift) * ln2_err
     if err * td > tn << prec:
         raise PrecisionError("ln failed to reach the requested radius")
     return value, err, prec

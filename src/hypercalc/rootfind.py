@@ -18,8 +18,8 @@ slope(X, t, m) must return a ball D holding f' over all of X.  A step
 takes f at a point m of X through `_sign` and forms N(X) = m - f(m) / D,
 rounded out onto the grid; every root in X lies in N(X).  A step asks for
 D before it takes f at m, and names m, so one pass over f's work at m can
-give both (`hyperops` takes a tower and its slope so).  It runs in two
-phases:
+give both (`hyperops` takes a tower and its slope so).  `brent` runs it
+in two phases, from the estimate with `local`, then on the bracket:
 
   * From the estimate: X is the start +/- 2^-46 max(1, |start|), inside
     the bracket, and m the start.  When N(X) lies strictly inside X and is
@@ -166,17 +166,17 @@ def brent(
     an estimate of the root (a float is fine).  `slope(X, t, m)` must return
     a ball holding f' over the whole ball X (or None), each of its roundings
     within t; m is the point of X that the step probes next.  Given both,
-    the search starts with an interval-Newton step from the start; when
-    that fails, or without them, the steps run on the bracket, from the
-    start when it lies inside.  A call without a slope is a certified
-    bisection, bounded by `MAX_ITERATIONS` probes.  Returns a Ball of radius
-    <= cfg.x_tolerance containing the root, exact (radius 0) when a probe
-    evaluates to exactly zero.
+    `_steps` runs from the start with `local`, an interval-Newton step on a
+    ball around it; when that fails, or without them, `_steps` runs on the
+    bracket, from the start when it lies inside.  A call without a slope is
+    a certified bisection, bounded by `MAX_ITERATIONS` probes.  Returns a
+    Ball of radius <= cfg.x_tolerance containing the root, exact (radius 0)
+    when a probe evaluates to exactly zero.
     """
     tol = cfg.x_tolerance
     start = None if start is None else Fraction(start)
     if slope is not None and start is not None:
-        root = _newton(f, slope, bracket, tol, start)
+        root = _steps(f, slope, tol, bracket.lo, bracket.hi, start, local=True)
         if root is not None:
             return root
     return _steps(f, slope, tol, bracket.lo, bracket.hi, start)
@@ -185,13 +185,6 @@ def brent(
 def _eighth(c: Fraction) -> Fraction:
     """A power of two at most |c| / 8, c != 0: asked after a probe of f = c."""
     return Fraction(1, 1 << (_tol_bits(abs(c.numerator), c.denominator) + 3))
-
-
-def _newton(f: BallFn, slope: SlopeFn, bracket: Bracket, tol: Fraction,
-            x: Fraction) -> Ball | None:
-    """The root's enclosure by interval-Newton steps from the estimate x, or
-    None when the first step fails (see the module docstring)."""
-    return _steps(f, slope, tol, bracket.lo, bracket.hi, x, local=True)
 
 
 def _steps(f: BallFn, slope: SlopeFn | None, tol: Fraction, a: Fraction, b: Fraction,

@@ -20,6 +20,8 @@ from hypercalc.hyperops import hyper_forward, hyper_inverse_minus, hyper_inverse
 from hypercalc.rootfind import RootConfig
 from hypercalc.terms import parse
 
+from test_rootfind import newton_steps
+
 T12 = Fraction(1, 10**12)
 T10 = Fraction(1, 10**10)
 T8 = Fraction(1, 10**8)
@@ -134,13 +136,25 @@ def test_a_height_past_the_step_cap_is_refused_before_any_search(monkeypatch, te
     def unreachable(*args, **kwargs):
         raise AssertionError("ran past the height-step cap")
 
-    for name in ("brent", "_tower_pass", "_tower_slope", "_integer_order_estimate"):
+    for name in ("brent", "_tower_pass", "_integer_order_estimate"):
         monkeypatch.setattr(hyperops, name, unreachable)
     start = time.perf_counter()
     with pytest.raises(ResourceError, match=f"unrolling a height of {height} needs [0-9]+"
                                             " applications, over the cap of 50000"):
         adaptive_evaluate(parse(text), NumericContext(digits=30))
     assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("text", ["[2.02++++5]", "[[53//20]++++4]", "[2.65++++4]"])
+def test_a_tower_whose_ln_passes_the_term_budget_fails_at_once(text):
+    # each tower's value is under the magnitude cap but near it, so its one
+    # ln is asked past what `MAX_SERIES_TERMS` terms reach.  ln 2 is taken
+    # first and refused before its first block: summing ln m (26,592 terms
+    # for 2.02) and then ln 2 into the budget took 5-14 s
+    start = time.perf_counter()
+    with pytest.raises(ResourceError, match="log series exceeded the term budget"):
+        adaptive_evaluate(parse(text), NumericContext(digits=20))
+    assert time.perf_counter() - start < 3
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +500,7 @@ def capped_first_tower(monkeypatch, seam):
         return real(*args)
 
     monkeypatch.setattr(hyperops, seam, tower)
-    newton, steps = rootfind._newton, []
-    monkeypatch.setattr(rootfind, "_newton", lambda *args: steps.append(newton(*args)) or steps[-1])
+    steps = newton_steps(monkeypatch)
     quotient, numerators = rootfind._quotient, []
     monkeypatch.setattr(rootfind, "_quotient",
                         lambda c, r, d, *slope: numerators.append(Fraction(c, d)) or quotient(c, r, d, *slope))
@@ -537,7 +550,8 @@ def test_tower_slope_holds_the_derivative_over_its_ball(order, data, width, bits
     mpmath = pytest.importorskip("mpmath")
     c = 1 + Fraction(data.draw(st.floats(0, SLOPE_CENTERS[order] - 1))).limit_denominator(2**60)
     x = Ball(c + c / 2**width, c / 2**width)
-    slope = hyperops._tower_slope(x, order, Fraction(1, 2**bits))
+    t = Fraction(1, 2**bits)
+    slope = hyperops._tower_pass(x, x.center, Fraction(order), t, t)[1]
     if slope is None:
         assert width < 40
         return
@@ -576,7 +590,8 @@ def test_fractional_slope_holds_the_derivative_over_its_ball(n, r, data, width, 
     p, r = tail.numerator, tail.denominator
     c = 1 + Fraction(data.draw(st.floats(0.01, 2))).limit_denominator(2**60)
     x = Ball(c + c / 2**width, c / 2**width)
-    slope = hyperops._tower_slope(x, n + tail, Fraction(1, 2**bits))
+    t = Fraction(1, 2**bits)
+    slope = hyperops._tower_pass(x, x.center, n + tail, t, t)[1]
     if slope is None:
         assert width < 40
         return
@@ -608,11 +623,9 @@ def test_a_start_off_by_2_to_the_minus_30_falls_back_to_the_same_digits(monkeypa
     # loop the steps fall back to certifies the same digits
     ctx = NumericContext(digits=30)
     want = adaptive_evaluate(parse(text), ctx)[1].text()
-    estimate, newton, steps = hyperops._super_root_estimate, rootfind._newton, []
+    estimate, steps = hyperops._super_root_estimate, newton_steps(monkeypatch)
     monkeypatch.setattr(hyperops, "_super_root_estimate",
                         lambda goal, order: estimate(goal, order) + 2.0**-30)
-    monkeypatch.setattr(rootfind, "_newton",
-                        lambda *args: steps.append(newton(*args)) or steps[-1])
     assert adaptive_evaluate(parse(text), ctx)[1].text() == want
     assert steps == [None]
 
@@ -677,8 +690,8 @@ def test_the_slope_of_a_long_tower_is_a_ball(goal, order):
     # over a ball 2^-45 wide at the root's estimate: an exp radius of 2 r
     # e^c, twice e^c's Lipschitz bound, compounded level by level past the
     # spread exp takes (level 50 of 3,124), and the slope was None
-    x = Fraction(hyperops._super_root_estimate(goal, Fraction(order)))
-    slope = hyperops._tower_slope(Ball(x, Fraction(1, 2**46)), Fraction(order), Fraction(1, 2**60))
+    x, t = Fraction(hyperops._super_root_estimate(goal, Fraction(order))), Fraction(1, 2**60)
+    slope = hyperops._tower_pass(Ball(x, Fraction(1, 2**46)), x, Fraction(order), t, t)[1]
     assert slope is not None and slope.lo >= 1
 
 
@@ -781,10 +794,11 @@ def test_a_newton_step_takes_one_tower_pass(monkeypatch, bits):
     assert out.radius <= tol and encloses_mpmath_root(out, Fraction(5), 4)
 
 
-# Digits of the searches that run on the bracket alone (no start estimate)
-# and of fractional orders, whose passes start from the tail's point value
-# and hull: 30 digits in full, and 300 as their last 24 digits and the first
-# 16 hex digits of the text's sha256
+# Digits of the searches that run on the bracket alone (the start estimate
+# patched to the bracket's lower end 1.0, where no step can start) and of
+# fractional orders, whose passes start from the tail's point value and
+# hull: 30 digits in full, and 300 as their last 24 digits and the first 16
+# hex digits of the text's sha256
 PASS_DIGITS = {
     ("[1000----3]", True): ("2.384909788604395696350809008456",
                             "446434296599325578815104", "0e02890a4bee099b"),
@@ -812,7 +826,7 @@ PASS_DIGITS = {
 @pytest.mark.parametrize("text, bracket_only", sorted(PASS_DIGITS))
 def test_one_pass_steps_certify_the_pinned_digits(monkeypatch, text, bracket_only):
     if bracket_only:
-        monkeypatch.setattr(hyperops, "_super_root_estimate", lambda goal, order: None)
+        monkeypatch.setattr(hyperops, "_super_root_estimate", lambda goal, order: 1.0)
     short, tail, digest = PASS_DIGITS[text, bracket_only]
     assert adaptive_evaluate(parse(text), NumericContext(digits=30))[1].text() == short
     long = adaptive_evaluate(parse(text), NumericContext(digits=300))[1].text()
@@ -841,20 +855,13 @@ def test_a_goal_that_rounds_to_one_takes_newton_steps_where_they_certify(
         monkeypatch, order, goal_bits, tol_bits, evaluations):
     # the float estimate of such a root is 1.0, the bracket's lower end,
     # where no interval-Newton step can start
-    newton, steps = rootfind._newton, []
-
-    def spy(f, slope, bracket, tol, x):
-        out = newton(f, slope, bracket, tol, x)
-        steps.append(out is not None)
-        return out
-
-    monkeypatch.setattr(rootfind, "_newton", spy)
+    steps = newton_steps(monkeypatch)
     search, probes = hyperops.brent, []
     monkeypatch.setattr(hyperops, "brent", lambda f, *args, **kwargs: search(
         lambda x, ft: probes.append(x) or f(x, ft), *args, **kwargs))
     goal, tol = 1 + Fraction(1, 1 << goal_bits), Fraction(1, 1 << tol_bits)
     out = hyper_inverse_minus(4, goal, Fraction(order), tol)
-    assert steps == [Fraction(1, 1 << 2 * goal_bits) > tol]
+    assert [step is not None for step in steps] == [Fraction(1, 1 << 2 * goal_bits) > tol]
     assert len(probes) <= evaluations
     assert out.radius <= tol
     # the root is within about (g - 1)^2 of g: the reference resolves that,

@@ -811,6 +811,26 @@ def test_series_term_budget_counts_terms(monkeypatch):
         monkeypatch.undo()
 
 
+@given(st.fractions(min_value=Fraction(-1, 3), max_value=Fraction(1, 3), max_denominator=2**40),
+       st.integers(64, 20_000), st.integers(100, 600))
+@settings(max_examples=80, deadline=None)
+def test_atanh_ratio_budget_refuses_exactly_the_runs_past_it(r, prec, budget):
+    # the unbudgeted run's error 2 blocks + 4 counts its blocks of B terms;
+    # under a budget of a few hundred terms the kernel raises exactly when
+    # those blocks pass it, whether before its first block or in its loop,
+    # and otherwise returns the unbudgeted pair
+    p, q = r.numerator, r.denominator
+    want = midops._atanh_ratio_fixed(p, q, prec)
+    B = midops._block_terms(prec, (q * q).bit_length() - (p * p).bit_length())
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(midops, "MAX_SERIES_TERMS", budget)
+        if (want[1] - 4) // 2 * B > budget:
+            with pytest.raises(ResourceError, match="log series exceeded the term budget"):
+                midops._atanh_ratio_fixed(p, q, prec)
+        else:
+            assert midops._atanh_ratio_fixed(p, q, prec) == want
+
+
 @pytest.mark.parametrize("bits", [64, 3000, 32000])
 def test_split_ln_exp_balls_contain_reference(bits):
     tol = Fraction(1, 1 << bits)

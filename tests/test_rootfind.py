@@ -316,6 +316,21 @@ def evaluations_per_search(monkeypatch):
     return counts
 
 
+def newton_steps(monkeypatch):
+    """A list that gets the result of each run of `rootfind._steps` from an
+    estimate (local=True): None when that first interval-Newton step fails."""
+    real, steps = rootfind._steps, []
+
+    def spy(*args, local=False):
+        out = real(*args, local=local)
+        if local:
+            steps.append(out)
+        return out
+
+    monkeypatch.setattr(rootfind, "_steps", spy)
+    return steps
+
+
 @pytest.mark.parametrize("text", ["[5----4]", "[1000----3]", "[100----3]", "[1.5----3]", "[2++++0.5]",
                                   "[5++++2.75]", "[3----[3+++5]]"])
 def test_super_root_searches_take_at_most_eight_evaluations(monkeypatch, text):
@@ -340,7 +355,7 @@ def test_a_newton_point_on_a_certified_end_still_closes(monkeypatch):
 
 
 @pytest.mark.parametrize("text, estimate", [
-    ("[100----3]", 1e6), ("[100----3]", 1.0), ("[100----3]", None),
+    ("[100----3]", 1e6), ("[100----3]", 1.0),
     ("[1.5----3]", 1e6), ("[1.5----3]", None), ("[2++++0.5]", 1.0),
     ("[5----4]", 1e6), ("[5----4]", None),
     # fractional tails, whose budgets are sized by their own estimate
@@ -352,10 +367,13 @@ def test_a_newton_point_on_a_certified_end_still_closes(monkeypatch):
 ])
 def test_a_bad_start_estimate_certifies_the_same_digits(monkeypatch, text, estimate):
     # the estimate only places the first probe: one far above the root
-    # (clamped to the goal), at the bracket's lower end, or none at all (the
-    # bracket's midpoint) still ends in the same certified digits
+    # (clamped to the goal), or at the bracket's lower end, still ends in
+    # the same certified digits.  None stands for no usable estimate: the
+    # lower end 1.0, where no step can start, so the steps run on the
+    # bracket alone
     ctx = NumericContext(digits=30)
     want = adaptive_evaluate(parse(text), ctx)[1].text()
+    estimate = 1.0 if estimate is None else estimate
     monkeypatch.setattr(hyperops, "_super_root_estimate", lambda goal, order: estimate)
     # a fractional tail hands its search the estimate that sized its
     # budgets; dropping it sends that search to the bad one as well
@@ -439,8 +457,8 @@ def test_integer_search_repeats_the_fraction_search_probes(monkeypatch, text, es
     if estimate == "off by 2^-30":
         monkeypatch.setattr(hyperops, "_super_root_estimate",
                             lambda goal, order: real(goal, order) + 2.0**-30)
-    if estimate == "no estimate":
-        monkeypatch.setattr(hyperops, "_super_root_estimate", lambda goal, order: None)
+    if estimate == "no estimate":  # the bracket's lower end, where no step can start
+        monkeypatch.setattr(hyperops, "_super_root_estimate", lambda goal, order: 1.0)
     adaptive_evaluate(parse(text), NumericContext(digits=30))
     want = [(Fraction(n, 1 << e), Fraction(1, 1 << t)) for n, e, t in pinned]
     assert searches == [(tol, want)]
@@ -477,9 +495,7 @@ def test_a_fractional_order_takes_at_most_twelve_evaluations(monkeypatch, text):
     # the outer search and the tails its probes and slope balls solve, all
     # certified by interval-Newton steps from their estimates (the probe
     # loop without a slope took 43-58)
-    counts = evaluations_per_search(monkeypatch)
-    newton, steps = rootfind._newton, []
-    monkeypatch.setattr(rootfind, "_newton", lambda *args: steps.append(newton(*args)) or steps[-1])
+    counts, steps = evaluations_per_search(monkeypatch), newton_steps(monkeypatch)
     adaptive_evaluate(parse(text), NumericContext(digits=30))
     assert sum(counts) <= 12
     assert steps and None not in steps
