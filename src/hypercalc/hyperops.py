@@ -51,7 +51,7 @@ float estimate of its root of order q.  The inverses are bracketed searches:
     from order 2 up by r / max(g - r, 1), ln's change over the goal (values
     below 1 read as 1).  The float estimate goes through the split too: it
     bisects ln(x (+^4) (n + p/r)) = ln a in floats, with the tail's float
-    from the integer-order estimate;
+    from the same root-finder at the whole order r (`_float_root`);
   * super-log    x = a (/^r) b   solves b (+^r) x = a.
 
 The split is not continuous in its height: 2 (+^4) (p/q) tends to sqrt(2)
@@ -283,7 +283,11 @@ def _tower_ln(x: Ball, logs: list[float], tol: Fraction, budgets: list[int]) -> 
     + 16), which puts ln x's share of each level's error below 2^-16 of it."""
     s = max(budgets[k] + math.ceil((logs[k] + max(logs[k - 1], 0.0)) / math.log(2))
             for k in range(1, len(logs)))
-    return midops.ln_e(x, SeriesConfig(tol / (1 << (s + 16))))
+    try:
+        return midops.ln_e(x, SeriesConfig(tol / (1 << (s + 16))))
+    except ResourceError as err:
+        raise ResourceError(f"the rank-4 tower reaches about e^{max(logs):.0f}, so ln of its"
+                            f" base is needed to {tol_bits(tol) + s + 16} bits: {err}") from err
 
 
 def _tower_logs(inner_log: float, ln_base: float, steps: int) -> list[float]:
@@ -360,6 +364,10 @@ def _inverse_minus(rank: int, target: Ball, order: Fraction, tol: Fraction,
         # every probe's tower would pass the step cap: refused before the
         # estimate and the slope, each of which takes about `order` steps
         raise _over_step_cap(order)
+    if order.denominator - 1 > MAX_HEIGHT_STEPS:
+        # so would the tail of an order n + p/r: the estimate takes r - 1
+        # float levels a probe, and p - 1 < r - 1 more for x^^p
+        raise _over_step_cap(Fraction(order.denominator))
     if not target.is_exact:
         # the roots of the goal's ends lie within r, from order 2 up within
         # r / max(g - r, 1), of max(g, 1)'s (the module docstring)
@@ -496,67 +504,38 @@ def _tower_pass(x: Ball, m: Fraction, order: Fraction, ft: Fraction,
 
 
 def _super_root_estimate(goal: Fraction, order: Fraction) -> float:
-    """Float x >= 1 with x (+^4) order close to goal, for an order > 1.
-
-    An integer order q is `_integer_order_estimate`'s.  A fractional order
-    n + p/r goes through the split: x (+^4) order is n levels over the tail
-    y, y (+^4) r = x (+^4) p, whose float is `_integer_order_estimate` of
-    ln(x (+^4) p) and r; a root past where x (+^4) p passes the magnitude
-    cap raises the split's blow-up.  It is only a start for the certified
-    search.
-    """
-    ln_goal = _log_abs_float(goal.numerator, goal.denominator)
-    if order.denominator == 1:
-        return _integer_order_estimate(ln_goal, int(order))
-    n = math.floor(order)
-    p, r = (order - n).numerator, (order - n).denominator
-
-    def tail(x: float) -> float:
-        return _tail_estimate(math.log(x), p, r)
-
-    # the root is at most goal, as x (+^4) order >= x; for n >= 2 it is at
-    # most max(e, ln goal), as then ln(x (+^4) order) >= x ln x
-    x = _float_root(ln_goal, n, math.exp(min(ln_goal, 709.0)) if n == 1
-                    else max(math.e, ln_goal), tail)
-    above = math.nextafter(x, math.inf)
-    try:
-        tail(above)
-    except MagnitudeError:
-        # the bisection stopped where x^^p passes the cap, short of the root:
-        # every probe above is that blow-up, and towers just below it have
-        # nearly the cap's bits
-        raise _split_blowup(f"{Fraction(above)} (+^4) {p} (the tower of the height's"
-                            " numerator)") from None
-    return x
+    """`_float_root` of ln goal: only a start for the certified search."""
+    return _float_root(_log_abs_float(goal.numerator, goal.denominator), order)
 
 
 def _tail_estimate(ln_x: float, p: int, r: int) -> float:
     """Float of the split's tail y = x (+^4) (p/r), ln_x = ln x: y (+^4) r =
     x (+^4) p, past the magnitude cap a MagnitudeError."""
-    return _integer_order_estimate(([ln_x] + _tower_logs(ln_x, ln_x, p - 1))[-1], r)
+    return _float_root(([ln_x] + _tower_logs(ln_x, ln_x, p - 1))[-1], Fraction(r))
 
 
-def _integer_order_estimate(ln_goal: float, order: int) -> float:
-    """Float x >= 1 with x (+^4) order close to the goal of log ln_goal, for
-    an integer order >= 2: the root lies in [1, max(e, ln_goal)], as for
-    x >= e, x^^(order - 1) >= x."""
-    return _float_root(ln_goal, order - 1, max(math.e, ln_goal))
-
-
-def _float_root(ln_goal: float, steps: int, hi: float, tail=None) -> float:
-    """Float x in [1, hi] where `steps` rank-4 levels over x, starting from
-    the value tail(x) in [1, x] (x itself without a tail), reach the log
+def _float_root(ln_goal: float, order: Fraction) -> float:
+    """Float x >= 1 where x (+^4) order, for an order > 1, reaches the log
     ln_goal.
 
-    It bisects T_(steps-1) * ln x = ln_goal in floats, with T_0 = tail(x)
-    and T_k = x^T_(k-1), which increase in k; a tower that overflows counts
-    as too big.
+    The order splits as in `_levels`: n levels over x for a whole order,
+    and over the split's tail y = `_tail_estimate(ln x, p, r)` for n + p/r.
+    It bisects T_(n-1) * ln x = ln_goal in floats, with T_0 the tail and
+    T_k = x^T_(k-1), which increase in k; a tower that overflows counts as
+    too big.  The root is at most the goal, as x (+^4) order >= x, and for
+    orders other than 1 + p/r at most max(e, ln_goal), as then ln(x (+^4)
+    order) >= x for x >= e.  A root past where x (+^4) p passes the
+    magnitude cap raises the split's blow-up.
     """
+    r = order.denominator
+    n, p = divmod(order.numerator, r)
+    n -= r == 1
+
     def too_big(x: float) -> bool:
         ln_x = math.log(x)
         try:
-            level = x if tail is None else tail(x)
-            for _ in range(steps - 1):
+            level = x if r == 1 else _tail_estimate(ln_x, p, r)
+            for _ in range(n - 1):
                 if level * ln_x > ln_goal:
                     return True
                 level, prev = math.exp(level * ln_x), level
@@ -566,15 +545,23 @@ def _float_root(ln_goal: float, steps: int, hi: float, tail=None) -> float:
             return True
         return level * ln_x > ln_goal
 
-    lo = 1.0
-    while True:
-        mid = (lo + hi) / 2
-        if mid in (lo, hi):
-            return mid
-        if too_big(mid):
-            hi = mid
+    lo, hi = 1.0, math.exp(min(ln_goal, 709.0)) if n == 1 and r > 1 else max(math.e, ln_goal)
+    while (x := (lo + hi) / 2) not in (lo, hi):
+        if too_big(x):
+            hi = x
         else:
-            lo = mid
+            lo = x
+    if r > 1:
+        above = math.nextafter(x, math.inf)
+        try:
+            _tail_estimate(math.log(above), p, r)
+        except MagnitudeError:
+            # the bisection stopped where x^^p passes the cap, short of the
+            # root: every probe above is that blow-up, and towers just below
+            # it have nearly the cap's bits
+            raise _split_blowup(f"{Fraction(above)} (+^4) {p} (the tower of the"
+                                " height's numerator)") from None
+    return x
 
 
 # ---------------------------------------------------------------------------

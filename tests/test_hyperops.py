@@ -127,6 +127,10 @@ def test_height_step_cap(monkeypatch):
     # the float sizing of ln(1.4^^p) and of the order-q estimate
     ("[1.4++++[1+[[999+++3]//[1000+++3]]]]", "997002999"),
     ("[1.4++++[1+[1//[1000+++3]]]]", "1000000000"),
+    # a super-root whose order's denominator passes the cap: the estimate
+    # takes that many float levels a probe
+    ("[1000----[[1+1]+[1//[10+++9]]]]", "1000000000"),
+    ("[2----[1+[[10+++9]//[[10+++9]+1]]]]", "1000000001"),
 ])
 def test_a_height_past_the_step_cap_is_refused_before_any_search(monkeypatch, text, height):
     # every tower these values need passes the height-step cap, and the
@@ -136,7 +140,7 @@ def test_a_height_past_the_step_cap_is_refused_before_any_search(monkeypatch, te
     def unreachable(*args, **kwargs):
         raise AssertionError("ran past the height-step cap")
 
-    for name in ("brent", "_tower_pass", "_integer_order_estimate"):
+    for name in ("brent", "_tower_pass", "_float_root"):
         monkeypatch.setattr(hyperops, name, unreachable)
     start = time.perf_counter()
     with pytest.raises(ResourceError, match=f"unrolling a height of {height} needs [0-9]+"
@@ -152,9 +156,10 @@ def test_a_tower_whose_ln_passes_the_term_budget_fails_at_once(text):
     # first and refused before its first block: summing ln m (26,592 terms
     # for 2.02) and then ln 2 into the budget took 5-14 s
     start = time.perf_counter()
-    with pytest.raises(ResourceError, match="log series exceeded the term budget"):
+    with pytest.raises(ResourceError, match="log series exceeded the term budget") as err:
         adaptive_evaluate(parse(text), NumericContext(digits=20))
     assert time.perf_counter() - start < 3
+    assert "the rank-4 tower reaches about e^" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -836,7 +841,7 @@ def test_one_pass_steps_certify_the_pinned_digits(monkeypatch, text, bracket_onl
 
 def test_a_fractional_tail_estimates_its_root_once(monkeypatch):
     # the tail's budgets and its search start share one float estimate
-    calls = counted_calls(monkeypatch, hyperops, "_integer_order_estimate")
+    calls = counted_calls(monkeypatch, hyperops, "_float_root")
     out = hyper_forward(4, Fraction(2), Fraction(11, 4), T12)
     assert calls == [(math.log(16), 4)]  # ln(2^^3), order 4
     assert out.contains(hyper_forward(4, Fraction(2), Fraction(11, 4), T12 / 1000).center)
