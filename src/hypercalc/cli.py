@@ -11,9 +11,7 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .engine import NumericContext, adaptive_evaluate, evaluate
@@ -206,7 +204,8 @@ def _cmd_repl(args) -> int:
         field = next((f for f in ("base", "digits") if line.startswith(":" + f)), None)
         if field:
             try:
-                ctx = replace(ctx, **{field: int(line.split()[1])})
+                values = {"base": ctx.base, "digits": ctx.digits, field: int(line.split()[1])}
+                ctx = NumericContext(**values, guard_digits=ctx.guard_digits)
             except (IndexError, ValueError) as err:
                 report(line, err, 1, str(err))  # a usage error, as a bad flag is
             continue
@@ -227,6 +226,8 @@ def _cmd_farey(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    import random
+
     from .hyperops import hyper_forward, hyper_inverse_minus
 
     rng = random.Random(20240814)

@@ -60,15 +60,14 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
 
 from . import hyperops, midops
 from .balls import Ball, divide, round_ball
 from .errors import DomainError, HypercalcError, PrecisionError, ResourceError
 from .midops import SeriesConfig, tol_bits
 from .rationals import decimal_texts, digit_text
+from .records import Record, _set
 from .terms import Leaf, OpKind, Operator, Path, Term, TraceEvent, plus_one_chain, render
 
 # Refinement rounds: `evaluate` re-runs at a tighter working tolerance, and
@@ -86,8 +85,7 @@ _PLUS = OpKind.PLUS
 _MINUS = OpKind.MINUS
 
 
-@dataclass(frozen=True)
-class NumericContext:
+class NumericContext(Record):
     """What an evaluation is asked for: `digits` certified base-`base`
     digits, worked out with `guard_digits` extra digits of precision.
 
@@ -99,31 +97,36 @@ class NumericContext:
     the tower height steps (`hyperops.MAX_HEIGHT_STEPS` = 50,000).
     """
 
-    base: int = 10
-    digits: int = 20
-    guard_digits: int = 10
+    __slots__ = ("base", "digits", "guard_digits")
 
-    def __post_init__(self):
-        if not 2 <= self.base <= 36:
+    def __init__(self, base: int = 10, digits: int = 20, guard_digits: int = 10):
+        if not 2 <= base <= 36:
             raise ValueError("base must be in [2, 36]")
-        if self.digits < 0 or self.guard_digits < 0:
+        if digits < 0 or guard_digits < 0:
             raise ValueError("digit counts must be non-negative")
+        _set(self, "base", base)
+        _set(self, "digits", digits)
+        _set(self, "guard_digits", guard_digits)
 
     def precision_target(self) -> Fraction:
         return Fraction(1, self.base) ** (self.digits + self.guard_digits)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(Record):
     """A value, and for a traced evaluation its reduction chain as lines;
     `trace` builds the chain's events when it is first read."""
 
-    value: Value
-    chain: _Chain | None = None
+    __slots__ = ("value", "chain", "_trace")
 
-    @cached_property
+    def __init__(self, value: Value, chain: _Chain | None = None):
+        _set(self, "value", value)
+        _set(self, "chain", chain)
+
+    @property
     def trace(self) -> tuple[TraceEvent, ...] | None:
-        return None if self.chain is None else tuple(self.chain)
+        if not hasattr(self, "_trace"):
+            _set(self, "_trace", None if self.chain is None else tuple(self.chain))
+        return self._trace
 
     @property
     def is_exact(self) -> bool:
@@ -133,15 +136,17 @@ class EvalResult:
         return Ball(self.value) if isinstance(self.value, Fraction) else self.value
 
 
-@dataclass(frozen=True)
-class BasebExpansion:
+class BasebExpansion(Record):
     """Truncated base-b digits as text (0-9A-Z): `int_text` has no leading
     zeros but is "0" below 1, `frac_text` holds every fractional digit."""
 
-    sign: str  # "+" or "-"
-    base: int
-    int_text: str
-    frac_text: str
+    __slots__ = ("sign", "base", "int_text", "frac_text")  # sign is "+" or "-"
+
+    def __init__(self, sign: str, base: int, int_text: str, frac_text: str):
+        _set(self, "sign", sign)
+        _set(self, "base", base)
+        _set(self, "int_text", int_text)
+        _set(self, "frac_text", frac_text)
 
     @property
     def int_digits(self) -> tuple[int, ...]:
@@ -433,16 +438,18 @@ class _Trace:
         shift.append(shift[i] + len(lines[-1]) - len(text))
 
 
-@dataclass(frozen=True)
-class _Chain:
+class _Chain(Record):
     """A traced round's reduction chain as `_Trace` leaves it: `lines[0]`
     is the term's render and `lines[s]` the line after step s; `paths`
     holds each entry's deepest path, joined, and its event count.
     Iterating it builds the `TraceEvent`s, an entry's paths being the
     prefixes of its deepest one, longest first."""
 
-    lines: tuple[str, ...]
-    paths: tuple[tuple[str, int], ...]
+    __slots__ = ("lines", "paths")
+
+    def __init__(self, lines: tuple[str, ...], paths: tuple[tuple[str, int], ...]):
+        _set(self, "lines", lines)
+        _set(self, "paths", paths)
 
     def __iter__(self) -> Iterator[TraceEvent]:
         lines, step = self.lines, 0
@@ -463,7 +470,7 @@ def _display_value(value: Value, ctx: NumericContext) -> str:
     exp = _certified_digits(value.numerator, 0, value.denominator, ctx)
     # trailing zeros go, down to one fractional digit
     frac = exp.frac_text.rstrip("0") or exp.frac_text[:1]
-    return replace(exp, frac_text=frac).text()
+    return BasebExpansion(exp.sign, exp.base, exp.int_text, frac).text()
 
 
 # ---------------------------------------------------------------------------
@@ -526,9 +533,9 @@ def adaptive_evaluate(
     guard = max(1, ctx.guard_digits)
     last: EvalResult | None = None
     for _ in range(MAX_DOUBLINGS + 1):
-        attempt_ctx = replace(ctx, guard_digits=guard)
+        attempt_ctx = NumericContext(ctx.base, ctx.digits, guard)
         result = evaluate(term, attempt_ctx, collect_trace=collect_trace and last is None)
-        last = result if last is None else replace(result, chain=last.chain)
+        last = result if last is None else EvalResult(result.value, last.chain)
         try:
             return last, to_base_b(last, attempt_ctx)
         except PrecisionError:

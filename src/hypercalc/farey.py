@@ -12,26 +12,29 @@ fraction's first table position without enumerating rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError, ResourceError
 from .rationals import gcd
+from .records import Record, _set
 
 # Entries of the largest row `farey_row` builds, and rows `locate` descends.
 ROW_CAP = 2**20 + 1
 LOCATE_DEPTH_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class FareyEntry:
-    top: int  # numerator
-    bottom: int  # denominator
+class FareyEntry(Record):
+    __slots__ = ("top", "bottom")  # numerator, denominator
+
+    def __init__(self, top: int, bottom: int):
+        _set(self, "top", top)
+        _set(self, "bottom", bottom)
 
 
-@dataclass(frozen=True)
-class FareyIndex:
-    row: int
-    position: int  # 1-based within the row
+class FareyIndex(Record):
+    __slots__ = ("row", "position")  # position is 1-based within the row
+
+    def __init__(self, row: int, position: int):
+        _set(self, "row", row)
+        _set(self, "position", position)
 
 
 def farey_row(k: int) -> list[FareyEntry]:

@@ -74,7 +74,6 @@ defines no enclosure there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import midops
@@ -83,6 +82,7 @@ from .errors import (
     ConvergenceError, DomainError, MagnitudeError, PrecisionError, ResourceError,
 )
 from .midops import _EXP_ARG_CAP, SeriesConfig, _log_abs_float, _lowest, tol_bits
+from .records import Record, _set
 from .rootfind import (
     BallFn, Bracket, RootConfig, bisect_integers, brent, expand_upper,
 )
@@ -92,12 +92,14 @@ from .rootfind import (
 MAX_HEIGHT_STEPS = 50_000
 
 
-@dataclass(frozen=True)
-class EngineLimits:
+class EngineLimits(Record):
     """The tower-unrolling budget `MAX_HEIGHT_STEPS` as a record, which the
     acceptance tests construct; the checks read the constant."""
 
-    max_height_steps: int = MAX_HEIGHT_STEPS
+    __slots__ = ("max_height_steps",)
+
+    def __init__(self, max_height_steps: int = MAX_HEIGHT_STEPS):
+        _set(self, "max_height_steps", max_height_steps)
 
 
 # ---------------------------------------------------------------------------

@@ -144,11 +144,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .balls import Ball, _ball, _quotient, _snap, as_ball, divide, round_ball
 from .errors import DomainError, MagnitudeError, PrecisionError, ResourceError
+from .records import Record, _set
 
 # Any value whose integer part would exceed 2^MAX_MAGNITUDE_BITS is treated
 # as a blow-up; exp() arguments are capped at MAX_MAGNITUDE_BITS * ln 2.
@@ -159,13 +159,13 @@ _EXP_ARG_CAP = math.floor(MAX_MAGNITUDE_BITS * math.log(2))
 MAX_SERIES_TERMS = 100_000
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
-    target_error: Fraction
+class SeriesConfig(Record):
+    __slots__ = ("target_error",)
 
-    def __post_init__(self):
-        if self.target_error <= 0:
+    def __init__(self, target_error: Fraction):
+        if target_error <= 0:
             raise ValueError("target error must be positive")
+        _set(self, "target_error", target_error)
 
 
 def tol_bits(tol: Fraction) -> int:

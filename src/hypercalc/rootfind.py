@@ -68,13 +68,13 @@ lo = hi on an exact hit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
-from typing import Callable
 
 from .balls import Ball, _ball, _quotient
 from .errors import AmbiguityError, ConvergenceError, DomainError
 from .midops import _tol_bits, tol_bits
+from .records import Record, _set
 
 BallFn = Callable[[Fraction, Fraction], "Ball | Fraction"]
 SlopeFn = Callable[[Ball, Fraction, Fraction], "Ball | None"]
@@ -90,23 +90,23 @@ MAX_ITERATIONS = 1000
 MAX_EXPANSIONS = 80
 
 
-@dataclass(frozen=True)
-class Bracket:
-    lo: Fraction
-    hi: Fraction
+class Bracket(Record):
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("bracket endpoints out of order")
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
 
 
-@dataclass(frozen=True)
-class RootConfig:
-    x_tolerance: Fraction
+class RootConfig(Record):
+    __slots__ = ("x_tolerance",)
 
-    def __post_init__(self):
-        if self.x_tolerance <= 0:
+    def __init__(self, x_tolerance: Fraction):
+        if x_tolerance <= 0:
             raise ValueError("tolerance must be positive")
+        _set(self, "x_tolerance", x_tolerance)
 
 
 def _sign(f: BallFn, x: Fraction, t: Fraction = _START_SIGN_TOL) -> tuple[int, Fraction]:

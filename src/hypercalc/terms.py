@@ -25,10 +25,10 @@ from __future__ import annotations
 import enum
 import itertools
 import re
-from dataclasses import dataclass
-from typing import NamedTuple, Union
+from collections import namedtuple
 
 from .errors import ParseError
+from .records import Record, _set
 
 # Bracket nesting per parsed term.
 MAX_DEPTH = 10_000
@@ -51,32 +51,35 @@ class OpKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Operator:
-    kind: OpKind
-    rank: int
+class Operator(Record):
+    __slots__ = ("kind", "rank")
 
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError(f"operator rank must be >= 1, got {self.rank}")
+    def __init__(self, kind: OpKind, rank: int):
+        if rank < 1:
+            raise ValueError(f"operator rank must be >= 1, got {rank}")
+        _set(self, "kind", kind)
+        _set(self, "rank", rank)
 
     def text(self) -> str:
         return self.kind.symbol * self.rank
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Record):
     """The constant `1`."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Node:
+
+class Node(Record):
     """`[left op right]`.  `==` and `hash` compare `render` text; repr walks
     the tree with an explicit stack, as bracket text nests up to `MAX_DEPTH`."""
 
-    op: Operator
-    left: "Term"
-    right: "Term"
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: Operator, left: Term, right: Term):
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __eq__(self, other):
         if not isinstance(other, (Node, Chain)):
@@ -104,8 +107,7 @@ ONE = Leaf()
 _PLUS1 = Operator(OpKind.PLUS, 1)
 
 
-@dataclass(frozen=True, eq=False)
-class Chain:
+class Chain(Record):
     """`base` under k >= 1 `[X+1]` steps, held as one object.
 
     It reads as the top node of that chain: `op` is `+`, `right` is `1` and
@@ -114,12 +116,13 @@ class Chain:
     like the `Node` tree it stands for: both render to the same text.
     """
 
-    k: int
-    base: "Term"
+    __slots__ = ("k", "base")
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"a chain takes k >= 1 steps, got {self.k}")
+    def __init__(self, k: int, base: Term):
+        if k < 1:
+            raise ValueError(f"a chain takes k >= 1 steps, got {k}")
+        _set(self, "k", k)
+        _set(self, "base", base)
 
     op = _PLUS1
     right = ONE
@@ -132,20 +135,14 @@ class Chain:
     __hash__ = Node.__hash__
 
 
-Term = Union[Leaf, Node, Chain]
+Term = Leaf | Node | Chain
 
 
-class TraceEvent(NamedTuple):
-    """One reduction step: the subterm at `path` was replaced by its value.
+class TraceEvent(namedtuple("TraceEvent", "step path before after")):
+    """One reduction step: the subterm at `path` was replaced by its value,
+    taking line `before` to `after`.  `EvalResult.trace` builds them."""
 
-    A named tuple, not a dataclass: reading `EvalResult.trace` builds one
-    per node from the trace's lines, and a tuple is about half the cost of a
-    frozen dataclass to build."""
-
-    step: int
-    path: Path
-    before: str
-    after: str
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -680,3 +680,18 @@ def test_a_traced_command_builds_no_trace_event(monkeypatch):
     assert [e.path for e in events] == [("L",) * (steps - j) for j in range(1, steps + 1)]
     assert [e.before for e in events] == [render(parse(chain))] + afters[:-1]
     assert [e.after for e in events] == afters
+
+
+def test_starting_the_cli_loads_no_introspection_modules():
+    # a one-shot command pays for every module its import loads, and
+    # `dataclasses` alone loads `inspect`, `ast`, `dis` and `tokenize`; `-I
+    # -S` keeps the environment and `site` from loading any of them first,
+    # and `-B` writes no bytecode into the package
+    banned = ["dataclasses", "inspect", "ast", "dis", "tokenize", "typing", "random"]
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hypercalc.cli; "
+            "print(*sorted(set(sys.argv[2:]) & set(sys.modules)))")
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, package_parent, *banned],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []

@@ -2,7 +2,6 @@ import math
 import random
 import re
 import tracemalloc
-from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -247,7 +246,7 @@ def test_expansion_matches_long_division_any_base(num, den, base, digits):
     if ball.lo < 0 < ball.hi:
         return
     try:
-        exp = to_base_b(ball, replace(ctx, guard_digits=12))
+        exp = to_base_b(ball, NumericContext(base=base, digits=digits, guard_digits=12))
     except PrecisionError:  # the ball straddles a digit boundary
         return
     assert (exp.sign, exp.int_digits, exp.frac_digits) == long_division_digits(value, base, digits)
@@ -261,7 +260,7 @@ def test_ball_straddling_zero_prints_unsigned():
     assert to_base_b(value, ctx).text() == "-0"
     ball = Ball(value, Fraction(1, 2**12))
     assert ball.lo < 0 < ball.hi
-    assert to_base_b(ball, replace(ctx, guard_digits=12)).text() == "0"
+    assert to_base_b(ball, NumericContext(base=2, digits=0, guard_digits=12)).text() == "0"
 
 
 def test_to_base_b_certifies_balls():
@@ -271,10 +270,10 @@ def test_to_base_b_certifies_balls():
     # a ball straddling a digit boundary cannot certify
     boundary = Ball(Fraction(1, 2), Fraction(1, 10**12))
     with pytest.raises(PrecisionError):
-        to_base_b(boundary, replace(ctx, digits=1))
+        to_base_b(boundary, NumericContext(base=10, digits=1, guard_digits=6))
     # but an exact rational on the boundary is fine (truncation fast path)
-    assert to_base_b(Fraction(1, 2), replace(ctx, digits=1)).text() == "0.5"
-    assert to_base_b(Fraction(1, 2), replace(ctx, digits=0)).text() == "0"
+    assert to_base_b(Fraction(1, 2), NumericContext(base=10, digits=1, guard_digits=6)).text() == "0.5"
+    assert to_base_b(Fraction(1, 2), NumericContext(base=10, digits=0, guard_digits=6)).text() == "0"
     # radius precondition
     with pytest.raises(PrecisionError):
         to_base_b(Ball(Fraction(1, 3), Fraction(1, 100)), ctx)
@@ -285,7 +284,7 @@ def test_display_value_trims_trailing_zeros_to_one_digit():
     shown = [engine._display_value(Fraction(n, d), ctx)
              for n, d in ((5, 2), (1, 100000), (-7, 3), (10**5000, 1))]
     assert shown == ["2.5", "0.0", "-2.3333", "1" + "0" * 5000]
-    assert engine._display_value(Fraction(5, 2), replace(ctx, digits=0)) == "2"
+    assert engine._display_value(Fraction(5, 2), NumericContext(base=10, digits=0)) == "2"
     assert engine._display_value(Ball(Fraction(5, 2), Fraction(1, 10**9)), ctx) == "2.5000"
 
 
@@ -414,10 +413,10 @@ def test_adaptive_render_boundary_tie_raises():
     assert "uncertified digits 0.5," in message
     exponent = int(message.split("radius < 2^")[1].split(";")[0])
     assert exponent < -3400  # below 10^-1025
-    last = evaluate(term, replace(ctx, guard_digits=4 * 2**engine.MAX_DOUBLINGS))
+    last = evaluate(term, NumericContext(digits=1, guard_digits=4 * 2**engine.MAX_DOUBLINGS))
     assert Fraction(2) ** (exponent - 2) < last.value.radius < Fraction(2) ** exponent
     # in base 3 the same value repeats (0.111...) and certifies fine
-    assert adaptive_render(term, replace(ctx, base=3, digits=6)).text() == "0.111111"
+    assert adaptive_render(term, NumericContext(base=3, digits=6, guard_digits=4)).text() == "0.111111"
 
 
 def test_adaptive_evaluate_returns_both():
@@ -647,7 +646,7 @@ def test_a_traced_evaluation_shows_its_first_rounds_trace(term, guard, digits):
     # no other; a term that fails there fails with the untraced error
     ctx = NumericContext(digits=digits, guard_digits=guard)
     try:
-        expected = trace_reduce(term, replace(ctx, guard_digits=max(1, guard)))
+        expected = trace_reduce(term, NumericContext(digits=digits, guard_digits=max(1, guard)))
     except HypercalcError as err:
         with pytest.raises(type(err)) as again:
             adaptive_evaluate(term, ctx, collect_trace=True)
