@@ -7,8 +7,8 @@ list, so each binary operation fires as soon as both operands are values
 (the order of the printable reduction chain), and stores its result at its
 own index until its parent fires.  Nothing is keyed by a node's path, so
 the walk is linear in the term's size.  A node's path is rebuilt from
-parent links only when an error escapes it; a trace derives each event's
-path from the previous one.
+`_parents`' links only when it is read: when an error escapes the node, or
+when a trace's events are.
 
 Entries are not nodes.  A literal n is one `Chain` object standing for
 n - 1 `[X+1]` nodes, and every chain of k steps, a `Chain` or hand-built
@@ -39,10 +39,10 @@ digits over an exact integer n, and otherwise `_apply`'s X + j at the
 round's working tolerance, which over a ball is again one rounding per
 step.  `_Trace` splices each display into the term's render.
 An event costs a copy of its line: a chain builds its runs of `[` and
-`+1]` once, each line takes a slice of each, and an entry keeps its path
-joined once.  The `TraceEvent`s, paths and all, are built from those
-lines and paths only when `EvalResult.trace` is read; the command line
-prints the lines.
+`+1]` once, and each line takes a slice of each.  The `TraceEvent`s are
+built from those lines and the entries only when `EvalResult.trace` is
+read, each path joined then; the command line prints the lines and builds
+no path.
 
 `to_base_b` truncates the value scaled by base^digits to an integer and
 prints it with `rationals.digit_text`, whose leaves are CPython's C
@@ -345,20 +345,14 @@ class _Trace:
     the head and tail of each of i's lines.  A node fires one event, its
     value's text spliced over the span.  A chain fires k, one per step: step
     j's line keeps k - j of the chain's `[`s and `+1]`s around step j's
-    value, and its path is the chain's plus k - j steps "L".
-    `nodes` and `path` hold the previous entry's ancestors below the root
-    and the steps down to them.  Those entries x >= i contain i; the rest
-    are popped, and parent links lead from i up to the deepest one left.
-    No path table is built up front.
+    value.  `_Trace` holds no paths: `_Chain` builds the events, paths and
+    all, from the lines and the entries when they are read.
 
     An event costs a copy of its line: its `[`s and `+1]`s are prefixes of
-    the chain's two runs.  Each entry joins its path once, the path of its
-    first event, the deepest, and keeps it with its event count; every
-    event's path is a prefix of it, and `_Chain` builds the events from the
-    lines and those paths when they are read.  An integer chain's steps are
-    `rationals.decimal_texts` of its run.  Each event checks
-    `MAX_TRACE_CHARS` before it builds its line, and the trace stops with a
-    `ResourceError` past it.
+    the chain's two runs.  An integer chain's steps are
+    `rationals.decimal_texts` of its run.  Each event checks `MAX_TRACE_CHARS`
+    before it builds its line, and the trace stops with a `ResourceError`
+    past it.
     """
 
     def __init__(self, flat: _Flat, text: str):
@@ -375,12 +369,9 @@ class _Trace:
             start[l] = start[i] + (k or 1)
             start[r] = start[l] + size[l] + op.rank
         self.flat, self.start, self.size, self.first = flat, start, size, first
-        self.shift, self.root = [0], n - 1
+        self.shift = [0]
         self.node_count = sum(k or 1 for *_, k in flat)
-        self.parent, self.step = _parents(flat)
-        self.nodes, self.path = [], []
         self.lines, self.chars = [text], len(text)
-        self.paths: list[tuple[str, int]] = []
 
     def replay(self, values: list[Value], ctx, op_tol) -> _Chain:
         """Every entry's lines from one round's values, entry i's at
@@ -399,32 +390,19 @@ class _Trace:
             else:
                 shown = (_display_value(_apply(op, left, j, op_tol), ctx) for j in range(1, k + 1))
             self.fire(i, k, shown)
-        return _Chain(tuple(self.lines), tuple(self.paths))
+        return _Chain(tuple(self.lines), tuple(self.flat))
 
     def fire(self, i: int, k: int, shown: Iterable[str]) -> None:
         """Entry i's lines: one for a node (k = 0), or one per step of a
         chain of k steps; `shown` yields each line's display in turn."""
-        nodes, path = self.nodes, self.path
-        while nodes and nodes[-1] < i:
-            nodes.pop()
-            path.pop()
-        top = nodes[-1] if nodes else self.root
-        climb, x = [], i
-        while x != top:
-            climb.append(x)
-            x = self.parent[x]
-        nodes += reversed(climb)
-        path += [self.step[j] for j in reversed(climb)]
         shift, lines = self.shift, self.lines
         text = lines[-1]
         at = self.start[i] + shift[self.first[i]]
         end = self.start[i] + self.size[i] + shift[i]
         head, tail = text[:at], text[end:]
-        # the event at depth d keeps d of the chain's `[`s and `+1]`s, and its
-        # path is the entry's plus d steps "L"
+        # the event at depth d keeps d of the chain's `[`s and `+1]`s
         deepest = k - 1 if k else 0
         opens, closes = "[" * deepest, "+1]" * deepest
-        self.paths.append(("".join(path) + "L" * deepest, deepest + 1))
         chars, kept, add = self.chars, len(head) + len(tail), lines.append
         for d, display in zip(range(deepest, -1, -1), shown):
             chars += kept + 4 * d + len(display)
@@ -440,24 +418,29 @@ class _Trace:
 
 class _Chain(Record):
     """A traced round's reduction chain as `_Trace` leaves it: `lines[0]`
-    is the term's render and `lines[s]` the line after step s; `paths`
-    holds each entry's deepest path, joined, and its event count.
-    Iterating it builds the `TraceEvent`s, an entry's paths being the
-    prefixes of its deepest one, longest first."""
+    is the term's render and `lines[s]` the line after step s, and `flat`
+    is the round's entries.  Iterating it builds the `TraceEvent`s: each
+    entry's path is joined from `_parents`' links, parents first, and a
+    chain of k steps fires its k events from k - 1 steps "L" below it up
+    to itself."""
 
-    __slots__ = ("lines", "paths")
+    __slots__ = ("lines", "flat")
 
-    def __init__(self, lines: tuple[str, ...], paths: tuple[tuple[str, int], ...]):
+    def __init__(self, lines: tuple[str, ...], flat: tuple[tuple[Operator, int, int, int], ...]):
         _set(self, "lines", lines)
-        _set(self, "paths", paths)
+        _set(self, "flat", flat)
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        lines, step = self.lines, 0
-        for joined, count in self.paths:
-            path = tuple(joined)
-            for m in range(len(path), len(path) - count, -1):
-                step += 1
-                yield TraceEvent(step, path[:m], lines[step - 1], lines[step])
+        parent, step = _parents(self.flat)
+        paths = [""] * (len(self.flat) + 1)  # the last slot is the root's parent's, at -1
+        for i in range(len(self.flat) - 1, -1, -1):
+            paths[i] = paths[parent[i]] + step[i]
+        lines, s = self.lines, 0
+        for i, (*_, k) in enumerate(self.flat):
+            path = tuple(paths[i] + "L" * (k - 1))  # "" for a node, k = 0
+            for m in range(len(path), len(path) - (k or 1), -1):
+                s += 1
+                yield TraceEvent(s, path[:m], lines[s - 1], lines[s])
 
 
 def _display_value(value: Value, ctx: NumericContext) -> str:

@@ -952,7 +952,7 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     tol = cfg.target_error
     av = as_ball(a)
     bv = as_ball(b)
-    ac, ar, ad = av.c, av.r, av.d
+    ac, ar = av.c, av.r
     bc, br, bd = bv.c, bv.r, bv.d
     n = bc // bd if not br and not bc % bd else None
 

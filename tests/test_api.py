@@ -52,3 +52,30 @@ def test_every_private_name_is_used_in_the_package():
                 loaded.add(node.attr)
     private = {name for name in defined if name.startswith("_") and not name.startswith("__")}
     assert sorted(private - loaded) == []
+
+
+def test_every_local_name_is_read():
+    # a local that is assigned and never read is dead: a value left behind
+    # when its reader went.  `_` names are discarded on purpose, and a
+    # `nonlocal` or `global` name is read in its own scope.
+    dead = []
+    for path in sorted(Path(hypercalc.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stored, declared, todo = set(), set(), list(fn.body)
+            while todo:  # the function's own nodes: nested scopes store their own
+                node = todo.pop()
+                if isinstance(node, (ast.Nonlocal, ast.Global)):
+                    declared.update(node.names)
+                elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                    stored.add(node.id)
+                if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                                         ast.ClassDef)):
+                    todo.extend(ast.iter_child_nodes(node))
+            # a nested function's reads count: a closure reads its outer locals
+            loaded = {node.id for node in ast.walk(fn)
+                      if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            dead += [f"{path.stem}.{fn.name}: {name}" for name in sorted(stored - loaded - declared)
+                     if not name.startswith("_")]
+    assert dead == []

@@ -4,6 +4,7 @@ import decimal
 import io
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -680,6 +681,43 @@ def test_a_traced_command_builds_no_trace_event(monkeypatch):
     assert [e.path for e in events] == [("L",) * (steps - j) for j in range(1, steps + 1)]
     assert [e.before for e in events] == [render(parse(chain))] + afters[:-1]
     assert [e.after for e in events] == afters
+
+
+def test_a_traced_command_builds_no_path(monkeypatch):
+    # the command prints the chain's lines, so it never joins a node's path;
+    # `_parents` is the one home of the path rule, read when events are
+    calls = []
+    parents = engine._parents
+
+    def counted(flat):
+        calls.append(len(flat))
+        return parents(flat)
+
+    monkeypatch.setattr(engine, "_parents", counted)
+    text = "[[2+[1+1]]++[3--7]]"
+    code, out, err = run_main("trace", text, "--format", "json")
+    assert (code, err) == (0, "")
+    assert calls == []
+    result = engine.evaluate(parse(text), engine.NumericContext(digits=0), collect_trace=True)
+    assert [e.path for e in result.trace] == [
+        ("L", "L"), ("L", "R"), ("L",), ("R", "L", "L"), ("R", "L"),
+        *[("R", "R") + ("L",) * d for d in range(5, -1, -1)], ("R",), (),
+    ]
+    assert len(calls) == 1
+    # a traced result is a value: it hashes, and pickles to an equal one
+    # whose events are the same
+    again = pickle.loads(pickle.dumps(result))
+    assert again == result and hash(again) == hash(result)
+    assert again.trace == result.trace
+
+
+def test_a_deep_right_nested_trace_paths_each_node():
+    # 2,000 nodes, each an entry of its own, nested down the right: every
+    # event's path is joined from the links, the innermost first
+    text = "[1++" * 2000 + "1" + "]" * 2000
+    events = engine.trace_reduce(parse(text), engine.NumericContext(digits=0))
+    assert [e.path for e in events] == [("R",) * (1999 - j) for j in range(2000)]
+    assert events[-1].after == "1"
 
 
 def test_starting_the_cli_loads_no_introspection_modules():

@@ -142,6 +142,21 @@ def test_evaluate_retries_kernel_precision_errors():
     assert working == [working[0] / 16**k for k in range(engine.MAX_DOUBLINGS + 1)]
 
 
+def test_a_radius_that_never_shrinks_fails_after_the_last_round():
+    # an operator whose ball keeps radius 1/2 at every working tolerance: each
+    # round misses the target, and after the last one the evaluation says so
+    calls = []
+
+    def wide(op, a, b, tol):
+        calls.append(tol)
+        return Ball(Fraction(1), Fraction(1, 2))
+
+    with mock.patch.object(engine, "_apply", wide):
+        with pytest.raises(PrecisionError, match="evaluation radius did not reach the precision target"):
+            evaluate(parse("[[1+1]++[1+1]]"), CTX10)
+    assert len(calls) == engine.MAX_DOUBLINGS + 1
+
+
 @pytest.mark.parametrize("text, digits", [
     # log base 1 + 2^-30 of 3 and log base 2^(2^-120) of 3 = 2^120 log2 3:
     # the base's ln is near 0, so the quotient's error is the logs' times

@@ -14,7 +14,7 @@ from hypercalc import engine, hyperops, midops, rootfind
 from hypercalc.balls import Ball
 from hypercalc.engine import NumericContext, adaptive_evaluate, evaluate
 from hypercalc.errors import (
-    ConvergenceError, DomainError, MagnitudeError, ResourceError,
+    ConvergenceError, DomainError, MagnitudeError, PrecisionError, ResourceError,
 )
 from hypercalc.hyperops import hyper_forward, hyper_inverse_minus, hyper_inverse_slash
 from hypercalc.rootfind import RootConfig
@@ -88,6 +88,25 @@ def test_forward_domain_errors():
         hyper_forward(3, Fraction(2), Fraction(2), T12)
     with pytest.raises(DomainError):
         hyper_forward(4, Fraction(2), Ball(Fraction(2), Fraction(1, 10)), T12)
+
+
+@pytest.mark.parametrize("fn", [hyper_forward, hyper_inverse_minus, hyper_inverse_slash])
+def test_rank_and_tolerance_guards(fn):
+    with pytest.raises(DomainError, match=f"{fn.__name__} needs rank >= 4, got 3"):
+        fn(3, Fraction(2), Fraction(2), T12)
+    with pytest.raises(ValueError, match="precision target must be positive"):
+        fn(4, Fraction(2), Fraction(2), Fraction(0))
+
+
+def test_a_base_ball_reaching_below_one_is_a_precision_error():
+    with pytest.raises(PrecisionError, match="base interval reaches below 1"):
+        hyper_forward(4, Ball(Fraction(1), Fraction(1, 2)), Fraction(2), T12)
+
+
+@pytest.mark.parametrize("height", [Fraction(3), Fraction(5, 2)])
+def test_an_exact_ball_height_is_its_rational(height):
+    base = Fraction(3, 2)
+    assert hyper_forward(4, base, Ball(height), T12) == hyper_forward(4, base, height, T12)
 
 
 def test_blowup_cap():
@@ -782,6 +801,23 @@ def test_a_tower_pass_over_a_ball_reaching_zero_has_no_slope():
     want = hyperops._forward(4, Ball(Fraction(1, 2)), Fraction(3), t)
     assert (value.c, value.r, value.d) == (want.c, want.r, want.d)
     assert D is None
+
+
+def test_a_search_whose_tower_pass_fails_bisects_to_the_same_digits(monkeypatch):
+    # a pass that fails leaves the step without a slope, and the search
+    # bisects on the bracket: the digits are those of the Newton steps
+    passes = []
+
+    def failing(*args):
+        passes.append(args)
+        raise ResourceError("no pass")
+
+    monkeypatch.setattr(hyperops, "_tower_pass", failing)
+    start = time.perf_counter()
+    _, digits = adaptive_evaluate(parse("[1000----3]"), NumericContext(digits=20))
+    assert time.perf_counter() - start < 5
+    assert digits.text() == "2.38490978860439569635"
+    assert passes
 
 
 @pytest.mark.parametrize("bits", [140, 106])

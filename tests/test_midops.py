@@ -170,6 +170,22 @@ def test_power_sqrt2():
     assert abs(out.center - SQRT2_62) <= out.radius + Fraction(1, 10**60)
 
 
+def test_a_failed_root_certificate_falls_back_to_exp_and_ln(monkeypatch):
+    # with no guard ulps the Newton root's bracket [r, r] cannot hold the
+    # root, so the certificate fails and `power` takes exp/ln instead
+    mpmath = pytest.importorskip("mpmath")
+    tol = Fraction(1, 10**40)
+    assert midops._algebraic_power(2, 1, 1, 3, tol.numerator, tol.denominator) is not None
+    monkeypatch.setattr(midops, "_ROOT_GUARD", 0)
+    assert midops._algebraic_power(2, 1, 1, 3, tol.numerator, tol.denominator) is None
+    out = power(Fraction(2), Fraction(1, 3), SeriesConfig(tol))
+    assert out.radius <= tol
+    with mpmath.workprec(300):
+        want = mpmath.cbrt(2)
+        assert mpmath.mpf(out.lo.numerator) / out.lo.denominator <= want
+        assert want <= mpmath.mpf(out.hi.numerator) / out.hi.denominator
+
+
 def test_power_negative_base():
     out = power(Fraction(-2), Fraction(3), MED)
     assert out.center == -8 and out.radius == 0

@@ -49,6 +49,9 @@ def test_record_contract(cls, names, values, shown):
     for name in (*names, "extra"):
         with pytest.raises(AttributeError):
             setattr(record, name, None)
+    for name in names:
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(record, name)
     assert tuple(getattr(record, name) for name in names) == values
 
 

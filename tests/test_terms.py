@@ -53,6 +53,8 @@ def test_parse_integer_sugar():
     assert parse("3") == Node(PLUS1, Node(PLUS1, ONE, ONE), ONE)
     assert parse("0") == Node(Operator(OpKind.MINUS, 1), ONE, ONE)
     assert parse("1") is ONE or parse("1") == ONE
+    with pytest.raises(ValueError, match="only non-negative integer literals desugar"):
+        desugar_integer(-1)
 
 
 def test_parse_decimal_sugar():
