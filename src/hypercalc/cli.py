@@ -3,16 +3,29 @@
 Exit codes: 0 success, 1 parse errors, 2 domain errors, 3 numeric failures
 (convergence, precision, resource caps), 141 (128 + SIGPIPE) when the reader
 of standard output closes it early, as `| head` does.
+
+A well-formed `eval` or `trace` line skips argparse: the command, then exact
+long flags from that command's table, each with its value as the next
+argument, and at most one expression.  `_parse_common` reads such a line in
+one pass over the table and returns argparse's namespace for it; argparse's
+generic walk (a top-level parse, a nested subparser parse, pattern matching
+of each argument, per-action defaults) took about 30% of a small in-process
+`eval` call.  Every other line goes to `build_parser()` as it is, and so
+does a line with a token the pass does not accept: argparse stays the one
+source of help, of usage errors and their messages, of abbreviations and the
+`--flag=value` form, of values that start with `-`, and of the `repl`,
+`farey` and `selftest` commands.  A command that never needs argparse never
+imports it.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .engine import NumericContext, adaptive_evaluate, evaluate
 from .engine import trace_reduce  # noqa: F401  perfbench/tracing.py wraps cli.trace_reduce
@@ -33,6 +46,8 @@ def _int_in(low: int, high: int | None = None):
     def convert(text: str) -> int:
         value = int(text)
         if value < low or (high is not None and value > high):
+            import argparse  # only a usage error needs it
+
             bound = f">= {low}" if high is None else f"in [{low}, {high}]"
             raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
         return value
@@ -41,18 +56,35 @@ def _int_in(low: int, high: int | None = None):
     return convert
 
 
-def _add_numeric_flags(sub):
-    sub.add_argument("--base", type=_int_in(2, 36), default=10, help="output base, 2..36")
-    sub.add_argument("--digits", type=_int_in(0), default=20, help="fractional digits")
+# Each flag set out once, as its `add_argument` keywords: `build_parser`
+# adds them and `_parse_common` reads them, so a flag's bounds and default
+# live here.  `repl` and `trace` take the numeric flags, `eval` all of them.
+_NUMERIC_FLAGS = {
+    "--base": dict(dest="base", type=_int_in(2, 36), default=10, help="output base, 2..36"),
+    "--digits": dict(dest="digits", type=_int_in(0), default=20, help="fractional digits"),
     # `adaptive_evaluate` starts at max(1, guard), so 0 would act as 1
-    sub.add_argument("--guard", type=_int_in(1), default=10, help="guard digits")
-    sub.add_argument(
-        "--format", choices=("plain", "json"), default="plain", dest="format_"
-    )
+    "--guard": dict(dest="guard", type=_int_in(1), default=10, help="guard digits"),
+    "--format": dict(dest="format_", choices=("plain", "json"), default="plain"),
+}
+_EVAL_FLAGS = {
+    "--file": dict(dest="file", default=None, help="read expressions from a file, one per line"),
+    "--trace": dict(dest="trace", action="store_true", default=False,
+                    help="include the reduction chain"),
+    **_NUMERIC_FLAGS,
+}
+# `trace` is `eval --trace` of one expression
+_TRACE_DEFAULTS = {"trace": True, "file": None}
+
+
+def _add_flags(sub, flags) -> None:
+    for flag, keywords in flags.items():
+        sub.add_argument(flag, **keywords)
 
 
 @functools.cache  # built on first use, once per process
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="hypercalc",
         description="evaluate bracket-notation operator expressions to "
@@ -62,29 +94,72 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate an expression (or a file of them)")
     p_eval.add_argument("expression", nargs="?", help="expression text")
-    p_eval.add_argument("--file", help="read expressions from a file, one per line")
-    p_eval.add_argument("--trace", action="store_true", help="include the reduction chain")
-    _add_numeric_flags(p_eval)
+    _add_flags(p_eval, _EVAL_FLAGS)
     p_eval.set_defaults(func=_cmd_eval)
 
     p_trace = sub.add_parser("trace", help="print the reduction chain then the value")
     p_trace.add_argument("expression")
-    _add_numeric_flags(p_trace)
-    p_trace.set_defaults(func=_cmd_eval, trace=True, file=None)
+    _add_flags(p_trace, _NUMERIC_FLAGS)
+    p_trace.set_defaults(func=_cmd_eval, **_TRACE_DEFAULTS)
 
     p_repl = sub.add_parser("repl", help="read-evaluate-print loop")
-    _add_numeric_flags(p_repl)
+    _add_flags(p_repl, _NUMERIC_FLAGS)
     p_repl.set_defaults(func=_cmd_repl)
 
     p_farey = sub.add_parser("farey", help="print row k of the mediant table")
     p_farey.add_argument("row", type=int)
-    p_farey.add_argument("--format", choices=("plain", "json"), default="plain",
-                         dest="format_")
+    p_farey.add_argument("--format", **_NUMERIC_FLAGS["--format"])
     p_farey.set_defaults(func=_cmd_farey)
 
     p_self = sub.add_parser("selftest", help="run the built-in sanity suites")
     p_self.set_defaults(func=_cmd_selftest)
     return parser
+
+
+def _parse_common(argv) -> dict | None:
+    """`vars(build_parser().parse_args(argv))` of a well-formed `eval` or
+    `trace` line, read in one pass over its command's flags; None for any
+    line this pass does not accept, which argparse then parses or reports.
+
+    Accepted: the command, then exact flags of its table, each followed by a
+    value that does not start with `-` and that its type and choices take,
+    and at most one expression that does not start with `-` (exactly one
+    for `trace`).  argparse reads an exact option string as that option and
+    an argument that does not start with `-` as a value or a positional, so
+    on such a line the two agree."""
+    if not argv or argv[0] not in ("eval", "trace"):
+        return None
+    command = argv[0]
+    flags = _EVAL_FLAGS if command == "eval" else _NUMERIC_FLAGS
+    values = {keywords["dest"]: keywords["default"] for keywords in flags.values()}
+    values.update(command=command, func=_cmd_eval)
+    if command == "trace":
+        values.update(_TRACE_DEFAULTS)
+    tokens = iter(argv[1:])
+    for token in tokens:
+        keywords = flags.get(token)
+        if keywords is None:  # the expression, or a form left to argparse
+            if token.startswith("-") or "expression" in values:
+                return None
+            values["expression"] = token
+            continue
+        if keywords.get("action") == "store_true":
+            values[keywords["dest"]] = True
+            continue
+        value = next(tokens, "-")  # a missing value is argparse's to report
+        if value.startswith("-"):
+            return None
+        if "type" in keywords:
+            try:
+                value = keywords["type"](value)
+            except Exception:  # argparse runs the type again and reports it
+                return None
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[keywords["dest"]] = value
+    if command == "eval":
+        values.setdefault("expression", None)
+    return values if "expression" in values else None
 
 
 def _result_payload(text: str, ctx, trace: bool):
@@ -201,12 +276,14 @@ def _cmd_repl(args) -> int:
             continue
         if line == ":quit":
             return 0
-        field = next((f for f in ("base", "digits") if line.startswith(":" + f)), None)
-        if field:
+        setting, *words = line.split()
+        if setting in (":base", ":digits"):
             try:
-                values = {"base": ctx.base, "digits": ctx.digits, field: int(line.split()[1])}
+                if len(words) != 1:
+                    raise ValueError(f"{setting} needs one integer")
+                values = {"base": ctx.base, "digits": ctx.digits, setting[1:]: int(words[0])}
                 ctx = NumericContext(**values, guard_digits=ctx.guard_digits)
-            except (IndexError, ValueError) as err:
+            except ValueError as err:
                 report(line, err, 1, str(err))  # a usage error, as a bad flag is
             continue
         try:
@@ -292,7 +369,8 @@ def _failure(err: HypercalcError) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    values = _parse_common(sys.argv[1:] if argv is None else argv)
+    args = build_parser().parse_args(argv) if values is None else SimpleNamespace(**values)
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit

@@ -229,6 +229,32 @@ def test_bad_numeric_flag_is_usage_error(flag, value):
     assert "Traceback" not in err
 
 
+NEGATIVE_DIGITS = "hypercalc eval: error: argument --digits: must be >= 0, got -1"
+NO_EXPRESSION = "hypercalc trace: error: the following arguments are required: expression"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["eval", "1", "--digits=-1"], NEGATIVE_DIGITS),
+    (["eval", "1", "--dig", "-1"], NEGATIVE_DIGITS),
+    (["eval", "1", "--format", "xml"],
+     "hypercalc eval: error: argument --format: invalid choice: 'xml'"),
+    (["trace"], NO_EXPRESSION),
+    (["trace", "--digits", "3"], NO_EXPRESSION),
+    (["eval", "1", "extra"], "hypercalc: error: unrecognized arguments: extra"),
+    (["trace", "1", "extra"], "hypercalc: error: unrecognized arguments: extra"),
+], ids=["= form", "abbreviation", "bad choice", "trace alone", "trace without expression",
+        "extra positional", "trace extra positional"])
+def test_usage_errors_keep_their_messages(argv, message):
+    # lines the fast pass leaves to argparse get argparse's usage and error
+    # line; a choice's list of choices is quoted differently across versions
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    prog = message.split(": error: ")[0]  # the parser that reports it prints its usage
+    assert err.startswith(f"usage: {prog} [-h]")
+    assert err.splitlines()[-1].startswith(message)
+    assert "Traceback" not in err
+
+
 def test_json_output_roundtrips():
     code, out, _ = run_cli(
         "eval", "[2++++0.5]", "--digits", "12", "--format", "json"
@@ -477,7 +503,7 @@ def test_repl_json_failures(monkeypatch):
     records = [json.loads(line) for line in out.getvalue().splitlines()]
     assert records[:3] == [
         {"input": ":digits x", "error": "invalid literal for int() with base 10: 'x'", "exit": 1},
-        {"input": ":base", "error": "list index out of range", "exit": 1},
+        {"input": ":base", "error": ":base needs one integer", "exit": 1},
         {"input": ":base 40", "error": "base must be in [2, 36]", "exit": 1},
     ]
     assert records[3] == {"input": "[1--0]", "error": "domain error: division by zero (at root)",
@@ -498,9 +524,27 @@ def test_repl_settings(monkeypatch):
     assert out.getvalue().splitlines() == [
         "0.40",  # 1/4 in base 16; base 10 would print 0.25
         "error: invalid literal for int() with base 10: 'x'",
-        "error: list index out of range",
+        "error: :base needs one integer",
         "error: base must be in [2, 36]",
         "0.40",
+    ]
+
+
+def test_repl_settings_match_the_whole_word(monkeypatch):
+    # a setting is its whole first word and exactly one integer: `:baseball`
+    # is an expression, and a second value is an error, not dropped
+    stdin = io.StringIO(":baseball 16\n:digits 3 4\n:digits\n[1--4]\n:digits  3\n[1--4]\n")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["repl", "--digits", "2"])
+    assert code == 0
+    assert out.getvalue().splitlines() == [
+        "error: stray character ':' at offset 0",
+        "error: :digits needs one integer",
+        "error: :digits needs one integer",
+        "0.25",
+        "0.250",
     ]
 
 
@@ -733,3 +777,115 @@ def test_starting_the_cli_loads_no_introspection_modules():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+def test_a_common_line_never_imports_argparse():
+    # `eval` and `trace` lines of exact flags are read without argparse, so
+    # a one-shot command never loads it (nor gettext); an abbreviation is
+    # argparse's, which is loaded then
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from hypercalc import cli; "
+            "cli.main(['eval', '[1+1]']); print('argparse' in sys.modules); "
+            "cli.main(['eval', '1', '--dig', '3']); print('argparse' in sys.modules)")
+    package_parent = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code, package_parent],
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines() == ["2.00000000000000000000", "False", "1.000", "True"]
+
+
+def argparse_namespace(argv):
+    """vars() of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+COMMANDS = ["eval", "trace", "repl", "farey", "selftest"]
+FLAGS = list(cli._EVAL_FLAGS)
+# forms the fast pass leaves to argparse: abbreviations, `=`, help, `--`
+ODD_FLAGS = ["--dig", "--b", "--fo", "--tr", "--digits=5", "--format=json", "--base=-1", "-h",
+             "--help", "--", "-x"]
+VALUES = ["-1", "-0", "0", "1", "36", "37", " 7", "+5", "1_0", "\u0663", "xml", "json", "plain", ""]
+EXPRESSIONS = ["[1+1]", "1", "-1", "-[1+1]", "[1--0]", "eval", "trace"]
+
+
+@st.composite
+def command_lines(draw):
+    """argv lists of every command, flag and odd form, mostly a flag and a
+    value in turn so that many of them are well formed."""
+    argv = [draw(st.sampled_from(COMMANDS + ["eval", "trace"] * 3))]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["flag"] * 4 + ["odd", "value", "expression"]))
+        if kind == "flag":
+            argv += [draw(st.sampled_from(FLAGS)), draw(st.sampled_from(VALUES + EXPRESSIONS))]
+        else:
+            pool = {"odd": ODD_FLAGS, "value": VALUES, "expression": EXPRESSIONS}[kind]
+            argv.append(draw(st.sampled_from(pool)))
+    return argv
+
+
+# values each flag takes, so that well-formed lines are drawn often
+GOOD_VALUES = {"--base": ["2", "36", " 7", "+5", "1_0", "\u0663"],
+               "--digits": ["0", "1", "37", " 7", "+5", "1_0", "\u0663"],
+               "--guard": ["1", "36", "37", "+5", "\u0663"],
+               "--format": ["plain", "json"], "--file": ["", "exprs.txt", "1"]}
+
+
+@st.composite
+def well_formed_lines(draw):
+    """`eval` and `trace` lines of exact flags with values they take, and
+    one expression (or none, for `eval`) anywhere among them."""
+    command = draw(st.sampled_from(["eval", "trace"]))
+    flags = [f for f in FLAGS if command == "eval" or f not in ("--file", "--trace")]
+    args = []
+    for flag in draw(st.lists(st.sampled_from(flags), max_size=5)):
+        value = [] if flag == "--trace" else [draw(st.sampled_from(GOOD_VALUES[flag]))]
+        args.append([flag, *value])
+    if command == "trace" or draw(st.booleans()):
+        args.insert(draw(st.integers(0, len(args))), [draw(st.sampled_from(EXPRESSIONS[:-2]))])
+    return [command, *(word for arg in args for word in arg)]
+
+
+@given(st.one_of(command_lines(), well_formed_lines()))
+@settings(max_examples=600, deadline=None)
+@example(["eval", "[1+1]", "--digits", "5", "--base", "16", "--format", "json"])
+@example(["trace", "--guard", "1", "[1+1]", "--digits", "\u0663"])
+@example(["eval", "--trace", "--file", "", "--trace"])
+def test_the_fast_pass_is_argparse_or_declines(argv):
+    fast = cli._parse_common(argv)
+    expected = argparse_namespace(argv)
+    if expected is None:  # argparse exits: help or a usage error
+        assert fast is None
+    else:
+        assert fast is None or fast == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "1", "-h"], ["eval", "--", "1"], ["eval", "1", "--dig", "5"],
+    ["eval", "1", "--digits=5"], ["trace", "1", "--file", "f"], ["trace", "1", "--trace"],
+    ["eval", "1", "--digits", "-1"], ["eval", "--file", "-"], ["eval", "1", "--digits", "x"],
+    ["eval", "1", "--base", "37"], ["eval", "1", "--format", "xml"], ["eval", "1", "extra"],
+    ["trace"], ["trace", "--digits", "3"], ["eval", "-1"], ["eval", "1", "--digits"],
+    ["repl"], ["farey", "3"], ["selftest"], [],
+], ids=["help", "--", "abbreviation", "= form", "another command's flag", "eval's switch",
+        "value starting with -", "file named -", "not an int", "out of bounds", "bad choice",
+        "second positional", "trace alone", "trace without expression",
+        "expression starting with -", "missing value", "repl", "farey", "selftest", "empty"])
+def test_the_fast_pass_declines(argv):
+    assert cli._parse_common(argv) is None
+
+
+def test_common_lines_skip_argparse(monkeypatch):
+    # the benchmark's command lines, and `trace` and `eval --trace`, never
+    # build or call the parser
+    def refuse():
+        raise AssertionError("argparse was used")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    assert run_main("eval", "[1+1]", "--digits", "2", "--base", "16", "--format", "json")[0] == 0
+    assert run_main("trace", "[1+[1+1]]", "--digits", "0") == (0, "[1+2]\n3\n", "")
+    assert run_main("eval", "--trace", "--guard", "3", "[1+[1+1]]", "--digits", "0") == (
+        0, "[1+2]\n3\n", "")
+    assert run_main("eval", "--digits", "0") == (1, "", "eval needs an expression or --file\n")
