@@ -193,12 +193,15 @@ _JSON_BATCH = 64
 
 
 def _write_json(payload) -> None:
-    """Write `json.dumps(payload, sort_keys=True)` and a newline, in pieces,
-    so that the trace's text is copied a batch at a time: its lines are
-    quoted and joined as they are, `_JSON_BATCH` lines at a time.  A trace
-    line holds only `[]+-/.`, 0-9 and A-Z (`render`'s brackets,
-    `digit_text`'s and `BasebExpansion.text`'s displays), none of which
-    JSON escapes."""
+    """Write `json.dumps(payload, sort_keys=True)` and a newline, in pieces.
+
+    `canonical`, `value`, `radius` and each trace line are written quoted as
+    they are, with no `json.dumps`: they hold only `[]+-/.`, 0-9 and A-Z
+    (`render`'s brackets, `digit_text`'s and `BasebExpansion.text`'s
+    displays, `format_fraction`'s `n/d`), none of which JSON escapes.  The
+    trace is copied a batch at a time, its lines quoted and joined
+    `_JSON_BATCH` at a time.  `input`, the user's text, and `digits` go
+    through `json.dumps`."""
     write, sep = sys.stdout.write, "{"
     for key in sorted(payload):
         write(f'{sep}"{key}": ')
@@ -210,6 +213,8 @@ def _write_json(payload) -> None:
                 write('", "' if i else '"')
                 write('", "'.join(lines[i:i + _JSON_BATCH]))
             write('"]' if lines else "]")
+        elif key in ("canonical", "value", "radius"):
+            write(f'"{payload[key]}"')
         else:
             write(json.dumps(payload[key]))
     write("}\n")
@@ -217,7 +222,9 @@ def _write_json(payload) -> None:
 
 def _cmd_eval(args) -> int:
     if (args.expression is None) == (args.file is None):
-        print("eval needs an expression or --file", file=sys.stderr)
+        both = args.file is not None
+        print("eval takes an expression or --file, not both" if both
+              else "eval needs an expression or --file", file=sys.stderr)
         return 1
     ctx = _context(args)
     if args.expression is not None:

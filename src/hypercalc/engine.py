@@ -1,8 +1,9 @@
 """Whole-term evaluation with adaptive precision and base-b rendering.
 
-`evaluate` flattens a term once, with an iterative walk, into post-order
-entries, each holding a node's operator and the indices of its two
-operands (-1 for the constant 1).  Every retry round then loops over that
+`evaluate` takes a term's post-order entries from `terms.flatten`, each
+holding a node's operator and the indices of its two operands (-1 for the
+constant 1): a parsed term carries them from the parse, and a term built by
+hand is walked once, iteratively.  Every retry round then loops over that
 list, so each binary operation fires as soon as both operands are values
 (the order of the printable reduction chain), and stores its result at its
 own index until its parent fires.  Nothing is keyed by a node's path, so
@@ -68,7 +69,7 @@ from .errors import DomainError, HypercalcError, PrecisionError, ResourceError
 from .midops import SeriesConfig, tol_bits
 from .rationals import decimal_texts, digit_text
 from .records import Record, _set
-from .terms import Leaf, OpKind, Operator, Path, Term, TraceEvent, plus_one_chain, render
+from .terms import _LEAF, OpKind, Path, Term, TraceEvent, _Flat, flatten, render
 
 # Refinement rounds: `evaluate` re-runs at a tighter working tolerance, and
 # `adaptive_evaluate` doubles the guard digits, at most this many times each.
@@ -171,7 +172,7 @@ def evaluate(term: Term, ctx: NumericContext, *, collect_trace: bool = False) ->
     """Evaluate with a final radius <= base^-(digits+guard), or exactly;
     `collect_trace` adds the trace of the round that met that radius."""
     target = ctx.precision_target()
-    flat = _flatten(term)
+    flat = flatten(term)
     nodes = sum(k or 1 for *_, k in flat)
     working = target / (4 * max(1, nodes))
     for attempt in range(MAX_DOUBLINGS + 1):
@@ -199,40 +200,6 @@ def evaluate(term: Term, ctx: NumericContext, *, collect_trace: bool = False) ->
 def trace_reduce(term: Term, ctx: NumericContext) -> tuple[TraceEvent, ...]:
     """One event per binary operation, reproducing the printable chain."""
     return evaluate(term, ctx, collect_trace=True).trace
-
-
-# Entries in post-order: (op, left, right, k), where an operand is the
-# index of an earlier entry or _LEAF for the constant 1, and k > 0 marks the
-# chain of k `[X+1]` steps over X = left.
-_Flat = list[tuple[Operator, int, int, int]]
-
-_LEAF = -1
-
-
-def _flatten(term: Term) -> _Flat:
-    """Post-order entries: one per `+1` chain, and one per other node."""
-    flat: _Flat = []
-    done: list[int] = []  # indices of finished operands, innermost last
-    # (term, None) is still to expand, (node, k) is ready once its operands are
-    stack: list[tuple[Term, int | None]] = [(term, None)]
-    while stack:
-        t, k = stack.pop()
-        if k is not None:
-            right = _LEAF if k else done.pop()
-            left = done.pop()
-            done.append(len(flat))
-            flat.append((t.op, left, right, k))
-        elif isinstance(t, Leaf):
-            done.append(_LEAF)
-        else:
-            k, bottom = plus_one_chain(t)
-            stack.append((t, k))
-            if k:
-                stack.append((bottom, None))
-            else:
-                stack.append((t.right, None))
-                stack.append((t.left, None))
-    return flat
 
 
 def _eval_once(flat: _Flat, op_tol: Fraction) -> Iterator[Value]:
@@ -390,7 +357,7 @@ class _Trace:
             else:
                 shown = (_display_value(_apply(op, left, j, op_tol), ctx) for j in range(1, k + 1))
             self.fire(i, k, shown)
-        return _Chain(tuple(self.lines), tuple(self.flat))
+        return _Chain(tuple(self.lines), self.flat)
 
     def fire(self, i: int, k: int, shown: Iterable[str]) -> None:
         """Entry i's lines: one for a node (k = 0), or one per step of a
@@ -426,7 +393,7 @@ class _Chain(Record):
 
     __slots__ = ("lines", "flat")
 
-    def __init__(self, lines: tuple[str, ...], flat: tuple[tuple[Operator, int, int, int], ...]):
+    def __init__(self, lines: tuple[str, ...], flat: _Flat):
         _set(self, "lines", lines)
         _set(self, "flat", flat)
 

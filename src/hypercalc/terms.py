@@ -18,6 +18,14 @@ needs no case for it; `plus_one_chain` reads its length in O(1).  Explicit
 `[X+1]` text still parses to `Node`s.  A term's identity is its canonical
 text: `render` alone writes bracket text, and terms are equal, and hash
 alike, when they render alike, however `Node`s and `Chain`s hold them.
+
+A parsed term carries its text and the evaluator's entries from the parse.
+`parse` meets every node in post-order, so in the same pass it records on
+the root the entries `flatten` would walk out (one per `[X+1]` chain and one
+per other node) and the canonical text as pieces, a literal's chain of k
+steps kept as k until the text is read.  The recording sits in the root's
+`_parsed` slot, which equality, hashing, copies and pickles ignore; `render`
+and `flatten` read it, and walk a term built by hand.
 """
 
 from __future__ import annotations
@@ -64,6 +72,12 @@ class Operator(Record):
         return self.kind.symbol * self.rank
 
 
+# The operators of runs of up to 8 symbols, shared by every parse; a
+# longer run builds its own
+_OPERATORS = {s * rank: Operator(OpKind(s), rank) for s in "+-/" for rank in range(1, 9)}
+_PLUS1, _MINUS1, _MINUS2 = _OPERATORS["+"], _OPERATORS["-"], _OPERATORS["--"]
+
+
 class Leaf(Record):
     """The constant `1`."""
 
@@ -74,7 +88,7 @@ class Node(Record):
     """`[left op right]`.  `==` and `hash` compare `render` text; repr walks
     the tree with an explicit stack, as bracket text nests up to `MAX_DEPTH`."""
 
-    __slots__ = ("op", "left", "right")
+    __slots__ = ("op", "left", "right", "_parsed")
 
     def __init__(self, op: Operator, left: Term, right: Term):
         _set(self, "op", op)
@@ -104,7 +118,6 @@ class Node(Record):
 
 
 ONE = Leaf()
-_PLUS1 = Operator(OpKind.PLUS, 1)
 
 
 class Chain(Record):
@@ -116,7 +129,7 @@ class Chain(Record):
     like the `Node` tree it stands for: both render to the same text.
     """
 
-    __slots__ = ("k", "base")
+    __slots__ = ("k", "base", "_parsed")
 
     def __init__(self, k: int, base: Term):
         if k < 1:
@@ -155,37 +168,58 @@ def desugar_integer(value: int) -> Term:
     if value < 0:
         raise ValueError("only non-negative integer literals desugar")
     if value == 0:
-        return Node(Operator(OpKind.MINUS, 1), ONE, ONE)
+        return Node(_MINUS1, ONE, ONE)
     return Chain(value - 1, ONE) if value > 1 else ONE
 
 
-def _literal_values(lexeme: str) -> list[int] | None:
-    """The integers a literal desugars from: [n] for `n`, [m, 10^k] for a
-    decimal with digits m and k fractional places.
+# Entries in post-order, the evaluator's input: (op, left, right, k), where
+# an operand is the index of an earlier entry or _LEAF for the constant 1,
+# and k > 0 marks the chain of k `[X+1]` steps over X = left.
+_Flat = tuple[tuple[Operator, int, int, int], ...]
 
-    None when one of them has more than `len(str(MAX_NODES))` digits,
-    which makes it at least ten times the cap.  Such a run is never
-    converted: `int()` of a long run is slow, and past 4,300 digits refused.
+_LEAF = -1
+
+
+def _integer(run: str, entries: list, pieces: list) -> tuple[Term, int, int] | None:
+    """(term, entry index, internal nodes) of a literal's digit run, with
+    its entry and its piece of text recorded: the chain of n - 1 steps is
+    the piece n - 1.
+
+    None when the run has more than `len(str(MAX_NODES))` digits, which
+    makes it at least ten times the cap.  Such a run is never converted:
+    `int()` of a long run is slow, and past 4,300 digits refused.
     """
-    whole, _, frac = lexeme.partition(".")
-    runs = [whole + frac] + (["1" + "0" * len(frac)] if frac else [])
-    runs = [run.lstrip("0") or "0" for run in runs]
-    if any(len(run) > len(str(MAX_NODES)) for run in runs):
+    run = run.lstrip("0") or "0"
+    if len(run) > len(str(MAX_NODES)):
         return None
-    return [int(run) for run in runs]
+    value = int(run)
+    if value == 1:
+        pieces.append("1")
+        return ONE, _LEAF, 0
+    if value:
+        entries.append((_PLUS1, _LEAF, _LEAF, value - 1))
+        pieces.append(value - 1)
+    else:
+        entries.append((_MINUS1, _LEAF, _LEAF, 0))
+        pieces.append("[1-1]")
+    return desugar_integer(value), len(entries) - 1, max(value - 1, 1)  # [1-1] is one node
 
 
-def _literal_nodes(values: list[int] | None) -> int:
-    if values is None:
-        return MAX_NODES + 1
-    return len(values) - 1 + sum(v - 1 if v else 1 for v in values)
-
-
-def _desugar_literal(values: list[int]) -> Term:
-    if len(values) == 1:
-        return desugar_integer(values[0])
-    num, den = values
-    return Node(Operator(OpKind.MINUS, 2), desugar_integer(num), desugar_integer(den))
+def _literal(lexeme: str, entries: list, pieces: list) -> tuple[Term, int, int] | None:
+    """`_integer` of a literal: `n`, or `[m--10^k]` for a decimal with digits
+    m and k fractional places."""
+    whole, _, frac = lexeme.partition(".")
+    if not frac:
+        return _integer(whole, entries, pieces)
+    pieces.append("[")
+    num = _integer(whole + frac, entries, pieces)
+    pieces.append("--")
+    den = _integer("1" + "0" * len(frac), entries, pieces)
+    if num is None or den is None:
+        return None
+    pieces.append("]")
+    entries.append((_MINUS2, num[1], den[1], 0))
+    return Node(_MINUS2, num[0], den[0]), len(entries) - 1, num[2] + den[2] + 1
 
 
 # One match per token, in group 1, with the whitespace and comments before
@@ -218,7 +252,11 @@ def parse(text: str) -> Term:
     """
     tokens = _TOKEN.finditer(text)
     nodes = 0
-    # (left, operator) of each open bracket, None until its operator is read
+    # the recording: `flatten`'s entries, and the text as `render` pieces
+    entries: list = []
+    pieces: list = []
+    # (left, its entry, operator) of each open bracket, None until its
+    # operator is read
     stack: list = []
     try:
         while True:
@@ -233,24 +271,38 @@ def parse(text: str) -> Term:
                 stack.append(None)
                 if len(stack) > MAX_DEPTH:
                     raise ParseError(f"nesting deeper than {MAX_DEPTH}", token.start(1))
+                pieces.append("[")
                 continue
             if lexeme == "1":
                 term: Term = ONE
+                at = _LEAF
+                pieces.append("1")
             elif "0" <= lexeme[:1] <= "9":
-                values = _literal_values(lexeme)
-                nodes += _literal_nodes(values)
+                term, at, count = _literal(lexeme, entries, pieces) or (None, None, MAX_NODES + 1)
+                nodes += count
                 if nodes > MAX_NODES:
                     raise ParseError(f"term has more than {MAX_NODES} nodes with literals desugared",
                                      token.start(1))
-                term = _desugar_literal(values)
             else:
                 raise _expected("an operand", token)
             # close every bracket whose right operand this is
             while stack and stack[-1] is not None:
-                left, op = stack.pop()
+                left, left_at, op = stack.pop()
                 token = next(tokens)
                 if token[1] != "]":
                     raise _expected("']'", token)
+                pieces.append("]")
+                if term is not ONE or op is not _PLUS1:
+                    entries.append((op, left_at, at, 0))
+                    at = len(entries) - 1
+                elif left_at != _LEAF and entries[left_at][3]:
+                    # an `[X+1]` step over a chain, which is the last entry
+                    _, bottom, _, k = entries[left_at]
+                    entries[left_at] = (op, bottom, _LEAF, k + 1)
+                    at = left_at
+                else:  # the first `[X+1]` step over X
+                    entries.append((op, left_at, _LEAF, 1))
+                    at = len(entries) - 1
                 term = Node(op, left, term)
             # then an operator, or the end
             token = next(tokens)
@@ -258,10 +310,16 @@ def parse(text: str) -> Term:
             if not stack:
                 if lexeme:
                     raise ParseError(f"trailing {lexeme!r}", token.start(1))
+                if term is not ONE:  # the shared leaf carries nothing
+                    _set(term, "_parsed", (tuple(entries), pieces))
                 return term
-            if lexeme[:1] not in ("+", "-", "/"):
-                raise _expected("an operator", token)
-            stack[-1] = (term, Operator(OpKind(lexeme[0]), len(lexeme)))
+            op = _OPERATORS.get(lexeme)
+            if op is None:
+                if lexeme[:1] not in ("+", "-", "/"):
+                    raise _expected("an operator", token)
+                op = Operator(OpKind(lexeme[0]), len(lexeme))
+            pieces.append(lexeme)
+            stack[-1] = (term, at, op)
     except ParseError:
         # a stray character anywhere comes before any other problem; the
         # tokens read so far are not stray, or they would not have parsed
@@ -292,11 +350,56 @@ def plus_one_chain(term: Term) -> tuple[int, Term]:
             return k, term
 
 
+def flatten(term: Term) -> _Flat:
+    """The evaluator's entries of a term in post-order: one per `+1` chain,
+    and one per other node.  A parsed term's are the parse's recording; a
+    term built by hand is walked."""
+    parsed = getattr(term, "_parsed", None)
+    if parsed is not None:
+        return parsed[0]
+    flat: list = []
+    done: list[int] = []  # indices of finished operands, innermost last
+    # (term, None) is still to expand, (node, k) is ready once its operands are
+    stack: list[tuple[Term, int | None]] = [(term, None)]
+    while stack:
+        t, k = stack.pop()
+        if k is not None:
+            right = _LEAF if k else done.pop()
+            left = done.pop()
+            done.append(len(flat))
+            flat.append((t.op, left, right, k))
+        elif isinstance(t, Leaf):
+            done.append(_LEAF)
+        else:
+            k, bottom = plus_one_chain(t)
+            stack.append((t, k))
+            if k:
+                stack.append((bottom, None))
+            else:
+                stack.append((t.right, None))
+                stack.append((t.left, None))
+    return tuple(flat)
+
+
 def render(term: Term) -> str:
     """Render a Term as canonical bracket notation, the exact inverse of
     `parse`: literals come out desugared.  A chain of k `[X+1]` steps is
-    emitted whole, as k `[`s, X and k `+1]`s, not node by node."""
+    emitted whole, as k `[`s, X and k `+1]`s, not node by node.  A parsed
+    term's text is its recorded pieces joined, a piece k being the chain of
+    k steps over `1`."""
     out: list[str] = []
+    parsed = getattr(term, "_parsed", None)
+    if parsed is not None:
+        for p in parsed[1]:
+            if p.__class__ is str:
+                out.append(p)
+            else:
+                # the runs go in whole, and `+1]`s first, as the walk below
+                # makes them: a concatenated copy, or the other order, left
+                # the heap so that an exact-structure run peaked 0.3 MB higher
+                closes = "+1]" * p
+                out += ("[" * p, "1", closes)
+        return "".join(out)
     work: list = [term]  # terms to render, or literal strings to emit
     while work:
         item = work.pop()

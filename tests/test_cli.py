@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hypercalc import cli, engine
+from hypercalc import cli, engine, terms
 from hypercalc.cli import main
 from hypercalc.errors import HypercalcError
 from hypercalc.terms import parse, render
@@ -446,6 +446,14 @@ def test_eval_requires_expression_or_file():
     assert code == 1
 
 
+def test_an_expression_and_a_file_exclude_each_other(tmp_path):
+    batch = tmp_path / "exprs.txt"
+    batch.write_text("[1+1]\n")
+    both = (1, "", "eval takes an expression or --file, not both\n")
+    assert run_main("eval", "1", "--file", str(batch)) == both
+    assert run_main("eval", f"--file={batch}", "1") == both  # the argparse path
+
+
 def test_farey_row():
     code, out, _ = run_cli("farey", "3")
     assert code == 0
@@ -662,9 +670,12 @@ def low_rank_texts(draw, depth=3):
 @example(text="1", base=10, digits=20, traced=True)  # "trace": []
 @example(text="[[1--3]-[5--1]]", base=36, digits=20, traced=True)  # -4.O, 0.C
 @example(text="[1+1]\u00a0", base=10, digits=20, traced=True)  # an escaped input
+@example(text="[2999+[0.5--40]]", base=16, digits=20, traced=False)  # a long literal's text
+@example(text="[[1+1]---[1+1]]", base=10, digits=20, traced=False)  # a radius other than 0/1
 def test_json_record_is_json_dumps_byte_for_byte(text, base, digits, traced):
-    # the trace's lines are written quoted and joined, unescaped, so every
-    # line must hold only characters that JSON leaves as they are
+    # `canonical`, `value`, `radius` and the trace's lines are written
+    # quoted, unescaped, so each must hold only characters that JSON leaves
+    # as they are
     ctx = engine.NumericContext(base=base, digits=digits)
     try:
         payload = cli._result_payload(text, ctx, traced)
@@ -675,7 +686,8 @@ def test_json_record_is_json_dumps_byte_for_byte(text, base, digits, traced):
         cli._emit(payload, argparse.Namespace(format_="json"))
     assert out.getvalue() == json.dumps(payload, sort_keys=True) + "\n"
     assert ("trace" in payload) == traced
-    for line in payload.get("trace", ()):
+    for line in [*payload.get("trace", ()), payload["canonical"], payload["value"],
+                 payload["radius"]]:
         assert TRACE_LINE.fullmatch(line)
 
 
@@ -725,6 +737,29 @@ def test_a_traced_command_builds_no_trace_event(monkeypatch):
     assert [e.path for e in events] == [("L",) * (steps - j) for j in range(1, steps + 1)]
     assert [e.before for e in events] == [render(parse(chain))] + afters[:-1]
     assert [e.after for e in events] == afters
+
+
+def test_a_command_line_walks_no_tree(monkeypatch):
+    # `parse` records the evaluator's entries and the canonical text, so
+    # neither `render` nor the evaluator walks the term; both walks take
+    # `plus_one_chain` at each node they meet
+    calls = []
+    chain = terms.plus_one_chain
+
+    def counted(term):
+        calls.append(term)
+        return chain(term)
+
+    monkeypatch.setattr(terms, "plus_one_chain", counted)
+    text = "[4.19/[44.5--3.68]]"
+    for command in ("eval", "trace"):
+        code, out, err = run_main(command, text, "--digits", "30", "--base", "16",
+                                  "--format", "json")
+        assert (code, err) == (0, "")
+    assert calls == []
+    # a copy carries no recording, so it is walked
+    copy = pickle.loads(pickle.dumps(parse(text)))
+    assert render(copy) == render(parse(text)) and calls
 
 
 def test_a_traced_command_builds_no_path(monkeypatch):

@@ -23,7 +23,7 @@ from hypercalc.engine import (
 from hypercalc.errors import DomainError, HypercalcError, PrecisionError, ResourceError
 from hypercalc import rationals
 from hypercalc.rationals import digit_text
-from hypercalc.terms import Leaf, Node, OpKind, Operator, TraceEvent, parse, render
+from hypercalc.terms import Leaf, Node, OpKind, Operator, TraceEvent, flatten, parse, render
 
 CTX10 = NumericContext(digits=10, guard_digits=10)
 
@@ -570,7 +570,7 @@ def reference_render_with(term, display):
 
 def post_order_run(term, op_tol, collect):
     """One `_eval_once` round, and its trace replayed from the round's values."""
-    flat = engine._flatten(term)
+    flat = flatten(term)
     values = [*engine._eval_once(flat, op_tol)] or [Fraction(1)]  # the leaf's 1
     events = engine._Trace(flat, render(term)).replay(values, CTX10, op_tol) if collect else ()
     return values[-1], list(events)
@@ -707,7 +707,7 @@ def test_folded_chain_over_a_ball_matches_per_node_steps():
     term = parse("[2+++0.5]")
     for _ in range(2000):
         term = Node(PLUS1, term, Leaf())
-    folded = engine._flatten(term)
+    folded = flatten(term)
     # 2, 5 and 10 are chains, then `--`, `+++` and the 2,000-step chain
     assert len(folded) == 6
     op_tol = CTX10.precision_target() / 64

@@ -1,3 +1,4 @@
+import pickle
 import random
 import tracemalloc
 from unittest import mock
@@ -20,6 +21,7 @@ from hypercalc.terms import (
     Operator,
     TraceEvent,
     desugar_integer,
+    flatten,
     parse,
     plus_one_chain,
     render,
@@ -384,6 +386,44 @@ def test_node_methods_match_the_dataclass_ones(a, b):
         assert a == copy and hash(a) == hash(copy)
     assert (a == b) == (tree_tuple(a) == tree_tuple(b)) == (not a != b)
     assert repr(a) == dataclass_repr(a)
+
+
+# whitespace and comments between tokens, which the canonical text drops
+GAPS = st.sampled_from(["", " ", "\n", "\t ", " # a note\n"])
+
+
+@st.composite
+def literal_texts(draw, depth=3):
+    """Bracket text rich in literals: `0`, integers with leading zeros,
+    decimals, explicit `[X+1]` runs over literals and over other nodes, and
+    operator runs past the shared operators' table."""
+    if depth == 0 or draw(st.booleans()):
+        # eight literals of at most 10,075 nodes each stay under the cap
+        long, whole = draw(st.integers(0, 3000)), draw(st.integers(0, 100))
+        frac = draw(st.sampled_from([".0", ".5", ".05", ".75"]))
+        text = draw(st.sampled_from(["0", "1", "00", "01", str(long), f"{whole}{frac}"]))
+    else:
+        op = draw(st.sampled_from(["+", "-", "/", "++", "--", "+++", "////", "-" * 9]))
+        left, right = draw(literal_texts(depth - 1)), draw(literal_texts(depth - 1))
+        text = f"[{draw(GAPS)}{left}{draw(GAPS)}{op}{draw(GAPS)}{right}{draw(GAPS)}]"
+    for _ in range(draw(st.integers(0, 3))):
+        text = f"[{text}{draw(GAPS)}+{draw(GAPS)}1]"
+    return text
+
+
+@given(st.one_of(term_strategy().map(render), literal_texts()))
+@settings(max_examples=300, deadline=None)
+@example("[0.5 + 2] # half")
+@example("[[[0.05+1]+1]+[[7++0]+1]]")
+def test_the_parse_records_what_the_walks_give(text):
+    # a copy is built from the fields alone, so it carries no recording and
+    # `flatten` and `render` walk it
+    term = parse(text)
+    copy = pickle.loads(pickle.dumps(term))
+    assert getattr(copy, "_parsed", None) is None
+    assert (getattr(term, "_parsed", None) is None) == (term is ONE)
+    assert flatten(term) == flatten(copy)
+    assert render(term) == render(copy)
 
 
 def test_largest_literal_parses_in_constant_memory():
