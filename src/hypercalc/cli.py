@@ -167,7 +167,8 @@ def _result_payload(text: str, ctx, trace: bool):
     result, expansion = adaptive_evaluate(term, ctx, collect_trace=trace)
     payload = {
         "input": text,
-        "canonical": render(term),
+        # a traced term's render is its chain's first line
+        "canonical": result.chain.lines[0] if trace else render(term),
         "value": expansion.text(),
         "radius": format_fraction(result.ball().radius),
         "digits": ctx.digits,

@@ -100,39 +100,60 @@ the same formulas give over Fractions.  Two steps depend on the form,
 `_ln_fixed`'s small-height series and `_log_abs_float`'s split of a
 rational into mantissa and exponent; they take their input in lowest terms
 (`_lowest`).  Integer exponents take an exact path when the result stays
-representable; a base ball that reaches 0 takes an integer exponent n >= 2
-to within max|x|^n of 0.  A power certainly below a quarter of the snap
-grid is the ball 0 +/- that grid, the ball the general path snaps it to,
-before any series runs (`_underflow_bits`, integers only).
+representable, and exact non-integer ones the certified root below, on an
+exact base and a ball alike; a base ball that reaches 0 takes an integer
+exponent n >= 2 to within max|x|^n of 0.  A power certainly below a quarter
+of the snap grid is the ball 0 +/- that grid, the ball the general path
+snaps it to, before any series runs (`_underflow_bits`, integers only).
 
 Each operation makes one attempt and returns the rigorous ball it reaches,
 which may be wider than asked (a base near 1 multiplies log's errors by
 1/ln b); an operand ball too wide for an enclosure raises PrecisionError.
 `engine.evaluate`, not a kernel, re-runs at a tighter tolerance.
 
-Exact operands skip the series where the answer is algebraic (Brent &
-Zimmermann, 1.5.2 and 4.2; Bernstein, "Detecting perfect powers in
-essentially linear time", Math. Comp. 67, 1998):
+Exact exponents and exact logs skip the series where the answer is
+algebraic (Brent & Zimmermann, 1.5.2 and 4.2; Bernstein, "Detecting perfect
+powers in essentially linear time", Math. Comp. 67, 1998):
 
-  a^(P/Q), a = n/d > 0 exact, Q >= 2.  Exact when n and d are perfect Q-th
-           powers (integer Newton roots, one exact power each), under the
-           integer path's size cap.  Otherwise, with P > 0 after swapping n
-           and d, N = n^P, D = d^P, k = floor((bits N - bits D) / Q) and
-           m = (N/D)^(1/Q) / 2^k in (2^(-1/Q), 2): Newton's
-           r' = ((Q-1) r + A / r^(Q-1)) / Q on A = round(m^Q 2^prec), from a
-           50-bit float start at precisions p <= 2p' - bits(Q) - 4, so each
-           step's quadratic term stays below an ulp; it lands within about
-           2 ulps of m 2^prec.  Certificate: with lo, hi = r -/+ G (G = 64),
-           (lo/2^prec)^Q 2^prec rounded up at every product is at most N 2^prec
-           / (D 2^(kQ)), and hi's rounded down at least that.  Products of
-           nonnegative values are monotone, so those bounds bracket the exact
-           powers, and lo^Q <= m^Q <= hi^Q puts m in [lo, hi] / 2^prec.  A
-           failed check falls back to exp/ln; nothing widens to pass.  prec =
-           tol_bits + 16 + k + 16 puts G ulps at 2^-(tol_bits + 26), so the
-           snap onto exp/ln's 2^-(tol_bits + 16) grid ends at one ulp, never
-           wider than exp/ln's own result.  Gate: Q < 2^_ROOT_Q_BITS and a
-           radicand height P bits(a) within prec; exp/ln takes ball operands,
-           the root finders' dyadic exponents (Q >= 2^24) and tall radicands.
+  x^(P/Q), Q >= 2, over the base's interval [lo, hi] = [(c - r)/d, (c + r)/d],
+           c > r >= 0.  An exact base (r = 0), n/d in lowest terms, is exact
+           when n and d are perfect Q-th powers (integer Newton roots, one
+           exact power each), under the integer path's size cap.  Otherwise,
+           with P > 0 after swapping n and d, P is folded into the radicand:
+           lo = hi = M = n^P / d^P, and P = 1 from here.  A ball keeps P: a
+           negative P first inverts the interval into [d/(c + r), d/(c - r)],
+           and the radicand M is its midpoint in lowest terms, so the result
+           cannot depend on the ball's integer form.  With k = floor((bits
+           num(M) - bits den(M)) / Q) and m = M^(1/Q) / 2^k in (2^(-1/Q), 2):
+           Newton's y' = ((Q-1) y + A / y^(Q-1)) / Q on A = round(m^Q 2^prec),
+           from a 50-bit float start at precisions p <= 2p' - bits(Q) - 4, so
+           each step's quadratic term stays below an ulp; it lands within
+           about 2 ulps of m 2^prec.  The root's slope x^(1/Q - 1) / Q is
+           largest at lo, and lo^(1/Q) <= M^(1/Q), so the ends' roots lie
+           within M^(1/Q) (hi - lo) / (2 Q lo) of the midpoint's; the bracket
+           is y -/+ g, g = G + ceil(y (hi - lo) / (2 Q lo)), G = 64 (g = G for
+           an exact base).  g only sizes it.  Certificate: ((y - g)/2^prec)^Q
+           2^prec rounded up at every product is at most lo 2^prec / 2^(kQ),
+           and (y + g)'s rounded down at least hi 2^prec / 2^(kQ).  Products
+           of nonnegative values are monotone, so those bounds bracket the
+           exact powers, and (y - g)^Q <= lo, hi <= (y + g)^Q put the root of
+           every x in [lo, hi] within [y - g, y + g] / 2^prec.  A failed
+           check, or a bracket that reaches 0, falls back to exp/ln; nothing
+           widens to pass.  The bracket's ends are raised to P by the same
+           binary powering, rounded down and up, which holds x^(P/Q) over the
+           interval since x^P grows on x >= 0, and the ball snaps onto
+           exp/ln's 2^-(tol_bits + 16) grid.  prec = tol_bits + 16 + kP + t +
+           bits(P - 1) + 16, with m^(P-1) < 2^t, puts the G ulps' share P
+           m^(P-1) G of the result at 2^-(tol_bits + 26), and the powers'
+           roundings below it; for P = 1 that is tol_bits + 16 + k + 16, and
+           the snap ends at one ulp, never wider than exp/ln's own result (a
+           ball's, than exp/ln's and one grid step).  Gates: Q <
+           2^_ROOT_Q_BITS; for an exact base a radicand height P bits(a)
+           within prec, and for a ball P < 2^_ROOT_Q_BITS and a result below
+           2^(MAX_MAGNITUDE_BITS + 1).  exp/ln takes ball exponents, the root
+           finders' dyadic ones (Q >= 2^24), tall radicands and the balls the
+           gates refuse, so an underflow keeps `_underflow_bits`' grid ball
+           and a result past the cap its immediate MagnitudeError.
   log_b a, a, b > 0 exact.  Rational exactly when a = c^j and b = c^k for the
            c > 1 that is no perfect power: c is the primitive root of the
            operand of smaller height, found by prime roots below its bit
@@ -836,38 +857,56 @@ def _pow_fixed(x: int, e: int, prec: int, up: bool) -> int:
         x = -((-x * x) >> prec) if up else (x * x) >> prec
 
 
-def _algebraic_power(n: int, d: int, P: int, Q: int, tn: int, td: int) -> Ball | None:
-    """Ball containing (n/d)^(P/Q) for n/d > 0 and P/Q, Q >= 2, each in lowest
-    terms, with radius <= tn / td, or None where exp/ln should run instead.
+def _algebraic_power(c: int, d: int, P: int, Q: int, tn: int, td: int, r: int = 0) -> Ball | None:
+    """Ball containing x^(P/Q) for every x in [(c - r)/d, (c + r)/d], for c >
+    r >= 0 (r = 0: an exact base), d > 0 and P/Q in lowest terms with Q >= 2,
+    on the 2^-(tol_bits + 16) grid with radius <= tn / td past the interval's
+    own spread; or None where exp/ln should run instead.
 
-    Exact when n and d are perfect Q-th powers; otherwise the certified
-    Newton root of the module docstring, behind its gate, with None when the
-    certificate fails.
+    The certified Newton root of the module docstring, behind its gates: an
+    exact base is exact when its parts are perfect Q-th powers and otherwise
+    folds P into the radicand, and a ball roots its midpoint and raises the
+    bracket to P.  None when the certificate fails or the bracket reaches 0.
     """
-    rd = _exact_root(d, Q)
-    rn = rd and _exact_root(n, Q)
-    if rn:
-        exact = _exact_int_pow(Fraction(rn, rd), P)
-        if exact is not None:
-            return Ball(exact)
-    if P < 0:
-        n, d, P = d, n, -P
     bits = _tol_bits(tn, td) + 16  # the snap grid of power's exp/ln exit
-    # the gate: q below the crossover, and the radicand's height within the
-    # precision below, with k estimated from the base's bit lengths
-    k_estimate = (P * (n.bit_length() - d.bit_length())) // Q
-    height = P * max(n.bit_length(), d.bit_length())
-    if Q.bit_length() > _ROOT_Q_BITS or height > max(bits + k_estimate + 16, 64):
-        return None
-    N, D = n**P, d**P
-    k = (N.bit_length() - D.bit_length()) // Q  # m^Q = N / (D 2^(kQ)) in (1/2, 2^Q)
-    if k > MAX_MAGNITUDE_BITS:
+    if r:  # the radicand u/v is the midpoint, and the bracket is raised to P
+        if P < 0:  # x^P = (1/x)^-P, and 1/x runs over [d / (c + r), d / (c - r)]
+            c, r, d, P = d * c, d * r, (c - r) * (c + r), -P
+        if Q.bit_length() > _ROOT_Q_BITS or P.bit_length() > _ROOT_Q_BITS:
+            return None
+        u, v = _lowest(c, d)
+    else:  # P folds into the radicand u/v
+        u, v = _lowest(c, d)
+        rd = _exact_root(v, Q)
+        ru = rd and _exact_root(u, Q)
+        if ru:
+            exact = _exact_int_pow(Fraction(ru, rd), P)
+            if exact is not None:
+                return Ball(exact)
+        if P < 0:
+            u, v, P = v, u, -P
+        # the gate: q below the crossover, and the radicand's height within the
+        # precision below, with k estimated from the base's bit lengths
+        k_estimate = (P * (u.bit_length() - v.bit_length())) // Q
+        height = P * max(u.bit_length(), v.bit_length())
+        if Q.bit_length() > _ROOT_Q_BITS or height > max(bits + k_estimate + 16, 64):
+            return None
+        c, d = u, v = u**P, v**P
+        P = 1
+    span = u.bit_length() - v.bit_length()
+    # u/v / 2^(kQ) lies in (1/2, 2^(span - kQ + 1)), so its root m, m 2^prec
+    # the Newton iterate y, has m^(P-1) < 2^top and x^(P/Q) < 2^(kP + top + 1)
+    k = span // Q
+    top = -(-(P - 1) * (span - k * Q + 1) // Q)
+    if k * P + top > MAX_MAGNITUDE_BITS:
+        if r:
+            return None
         raise MagnitudeError("power result would blow past the magnitude cap")
-    prec = max(bits + k + 16, 64)
-    shift = prec - k * Q  # m^Q 2^prec = Nc / Dc
-    Nc, Dc = N << max(shift, 0), D << max(-shift, 0)
-    A = _fix(Nc, Dc, 0)
-    # Newton on r^Q = A at doubling precisions, each step p <= 2 p' - margin
+    prec = max(bits + 16 + k * P + top + (P - 1).bit_length(), 64)
+    shift = prec - k * Q  # x 2^(prec - kQ) for x = s/t is (s << up) / (t << down)
+    up, down = max(shift, 0), max(-shift, 0)
+    A = _fix(u << up, v << down, 0)
+    # Newton on y^Q = A at doubling precisions, each step p <= 2 p' - margin
     # over the previous p', so the quadratic term stays below an ulp
     margin = Q.bit_length() + 4
     steps = []
@@ -877,16 +916,20 @@ def _algebraic_power(n: int, d: int, P: int, Q: int, tn: int, td: int) -> Ball |
         p = (p + margin + 1) // 2
     cut = A.bit_length() - 64
     log2_m = (math.log2(A >> cut) + cut - prec) / Q
-    r, last = int(2.0 ** (log2_m + _ROOT_START_BITS)), _ROOT_START_BITS
+    y, last = int(2.0 ** (log2_m + _ROOT_START_BITS)), _ROOT_START_BITS
     for p in reversed(steps):
-        r <<= p - last
-        w = r if Q == 2 else _pow_fixed(r, Q - 1, p, False)
-        r = ((Q - 1) * r + ((A >> (prec - p)) << p) // w) // Q
+        y <<= p - last
+        w = y if Q == 2 else _pow_fixed(y, Q - 1, p, False)
+        y = ((Q - 1) * y + ((A >> (prec - p)) << p) // w) // Q
         last = p
-    lo, hi = r - _ROOT_GUARD, r + _ROOT_GUARD
-    if not _pow_fixed(lo, Q, prec, True) * Dc <= Nc <= _pow_fixed(hi, Q, prec, False) * Dc:
+    # the ends' roots lie within y (hi - lo) / (2 Q lo) of the midpoint's
+    g = _ROOT_GUARD + -(-y * r // (Q * (c - r)))
+    lo, hi, D = y - g, y + g, d << down
+    if lo <= 0 or not (_pow_fixed(lo, Q, prec, True) * D <= (c - r) << up
+                       and (c + r) << up <= _pow_fixed(hi, Q, prec, False) * D):
         return None
-    return _snap(r, _ROOT_GUARD, 1 << (prec - k), bits)
+    lo, hi = _pow_fixed(lo, P, prec, False), _pow_fixed(hi, P, prec, True)
+    return _snap(lo + hi, hi - lo, 1 << (prec - k * P + 1), bits)
 
 
 def _primitive_power(x: Fraction) -> tuple[int, int, int]:
@@ -948,6 +991,11 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     integer b (sign by parity); a = 0 only with exact b > 0; a ball that
     reaches 0 only with an exact integer b >= 0.  A power that underflows
     the snap grid returns 0 +/- the grid at once.
+
+    One attempt: an exact exponent P/Q over a positive base, exact or a
+    ball, is the certified root of `_algebraic_power`; otherwise, or where
+    that declines, ln a at a tolerance sized from the result's magnitude and
+    exp of the ball b ln a.
     """
     tol = cfg.target_error
     av = as_ball(a)
@@ -979,8 +1027,8 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
     bits = _underflow_bits(av, bv, tol)
     if bits:
         return Ball(0, Fraction(1, 1 << bits))
-    # one attempt: ln a at a tolerance sized from the result's magnitude, and
-    # exp of the ball b ln a
+    # past the certified root: ln a at a tolerance sized from the result's
+    # magnitude, and exp of the ball b ln a
     tn, td = tol.numerator, tol.denominator
     ln_a = _ball(*_ln_ball(av, tn, td << _power_scale_bits(av, bv)))
     return _exp_product(ln_a, bv, tn, td << 2, tol_bits(tol) + 16)
@@ -989,18 +1037,20 @@ def power(a: Fraction | Ball, b: Fraction | Ball, cfg: SeriesConfig) -> Ball:
 def _exact_power(av: Ball, bv: Ball, tol: Fraction) -> Ball | None:
     """`power`'s answers without exp/ln, or None: a = 1 or b in {0, 1}, an
     exact integer power under the magnitude cap (past it for a > 1 and b >
-    0 a MagnitudeError), and `_algebraic_power` of an exact base > 0."""
+    0 a MagnitudeError), and `_algebraic_power` of a base > 0, exact or a
+    ball, to an exact non-integer b."""
     ac, ar, ad = av.c, av.r, av.d
     bc, br, bd = bv.c, bv.r, bv.d
     if not ar and ac == ad or not br and not bc:
         return Ball(1)
     if not br and bc == bd:
         return round_ball(av, tol_bits(tol) + 16) if ar else av
-    if br or ar:
+    if br or ar and ac <= ar:  # a ball exponent, or a ball base reaching 0
         return None
     if bc % bd:
-        return _algebraic_power(*_lowest(ac, ad), *_lowest(bc, bd),
-                                tol.numerator, tol.denominator)
+        return _algebraic_power(ac, ad, *_lowest(bc, bd), tol.numerator, tol.denominator, ar)
+    if ar:
+        return None
     exact = _exact_int_pow(av.center, bc // bd)
     if exact is not None:
         return Ball(exact)

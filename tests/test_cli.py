@@ -762,6 +762,29 @@ def test_a_command_line_walks_no_tree(monkeypatch):
     assert render(copy) == render(parse(text)) and calls
 
 
+def test_a_traced_command_renders_its_term_once(monkeypatch):
+    # the trace's first line is the term's render, and the record's
+    # `canonical` is that line: one render a traced command, where the
+    # evaluator and the record each took one
+    calls = []
+    real = terms.render
+
+    def counted(term):
+        calls.append(term)
+        return real(term)
+
+    monkeypatch.setattr(cli, "render", counted)
+    monkeypatch.setattr(engine, "render", counted)
+    text = "[4.19/[44.5--3.68]]"
+    code, out, err = run_main("trace", text, "--digits", "30", "--format", "json")
+    assert (code, err) == (0, "")
+    assert len(calls) == 1
+    assert json.loads(out)["canonical"] == real(parse(text))
+    calls.clear()
+    code, out, err = run_main("eval", text, "--digits", "30", "--format", "json")
+    assert (code, err, len(calls)) == (0, "", 1)
+
+
 def test_a_traced_command_builds_no_path(monkeypatch):
     # the command prints the chain's lines, so it never joins a node's path;
     # `_parents` is the one home of the path rule, read when events are

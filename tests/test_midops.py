@@ -1072,7 +1072,7 @@ def test_power_and_log_match_the_fraction_reference(a, ra, b, rb, tol):
     exact_a, exact_b = av.is_exact, bv.is_exact
     if exact_a and exact_b:
         return  # the exact-operand paths have properties of their own below
-    if not ((exact_a and a == 1) or (exact_b and b.denominator == 1)):
+    if not (exact_a and a == 1) and not exact_b:  # an exact exponent takes a root
         want = outcome(reference_power_series, av, bv, tol)
         assert outcome(power, a if exact_a else av, b if exact_b else bv, cfg) == want
     if bv.lo > 0 and not (exact_b and b == 1):
@@ -1116,6 +1116,10 @@ def test_power_and_log_of_balls_enclose_mpmath(a, ra, b, rb, c, rc, tol):
 
 @given(positive_rats, radii, any_rats, radii, tols, st.integers(2, 2**40))
 @settings(max_examples=100, deadline=None)
+@example(Fraction(7, 3), Fraction(1, 2**20), Fraction(5, 2), 0, Fraction(1, 10**30), 3)
+@example(Fraction(2, 7), Fraction(3, 2**70), Fraction(-7, 3), 0, Fraction(1, 3 * 2**100),
+         2**40 - 1)
+@example(Fraction(49, 5), Fraction(1, 10**9), Fraction(1, 2), 0, Fraction(1, 10**8), 6)
 def test_results_do_not_depend_on_the_integer_form(a, ra, b, rb, tol, k):
     # a ball's integer form (c +/- r) / d is not in lowest terms; scaled by k
     # it is the same ball, and every operation gives the same result on it
@@ -1158,6 +1162,74 @@ def test_algebraic_power_encloses_the_root(a, b, tol):
         assert out.radius <= want[1]
 
 
+# series-digits' inner results: 3,000-bit dyadics on power's snap grid
+ball_centres = st.one_of(positive_rats, st.builds(
+    lambda x, m: Fraction(math.floor(x * 2**3016) + m, 2**3016), positive_rats,
+    st.integers(0, 2**64)))
+root_exponents = st.one_of(algebraic_exponents, st.builds(
+    Fraction, st.integers(-40, 40), st.integers(2, 40)).filter(lambda b: b.denominator > 1))
+
+
+@given(ball_centres, st.sampled_from([0, Fraction(1, 2**20), Fraction(1, 2**70), "wide"]),
+       root_exponents,
+       st.sampled_from([Fraction(1, 10**8), Fraction(1, 10**30), Fraction(1, 2**3000)]))
+@settings(max_examples=100, deadline=None)
+@example(Fraction(1, 50), Fraction(1, 2**20), Fraction(-40, 3), Fraction(1, 10**8))
+@example(Fraction(50), Fraction(1, 2**70), Fraction(60, 7), Fraction(1, 10**30))
+def test_ball_roots_enclose_and_certify(c, radius, b, tol):
+    # a positive ball to an exact P/Q takes the certified root: mpmath's
+    # x^(P/Q) at 800 bits, at both ends and at the centre, lies in the ball,
+    # and its radius is at most the exp/ln reference's plus one grid step.
+    # A ball too wide for the bracket, r / (c - r) = 2^12 - 1 >= Q, makes
+    # the kernel give None; exp/ln then refuse its spread, or it underflows
+    mpmath = pytest.importorskip("mpmath")
+    wide = radius == "wide"
+    av = Ball(c, c * (1 - Fraction(1, 2**12)) if wide else radius)
+    P, Q = b.numerator, b.denominator
+    cfg = SeriesConfig(tol)
+    kernel = midops._algebraic_power(av.c, av.d, P, Q, tol.numerator, tol.denominator, av.r)
+    if wide:
+        assert kernel is None
+        if not midops._underflow_bits(av, Ball(b), tol):
+            with pytest.raises(PrecisionError, match="exp argument too imprecise"):
+                power(av, b, cfg)
+        return
+    out = power(av, b, cfg)
+    assert kernel == out or (kernel is None and av.is_exact)  # the exact path's height gate
+    with mpmath.workprec(800):
+        for x in (av.lo, av.center, av.hi):
+            want = floor_fraction(mpmath.power(mp_fraction(x), mpmath.mpf(P) / Q), 700)
+            slack = (abs(want) + 1) / 2**700  # mpmath's error and the floor
+            assert out.lo - slack <= want <= out.hi + slack, x
+    want = outcome(reference_power_series, av, Ball(b), tol)
+    if not isinstance(want[0], type):
+        assert out.radius <= want[1] + Fraction(1, 2 ** (midops.tol_bits(tol) + 16))
+
+
+def test_ball_roots_keep_the_gates(monkeypatch):
+    # an exponent's P past 2^_ROOT_Q_BITS keeps the paths a ball base took
+    # before: (1/2 +/- 2^-70)^((2^20 + 1)/2) is below the snap grid and is
+    # `_underflow_bits`' grid ball (its 64-bit ln the one series call), and
+    # (4 +/- 2^-70)^((2^21 + 1)/2) = 2^(2^21 + 1) passes the magnitude cap
+    # and raises before any series runs
+    tol = TIGHT.target_error
+    calls = []
+    for name in ("_ln_fixed", "_exp_fixed"):
+        monkeypatch.setattr(midops, name, counted(calls, name, getattr(midops, name)))
+    eps = Fraction(1, 2**70)
+    for base, b in ((Ball(Fraction(1, 2), eps), Fraction(2**20 + 1, 2)),
+                    (Ball(Fraction(4), eps), Fraction(2**21 + 1, 2))):
+        assert midops._algebraic_power(base.c, base.d, b.numerator, 2,
+                                       tol.numerator, tol.denominator, base.r) is None
+    bits = midops.tol_bits(tol) + 16
+    half = Ball(Fraction(1, 2), eps)
+    assert power(half, Fraction(2**20 + 1, 2), TIGHT) == Ball(Fraction(0), Fraction(1, 2**bits))
+    assert calls == ["_ln_fixed"]
+    with pytest.raises(MagnitudeError, match="power result would blow past the magnitude cap"):
+        power(Ball(Fraction(4), eps), Fraction(2**21 + 1, 2), TIGHT)
+    assert calls == ["_ln_fixed"]
+
+
 @pytest.mark.parametrize("a, b, want", [
     (Fraction(9, 4), Fraction(1, 2), Fraction(3, 2)),
     (Fraction(27, 8), Fraction(-2, 3), Fraction(4, 9)),
@@ -1186,19 +1258,31 @@ def test_algebraic_power_magnitude_cap(monkeypatch):
         power(Fraction(2**40 + 1), Fraction(1, 2), MED)
 
 
+WIDE_BALL = Ball(Fraction(3), Fraction(5, 2))
+
+
 @pytest.mark.parametrize("a, b, takes_series", [
     (Fraction(3), Fraction(5, 2), False),
     (Fraction(3), Fraction(1, 2**16 - 1), False),
     (Fraction(3), Fraction(1, 2**16), True),  # q past the gate
     (Fraction(3), Fraction(3, 2) + Fraction(1, 2**24), True),  # a probe's dyadic
     (Fraction(3**200 + 1), Fraction(1, 2), True),  # height past the precision
-    (Ball(Fraction(3), Fraction(1, 2**80)), Fraction(1, 2), True),
+    (Ball(Fraction(3), Fraction(1, 2**80)), Fraction(1, 2), False),  # a ball base alike
     (Fraction(3), Ball(Fraction(1, 2), Fraction(1, 2**80)), True),
+    (WIDE_BALL, Fraction(1, 2), True),
 ])
 def test_algebraic_gate(monkeypatch, a, b, takes_series):
     calls = []
     monkeypatch.setattr(midops, "_ln_fixed", counted(calls, "_ln_fixed", midops._ln_fixed))
-    power(a, b, SeriesConfig(Fraction(1, 10**30)))
+    if a is WIDE_BALL:
+        # [1/2, 11/2]: the roots' bracket, y (1 +/- 5/2), reaches 0, so ln
+        # runs; b ln a then spreads by (1/2) 5 past exp's 5/8, as any ball
+        # too wide for the bracket does (|P| r / (Q (c - r)) >= |P|)
+        assert midops._algebraic_power(a.c, a.d, 1, 2, 1, 10**30, a.r) is None
+        with pytest.raises(PrecisionError, match="exp argument too imprecise"):
+            power(a, b, SeriesConfig(Fraction(1, 10**30)))
+    else:
+        power(a, b, SeriesConfig(Fraction(1, 10**30)))
     assert bool(calls) == takes_series
 
 
