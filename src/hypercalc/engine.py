@@ -189,7 +189,7 @@ def evaluate(term: Term, ctx: NumericContext, *, collect_trace: bool = False) ->
         if isinstance(value, Fraction) or value.r * target.denominator <= target.numerator * value.d:
             if not collect_trace:
                 return EvalResult(value)
-            return EvalResult(value, _Trace(flat, render(term)).replay(kept, ctx, working))
+            return EvalResult(value, _Trace(flat, render(term), nodes).replay(kept, ctx, working))
         # a power of an inexact base amplifies its error by far more than 16,
         # so the next round asks for the overshoot it just measured
         overshoot = -(-(value.r * target.denominator) // (target.numerator * value.d))
@@ -319,10 +319,11 @@ class _Trace:
     the chain's two runs.  An integer chain's steps are
     `rationals.decimal_texts` of its run.  Each event checks `MAX_TRACE_CHARS`
     before it builds its line, and the trace stops with a `ResourceError`
-    past it.
+    past it; its message names the term's `node_count`, the number of
+    events a full trace makes.
     """
 
-    def __init__(self, flat: _Flat, text: str):
+    def __init__(self, flat: _Flat, text: str, node_count: int):
         n = len(flat)
         size = [0] * n + [1]  # size[_LEAF] is the leaf's 1
         first = list(range(n + 1))  # first[_LEAF] = n, past every entry
@@ -337,7 +338,7 @@ class _Trace:
             start[r] = start[l] + size[l] + op.rank
         self.flat, self.start, self.size, self.first = flat, start, size, first
         self.shift = [0]
-        self.node_count = sum(k or 1 for *_, k in flat)
+        self.node_count = node_count
         self.lines, self.chars = [text], len(text)
 
     def replay(self, values: list[Value], ctx, op_tol) -> _Chain:

@@ -82,7 +82,7 @@ from .errors import (
     ConvergenceError, DomainError, MagnitudeError, PrecisionError, ResourceError,
 )
 from .midops import _EXP_ARG_CAP, SeriesConfig, _log_abs_float, _lowest, tol_bits
-from .records import Record, _set
+from .records import Record
 from .rootfind import (
     BallFn, Bracket, RootConfig, bisect_integers, brent, expand_upper,
 )
@@ -93,13 +93,11 @@ MAX_HEIGHT_STEPS = 50_000
 
 
 class EngineLimits(Record):
-    """The tower-unrolling budget `MAX_HEIGHT_STEPS` as a record, which the
-    acceptance tests construct; the checks read the constant."""
+    """A record with no fields, which the acceptance tests construct: the
+    engine's budgets, such as `MAX_HEIGHT_STEPS`, are module constants that
+    the checks read."""
 
-    __slots__ = ("max_height_steps",)
-
-    def __init__(self, max_height_steps: int = MAX_HEIGHT_STEPS):
-        _set(self, "max_height_steps", max_height_steps)
+    __slots__ = ()
 
 
 # ---------------------------------------------------------------------------

@@ -14,18 +14,18 @@ round-trips are exact.
 A literal n stands for the chain of n - 1 `[X+1]` steps over `1`, but it is
 held as one `Chain(n - 1, ONE)` of constant size.  A `Chain` walks like
 the `Node` tree it stands for (`op`, `left`, `right`), so per-node code
-needs no case for it; `plus_one_chain` reads its length in O(1).  Explicit
-`[X+1]` text still parses to `Node`s.  A term's identity is its canonical
-text: `render` alone writes bracket text, and terms are equal, and hash
-alike, when they render alike, however `Node`s and `Chain`s hold them.
+needs no case for it.  Explicit `[X+1]` text still parses to `Node`s.  A
+term's identity is its canonical text: `render` alone writes bracket text,
+and terms are equal, and hash alike, when they render alike, however
+`Node`s and `Chain`s hold them.
 
-A parsed term carries its text and the evaluator's entries from the parse.
-`parse` meets every node in post-order, so in the same pass it records on
-the root the entries `flatten` would walk out (one per `[X+1]` chain and one
-per other node) and the canonical text as pieces, a literal's chain of k
-steps kept as k until the text is read.  The recording sits in the root's
-`_parsed` slot, which equality, hashing, copies and pickles ignore; `render`
-and `flatten` read it, and walk a term built by hand.
+A term's one recording is the evaluator's post-order entries, one per
+`[X+1]` chain and one per other node; `_close` is the rule that folds
+`[X+1]` steps into chains.  `parse` meets every node in post-order, so in
+the same pass it records the entries on the root, in its `_parsed` slot,
+which equality, hashing, copies and pickles ignore.  `flatten` returns
+them, and walks a term built by hand into the same entries; `render`
+writes the text from them, a chain of k steps as k `[`s, X and k `+1]`s.
 """
 
 from __future__ import annotations
@@ -180,10 +180,21 @@ _Flat = tuple[tuple[Operator, int, int, int], ...]
 _LEAF = -1
 
 
-def _integer(run: str, entries: list, pieces: list) -> tuple[Term, int, int] | None:
+def _close(entries: list, op: Operator, left: int, right: int, steps: int) -> int:
+    """Record in `entries` the node `[left op right]`, or for steps > 0
+    that many `[X+1]` steps over X = left, the right being the leaf, and
+    return the index of its entry.  Steps over a chain lengthen it."""
+    if steps and left != _LEAF and entries[left][3]:
+        _, bottom, _, k = entries[left]  # the chain is the last entry
+        entries[left] = (op, bottom, _LEAF, k + steps)
+        return left
+    entries.append((op, left, right, steps))
+    return len(entries) - 1
+
+
+def _integer(run: str, entries: list) -> tuple[Term, int, int] | None:
     """(term, entry index, internal nodes) of a literal's digit run, with
-    its entry and its piece of text recorded: the chain of n - 1 steps is
-    the piece n - 1.
+    its entry recorded: the chain of n - 1 steps over `1`.
 
     None when the run has more than `len(str(MAX_NODES))` digits, which
     makes it at least ten times the cap.  Such a run is never converted:
@@ -194,32 +205,26 @@ def _integer(run: str, entries: list, pieces: list) -> tuple[Term, int, int] | N
         return None
     value = int(run)
     if value == 1:
-        pieces.append("1")
         return ONE, _LEAF, 0
     if value:
-        entries.append((_PLUS1, _LEAF, _LEAF, value - 1))
-        pieces.append(value - 1)
+        at = _close(entries, _PLUS1, _LEAF, _LEAF, value - 1)
     else:
-        entries.append((_MINUS1, _LEAF, _LEAF, 0))
-        pieces.append("[1-1]")
-    return desugar_integer(value), len(entries) - 1, max(value - 1, 1)  # [1-1] is one node
+        at = _close(entries, _MINUS1, _LEAF, _LEAF, 0)
+    return desugar_integer(value), at, max(value - 1, 1)  # [1-1] is one node
 
 
-def _literal(lexeme: str, entries: list, pieces: list) -> tuple[Term, int, int] | None:
+def _literal(lexeme: str, entries: list) -> tuple[Term, int, int] | None:
     """`_integer` of a literal: `n`, or `[m--10^k]` for a decimal with digits
     m and k fractional places."""
     whole, _, frac = lexeme.partition(".")
     if not frac:
-        return _integer(whole, entries, pieces)
-    pieces.append("[")
-    num = _integer(whole + frac, entries, pieces)
-    pieces.append("--")
-    den = _integer("1" + "0" * len(frac), entries, pieces)
+        return _integer(whole, entries)
+    num = _integer(whole + frac, entries)
+    den = _integer("1" + "0" * len(frac), entries)
     if num is None or den is None:
         return None
-    pieces.append("]")
-    entries.append((_MINUS2, num[1], den[1], 0))
-    return Node(_MINUS2, num[0], den[0]), len(entries) - 1, num[2] + den[2] + 1
+    at = _close(entries, _MINUS2, num[1], den[1], 0)
+    return Node(_MINUS2, num[0], den[0]), at, num[2] + den[2] + 1
 
 
 # One match per token, in group 1, with the whitespace and comments before
@@ -252,9 +257,7 @@ def parse(text: str) -> Term:
     """
     tokens = _TOKEN.finditer(text)
     nodes = 0
-    # the recording: `flatten`'s entries, and the text as `render` pieces
-    entries: list = []
-    pieces: list = []
+    entries: list = []  # the recording, `flatten`'s entries
     # (left, its entry, operator) of each open bracket, None until its
     # operator is read
     stack: list = []
@@ -271,14 +274,12 @@ def parse(text: str) -> Term:
                 stack.append(None)
                 if len(stack) > MAX_DEPTH:
                     raise ParseError(f"nesting deeper than {MAX_DEPTH}", token.start(1))
-                pieces.append("[")
                 continue
             if lexeme == "1":
                 term: Term = ONE
                 at = _LEAF
-                pieces.append("1")
             elif "0" <= lexeme[:1] <= "9":
-                term, at, count = _literal(lexeme, entries, pieces) or (None, None, MAX_NODES + 1)
+                term, at, count = _literal(lexeme, entries) or (None, None, MAX_NODES + 1)
                 nodes += count
                 if nodes > MAX_NODES:
                     raise ParseError(f"term has more than {MAX_NODES} nodes with literals desugared",
@@ -291,18 +292,7 @@ def parse(text: str) -> Term:
                 token = next(tokens)
                 if token[1] != "]":
                     raise _expected("']'", token)
-                pieces.append("]")
-                if term is not ONE or op is not _PLUS1:
-                    entries.append((op, left_at, at, 0))
-                    at = len(entries) - 1
-                elif left_at != _LEAF and entries[left_at][3]:
-                    # an `[X+1]` step over a chain, which is the last entry
-                    _, bottom, _, k = entries[left_at]
-                    entries[left_at] = (op, bottom, _LEAF, k + 1)
-                    at = left_at
-                else:  # the first `[X+1]` step over X
-                    entries.append((op, left_at, _LEAF, 1))
-                    at = len(entries) - 1
+                at = _close(entries, op, left_at, at, 1 if term is ONE and op is _PLUS1 else 0)
                 term = Node(op, left, term)
             # then an operator, or the end
             token = next(tokens)
@@ -311,14 +301,13 @@ def parse(text: str) -> Term:
                 if lexeme:
                     raise ParseError(f"trailing {lexeme!r}", token.start(1))
                 if term is not ONE:  # the shared leaf carries nothing
-                    _set(term, "_parsed", (tuple(entries), pieces))
+                    _set(term, "_parsed", tuple(entries))
                 return term
             op = _OPERATORS.get(lexeme)
             if op is None:
                 if lexeme[:1] not in ("+", "-", "/"):
                     raise _expected("an operator", token)
                 op = Operator(OpKind(lexeme[0]), len(lexeme))
-            pieces.append(lexeme)
             stack[-1] = (term, at, op)
     except ParseError:
         # a stray character anywhere comes before any other problem; the
@@ -333,84 +322,62 @@ def parse(text: str) -> Term:
 # rendering
 
 
-def plus_one_chain(term: Term) -> tuple[int, Term]:
-    """(k, X) for a term that is X under k `[X+1]` steps with the leaf on
-    the right, such as a literal n, which is (n - 1, `1`); k is 0 for none.
-    A `Chain` adds its k at once; `Node` steps are walked one by one."""
-    k, plus = 0, OpKind.PLUS  # an enum member costs a lookup per use
-    while True:
-        if isinstance(term, Chain):
-            k += term.k
-            term = term.base
-        elif (isinstance(term, Node) and isinstance(term.right, Leaf)
-              and term.op.rank == 1 and term.op.kind is plus):
-            k += 1
-            term = term.left
-        else:
-            return k, term
-
-
 def flatten(term: Term) -> _Flat:
-    """The evaluator's entries of a term in post-order: one per `+1` chain,
-    and one per other node.  A parsed term's are the parse's recording; a
-    term built by hand is walked."""
+    """The evaluator's entries of a term in post-order: one per `[X+1]`
+    chain, and one per other node.  A parsed term's are the parse's
+    recording; a term built by hand is walked by `_walk`."""
     parsed = getattr(term, "_parsed", None)
-    if parsed is not None:
-        return parsed[0]
+    return _walk(term) if parsed is None else parsed
+
+
+def _walk(term: Term) -> _Flat:
+    """`flatten` of a term built by hand: a `Chain` closes as its k steps, a
+    `Node` `[X+1]` as one step and any other node as none."""
     flat: list = []
-    done: list[int] = []  # indices of finished operands, innermost last
-    # (term, None) is still to expand, (node, k) is ready once its operands are
+    done: list[int] = []  # entry indices of finished operands, innermost last
+    # (term, None) is still to expand, (node, steps) closes once its operands are done
     stack: list[tuple[Term, int | None]] = [(term, None)]
+    plus = OpKind.PLUS  # an enum member costs a lookup per use
     while stack:
-        t, k = stack.pop()
-        if k is not None:
-            right = _LEAF if k else done.pop()
-            left = done.pop()
-            done.append(len(flat))
-            flat.append((t.op, left, right, k))
+        t, steps = stack.pop()
+        if steps is not None:
+            right = _LEAF if steps else done.pop()
+            done.append(_close(flat, t.op, done.pop(), right, steps))
         elif isinstance(t, Leaf):
             done.append(_LEAF)
+        elif isinstance(t, Chain):
+            stack += ((t, t.k), (t.base, None))
+        elif isinstance(t.right, Leaf) and t.op.rank == 1 and t.op.kind is plus:
+            stack += ((t, 1), (t.left, None))
         else:
-            k, bottom = plus_one_chain(t)
-            stack.append((t, k))
-            if k:
-                stack.append((bottom, None))
-            else:
-                stack.append((t.right, None))
-                stack.append((t.left, None))
+            stack += ((t, 0), (t.right, None), (t.left, None))
     return tuple(flat)
 
 
 def render(term: Term) -> str:
     """Render a Term as canonical bracket notation, the exact inverse of
-    `parse`: literals come out desugared.  A chain of k `[X+1]` steps is
-    emitted whole, as k `[`s, X and k `+1]`s, not node by node.  A parsed
-    term's text is its recorded pieces joined, a piece k being the chain of
-    k steps over `1`."""
+    `parse`: literals come out desugared.  The text is written in pre-order
+    from `flatten`'s entries, a chain of k `[X+1]` steps whole, as k `[`s,
+    X and k `+1]`s, not step by step."""
+    flat = flatten(term)
     out: list[str] = []
-    parsed = getattr(term, "_parsed", None)
-    if parsed is not None:
-        for p in parsed[1]:
-            if p.__class__ is str:
-                out.append(p)
-            else:
-                # the runs go in whole, and `+1]`s first, as the walk below
-                # makes them: a concatenated copy, or the other order, left
-                # the heap so that an exact-structure run peaked 0.3 MB higher
-                closes = "+1]" * p
-                out += ("[" * p, "1", closes)
-        return "".join(out)
-    work: list = [term]  # terms to render, or literal strings to emit
+    work: list = [len(flat) - 1]  # entry indices, the root's last, and strings
     while work:
         item = work.pop()
-        if isinstance(item, str):
+        if item.__class__ is str:
             out.append(item)
-            continue
-        k, bottom = plus_one_chain(item)
-        if k:
-            work.extend(["+1]" * k, bottom, "[" * k])
-        elif isinstance(item, Node):
-            work.extend(["]", item.right, item.op.text(), item.left, "["])
-        else:
+        elif item == _LEAF:
             out.append("1")
+        else:
+            op, left, right, k = flat[item]
+            if k:
+                # the runs go in whole, and `+1]`s first: a concatenated copy,
+                # or the other order, left the heap so that an exact-structure
+                # run peaked 0.3 MB higher
+                closes = "+1]" * k
+                out.append("[" * k)
+                work += (closes, left)
+            else:
+                out.append("[")
+                work += ("]", right, op.text(), left)
     return "".join(out)

@@ -30,7 +30,7 @@ def test_settable_values_are_pinned():
     assert names(hypercalc.NumericContext) == ["base", "digits", "guard_digits"]
     assert names(hypercalc.SeriesConfig) == ["target_error"]
     assert names(hypercalc.RootConfig) == ["x_tolerance"]
-    assert names(EngineLimits) == ["max_height_steps"]
+    assert names(EngineLimits) == []
 
 
 def test_every_private_name_is_used_in_the_package():

@@ -740,17 +740,17 @@ def test_a_traced_command_builds_no_trace_event(monkeypatch):
 
 
 def test_a_command_line_walks_no_tree(monkeypatch):
-    # `parse` records the evaluator's entries and the canonical text, so
-    # neither `render` nor the evaluator walks the term; both walks take
-    # `plus_one_chain` at each node they meet
+    # `parse` records the evaluator's entries, from which `render` writes
+    # the canonical text, so neither `render` nor the evaluator walks the
+    # term; `flatten` walks a term built by hand with `_walk`
     calls = []
-    chain = terms.plus_one_chain
+    walk = terms._walk
 
     def counted(term):
         calls.append(term)
-        return chain(term)
+        return walk(term)
 
-    monkeypatch.setattr(terms, "plus_one_chain", counted)
+    monkeypatch.setattr(terms, "_walk", counted)
     text = "[4.19/[44.5--3.68]]"
     for command in ("eval", "trace"):
         code, out, err = run_main(command, text, "--digits", "30", "--base", "16",

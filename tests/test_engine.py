@@ -572,7 +572,8 @@ def post_order_run(term, op_tol, collect):
     """One `_eval_once` round, and its trace replayed from the round's values."""
     flat = flatten(term)
     values = [*engine._eval_once(flat, op_tol)] or [Fraction(1)]  # the leaf's 1
-    events = engine._Trace(flat, render(term)).replay(values, CTX10, op_tol) if collect else ()
+    nodes = sum(k or 1 for *_, k in flat)
+    events = engine._Trace(flat, render(term), nodes).replay(values, CTX10, op_tol) if collect else ()
     return values[-1], list(events)
 
 

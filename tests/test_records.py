@@ -24,7 +24,7 @@ RECORDS = [
      "SeriesConfig(target_error=Fraction(1, 8))"),
     (RootConfig, ("x_tolerance",), (Fraction(1, 8),),
      "RootConfig(x_tolerance=Fraction(1, 8))"),
-    (EngineLimits, ("max_height_steps",), (7,), "EngineLimits(max_height_steps=7)"),
+    (EngineLimits, (), (), "EngineLimits()"),
     (Bracket, ("lo", "hi"), (Fraction(1), Fraction(3, 2)),
      "Bracket(lo=Fraction(1, 1), hi=Fraction(3, 2))"),
     (BasebExpansion, ("sign", "base", "int_text", "frac_text"), ("-", 10, "3", "14"),
@@ -59,7 +59,8 @@ def test_record_defaults_and_field_inequality():
     assert NumericContext() == NumericContext(10, 20, 10)
     assert NumericContext(digits=5) == NumericContext(10, 5, 10)
     assert NumericContext(base=2) != NumericContext(base=3)
-    assert EngineLimits() == EngineLimits(MAX_HEIGHT_STEPS)
+    with pytest.raises(TypeError):  # the budget is a constant, not a field
+        EngineLimits(MAX_HEIGHT_STEPS)
     assert Bracket(Fraction(1), Fraction(1)) != Bracket(Fraction(1), Fraction(2))
     assert Operator(OpKind.PLUS, 1) != Operator(OpKind.MINUS, 1)
     assert Leaf() == Leaf() and hash(Leaf()) == hash(Leaf())

@@ -23,7 +23,6 @@ from hypercalc.terms import (
     desugar_integer,
     flatten,
     parse,
-    plus_one_chain,
     render,
 )
 
@@ -282,7 +281,9 @@ def test_literal_chain_is_the_per_node_literal(n):
         assert_same_term(term, literal_tree(n))
     if n >= 2:
         assert term == Chain(n - 1, ONE)
-        assert plus_one_chain(term) == (n - 1, ONE)
+        # one chain entry, whether recorded, held as a Chain or walked step by step
+        chain = ((PLUS1, -1, -1, n - 1),)
+        assert flatten(term) == flatten(Chain(n - 1, ONE)) == flatten(literal_tree(n)) == chain
 
 
 # 0.5 and [2+++0.5] make a ball under the chain, [1--0] an error below it
@@ -299,7 +300,8 @@ def test_chain_over_an_operand_is_its_node_steps(operand, k, outer):
     reference = per_node(operand)
     for _ in range(k + outer):
         reference = Node(PLUS1, reference, ONE)
-    assert plus_one_chain(term) == plus_one_chain(reference)
+    assert flatten(term) == flatten(reference)
+    assert flatten(term)[-1][3] >= k + outer  # the steps fold into one entry
     assert_same_term(term, reference)
 
 
@@ -313,7 +315,7 @@ def test_chain_reads_as_its_top_node():
     with pytest.raises(ValueError):
         Chain(0, ONE)
     # a Chain over a chain counts both
-    assert plus_one_chain(Chain(2, Chain(3, ONE))) == (5, ONE)
+    assert flatten(Chain(2, Chain(3, ONE))) == ((PLUS1, -1, -1, 5),)
     assert Chain(2, Chain(3, ONE)) == parse("6")
     assert parse("6") != parse("7") and parse("6") != parse("[1+5]")
     # the same steps over another base
@@ -411,19 +413,35 @@ def literal_texts(draw, depth=3):
     return text
 
 
-@given(st.one_of(term_strategy().map(render), literal_texts()))
+@st.composite
+def chained_terms(draw, depth=3):
+    """Terms built by hand in shapes `parse` never makes: `Chain`s over any
+    operand, and `Node` `[X+1]` steps, with a shared or a fresh leaf, over
+    `Chain`s."""
+    if depth == 0 or draw(st.booleans()):
+        term = draw(st.sampled_from(CHAIN_OPERANDS))
+    else:
+        op = Operator(draw(st.sampled_from(SYMBOLS)), draw(st.integers(1, 3)))
+        term = Node(op, draw(chained_terms(depth - 1)), draw(chained_terms(depth - 1)))
+    for steps in draw(st.lists(st.integers(0, 4), max_size=3)):
+        term = Chain(steps, term) if steps else Node(PLUS1, term, draw(st.sampled_from([ONE, Leaf()])))
+    return term
+
+
+@given(st.one_of(term_strategy(), literal_texts().map(parse), chained_terms()))
 @settings(max_examples=300, deadline=None)
-@example("[0.5 + 2] # half")
-@example("[[[0.05+1]+1]+[[7++0]+1]]")
-def test_the_parse_records_what_the_walks_give(text):
+@example(parse("[0.5 + 2] # half"))
+@example(parse("[[[0.05+1]+1]+[[7++0]+1]]"))
+@example(Node(PLUS1, Chain(2, Node(PLUS1, Chain(3, parse("0.5")), Leaf())), ONE))
+def test_the_parse_records_what_the_walks_give(term):
     # a copy is built from the fields alone, so it carries no recording and
-    # `flatten` and `render` walk it
-    term = parse(text)
+    # `flatten` and `render` walk it, as they walk a term built by hand
     copy = pickle.loads(pickle.dumps(term))
     assert getattr(copy, "_parsed", None) is None
-    assert (getattr(term, "_parsed", None) is None) == (term is ONE)
-    assert flatten(term) == flatten(copy)
-    assert render(term) == render(copy)
+    parsed = parse(render(term))
+    assert (getattr(parsed, "_parsed", None) is None) == (parsed is ONE)
+    assert flatten(term) == flatten(copy) == flatten(parsed)
+    assert render(term) == render(copy) == render(parsed)
 
 
 def test_largest_literal_parses_in_constant_memory():
